@@ -7,14 +7,16 @@ from .oracles import (BudgetExhausted, GradientOracle, NoiseLevel, OracleCallRec
                       rcn_surrogate_gradient, sample_privacy_noise)
 from .ordering import (NoiseWeights, OrderingVerdict, compare_orders, expected_deviation,
                        noise_weights, two_level_schedule)
-from .rates import (BoundInputs, DomainError, PreconditionViolated, RateInterval,
-                    RateSelection, clean_first_constant, clean_first_rate_interval,
+from .rates import (BoundInputs, C2Bracket, C2Choice, DomainError, PreconditionViolated,
+                    RateInterval, RateSelection, c2_bracket, clean_first_constant,
+                    clean_first_rate_interval,
                     golden_section, minimize_phase2_rate, minimize_single_rate,
                     noisy_first_constant, noisy_first_rate_interval, search_c2_interval,
                     select_rates, two_phase_bound)
-from .sgd import (InterleavePattern, NonpositiveRate, PatternMismatch, PhasePlan,
-                  Trajectory, run_paired, run_paired_interleaved, run_sgd,
-                  run_sgd_interleaved, simulate_linear_paired_gaps)
+from .sgd import (InfeasibleIterate, InterleavePattern, NonpositiveRate, PatternMismatch,
+                  PhasePlan, Row, Schedule, Trajectory, run_batch, run_paired,
+                  run_paired_interleaved, run_sgd, run_sgd_interleaved,
+                  simulate_linear_paired_gaps)
 from .datasets import (EmptyFileError, InconsistentDimensionError, ParseError,
                        SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm,
                        random_projection, sign_projection_matrix)

@@ -24,7 +24,6 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=None, help="override master_seed")
     p.add_argument("--out-dir", default=None, help="override output directory")
     p.add_argument("--trials", type=int, default=None, help="override trial count")
-    p.add_argument("--threads", type=int, default=None, help="override worker count")
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
@@ -36,8 +35,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
         overrides["out_dir"] = args.out_dir
     if args.trials is not None:
         overrides["trials"] = args.trials
-    if args.threads is not None:
-        overrides["threads"] = args.threads
     if overrides:
         d = cfg.to_dict()
         d.update(overrides)

@@ -92,8 +92,15 @@ class Dataset:
 
 
 def _check_dims(w: np.ndarray, X: np.ndarray) -> None:
-    if X.shape[-1] != w.shape[0]:
-        raise ValueError(f"dimension mismatch: w has d={w.shape[0]}, x has d={X.shape[-1]}")
+    if X.shape[-1] != w.shape[-1]:
+        raise ValueError(f"dimension mismatch: w has d={w.shape[-1]}, x has d={X.shape[-1]}")
+
+
+def _margins(w: np.ndarray, X: np.ndarray, y) -> np.ndarray:
+    """y * <w, x>; with w of shape (rows, d) and X of shape (rows, b, d), row by row."""
+    if w.ndim == 1:
+        return y * (X @ w)
+    return y * np.einsum("rbd,rd->rb", X, w)
 
 
 def loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -117,17 +124,16 @@ def gradient_scales(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.nda
     """Scalar s_i with per-example loss gradient s_i * x_i.
 
     logistic: s = -y * sigmoid(-y w'x); hinge: s = -y on the active branch
-    (margin <= 1, the kink included); linear: s = -y.
+    (margin <= 1, the kink included); linear: s = -y. A batch of weight
+    vectors w (rows, d) takes examples X (rows, b, d) and labels y (rows, b).
     """
     w = np.asarray(w, dtype=np.float64)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     _check_dims(w, X)
     if spec.loss == "logistic":
-        margins = y * (X @ w)
-        return -y * expit(-margins)
+        return -y * expit(-_margins(w, X, y))
     if spec.loss == "hinge":
-        margins = y * (X @ w)
-        return np.where(margins <= 1.0, -y, 0.0)
+        return np.where(_margins(w, X, y) <= 1.0, -y, 0.0)
     return -np.asarray(y, dtype=np.float64)
 
 
@@ -155,12 +161,18 @@ def full_objective(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndar
 
 
 def project(w: np.ndarray, radius: float) -> np.ndarray:
-    """Euclidean projection onto the ball of the given radius. Idempotent."""
+    """Euclidean projection onto the ball of the given radius. Idempotent.
+
+    A matrix is projected row by row.
+    """
     if radius <= 0:
         raise ValueError("radius must be positive")
     w = np.asarray(w, dtype=np.float64)
     if not np.isfinite(radius):
         return w
+    if w.ndim == 2:
+        nrm = np.sqrt(np.einsum("rd,rd->r", w, w))
+        return w * (radius / np.maximum(nrm, radius))[:, None]
     nrm = float(np.linalg.norm(w))
     if nrm <= radius:
         return w

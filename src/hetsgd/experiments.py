@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import platform
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Callable, Optional, Sequence
@@ -21,8 +21,8 @@ import numpy as np
 from .core import Dataset, ObjectiveSpec, full_objective
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
 from .oracles import GradientOracle, NoiseLevel, OracleSpec, dp_noise_level, rcn_noise_level
-from .rates import BoundInputs, minimize_phase2_rate, minimize_single_rate, select_rates
-from .sgd import InterleavePattern, PhasePlan, run_paired, run_paired_interleaved, run_sgd
+from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
+from .sgd import PhasePlan, Row, Schedule, run_batch
 
 STRATEGIES = ("Optimal", "CleanOnly", "SameClean", "SameNoisy", "Algorithm2")
 ORDER_STRATEGIES = ("CF", "NF", "AO")
@@ -88,27 +88,37 @@ def emit_plotdata(rows: Sequence[ResultRow], out_dir, prefix: str = "plot") -> l
 
 
 def _git_hash(start: Path) -> str:
+    """Commit checked out in the repository holding ``start``, or 'unknown'."""
     for root in (start, *start.parents):
-        head = root / ".git" / "HEAD"
-        if not head.exists():
+        git = root / ".git"
+        if not (git / "HEAD").exists():
             continue
         try:
-            text = head.read_text(encoding="utf-8").strip()
-            if text.startswith("ref:"):
-                ref = root / ".git" / text.split(":", 1)[1].strip()
-                if ref.exists():
-                    return ref.read_text(encoding="utf-8").strip()
-            return text
+            text = (git / "HEAD").read_text(encoding="utf-8").strip()
+            if not text.startswith("ref:"):
+                return text
+            ref = text.split(":", 1)[1].strip()
+            if (git / ref).exists():
+                return (git / ref).read_text(encoding="utf-8").strip()
+            packed = git / "packed-refs"
+            if packed.exists():
+                for line in packed.read_text(encoding="utf-8").splitlines():
+                    if line.endswith(" " + ref):
+                        return line.split()[0]
         except OSError:
-            return "unknown"
+            pass
+        return "unknown"
     return "unknown"
 
 
 def write_meta(out_dir, config_dict: dict, runtime_seconds: float, extras: Optional[dict] = None) -> None:
+    """meta.json: the config, what ran (package commit, Python, numpy) and the wall time."""
     out_dir = Path(out_dir)
     meta = {
         "config": config_dict,
-        "git_hash": _git_hash(Path.cwd()),
+        "git_hash": _git_hash(Path(__file__).resolve().parent),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
         "runtime_seconds": runtime_seconds,
     }
     if extras:
@@ -180,7 +190,6 @@ class ExperimentConfig:
     trials: int = 100
     master_seed: int = 0
     out_dir: Optional[str] = None
-    threads: int = 1
     c_grid: Optional[tuple] = None
     epsilon_noisy_sweep: Optional[tuple] = None
     sigma_noisy_sweep: Optional[tuple] = None
@@ -196,7 +205,7 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         _check_keys(d, {"problem", "data", "oracles", "beta_c", "strategies", "trials",
-                        "master_seed", "out_dir", "threads", "c_grid",
+                        "master_seed", "out_dir", "c_grid",
                         "epsilon_noisy_sweep", "sigma_noisy_sweep",
                         "c2_grid", "c2_grid_points"}, "config")
         kw = dict(d)
@@ -262,11 +271,60 @@ def _trial_seed_table(sweep_ss: np.random.SeedSequence, n_sweep: int, trials: in
     return table
 
 
-def _map_trials(fn: Callable[[int], object], n_trials: int, threads: int) -> list:
-    if threads <= 1:
-        return [fn(i) for i in range(n_trials)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_trials)))
+# Trials are batched into one engine call until the batch holds about this
+# many bytes of noise tables and permutations (each kept twice: per oracle
+# and stacked by the engine) plus one step's example gathers.
+BATCH_BYTES = 2 << 20
+
+
+def _batch_bytes(rows: Sequence[Row]) -> int:
+    oracles = {id(o): o for r in rows for o in r.oracles}.values()
+    tables = sum(o.steps_total * (o.dataset.d + o.spec.batch_size) for o in oracles)
+    gathered = sum(r.oracles[0].spec.batch_size * r.oracles[0].dataset.d for r in rows)
+    return 8 * (2 * tables + 3 * gathered)
+
+
+def _check_budgets(rows: Sequence[Row], trajectories: Sequence) -> None:
+    """Every run must have read each of its oracles' whole budget (in whole batches)."""
+    for row, traj in zip(rows, trajectories):
+        full = tuple(o.steps_total * o.spec.batch_size for o in row.oracles)
+        if traj.consumed != full:
+            raise RuntimeError(f"a run read {traj.consumed} examples of oracle budgets {full}")
+
+
+def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
+                score: Callable[[list], float]) -> dict:
+    """Per-trial scores of every keyed group of runs, through as few engine calls as fit.
+
+    ``make_trial(i)`` lists trial i's (key, rows); ``score`` turns one
+    group's trajectories into that trial's value for the key. Trials are
+    independent, so how they are batched does not change any value.
+    """
+    values: dict = {}
+    block, size = [], 0
+    for i in range(trials):
+        entries = make_trial(i)
+        block += entries
+        size += _batch_bytes([r for _, rows in entries for r in rows])
+        if size < BATCH_BYTES and i < trials - 1:
+            continue
+        trajectories = iter(run_batch([r for _, rows in block for r in rows], radius))
+        for key, rows in block:
+            group = [next(trajectories) for _ in rows]
+            _check_budgets(rows, group)
+            values.setdefault(key, []).append(score(group))
+        block, size = [], 0
+    return {key: np.array(v) for key, v in values.items()}
+
+
+def _result_row(strategy: str, sweep_param: float, values: np.ndarray) -> ResultRow:
+    stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
+    return ResultRow(strategy=strategy, sweep_param=float(sweep_param),
+                     mean=float(values.mean()), stderr=stderr, trials=len(values))
+
+
+def _row(schedule: Schedule, oracles: dict, noisy: bool = True) -> Row:
+    return Row(schedule, tuple(oracles[k] for k in schedule.ids), noisy)
 
 
 def _noise_levels(cfg: ExperimentConfig, d: int, epsilon_noisy: Optional[float] = None,
@@ -283,14 +341,28 @@ def _noise_levels(cfg: ExperimentConfig, d: int, epsilon_noisy: Optional[float] 
 
 
 def _oracle_spec(cfg: ExperimentConfig, budget: int, seed: int,
-                 epsilon: Optional[float] = None, sigma: Optional[float] = None,
-                 clean: bool = False) -> OracleSpec:
+                 level: Optional[float]) -> OracleSpec:
+    """The config's mechanism at privacy epsilon or flip rate ``level``; None: noiseless."""
     b = cfg.oracles.batch_size
-    if clean:
+    if level is None:
         return OracleSpec("clean", budget=budget, batch_size=b, rng_seed=seed)
     if cfg.oracles.kind == "local_dp":
-        return OracleSpec("local_dp", budget=budget, batch_size=b, rng_seed=seed, epsilon=epsilon)
-    return OracleSpec("rcn", budget=budget, batch_size=b, rng_seed=seed, sigma=sigma)
+        return OracleSpec("local_dp", budget=budget, batch_size=b, rng_seed=seed, epsilon=level)
+    return OracleSpec("rcn", budget=budget, batch_size=b, rng_seed=seed, sigma=level)
+
+
+def _split_oracles(cfg: ExperimentConfig, obj: ObjectiveSpec, ds_c: Dataset, ds_n: Dataset,
+                   seed_c: int, seed_n: int, noisy_level: Optional[float] = None) -> dict:
+    """One trial's clean-side and noisy-side oracles; noisy_level overrides the config's."""
+    oc = cfg.oracles
+    dp = oc.kind == "local_dp"
+    if noisy_level is None:
+        noisy_level = oc.epsilon_noisy if dp else oc.sigma_noisy
+    clean_level = oc.epsilon_clean if dp else oc.sigma_clean
+    return {"clean_data": GradientOracle(_oracle_spec(cfg, len(ds_c), seed_c, clean_level),
+                                         obj, ds_c),
+            "noisy_data": GradientOracle(_oracle_spec(cfg, len(ds_n), seed_n, noisy_level),
+                                         obj, ds_n)}
 
 
 # ---------------------------------------------------------------------------
@@ -353,51 +425,31 @@ def strategy_comparison_details(cfg: ExperimentConfig):
     obj = ObjectiveSpec(cfg.problem.lam, cfg.problem.loss, cfg.problem.radius)
     lam, radius = obj.lam, obj.radius
     seed_table = _trial_seed_table(sweep_ss, len(sweep), cfg.trials)
-
-    trial_values: dict = {}
-    rows: list = []
-    for j, sweep_value in enumerate(sweep):
+    b = cfg.oracles.batch_size
+    steps = {"clean_data": len(ds_c) // b, "noisy_data": len(ds_n) // b, "all_data": len(ds) // b}
+    schedules = []
+    for sweep_value in sweep:
         kwargs = ({"epsilon_noisy": sweep_value} if cfg.oracles.kind == "local_dp"
                   else {"sigma_noisy": sweep_value})
         noise_c, noise_n = _noise_levels(cfg, ds.d, **kwargs)
         rates = _strategy_rates(noise_c, noise_n, beta_c, lam)
-        plans = {s: _strategy_plan(s, rates, lam, radius) for s in strategies}
+        schedules.append({s: _strategy_plan(s, rates, lam, radius).schedule(steps)
+                          for s in strategies})
 
-        def one_trial(i: int, _j=j, _sweep_value=sweep_value, _plans=plans) -> dict:
-            seed_c, seed_n, _seed_ao, seed_all = seed_table[_j][i]
-            out = {}
-            for s in strategies:
-                oracles = {}
-                for oracle_id, _c in _plans[s].phases:
-                    if oracle_id == "clean_data":
-                        spec = _oracle_spec(cfg, len(ds_c), seed_c,
-                                            epsilon=cfg.oracles.epsilon_clean,
-                                            sigma=cfg.oracles.sigma_clean)
-                        oracles[oracle_id] = GradientOracle(spec, obj, ds_c)
-                    elif oracle_id == "noisy_data":
-                        spec = _oracle_spec(cfg, len(ds_n), seed_n,
-                                            epsilon=_sweep_value if cfg.oracles.kind == "local_dp" else None,
-                                            sigma=_sweep_value if cfg.oracles.kind == "rcn" else None)
-                        oracles[oracle_id] = GradientOracle(spec, obj, ds_n)
-                    else:
-                        spec = _oracle_spec(cfg, len(ds), seed_all, clean=True)
-                        oracles[oracle_id] = GradientOracle(spec, obj, ds)
-                traj = run_sgd(_plans[s], oracles)
-                consumed = sum(o.consumed for o in oracles.values())
-                expected = sum((o.spec.budget // o.spec.batch_size) * o.spec.batch_size
-                               for o in oracles.values())
-                assert consumed == expected
-                out[s] = full_objective(obj, traj.final_w, ds.X, ds.y)
-            return out
+    def make_trial(i: int) -> list:
+        entries = []
+        for j, sweep_value in enumerate(sweep):
+            seed_c, seed_n, _seed_ao, seed_all = seed_table[j][i]
+            oracles = _split_oracles(cfg, obj, ds_c, ds_n, seed_c, seed_n, sweep_value)
+            oracles["all_data"] = GradientOracle(_oracle_spec(cfg, len(ds), seed_all, None),
+                                                 obj, ds)
+            entries += [((s, sweep_value), (_row(schedules[j][s], oracles),)) for s in strategies]
+        return entries
 
-        results = _map_trials(one_trial, cfg.trials, cfg.threads)
-        for s in strategies:
-            values = np.array([results[i][s] for i in range(cfg.trials)])
-            trial_values[(s, sweep_value)] = values
-            stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-            rows.append(ResultRow(strategy=s, sweep_param=float(sweep_value),
-                                  mean=float(values.mean()), stderr=stderr,
-                                  trials=cfg.trials))
+    trial_values = _run_trials(cfg.trials, radius, make_trial,
+                               lambda group: full_objective(obj, group[0].final_w, ds.X, ds.y))
+    rows = [_result_row(s, sweep_value, trial_values[(s, sweep_value)])
+            for sweep_value in sweep for s in strategies]
     return rows, trial_values
 
 
@@ -432,45 +484,35 @@ def order_experiment_details(cfg: ExperimentConfig):
     obj = ObjectiveSpec(cfg.problem.lam, cfg.problem.loss, cfg.problem.radius)
     lam, radius = obj.lam, obj.radius
     b = cfg.oracles.batch_size
-    steps_c, steps_n = len(ds_c) // b, len(ds_n) // b
+    steps = {"clean_data": len(ds_c) // b, "noisy_data": len(ds_n) // b}
     seed_table = _trial_seed_table(sweep_ss, len(c_grid), cfg.trials)
 
-    trial_values: dict = {}
-    rows: list = []
-    for j, c in enumerate(c_grid):
-        def one_trial(i: int, _j=j, _c=c) -> dict:
-            seed_c, seed_n, seed_ao, _ = seed_table[_j][i]
-            out = {}
-            for s in strategies:
-                spec_c = _oracle_spec(cfg, len(ds_c), seed_c, epsilon=cfg.oracles.epsilon_clean,
-                                      sigma=cfg.oracles.sigma_clean)
-                spec_n = _oracle_spec(cfg, len(ds_n), seed_n, epsilon=cfg.oracles.epsilon_noisy,
-                                      sigma=cfg.oracles.sigma_noisy)
-                oracles = {"clean_data": GradientOracle(spec_c, obj, ds_c),
-                           "noisy_data": GradientOracle(spec_n, obj, ds_n)}
-                if s == "CF":
-                    plan = PhasePlan((("clean_data", _c), ("noisy_data", _c)), lam, radius)
-                    noisy, twin = run_paired(plan, oracles)
-                elif s == "NF":
-                    plan = PhasePlan((("noisy_data", _c), ("clean_data", _c)), lam, radius)
-                    noisy, twin = run_paired(plan, oracles)
-                else:
-                    seq = ["clean_data"] * steps_c + ["noisy_data"] * steps_n
-                    np.random.default_rng(seed_ao).shuffle(seq)
-                    pattern = InterleavePattern(tuple(seq))
-                    noisy, twin = run_paired_interleaved(pattern, _c, lam, radius, oracles)
-                f_w = full_objective(obj, noisy.final_w, ds.X, ds.y)
-                f_v = full_objective(obj, twin.final_w, ds.X, ds.y)
-                out[s] = abs(f_w - f_v)
-            return out
+    def schedule(s: str, c: float, seed_ao: int) -> Schedule:
+        if s == "CF":
+            return PhasePlan((("clean_data", c), ("noisy_data", c)), lam, radius).schedule(steps)
+        if s == "NF":
+            return PhasePlan((("noisy_data", c), ("clean_data", c)), lam, radius).schedule(steps)
+        # Arbitrary order: the clean and noisy steps shuffled by the trial's pattern seed.
+        slots = np.repeat([0, 1], [steps["clean_data"], steps["noisy_data"]])
+        np.random.default_rng(seed_ao).shuffle(slots)
+        return Schedule(("clean_data", "noisy_data"), (c, c), slots)
 
-        results = _map_trials(one_trial, cfg.trials, cfg.threads)
-        for s in strategies:
-            values = np.array([results[i][s] for i in range(cfg.trials)])
-            trial_values[(s, c)] = values
-            stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-            rows.append(ResultRow(strategy=s, sweep_param=c, mean=float(values.mean()),
-                                  stderr=stderr, trials=cfg.trials))
+    def make_trial(i: int) -> list:
+        entries = []
+        for j, c in enumerate(c_grid):
+            seed_c, seed_n, seed_ao, _ = seed_table[j][i]
+            oracles = _split_oracles(cfg, obj, ds_c, ds_n, seed_c, seed_n)
+            for s in strategies:
+                sched = schedule(s, c, seed_ao)
+                entries.append(((s, c), (_row(sched, oracles), _row(sched, oracles, noisy=False))))
+        return entries
+
+    def gap(group: list) -> float:
+        noisy, twin = (full_objective(obj, t.final_w, ds.X, ds.y) for t in group)
+        return abs(noisy - twin)
+
+    trial_values = _run_trials(cfg.trials, radius, make_trial, gap)
+    rows = [_result_row(s, c, trial_values[(s, c)]) for c in c_grid for s in strategies]
     return rows, trial_values
 
 
@@ -506,15 +548,8 @@ def c2_sweep_details(cfg: ExperimentConfig):
     lam, radius = obj.lam, obj.radius
 
     noise_c, noise_n = _noise_levels(cfg, ds.d)
-    sel_upper = select_rates(noise_c.gamma_sq, noise_n.gamma_sq, beta_c, lam)
-    c2_upper = sel_upper.c2
-    if sel_upper.order == "clean_first":
-        lower_inputs = BoundInputs(noise_c.gamma_sq_lower, noise_n.gamma_sq_lower,
-                                   beta_c, lam, T=1)
-    else:
-        lower_inputs = BoundInputs(noise_n.gamma_sq_lower, noise_c.gamma_sq_lower,
-                                   1.0 - beta_c, lam, T=1)
-    c2_lower, _ = minimize_phase2_rate(lower_inputs)
+    bracket = c2_bracket(noise_c, noise_n, beta_c, lam)
+    c2_lower, c2_upper = bracket.c2_lower, bracket.c2_upper
     lo, hi = sorted((c2_lower, c2_upper))
 
     if cfg.c2_grid:
@@ -525,54 +560,32 @@ def c2_sweep_details(cfg: ExperimentConfig):
     # The bracketing rates are always measured so the marker rows carry data.
     grid = sorted(set(float(c) for c in span) | {float(c2_lower), float(c2_upper)})
 
+    b = cfg.oracles.batch_size
+    steps = {"clean_data": len(ds_c) // b, "noisy_data": len(ds_n) // b}
+    first, second = ("clean_data", "noisy_data") if bracket.order == "clean_first" \
+        else ("noisy_data", "clean_data")
+    schedules = {("TwoRate", c2): PhasePlan(((first, 1.0 / lam), (second, c2)), lam,
+                                            radius).schedule(steps) for c2 in grid}
+    schedules[("CleanOnly", 0.0)] = PhasePlan((("clean_data", 1.0 / lam),), lam,
+                                              radius).schedule(steps)
     seed_table = _trial_seed_table(sweep_ss, 1, cfg.trials)[0]
 
-    def one_trial(i: int) -> dict:
+    def make_trial(i: int) -> list:
         seed_c, seed_n, _seed_ao, _seed_all = seed_table[i]
-        out = {}
-        spec_kwargs = dict(epsilon=cfg.oracles.epsilon_noisy, sigma=cfg.oracles.sigma_noisy)
-        for c2 in grid:
-            spec_c = _oracle_spec(cfg, len(ds_c), seed_c, epsilon=cfg.oracles.epsilon_clean,
-                                  sigma=cfg.oracles.sigma_clean)
-            spec_n = _oracle_spec(cfg, len(ds_n), seed_n, **spec_kwargs)
-            oracles = {"clean_data": GradientOracle(spec_c, obj, ds_c),
-                       "noisy_data": GradientOracle(spec_n, obj, ds_n)}
-            if sel_upper.order == "clean_first":
-                plan = PhasePlan((("clean_data", 1.0 / lam), ("noisy_data", c2)), lam, radius)
-            else:
-                plan = PhasePlan((("noisy_data", 1.0 / lam), ("clean_data", c2)), lam, radius)
-            traj = run_sgd(plan, oracles)
-            out[("TwoRate", c2)] = full_objective(obj, traj.final_w, ds.X, ds.y)
-        spec_c = _oracle_spec(cfg, len(ds_c), seed_c, epsilon=cfg.oracles.epsilon_clean,
-                              sigma=cfg.oracles.sigma_clean)
-        oracles = {"clean_data": GradientOracle(spec_c, obj, ds_c)}
-        plan = PhasePlan((("clean_data", 1.0 / lam),), lam, radius)
-        traj = run_sgd(plan, oracles)
-        out[("CleanOnly", 0.0)] = full_objective(obj, traj.final_w, ds.X, ds.y)
-        return out
+        oracles = _split_oracles(cfg, obj, ds_c, ds_n, seed_c, seed_n)
+        return [(key, (_row(sched, oracles),)) for key, sched in schedules.items()]
 
-    results = _map_trials(one_trial, cfg.trials, cfg.threads)
-    keys = [("TwoRate", c2) for c2 in grid] + [("CleanOnly", 0.0)]
-    trial_values = {}
-    rows = []
-    for key in keys:
-        values = np.array([results[i][key] for i in range(cfg.trials)])
-        trial_values[key] = values
-        stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-        rows.append(ResultRow(strategy=key[0], sweep_param=float(key[1]),
-                              mean=float(values.mean()), stderr=stderr, trials=cfg.trials))
-
+    trial_values = _run_trials(cfg.trials, radius, make_trial,
+                               lambda group: full_objective(obj, group[0].final_w, ds.X, ds.y))
+    rows = [_result_row(name, param, trial_values[(name, param)]) for name, param in schedules]
     # Marker rows duplicate the grid rows at the bracketing and selected rates.
     markers = {"marker_c2_lower": c2_lower, "marker_c2_upper": c2_upper,
-               "marker_c2_selected": sel_upper.c2}
-    for name, c2 in markers.items():
-        values = trial_values[("TwoRate", float(c2))]
-        stderr = float(values.std(ddof=1) / np.sqrt(len(values))) if len(values) > 1 else 0.0
-        rows.append(ResultRow(strategy=name, sweep_param=float(c2),
-                              mean=float(values.mean()), stderr=stderr, trials=cfg.trials))
+               "marker_c2_selected": c2_upper}
+    rows += [_result_row(name, c2, trial_values[("TwoRate", float(c2))])
+             for name, c2 in markers.items()]
 
-    info = {"c2_lower": c2_lower, "c2_upper": c2_upper, "c2_selected": sel_upper.c2,
-            "order": sel_upper.order, "grid": grid}
+    info = {"c2_lower": c2_lower, "c2_upper": c2_upper, "c2_selected": c2_upper,
+            "order": bracket.order, "grid": grid}
     return rows, trial_values, info
 
 

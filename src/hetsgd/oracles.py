@@ -16,12 +16,16 @@ over the next ``batch_size`` examples. Four noise mechanisms are provided:
                     the data-ordering analysis).
 
 Each oracle may be called at most ``budget`` examples' worth of times.
-Oracles are stateful single-consumer objects; independent instances can run
-on different workers concurrently.
+At construction it draws its whole budget's noise up front from its own
+seed: one batch-mean noise vector per step for ``local_dp`` and
+``gaussian``, one flip mask per step for ``rcn``. ``call`` indexes those
+tables and is the scalar reference path; the batched engine in ``sgd`` reads
+the same tables, so any number of runs can share one oracle's draws.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import copy
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -91,9 +95,8 @@ def sample_privacy_noise(epsilon: float, d: int, rng: np.random.Generator,
         raise ValueError("epsilon and d must be positive")
     n = 1 if size is None else int(size)
     radii = rng.standard_gamma(d, size=n) * (2.0 / epsilon)
-    dirs = rng.standard_normal((n, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    z = radii[:, None] * dirs
+    z = rng.standard_normal((n, d))
+    z *= (radii / np.linalg.norm(z, axis=1))[:, None]
     return z[0] if size is None else z
 
 
@@ -155,6 +158,21 @@ class OracleSpec:
         return NoiseLevel(DATA_TERM_BOUND + extra, extra)
 
 
+def _draw_noise(spec: OracleSpec, d: int, rng: np.random.Generator) -> tuple:
+    """(batch-mean noise (steps, d) or None, label flips (steps, b) or None) for a whole budget."""
+    b = spec.batch_size
+    steps = spec.budget // b
+    if spec.kind == "local_dp":
+        z = sample_privacy_noise(spec.epsilon, d, rng, size=steps * b)
+        return z.reshape(steps, b, d).mean(axis=1), None
+    if spec.kind == "gaussian":
+        z = rng.standard_normal((steps * b, d))
+        return z.reshape(steps, b, d).mean(axis=1) * np.sqrt(spec.noise_sq / d), None
+    if spec.kind == "rcn":
+        return None, (rng.random(steps * b) < spec.sigma).reshape(steps, b)
+    return None, None
+
+
 @dataclass
 class OracleCallRecord:
     gradient: np.ndarray
@@ -163,10 +181,10 @@ class OracleCallRecord:
 
 
 class GradientOracle:
-    """Stateful oracle: a seeded permutation cursor over one dataset.
+    """A seeded permutation cursor over one dataset, with its noise drawn up front.
 
     Two oracles built from the same spec and dataset traverse examples in
-    the same order and draw identical noise, which is what makes the
+    the same order and hold identical noise tables, which is what makes the
     noiseless-twin construction exact: ``twin()`` returns a fresh oracle
     over the same permutation with all extra noise forced to zero.
     """
@@ -181,19 +199,31 @@ class GradientOracle:
         self.dataset = dataset
         self.record_noise = record_noise
         self.suppress_noise = suppress_noise
-        self.noise_log: list[np.ndarray] = []
+        perm_ss, noise_ss = np.random.SeedSequence(spec.rng_seed).spawn(2)
+        self._order = np.random.default_rng(perm_ss).permutation(len(dataset))
+        self.noise_means: Optional[np.ndarray] = None
+        self.flips: Optional[np.ndarray] = None
+        if not suppress_noise:
+            self.noise_means, self.flips = _draw_noise(spec, dataset.d,
+                                                       np.random.default_rng(noise_ss))
         self.reset()
 
     def reset(self) -> None:
-        perm_ss, noise_ss = np.random.SeedSequence(self.spec.rng_seed).spawn(2)
-        self._order = np.random.default_rng(perm_ss).permutation(len(self.dataset))
-        self._noise_rng = np.random.default_rng(noise_ss)
         self._consumed = 0
-        self.noise_log = []
+        self.noise_log: list[np.ndarray] = []
 
     def twin(self) -> "GradientOracle":
-        return GradientOracle(self.spec, self.objective, self.dataset,
-                              record_noise=False, suppress_noise=True)
+        twin = copy.copy(self)
+        twin.record_noise = False
+        twin.suppress_noise = True
+        twin.noise_means = twin.flips = None
+        twin.reset()
+        return twin
+
+    @property
+    def order(self) -> np.ndarray:
+        """The example permutation; batch k is order[k*b:(k+1)*b]."""
+        return self._order
 
     @property
     def consumed(self) -> int:
@@ -207,6 +237,24 @@ class GradientOracle:
     def steps_remaining(self) -> int:
         return (self.spec.budget - self._consumed) // self.spec.batch_size
 
+    def _noise_at(self, step: int) -> np.ndarray:
+        return np.zeros(self.dataset.d) if self.noise_means is None else self.noise_means[step]
+
+    def take(self, steps: int) -> int:
+        """Reserve the next ``steps`` batches for a run; return the first one's index.
+
+        The cursor and noise log then read as if ``call`` had served them.
+        """
+        b = self.spec.batch_size
+        if steps < 0 or self._consumed + steps * b > self.spec.budget:
+            raise BudgetExhausted(
+                f"oracle budget {self.spec.budget} cannot serve {steps} batches of {b}")
+        first = self._consumed // b
+        if self.record_noise:
+            self.noise_log.extend(self._noise_at(k).copy() for k in range(first, first + steps))
+        self._consumed += steps * b
+        return first
+
     def call(self, w: np.ndarray) -> OracleCallRecord:
         """Average of lam*w + grad loss + Z over the next batch of examples."""
         spec = self.spec
@@ -214,14 +262,14 @@ class GradientOracle:
         if self._consumed + b > spec.budget:
             raise BudgetExhausted(
                 f"oracle budget {spec.budget} cannot serve another batch of {b}")
+        step = self._consumed // b
         idx = self._order[self._consumed:self._consumed + b]
         self._consumed += b
         Xb = self.dataset.X[idx]
         yb = self.dataset.y[idx]
 
-        if spec.kind == "rcn" and not self.suppress_noise:
-            flips = self._noise_rng.random(b) < spec.sigma
-            y_obs = np.where(flips, -yb, yb)
+        if self.flips is not None:
+            y_obs = np.where(self.flips[step], -yb, yb)
             s_obs = gradient_scales(self.objective, w, Xb, y_obs)
             s_neg = gradient_scales(self.objective, w, Xb, -y_obs)
             s = ((1.0 - spec.sigma) * s_obs - spec.sigma * s_neg) / (1.0 - 2.0 * spec.sigma)
@@ -229,20 +277,13 @@ class GradientOracle:
             s = gradient_scales(self.objective, w, Xb, yb)
         data_grad = (Xb.T @ s) / b
 
-        z_bar: Optional[np.ndarray] = None
-        if not self.suppress_noise:
-            if spec.kind == "local_dp":
-                z = sample_privacy_noise(spec.epsilon, self.dataset.d, self._noise_rng, size=b)
-                z_bar = z.mean(axis=0)
-            elif spec.kind == "gaussian":
-                z = self._noise_rng.standard_normal((b, self.dataset.d))
-                z_bar = z.mean(axis=0) * np.sqrt(spec.noise_sq / self.dataset.d)
-
+        z_bar = None if self.noise_means is None else self.noise_means[step]
         g = self.objective.lam * w + data_grad
         if z_bar is not None:
             g = g + z_bar
+        injected = None
         if self.record_noise:
-            logged = np.zeros(self.dataset.d) if z_bar is None else z_bar.copy()
-            self.noise_log.append(logged)
+            self.noise_log.append(self._noise_at(step).copy())
+            injected = None if z_bar is None else z_bar.copy()
         return OracleCallRecord(gradient=g, calls_consumed=self._consumed,
-                                injected_noise=z_bar if self.record_noise else None)
+                                injected_noise=injected)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -301,26 +301,60 @@ def clean_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
     return RateInterval(s, 8.0 * s / beta_c, regime="clean_first")
 
 
-def search_c2_interval(noise_clean: NoiseLevel, noise_noisy: NoiseLevel,
-                       beta_c: float, lam: float,
-                       evaluate: Callable[[float], float],
-                       eval_budget: int = 12) -> float:
-    """Line-search c2 between the selections made with lower and upper noise bounds.
+@dataclass(frozen=True)
+class C2Bracket:
+    """Second-phase rates of one data order at the upper and at the lower noise bounds.
 
-    Runs the selector twice, once with each oracle's gamma_sq and once with
-    gamma_sq_lower, then golden-section searches ``evaluate`` over the
-    resulting [c2(L), c2(U)] span with a fixed evaluation budget. A
-    degenerate span (equal bounds, as with label-flip noise) is returned
-    directly without calling ``evaluate``.
+    c2_upper is the rate the selector picks at the upper bounds, with the order.
+    """
+
+    order: str
+    c2_lower: float
+    c2_upper: float
+
+
+def c2_bracket(noise_clean: NoiseLevel, noise_noisy: NoiseLevel,
+               beta_c: float, lam: float) -> C2Bracket:
+    """Fix the order by the upper-bound selection, then re-minimise that order at the lower bounds.
+
+    Selecting independently at both bounds can pick different orders, whose
+    rates do not bracket anything on one curve.
     """
     if noise_clean.gamma_sq_lower > noise_clean.gamma_sq or \
             noise_noisy.gamma_sq_lower > noise_noisy.gamma_sq:
         raise ValueError("lower noise bounds must not exceed upper bounds")
-    c2_upper = select_rates(noise_clean.gamma_sq, noise_noisy.gamma_sq, beta_c, lam).c2
-    c2_lower = select_rates(noise_clean.gamma_sq_lower, noise_noisy.gamma_sq_lower,
-                            beta_c, lam).c2
-    lo, hi = sorted((c2_lower, c2_upper))
+    sel = select_rates(noise_clean.gamma_sq, noise_noisy.gamma_sq, beta_c, lam)
+    if sel.order == "clean_first":
+        lower = BoundInputs(noise_clean.gamma_sq_lower, noise_noisy.gamma_sq_lower,
+                            beta_c, lam, T=1)
+    else:
+        lower = BoundInputs(noise_noisy.gamma_sq_lower, noise_clean.gamma_sq_lower,
+                            1.0 - beta_c, lam, T=1)
+    c2_lower, _ = minimize_phase2_rate(lower)
+    return C2Bracket(order=sel.order, c2_lower=c2_lower, c2_upper=sel.c2)
+
+
+class C2Choice(NamedTuple):
+    order: str
+    c2: float
+
+
+def search_c2_interval(noise_clean: NoiseLevel, noise_noisy: NoiseLevel,
+                       beta_c: float, lam: float,
+                       evaluate: Callable[[float], float],
+                       eval_budget: int = 12) -> C2Choice:
+    """Line-search c2 between its lower- and upper-bound minimisers for one data order.
+
+    The order and c2(U) come from the selector run with each oracle's
+    gamma_sq; c2(L) re-minimises that order's bound with gamma_sq_lower (see
+    ``c2_bracket``). ``evaluate`` is then golden-section searched over
+    [c2(L), c2(U)] with a fixed evaluation budget. A degenerate span (equal
+    bounds, as with label-flip noise) is returned directly without calling
+    ``evaluate``. Returns the order with the chosen c2.
+    """
+    bracket = c2_bracket(noise_clean, noise_noisy, beta_c, lam)
+    lo, hi = sorted((bracket.c2_lower, bracket.c2_upper))
     if hi - lo <= 1e-12 * max(hi, 1e-300):
-        return lo
+        return C2Choice(bracket.order, lo)
     best_c2, _ = golden_section(evaluate, lo, hi, rel_tol=0.0, max_evals=eval_budget)
-    return best_c2
+    return C2Choice(bracket.order, best_c2)

@@ -6,10 +6,10 @@ import pytest
 
 from hetsgd.oracles import NoiseLevel, dp_noise_level, rcn_noise_level
 from hetsgd.rates import (BoundInputs, DomainError, PreconditionViolated, RateSelection,
-                          clean_first_constant, clean_first_rate_interval, golden_section,
-                          minimize_phase2_rate, minimize_single_rate, noisy_first_constant,
-                          noisy_first_rate_interval, search_c2_interval, select_rates,
-                          two_phase_bound)
+                          c2_bracket, clean_first_constant, clean_first_rate_interval,
+                          golden_section, minimize_phase2_rate, minimize_single_rate,
+                          noisy_first_constant, noisy_first_rate_interval, search_c2_interval,
+                          select_rates, two_phase_bound)
 
 
 def random_inputs(rng):
@@ -258,7 +258,7 @@ class TestIntervalSearch:
         def evaluate(c2):
             return two_phase_bound(true_inputs, 1.0 / lam, c2)
 
-        best = search_c2_interval(level_c, level_n, beta_c, lam, evaluate, eval_budget=12)
+        best = search_c2_interval(level_c, level_n, beta_c, lam, evaluate, eval_budget=12).c2
         lo = min(select_rates(level_c.gamma_sq_lower, level_n.gamma_sq_lower, beta_c, lam).c2,
                  select_rates(level_c.gamma_sq, level_n.gamma_sq, beta_c, lam).c2)
         hi = max(select_rates(level_c.gamma_sq_lower, level_n.gamma_sq_lower, beta_c, lam).c2,
@@ -276,7 +276,7 @@ class TestIntervalSearch:
             calls.append(c2)
             return c2
 
-        best = search_c2_interval(level_c, level_n, 0.3, 0.5, evaluate)
+        best = search_c2_interval(level_c, level_n, 0.3, 0.5, evaluate).c2
         assert calls == []
         assert best == pytest.approx(select_rates(level_c.gamma_sq, level_n.gamma_sq, 0.3, 0.5).c2)
 
@@ -296,6 +296,37 @@ class TestIntervalSearch:
         a = search_c2_interval(level_c, level_n, beta_c, lam, make_callback(7))
         b = search_c2_interval(level_c, level_n, beta_c, lam, make_callback(7))
         assert a == b
+
+    def test_bracket_keeps_one_data_order(self):
+        # Independent selections pick noisy-first at the upper noise levels
+        # (c2 ~ 1394) and clean-first at the lower ones (c2 ~ 67.6); the
+        # bracket must stay on the noisy-first curve.
+        lam, beta_c = 1e-3, 0.3
+        level_c, level_n = dp_noise_level(10.0, 10, 50), dp_noise_level(2.0, 10, 50)
+        upper = select_rates(level_c.gamma_sq, level_n.gamma_sq, beta_c, lam)
+        lower = select_rates(level_c.gamma_sq_lower, level_n.gamma_sq_lower, beta_c, lam)
+        assert (upper.order, lower.order) == ("noisy_first", "clean_first")
+        assert upper.c2 == pytest.approx(1394, rel=1e-3)
+        assert lower.c2 == pytest.approx(67.6, rel=1e-3)
+
+        bracket = c2_bracket(level_c, level_n, beta_c, lam)
+        nf_lower, _ = minimize_phase2_rate(
+            BoundInputs(level_n.gamma_sq_lower, level_c.gamma_sq_lower, 1 - beta_c, lam, 1))
+        assert (bracket.order, bracket.c2_upper, bracket.c2_lower) == \
+            ("noisy_first", upper.c2, nf_lower)
+        assert nf_lower > 10 * lower.c2
+
+        calls = []
+
+        def evaluate(c2):
+            calls.append(c2)
+            return (c2 - 0.5 * (nf_lower + upper.c2)) ** 2
+
+        choice = search_c2_interval(level_c, level_n, beta_c, lam, evaluate)
+        assert choice.order == "noisy_first"
+        lo, hi = sorted((nf_lower, upper.c2))
+        assert calls and all(lo <= c <= hi for c in calls)
+        assert lo <= choice.c2 <= hi
 
     def test_inverted_bounds_unrepresentable(self):
         # The NoiseLevel invariant already rejects lower > upper.
