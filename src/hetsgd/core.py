@@ -62,6 +62,8 @@ class Dataset:
             raise ValueError("X must be 2-dimensional")
         if self.y.shape != (self.X.shape[0],):
             raise ValueError("y length must match number of rows in X")
+        if not np.all(np.isfinite(self.X)):
+            raise ValueError("features must be finite")
         if not np.all(np.isin(self.y, (-1.0, 1.0))):
             raise ValueError("labels must be -1 or +1")
 

@@ -7,6 +7,7 @@ calibrations assume.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -112,6 +113,8 @@ def ingest_csv(path) -> Dataset:
                 values = [float(p) for p in parts]
             except ValueError as exc:
                 raise ParseError(path, line_number, f"non-numeric field ({exc})") from None
+            if not all(map(math.isfinite, values[1:])):
+                raise ParseError(path, line_number, "non-finite feature")
             if d is None:
                 d = len(values) - 1
             elif len(values) - 1 != d:
@@ -154,6 +157,8 @@ def ingest_libsvm(path) -> Dataset:
                     raise ParseError(path, line_number, f"bad feature token {token!r}") from None
                 if idx < 1:
                     raise ParseError(path, line_number, "feature indices are 1-based")
+                if not math.isfinite(val):
+                    raise ParseError(path, line_number, f"non-finite feature {token!r}")
                 row[idx] = val
                 max_index = max(max_index, idx)
             entries.append(row)

@@ -201,6 +201,8 @@ class ExperimentConfig:
             raise ValueError("beta_c must be in (0, 1)")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.c2_grid_points < 1:
+            raise ValueError("c2_grid_points must be >= 1")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

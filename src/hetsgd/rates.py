@@ -75,17 +75,19 @@ def _beta_terms(beta1: float, k2):
     return bexp, one_minus
 
 
-def two_phase_bound(inputs: BoundInputs, c1: float, c2) -> float:
-    """Leading regret-bound constant B(c1, c2); c2 may be an array.
+def two_phase_bound(inputs: BoundInputs, c1, c2):
+    """Leading regret-bound constant B(c1, c2); c1 and c2 broadcast as arrays.
 
-    Inside |2*lam*c2 - 1| <= BRANCH_TOL the removable singularity is replaced
-    by its limit: first-phase exponent 0 and second term
-    4*g2*c2^2*log(1/beta1)/T.
+    Returns a float when both rates are scalars. Every entry of c1 must
+    satisfy 2*lam*c1 > 1. Inside |2*lam*c2 - 1| <= BRANCH_TOL the removable
+    singularity is replaced by its limit: first-phase exponent 0 and second
+    term 4*g2*c2^2*log(1/beta1)/T.
     """
     lam, T, beta1 = inputs.lam, inputs.T, inputs.beta1
+    c1 = np.asarray(c1, dtype=np.float64)
     k1 = 2.0 * lam * c1
-    if k1 <= 1.0:
-        raise PreconditionViolated(f"need 2*lam*c1 > 1, got {k1}")
+    if not np.all(k1 > 1.0):
+        raise PreconditionViolated(f"need 2*lam*c1 > 1, got {k1.min()}")
     c2 = np.asarray(c2, dtype=np.float64)
     if np.any(c2 <= 0):
         raise ValueError("c2 must be positive")
@@ -200,7 +202,7 @@ def minimize_single_rate(inputs: BoundInputs) -> tuple:
     lo = (1.0 + 1e-9) / (2.0 * lam)
     hi = C2_DOMAIN_HI / lam
     grid = np.geomspace(lo, hi, GRID_POINTS)
-    values = np.array([two_phase_bound(inputs, c, c) for c in grid])
+    values = two_phase_bound(inputs, grid, grid)
     return _grid_then_golden(lambda c: two_phase_bound(inputs, c, c), grid, values)
 
 

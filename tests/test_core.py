@@ -157,6 +157,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="labels"):
             Dataset(np.zeros((2, 2)), np.array([1.0, 2.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            Dataset([[bad, 1.0]], [1.0])
+
     def test_normalized_scales_to_unit_max_norm(self):
         X = np.array([[3.0, 4.0], [0.3, 0.4]])
         ds = Dataset(X, np.array([1.0, -1.0])).normalized()

@@ -110,6 +110,13 @@ class TestIngestCsv:
         with pytest.raises(ParseError, match=r":2:"):
             ingest_csv(path)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, bad):
+        path = tmp_path / "data.csv"
+        path.write_text(f"1, 0.5, 0.2\n1, 0.5, {bad}\n")
+        with pytest.raises(ParseError, match=r":2: non-finite"):
+            ingest_csv(path)
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("\n\n")
@@ -158,6 +165,13 @@ class TestIngestLibsvm:
         path = tmp_path / "data.txt"
         path.write_text("+1 0:0.5\n")
         with pytest.raises(ParseError, match="1-based"):
+            ingest_libsvm(path)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_feature_names_line(self, tmp_path, bad):
+        path = tmp_path / "data.txt"
+        path.write_text(f"+1 1:0.5\n-1 2:{bad}\n")
+        with pytest.raises(ParseError, match=r":2: non-finite"):
             ingest_libsvm(path)
 
     def test_empty(self, tmp_path):

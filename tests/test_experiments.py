@@ -86,6 +86,8 @@ class TestConfig:
             ExperimentConfig.from_dict({"beta_c": 1.5})
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"trials": 0})
+        with pytest.raises(ValueError, match="c2_grid_points"):
+            ExperimentConfig.from_dict({"c2_grid_points": 0})
 
 
 class TestStrategyComparison:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hetsgd.oracles import NoiseLevel, dp_noise_level, rcn_noise_level
-from hetsgd.rates import (BoundInputs, DomainError, PreconditionViolated, RateSelection,
+from hetsgd.rates import (BRANCH_TOL, BoundInputs, DomainError, PreconditionViolated, RateSelection,
                           c2_bracket, clean_first_constant, clean_first_rate_interval,
                           golden_section, minimize_phase2_rate, minimize_single_rate,
                           noisy_first_constant, noisy_first_rate_interval, search_c2_interval,
@@ -48,6 +48,31 @@ class TestTwoPhaseBound:
             two_phase_bound(inputs, 0.5, 1.0)
         with pytest.raises(ValueError):
             two_phase_bound(inputs, 1.0, -1.0)
+
+    def test_array_rates_match_scalar_calls_bit_for_bit(self):
+        rng = np.random.default_rng(11)
+        offsets = np.concatenate([[1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 1e-6],
+                                  np.geomspace(1e-3, 1e3, 60)])
+        for _ in range(20):
+            inputs = random_inputs(rng)
+            # c1 = c2 = c, from inside the limit branch at 2*lam*c = 1 to far outside it.
+            grid = (1.0 + offsets) / (2.0 * inputs.lam)
+            at_limit = np.abs(2.0 * inputs.lam * grid - 1.0) <= BRANCH_TOL
+            assert at_limit.any() and not at_limit.all()
+            values = two_phase_bound(inputs, grid, grid)
+            assert list(values) == [two_phase_bound(inputs, c, c) for c in grid]
+
+    def test_array_c1_precondition_checked_on_every_entry(self):
+        inputs = BoundInputs(1.0, 1.0, 0.5, 1.0, 10)
+        with pytest.raises(PreconditionViolated):
+            two_phase_bound(inputs, np.array([1.0, 2.0, 0.5, 3.0]), 1.0)
+        with pytest.raises(PreconditionViolated):
+            two_phase_bound(inputs, np.array([1.0, np.nan]), 1.0)
+
+    def test_scalar_rates_return_a_float(self):
+        inputs = BoundInputs(1.0, 2.0, 0.5, 1.0, 10)
+        assert type(two_phase_bound(inputs, 1.0, 1.5)) is float
+        assert type(two_phase_bound(inputs, np.float64(1.0), np.float64(0.5))) is float
 
     def test_two_sided_convergence_to_limit_branch(self):
         # Approaching 2*lam*c2 = 1 the generic branch converges linearly to the
