@@ -11,6 +11,7 @@ All functions here are pure and safe to call concurrently.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -38,13 +39,13 @@ class ObjectiveSpec:
     radius: float | None = None
 
     def __post_init__(self):
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError(f"lam must be positive, got {self.lam}")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
         if self.radius is None:
             object.__setattr__(self, "radius", 1.0 / self.lam)
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError(f"radius must be positive, got {self.radius}")
 
 
@@ -83,14 +84,23 @@ class Dataset:
     def max_feature_norm(self) -> float:
         if len(self) == 0:
             return 0.0
-        return float(np.max(np.linalg.norm(self.X, axis=1)))
+        with np.errstate(over="ignore"):
+            norm = np.max(np.linalg.norm(self.X, axis=1))
+            if not np.isfinite(norm):   # squares of entries above ~1e154 overflow
+                peak = np.max(np.abs(self.X))
+                norm = peak * np.max(np.linalg.norm(self.X / peak, axis=1))
+        return float(norm)
 
     def normalized(self) -> "Dataset":
         """Rescale features by the max norm over the dataset so ||x|| <= 1."""
         scale = self.max_feature_norm()
         if scale == 0.0:
             return Dataset(self.X.copy(), self.y.copy())
-        return Dataset(self.X / scale, self.y.copy())
+        X = self.X
+        if np.isinf(scale):             # a norm beyond the float range: shrink the entries first
+            X = X / np.max(np.abs(X))
+            scale = float(np.max(np.linalg.norm(X, axis=1)))
+        return Dataset(X / scale, self.y.copy())
 
 
 def _check_dims(w: np.ndarray, X: np.ndarray) -> None:
@@ -130,7 +140,9 @@ def gradient_scales(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.nda
     vectors w (rows, d) takes examples X (rows, b, d) and labels y (rows, b).
     """
     w = np.asarray(w, dtype=np.float64)
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim < 2:
+        X = np.atleast_2d(X)
     _check_dims(w, X)
     if spec.loss == "logistic":
         return -y * expit(-_margins(w, X, y))
@@ -165,15 +177,18 @@ def full_objective(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndar
 def project(w: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the ball of the given radius. Idempotent.
 
-    A matrix is projected row by row.
+    A matrix is projected row by row. Input that already lies inside the ball
+    (every row of it, for a matrix) is returned as is.
     """
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     w = np.asarray(w, dtype=np.float64)
-    if not np.isfinite(radius):
+    if not math.isfinite(radius):
         return w
     if w.ndim == 2:
         nrm = np.sqrt(np.einsum("rd,rd->r", w, w))
+        if nrm.max(initial=0.0) <= radius:     # every row inside: each factor would be 1.0
+            return w
         return w * (radius / np.maximum(nrm, radius))[:, None]
     nrm = float(np.linalg.norm(w))
     if nrm <= radius:

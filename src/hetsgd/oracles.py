@@ -140,11 +140,11 @@ class OracleSpec:
             raise ValueError("budget must be a positive integer")
         if self.batch_size < 1:
             raise ValueError("batch_size must be a positive integer")
-        if self.kind == "local_dp" and (self.epsilon is None or self.epsilon <= 0):
+        if self.kind == "local_dp" and (self.epsilon is None or not self.epsilon > 0):
             raise ValueError("local_dp oracle needs epsilon > 0")
         if self.kind == "rcn" and (self.sigma is None or not 0.0 <= self.sigma < 0.5):
             raise ValueError("rcn oracle needs sigma in [0, 0.5)")
-        if self.kind == "gaussian" and (self.noise_sq is None or self.noise_sq < 0):
+        if self.kind == "gaussian" and (self.noise_sq is None or not self.noise_sq >= 0):
             raise ValueError("gaussian oracle needs noise_sq >= 0")
 
     def noise_level(self, d: int) -> NoiseLevel:

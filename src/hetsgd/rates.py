@@ -56,11 +56,11 @@ class BoundInputs:
     T: int
 
     def __post_init__(self):
-        if self.gamma1_sq <= 0 or self.gamma2_sq <= 0:
+        if not (self.gamma1_sq > 0 and self.gamma2_sq > 0):
             raise ValueError("noise levels must be positive")
         if not 0.0 < self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in (0, 1), got {self.beta1}")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lam must be positive")
         if self.T < 1:
             raise ValueError("T must be a positive integer")
@@ -89,7 +89,7 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
     if not np.all(k1 > 1.0):
         raise PreconditionViolated(f"need 2*lam*c1 > 1, got {k1.min()}")
     c2 = np.asarray(c2, dtype=np.float64)
-    if np.any(c2 <= 0):
+    if not np.all(c2 > 0):
         raise ValueError("c2 must be positive")
     k2 = 2.0 * lam * c2
     e = k2 - 1.0

@@ -8,13 +8,15 @@ where the step index t runs continuously across phases and never resets.
 Mini-batched oracle calls count as a single t increment.
 
 One engine, ``run_batch``, advances any number of runs ("rows") together.
-Its state is a matrix W with one row per run, and each step does one gather
-of every row's examples, one vectorised gradient evaluation, one gather of
-every row's pre-drawn batch-mean noise and one row-wise projection. A row
-names a ``Schedule`` (the oracle slot serving each step and each slot's rate
-constant), the oracles behind its slots, and whether it is the noisy run or
-its noiseless twin. Rows read their oracles' permutations and noise tables
-without consuming them, so every run over one seed shares one table.
+Its state is a matrix W with one row per run. What the steps read that does
+not depend on W (every row's examples, labels, pre-drawn batch-mean noise and
+step size) is gathered for a chunk of steps at a time, so each step does
+only one vectorised gradient evaluation, the update and one row-wise
+projection. A row names a ``Schedule`` (the oracle slot serving each step and
+each slot's rate constant), the oracles behind its slots, and whether it is
+the noisy run or its noiseless twin. Rows read their oracles' permutations
+and noise tables without consuming them, so every run over one seed shares
+one table.
 ``PhasePlan`` and ``InterleavePattern`` build schedules; ``run_sgd`` and its
 siblings are single-run calls into the engine that also advance the cursors
 of the oracles they are given.
@@ -28,6 +30,11 @@ import numpy as np
 
 from .core import gradient_scales, project
 from .oracles import BudgetExhausted, GradientOracle
+
+
+# A chunk of steps gathers its examples, labels, noise and step sizes in one
+# pass each, holding at most about this many bytes (and at least one step).
+CHUNK_BYTES = 1 << 18
 
 
 class NonpositiveRate(ValueError):
@@ -84,9 +91,9 @@ class PhasePlan:
         ids = [k for k, _ in self.phases]
         if len(set(ids)) != len(ids):
             raise ValueError("each oracle may be referenced by exactly one phase")
-        if self.lam <= 0:
+        if not self.lam > 0:
             raise ValueError("lam must be positive")
-        if self.radius <= 0:
+        if not self.radius > 0:
             raise ValueError("radius must be positive")
 
     def schedule(self, steps: Mapping[str, int]) -> Schedule:
@@ -178,7 +185,7 @@ def run_batch(rows: Sequence[Row], radius: float,
     stride of a thousandth of the longest run if none is given).
     """
     rows = list(rows)
-    if radius <= 0:
+    if not radius > 0:
         raise ValueError("radius must be positive")
     if not rows:
         return []
@@ -262,39 +269,52 @@ def run_batch(rows: Sequence[Row], radius: float,
     iterates = [[] for _ in rows] if snapshot_stride is not None else None
     curves = [[] for _ in rows] if eval_fn is not None else None
 
+    active = n_active.tolist()
+    row_bytes = 8 * (b * (d + 3) + d + 4)       # one row's gathers for one step
     offsets = np.arange(b)
-    R = -1
-    for t in range(1, T + 1):
-        if n_active[t] != R:
-            R = int(n_active[t])
-            pats = pattern_of[:R]
-            row_base = np.arange(R) * S
-        k = step_tab[t - 1][pats]
-        rs = row_base + slot_tab[t - 1][pats]
-        idx = examples[(ex_at[rs] + k * b)[:, None] + offsets]
-        Xb, yb = X[idx], y[idx]
-        Wa = W[:R]
+    step_no = np.arange(1, T + 1)[:, None]
+    t0, R0 = 1, -1
+    while t0 <= T:
+        # Everything steps t0 .. t0+C-1 read that does not depend on W, gathered at once.
+        if active[t0] != R0:
+            R0 = active[t0]
+            pats, row_base = pattern_of[:R0], np.arange(R0) * S
+        C = min(T + 1 - t0, max(1, CHUNK_BYTES // (R0 * row_bytes)))
+        steps = slice(t0 - 1, t0 - 1 + C)
+        k = step_tab[steps, pats]
+        rs = row_base + slot_tab[steps, pats]
+        idx = examples[(ex_at[rs] + k * b)[..., None] + offsets]
+        Xc, yc = X[idx], y[idx]
         if rcn:
-            yb = np.where(flips[flip_at[rs] + k], -yb, yb)
-            sigma = sigma_at[rs][:, None]
-            s = ((1.0 - sigma) * gradient_scales(objective, Wa, Xb, yb)
-                 - sigma * gradient_scales(objective, Wa, Xb, -yb)) / (1.0 - 2.0 * sigma)
-        else:
-            s = gradient_scales(objective, Wa, Xb, yb)
-        G = lam * Wa + np.einsum("rb,rbd->rd", s, Xb) / b + noise[noise_at[rs] + k]
-        Wa = project(Wa - (rate_at[rs] / t)[:, None] * G, radius)
-        if R == n_rows:
-            W = Wa
-        else:
-            W[:R] = Wa
-        if stride is not None:
-            due = range(R) if t % stride == 0 else range(int(n_active[t + 1]), R)
-            for i in due:
-                w = W[i].copy()
-                if iterates is not None:
-                    iterates[i].append((t, w))
-                if curves is not None:
-                    curves[i].append((t, eval_fn(w)))
+            yc = np.where(flips[flip_at[rs] + k], -yc, yc)
+            sigma_c = sigma_at[rs]
+        noise_c = noise[noise_at[rs] + k]
+        eta_c = rate_at[rs] / step_no[steps]
+        for j, t in enumerate(range(t0, t0 + C)):
+            R = active[t]
+            Wa = W[:R]
+            Xb, yb = Xc[j, :R], yc[j, :R]
+            if rcn:
+                sigma = sigma_c[j, :R, None]
+                s = ((1.0 - sigma) * gradient_scales(objective, Wa, Xb, yb)
+                     - sigma * gradient_scales(objective, Wa, Xb, -yb)) / (1.0 - 2.0 * sigma)
+            else:
+                s = gradient_scales(objective, Wa, Xb, yb)
+            G = lam * Wa + np.einsum("rb,rbd->rd", s, Xb) / b + noise_c[j, :R]
+            Wa = project(Wa - eta_c[j, :R, None] * G, radius)
+            if R == n_rows:
+                W = Wa
+            else:
+                W[:R] = Wa
+            if stride is not None:
+                due = range(R) if t % stride == 0 else range(active[t + 1], R)
+                for i in due:
+                    w = W[i].copy()
+                    if iterates is not None:
+                        iterates[i].append((t, w))
+                    if curves is not None:
+                        curves[i].append((t, eval_fn(w)))
+        t0 += C
 
     norms = np.sqrt(np.einsum("rd,rd->r", W, W))
     bad = ~(norms <= radius * (1.0 + 1e-9))

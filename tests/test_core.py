@@ -169,6 +169,31 @@ class TestDataset:
         assert norms.max() == pytest.approx(1.0)
         assert np.all(norms <= 1.0 + 1e-12)
 
+    def test_normalized_keeps_bytes_of_ordinary_inputs(self):
+        X = np.random.default_rng(4).standard_normal((20, 5)) * 1e3
+        ds = Dataset(X, np.ones(20))
+        assert ds.max_feature_norm() == np.max(np.linalg.norm(X, axis=1))
+        assert ds.normalized().X.tobytes() == (X / np.max(np.linalg.norm(X, axis=1))).tobytes()
+
+    @pytest.mark.parametrize("big", [1e200, 1.7e308])
+    def test_normalized_survives_norms_that_overflow(self, big):
+        ds = Dataset([[big, big], [1.0, 2.0]], [1.0, -1.0])
+        with np.errstate(all="raise", under="ignore"):
+            norm = ds.max_feature_norm()
+            X = ds.normalized().X
+        if big == 1e200:
+            assert norm == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+        else:
+            assert norm == np.inf                   # beyond the float range
+        np.testing.assert_allclose(X[0], [np.sqrt(0.5)] * 2, rtol=1e-15)
+        assert 0 < X[1, 0] < X[1, 1]
+        assert np.linalg.norm(X, axis=1).max() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("kw", [{"lam": np.nan}, {"lam": 1.0, "radius": np.nan}])
+    def test_nan_objective_rejected(self, kw):
+        with pytest.raises(ValueError, match="positive"):
+            ObjectiveSpec(**kw)
+
     def test_defaults(self):
         sp = ObjectiveSpec(lam=0.25)
         assert sp.radius == pytest.approx(4.0)

@@ -10,12 +10,12 @@ import numpy as np
 import pytest
 
 import hetsgd
-from hetsgd import experiments
+from hetsgd import experiments, sgd
 from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.experiments import (ExperimentConfig, c2_sweep_details, order_experiment_details,
                                 strategy_comparison_details)
 from hetsgd.oracles import GradientOracle, OracleSpec
-from hetsgd.sgd import PhasePlan, Row, Schedule, run_batch, run_sgd
+from hetsgd.sgd import InfeasibleIterate, PhasePlan, Row, Schedule, run_batch, run_sgd
 
 MECHANISMS = {
     "clean": {},
@@ -91,6 +91,50 @@ def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
     assert hit == active
 
 
+@pytest.mark.parametrize("loss", ["logistic", "hinge"])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("radius", [0.3, 1e3])
+def test_chunk_size_does_not_change_a_value(loss, b, radius, monkeypatch):
+    # One-phase rows are shorter than the rest and leave mid-chunk unless a chunk is one step.
+    rows = mixed_rows(loss, b)
+    assert len({len(r.schedule.slots) for r in rows}) == 2
+    runs = []
+    for chunk_bytes in (1, 1 << 14, sgd.CHUNK_BYTES):
+        monkeypatch.setattr(sgd, "CHUNK_BYTES", chunk_bytes)
+        runs.append(run_batch(rows, radius, snapshot_stride=1))
+    for one_step, *others in zip(*runs):
+        for traj in others:
+            assert traj.final_w.tobytes() == one_step.final_w.tobytes()
+            assert [(t, w.tobytes()) for t, w in traj.iterates] == \
+                [(t, w.tobytes()) for t, w in one_step.iterates]
+
+
+def test_projection_of_rows_inside_the_ball_returns_the_input():
+    W = np.array([[0.6, 0.8], [0.0, -1.0], [0.1, 0.2], [0.0, 0.0]])
+    assert project(W, 1.0) is W
+    np.testing.assert_array_equal(W, [[0.6, 0.8], [0.0, -1.0], [0.1, 0.2], [0.0, 0.0]])
+
+
+def test_projection_scales_only_the_rows_outside_the_ball():
+    W = np.array([[0.9, 1.2], [0.3, 0.4], [0.0, -1.0 - 1e-15], [0.6, 0.8]])
+    P = project(W, 1.0)
+    np.testing.assert_allclose(P[[0, 2]], [[0.6, 0.8], [0.0, -1.0]], rtol=1e-15)
+    assert np.linalg.norm(P[2]) <= 1.0
+    np.testing.assert_array_equal(P[[1, 3]], W[[1, 3]])
+    np.testing.assert_array_equal(W[0], [0.9, 1.2])          # the input is not modified
+
+
+@pytest.mark.parametrize("radius", [0.3, 1e3])
+@pytest.mark.parametrize("chunk_bytes", [1, sgd.CHUNK_BYTES])
+def test_a_nan_row_ends_in_infeasible_iterate(radius, chunk_bytes, monkeypatch):
+    monkeypatch.setattr(sgd, "CHUNK_BYTES", chunk_bytes)
+    rows = mixed_rows("logistic", 1)
+    noisy = next(r for r in rows if r.oracles[0].noise_means is not None)
+    noisy.oracles[0].noise_means[2, 0] = np.nan
+    with pytest.raises(InfeasibleIterate, match="non-finite"):
+        run_batch(rows, radius)
+
+
 def test_twin_rows_differ_from_noisy_rows_only_through_noise():
     rows = mixed_rows("logistic", 2)
     trajectories = run_batch(rows, 1e3)
@@ -159,9 +203,27 @@ def test_trial_values_do_not_depend_on_the_batch(details, monkeypatch):
         np.testing.assert_array_equal(split[key], many[key])
 
 
+RCN_ORACLES = {"kind": "rcn", "sigma_clean": 0.0, "sigma_noisy": 0.3, "batch_size": 5}
+
+
+@pytest.mark.parametrize("details,overrides", [
+    (order_experiment_details, {}),
+    (order_experiment_details, {"oracles": RCN_ORACLES}),
+    (strategy_comparison_details, {}),
+    (c2_sweep_details, {}),
+])
+def test_trial_values_do_not_depend_on_the_chunk(details, overrides, monkeypatch):
+    # Interleaved (AO) rows, twins, rcn flips and shorter CleanOnly rows, one step per chunk.
+    chunked = details(small_config(**overrides))[1]
+    monkeypatch.setattr(sgd, "CHUNK_BYTES", 1)
+    stepwise = details(small_config(**overrides))[1]
+    assert set(chunked) == set(stepwise)
+    for key in chunked:
+        assert chunked[key].tobytes() == stepwise[key].tobytes()
+
+
 def test_rcn_order_experiment_runs_batched():
-    cfg = small_config(oracles={"kind": "rcn", "sigma_clean": 0.0, "sigma_noisy": 0.3,
-                                "batch_size": 5})
+    cfg = small_config(oracles=RCN_ORACLES)
     rows, tv = order_experiment_details(cfg)
     assert all(np.all(np.isfinite(v)) and np.all(v >= 0) for v in tv.values())
 

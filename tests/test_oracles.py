@@ -136,6 +136,12 @@ class TestOracleSpec:
         with pytest.raises(ValueError):
             OracleSpec("clean", budget=0)
 
+    def test_nan_noise_parameters_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            OracleSpec("local_dp", budget=10, epsilon=float("nan"))
+        with pytest.raises(ValueError, match="noise_sq"):
+            OracleSpec("gaussian", budget=10, noise_sq=float("nan"))
+
     def test_budget_cannot_exceed_dataset(self):
         ds = make_dataset(n=8)
         with pytest.raises(ValueError, match="budget"):

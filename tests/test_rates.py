@@ -49,6 +49,18 @@ class TestTwoPhaseBound:
         with pytest.raises(ValueError):
             two_phase_bound(inputs, 1.0, -1.0)
 
+    def test_nan_inputs_rejected(self):
+        nan = float("nan")
+        for args in ((nan, 1.0, 0.5, 1.0, 10), (1.0, nan, 0.5, 1.0, 10),
+                     (1.0, 1.0, nan, 1.0, 10), (1.0, 1.0, 0.5, nan, 10)):
+            with pytest.raises(ValueError):
+                BoundInputs(*args)
+        inputs = BoundInputs(1.0, 1.0, 0.5, 1.0, 10)
+        with pytest.raises(ValueError, match="c2"):
+            two_phase_bound(inputs, 1.0, nan)
+        with pytest.raises(ValueError, match="c2"):
+            two_phase_bound(inputs, 1.0, np.array([1.0, nan]))
+
     def test_array_rates_match_scalar_calls_bit_for_bit(self):
         rng = np.random.default_rng(11)
         offsets = np.concatenate([[1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 1e-6],
@@ -211,6 +223,13 @@ class TestSelectRates:
         assert sel.c2 == pytest.approx(3278.1690387538, rel=1e-6)
         assert sel.bound_value == pytest.approx(53362677.5696684, rel=1e-6)
         assert sel.clean_first_value == pytest.approx(56564502.4750711, rel=1e-6)
+
+    @pytest.mark.parametrize("args", [(float("nan"), 5.0, 0.3, 0.01),
+                                      (1.0, float("nan"), 0.3, 0.01),
+                                      (1.0, 5.0, 0.3, float("nan"))])
+    def test_nan_input_raises(self, args):
+        with pytest.raises(ValueError):
+            select_rates(*args)
 
     def test_to_dict_roundtrips(self):
         sel = select_rates(5.0, 50.0, 0.2, 0.1)

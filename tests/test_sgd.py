@@ -83,6 +83,11 @@ class TestRunSgd:
         with pytest.raises(NonpositiveRate):
             run_sgd(PhasePlan((("a", -0.1),), 1.0, 1.0), {"a": clean_oracle(ds, obj)})
 
+    @pytest.mark.parametrize("lam,radius", [(np.nan, 1.0), (1.0, np.nan)])
+    def test_nan_plan_rejected(self, lam, radius):
+        with pytest.raises(ValueError, match="positive"):
+            PhasePlan((("a", 1.0),), lam, radius)
+
     def test_deterministic_given_seeds(self):
         obj = ObjectiveSpec(lam=0.2, loss="logistic")
         ds = linear_dataset(40, seed=7)
