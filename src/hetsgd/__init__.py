@@ -1,7 +1,7 @@
 """SGD for learning from data observed through heterogeneous gradient noise."""
 
-from .core import (Dataset, LabeledExample, ObjectiveSpec, full_objective, loss_gradient,
-                   loss_value, mean_loss_gradient, project)
+from .core import (Dataset, ObjectiveSpec, full_objective, loss_gradient, loss_value,
+                   mean_loss_gradient, project)
 from .oracles import (BudgetExhausted, GradientOracle, NoiseLevel, OracleCallRecord,
                       OracleSpec, dp_noise_level, rcn_flip_label, rcn_noise_level,
                       rcn_surrogate_gradient, sample_privacy_noise)

@@ -13,10 +13,17 @@ import argparse
 import json
 import sys
 
-from .experiments import (ExperimentConfig, run_c2_sweep, run_order_experiment,
-                          run_strategy_comparison)
+from . import experiments
+from .experiments import ExperimentConfig
 from .oracles import dp_noise_level, rcn_noise_level
 from .rates import select_rates
+
+
+# Subcommand -> its runner in hetsgd.experiments, looked up there at call time
+# so that a wrapper set on that module (perfbench's tracer sets one) is called.
+EXPERIMENTS = {"order-exp": "run_order_experiment",
+               "strategy-cmp": "run_strategy_comparison",
+               "c2-sweep": "run_c2_sweep"}
 
 
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
@@ -47,7 +54,7 @@ def build_parser() -> argparse.ArgumentParser:
                                      description="SGD with heterogeneous-noise gradient oracles")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name in ("order-exp", "strategy-cmp", "c2-sweep"):
+    for name in EXPERIMENTS:
         p = sub.add_parser(name)
         _add_experiment_args(p)
 
@@ -74,14 +81,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
 
-    if args.command == "order-exp":
-        run_order_experiment(_load_config(args))
-        return 0
-    if args.command == "strategy-cmp":
-        run_strategy_comparison(_load_config(args))
-        return 0
-    if args.command == "c2-sweep":
-        run_c2_sweep(_load_config(args))
+    if args.command in EXPERIMENTS:
+        getattr(experiments, EXPERIMENTS[args.command])(_load_config(args))
         return 0
 
     if args.command == "select-rates":

@@ -13,17 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.special import expit
 
 LOSSES = ("logistic", "hinge", "linear")
-
-
-class LabeledExample(NamedTuple):
-    x: np.ndarray
-    y: float
 
 
 @dataclass(frozen=True)
@@ -74,9 +68,6 @@ class Dataset:
     @property
     def d(self) -> int:
         return self.X.shape[1]
-
-    def example(self, i: int) -> LabeledExample:
-        return LabeledExample(self.X[i], float(self.y[i]))
 
     def subset(self, indices) -> "Dataset":
         return Dataset(self.X[indices], self.y[indices])

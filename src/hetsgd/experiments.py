@@ -14,13 +14,13 @@ import platform
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from .core import Dataset, ObjectiveSpec, full_objective
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
-from .oracles import GradientOracle, NoiseLevel, OracleSpec, dp_noise_level, rcn_noise_level
+from .oracles import GradientOracle, NoiseLevel, OracleSpec
 from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
 from .sgd import PhasePlan, Row, Schedule, run_batch
 
@@ -228,16 +228,11 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# Deterministic seed plumbing
+# The experiment skeleton: setup -> per-trial rows -> _run_trials -> aggregate -> emit
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
     return int(ss.generate_state(1, np.uint64)[0])
-
-
-def _experiment_tree(master_seed: int):
-    data_ss, split_ss, sweep_ss = np.random.SeedSequence(master_seed).spawn(3)
-    return data_ss, split_ss, sweep_ss
 
 
 def load_dataset(cfg: ExperimentConfig, data_ss: np.random.SeedSequence) -> Dataset:
@@ -263,14 +258,28 @@ def split_dataset(ds: Dataset, beta_c: float, split_ss: np.random.SeedSequence):
     return ds.subset(perm[:n_c]), ds.subset(perm[n_c:])
 
 
-def _trial_seed_table(sweep_ss: np.random.SeedSequence, n_sweep: int, trials: int):
-    """[sweep][trial] -> four uint64 seeds (clean oracle, noisy oracle, pattern, full oracle)."""
-    table = []
-    for sweep_child in sweep_ss.spawn(n_sweep):
-        rows = [tuple(int(v) for v in t.generate_state(4, np.uint64))
-                for t in sweep_child.spawn(trials)]
-        table.append(rows)
-    return table
+class _Setup(NamedTuple):
+    """What every driver derives from its config before its first trial."""
+
+    ds: Dataset
+    ds_c: Dataset
+    ds_n: Dataset
+    beta_c: float            # the clean share after the split rounds it
+    obj: ObjectiveSpec
+    steps: dict              # oracle id -> batches in its source
+    seeds: list              # [sweep point][trial] -> seeds (clean, noisy, pattern, full oracle)
+
+
+def _setup(cfg: ExperimentConfig, n_sweep: int) -> _Setup:
+    data_ss, split_ss, sweep_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
+    ds = load_dataset(cfg, data_ss)
+    ds_c, ds_n = split_dataset(ds, cfg.beta_c, split_ss)
+    b = cfg.oracles.batch_size
+    steps = {"clean_data": len(ds_c) // b, "noisy_data": len(ds_n) // b, "all_data": len(ds) // b}
+    seeds = [[tuple(int(v) for v in trial.generate_state(4, np.uint64))
+              for trial in point.spawn(cfg.trials)] for point in sweep_ss.spawn(n_sweep)]
+    obj = ObjectiveSpec(cfg.problem.lam, cfg.problem.loss, cfg.problem.radius)
+    return _Setup(ds, ds_c, ds_n, len(ds_c) / len(ds), obj, steps, seeds)
 
 
 # Trials are batched into one engine call until the batch holds about this
@@ -325,83 +334,95 @@ def _result_row(strategy: str, sweep_param: float, values: np.ndarray) -> Result
                      mean=float(values.mean()), stderr=stderr, trials=len(values))
 
 
-def _row(schedule: Schedule, oracles: dict, noisy: bool = True) -> Row:
-    return Row(schedule, tuple(oracles[k] for k in schedule.ids), noisy)
+def _emit(cfg: ExperimentConfig, rows: Sequence[ResultRow], started: float,
+          extras: Optional[dict] = None) -> None:
+    """results.csv, one plot_*.csv per strategy and meta.json, when the config names out_dir."""
+    if cfg.out_dir:
+        out = Path(cfg.out_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        emit_csv(rows, out / "results.csv")
+        emit_plotdata(rows, out)
+        write_meta(out, cfg.to_dict(), time.perf_counter() - started, extras)
 
 
-def _noise_levels(cfg: ExperimentConfig, d: int, epsilon_noisy: Optional[float] = None,
-                  sigma_noisy: Optional[float] = None):
-    oc = cfg.oracles
-    b = oc.batch_size
-    if oc.kind == "local_dp":
-        return (dp_noise_level(oc.epsilon_clean, d, b),
-                dp_noise_level(epsilon_noisy if epsilon_noisy is not None else oc.epsilon_noisy, d, b))
-    if oc.kind == "rcn":
-        return (rcn_noise_level(oc.sigma_clean),
-                rcn_noise_level(sigma_noisy if sigma_noisy is not None else oc.sigma_noisy))
-    raise ValueError(f"unknown oracle kind {oc.kind!r}")
+def _strategies(cfg: ExperimentConfig, allowed: tuple) -> tuple:
+    strategies = tuple(cfg.strategies) if cfg.strategies else allowed
+    for s in strategies:
+        if s not in allowed:
+            raise ValueError(f"unknown strategy {s!r}, expected one of {allowed}")
+    return strategies
+
+
+# ---------------------------------------------------------------------------
+# Oracles and plans
+
+
+# Mechanism -> the OracleSpec field holding its noise level, which also
+# prefixes the config keys of that level (epsilon_clean, sigma_noisy_sweep, ...).
+_LEVEL_FIELDS = {"local_dp": "epsilon", "rcn": "sigma"}
+
+
+def _levels(cfg: ExperimentConfig) -> tuple:
+    """(clean level, default noisy level, noisy sweep) of the config's mechanism."""
+    kind = cfg.oracles.kind
+    if kind not in _LEVEL_FIELDS:
+        raise ValueError(f"unknown oracle kind {kind!r}")
+    field_name = _LEVEL_FIELDS[kind]
+    noisy = getattr(cfg.oracles, f"{field_name}_noisy")
+    return (getattr(cfg.oracles, f"{field_name}_clean"), noisy,
+            tuple(getattr(cfg, f"{field_name}_noisy_sweep") or (noisy,)))
 
 
 def _oracle_spec(cfg: ExperimentConfig, budget: int, seed: int,
                  level: Optional[float]) -> OracleSpec:
-    """The config's mechanism at privacy epsilon or flip rate ``level``; None: noiseless."""
+    """The config's mechanism at noise ``level`` (see _levels); None: noiseless."""
     b = cfg.oracles.batch_size
     if level is None:
         return OracleSpec("clean", budget=budget, batch_size=b, rng_seed=seed)
-    if cfg.oracles.kind == "local_dp":
-        return OracleSpec("local_dp", budget=budget, batch_size=b, rng_seed=seed, epsilon=level)
-    return OracleSpec("rcn", budget=budget, batch_size=b, rng_seed=seed, sigma=level)
+    return OracleSpec(cfg.oracles.kind, budget=budget, batch_size=b, rng_seed=seed,
+                      **{_LEVEL_FIELDS[cfg.oracles.kind]: level})
 
 
-def _split_oracles(cfg: ExperimentConfig, obj: ObjectiveSpec, ds_c: Dataset, ds_n: Dataset,
-                   seed_c: int, seed_n: int, noisy_level: Optional[float] = None) -> dict:
-    """One trial's clean-side and noisy-side oracles; noisy_level overrides the config's."""
-    oc = cfg.oracles
-    dp = oc.kind == "local_dp"
-    if noisy_level is None:
-        noisy_level = oc.epsilon_noisy if dp else oc.sigma_noisy
-    clean_level = oc.epsilon_clean if dp else oc.sigma_clean
-    return {"clean_data": GradientOracle(_oracle_spec(cfg, len(ds_c), seed_c, clean_level),
-                                         obj, ds_c),
-            "noisy_data": GradientOracle(_oracle_spec(cfg, len(ds_n), seed_n, noisy_level),
-                                         obj, ds_n)}
+def _noise_level(cfg: ExperimentConfig, d: int, level: float) -> NoiseLevel:
+    """The mechanism's noise level at ``level``; an oracle's budget and seed do not enter it."""
+    return _oracle_spec(cfg, 1, 0, level).noise_level(d)
+
+
+def _split_oracles(cfg: ExperimentConfig, s: _Setup, seeds: tuple, noisy_level: float) -> dict:
+    """One trial's clean-side and noisy-side oracles, from its seeds."""
+    clean_level = _levels(cfg)[0]
+    return {"clean_data": GradientOracle(_oracle_spec(cfg, len(s.ds_c), seeds[0], clean_level),
+                                         s.obj, s.ds_c),
+            "noisy_data": GradientOracle(_oracle_spec(cfg, len(s.ds_n), seeds[1], noisy_level),
+                                         s.obj, s.ds_n)}
+
+
+def _row(schedule: Schedule, oracles: dict, noisy: bool = True) -> Row:
+    return Row(schedule, tuple(oracles[k] for k in schedule.ids), noisy)
+
+
+def _two_phase(order: str, c1: float, c2: float, obj: ObjectiveSpec) -> PhasePlan:
+    """Both sources, ``order`` 'clean_first' or 'noisy_first', at rate constants c1 then c2."""
+    sources = ("clean_data", "noisy_data") if order == "clean_first" else ("noisy_data", "clean_data")
+    return PhasePlan(tuple(zip(sources, (c1, c2))), obj.lam, obj.radius)
 
 
 # ---------------------------------------------------------------------------
 # Strategy comparison
 
 
-def _strategy_rates(noise_c: NoiseLevel, noise_n: NoiseLevel, beta_c: float, lam: float) -> dict:
-    beta_n = 1.0 - beta_c
-    sel = select_rates(noise_c.gamma_sq, noise_n.gamma_sq, beta_c, lam)
-    same_clean_c, _ = minimize_single_rate(
-        BoundInputs(noise_c.gamma_sq, noise_n.gamma_sq, beta_c, lam, T=1))
-    same_noisy_c, _ = minimize_single_rate(
-        BoundInputs(noise_n.gamma_sq, noise_c.gamma_sq, beta_n, lam, T=1))
-    return {"selection": sel, "same_clean_c": same_clean_c, "same_noisy_c": same_noisy_c}
-
-
-def _strategy_plan(strategy: str, rates: dict, lam: float, radius: float) -> PhasePlan:
-    inv = 1.0 / lam
-    if strategy == "Optimal":
-        phases = (("all_data", inv),)
-    elif strategy == "CleanOnly":
-        phases = (("clean_data", inv),)
-    elif strategy == "SameClean":
-        c = rates["same_clean_c"]
-        phases = (("clean_data", c), ("noisy_data", c))
-    elif strategy == "SameNoisy":
-        c = rates["same_noisy_c"]
-        phases = (("noisy_data", c), ("clean_data", c))
-    elif strategy == "Algorithm2":
-        sel = rates["selection"]
-        if sel.order == "clean_first":
-            phases = (("clean_data", sel.c1), ("noisy_data", sel.c2))
-        else:
-            phases = (("noisy_data", sel.c1), ("clean_data", sel.c2))
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    return PhasePlan(phases, lam, radius)
+def _strategy_plans(noise_c: NoiseLevel, noise_n: NoiseLevel, beta_c: float,
+                    obj: ObjectiveSpec) -> dict:
+    """Every strategy's plan at one pair of noise levels."""
+    lam, gc, gn = obj.lam, noise_c.gamma_sq, noise_n.gamma_sq
+    sel = select_rates(gc, gn, beta_c, lam)
+    same_clean_c, _ = minimize_single_rate(BoundInputs(gc, gn, beta_c, lam, T=1))
+    same_noisy_c, _ = minimize_single_rate(BoundInputs(gn, gc, 1.0 - beta_c, lam, T=1))
+    return {"Optimal": PhasePlan((("all_data", 1.0 / lam),), lam, obj.radius),
+            "CleanOnly": PhasePlan((("clean_data", 1.0 / lam),), lam, obj.radius),
+            "SameClean": _two_phase("clean_first", same_clean_c, same_clean_c, obj),
+            "SameNoisy": _two_phase("noisy_first", same_noisy_c, same_noisy_c, obj),
+            "Algorithm2": _two_phase(sel.order, sel.c1, sel.c2, obj)}
 
 
 def strategy_comparison_details(cfg: ExperimentConfig):
@@ -411,59 +432,37 @@ def strategy_comparison_details(cfg: ExperimentConfig):
     (common random numbers), so per-trial differences between strategies are
     directly comparable.
     """
-    strategies = tuple(cfg.strategies) if cfg.strategies else STRATEGIES
-    for s in strategies:
-        if s not in STRATEGIES:
-            raise ValueError(f"unknown strategy {s!r}")
-    if cfg.oracles.kind == "local_dp":
-        sweep = tuple(cfg.epsilon_noisy_sweep or (cfg.oracles.epsilon_noisy,))
-    else:
-        sweep = tuple(cfg.sigma_noisy_sweep or (cfg.oracles.sigma_noisy,))
-
-    data_ss, split_ss, sweep_ss = _experiment_tree(cfg.master_seed)
-    ds = load_dataset(cfg, data_ss)
-    ds_c, ds_n = split_dataset(ds, cfg.beta_c, split_ss)
-    beta_c = len(ds_c) / len(ds)
-    obj = ObjectiveSpec(cfg.problem.lam, cfg.problem.loss, cfg.problem.radius)
-    lam, radius = obj.lam, obj.radius
-    seed_table = _trial_seed_table(sweep_ss, len(sweep), cfg.trials)
-    b = cfg.oracles.batch_size
-    steps = {"clean_data": len(ds_c) // b, "noisy_data": len(ds_n) // b, "all_data": len(ds) // b}
+    strategies = _strategies(cfg, STRATEGIES)
+    clean_level, _, sweep = _levels(cfg)
+    s = _setup(cfg, len(sweep))
     schedules = []
-    for sweep_value in sweep:
-        kwargs = ({"epsilon_noisy": sweep_value} if cfg.oracles.kind == "local_dp"
-                  else {"sigma_noisy": sweep_value})
-        noise_c, noise_n = _noise_levels(cfg, ds.d, **kwargs)
-        rates = _strategy_rates(noise_c, noise_n, beta_c, lam)
-        schedules.append({s: _strategy_plan(s, rates, lam, radius).schedule(steps)
-                          for s in strategies})
+    for level in sweep:
+        noise_c, noise_n = (_noise_level(cfg, s.ds.d, v) for v in (clean_level, level))
+        plans = _strategy_plans(noise_c, noise_n, s.beta_c, s.obj)
+        schedules.append({name: plans[name].schedule(s.steps) for name in strategies})
 
     def make_trial(i: int) -> list:
         entries = []
-        for j, sweep_value in enumerate(sweep):
-            seed_c, seed_n, _seed_ao, seed_all = seed_table[j][i]
-            oracles = _split_oracles(cfg, obj, ds_c, ds_n, seed_c, seed_n, sweep_value)
-            oracles["all_data"] = GradientOracle(_oracle_spec(cfg, len(ds), seed_all, None),
-                                                 obj, ds)
-            entries += [((s, sweep_value), (_row(schedules[j][s], oracles),)) for s in strategies]
+        for j, level in enumerate(sweep):
+            seeds = s.seeds[j][i]
+            oracles = _split_oracles(cfg, s, seeds, level)
+            oracles["all_data"] = GradientOracle(_oracle_spec(cfg, len(s.ds), seeds[3], None),
+                                                 s.obj, s.ds)
+            entries += [((name, level), (_row(schedules[j][name], oracles),))
+                        for name in strategies]
         return entries
 
-    trial_values = _run_trials(cfg.trials, radius, make_trial,
-                               lambda group: full_objective(obj, group[0].final_w, ds.X, ds.y))
-    rows = [_result_row(s, sweep_value, trial_values[(s, sweep_value)])
-            for sweep_value in sweep for s in strategies]
+    trial_values = _run_trials(cfg.trials, s.obj.radius, make_trial,
+                               lambda group: full_objective(s.obj, group[0].final_w, s.ds.X, s.ds.y))
+    rows = [_result_row(name, level, trial_values[(name, level)])
+            for level in sweep for name in strategies]
     return rows, trial_values
 
 
 def run_strategy_comparison(cfg: ExperimentConfig) -> list:
     started = time.perf_counter()
     rows, _ = strategy_comparison_details(cfg)
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        emit_csv(rows, out / "results.csv")
-        emit_plotdata(rows, out)
-        write_meta(out, cfg.to_dict(), time.perf_counter() - started)
+    _emit(cfg, rows, started)
     return rows
 
 
@@ -472,61 +471,45 @@ def run_strategy_comparison(cfg: ExperimentConfig) -> list:
 
 
 def order_experiment_details(cfg: ExperimentConfig):
-    strategies = tuple(cfg.strategies) if cfg.strategies else ORDER_STRATEGIES
-    for s in strategies:
-        if s not in ORDER_STRATEGIES:
-            raise ValueError(f"unknown order strategy {s!r}")
+    strategies = _strategies(cfg, ORDER_STRATEGIES)
     if not cfg.c_grid:
         raise ValueError("order experiment needs c_grid")
     c_grid = tuple(float(c) for c in cfg.c_grid)
+    _, noisy_level, _ = _levels(cfg)
+    s = _setup(cfg, len(c_grid))
 
-    data_ss, split_ss, sweep_ss = _experiment_tree(cfg.master_seed)
-    ds = load_dataset(cfg, data_ss)
-    ds_c, ds_n = split_dataset(ds, cfg.beta_c, split_ss)
-    obj = ObjectiveSpec(cfg.problem.lam, cfg.problem.loss, cfg.problem.radius)
-    lam, radius = obj.lam, obj.radius
-    b = cfg.oracles.batch_size
-    steps = {"clean_data": len(ds_c) // b, "noisy_data": len(ds_n) // b}
-    seed_table = _trial_seed_table(sweep_ss, len(c_grid), cfg.trials)
-
-    def schedule(s: str, c: float, seed_ao: int) -> Schedule:
-        if s == "CF":
-            return PhasePlan((("clean_data", c), ("noisy_data", c)), lam, radius).schedule(steps)
-        if s == "NF":
-            return PhasePlan((("noisy_data", c), ("clean_data", c)), lam, radius).schedule(steps)
+    def schedule(name: str, c: float, seed_ao: int) -> Schedule:
+        if name != "AO":
+            return _two_phase("clean_first" if name == "CF" else "noisy_first", c, c,
+                              s.obj).schedule(s.steps)
         # Arbitrary order: the clean and noisy steps shuffled by the trial's pattern seed.
-        slots = np.repeat([0, 1], [steps["clean_data"], steps["noisy_data"]])
+        slots = np.repeat([0, 1], [s.steps["clean_data"], s.steps["noisy_data"]])
         np.random.default_rng(seed_ao).shuffle(slots)
         return Schedule(("clean_data", "noisy_data"), (c, c), slots)
 
     def make_trial(i: int) -> list:
         entries = []
         for j, c in enumerate(c_grid):
-            seed_c, seed_n, seed_ao, _ = seed_table[j][i]
-            oracles = _split_oracles(cfg, obj, ds_c, ds_n, seed_c, seed_n)
-            for s in strategies:
-                sched = schedule(s, c, seed_ao)
-                entries.append(((s, c), (_row(sched, oracles), _row(sched, oracles, noisy=False))))
+            seeds = s.seeds[j][i]
+            oracles = _split_oracles(cfg, s, seeds, noisy_level)
+            for name in strategies:
+                sched = schedule(name, c, seeds[2])
+                entries.append(((name, c), (_row(sched, oracles), _row(sched, oracles, noisy=False))))
         return entries
 
     def gap(group: list) -> float:
-        noisy, twin = (full_objective(obj, t.final_w, ds.X, ds.y) for t in group)
+        noisy, twin = (full_objective(s.obj, t.final_w, s.ds.X, s.ds.y) for t in group)
         return abs(noisy - twin)
 
-    trial_values = _run_trials(cfg.trials, radius, make_trial, gap)
-    rows = [_result_row(s, c, trial_values[(s, c)]) for c in c_grid for s in strategies]
+    trial_values = _run_trials(cfg.trials, s.obj.radius, make_trial, gap)
+    rows = [_result_row(name, c, trial_values[(name, c)]) for c in c_grid for name in strategies]
     return rows, trial_values
 
 
 def run_order_experiment(cfg: ExperimentConfig) -> list:
     started = time.perf_counter()
     rows, _ = order_experiment_details(cfg)
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        emit_csv(rows, out / "results.csv")
-        emit_plotdata(rows, out)
-        write_meta(out, cfg.to_dict(), time.perf_counter() - started)
+    _emit(cfg, rows, started)
     return rows
 
 
@@ -542,15 +525,10 @@ def c2_sweep_details(cfg: ExperimentConfig):
     same order's bound curve with the lower-bound noise levels, so both
     bracket rates live on the curve actually being swept.
     """
-    data_ss, split_ss, sweep_ss = _experiment_tree(cfg.master_seed)
-    ds = load_dataset(cfg, data_ss)
-    ds_c, ds_n = split_dataset(ds, cfg.beta_c, split_ss)
-    beta_c = len(ds_c) / len(ds)
-    obj = ObjectiveSpec(cfg.problem.lam, cfg.problem.loss, cfg.problem.radius)
-    lam, radius = obj.lam, obj.radius
-
-    noise_c, noise_n = _noise_levels(cfg, ds.d)
-    bracket = c2_bracket(noise_c, noise_n, beta_c, lam)
+    clean_level, noisy_level, _ = _levels(cfg)
+    s = _setup(cfg, 1)
+    noise_c, noise_n = (_noise_level(cfg, s.ds.d, v) for v in (clean_level, noisy_level))
+    bracket = c2_bracket(noise_c, noise_n, s.beta_c, s.obj.lam)
     c2_lower, c2_upper = bracket.c2_lower, bracket.c2_upper
     lo, hi = sorted((c2_lower, c2_upper))
 
@@ -562,23 +540,17 @@ def c2_sweep_details(cfg: ExperimentConfig):
     # The bracketing rates are always measured so the marker rows carry data.
     grid = sorted(set(float(c) for c in span) | {float(c2_lower), float(c2_upper)})
 
-    b = cfg.oracles.batch_size
-    steps = {"clean_data": len(ds_c) // b, "noisy_data": len(ds_n) // b}
-    first, second = ("clean_data", "noisy_data") if bracket.order == "clean_first" \
-        else ("noisy_data", "clean_data")
-    schedules = {("TwoRate", c2): PhasePlan(((first, 1.0 / lam), (second, c2)), lam,
-                                            radius).schedule(steps) for c2 in grid}
-    schedules[("CleanOnly", 0.0)] = PhasePlan((("clean_data", 1.0 / lam),), lam,
-                                              radius).schedule(steps)
-    seed_table = _trial_seed_table(sweep_ss, 1, cfg.trials)[0]
+    schedules = {("TwoRate", c2): _two_phase(bracket.order, 1.0 / s.obj.lam, c2,
+                                             s.obj).schedule(s.steps) for c2 in grid}
+    schedules[("CleanOnly", 0.0)] = PhasePlan((("clean_data", 1.0 / s.obj.lam),), s.obj.lam,
+                                              s.obj.radius).schedule(s.steps)
 
     def make_trial(i: int) -> list:
-        seed_c, seed_n, _seed_ao, _seed_all = seed_table[i]
-        oracles = _split_oracles(cfg, obj, ds_c, ds_n, seed_c, seed_n)
+        oracles = _split_oracles(cfg, s, s.seeds[0][i], noisy_level)
         return [(key, (_row(sched, oracles),)) for key, sched in schedules.items()]
 
-    trial_values = _run_trials(cfg.trials, radius, make_trial,
-                               lambda group: full_objective(obj, group[0].final_w, ds.X, ds.y))
+    trial_values = _run_trials(cfg.trials, s.obj.radius, make_trial,
+                               lambda group: full_objective(s.obj, group[0].final_w, s.ds.X, s.ds.y))
     rows = [_result_row(name, param, trial_values[(name, param)]) for name, param in schedules]
     # Marker rows duplicate the grid rows at the bracketing and selected rates.
     markers = {"marker_c2_lower": c2_lower, "marker_c2_upper": c2_upper,
@@ -594,11 +566,6 @@ def c2_sweep_details(cfg: ExperimentConfig):
 def run_c2_sweep(cfg: ExperimentConfig) -> list:
     started = time.perf_counter()
     rows, _, info = c2_sweep_details(cfg)
-    if cfg.out_dir:
-        out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        emit_csv(rows, out / "results.csv")
-        emit_plotdata(rows, out)
-        write_meta(out, cfg.to_dict(), time.perf_counter() - started,
-                   extras={"c2_markers": {k: info[k] for k in ("c2_lower", "c2_upper", "c2_selected", "order")}})
+    _emit(cfg, rows, started,
+          extras={"c2_markers": {k: info[k] for k in ("c2_lower", "c2_upper", "c2_selected", "order")}})
     return rows

@@ -65,7 +65,7 @@ def dp_noise_level(epsilon: float, d: int, batch_size: int = 1) -> NoiseLevel:
     gamma_sq = 4 + 4(d^2 + d)/(epsilon^2 * b); the lower variant drops the
     (loose) data-term constant 4.
     """
-    if epsilon <= 0 or d < 1 or batch_size < 1:
+    if not epsilon > 0 or d < 1 or batch_size < 1:
         raise ValueError("epsilon, d and batch_size must be positive")
     noise_part = 4.0 * (d * d + d) / (epsilon * epsilon * batch_size)
     return NoiseLevel(DATA_TERM_BOUND + noise_part, noise_part)
@@ -91,7 +91,7 @@ def sample_privacy_noise(epsilon: float, d: int, rng: np.random.Generator,
     uniform on the unit sphere (a normalized Gaussian vector), so
     E[Z] = 0 and E||Z||^2 = 4(d^2 + d)/epsilon^2.
     """
-    if epsilon <= 0 or d < 1:
+    if not epsilon > 0 or d < 1:
         raise ValueError("epsilon and d must be positive")
     n = 1 if size is None else int(size)
     radii = rng.standard_gamma(d, size=n) * (2.0 / epsilon)

@@ -37,7 +37,7 @@ def noise_weights(c: float, lam: float, T: int) -> NoiseWeights:
     integer <= T); signs are accumulated separately so the magnitudes stay in
     log space.
     """
-    if c <= 0 or lam <= 0 or T < 1:
+    if not c > 0 or not lam > 0 or T < 1:
         raise ValueError("need c > 0, lam > 0, T >= 1")
     if T == 1:
         return NoiseWeights(np.array([c]), c, lam, 1)
@@ -96,8 +96,8 @@ def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
     is drawn when omitted. Ties are declared when clean-first and noisy-first
     agree to relative 1e-12, which happens exactly at c = 1/lam.
     """
-    if v_clean_sq > v_noisy_sq:
-        raise ValueError("expected v_clean_sq <= v_noisy_sq")
+    if not 0.0 <= v_clean_sq <= v_noisy_sq:
+        raise ValueError("expected 0 <= v_clean_sq <= v_noisy_sq")
     T = T_clean + T_noisy
     weights = noise_weights(c, lam, T)
     if arbitrary_pattern is None:

@@ -38,7 +38,7 @@ CHUNK_BYTES = 1 << 18
 
 
 class NonpositiveRate(ValueError):
-    """A phase was configured with a rate constant c <= 0."""
+    """A phase was configured with a rate constant c that is not in (0, inf)."""
 
 
 class PatternMismatch(ValueError):
@@ -66,8 +66,8 @@ class Schedule:
         if len(self.ids) != len(self.rates):
             raise ValueError("need one rate per oracle slot")
         for oracle_id, c in zip(self.ids, self.rates):
-            if not c > 0:
-                raise NonpositiveRate(f"oracle {oracle_id!r} has nonpositive rate {c}")
+            if not 0 < c < np.inf:
+                raise NonpositiveRate(f"oracle {oracle_id!r} needs a rate in (0, inf), got {c}")
         if self.slots.size and not 0 <= self.slots.min() <= self.slots.max() < len(self.ids):
             raise ValueError("schedule refers to a slot it does not name")
 
@@ -162,6 +162,12 @@ def _within_slot_steps(slots: np.ndarray) -> np.ndarray:
     k = np.empty_like(slots)
     k[np.argsort(slots, kind="stable")] = np.arange(len(slots)) - np.repeat(first, counts)
     return k
+
+
+def _check_start(W: np.ndarray, radius: float) -> None:
+    """Every start point (a row of W) must be finite and inside the feasible ball."""
+    if not np.all(np.sqrt(np.einsum("rd,rd->r", W, W)) <= radius * (1.0 + 1e-12)):
+        raise ValueError("w0 lies outside the feasible ball or is not finite")
 
 
 def _stack_tables(tables: dict, zeros: np.ndarray) -> tuple:
@@ -261,8 +267,7 @@ def run_batch(rows: Sequence[Row], radius: float,
     for i, r in enumerate(rows):
         if r.w0 is not None:
             W[i] = r.w0
-    if np.any(np.sqrt(np.einsum("rd,rd->r", W, W)) > radius * (1.0 + 1e-12)):
-        raise ValueError("w0 lies outside the feasible ball")
+    _check_start(W, radius)
 
     stride = snapshot_stride if snapshot_stride is not None else \
         (max(1, T // 1000) if eval_fn is not None else None)
@@ -335,6 +340,8 @@ def _run_single(schedule: Schedule, oracles: Mapping[str, GradientOracle], radiu
                 w0: Optional[np.ndarray], snapshot_stride: Optional[int] = None,
                 eval_fn: Optional[Callable] = None, paired: bool = False) -> list:
     """Reserve the schedule's batches on the given oracles, then run it (and its twin)."""
+    if w0 is not None:
+        _check_start(np.atleast_2d(np.asarray(w0, dtype=np.float64)), radius)
     row_oracles = tuple(oracles[k] for k in schedule.ids)
     starts = tuple(o.take(int(n)) for o, n in zip(row_oracles, schedule.counts()))
     rows = [Row(schedule, row_oracles, True, starts, w0)]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -204,6 +205,13 @@ class TestC2Sweep:
         assert set(meta["c2_markers"]) == {"c2_lower", "c2_upper", "c2_selected", "order"}
 
 
+@pytest.mark.parametrize("details", [order_experiment_details, strategy_comparison_details,
+                                     c2_sweep_details])
+def test_unknown_oracle_kind_rejected(details):
+    with pytest.raises(ValueError, match="oracle kind"):
+        details(small_config(c_grid=(100.0,), oracles={"kind": "gaussian"}))
+
+
 class TestOrderExperimentDeskScale:
     def test_order_depends_on_rate_constant(self):
         # Desk-scale shape: clean-first wins below 1/lam, noisy-first above,
@@ -308,3 +316,60 @@ class TestCli:
                               capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["gamma_sq"] == pytest.approx(4.0)
+
+
+# SHA-256 of every CSV each driver writes at a small config. Same seeds must
+# give the same CSV bytes across commits, not only across reruns of one.
+PINNED_CASES = {
+    "order-exp": ("order-exp", {"c_grid": [50.0, 200.0]}),
+    "strategy-cmp": ("strategy-cmp", {"epsilon_noisy_sweep": [2.0, 10.0]}),
+    "strategy-cmp-rcn": ("strategy-cmp", {
+        "oracles": {"kind": "rcn", "sigma_clean": 0.0, "sigma_noisy": 0.3, "batch_size": 10},
+        "sigma_noisy_sweep": [0.1, 0.3]}),
+    "c2-sweep": ("c2-sweep", {"c2_grid_points": 4}),
+}
+
+PINNED_DIGESTS = {
+    "order-exp": {
+        "plot_AO.csv": "a5d559f1eddf4712d8a16d583cdb1a93bb7b2f22bb624ea6557c9805ba49903d",
+        "plot_CF.csv": "4d055278ba0f04c1b9e110a18ddabe1a4dfa9830c8ea8b0acd0ea1d6c0435c93",
+        "plot_NF.csv": "d000629e102c3b1cdb2babc3c23b37b7584f600324c0335c46004a291f0936ca",
+        "results.csv": "fdb028e2242a5c99cc09ec4f2c7dc06d431590ff19f1c81714ee818fa203dadd",
+    },
+    "strategy-cmp": {
+        "plot_Algorithm2.csv": "bb9bfffab18df564fd486c9324cacce1b52d7836bd8ffea8ffe31726d6bac805",
+        "plot_CleanOnly.csv": "350ea89a084eb300af45a2b025abc3f00f1fb5b0cf7c81efd82a9af7ee08b2d1",
+        "plot_Optimal.csv": "48ca967664b0f9ee62237839569da6b5f1f8ec633c14bfaff0ed538b1e1e6d5c",
+        "plot_SameClean.csv": "aadbf0ac6f82a0d39c9f7390e5feebe1ec84a8195240b154de199f54bb1fd21d",
+        "plot_SameNoisy.csv": "ad1c7c3950617677bd765dd6f8b51ab47971e0698a58b604c1e5d94c30a105cb",
+        "results.csv": "cc21485e50cc53453375659a5d9db1e546e4f863771e02c8b44d4ce9c724b47a",
+    },
+    "strategy-cmp-rcn": {
+        "plot_Algorithm2.csv": "bc349a33778f63e5a70dfad9ef4e82daad7819c74a644d96e757f20cb233d7da",
+        "plot_CleanOnly.csv": "5f498aa2e3efa2408cac7af800327f081367e94ff2be1955907027f777390da3",
+        "plot_Optimal.csv": "6a2c2becf0aafcb4061769b8bd71144e9bbd10a3bdefdb6ca91da44f9e25eb63",
+        "plot_SameClean.csv": "ce701bc56b48273f18c54529f4d52721c9cbbea8392d922c9648467a62a1ff65",
+        "plot_SameNoisy.csv": "849e21d8d13456e92d4644367add4665d575f7ee4fc83ed9ee4aec895a12f208",
+        "results.csv": "0511514727907e5ffb9db206cad7f8f38dd6ed814d96961eab09c542e7d25c35",
+    },
+    "c2-sweep": {
+        "plot_CleanOnly.csv": "259d441741d5cefafc8f4a9b362833b332c44f09b8fa5105b57c40cd0bb84f7e",
+        "plot_TwoRate.csv": "ab7a8239e7ea83d3a063fc28a94da6f2a32a98f3de1f368cedf066676f539cd6",
+        "plot_marker_c2_lower.csv": "945404e1bbc441b394db312af1a365b25bd79c2fac773e19f94344b0a5ff2609",
+        "plot_marker_c2_selected.csv": "0ed62ba7a30a8091e288c5c060835646103fd265d9de6ef56d87170825a4438c",
+        "plot_marker_c2_upper.csv": "dc5a6a87a58fc0051ee6279f19b09211e93d8bda063a98ed361e6f32e18d94a5",
+        "results.csv": "4a564d4094536d888066503d85f1de8d1b97c3359830b4d3a7b230d532febf96",
+    },
+}
+
+
+def test_driver_outputs_are_pinned(tmp_path):
+    digests = {}
+    for case, (command, overrides) in PINNED_CASES.items():
+        cfg_path = tmp_path / f"{case}.json"
+        cfg_path.write_text(json.dumps(small_config(trials=3, **overrides).to_dict()))
+        out = tmp_path / case
+        assert cli_main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        digests[case] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+                         for p in sorted(out.glob("*.csv"))}
+    assert digests == PINNED_DIGESTS

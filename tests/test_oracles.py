@@ -47,6 +47,10 @@ class TestDpNoiseSample:
         z = sample_privacy_noise(1.0, 4, np.random.default_rng(0))
         assert z.shape == (4,)
 
+    def test_nan_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            sample_privacy_noise(np.nan, 3, np.random.default_rng(0))
+
 
 class TestNoiseLevels:
     def test_dp_level_values(self):
@@ -57,6 +61,10 @@ class TestNoiseLevels:
     def test_dp_upper_lower_gap_is_constant(self, eps, d, b):
         level = dp_noise_level(eps, d, b)
         assert level.gamma_sq - level.gamma_sq_lower == pytest.approx(4.0)
+
+    def test_dp_level_nan_epsilon_rejected(self):
+        with pytest.raises(ValueError, match="epsilon"):
+            dp_noise_level(np.nan, 3, 1)
 
     def test_rcn_level_values(self):
         assert rcn_noise_level(0.0).gamma_sq == pytest.approx(4.0)

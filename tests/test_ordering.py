@@ -23,6 +23,11 @@ class TestNoiseWeights:
         np.testing.assert_allclose(deltas, [0.0, 1 / 3, 2 / 3], atol=1e-15)
         assert np.all(np.diff(deltas) > 0)
 
+    @pytest.mark.parametrize("c,lam", [(np.nan, 1e-3), (500.0, np.nan)])
+    def test_nan_rate_or_lam_rejected(self, c, lam):
+        with pytest.raises(ValueError, match="c > 0, lam > 0"):
+            noise_weights(c, lam, 5)
+
     def test_single_step(self):
         np.testing.assert_array_equal(noise_weights(0.7, 2.0, 1).deltas, [0.7])
 
@@ -111,6 +116,12 @@ class TestCompareOrders:
         assert rel <= 1e-12 * verdict.deviation_clean_first
         rel_ao = abs(verdict.deviation_arbitrary - verdict.deviation_clean_first)
         assert rel_ao <= 1e-12 * verdict.deviation_clean_first
+
+    @pytest.mark.parametrize("c,v_clean_sq,v_noisy_sq", [
+        (np.nan, 1.0, 5.0), (500.0, np.nan, 5.0), (500.0, 1.0, np.nan), (500.0, -1.0, 5.0)])
+    def test_nan_or_negative_input_gives_no_verdict(self, c, v_clean_sq, v_noisy_sq):
+        with pytest.raises(ValueError):
+            compare_orders(c, 1e-3, 10, 90, v_clean_sq, v_noisy_sq)
 
     def test_supplied_pattern_and_validation(self):
         pattern = np.array([True, False, True, False])

@@ -104,6 +104,22 @@ class TestRunSgd:
             run_sgd(PhasePlan((("a", 1.0),), 1.0, 1.0), {"a": clean_oracle(ds, obj)},
                     w0=np.array([2.0, 0.0, 0.0]))
 
+    @pytest.mark.parametrize("w0", [[np.nan, 0.0, 0.0], [2.0, 0.0, 0.0]])
+    @pytest.mark.parametrize("paired", [False, True])
+    def test_bad_start_rejected_before_the_budget_is_used(self, w0, paired):
+        oracle = clean_oracle(linear_dataset(3), ObjectiveSpec(lam=1.0))
+        run = run_paired if paired else run_sgd
+        with pytest.raises(ValueError, match="feasible"):
+            run(PhasePlan((("a", 1.0),), 1.0, 1.0), {"a": oracle}, w0=np.array(w0))
+        assert oracle.consumed == 0
+
+    @pytest.mark.parametrize("c", [np.inf, np.nan])
+    def test_non_finite_rate_rejected_before_any_step(self, c):
+        oracle = clean_oracle(linear_dataset(3), ObjectiveSpec(lam=1e-3))
+        with pytest.raises(NonpositiveRate):
+            run_sgd(PhasePlan((("a", c),), 1e-3, 1e3), {"a": oracle})
+        assert oracle.consumed == 0
+
 
 class TestInterleaved:
     def test_block_pattern_reproduces_phase_plan(self):
