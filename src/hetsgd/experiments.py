@@ -203,6 +203,11 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.c2_grid_points < 1:
             raise ValueError("c2_grid_points must be >= 1")
+        # Trials are keyed by sweep value, so a repeated value would merge two rows' runs.
+        for key in ("c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid"):
+            values = getattr(self, key)
+            if values is not None and len(set(values)) != len(values):
+                raise ValueError(f"{key} repeats a value: {values}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":

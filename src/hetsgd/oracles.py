@@ -114,8 +114,8 @@ def rcn_surrogate_gradient(objective: ObjectiveSpec, w: np.ndarray, x: np.ndarra
     ((1 - sigma) * grad(w, x, y_obs) - sigma * grad(w, x, -y_obs)) / (1 - 2 sigma),
     whose expectation over the label flip equals the clean-loss gradient.
     """
-    if sigma >= 0.5:
-        raise ValueError("sigma must be < 0.5")
+    if not 0.0 <= sigma < 0.5:
+        raise ValueError(f"sigma must be in [0, 0.5), got {sigma}")
     g_obs = loss_gradient(objective, w, x, y_observed)
     g_neg = loss_gradient(objective, w, x, -y_observed)
     return ((1.0 - sigma) * g_obs - sigma * g_neg) / (1.0 - 2.0 * sigma)

@@ -363,12 +363,15 @@ def run_sgd(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
     return _run_single(schedule, oracles, plan.radius, w0, snapshot_stride, eval_fn)[0]
 
 
-def run_sgd_interleaved(pattern: InterleavePattern, c: float, lam: float, radius: float,
+def run_sgd_interleaved(pattern: InterleavePattern, c: float, radius: float,
                         oracles: Mapping[str, GradientOracle],
                         w0: Optional[np.ndarray] = None,
                         snapshot_stride: Optional[int] = None,
                         eval_fn: Optional[Callable[[np.ndarray], float]] = None) -> Trajectory:
-    """Same update rule with the oracle chosen per pattern entry at each step."""
+    """Same update rule with the oracle chosen per pattern entry at each step.
+
+    The regularisation lam comes from the oracles' objective.
+    """
     schedule = pattern.schedule(c, _remaining(oracles))
     return _run_single(schedule, oracles, radius, w0, snapshot_stride, eval_fn)[0]
 
@@ -386,7 +389,7 @@ def run_paired(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
                              paired=True))
 
 
-def run_paired_interleaved(pattern: InterleavePattern, c: float, lam: float, radius: float,
+def run_paired_interleaved(pattern: InterleavePattern, c: float, radius: float,
                            oracles: Mapping[str, GradientOracle],
                            w0: Optional[np.ndarray] = None) -> tuple:
     for oracle in oracles.values():

@@ -90,6 +90,15 @@ class TestConfig:
         with pytest.raises(ValueError, match="c2_grid_points"):
             ExperimentConfig.from_dict({"c2_grid_points": 0})
 
+    @pytest.mark.parametrize("key, values", [("c_grid", (100.0, 100.0)),
+                                             ("epsilon_noisy_sweep", (2.0, 5.0, 2.0)),
+                                             ("sigma_noisy_sweep", (0.1, 0.1)),
+                                             ("c2_grid", (50.0, 80.0, 50.0))])
+    def test_repeated_sweep_value_rejected(self, key, values):
+        # Runs are keyed by sweep value: a repeat would emit two rows over one pooled array.
+        with pytest.raises(ValueError, match=key):
+            small_config(**{key: values})
+
 
 class TestStrategyComparison:
     def test_rows_and_trial_values(self):

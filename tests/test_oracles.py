@@ -116,6 +116,12 @@ class TestRcn:
         g = rcn_surrogate_gradient(obj, np.zeros(2), np.array([1.0, 0.0]), 1.0, 0.25)
         np.testing.assert_allclose(g, [-1.0, 0.0])
 
+    @pytest.mark.parametrize("sigma", [float("nan"), -0.1, 0.5])
+    def test_surrogate_bad_sigma_rejected(self, sigma):
+        obj = ObjectiveSpec(lam=1.0, loss="logistic")
+        with pytest.raises(ValueError, match="sigma"):
+            rcn_surrogate_gradient(obj, np.zeros(2), np.array([0.6, 0.8]), 1.0, sigma)
+
     @pytest.mark.parametrize("loss", ["logistic", "hinge", "linear"])
     def test_flip_expectation_equals_plain_gradient(self, loss):
         # Enumerate both flip outcomes exactly: (1-s) grad~(y) + s grad~(-y) = grad(y).

@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import logging
 import math
 
@@ -5,8 +7,10 @@ import numpy as np
 import pytest
 
 from hetsgd.oracles import NoiseLevel, dp_noise_level, rcn_noise_level
-from hetsgd.rates import (BRANCH_TOL, BoundInputs, DomainError, PreconditionViolated, RateSelection,
-                          c2_bracket, clean_first_constant, clean_first_rate_interval,
+from hetsgd import rates
+from hetsgd.rates import (_INVPHI, BRANCH_TOL, C2_DOMAIN_HI, C2_DOMAIN_LO, GOLDEN_REL_TOL,
+                          GRID_POINTS, BoundInputs, DomainError, PreconditionViolated,
+                          RateSelection, c2_bracket, clean_first_constant, clean_first_rate_interval,
                           golden_section, minimize_phase2_rate, minimize_single_rate,
                           noisy_first_constant, noisy_first_rate_interval, search_c2_interval,
                           select_rates, two_phase_bound)
@@ -154,6 +158,127 @@ class TestGoldenSection:
         x, fx = golden_section(f, 0.0, 4.0, rel_tol=0.0, max_evals=12)
         assert len(calls) <= 12
         assert fx == min((c - 1.0) ** 2 for c in calls)
+
+
+def sequential_golden_section(f, lo, hi, rel_tol=GOLDEN_REL_TOL, max_evals=None):
+    """The one-point-at-a-time search the look-ahead walk must reproduce, kept as the reference."""
+    best_x, best_f = lo, f(lo)
+    f_hi = f(hi)
+    if f_hi < best_f:
+        best_x, best_f = hi, f_hi
+    a, b = lo, hi
+    x1 = b - _INVPHI * (b - a)
+    x2 = a + _INVPHI * (b - a)
+    f1, f2 = f(x1), f(x2)
+    evals = 4
+    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
+        if max_evals is not None and evals >= max_evals:
+            break
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
+        else:
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
+        evals += 1
+        for x, fx in ((x1, f1), (x2, f2)):
+            if fx < best_f:
+                best_x, best_f = x, fx
+    return best_x, best_f
+
+
+def reference_minimize(f, grid, values):
+    """Grid then sequential refinement, with scalar bound calls."""
+    i = int(np.argmin(values))
+    lo = grid[max(i - 1, 0)]
+    hi = grid[min(i + 1, len(grid) - 1)]
+    x, fx = sequential_golden_section(f, lo, hi)
+    if values[i] < fx:
+        return float(grid[i]), float(values[i])
+    return float(x), float(fx)
+
+
+def reference_phase2_rate(inputs):
+    lam = inputs.lam
+    grid = np.geomspace(C2_DOMAIN_LO / lam, C2_DOMAIN_HI / lam, GRID_POINTS)
+    values = two_phase_bound(inputs, 1.0 / lam, grid)
+    return reference_minimize(lambda c: two_phase_bound(inputs, 1.0 / lam, c), grid, values)
+
+
+def reference_single_rate(inputs):
+    lam = inputs.lam
+    grid = np.geomspace((1.0 + 1e-9) / (2.0 * lam), C2_DOMAIN_HI / lam, GRID_POINTS)
+    values = two_phase_bound(inputs, grid, grid)
+    return reference_minimize(lambda c: two_phase_bound(inputs, c, c), grid, values)
+
+
+class TestLookahead:
+    def test_minimizers_match_the_sequential_search_at_every_depth(self, monkeypatch):
+        rng = np.random.default_rng(29)
+        cases = [random_inputs(rng) for _ in range(200)]
+        phase2 = [reference_phase2_rate(inputs) for inputs in cases]
+        single = [reference_single_rate(inputs) for inputs in cases]
+        for depth in range(1, 8):
+            monkeypatch.setattr(rates, "GOLDEN_LOOKAHEAD", depth)
+            assert [minimize_phase2_rate(inputs) for inputs in cases] == phase2, depth
+            assert [minimize_single_rate(inputs) for inputs in cases] == single, depth
+
+    @pytest.mark.parametrize("max_evals", [None, 4, 5, 7, 12])
+    def test_public_search_calls_f_at_the_sequential_points(self, max_evals):
+        rel_tol = GOLDEN_REL_TOL if max_evals is None else 0.0
+        for f in (lambda x: (x - 1.3) ** 2, lambda x: math.sin(3.0 * x) + 0.1 * x,
+                  lambda x: abs(x - 0.25)):
+            seen = {"ref": [], "new": []}
+
+            def logged(key):
+                return lambda x: seen[key].append(x) or f(x)
+
+            ref = sequential_golden_section(logged("ref"), 0.0, 4.0, rel_tol, max_evals)
+            new = golden_section(logged("new"), 0.0, 4.0, rel_tol, max_evals)
+            assert new == ref
+            assert seen["new"] == seen["ref"]
+
+    @pytest.mark.parametrize("budget", [4, 5, 7, 12])
+    def test_interval_search_evaluates_as_before(self, budget):
+        lam, beta_c = 1e-3, 0.3
+        level_c, level_n = dp_noise_level(10.0, 10, 50), dp_noise_level(2.0, 10, 50)
+        bracket = c2_bracket(level_c, level_n, beta_c, lam)
+        lo, hi = sorted((bracket.c2_lower, bracket.c2_upper))
+        seen = {"ref": [], "new": []}
+
+        def logged(key):
+            return lambda c2: seen[key].append(c2) or (math.log(c2) - 6.0) ** 2
+
+        ref, _ = sequential_golden_section(logged("ref"), lo, hi, rel_tol=0.0, max_evals=budget)
+        choice = search_c2_interval(level_c, level_n, beta_c, lam, logged("new"),
+                                    eval_budget=budget)
+        assert choice.c2 == ref
+        assert seen["new"] == seen["ref"]
+        assert len(seen["new"]) == max(budget, 4)
+
+
+# Inputs and digest of the planning floats: a faster planner must give the same bits.
+PINNED_NOISE_PAIRS = (
+    (dp_noise_level(10.0, 10), dp_noise_level(1.0, 10)),
+    (dp_noise_level(10.0, 54, 50), dp_noise_level(2.0, 54, 50)),
+    (dp_noise_level(8.0, 25), dp_noise_level(0.5, 25)),
+    (rcn_noise_level(0.1), rcn_noise_level(0.4)),
+)
+PINNED_PLANNING_DIGEST = "451dab2a7c31f10f761d640fc5dc924d837661d1274294e81196c2efe31065bf"
+
+
+def test_planning_floats_are_pinned():
+    reprs = []
+    for (clean, noisy), lam, beta_c in itertools.product(PINNED_NOISE_PAIRS, (1e-4, 1e-2, 0.5),
+                                                         (0.1, 0.45)):
+        gc, gn = clean.gamma_sq, noisy.gamma_sq
+        reprs += [repr(select_rates(gc, gn, beta_c, lam).to_dict()),
+                  repr(minimize_single_rate(BoundInputs(gc, gn, beta_c, lam, T=1))),
+                  repr(minimize_single_rate(BoundInputs(gn, gc, 1.0 - beta_c, lam, T=1))),
+                  repr(c2_bracket(clean, noisy, beta_c, lam))]
+    assert hashlib.sha256("\n".join(reprs).encode()).hexdigest() == PINNED_PLANNING_DIGEST
 
 
 class TestMinimizers:

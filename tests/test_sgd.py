@@ -132,12 +132,12 @@ class TestInterleaved:
 
         plan_traj = run_sgd(PhasePlan((("a", c), ("b", c)), lam, np.inf), oracles())
         pattern = InterleavePattern(("a",) * 6 + ("b",) * 4)
-        pat_traj = run_sgd_interleaved(pattern, c, lam, np.inf, oracles())
+        pat_traj = run_sgd_interleaved(pattern, c, np.inf, oracles())
         np.testing.assert_array_equal(plan_traj.final_w, pat_traj.final_w)
 
         rev_plan = run_sgd(PhasePlan((("b", c), ("a", c)), lam, np.inf), oracles())
         rev_pat = run_sgd_interleaved(InterleavePattern(("b",) * 4 + ("a",) * 6),
-                                      c, lam, np.inf, oracles())
+                                      c, np.inf, oracles())
         np.testing.assert_array_equal(rev_plan.final_w, rev_pat.final_w)
 
     def test_random_pattern_consumes_all_budgets(self):
@@ -146,7 +146,7 @@ class TestInterleaved:
         oracles = {"a": clean_oracle(ds1, obj), "b": clean_oracle(ds2, obj)}
         seq = ["a"] * 5 + ["b"] * 7
         np.random.default_rng(0).shuffle(seq)
-        run_sgd_interleaved(InterleavePattern(tuple(seq)), 1.0, 1.0, np.inf, oracles)
+        run_sgd_interleaved(InterleavePattern(tuple(seq)), 1.0, np.inf, oracles)
         assert oracles["a"].consumed == 5
         assert oracles["b"].consumed == 7
 
@@ -155,9 +155,9 @@ class TestInterleaved:
         ds = linear_dataset(4)
         oracles = {"a": clean_oracle(ds, obj)}
         with pytest.raises(PatternMismatch):
-            run_sgd_interleaved(InterleavePattern(("a",) * 3), 1.0, 1.0, 1.0, oracles)
+            run_sgd_interleaved(InterleavePattern(("a",) * 3), 1.0, 1.0, oracles)
         with pytest.raises(PatternMismatch):
-            run_sgd_interleaved(InterleavePattern(("a",) * 4 + ("z",)), 1.0, 1.0, 1.0,
+            run_sgd_interleaved(InterleavePattern(("a",) * 4 + ("z",)), 1.0, 1.0,
                                 {"a": clean_oracle(ds, obj)})
 
 
@@ -197,9 +197,9 @@ class TestPaired:
         seq = ["a", "b"] * 10
         np.random.default_rng(3).shuffle(seq)
         pattern = InterleavePattern(tuple(seq))
-        noisy, twin = run_paired_interleaved(pattern, c, lam, np.inf, {"a": o1, "b": o2})
+        noisy, twin = run_paired_interleaved(pattern, c, np.inf, {"a": o1, "b": o2})
         o1.reset(); o2.reset()
-        run_sgd_interleaved(pattern, c, lam, np.inf, {"a": o1, "b": o2})
+        run_sgd_interleaved(pattern, c, np.inf, {"a": o1, "b": o2})
         logs = {"a": list(o1.noise_log), "b": list(o2.noise_log)}
         Z = np.array([logs[s].pop(0) for s in pattern.sequence])
         deltas = noise_weights(c, lam, 20).deltas
