@@ -2,8 +2,8 @@
 
 from .core import (Dataset, ObjectiveSpec, full_objective, loss_gradient, loss_value,
                    mean_loss_gradient, project)
-from .oracles import (BudgetExhausted, GradientOracle, NoiseLevel, OracleCallRecord,
-                      OracleSpec, dp_noise_level, rcn_flip_label, rcn_noise_level,
+from .oracles import (BudgetExhausted, GradientOracle, NoiseLevel, OracleSpec,
+                      dp_noise_level, rcn_flip_label, rcn_noise_level,
                       rcn_surrogate_gradient, sample_privacy_noise)
 from .ordering import (NoiseWeights, OrderingVerdict, compare_orders, expected_deviation,
                        noise_weights, two_level_schedule)
@@ -15,8 +15,7 @@ from .rates import (BoundInputs, C2Bracket, C2Choice, DomainError, PreconditionV
                     select_rates, two_phase_bound)
 from .sgd import (InfeasibleIterate, InterleavePattern, NonpositiveRate, PatternMismatch,
                   PhasePlan, Row, Schedule, Trajectory, run_batch, run_paired,
-                  run_paired_interleaved, run_sgd, run_sgd_interleaved,
-                  simulate_linear_paired_gaps)
+                  run_paired_interleaved, run_sgd, run_sgd_interleaved)
 from .datasets import (EmptyFileError, InconsistentDimensionError, ParseError,
                        SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm,
                        random_projection, sign_projection_matrix)

@@ -199,10 +199,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.beta_c < 1.0:
             raise ValueError("beta_c must be in (0, 1)")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if self.c2_grid_points < 1:
-            raise ValueError("c2_grid_points must be >= 1")
+        for key, value in (("trials", self.trials), ("oracles.batch_size", self.oracles.batch_size),
+                           ("c2_grid_points", self.c2_grid_points)):
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
         # Trials are keyed by sweep value, so a repeated value would merge two rows' runs.
         for key in ("c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid"):
             values = getattr(self, key)

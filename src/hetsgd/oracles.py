@@ -173,13 +173,6 @@ def _draw_noise(spec: OracleSpec, d: int, rng: np.random.Generator) -> tuple:
     return None, None
 
 
-@dataclass
-class OracleCallRecord:
-    gradient: np.ndarray
-    calls_consumed: int
-    injected_noise: Optional[np.ndarray] = None
-
-
 class GradientOracle:
     """A seeded permutation cursor over one dataset, with its noise drawn up front.
 
@@ -189,33 +182,23 @@ class GradientOracle:
     over the same permutation with all extra noise forced to zero.
     """
 
-    def __init__(self, spec: OracleSpec, objective: ObjectiveSpec, dataset: Dataset,
-                 record_noise: bool = False, suppress_noise: bool = False):
+    def __init__(self, spec: OracleSpec, objective: ObjectiveSpec, dataset: Dataset):
         if spec.budget > len(dataset):
             raise ValueError(
                 f"budget {spec.budget} exceeds dataset size {len(dataset)}")
         self.spec = spec
         self.objective = objective
         self.dataset = dataset
-        self.record_noise = record_noise
-        self.suppress_noise = suppress_noise
         perm_ss, noise_ss = np.random.SeedSequence(spec.rng_seed).spawn(2)
         self._order = np.random.default_rng(perm_ss).permutation(len(dataset))
-        self.noise_means: Optional[np.ndarray] = None
-        self.flips: Optional[np.ndarray] = None
-        if not suppress_noise:
-            self.noise_means, self.flips = _draw_noise(spec, dataset.d,
-                                                       np.random.default_rng(noise_ss))
+        self.noise_means, self.flips = _draw_noise(spec, dataset.d, np.random.default_rng(noise_ss))
         self.reset()
 
     def reset(self) -> None:
         self._consumed = 0
-        self.noise_log: list[np.ndarray] = []
 
     def twin(self) -> "GradientOracle":
         twin = copy.copy(self)
-        twin.record_noise = False
-        twin.suppress_noise = True
         twin.noise_means = twin.flips = None
         twin.reset()
         return twin
@@ -237,25 +220,21 @@ class GradientOracle:
     def steps_remaining(self) -> int:
         return (self.spec.budget - self._consumed) // self.spec.batch_size
 
-    def _noise_at(self, step: int) -> np.ndarray:
-        return np.zeros(self.dataset.d) if self.noise_means is None else self.noise_means[step]
-
     def take(self, steps: int) -> int:
         """Reserve the next ``steps`` batches for a run; return the first one's index.
 
-        The cursor and noise log then read as if ``call`` had served them.
+        The cursor then reads as if ``call`` had served them; the batches'
+        noise is ``noise_means[first:first + steps]`` (and ``flips`` likewise).
         """
         b = self.spec.batch_size
         if steps < 0 or self._consumed + steps * b > self.spec.budget:
             raise BudgetExhausted(
                 f"oracle budget {self.spec.budget} cannot serve {steps} batches of {b}")
         first = self._consumed // b
-        if self.record_noise:
-            self.noise_log.extend(self._noise_at(k).copy() for k in range(first, first + steps))
         self._consumed += steps * b
         return first
 
-    def call(self, w: np.ndarray) -> OracleCallRecord:
+    def call(self, w: np.ndarray) -> np.ndarray:
         """Average of lam*w + grad loss + Z over the next batch of examples."""
         spec = self.spec
         b = spec.batch_size
@@ -275,15 +254,7 @@ class GradientOracle:
             s = ((1.0 - spec.sigma) * s_obs - spec.sigma * s_neg) / (1.0 - 2.0 * spec.sigma)
         else:
             s = gradient_scales(self.objective, w, Xb, yb)
-        data_grad = (Xb.T @ s) / b
-
-        z_bar = None if self.noise_means is None else self.noise_means[step]
-        g = self.objective.lam * w + data_grad
-        if z_bar is not None:
-            g = g + z_bar
-        injected = None
-        if self.record_noise:
-            self.noise_log.append(self._noise_at(step).copy())
-            injected = None if z_bar is None else z_bar.copy()
-        return OracleCallRecord(gradient=g, calls_consumed=self._consumed,
-                                injected_noise=injected)
+        g = self.objective.lam * w + (Xb.T @ s) / b
+        if self.noise_means is not None:
+            g = g + self.noise_means[step]
+        return g

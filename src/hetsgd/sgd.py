@@ -16,7 +16,7 @@ projection. A row names a ``Schedule`` (the oracle slot serving each step and
 each slot's rate constant), the oracles behind its slots, and whether it is
 the noisy run or its noiseless twin. Rows read their oracles' permutations
 and noise tables without consuming them, so every run over one seed shares
-one table.
+one table, and ``Row.starts`` lets runs read disjoint slices of one oracle.
 ``PhasePlan`` and ``InterleavePattern`` build schedules; ``run_sgd`` and its
 siblings are single-run calls into the engine that also advance the cursors
 of the oracles they are given.
@@ -24,7 +24,7 @@ of the oracles they are given.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -62,7 +62,10 @@ class Schedule:
     slots: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "slots", np.asarray(self.slots, dtype=np.intp))
+        slots = np.asarray(self.slots)
+        if slots.size and slots.dtype.kind not in "iu":
+            raise ValueError(f"schedule slots must be integers, got dtype {slots.dtype}")
+        object.__setattr__(self, "slots", slots.astype(np.intp, copy=False))
         if len(self.ids) != len(self.rates):
             raise ValueError("need one rate per oracle slot")
         for oracle_id, c in zip(self.ids, self.rates):
@@ -136,7 +139,8 @@ class Row:
 
     The twin (``noisy=False``) replays the same examples with the injected
     noise set to zero and, for label-flip oracles, the true labels.
-    ``starts`` gives the first batch each slot reads (default 0).
+    ``starts`` gives the first batch each slot reads, a non-negative integer
+    per slot (default 0).
     """
 
     schedule: Schedule
@@ -151,7 +155,6 @@ class Trajectory:
     final_w: np.ndarray
     steps: int
     iterates: Optional[list] = None          # [(t, w_{t+1}) ...] at the snapshot stride
-    objective_curve: Optional[list] = None   # [(t, f(w_{t+1})) ...] when eval_fn given
     consumed: tuple = ()                     # examples read per schedule slot
 
 
@@ -164,10 +167,14 @@ def _within_slot_steps(slots: np.ndarray) -> np.ndarray:
     return k
 
 
-def _check_start(W: np.ndarray, radius: float) -> None:
-    """Every start point (a row of W) must be finite and inside the feasible ball."""
-    if not np.all(np.sqrt(np.einsum("rd,rd->r", W, W)) <= radius * (1.0 + 1e-12)):
+def _start(w0, d: int, radius: float) -> np.ndarray:
+    """w0 as a float vector, checked to have shape (d,) and to be finite and in the ball."""
+    w0 = np.asarray(w0, dtype=np.float64)
+    if w0.shape != (d,):
+        raise ValueError(f"w0 must have shape ({d},), got {w0.shape}")
+    if not np.sqrt(w0 @ w0) <= radius * (1.0 + 1e-12):
         raise ValueError("w0 lies outside the feasible ball or is not finite")
+    return w0
 
 
 def _stack_tables(tables: dict, zeros: np.ndarray) -> tuple:
@@ -181,14 +188,12 @@ def _stack_tables(tables: dict, zeros: np.ndarray) -> tuple:
 
 
 def run_batch(rows: Sequence[Row], radius: float,
-              snapshot_stride: Optional[int] = None,
-              eval_fn: Optional[Callable[[np.ndarray], float]] = None) -> list:
+              snapshot_stride: Optional[int] = None) -> list:
     """Advance every row's run together; return one Trajectory per row, in order.
 
     All oracles of a batch share lam, loss, batch size and dimension.
     ``snapshot_stride`` keeps iterates every that many steps and at each
-    row's last step; ``eval_fn`` records f at those points (at a default
-    stride of a thousandth of the longest run if none is given).
+    row's last step.
     """
     rows = list(rows)
     if not radius > 0:
@@ -241,6 +246,8 @@ def run_batch(rows: Sequence[Row], radius: float,
         starts = r.starts if r.starts is not None else (0,) * len(sched.ids)
         if not len(r.oracles) == len(starts) == len(sched.ids):
             raise ValueError("need one oracle and one start per schedule slot")
+        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in starts):
+            raise ValueError(f"starts must be non-negative integers, got {starts}")
         counts = sched.counts()
         for s, (o, c, start, used) in enumerate(zip(r.oracles, sched.rates, starts, counts)):
             if start + used > o.steps_total:
@@ -266,13 +273,9 @@ def run_batch(rows: Sequence[Row], radius: float,
     W = np.zeros((n_rows, d))
     for i, r in enumerate(rows):
         if r.w0 is not None:
-            W[i] = r.w0
-    _check_start(W, radius)
+            W[i] = _start(r.w0, d, radius)
 
-    stride = snapshot_stride if snapshot_stride is not None else \
-        (max(1, T // 1000) if eval_fn is not None else None)
     iterates = [[] for _ in rows] if snapshot_stride is not None else None
-    curves = [[] for _ in rows] if eval_fn is not None else None
 
     active = n_active.tolist()
     row_bytes = 8 * (b * (d + 3) + d + 4)       # one row's gathers for one step
@@ -311,14 +314,10 @@ def run_batch(rows: Sequence[Row], radius: float,
                 W = Wa
             else:
                 W[:R] = Wa
-            if stride is not None:
-                due = range(R) if t % stride == 0 else range(active[t + 1], R)
+            if iterates is not None:
+                due = range(R) if t % snapshot_stride == 0 else range(active[t + 1], R)
                 for i in due:
-                    w = W[i].copy()
-                    if iterates is not None:
-                        iterates[i].append((t, w))
-                    if curves is not None:
-                        curves[i].append((t, eval_fn(w)))
+                    iterates[i].append((t, W[i].copy()))
         t0 += C
 
     norms = np.sqrt(np.einsum("rd,rd->r", W, W))
@@ -331,23 +330,22 @@ def run_batch(rows: Sequence[Row], radius: float,
     for i, j in enumerate(order):
         out[j] = Trajectory(final_w=W[i].copy(), steps=int(lengths[i]),
                             iterates=iterates[i] if iterates is not None else None,
-                            objective_curve=curves[i] if curves is not None else None,
                             consumed=consumed[i])
     return out
 
 
 def _run_single(schedule: Schedule, oracles: Mapping[str, GradientOracle], radius: float,
                 w0: Optional[np.ndarray], snapshot_stride: Optional[int] = None,
-                eval_fn: Optional[Callable] = None, paired: bool = False) -> list:
+                paired: bool = False) -> list:
     """Reserve the schedule's batches on the given oracles, then run it (and its twin)."""
-    if w0 is not None:
-        _check_start(np.atleast_2d(np.asarray(w0, dtype=np.float64)), radius)
     row_oracles = tuple(oracles[k] for k in schedule.ids)
+    if w0 is not None:
+        w0 = _start(w0, row_oracles[0].dataset.d, radius)
     starts = tuple(o.take(int(n)) for o, n in zip(row_oracles, schedule.counts()))
     rows = [Row(schedule, row_oracles, True, starts, w0)]
     if paired:
         rows.append(Row(schedule, row_oracles, False, starts, w0))
-    return run_batch(rows, radius, snapshot_stride, eval_fn)
+    return run_batch(rows, radius, snapshot_stride)
 
 
 def _remaining(oracles: Mapping[str, GradientOracle]) -> dict:
@@ -356,24 +354,22 @@ def _remaining(oracles: Mapping[str, GradientOracle]) -> dict:
 
 def run_sgd(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
             w0: Optional[np.ndarray] = None,
-            snapshot_stride: Optional[int] = None,
-            eval_fn: Optional[Callable[[np.ndarray], float]] = None) -> Trajectory:
+            snapshot_stride: Optional[int] = None) -> Trajectory:
     """Run each phase's oracle to exhaustion in order, then return the result."""
     schedule = plan.schedule(_remaining(oracles))
-    return _run_single(schedule, oracles, plan.radius, w0, snapshot_stride, eval_fn)[0]
+    return _run_single(schedule, oracles, plan.radius, w0, snapshot_stride)[0]
 
 
 def run_sgd_interleaved(pattern: InterleavePattern, c: float, radius: float,
                         oracles: Mapping[str, GradientOracle],
                         w0: Optional[np.ndarray] = None,
-                        snapshot_stride: Optional[int] = None,
-                        eval_fn: Optional[Callable[[np.ndarray], float]] = None) -> Trajectory:
+                        snapshot_stride: Optional[int] = None) -> Trajectory:
     """Same update rule with the oracle chosen per pattern entry at each step.
 
     The regularisation lam comes from the oracles' objective.
     """
     schedule = pattern.schedule(c, _remaining(oracles))
-    return _run_single(schedule, oracles, radius, w0, snapshot_stride, eval_fn)[0]
+    return _run_single(schedule, oracles, radius, w0, snapshot_stride)[0]
 
 
 def run_paired(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
@@ -397,29 +393,3 @@ def run_paired_interleaved(pattern: InterleavePattern, c: float, radius: float,
     return tuple(_run_single(pattern.schedule(c, _remaining(oracles)), oracles, radius, w0,
                              paired=True))
 
-
-def simulate_linear_paired_gaps(step_noise_sq: np.ndarray, c: float, lam: float,
-                                d: int, n_trials: int, seed: int) -> np.ndarray:
-    """Monte Carlo fan-out of paired runs on the linear loss, trials vectorized.
-
-    Simulates the full noisy and noiseless dynamics (projection disabled,
-    rate c/t, fresh data each step, step-t additive noise with second moment
-    step_noise_sq[t-1]) for n_trials independent trials at once and returns
-    the squared final gaps ||v_{T+1} - w_{T+1}||^2. Iterating run_paired over
-    trials measures the same distribution one run at a time.
-    """
-    step_noise_sq = np.asarray(step_noise_sq, dtype=np.float64)
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    W = np.zeros((n_trials, d))
-    V = np.zeros((n_trials, d))
-    for t0, var in enumerate(step_noise_sq):
-        eta = c / (t0 + 1)
-        yx = rng.standard_normal((n_trials, d)) / np.sqrt(d)
-        shrink = 1.0 - eta * lam
-        if var > 0:
-            z = rng.standard_normal((n_trials, d)) * np.sqrt(var / d)
-            W = shrink * W + eta * (yx - z)
-        else:
-            W = shrink * W + eta * yx
-        V = shrink * V + eta * yx
-    return np.sum((V - W) ** 2, axis=1)

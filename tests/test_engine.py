@@ -37,17 +37,20 @@ def reference_run(row: Row, radius: float) -> list:
     fresh = [GradientOracle(o.spec, o.objective, o.dataset) for o in row.oracles]
     if not row.noisy:
         fresh = [o.twin() for o in fresh]
+    for o, start in zip(fresh, row.starts or ()):
+        o.take(start)
     w = np.zeros(row.oracles[0].dataset.d) if row.w0 is None else row.w0.copy()
     iterates = []
     for t, slot in enumerate(row.schedule.slots, start=1):
-        g = fresh[slot].call(w).gradient
+        g = fresh[slot].call(w)
         w = project(w - (row.schedule.rates[slot] / t) * g, radius)
         iterates.append(w)
     return iterates
 
 
 def mixed_rows(loss, b, seed=0):
-    """Every mechanism under a plan, its reverse, a one-phase plan and an interleaving, with twins."""
+    """Every mechanism under a plan, its reverse, a one-phase plan, an interleaving and a
+    shorter interleaving that starts mid-budget, each noisy, as a twin and from a w0."""
     lam, d = 0.1, 4
     obj = ObjectiveSpec(lam=lam, loss=loss)
     ds1, ds2 = dataset(8 * b + 1, d, seed), dataset(12 * b + 2, d, seed + 1)
@@ -60,16 +63,19 @@ def mixed_rows(loss, b, seed=0):
         steps = {"a": first.steps_total, "b": second.steps_total}
         slots = np.repeat([0, 1], [steps["a"], steps["b"]])
         np.random.default_rng(m).shuffle(slots)
-        schedules = [PhasePlan((("a", 30.0), ("b", 12.0)), lam, 1.0).schedule(steps),
-                     PhasePlan((("b", 8.0), ("a", 20.0)), lam, 1.0).schedule(steps),
-                     PhasePlan((("a", 10.0),), lam, 1.0).schedule(steps),
-                     Schedule(("a", "b"), (15.0, 15.0), slots)]
+        late = np.repeat([0, 1], [3, steps["a"] - 3])     # as long as the one-phase plan
+        np.random.default_rng(m + 10).shuffle(late)
+        schedules = [(PhasePlan((("a", 30.0), ("b", 12.0)), lam, 1.0).schedule(steps), None),
+                     (PhasePlan((("b", 8.0), ("a", 20.0)), lam, 1.0).schedule(steps), None),
+                     (PhasePlan((("a", 10.0),), lam, 1.0).schedule(steps), None),
+                     (Schedule(("a", "b"), (15.0, 15.0), slots), None),
+                     (Schedule(("a", "b"), (25.0, 5.0), late), (4, 6))]
         oracles = {"a": first, "b": second}
         w0 = np.full(d, 0.05)
-        for sched in schedules:
+        for sched, starts in schedules:
             pair = tuple(oracles[k] for k in sched.ids)
-            rows += [Row(sched, pair), Row(sched, pair, noisy=False),
-                     Row(sched, pair, w0=w0)]
+            rows += [Row(sched, pair, starts=starts), Row(sched, pair, False, starts),
+                     Row(sched, pair, starts=starts, w0=w0)]
     return rows
 
 
@@ -159,6 +165,32 @@ def test_budget_overrun_rejected():
         run_batch([Row(row.schedule, row.oracles, starts=(1, 0))], 1.0)
 
 
+@pytest.mark.parametrize("start", [-1, 0.5])
+def test_negative_or_fractional_start_rejected(start):
+    obj = ObjectiveSpec(lam=1.0, loss="linear")
+    oracle = GradientOracle(OracleSpec("gaussian", budget=12, rng_seed=1, noise_sq=1.0), obj,
+                            dataset(12, 3, 5))
+    schedule = Schedule(("a",), (2.0,), [0, 0])
+    with pytest.raises(ValueError, match="starts"):
+        run_batch([Row(schedule, (oracle,), True, (start,))], 2.0)
+
+
+def test_fractional_schedule_slots_rejected():
+    with pytest.raises(ValueError, match="integers"):
+        Schedule(("a", "b"), (1.0, 1.0), [0.7, 0.2])
+
+
+def test_w0_of_the_wrong_shape_rejected_before_the_budget_is_used():
+    obj = ObjectiveSpec(lam=1.0, loss="linear")
+    oracle = GradientOracle(OracleSpec("clean", budget=12, rng_seed=1), obj, dataset(12, 3, 5))
+    plan = PhasePlan((("a", 1.0),), 1.0, 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        run_sgd(plan, {"a": oracle}, w0=np.array([0.3]))
+    assert oracle.consumed == 0
+    with pytest.raises(ValueError, match="shape"):
+        run_batch([Row(plan.schedule({"a": 12}), (oracle,), w0=np.array([0.3]))], 1.0)
+
+
 def test_snapshots_are_opt_in():
     obj = ObjectiveSpec(lam=1.0, loss="linear", radius=np.inf)
     ds = dataset(12, 3, 5)
@@ -168,9 +200,8 @@ def test_snapshots_are_opt_in():
 
     plan = PhasePlan((("a", 1.0),), 1.0, np.inf)
     assert run_sgd(plan, fresh()).iterates is None
-    traj = run_sgd(plan, fresh(), eval_fn=lambda w: float(w @ w))
-    assert traj.iterates is None
-    assert [t for t, _ in traj.objective_curve] == list(range(1, 13))
+    # Every stride-th step and the last one.
+    assert [t for t, _ in run_sgd(plan, fresh(), snapshot_stride=5).iterates] == [5, 10, 12]
 
 
 def small_config(**overrides):

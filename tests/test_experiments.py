@@ -87,6 +87,10 @@ class TestConfig:
             ExperimentConfig.from_dict({"beta_c": 1.5})
         with pytest.raises(ValueError):
             ExperimentConfig.from_dict({"trials": 0})
+        with pytest.raises(ValueError, match="trials"):
+            ExperimentConfig.from_dict({"trials": 2.5})
+        with pytest.raises(ValueError, match="batch_size"):
+            ExperimentConfig.from_dict({"oracles": {"batch_size": 0}})
         with pytest.raises(ValueError, match="c2_grid_points"):
             ExperimentConfig.from_dict({"c2_grid_points": 0})
 

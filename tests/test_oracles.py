@@ -174,11 +174,11 @@ class TestGradientOracle:
         obj = ObjectiveSpec(lam=0.4, loss="linear")
         oracle = GradientOracle(OracleSpec("clean", budget=20, batch_size=4, rng_seed=9), obj, ds)
         w = np.array([0.1, -0.2, 0.3])
-        rec = oracle.call(w)
+        g = oracle.call(w)
         idx = oracle._order[:4]
         expected = 0.4 * w - (ds.y[idx, None] * ds.X[idx]).mean(axis=0)
-        np.testing.assert_allclose(rec.gradient, expected, atol=1e-15)
-        assert rec.calls_consumed == 4
+        np.testing.assert_allclose(g, expected, atol=1e-15)
+        assert oracle.consumed == 4
 
     def test_budget_accounting_and_partial_batch(self):
         ds = make_dataset(n=7)
@@ -200,38 +200,36 @@ class TestGradientOracle:
         b = GradientOracle(spec, obj, ds)
         w = np.full(4, 0.1)
         for _ in range(10):
-            np.testing.assert_array_equal(a.call(w).gradient, b.call(w).gradient)
+            np.testing.assert_array_equal(a.call(w), b.call(w))
 
     def test_twin_traverses_same_data_without_noise(self):
         ds = make_dataset(n=24, seed=5)
         obj = ObjectiveSpec(lam=0.5, loss="linear")
         spec = OracleSpec("local_dp", budget=24, batch_size=2, rng_seed=3, epsilon=0.5)
-        noisy = GradientOracle(spec, obj, ds, record_noise=True)
+        noisy = GradientOracle(spec, obj, ds)
         twin = noisy.twin()
         w = np.full(4, 0.05)
-        for _ in range(noisy.steps_total):
-            g_noisy = noisy.call(w).gradient
-            g_twin = twin.call(w).gradient
-            np.testing.assert_allclose(g_noisy - noisy.noise_log[-1], g_twin, atol=1e-12)
+        for z_bar in noisy.noise_means:
+            np.testing.assert_allclose(noisy.call(w) - z_bar, twin.call(w), atol=1e-12)
 
     def test_rcn_suppressed_twin_uses_true_labels(self):
         ds = make_dataset(n=16, seed=6)
         obj = ObjectiveSpec(lam=0.5, loss="logistic")
         spec = OracleSpec("rcn", budget=16, batch_size=16, rng_seed=1, sigma=0.4)
-        twin = GradientOracle(spec, obj, ds, suppress_noise=True)
+        twin = GradientOracle(spec, obj, ds).twin()
         w = np.full(4, 0.2)
         idx = twin._order[:16]
         expected = 0.5 * w + mean_loss_gradient(obj, w, ds.X[idx], ds.y[idx])
-        np.testing.assert_allclose(twin.call(w).gradient, expected, atol=1e-12)
+        np.testing.assert_allclose(twin.call(w), expected, atol=1e-12)
 
     def test_reset_restores_initial_stream(self):
         ds = make_dataset(n=12, seed=8)
         obj = ObjectiveSpec(lam=1.0)
         oracle = GradientOracle(OracleSpec("gaussian", budget=12, rng_seed=5, noise_sq=2.0), obj, ds)
         w = np.zeros(4)
-        first = [oracle.call(w).gradient for _ in range(4)]
+        first = [oracle.call(w) for _ in range(4)]
         oracle.reset()
-        again = [oracle.call(w).gradient for _ in range(4)]
+        again = [oracle.call(w) for _ in range(4)]
         np.testing.assert_array_equal(np.array(first), np.array(again))
 
     @pytest.mark.parametrize("kind,kw", [
@@ -255,6 +253,6 @@ class TestGradientOracle:
             w = w_rng.standard_normal(d)
             w *= w_rng.uniform(0, 1) * obj.radius / np.linalg.norm(w)
             oracle.reset()
-            sq = np.array([np.sum(oracle.call(w).gradient ** 2) for _ in range(n)])
+            sq = np.array([np.sum(oracle.call(w) ** 2) for _ in range(n)])
             se = sq.std(ddof=1) / np.sqrt(n)
             assert sq.mean() <= gamma_sq + 3 * se

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from hetsgd.ordering import (compare_orders, expected_deviation, noise_weights,
                              two_level_schedule)
-from hetsgd.sgd import simulate_linear_paired_gaps
 
 
 class TestNoiseWeights:
@@ -154,7 +153,7 @@ class TestRearrangement:
 class TestMonteCarloAgreement:
     @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("order", ["cf", "nf", "ao"])
-    def test_simulated_gaps_match_closed_form(self, c, order):
+    def test_simulated_gaps_match_closed_form(self, c, order, paired_gaps):
         lam, T_c, T_n, d = 1.0, 20, 20, 4
         T = T_c + T_n
         v_c, v_n = 1.0, 25.0
@@ -166,9 +165,8 @@ class TestMonteCarloAgreement:
             rng = np.random.default_rng(7)
             mask = np.zeros(T, dtype=bool)
             mask[rng.choice(T, size=T_n, replace=False)] = True
-        schedule = two_level_schedule(mask, v_c, v_n)
-        target = expected_deviation(noise_weights(c, lam, T), schedule)
+        target = expected_deviation(noise_weights(c, lam, T), two_level_schedule(mask, v_c, v_n))
         seed = 9100 + 10 * ["cf", "nf", "ao"].index(order) + [0.5, 1.0, 2.0].index(c)
-        gaps = simulate_linear_paired_gaps(schedule, c, lam, d=d, n_trials=4000, seed=seed)
+        gaps = paired_gaps(mask, v_c, v_n, c, lam, d=d, n_trials=4000, seed=seed)
         se = gaps.std(ddof=1) / np.sqrt(len(gaps))
         assert abs(gaps.mean() - target) <= 3 * se

@@ -5,8 +5,7 @@ from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.oracles import GradientOracle, OracleSpec
 from hetsgd.ordering import expected_deviation, noise_weights, two_level_schedule
 from hetsgd.sgd import (InterleavePattern, NonpositiveRate, PatternMismatch, PhasePlan,
-                        run_paired, run_paired_interleaved, run_sgd, run_sgd_interleaved,
-                        simulate_linear_paired_gaps)
+                        run_paired, run_paired_interleaved, run_sgd, run_sgd_interleaved)
 
 
 def linear_dataset(n, d=3, seed=0, all_positive=False):
@@ -176,13 +175,13 @@ class TestPaired:
         obj = ObjectiveSpec(lam=lam, loss="linear", radius=np.inf)
         ds = linear_dataset(T, seed=16)
         oracle = GradientOracle(OracleSpec("gaussian", budget=T, rng_seed=8, noise_sq=4.0),
-                                obj, ds, record_noise=True)
+                                obj, ds)
         plan = PhasePlan((("g", c),), lam, np.inf)
         noisy, twin = run_paired(plan, {"g": oracle})
         oracle.reset()
         rerun = run_sgd(plan, {"g": oracle})
         np.testing.assert_array_equal(rerun.final_w, noisy.final_w)
-        Z = np.array(oracle.noise_log)
+        Z = oracle.noise_means
         deltas = noise_weights(c, lam, T).deltas
         np.testing.assert_allclose(twin.final_w - noisy.final_w, deltas @ Z, atol=1e-10)
 
@@ -190,18 +189,14 @@ class TestPaired:
         lam, c = 1.0, 0.8
         obj = ObjectiveSpec(lam=lam, loss="linear", radius=np.inf)
         ds1, ds2 = linear_dataset(10, seed=17), linear_dataset(10, seed=18)
-        o1 = GradientOracle(OracleSpec("gaussian", budget=10, rng_seed=1, noise_sq=1.0),
-                            obj, ds1, record_noise=True)
-        o2 = GradientOracle(OracleSpec("gaussian", budget=10, rng_seed=2, noise_sq=16.0),
-                            obj, ds2, record_noise=True)
+        o1 = GradientOracle(OracleSpec("gaussian", budget=10, rng_seed=1, noise_sq=1.0), obj, ds1)
+        o2 = GradientOracle(OracleSpec("gaussian", budget=10, rng_seed=2, noise_sq=16.0), obj, ds2)
         seq = ["a", "b"] * 10
         np.random.default_rng(3).shuffle(seq)
         pattern = InterleavePattern(tuple(seq))
         noisy, twin = run_paired_interleaved(pattern, c, np.inf, {"a": o1, "b": o2})
-        o1.reset(); o2.reset()
-        run_sgd_interleaved(pattern, c, np.inf, {"a": o1, "b": o2})
-        logs = {"a": list(o1.noise_log), "b": list(o2.noise_log)}
-        Z = np.array([logs[s].pop(0) for s in pattern.sequence])
+        rows = {"a": iter(o1.noise_means), "b": iter(o2.noise_means)}
+        Z = np.array([next(rows[s]) for s in pattern.sequence])
         deltas = noise_weights(c, lam, 20).deltas
         np.testing.assert_allclose(twin.final_w - noisy.final_w, deltas @ Z, atol=1e-10)
 
@@ -229,36 +224,27 @@ class TestPaired:
 
 
 class TestVectorizedGapSimulator:
-    def test_agrees_with_closed_form(self):
+    """Trial-batched paired runs on the engine (the paired_gaps fixture)."""
+
+    def test_agrees_with_closed_form(self, paired_gaps):
         lam, c, T, d = 1.0, 0.5, 50, 4
-        schedule = two_level_schedule(np.array([False] * 25 + [True] * 25), 1.0, 25.0)
-        target = expected_deviation(noise_weights(c, lam, T), schedule)
-        gaps = simulate_linear_paired_gaps(schedule, c, lam, d=d, n_trials=8000, seed=9)
+        mask = np.array([False] * 25 + [True] * 25)
+        target = expected_deviation(noise_weights(c, lam, T), two_level_schedule(mask, 1.0, 25.0))
+        gaps = paired_gaps(mask, 1.0, 25.0, c, lam, d=d, n_trials=8000, seed=9)
         se = gaps.std(ddof=1) / np.sqrt(len(gaps))
         assert abs(gaps.mean() - target) <= 3 * se
 
-    def test_zero_noise_gives_zero_gap(self):
-        gaps = simulate_linear_paired_gaps(np.zeros(20), 1.0, 1.0, d=3, n_trials=50, seed=0)
+    def test_zero_noise_gives_zero_gap(self, paired_gaps):
+        mask = np.arange(20) % 2 == 1
+        gaps = paired_gaps(mask, 0.0, 0.0, 1.0, 1.0, d=3, n_trials=50, seed=0)
         np.testing.assert_array_equal(gaps, np.zeros(50))
 
-    def test_deterministic_given_seed(self):
-        sched = np.full(15, 4.0)
-        a = simulate_linear_paired_gaps(sched, 0.7, 1.0, d=3, n_trials=100, seed=5)
-        b = simulate_linear_paired_gaps(sched, 0.7, 1.0, d=3, n_trials=100, seed=5)
+    def test_deterministic_given_seed(self, paired_gaps):
+        mask = np.arange(15) % 2 == 0
+        a = paired_gaps(mask, 4.0, 4.0, 0.7, 1.0, d=3, n_trials=100, seed=5)
+        b = paired_gaps(mask, 4.0, 4.0, 0.7, 1.0, d=3, n_trials=100, seed=5)
+        assert np.all(a > 0)
         np.testing.assert_array_equal(a, b)
-
-
-def test_objective_curve_recorded_at_stride():
-    obj = ObjectiveSpec(lam=1.0, loss="linear", radius=np.inf)
-    ds = linear_dataset(12, seed=20)
-    oracle = clean_oracle(ds, obj, seed=1)
-    seen = []
-    traj = run_sgd(PhasePlan((("a", 1.0),), 1.0, np.inf), {"a": oracle},
-                   snapshot_stride=3, eval_fn=lambda w: float(np.sum(w ** 2)))
-    assert [t for t, _ in traj.objective_curve] == [3, 6, 9, 12]
-    for (t, w), (t2, val) in zip(traj.iterates, traj.objective_curve):
-        assert t == t2
-        assert val == pytest.approx(float(np.sum(w ** 2)))
 
 
 def test_two_phase_error_within_leading_bound():
