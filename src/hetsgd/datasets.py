@@ -71,18 +71,10 @@ def sign_projection_matrix(d_in: int, d_out: int, seed: int) -> np.ndarray:
     return signs.astype(np.float64) / np.sqrt(d_out)
 
 
-def random_projection(data: Dataset, d_out: int, seed: int, identity: bool = False) -> Dataset:
-    """Project features to d_out dimensions with a seeded sign matrix, then renormalize.
-
-    With identity=True and d_out equal to the input dimension the features
-    pass through untouched (up to the max-norm rescale).
-    """
+def random_projection(data: Dataset, d_out: int, seed: int) -> Dataset:
+    """Project features to d_out dimensions with a seeded sign matrix, then renormalize."""
     if d_out > data.d:
         raise ValueError(f"d_out={d_out} exceeds input dimension {data.d}")
-    if identity:
-        if d_out != data.d:
-            raise ValueError("identity projection requires d_out == input dimension")
-        return data.normalized()
     P = sign_projection_matrix(data.d, d_out, seed)
     return Dataset(data.X @ P, data.y).normalized()
 

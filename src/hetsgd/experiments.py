@@ -199,12 +199,18 @@ class ExperimentConfig:
     def __post_init__(self):
         if not 0.0 < self.beta_c < 1.0:
             raise ValueError("beta_c must be in (0, 1)")
-        for key, value in (("trials", self.trials), ("oracles.batch_size", self.oracles.batch_size),
-                           ("c2_grid_points", self.c2_grid_points)):
+        counts = [("trials", self.trials), ("data.n", self.data.n), ("data.d", self.data.d),
+                  ("oracles.batch_size", self.oracles.batch_size),
+                  ("c2_grid_points", self.c2_grid_points)]
+        if self.data.project_to is not None:
+            counts.append(("data.project_to", self.data.project_to))
+        for key, value in counts:
             if not isinstance(value, (int, np.integer)) or value < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
-        # Trials are keyed by sweep value, so a repeated value would merge two rows' runs.
-        for key in ("c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid"):
+        if self.strategies is not None and len(self.strategies) == 0:
+            raise ValueError("strategies must name at least one strategy; omit it to run all")
+        # Trials are keyed by strategy and sweep value, so a repeat would merge two rows' runs.
+        for key in ("strategies", "c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid"):
             values = getattr(self, key)
             if values is not None and len(set(values)) != len(values):
                 raise ValueError(f"{key} repeats a value: {values}")
@@ -351,7 +357,7 @@ def _emit(cfg: ExperimentConfig, rows: Sequence[ResultRow], started: float,
 
 
 def _strategies(cfg: ExperimentConfig, allowed: tuple) -> tuple:
-    strategies = tuple(cfg.strategies) if cfg.strategies else allowed
+    strategies = allowed if cfg.strategies is None else tuple(cfg.strategies)
     for s in strategies:
         if s not in allowed:
             raise ValueError(f"unknown strategy {s!r}, expected one of {allowed}")
@@ -409,7 +415,7 @@ def _row(schedule: Schedule, oracles: dict, noisy: bool = True) -> Row:
 def _two_phase(order: str, c1: float, c2: float, obj: ObjectiveSpec) -> PhasePlan:
     """Both sources, ``order`` 'clean_first' or 'noisy_first', at rate constants c1 then c2."""
     sources = ("clean_data", "noisy_data") if order == "clean_first" else ("noisy_data", "clean_data")
-    return PhasePlan(tuple(zip(sources, (c1, c2))), obj.lam, obj.radius)
+    return PhasePlan(tuple(zip(sources, (c1, c2))), obj.radius)
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +429,8 @@ def _strategy_plans(noise_c: NoiseLevel, noise_n: NoiseLevel, beta_c: float,
     sel = select_rates(gc, gn, beta_c, lam)
     same_clean_c, _ = minimize_single_rate(BoundInputs(gc, gn, beta_c, lam, T=1))
     same_noisy_c, _ = minimize_single_rate(BoundInputs(gn, gc, 1.0 - beta_c, lam, T=1))
-    return {"Optimal": PhasePlan((("all_data", 1.0 / lam),), lam, obj.radius),
-            "CleanOnly": PhasePlan((("clean_data", 1.0 / lam),), lam, obj.radius),
+    return {"Optimal": PhasePlan((("all_data", 1.0 / lam),), obj.radius),
+            "CleanOnly": PhasePlan((("clean_data", 1.0 / lam),), obj.radius),
             "SameClean": _two_phase("clean_first", same_clean_c, same_clean_c, obj),
             "SameNoisy": _two_phase("noisy_first", same_noisy_c, same_noisy_c, obj),
             "Algorithm2": _two_phase(sel.order, sel.c1, sel.c2, obj)}
@@ -547,7 +553,7 @@ def c2_sweep_details(cfg: ExperimentConfig):
 
     schedules = {("TwoRate", c2): _two_phase(bracket.order, 1.0 / s.obj.lam, c2,
                                              s.obj).schedule(s.steps) for c2 in grid}
-    schedules[("CleanOnly", 0.0)] = PhasePlan((("clean_data", 1.0 / s.obj.lam),), s.obj.lam,
+    schedules[("CleanOnly", 0.0)] = PhasePlan((("clean_data", 1.0 / s.obj.lam),),
                                               s.obj.radius).schedule(s.steps)
 
     def make_trial(i: int) -> list:

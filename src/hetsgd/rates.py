@@ -33,9 +33,6 @@ C2_DOMAIN_LO = 1e-6
 C2_DOMAIN_HI = 1e3
 GRID_POINTS = 400
 GOLDEN_REL_TOL = 1e-8
-# Golden-section iterations whose candidate points the rate minimisers
-# evaluate in one array call (2^k - 1 points).
-GOLDEN_LOOKAHEAD = 5
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -85,8 +82,27 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
     satisfy 2*lam*c1 > 1. Inside |2*lam*c2 - 1| <= BRANCH_TOL the removable
     singularity is replaced by its limit: first-phase exponent 0 and second
     term 4*g2*c2^2*log(1/beta1)/T.
+
+    Scalar rates take a plain-float path with the array path's operation
+    order. It calls np.exp/np.expm1, not math.exp/math.expm1, which can round
+    differently, so both paths give the same bits.
     """
     lam, T, beta1 = inputs.lam, inputs.T, inputs.beta1
+    if isinstance(c1, (int, float)) and isinstance(c2, (int, float)):
+        c1, c2 = float(c1), float(c2)
+        k1 = 2.0 * lam * c1
+        if not k1 > 1.0:
+            raise PreconditionViolated(f"need 2*lam*c1 > 1, got {k1}")
+        if not c2 > 0:
+            raise ValueError("c2 must be positive")
+        e = 2.0 * lam * c2 - 1.0
+        if abs(e) <= BRANCH_TOL:
+            bexp, second = 1.0, 4.0 * inputs.gamma2_sq * c2 * c2 * math.log(1.0 / beta1) / T
+        else:
+            x = e * math.log(beta1)
+            bexp = float(np.exp(x))
+            second = 4.0 * inputs.gamma2_sq * -float(np.expm1(x)) * c2 * c2 / (T * e)
+        return float(4.0 * inputs.gamma1_sq * bexp * c1 * c1 / (T * (k1 - 1.0)) + second)
     c1 = np.asarray(c1, dtype=np.float64)
     k1 = 2.0 * lam * c1
     if not np.all(k1 > 1.0):
@@ -139,67 +155,34 @@ def noisy_first_constant(c, gamma_c_sq: float, gamma_n_sq: float,
     return _phase_constant(c, gamma_n_sq, gamma_c_sq, beta_n, lam)
 
 
-def _golden_step(a: float, b: float, x1: float, x2: float, left: bool) -> tuple:
-    """One golden-section iteration: keep [a, x2] if ``left`` (f1 <= f2), else [x1, b]."""
-    if left:
-        b, x2 = x2, x1
-        x1 = b - _INVPHI * (b - a)
-    else:
-        a, x1 = x1, x2
-        x2 = a + _INVPHI * (b - a)
-    return a, b, x1, x2
+def golden_section(f: Callable[[float], float], lo: float, hi: float,
+                   rel_tol: float = GOLDEN_REL_TOL,
+                   max_evals: Optional[int] = None) -> tuple:
+    """Golden-section minimization on [lo, hi]; returns the best point seen.
 
-
-def _lookahead(a: float, b: float, x1: float, x2: float, left: bool, depth: int) -> tuple:
-    """Brackets and new points of the next ``depth`` iterations, as a heap.
-
-    The first iteration's branch is known (``left``); node i's children are
-    2i+1 (its f1 <= f2) and 2i+2, so there are 2^depth - 1 nodes.
+    f is called one point at a time, in the order lo, hi, then the interior
+    points, and only at points the search uses.
     """
-    states = [_golden_step(a, b, x1, x2, left)]
-    points = [states[0][2] if left else states[0][3]]
-    for i in range(2 ** (depth - 1) - 1):
-        for child_left in (True, False):
-            child = _golden_step(*states[i], child_left)
-            states.append(child)
-            points.append(child[2] if child_left else child[3])
-    return states, points
-
-
-def _golden(f_many: Callable, lo: float, hi: float, rel_tol: float,
-            max_evals: Optional[int], depth: int) -> tuple:
-    """Golden-section walk that evaluates ``depth`` iterations' candidates per call.
-
-    ``f_many`` maps a list of points to their values. Every point the next
-    ``depth`` iterations could reach is evaluated at once; the walk then makes
-    the one-point-at-a-time algorithm's comparisons, best-point updates and
-    stopping tests in the same order and drops the values it does not reach.
-    So any depth returns the same point and value as depth 1 whenever f gives
-    the same value for a point alone and inside a list.
-    """
+    best_x, best_f = lo, f(lo)
+    f_hi = f(hi)
+    if f_hi < best_f:
+        best_x, best_f = hi, f_hi
     a, b = lo, hi
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
-    f_lo, f_hi, f1, f2 = f_many([lo, hi, x1, x2])
-    best_x, best_f = lo, f_lo
-    if f_hi < best_f:
-        best_x, best_f = hi, f_hi
+    f1, f2 = f(x1), f(x2)
     evals = 4
-    states, node = (), 0
     while (b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
         if max_evals is not None and evals >= max_evals:
             break
-        left = f1 <= f2
-        node = 2 * node + (1 if left else 2)
-        if node >= len(states):
-            k = depth if max_evals is None else min(depth, max_evals - evals)
-            states, points = _lookahead(a, b, x1, x2, left, k)
-            values, node = f_many(points), 0
-        a, b, x1, x2 = states[node]
-        if left:
-            f1, f2 = values[node], f1
+        if f1 <= f2:
+            b, x2, f2 = x2, x1, f1
+            x1 = b - _INVPHI * (b - a)
+            f1 = f(x1)
         else:
-            f1, f2 = f2, values[node]
+            a, x1, f1 = x1, x2, f2
+            x2 = a + _INVPHI * (b - a)
+            f2 = f(x2)
         evals += 1
         for x, fx in ((x1, f1), (x2, f2)):
             if fx < best_f:
@@ -207,26 +190,13 @@ def _golden(f_many: Callable, lo: float, hi: float, rel_tol: float,
     return best_x, best_f
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float,
-                   rel_tol: float = GOLDEN_REL_TOL,
-                   max_evals: Optional[int] = None) -> tuple:
-    """Golden-section minimization on [lo, hi]; returns the best point seen.
-
-    f is called one point at a time, in the order lo, hi, then the interior
-    points, and only at points the search uses. The rate minimisers run the
-    same walk through ``_golden`` with ``GOLDEN_LOOKAHEAD`` iterations'
-    candidate points evaluated per array call, which gives the same result.
-    """
-    return _golden(lambda xs: [f(x) for x in xs], lo, hi, rel_tol, max_evals, depth=1)
-
-
-def _grid_then_golden(f_many: Callable, grid: np.ndarray, values: np.ndarray) -> tuple:
+def _grid_then_golden(f: Callable[[float], float], grid: np.ndarray, values: np.ndarray) -> tuple:
     i = int(np.argmin(values))
     if i in (0, len(grid) - 1):
         logger.warning("rate minimizer hit the search-domain boundary at c2=%g", grid[i])
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    x, fx = _golden(f_many, lo, hi, GOLDEN_REL_TOL, None, GOLDEN_LOOKAHEAD)
+    x, fx = golden_section(f, lo, hi)
     if values[i] < fx:
         return float(grid[i]), float(values[i])
     return float(x), float(fx)
@@ -242,8 +212,7 @@ def minimize_phase2_rate(inputs: BoundInputs) -> tuple:
     lam = inputs.lam
     grid = np.geomspace(C2_DOMAIN_LO / lam, C2_DOMAIN_HI / lam, GRID_POINTS)
     values = two_phase_bound(inputs, 1.0 / lam, grid)
-    return _grid_then_golden(lambda c: two_phase_bound(inputs, 1.0 / lam, c).tolist(),
-                             grid, values)
+    return _grid_then_golden(lambda c: two_phase_bound(inputs, 1.0 / lam, c), grid, values)
 
 
 def minimize_single_rate(inputs: BoundInputs) -> tuple:
@@ -257,7 +226,7 @@ def minimize_single_rate(inputs: BoundInputs) -> tuple:
     hi = C2_DOMAIN_HI / lam
     grid = np.geomspace(lo, hi, GRID_POINTS)
     values = two_phase_bound(inputs, grid, grid)
-    return _grid_then_golden(lambda c: two_phase_bound(inputs, c, c).tolist(), grid, values)
+    return _grid_then_golden(lambda c: two_phase_bound(inputs, c, c), grid, values)
 
 
 @dataclass(frozen=True)

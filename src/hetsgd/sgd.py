@@ -84,7 +84,6 @@ class PhasePlan:
     """Ordered (oracle_id, rate constant) phases sharing one global step clock."""
 
     phases: tuple
-    lam: float
     radius: float
 
     def __post_init__(self):
@@ -94,8 +93,6 @@ class PhasePlan:
         ids = [k for k, _ in self.phases]
         if len(set(ids)) != len(ids):
             raise ValueError("each oracle may be referenced by exactly one phase")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
         if not self.radius > 0:
             raise ValueError("radius must be positive")
 
@@ -355,7 +352,10 @@ def _remaining(oracles: Mapping[str, GradientOracle]) -> dict:
 def run_sgd(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
             w0: Optional[np.ndarray] = None,
             snapshot_stride: Optional[int] = None) -> Trajectory:
-    """Run each phase's oracle to exhaustion in order, then return the result."""
+    """Run each phase's oracle to exhaustion in order, then return the result.
+
+    The regularisation lam comes from the oracles' objective.
+    """
     schedule = plan.schedule(_remaining(oracles))
     return _run_single(schedule, oracles, plan.radius, w0, snapshot_stride)[0]
 

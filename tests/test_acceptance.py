@@ -366,7 +366,7 @@ def test_criterion_10_convergence_rate():
         X = mu + rng.standard_normal((T, d)) / math.sqrt(d)
         ds = Dataset(X, np.ones(T))
         oracle = GradientOracle(OracleSpec("clean", budget=T, rng_seed=20_500 + trial), obj, ds)
-        traj = run_sgd(PhasePlan((("a", 1.0 / lam),), lam, np.inf), {"a": oracle},
+        traj = run_sgd(PhasePlan((("a", 1.0 / lam),), np.inf), {"a": oracle},
                        snapshot_stride=5)
         if times is None:
             times = np.array([t for t, _ in traj.iterates])

@@ -45,13 +45,6 @@ class TestSynthetic:
 
 
 class TestRandomProjection:
-    def test_identity_flag_passes_through(self):
-        ds = generate_synthetic(SyntheticSpec(d=5, n=50), seed=2)
-        out = random_projection(ds, 5, seed=1, identity=True)
-        np.testing.assert_allclose(out.X, ds.X / np.linalg.norm(ds.X, axis=1).max())
-        with pytest.raises(ValueError):
-            random_projection(ds, 3, seed=1, identity=True)
-
     def test_deterministic(self):
         ds = generate_synthetic(SyntheticSpec(d=30, n=40), seed=4)
         a = random_projection(ds, 10, seed=5)

@@ -65,9 +65,9 @@ def mixed_rows(loss, b, seed=0):
         np.random.default_rng(m).shuffle(slots)
         late = np.repeat([0, 1], [3, steps["a"] - 3])     # as long as the one-phase plan
         np.random.default_rng(m + 10).shuffle(late)
-        schedules = [(PhasePlan((("a", 30.0), ("b", 12.0)), lam, 1.0).schedule(steps), None),
-                     (PhasePlan((("b", 8.0), ("a", 20.0)), lam, 1.0).schedule(steps), None),
-                     (PhasePlan((("a", 10.0),), lam, 1.0).schedule(steps), None),
+        schedules = [(PhasePlan((("a", 30.0), ("b", 12.0)), 1.0).schedule(steps), None),
+                     (PhasePlan((("b", 8.0), ("a", 20.0)), 1.0).schedule(steps), None),
+                     (PhasePlan((("a", 10.0),), 1.0).schedule(steps), None),
                      (Schedule(("a", "b"), (15.0, 15.0), slots), None),
                      (Schedule(("a", "b"), (25.0, 5.0), late), (4, 6))]
         oracles = {"a": first, "b": second}
@@ -183,7 +183,7 @@ def test_fractional_schedule_slots_rejected():
 def test_w0_of_the_wrong_shape_rejected_before_the_budget_is_used():
     obj = ObjectiveSpec(lam=1.0, loss="linear")
     oracle = GradientOracle(OracleSpec("clean", budget=12, rng_seed=1), obj, dataset(12, 3, 5))
-    plan = PhasePlan((("a", 1.0),), 1.0, 1.0)
+    plan = PhasePlan((("a", 1.0),), 1.0)
     with pytest.raises(ValueError, match="shape"):
         run_sgd(plan, {"a": oracle}, w0=np.array([0.3]))
     assert oracle.consumed == 0
@@ -198,7 +198,7 @@ def test_snapshots_are_opt_in():
     def fresh():
         return {"a": GradientOracle(OracleSpec("clean", budget=12, rng_seed=1), obj, ds)}
 
-    plan = PhasePlan((("a", 1.0),), 1.0, np.inf)
+    plan = PhasePlan((("a", 1.0),), np.inf)
     assert run_sgd(plan, fresh()).iterates is None
     # Every stride-th step and the last one.
     assert [t for t, _ in run_sgd(plan, fresh(), snapshot_stride=5).iterates] == [5, 10, 12]
@@ -274,7 +274,7 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
     ds = Dataset(np.full((5, 2), 0.5), np.ones(5))
     oracle = GradientOracle(OracleSpec("clean", budget=5), obj, ds)
     try:
-        sgd.run_sgd(sgd.PhasePlan((("a", 50.0),), 1.0, 0.1), {"a": oracle})
+        sgd.run_sgd(sgd.PhasePlan((("a", 50.0),), 0.1), {"a": oracle})
         print("feasibility unchecked")
     except sgd.InfeasibleIterate:
         print("feasibility checked")

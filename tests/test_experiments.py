@@ -8,7 +8,7 @@ import pytest
 
 from hetsgd.cli import main as cli_main
 from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, c2_sweep_details,
-                                emit_csv, emit_plotdata, order_experiment_details,
+                                emit_csv, emit_plotdata, load_dataset, order_experiment_details,
                                 read_csv_rows, run_c2_sweep, run_order_experiment,
                                 run_strategy_comparison, strategy_comparison_details)
 
@@ -93,6 +93,18 @@ class TestConfig:
             ExperimentConfig.from_dict({"oracles": {"batch_size": 0}})
         with pytest.raises(ValueError, match="c2_grid_points"):
             ExperimentConfig.from_dict({"c2_grid_points": 0})
+        for data in ({"n": 300.5}, {"n": 0}, {"d": 2.0}, {"d": 0},
+                     {"project_to": 2.5}, {"project_to": 0}):
+            key = "data." + next(iter(data))
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_dict({"data": data})
+        ExperimentConfig.from_dict({"data": {"project_to": None}})
+
+    @pytest.mark.parametrize("strategies", [(), ("CleanOnly", "CleanOnly")])
+    def test_empty_or_repeated_strategies_rejected(self, strategies):
+        # Runs are keyed by strategy: a repeat would emit two rows over one pooled array.
+        with pytest.raises(ValueError, match="strategies"):
+            small_config(strategies=strategies)
 
     @pytest.mark.parametrize("key, values", [("c_grid", (100.0, 100.0)),
                                              ("epsilon_noisy_sweep", (2.0, 5.0, 2.0)),
@@ -275,6 +287,12 @@ class TestDataBackedConfigs:
                            epsilon_noisy_sweep=(2.0,), trials=2)
         rows, _ = strategy_comparison_details(cfg)
         assert rows
+
+    def test_projection_to_the_input_dimension_is_skipped(self):
+        data = {"kind": "synthetic", "d": 4, "n": 50}
+        plain = load_dataset(small_config(data=data), np.random.SeedSequence(3))
+        same = load_dataset(small_config(data={**data, "project_to": 4}), np.random.SeedSequence(3))
+        np.testing.assert_array_equal(same.X, plain.X)
 
 
 class TestBudgetConservation:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from hetsgd.oracles import NoiseLevel, dp_noise_level, rcn_noise_level
-from hetsgd import rates
 from hetsgd.rates import (_INVPHI, BRANCH_TOL, C2_DOMAIN_HI, C2_DOMAIN_LO, GOLDEN_REL_TOL,
                           GRID_POINTS, BoundInputs, DomainError, PreconditionViolated,
                           RateSelection, c2_bracket, clean_first_constant, clean_first_rate_interval,
@@ -52,6 +51,14 @@ class TestTwoPhaseBound:
             two_phase_bound(inputs, 0.5, 1.0)
         with pytest.raises(ValueError):
             two_phase_bound(inputs, 1.0, -1.0)
+        # The scalar and the array branch reject the same points.
+        for wrap in (float, lambda c: np.array([c])):
+            for c1 in (0.5, 0.5 - 1e-12, 0.0, -1.0):
+                with pytest.raises(PreconditionViolated):
+                    two_phase_bound(inputs, wrap(c1), wrap(1.0))
+            for c2 in (0.0, -0.0, -1.0):
+                with pytest.raises(ValueError, match="c2"):
+                    two_phase_bound(inputs, wrap(1.0), wrap(c2))
 
     def test_nan_inputs_rejected(self):
         nan = float("nan")
@@ -64,6 +71,10 @@ class TestTwoPhaseBound:
             two_phase_bound(inputs, 1.0, nan)
         with pytest.raises(ValueError, match="c2"):
             two_phase_bound(inputs, 1.0, np.array([1.0, nan]))
+        with pytest.raises(PreconditionViolated):
+            two_phase_bound(inputs, nan, 1.0)
+        with pytest.raises(PreconditionViolated):
+            two_phase_bound(inputs, nan, nan)
 
     def test_array_rates_match_scalar_calls_bit_for_bit(self):
         rng = np.random.default_rng(11)
@@ -77,6 +88,10 @@ class TestTwoPhaseBound:
             assert at_limit.any() and not at_limit.all()
             values = two_phase_bound(inputs, grid, grid)
             assert list(values) == [two_phase_bound(inputs, c, c) for c in grid]
+            # c1 pinned at 1/lam, as in the phase-2 minimiser; plain-float rates.
+            c1 = 1.0 / inputs.lam
+            values = two_phase_bound(inputs, c1, grid)
+            assert list(values) == [two_phase_bound(inputs, c1, float(c)) for c in grid]
 
     def test_array_c1_precondition_checked_on_every_entry(self):
         inputs = BoundInputs(1.0, 1.0, 0.5, 1.0, 10)
@@ -89,6 +104,9 @@ class TestTwoPhaseBound:
         inputs = BoundInputs(1.0, 2.0, 0.5, 1.0, 10)
         assert type(two_phase_bound(inputs, 1.0, 1.5)) is float
         assert type(two_phase_bound(inputs, np.float64(1.0), np.float64(0.5))) is float
+        assert two_phase_bound(inputs, 2, 1) == two_phase_bound(inputs, 2.0, 1.0)
+        numpy_inputs = BoundInputs(np.float64(1.0), np.float64(2.0), 0.5, np.float64(1.0), 10)
+        assert type(two_phase_bound(numpy_inputs, 1.0, 1.5)) is float
 
     def test_two_sided_convergence_to_limit_branch(self):
         # Approaching 2*lam*c2 = 1 the generic branch converges linearly to the
@@ -161,7 +179,7 @@ class TestGoldenSection:
 
 
 def sequential_golden_section(f, lo, hi, rel_tol=GOLDEN_REL_TOL, max_evals=None):
-    """The one-point-at-a-time search the look-ahead walk must reproduce, kept as the reference."""
+    """The textbook one-point-at-a-time search, kept verbatim as the reference."""
     best_x, best_f = lo, f(lo)
     f_hi = f(hi)
     if f_hi < best_f:
@@ -190,7 +208,7 @@ def sequential_golden_section(f, lo, hi, rel_tol=GOLDEN_REL_TOL, max_evals=None)
 
 
 def reference_minimize(f, grid, values):
-    """Grid then sequential refinement, with scalar bound calls."""
+    """Grid then sequential refinement; f evaluates one point through the array branch."""
     i = int(np.argmin(values))
     lo = grid[max(i - 1, 0)]
     hi = grid[min(i + 1, len(grid) - 1)]
@@ -204,26 +222,28 @@ def reference_phase2_rate(inputs):
     lam = inputs.lam
     grid = np.geomspace(C2_DOMAIN_LO / lam, C2_DOMAIN_HI / lam, GRID_POINTS)
     values = two_phase_bound(inputs, 1.0 / lam, grid)
-    return reference_minimize(lambda c: two_phase_bound(inputs, 1.0 / lam, c), grid, values)
+    return reference_minimize(lambda c: two_phase_bound(inputs, 1.0 / lam, np.array([c]))[0],
+                              grid, values)
 
 
 def reference_single_rate(inputs):
     lam = inputs.lam
     grid = np.geomspace((1.0 + 1e-9) / (2.0 * lam), C2_DOMAIN_HI / lam, GRID_POINTS)
     values = two_phase_bound(inputs, grid, grid)
-    return reference_minimize(lambda c: two_phase_bound(inputs, c, c), grid, values)
+    return reference_minimize(
+        lambda c: two_phase_bound(inputs, np.array([c]), np.array([c]))[0], grid, values)
 
 
 class TestLookahead:
-    def test_minimizers_match_the_sequential_search_at_every_depth(self, monkeypatch):
+    def test_minimizers_match_the_sequential_search(self):
+        # The minimisers refine with scalar bound calls, the reference with
+        # one-point array calls: the two branches agree through the whole walk.
         rng = np.random.default_rng(29)
         cases = [random_inputs(rng) for _ in range(200)]
-        phase2 = [reference_phase2_rate(inputs) for inputs in cases]
-        single = [reference_single_rate(inputs) for inputs in cases]
-        for depth in range(1, 8):
-            monkeypatch.setattr(rates, "GOLDEN_LOOKAHEAD", depth)
-            assert [minimize_phase2_rate(inputs) for inputs in cases] == phase2, depth
-            assert [minimize_single_rate(inputs) for inputs in cases] == single, depth
+        assert [minimize_phase2_rate(inputs) for inputs in cases] == \
+            [reference_phase2_rate(inputs) for inputs in cases]
+        assert [minimize_single_rate(inputs) for inputs in cases] == \
+            [reference_single_rate(inputs) for inputs in cases]
 
     @pytest.mark.parametrize("max_evals", [None, 4, 5, 7, 12])
     def test_public_search_calls_f_at_the_sequential_points(self, max_evals):
