@@ -136,7 +136,8 @@ def gradient_scales(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.nda
         X = np.atleast_2d(X)
     _check_dims(w, X)
     if spec.loss == "logistic":
-        return -y * expit(-_margins(w, X, y))
+        ny = -y         # negation is exact: ny * expit(ny * w'x) == -y * expit(-(y * w'x))
+        return ny * expit(_margins(w, X, ny))
     if spec.loss == "hinge":
         return np.where(_margins(w, X, y) <= 1.0, -y, 0.0)
     return -np.asarray(y, dtype=np.float64)
@@ -177,10 +178,12 @@ def project(w: np.ndarray, radius: float) -> np.ndarray:
     if not math.isfinite(radius):
         return w
     if w.ndim == 2:
-        nrm = np.sqrt(np.einsum("rd,rd->r", w, w))
-        if nrm.max(initial=0.0) <= radius:     # every row inside: each factor would be 1.0
+        sq = np.einsum("rd,rd->r", w, w)
+        # Every row inside, so each factor would be 1.0. A correctly rounded sqrt is
+        # monotone, so this is max_r sqrt(sq[r]) <= radius; NaN fails it and is scaled.
+        if math.sqrt(sq.max(initial=0.0)) <= radius:
             return w
-        return w * (radius / np.maximum(nrm, radius))[:, None]
+        return w * (radius / np.maximum(np.sqrt(sq), radius))[:, None]
     nrm = float(np.linalg.norm(w))
     if nrm <= radius:
         return w

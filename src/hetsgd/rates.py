@@ -56,14 +56,15 @@ class BoundInputs:
     T: int
 
     def __post_init__(self):
-        if not (self.gamma1_sq > 0 and self.gamma2_sq > 0):
-            raise ValueError("noise levels must be positive")
+        if not (0 < self.gamma1_sq < math.inf and 0 < self.gamma2_sq < math.inf):
+            raise ValueError(f"noise levels must be positive and finite, got "
+                             f"{self.gamma1_sq} and {self.gamma2_sq}")
         if not 0.0 < self.beta1 < 1.0:
             raise ValueError(f"beta1 must be in (0, 1), got {self.beta1}")
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
-        if self.T < 1:
-            raise ValueError("T must be a positive integer")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        if not isinstance(self.T, (int, np.integer)) or self.T < 1:
+            raise ValueError(f"T must be a positive integer, got {self.T!r}")
 
 
 def _beta_terms(beta1: float, k2):
@@ -79,7 +80,8 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
     """Leading regret-bound constant B(c1, c2); c1 and c2 broadcast as arrays.
 
     Returns a float when both rates are scalars. Every entry of c1 must
-    satisfy 2*lam*c1 > 1. Inside |2*lam*c2 - 1| <= BRANCH_TOL the removable
+    satisfy 2*lam*c1 > 1, every entry of c2 must be positive, and 2*lam*c1 and
+    2*lam*c2 must be finite. Inside |2*lam*c2 - 1| <= BRANCH_TOL the removable
     singularity is replaced by its limit: first-phase exponent 0 and second
     term 4*g2*c2^2*log(1/beta1)/T.
 
@@ -93,9 +95,13 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
         k1 = 2.0 * lam * c1
         if not k1 > 1.0:
             raise PreconditionViolated(f"need 2*lam*c1 > 1, got {k1}")
+        if not k1 < math.inf:
+            raise ValueError(f"2*lam*c1 must be finite, got c1={c1}")
         if not c2 > 0:
             raise ValueError("c2 must be positive")
         e = 2.0 * lam * c2 - 1.0
+        if not e < math.inf:
+            raise ValueError(f"2*lam*c2 must be finite, got c2={c2}")
         if abs(e) <= BRANCH_TOL:
             bexp, second = 1.0, 4.0 * inputs.gamma2_sq * c2 * c2 * math.log(1.0 / beta1) / T
         else:
@@ -105,12 +111,17 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
         return float(4.0 * inputs.gamma1_sq * bexp * c1 * c1 / (T * (k1 - 1.0)) + second)
     c1 = np.asarray(c1, dtype=np.float64)
     k1 = 2.0 * lam * c1
-    if not np.all(k1 > 1.0):
+    # A NaN entry makes min() NaN, which fails the comparison.
+    if not k1.min() > 1.0:
         raise PreconditionViolated(f"need 2*lam*c1 > 1, got {k1.min()}")
+    if not k1.max() < np.inf:
+        raise ValueError(f"2*lam*c1 must be finite, got c1={c1.max()}")
     c2 = np.asarray(c2, dtype=np.float64)
-    if not np.all(c2 > 0):
+    if not c2.min() > 0:
         raise ValueError("c2 must be positive")
     k2 = 2.0 * lam * c2
+    if not k2.max() < np.inf:
+        raise ValueError(f"2*lam*c2 must be finite, got c2={c2.max()}")
     e = k2 - 1.0
     bexp, one_minus = _beta_terms(beta1, k2)
 

@@ -10,16 +10,19 @@ Mini-batched oracle calls count as a single t increment.
 One engine, ``run_batch``, advances any number of runs ("rows") together.
 Its state is a matrix W with one row per run. What the steps read that does
 not depend on W (every row's examples, labels, pre-drawn batch-mean noise and
-step size) is gathered for a chunk of steps at a time, so each step does
-only one vectorised gradient evaluation, the update and one row-wise
-projection. A row names a ``Schedule`` (the oracle slot serving each step and
-each slot's rate constant), the oracles behind its slots, and whether it is
-the noisy run or its noiseless twin. Rows read their oracles' permutations
-and noise tables without consuming them, so every run over one seed shares
-one table, and ``Row.starts`` lets runs read disjoint slices of one oracle.
-``PhasePlan`` and ``InterleavePattern`` build schedules; ``run_sgd`` and its
-siblings are single-run calls into the engine that also advance the cursors
-of the oracles they are given.
+step size) is gathered for a chunk of steps at a time, already shaped for the
+step, and a chunk ends where a row's run does, so each step takes its inputs
+by one index and does only one vectorised gradient evaluation, the update and
+one row-wise projection: about a dozen array operations for a logistic step
+at batch size 1, whose gradient is a product rather than an einsum. A row
+names a ``Schedule`` (the oracle slot serving each step and each slot's rate
+constant), the oracles behind its slots, and whether it is the noisy run or
+its noiseless twin. Rows read their oracles' permutations and noise tables
+without consuming them, so every run over one seed shares one table, and
+``Row.starts`` lets runs read disjoint slices of one oracle. ``PhasePlan`` and
+``InterleavePattern`` build schedules; ``run_sgd`` and its siblings are
+single-run calls into the engine that also advance the cursors of the oracles
+they are given.
 """
 from __future__ import annotations
 
@@ -278,43 +281,43 @@ def run_batch(rows: Sequence[Row], radius: float,
     row_bytes = 8 * (b * (d + 3) + d + 4)       # one row's gathers for one step
     offsets = np.arange(b)
     step_no = np.arange(1, T + 1)[:, None]
-    t0, R0 = 1, -1
+    t0, R = 1, -1
     while t0 <= T:
-        # Everything steps t0 .. t0+C-1 read that does not depend on W, gathered at once.
-        if active[t0] != R0:
-            R0 = active[t0]
-            pats, row_base = pattern_of[:R0], np.arange(R0) * S
-        C = min(T + 1 - t0, max(1, CHUNK_BYTES // (R0 * row_bytes)))
+        # Steps t0 .. t0+C-1 advance the same R rows (a chunk ends where a row does), and
+        # everything they read that does not depend on W is gathered at once.
+        if active[t0] != R:
+            R = active[t0]
+            pats, row_base = pattern_of[:R], np.arange(R) * S
+        C = min(int(lengths[R - 1]) + 1 - t0, max(1, CHUNK_BYTES // (R * row_bytes)))
         steps = slice(t0 - 1, t0 - 1 + C)
         k = step_tab[steps, pats]
         rs = row_base + slot_tab[steps, pats]
         idx = examples[(ex_at[rs] + k * b)[..., None] + offsets]
         Xc, yc = X[idx], y[idx]
+        X1c = Xc[:, :, 0]
         if rcn:
             yc = np.where(flips[flip_at[rs] + k], -yc, yc)
-            sigma_c = sigma_at[rs]
+            sigma_c = sigma_at[rs][..., None]
+            keep_c, denom_c = 1.0 - sigma_c, 1.0 - 2.0 * sigma_c
         noise_c = noise[noise_at[rs] + k]
-        eta_c = rate_at[rs] / step_no[steps]
+        eta_c = (rate_at[rs] / step_no[steps])[..., None]
+        Wa = W[:R]
         for j, t in enumerate(range(t0, t0 + C)):
-            R = active[t]
-            Wa = W[:R]
-            Xb, yb = Xc[j, :R], yc[j, :R]
+            Xb, yb = Xc[j], yc[j]
             if rcn:
-                sigma = sigma_c[j, :R, None]
-                s = ((1.0 - sigma) * gradient_scales(objective, Wa, Xb, yb)
-                     - sigma * gradient_scales(objective, Wa, Xb, -yb)) / (1.0 - 2.0 * sigma)
+                s = (keep_c[j] * gradient_scales(objective, Wa, Xb, yb)
+                     - sigma_c[j] * gradient_scales(objective, Wa, Xb, -yb)) / denom_c[j]
             else:
                 s = gradient_scales(objective, Wa, Xb, yb)
-            G = lam * Wa + np.einsum("rb,rbd->rd", s, Xb) / b + noise_c[j, :R]
-            Wa = project(Wa - eta_c[j, :R, None] * G, radius)
-            if R == n_rows:
-                W = Wa
-            else:
-                W[:R] = Wa
+            # At b=1 the product differs from einsum's sum only in the sign of an exact
+            # zero, which the noise term (+0.0 where there is none) erases.
+            g = s * X1c[j] if b == 1 else np.einsum("rb,rbd->rd", s, Xb) / b
+            Wa = project(Wa - eta_c[j] * (lam * Wa + g + noise_c[j]), radius)
             if iterates is not None:
                 due = range(R) if t % snapshot_stride == 0 else range(active[t + 1], R)
                 for i in due:
-                    iterates[i].append((t, W[i].copy()))
+                    iterates[i].append((t, Wa[i].copy()))
+        W[:R] = Wa
         t0 += C
 
     norms = np.sqrt(np.einsum("rd,rd->r", W, W))

@@ -152,6 +152,49 @@ class TestProject:
         np.testing.assert_array_equal(project(w, np.inf), w)
 
 
+class TestProjectRows:
+    """The matrix path's 'every row inside' decision at its edges."""
+
+    RADIUS = 0.7
+
+    @staticmethod
+    def row(x):
+        return [0.0, x, 0.0]
+
+    @staticmethod
+    def scaled(w, radius):
+        return w * (radius / max(np.linalg.norm(w), radius))
+
+    def test_rows_at_or_below_the_radius_return_the_input(self):
+        r = self.RADIUS
+        W = np.array([self.row(r), self.row(np.nextafter(r, 0.0)), self.row(-r), [0.0] * 3])
+        before = W.tobytes()
+        assert project(W, r) is W
+        assert W.tobytes() == before
+
+    def test_a_row_one_ulp_outside_is_scaled(self):
+        r = self.RADIUS
+        W = np.array([self.row(r), self.row(np.nextafter(r, 1.0)), [3.0, 4.0, 12.0],
+                      self.row(np.nextafter(r, 0.0))])
+        before = W.tobytes()
+        P = project(W, r)
+        assert P is not W and W.tobytes() == before
+        for i in (0, 3):
+            assert P[i].tobytes() == W[i].tobytes()
+        for i in (1, 2):
+            assert P[i].tobytes() == self.scaled(W[i], r).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_row_takes_the_scaling_path(self, bad):
+        r = self.RADIUS
+        W = np.array([self.row(0.5), [bad, 0.1, 0.0], self.row(r)])
+        with np.errstate(invalid="ignore"):     # an infinite row scales by 0: inf * 0 is NaN
+            P = project(W, r)
+        assert P is not W
+        assert not np.all(np.isfinite(P[1]))
+        assert P[[0, 2]].tobytes() == W[[0, 2]].tobytes()
+
+
 class TestDataset:
     def test_label_validation(self):
         with pytest.raises(ValueError, match="labels"):

@@ -1,4 +1,5 @@
 """The batched engine against the scalar reference path, run by run."""
+import hashlib
 import json
 import os
 import subprocess
@@ -25,11 +26,15 @@ MECHANISMS = {
 }
 
 
-def dataset(n, d, seed):
+def dataset(n, d, seed, zeros=False):
     rng = np.random.default_rng(seed)
     X = rng.standard_normal((n, d))
     X /= np.linalg.norm(X, axis=1).max()
-    return Dataset(X, np.where(rng.random(n) < 0.5, 1.0, -1.0))
+    y = np.where(rng.random(n) < 0.5, 1.0, -1.0)
+    if zeros:       # exact zeros in about a third of the entries, and one all-zero example
+        X[rng.random((n, d)) < 1 / 3] = 0.0
+        X[0] = 0.0
+    return Dataset(X, y)
 
 
 def reference_run(row: Row, radius: float) -> list:
@@ -48,12 +53,12 @@ def reference_run(row: Row, radius: float) -> list:
     return iterates
 
 
-def mixed_rows(loss, b, seed=0):
+def mixed_rows(loss, b, seed=0, zeros=False):
     """Every mechanism under a plan, its reverse, a one-phase plan, an interleaving and a
     shorter interleaving that starts mid-budget, each noisy, as a twin and from a w0."""
     lam, d = 0.1, 4
     obj = ObjectiveSpec(lam=lam, loss=loss)
-    ds1, ds2 = dataset(8 * b + 1, d, seed), dataset(12 * b + 2, d, seed + 1)
+    ds1, ds2 = dataset(8 * b + 1, d, seed, zeros), dataset(12 * b + 2, d, seed + 1, zeros)
     rows = []
     for m, (kind, kw) in enumerate(MECHANISMS.items()):
         first = GradientOracle(OracleSpec(kind, budget=len(ds1), batch_size=b,
@@ -95,6 +100,80 @@ def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
         np.testing.assert_allclose(traj.final_w, ref[-1], rtol=1e-12, atol=1e-15)
         hit |= any(np.linalg.norm(w) >= radius * (1 - 1e-12) for w in ref)
     assert hit == active
+
+
+def engine_digest(rows, radius):
+    """sha256 over every row's snapshots (step and iterate bytes) and final iterate."""
+    h = hashlib.sha256()
+    for traj in run_batch(rows, radius, snapshot_stride=1):
+        for t, w in traj.iterates:
+            h.update(t.to_bytes(4, "little") + w.tobytes())
+        h.update(traj.final_w.tobytes())
+    return h.hexdigest()
+
+
+# Digests of the engine's bytes on mixed_rows(loss, b, zeros=zeros) at each radius: a leaner
+# step must give the same bits for every loss, mechanism and batch size, also on features
+# with exact zeros (where only the sign of a zero could tell two products apart).
+PINNED_ENGINE_DIGESTS = {
+    ("logistic", 1, 0.3, False):
+        "02bead673ecda2c697bf213538d9804163e38a1a9abcb5bcecbd08f8ef4787dd",
+    ("logistic", 1, 0.3, True):
+        "a0dd58671c8d32b67ab329881dbaea41337bdd2dc673849273eb1254b2ceb06a",
+    ("logistic", 1, 1e3, False):
+        "632cab5d4d0e12c57def124f5ec6d88d17e2d1e52bca5e7796888293f12afba1",
+    ("logistic", 1, 1e3, True):
+        "d0e7dff06ecd0b7d482511bd439bc624adcfa18f50e2f3d425583e56ff73e70f",
+    ("logistic", 3, 0.3, False):
+        "446c40563a02883c1bc38ae7bbafe30b94eef065ac68e2c3e04a875e7c30ef5c",
+    ("logistic", 3, 0.3, True):
+        "4c43435c400fc5a9d88a186ef968202bf5d6a36a1b8d59b590440a021d0482f5",
+    ("logistic", 3, 1e3, False):
+        "dfc397888a0b2bf5b28385b326cc7315c6c33d870c1124ac62dd470372b4bb6b",
+    ("logistic", 3, 1e3, True):
+        "d950dfae98df6d86f22a69c40a4413da3f1c834f8a6e44497683c511e71e693e",
+    ("hinge", 1, 0.3, False):
+        "b4fc5dd622deae7c6a3e83feb8599afd500ec7e109ce64e0500ac7599993d593",
+    ("hinge", 1, 0.3, True):
+        "69e6644284087edbd23de60361a4657e5ee28cf314eb73364aae52cadc76cc56",
+    ("hinge", 1, 1e3, False):
+        "a325e0af7d764d6cbd4bf98260308b6f5efc63a9b08612f1a708051653d3710b",
+    ("hinge", 1, 1e3, True):
+        "2e1fdb7b18313b7fbf1097362a93ff33dcd5f57d46f94e86360ba6eb58b0b5f2",
+    ("hinge", 3, 0.3, False):
+        "d9a7ac68f37811b181ef268934f76ca1295fb976a53e210bc840e58f7b7c64cf",
+    ("hinge", 3, 0.3, True):
+        "6c2412a45c5645fd2f37764a3d2f05bf3ece7e6d18e23068022385d21c78b30b",
+    ("hinge", 3, 1e3, False):
+        "1980b769da063d8c211484362f5b40bf7aa8163b9136a7a7d1e62d861ff8d23d",
+    ("hinge", 3, 1e3, True):
+        "31a880452b407fab067369abb862e40aea5a8513528120d7137d83189490bb63",
+    ("linear", 1, 0.3, False):
+        "b4fc5dd622deae7c6a3e83feb8599afd500ec7e109ce64e0500ac7599993d593",
+    ("linear", 1, 0.3, True):
+        "69e6644284087edbd23de60361a4657e5ee28cf314eb73364aae52cadc76cc56",
+    ("linear", 1, 1e3, False):
+        "a95723b143c19bcb8eb5f975827fda84f15843561d49799c1ebf727335320075",
+    ("linear", 1, 1e3, True):
+        "4af9f9d369a653d6e6cb39848c693601632168d6c8f6f11ef95705cc84799a01",
+    ("linear", 3, 0.3, False):
+        "d9a7ac68f37811b181ef268934f76ca1295fb976a53e210bc840e58f7b7c64cf",
+    ("linear", 3, 0.3, True):
+        "6c2412a45c5645fd2f37764a3d2f05bf3ece7e6d18e23068022385d21c78b30b",
+    ("linear", 3, 1e3, False):
+        "9e8e7b534f1fe0ecebfbf6b6a115a85300cd1bfaa225fa46c8716c3b0ad586d4",
+    ("linear", 3, 1e3, True):
+        "5535352530f117f6c2563be3374f4cff8ba8c6a0b3ea3f5a24ad8de0159fa3ce",
+}
+
+
+@pytest.mark.parametrize("loss", ["logistic", "hinge", "linear"])
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("radius", [0.3, 1e3])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_engine_bytes_are_pinned(loss, b, radius, zeros):
+    digest = engine_digest(mixed_rows(loss, b, zeros=zeros), radius)
+    assert digest == PINNED_ENGINE_DIGESTS[loss, b, radius, zeros]
 
 
 @pytest.mark.parametrize("loss", ["logistic", "hinge"])

@@ -76,6 +76,32 @@ class TestTwoPhaseBound:
         with pytest.raises(PreconditionViolated):
             two_phase_bound(inputs, nan, nan)
 
+    @pytest.mark.parametrize("args", [(math.inf, 1.0, 0.5, 1.0, 10), (1.0, math.inf, 0.5, 1.0, 10),
+                                      (-math.inf, 1.0, 0.5, 1.0, 10), (1.0, 1.0, 0.5, math.inf, 10)])
+    def test_infinite_inputs_rejected(self, args):
+        with pytest.raises(ValueError, match="finite"):
+            BoundInputs(*args)
+
+    @pytest.mark.parametrize("T", [1.5, 10.0, 0, -3])
+    def test_non_integer_or_nonpositive_horizon_rejected(self, T):
+        with pytest.raises(ValueError, match="T must be a positive integer"):
+            BoundInputs(1.0, 1.0, 0.5, 1.0, T)
+        BoundInputs(1.0, 1.0, 0.5, 1.0, np.int64(10))
+
+    def test_infinite_rates_rejected_by_both_branches(self):
+        inputs = BoundInputs(3.0, 50.0, 0.3, 0.01, 1)
+        for wrap in (float, lambda c: np.array([100.0, c])):
+            with np.errstate(all="raise"):
+                with pytest.raises(ValueError, match="c1 must be finite"):
+                    two_phase_bound(inputs, wrap(math.inf), wrap(100.0))
+                with pytest.raises(ValueError, match="c2 must be finite"):
+                    two_phase_bound(inputs, wrap(100.0), wrap(math.inf))
+        # A finite rate whose product 2*lam*c overflows is rejected the same way.
+        with pytest.raises(ValueError, match="c1 must be finite"):
+            two_phase_bound(BoundInputs(3.0, 50.0, 0.3, 1.0, 1), 1e308, 100.0)
+        with pytest.raises(ValueError, match="c2 must be finite"):
+            two_phase_bound(BoundInputs(3.0, 50.0, 0.3, 1.0, 1), 100.0, 1e308)
+
     def test_array_rates_match_scalar_calls_bit_for_bit(self):
         rng = np.random.default_rng(11)
         offsets = np.concatenate([[1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 1e-6],
@@ -375,6 +401,14 @@ class TestSelectRates:
     def test_nan_input_raises(self, args):
         with pytest.raises(ValueError):
             select_rates(*args)
+
+    @pytest.mark.parametrize("args", [(3.0, math.inf, 0.3, 0.01), (math.inf, 5.0, 0.3, 0.01),
+                                      (3.0, 5.0, 0.3, math.inf)])
+    def test_infinite_input_raises_before_searching(self, args, caplog):
+        with caplog.at_level(logging.WARNING, logger="hetsgd.rates"):
+            with pytest.raises(ValueError, match="finite"):
+                select_rates(*args)
+        assert not caplog.records
 
     def test_to_dict_roundtrips(self):
         sel = select_rates(5.0, 50.0, 0.2, 0.1)
