@@ -7,7 +7,10 @@ The objective throughout is
 
 over the Euclidean ball of a configurable radius (default 1/lam). Three
 losses are supported: logistic, hinge, and the plain linear loss -y w'x.
-All functions here are pure and safe to call concurrently.
+Each is a function of the margin w'u of the signed example u = -y*x, and its
+gradient is phi(w'u) * u, which is how ``gradient_scales`` takes examples: a
+logistic gradient at batch size 1 is then three array calls (the margin, expit
+and the product). All functions here are pure and safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -99,11 +102,11 @@ def _check_dims(w: np.ndarray, X: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: w has d={w.shape[-1]}, x has d={X.shape[-1]}")
 
 
-def _margins(w: np.ndarray, X: np.ndarray, y) -> np.ndarray:
-    """y * <w, x>; with w of shape (rows, d) and X of shape (rows, b, d), row by row."""
+def margins(w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """w'u per signed example; w of shape (rows, d) takes U of shape (rows, b, d) row by row."""
     if w.ndim == 1:
-        return y * (X @ w)
-    return y * np.einsum("rbd,rd->rb", X, w)
+        return U @ w
+    return np.einsum("rbd,rd->rb", U, w)
 
 
 def loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -123,37 +126,45 @@ def loss_value(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float) -> f
     return float(loss_values(spec, w, np.asarray(x)[None, :], np.asarray([y]))[0])
 
 
-def gradient_scales(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Scalar s_i with per-example loss gradient s_i * x_i.
+def margin_scales(spec: ObjectiveSpec, m: np.ndarray) -> np.ndarray:
+    """phi(m) at margins m = w'u, so that the loss gradient at signed example u is phi * u.
 
-    logistic: s = -y * sigmoid(-y w'x); hinge: s = -y on the active branch
-    (margin <= 1, the kink included); linear: s = -y. A batch of weight
-    vectors w (rows, d) takes examples X (rows, b, d) and labels y (rows, b).
+    logistic: phi = sigmoid(m); hinge: phi = 1 on the active branch m >= -1 (the kink
+    included), else 0; linear: phi = 1.
+    """
+    if spec.loss == "logistic":
+        return expit(m)
+    if spec.loss == "hinge":
+        return np.where(m >= -1.0, 1.0, 0.0)
+    return np.ones_like(m)
+
+
+def gradient_scales(spec: ObjectiveSpec, w: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """phi_i with per-example loss gradient phi_i * u_i at signed examples u_i = -y_i * x_i.
+
+    Every margin loss sees an example x and its label y only through u, since
+    y w'x = -w'u (see ``margin_scales``). A batch of weight vectors w (rows, d)
+    takes signed examples U (rows, b, d).
     """
     w = np.asarray(w, dtype=np.float64)
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim < 2:
-        X = np.atleast_2d(X)
-    _check_dims(w, X)
-    if spec.loss == "logistic":
-        ny = -y         # negation is exact: ny * expit(ny * w'x) == -y * expit(-(y * w'x))
-        return ny * expit(_margins(w, X, ny))
-    if spec.loss == "hinge":
-        return np.where(_margins(w, X, y) <= 1.0, -y, 0.0)
-    return -np.asarray(y, dtype=np.float64)
+    U = np.asarray(U, dtype=np.float64)
+    if U.ndim < 2:
+        U = np.atleast_2d(U)
+    _check_dims(w, U)
+    if spec.loss == "linear":
+        return np.ones(U.shape[:-1])
+    return margin_scales(spec, margins(w, U))
 
 
 def loss_gradient(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     """Gradient of the per-example loss term (excludes the lam*w part)."""
-    x = np.asarray(x, dtype=np.float64)
-    s = gradient_scales(spec, w, x[None, :], np.asarray([y], dtype=np.float64))
-    return s[0] * x
+    u = -float(y) * np.asarray(x, dtype=np.float64)
+    return gradient_scales(spec, w, u[None, :])[0] * u
 
 
 def mean_loss_gradient(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-    s = gradient_scales(spec, w, X, y)
-    return (X.T @ s) / X.shape[0]
+    U = -np.asarray(y, dtype=np.float64)[:, None] * np.atleast_2d(np.asarray(X, dtype=np.float64))
+    return (U.T @ gradient_scales(spec, w, U)) / U.shape[0]
 
 
 def full_objective(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
@@ -166,11 +177,23 @@ def full_objective(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndar
     return reg + float(np.mean(loss_values(spec, w, X, y)))
 
 
+def _project_far(w: np.ndarray, radius: float) -> np.ndarray:
+    """Rows of w whose norm overflows, or whose factor radius/norm underflows, on the sphere.
+
+    Each row is divided by its largest magnitude before squaring; a row that is not
+    finite comes back as NaN.
+    """
+    peak = np.max(np.abs(w), axis=-1, keepdims=True)
+    v = w / np.where(np.isfinite(peak), peak, np.nan)
+    return v * (radius / np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
+
+
 def project(w: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the ball of the given radius. Idempotent.
 
     A matrix is projected row by row. Input that already lies inside the ball
-    (every row of it, for a matrix) is returned as is.
+    (every row of it, for a matrix) is returned as is. A row that is not finite
+    comes back as NaN.
     """
     if not radius > 0:
         raise ValueError("radius must be positive")
@@ -183,8 +206,17 @@ def project(w: np.ndarray, radius: float) -> np.ndarray:
         # monotone, so this is max_r sqrt(sq[r]) <= radius; NaN fails it and is scaled.
         if math.sqrt(sq.max(initial=0.0)) <= radius:
             return w
-        return w * (radius / np.maximum(np.sqrt(sq), radius))[:, None]
-    nrm = float(np.linalg.norm(w))
+        scale = radius / np.maximum(np.sqrt(sq), radius)
+        if scale.min() > 0:
+            return w * scale[:, None]
+        far = ~(scale > 0)          # NaN, or 0 where the norm or radius/norm left the range
+        scale[far] = 1.0
+        out = w * scale[:, None]
+        out[far] = _project_far(w[far], radius)
+        return out
+    with np.errstate(over="ignore"):        # a norm beyond the float range takes _project_far
+        nrm = float(np.linalg.norm(w))
     if nrm <= radius:
         return w
-    return w * (radius / nrm)
+    scale = radius / nrm
+    return w * scale if scale > 0 else _project_far(w, radius)

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, ObjectiveSpec, gradient_scales, loss_gradient
+from .core import Dataset, ObjectiveSpec, gradient_scales, margin_scales, margins
 
 KINDS = ("clean", "local_dp", "rcn", "gaussian")
 
@@ -107,6 +107,21 @@ def rcn_flip_label(y: float, sigma: float, rng: np.random.Generator) -> float:
     return -y if rng.random() < sigma else y
 
 
+def rcn_scales(objective: ObjectiveSpec, m: np.ndarray, f, keep, sigma, denom) -> np.ndarray:
+    """Scales S * f of the flip-corrected surrogate gradient (S * f) * u.
+
+    u = -y * x is the signed example under the true label y, m = w'u its margin,
+    and f = -1 where the observed label is flipped, else +1, so the observed
+    example is f * u. With phi from ``margin_scales``,
+    S = ((1 - sigma) * phi(f * m) + sigma * phi(-f * m)) / (1 - 2 sigma);
+    ``keep`` = 1 - sigma and ``denom`` = 1 - 2 sigma are passed in so that a
+    caller stepping many times computes them once.
+    """
+    fm = f * m
+    return (keep * margin_scales(objective, fm) + sigma * margin_scales(objective, -fm)) \
+        / denom * f
+
+
 def rcn_surrogate_gradient(objective: ObjectiveSpec, w: np.ndarray, x: np.ndarray,
                            y_observed: float, sigma: float) -> np.ndarray:
     """Gradient of the flip-corrected surrogate loss at an observed label.
@@ -116,9 +131,9 @@ def rcn_surrogate_gradient(objective: ObjectiveSpec, w: np.ndarray, x: np.ndarra
     """
     if not 0.0 <= sigma < 0.5:
         raise ValueError(f"sigma must be in [0, 0.5), got {sigma}")
-    g_obs = loss_gradient(objective, w, x, y_observed)
-    g_neg = loss_gradient(objective, w, x, -y_observed)
-    return ((1.0 - sigma) * g_obs - sigma * g_neg) / (1.0 - 2.0 * sigma)
+    u = -float(y_observed) * np.asarray(x, dtype=np.float64)
+    m = margins(np.asarray(w, dtype=np.float64), u[None, :])
+    return rcn_scales(objective, m, 1.0, 1.0 - sigma, sigma, 1.0 - 2.0 * sigma)[0] * u
 
 
 @dataclass(frozen=True)
@@ -244,17 +259,16 @@ class GradientOracle:
         step = self._consumed // b
         idx = self._order[self._consumed:self._consumed + b]
         self._consumed += b
-        Xb = self.dataset.X[idx]
-        yb = self.dataset.y[idx]
+        U = -self.dataset.y[idx][:, None] * self.dataset.X[idx]
 
         if self.flips is not None:
-            y_obs = np.where(self.flips[step], -yb, yb)
-            s_obs = gradient_scales(self.objective, w, Xb, y_obs)
-            s_neg = gradient_scales(self.objective, w, Xb, -y_obs)
-            s = ((1.0 - spec.sigma) * s_obs - spec.sigma * s_neg) / (1.0 - 2.0 * spec.sigma)
+            sigma = spec.sigma
+            s = rcn_scales(self.objective, margins(w, U),
+                           np.where(self.flips[step], -1.0, 1.0), 1.0 - sigma, sigma,
+                           1.0 - 2.0 * sigma)
         else:
-            s = gradient_scales(self.objective, w, Xb, yb)
-        g = self.objective.lam * w + (Xb.T @ s) / b
+            s = gradient_scales(self.objective, w, U)
+        g = self.objective.lam * w + (U.T @ s) / b
         if self.noise_means is not None:
             g = g + self.noise_means[step]
         return g

@@ -109,19 +109,23 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
             bexp = float(np.exp(x))
             second = 4.0 * inputs.gamma2_sq * -float(np.expm1(x)) * c2 * c2 / (T * e)
         return float(4.0 * inputs.gamma1_sq * bexp * c1 * c1 / (T * (k1 - 1.0)) + second)
+    # The extremes are checked as plain floats before any array product, so a product
+    # that would overflow raises ValueError and no numpy warning. (2*lam)*c is monotone
+    # in c, so its extremes are those of the array's product; a NaN entry makes min()
+    # NaN, which fails the comparison.
     c1 = np.asarray(c1, dtype=np.float64)
-    k1 = 2.0 * lam * c1
-    # A NaN entry makes min() NaN, which fails the comparison.
-    if not k1.min() > 1.0:
-        raise PreconditionViolated(f"need 2*lam*c1 > 1, got {k1.min()}")
-    if not k1.max() < np.inf:
-        raise ValueError(f"2*lam*c1 must be finite, got c1={c1.max()}")
+    k1_min, c1_max = 2.0 * lam * float(c1.min()), float(c1.max())
+    if not k1_min > 1.0:
+        raise PreconditionViolated(f"need 2*lam*c1 > 1, got {k1_min}")
+    if not 2.0 * lam * c1_max < math.inf:
+        raise ValueError(f"2*lam*c1 must be finite, got c1={c1_max}")
     c2 = np.asarray(c2, dtype=np.float64)
+    c2_max = float(c2.max())
     if not c2.min() > 0:
         raise ValueError("c2 must be positive")
-    k2 = 2.0 * lam * c2
-    if not k2.max() < np.inf:
-        raise ValueError(f"2*lam*c2 must be finite, got c2={c2.max()}")
+    if not 2.0 * lam * c2_max < math.inf:
+        raise ValueError(f"2*lam*c2 must be finite, got c2={c2_max}")
+    k1, k2 = 2.0 * lam * c1, 2.0 * lam * c2
     e = k2 - 1.0
     bexp, one_minus = _beta_terms(beta1, k2)
 

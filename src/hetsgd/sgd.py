@@ -8,13 +8,18 @@ where the step index t runs continuously across phases and never resets.
 Mini-batched oracle calls count as a single t increment.
 
 One engine, ``run_batch``, advances any number of runs ("rows") together.
-Its state is a matrix W with one row per run. What the steps read that does
-not depend on W (every row's examples, labels, pre-drawn batch-mean noise and
-step size) is gathered for a chunk of steps at a time, already shaped for the
-step, and a chunk ends where a row's run does, so each step takes its inputs
-by one index and does only one vectorised gradient evaluation, the update and
-one row-wise projection: about a dozen array operations for a logistic step
-at batch size 1, whose gradient is a product rather than an einsum. A row
+Its state is a matrix W with one row per run. Each example enters as its
+signed form u = -y*x, made once per engine call, since every margin loss
+sees x and its label only through u (see ``core.gradient_scales``). What the
+steps read that does not depend on W (every row's signed examples, label-flip
+signs, pre-drawn batch-mean noise and step size) is gathered for a chunk of
+steps at a time, already shaped for the step, and a chunk ends where a row's
+run does, so each step takes its inputs by one index and does only one
+vectorised gradient evaluation, the update and one row-wise projection: 10
+array calls for a logistic step at batch size 1 (the margin einsum, expit,
+the gradient product, five for the update, and the projection's einsum and
+max). A step on which the projection scaled a row also checks that no row
+became non-finite, and names the step if one did. A row
 names a ``Schedule`` (the oracle slot serving each step and each slot's rate
 constant), the oracles behind its slots, and whether it is the noisy run or
 its noiseless twin. Rows read their oracles' permutations and noise tables
@@ -31,11 +36,11 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import gradient_scales, project
-from .oracles import BudgetExhausted, GradientOracle
+from .core import gradient_scales, margins, project
+from .oracles import BudgetExhausted, GradientOracle, rcn_scales
 
 
-# A chunk of steps gathers its examples, labels, noise and step sizes in one
+# A chunk of steps gathers its signed examples, flip signs, noise and step sizes in one
 # pass each, holding at most about this many bytes (and at least one step).
 CHUNK_BYTES = 1 << 18
 
@@ -216,10 +221,12 @@ def run_batch(rows: Sequence[Row], radius: float,
     n_rows, T = len(rows), int(lengths[0])
     n_active = np.searchsorted(-lengths, -np.arange(T + 2), side="right")
 
-    # Examples: the distinct datasets stacked once, and each oracle's permutation into them.
+    # Examples: the distinct datasets stacked once, each example signed by its label in
+    # place (u = -y*x), and each oracle's permutation into them.
     datasets = {id(o.dataset): o.dataset for o in oracles}
-    X, ds_base = _stack_tables({k: ds.X for k, ds in datasets.items()}, np.zeros((0, d)))
+    U, ds_base = _stack_tables({k: ds.X for k, ds in datasets.items()}, np.zeros((0, d)))
     y, _ = _stack_tables({k: ds.y for k, ds in datasets.items()}, np.zeros(0))
+    U *= -y[:, None]
     examples, ex_base = _stack_tables(
         {id(o): o.order[:o.steps_total * b] + ds_base[id(o.dataset)] for o in oracles},
         np.zeros(0, dtype=np.intp))
@@ -292,27 +299,31 @@ def run_batch(rows: Sequence[Row], radius: float,
         steps = slice(t0 - 1, t0 - 1 + C)
         k = step_tab[steps, pats]
         rs = row_base + slot_tab[steps, pats]
-        idx = examples[(ex_at[rs] + k * b)[..., None] + offsets]
-        Xc, yc = X[idx], y[idx]
-        X1c = Xc[:, :, 0]
+        Uc = U[examples[(ex_at[rs] + k * b)[..., None] + offsets]]
+        U1c = Uc[:, :, 0]
         if rcn:
-            yc = np.where(flips[flip_at[rs] + k], -yc, yc)
+            f_c = np.where(flips[flip_at[rs] + k], -1.0, 1.0)
             sigma_c = sigma_at[rs][..., None]
             keep_c, denom_c = 1.0 - sigma_c, 1.0 - 2.0 * sigma_c
         noise_c = noise[noise_at[rs] + k]
         eta_c = (rate_at[rs] / step_no[steps])[..., None]
         Wa = W[:R]
         for j, t in enumerate(range(t0, t0 + C)):
-            Xb, yb = Xc[j], yc[j]
+            Ub = Uc[j]
             if rcn:
-                s = (keep_c[j] * gradient_scales(objective, Wa, Xb, yb)
-                     - sigma_c[j] * gradient_scales(objective, Wa, Xb, -yb)) / denom_c[j]
+                s = rcn_scales(objective, margins(Wa, Ub), f_c[j], keep_c[j], sigma_c[j],
+                               denom_c[j])
             else:
-                s = gradient_scales(objective, Wa, Xb, yb)
+                s = gradient_scales(objective, Wa, Ub)
             # At b=1 the product differs from einsum's sum only in the sign of an exact
             # zero, which the noise term (+0.0 where there is none) erases.
-            g = s * X1c[j] if b == 1 else np.einsum("rb,rbd->rd", s, Xb) / b
-            Wa = project(Wa - eta_c[j] * (lam * Wa + g + noise_c[j]), radius)
+            g = s * U1c[j] if b == 1 else np.einsum("rb,rbd->rd", s, Ub) / b
+            V = Wa - eta_c[j] * (lam * Wa + g + noise_c[j])
+            Wa = project(V, radius)
+            # project returns V itself unless it scaled a row, and a row that is not finite
+            # is always scaled (to NaN), so steps inside the ball skip this check.
+            if Wa is not V and np.isnan(Wa).any():
+                raise InfeasibleIterate(f"a run's iterate became non-finite at step {t}")
             if iterates is not None:
                 due = range(R) if t % snapshot_stride == 0 else range(active[t + 1], R)
                 for i in due:

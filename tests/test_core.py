@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
-from hetsgd.core import (Dataset, ObjectiveSpec, full_objective, loss_gradient, loss_value,
-                         mean_loss_gradient, project)
+from hetsgd.core import (Dataset, ObjectiveSpec, full_objective, gradient_scales, loss_gradient,
+                         loss_value, margins, mean_loss_gradient, project)
+from hetsgd.oracles import rcn_scales
 
 
 def spec(loss, lam=1.0, radius=None):
@@ -188,11 +190,74 @@ class TestProjectRows:
     def test_a_non_finite_row_takes_the_scaling_path(self, bad):
         r = self.RADIUS
         W = np.array([self.row(0.5), [bad, 0.1, 0.0], self.row(r)])
-        with np.errstate(invalid="ignore"):     # an infinite row scales by 0: inf * 0 is NaN
-            P = project(W, r)
+        P = project(W, r)
         assert P is not W
-        assert not np.all(np.isfinite(P[1]))
+        assert np.all(np.isnan(P[1]))
         assert P[[0, 2]].tobytes() == W[[0, 2]].tobytes()
+        assert np.all(np.isnan(project(W[1], r)))
+
+    def test_a_row_whose_squared_norm_overflows_lands_on_the_sphere(self):
+        r = 1000.0
+        W = np.array([[1e200, 0.0], [3.0e3, 4.0e3], [-1.7e308, 1.7e308], [0.3, 0.4]])
+        P = project(W, r)
+        assert P[1].tobytes() == self.scaled(W[1], r).tobytes()
+        assert P[3].tobytes() == W[3].tobytes()
+        np.testing.assert_array_equal(P[0], [r, 0.0])
+        np.testing.assert_allclose(P[2], [-r / np.sqrt(2.0), r / np.sqrt(2.0)], rtol=1e-15)
+        for i in (0, 2):
+            assert project(W[i], r).tobytes() == P[i].tobytes()
+
+    def test_a_factor_that_underflows_still_reaches_the_sphere(self):
+        w = np.array([3e30, 4e30])
+        for p in (project(w[None, :], 1e-300)[0], project(w, 1e-300)):
+            np.testing.assert_allclose(p, [6e-301, 8e-301], rtol=1e-15)
+
+
+class TestSignedExamples:
+    """The signed form phi * u, u = -y * x, against the label form s * x it replaced.
+
+    Both give the same bits: negation is exact and rounding is sign-symmetric, so each
+    product and each einsum sum can only change sign (np.array_equal ignores the sign of
+    a zero, which is all that can differ).
+    """
+
+    @staticmethod
+    def label_scales(loss, W, X, y):
+        """The label form: s with per-example gradient s * x."""
+        m = np.einsum("rbd,rd->rb", X, W)
+        if loss == "logistic":
+            ny = -y
+            return ny * expit(ny * m)
+        if loss == "hinge":
+            return np.where(y * m <= 1.0, -y, 0.0)
+        return -y
+
+    @pytest.mark.parametrize("loss", ["logistic", "hinge", "linear"])
+    @pytest.mark.parametrize("sigma", [None, 0.0, 0.2])
+    def test_signed_form_matches_the_label_form_bit_for_bit(self, loss, sigma):
+        rng = np.random.default_rng(5)
+        R, b, d = 6, 3, 4
+        X = rng.standard_normal((R, b, d))
+        X[rng.random((R, b, d)) < 1 / 3] = 0.0
+        X[0, 0] = 0.0
+        y = np.where(rng.random((R, b)) < 0.5, 1.0, -1.0)
+        W = 2.0 * rng.standard_normal((R, d))
+        U = -y[..., None] * X
+        sp = spec(loss)
+        if sigma is None:
+            s = self.label_scales(loss, W, X, y)
+            phi = gradient_scales(sp, W, U)
+        else:
+            flip = rng.random((R, b)) < 0.4
+            y_obs = np.where(flip, -y, y)
+            s = ((1.0 - sigma) * self.label_scales(loss, W, X, y_obs)
+                 - sigma * self.label_scales(loss, W, X, -y_obs)) / (1.0 - 2.0 * sigma)
+            phi = rcn_scales(sp, margins(W, U), np.where(flip, -1.0, 1.0), 1.0 - sigma, sigma,
+                             1.0 - 2.0 * sigma)
+        if loss == "hinge" and not sigma:       # both branches of the hinge are taken
+            assert 0 < np.count_nonzero(s) < s.size
+        assert np.array_equal(phi[..., None] * U, s[..., None] * X)
+        assert np.array_equal(np.einsum("rb,rbd->rd", phi, U), np.einsum("rb,rbd->rd", s, X))
 
 
 class TestDataset:

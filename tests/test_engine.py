@@ -216,8 +216,28 @@ def test_a_nan_row_ends_in_infeasible_iterate(radius, chunk_bytes, monkeypatch):
     rows = mixed_rows("logistic", 1)
     noisy = next(r for r in rows if r.oracles[0].noise_means is not None)
     noisy.oracles[0].noise_means[2, 0] = np.nan
-    with pytest.raises(InfeasibleIterate, match="non-finite"):
+    # That row's plan reads batch 2 of the oracle at step 3, and no row reads it sooner.
+    assert noisy.schedule.slots[:3].tolist() == [0, 0, 0] and noisy.starts is None
+    with pytest.raises(InfeasibleIterate, match=r"non-finite at step 3$"):
         run_batch(rows, radius)
+
+
+@pytest.mark.parametrize("kind", ["local_dp", "rcn"])
+@pytest.mark.parametrize("b", [1, 3])
+def test_einsum_calls_per_logistic_step(kind, b, monkeypatch):
+    # One margin einsum and one squared-row-norm einsum per step (plus the gradient's sum
+    # over the batch when b > 1), and one for the final feasibility check.
+    rows = [r for r in mixed_rows("logistic", b) if r.oracles[0].spec.kind == kind]
+    steps = max(len(r.schedule.slots) for r in rows)
+    einsum, calls = np.einsum, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return einsum(*args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counted)
+    run_batch(rows, 0.3)
+    assert len(calls) == (2 if b == 1 else 3) * steps + 1
 
 
 def test_twin_rows_differ_from_noisy_rows_only_through_noise():

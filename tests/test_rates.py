@@ -89,18 +89,16 @@ class TestTwoPhaseBound:
         BoundInputs(1.0, 1.0, 0.5, 1.0, np.int64(10))
 
     def test_infinite_rates_rejected_by_both_branches(self):
-        inputs = BoundInputs(3.0, 50.0, 0.3, 0.01, 1)
-        for wrap in (float, lambda c: np.array([100.0, c])):
-            with np.errstate(all="raise"):
-                with pytest.raises(ValueError, match="c1 must be finite"):
-                    two_phase_bound(inputs, wrap(math.inf), wrap(100.0))
-                with pytest.raises(ValueError, match="c2 must be finite"):
-                    two_phase_bound(inputs, wrap(100.0), wrap(math.inf))
-        # A finite rate whose product 2*lam*c overflows is rejected the same way.
-        with pytest.raises(ValueError, match="c1 must be finite"):
-            two_phase_bound(BoundInputs(3.0, 50.0, 0.3, 1.0, 1), 1e308, 100.0)
-        with pytest.raises(ValueError, match="c2 must be finite"):
-            two_phase_bound(BoundInputs(3.0, 50.0, 0.3, 1.0, 1), 100.0, 1e308)
+        # An infinite rate, and a finite one whose product 2*lam*c overflows (1e308 at
+        # lam=1), are rejected before any array product can overflow.
+        for lam, big in ((0.01, math.inf), (1.0, 1e308)):
+            inputs = BoundInputs(3.0, 50.0, 0.3, lam, 1)
+            for wrap in (float, lambda c: np.array([100.0, c])):
+                with np.errstate(all="raise"):
+                    with pytest.raises(ValueError, match="c1 must be finite"):
+                        two_phase_bound(inputs, wrap(big), wrap(100.0))
+                    with pytest.raises(ValueError, match="c2 must be finite"):
+                        two_phase_bound(inputs, wrap(100.0), wrap(big))
 
     def test_array_rates_match_scalar_calls_bit_for_bit(self):
         rng = np.random.default_rng(11)

@@ -30,6 +30,14 @@ class TestRunSgd:
         np.testing.assert_allclose(traj.final_w, project(0.5 * np.array([0.6, 0.8]), 0.5))
         assert traj.steps == 1
 
+    def test_a_huge_rate_projects_onto_the_sphere_not_to_zero(self):
+        # Each step lands near 1e300 in norm, whose square overflows; the projection
+        # must still put the iterate on the sphere rather than scale it to 0.
+        obj = ObjectiveSpec(lam=0.1, loss="logistic")        # radius 10
+        oracle = clean_oracle(linear_dataset(20, seed=3), obj)
+        traj = run_sgd(PhasePlan((("a", 1e300),), obj.radius), {"a": oracle})
+        assert np.linalg.norm(traj.final_w) == pytest.approx(obj.radius, rel=1e-12)
+
     def test_matches_closed_form_recursion_without_projection(self):
         # Deterministic linear problem: unrolled product/sum form of the iterate.
         lam, c, T = 0.8, 0.9, 25
