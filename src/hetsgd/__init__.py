@@ -3,7 +3,7 @@
 from .core import (Dataset, ObjectiveSpec, full_objective, loss_gradient, loss_value,
                    mean_loss_gradient, project)
 from .oracles import (BudgetExhausted, GradientOracle, NoiseLevel, OracleSpec,
-                      dp_noise_level, rcn_flip_label, rcn_noise_level,
+                      dp_noise_level, rcn_noise_level,
                       rcn_surrogate_gradient, sample_privacy_noise)
 from .ordering import (NoiseWeights, OrderingVerdict, compare_orders, expected_deviation,
                        noise_weights, two_level_schedule)

@@ -177,6 +177,20 @@ def full_objective(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndar
     return reg + float(np.mean(loss_values(spec, w, X, y)))
 
 
+def norms(w: np.ndarray) -> np.ndarray:
+    """Euclidean norm of w, or of each row of a matrix w, with no overflow in the squares.
+
+    Each row is divided by its largest magnitude before squaring, as in
+    ``_project_far``; a row that is not finite has norm NaN.
+    """
+    peak = np.max(np.abs(w), axis=-1)
+    peak = np.where(peak > 0, peak, 1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        v = w / (peak if w.ndim == 1 else peak[:, None])
+        sq = v @ v if w.ndim == 1 else np.einsum("rd,rd->r", v, v)
+        return np.sqrt(sq) * peak
+
+
 def _project_far(w: np.ndarray, radius: float) -> np.ndarray:
     """Rows of w whose norm overflows, or whose factor radius/norm underflows, on the sphere.
 

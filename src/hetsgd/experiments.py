@@ -306,12 +306,12 @@ def _batch_bytes(rows: Sequence[Row]) -> int:
     return 8 * (2 * tables + 3 * gathered)
 
 
-def _check_budgets(rows: Sequence[Row], trajectories: Sequence) -> None:
-    """Every run must have read each of its oracles' whole budget (in whole batches)."""
-    for row, traj in zip(rows, trajectories):
-        full = tuple(o.steps_total * o.spec.batch_size for o in row.oracles)
-        if traj.consumed != full:
-            raise RuntimeError(f"a run read {traj.consumed} examples of oracle budgets {full}")
+def _check_budgets(rows: Sequence[Row]) -> None:
+    """Every run must read each of its oracles' whole budget (in whole batches)."""
+    for row in rows:
+        steps, full = row.schedule.counts().tolist(), [o.steps_total for o in row.oracles]
+        if steps != full:
+            raise RuntimeError(f"a run would read {steps} batches of oracle budgets {full}")
 
 
 def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
@@ -326,14 +326,15 @@ def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
     block, size = [], 0
     for i in range(trials):
         entries = make_trial(i)
+        trial_rows = [r for _, rows in entries for r in rows]
+        _check_budgets(trial_rows)
         block += entries
-        size += _batch_bytes([r for _, rows in entries for r in rows])
+        size += _batch_bytes(trial_rows)
         if size < BATCH_BYTES and i < trials - 1:
             continue
         trajectories = iter(run_batch([r for _, rows in block for r in rows], radius))
         for key, rows in block:
             group = [next(trajectories) for _ in rows]
-            _check_budgets(rows, group)
             values.setdefault(key, []).append(score(group))
         block, size = [], 0
     return {key: np.array(v) for key, v in values.items()}

@@ -15,12 +15,14 @@ over the next ``batch_size`` examples. Four noise mechanisms are provided:
                     second moment (a generic zero-mean noise source used by
                     the data-ordering analysis).
 
-Each oracle may be called at most ``budget`` examples' worth of times.
-At construction it draws its whole budget's noise up front from its own
-seed: one batch-mean noise vector per step for ``local_dp`` and
-``gaussian``, one flip mask per step for ``rcn``. ``call`` indexes those
-tables and is the scalar reference path; the batched engine in ``sgd`` reads
-the same tables, so any number of runs can share one oracle's draws.
+An oracle serves ``budget // batch_size`` batches, k = 0, 1, ..., and is a
+set of read-only tables. At construction it draws from its own seed the
+example permutation (batch k is ``order[k*b:(k+1)*b]``) and its whole
+budget's noise: one batch-mean noise vector per batch for ``local_dp`` and
+``gaussian``, one flip mask per batch for ``rcn``. ``call(w, k)`` reads
+batch k from those tables and is the reference path; the batched engine in
+``sgd`` reads the same tables, so any number of runs can share one oracle's
+draws.
 """
 from __future__ import annotations
 
@@ -40,7 +42,7 @@ DATA_TERM_BOUND = 4.0
 
 
 class BudgetExhausted(RuntimeError):
-    """Raised when fewer than batch_size examples remain in the budget."""
+    """Raised when a batch index lies outside the batches an oracle's budget holds."""
 
 
 @dataclass(frozen=True)
@@ -98,13 +100,6 @@ def sample_privacy_noise(epsilon: float, d: int, rng: np.random.Generator,
     z = rng.standard_normal((n, d))
     z *= (radii / np.linalg.norm(z, axis=1))[:, None]
     return z[0] if size is None else z
-
-
-def rcn_flip_label(y: float, sigma: float, rng: np.random.Generator) -> float:
-    """Return -y with probability sigma, else y."""
-    if not 0.0 <= sigma < 0.5:
-        raise ValueError(f"sigma must be in [0, 0.5), got {sigma}")
-    return -y if rng.random() < sigma else y
 
 
 def rcn_scales(objective: ObjectiveSpec, m: np.ndarray, f, keep, sigma, denom) -> np.ndarray:
@@ -189,12 +184,12 @@ def _draw_noise(spec: OracleSpec, d: int, rng: np.random.Generator) -> tuple:
 
 
 class GradientOracle:
-    """A seeded permutation cursor over one dataset, with its noise drawn up front.
+    """Read-only tables over one dataset: a seeded permutation and every batch's noise.
 
     Two oracles built from the same spec and dataset traverse examples in
     the same order and hold identical noise tables, which is what makes the
-    noiseless-twin construction exact: ``twin()`` returns a fresh oracle
-    over the same permutation with all extra noise forced to zero.
+    noiseless-twin construction exact: ``twin()`` returns an oracle over the
+    same permutation with all extra noise forced to zero.
     """
 
     def __init__(self, spec: OracleSpec, objective: ObjectiveSpec, dataset: Dataset):
@@ -205,70 +200,47 @@ class GradientOracle:
         self.objective = objective
         self.dataset = dataset
         perm_ss, noise_ss = np.random.SeedSequence(spec.rng_seed).spawn(2)
-        self._order = np.random.default_rng(perm_ss).permutation(len(dataset))
+        self.order = np.random.default_rng(perm_ss).permutation(len(dataset))
         self.noise_means, self.flips = _draw_noise(spec, dataset.d, np.random.default_rng(noise_ss))
-        self.reset()
-
-    def reset(self) -> None:
-        self._consumed = 0
+        for table in (self.order, self.noise_means, self.flips):
+            if table is not None:
+                table.flags.writeable = False
 
     def twin(self) -> "GradientOracle":
         twin = copy.copy(self)
         twin.noise_means = twin.flips = None
-        twin.reset()
         return twin
-
-    @property
-    def order(self) -> np.ndarray:
-        """The example permutation; batch k is order[k*b:(k+1)*b]."""
-        return self._order
-
-    @property
-    def consumed(self) -> int:
-        return self._consumed
 
     @property
     def steps_total(self) -> int:
         return self.spec.budget // self.spec.batch_size
 
-    @property
-    def steps_remaining(self) -> int:
-        return (self.spec.budget - self._consumed) // self.spec.batch_size
+    def call(self, w: np.ndarray, k) -> np.ndarray:
+        """Average of lam*w + grad loss + Z over batch k.
 
-    def take(self, steps: int) -> int:
-        """Reserve the next ``steps`` batches for a run; return the first one's index.
-
-        The cursor then reads as if ``call`` had served them; the batches'
-        noise is ``noise_means[first:first + steps]`` (and ``flips`` likewise).
+        ``k`` is an integer, giving shape (d,), or an integer array, giving
+        one gradient per entry, shape (len(k), d). A k outside
+        [0, steps_total) raises BudgetExhausted, one that is not an integer
+        ValueError.
         """
-        b = self.spec.batch_size
-        if steps < 0 or self._consumed + steps * b > self.spec.budget:
-            raise BudgetExhausted(
-                f"oracle budget {self.spec.budget} cannot serve {steps} batches of {b}")
-        first = self._consumed // b
-        self._consumed += steps * b
-        return first
-
-    def call(self, w: np.ndarray) -> np.ndarray:
-        """Average of lam*w + grad loss + Z over the next batch of examples."""
+        k = np.asarray(k)
+        if k.dtype.kind not in "iu":
+            raise ValueError(f"batch index must be an integer, got dtype {k.dtype}")
+        if k.size and not 0 <= k.min() <= k.max() < self.steps_total:
+            raise BudgetExhausted(f"oracle serves batches 0..{self.steps_total - 1}, "
+                                  f"asked for {k.min()}..{k.max()}")
         spec = self.spec
         b = spec.batch_size
-        if self._consumed + b > spec.budget:
-            raise BudgetExhausted(
-                f"oracle budget {spec.budget} cannot serve another batch of {b}")
-        step = self._consumed // b
-        idx = self._order[self._consumed:self._consumed + b]
-        self._consumed += b
-        U = -self.dataset.y[idx][:, None] * self.dataset.X[idx]
+        idx = self.order[k[..., None] * b + np.arange(b)]
+        U = -self.dataset.y[idx][..., None] * self.dataset.X[idx]
 
         if self.flips is not None:
             sigma = spec.sigma
-            s = rcn_scales(self.objective, margins(w, U),
-                           np.where(self.flips[step], -1.0, 1.0), 1.0 - sigma, sigma,
-                           1.0 - 2.0 * sigma)
+            s = rcn_scales(self.objective, margins(w, U), np.where(self.flips[k], -1.0, 1.0),
+                           1.0 - sigma, sigma, 1.0 - 2.0 * sigma)
         else:
             s = gradient_scales(self.objective, w, U)
-        g = self.objective.lam * w + (U.T @ s) / b
+        g = self.objective.lam * w + np.einsum("...b,...bd->...d", s, U) / b
         if self.noise_means is not None:
-            g = g + self.noise_means[step]
+            g = g + self.noise_means[k]
         return g

@@ -80,8 +80,9 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
     """Leading regret-bound constant B(c1, c2); c1 and c2 broadcast as arrays.
 
     Returns a float when both rates are scalars. Every entry of c1 must
-    satisfy 2*lam*c1 > 1, every entry of c2 must be positive, and 2*lam*c1 and
-    2*lam*c2 must be finite. Inside |2*lam*c2 - 1| <= BRANCH_TOL the removable
+    satisfy 2*lam*c1 > 1, every entry of c2 must be positive, 2*lam*c1 and
+    2*lam*c2 must be finite, and so must the bound itself: one that overflows
+    raises ValueError. Inside |2*lam*c2 - 1| <= BRANCH_TOL the removable
     singularity is replaced by its limit: first-phase exponent 0 and second
     term 4*g2*c2^2*log(1/beta1)/T.
 
@@ -108,11 +109,14 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
             x = e * math.log(beta1)
             bexp = float(np.exp(x))
             second = 4.0 * inputs.gamma2_sq * -float(np.expm1(x)) * c2 * c2 / (T * e)
-        return float(4.0 * inputs.gamma1_sq * bexp * c1 * c1 / (T * (k1 - 1.0)) + second)
-    # The extremes are checked as plain floats before any array product, so a product
-    # that would overflow raises ValueError and no numpy warning. (2*lam)*c is monotone
-    # in c, so its extremes are those of the array's product; a NaN entry makes min()
-    # NaN, which fails the comparison.
+        out = float(4.0 * inputs.gamma1_sq * bexp * c1 * c1 / (T * (k1 - 1.0)) + second)
+        if not out < math.inf:
+            raise ValueError(f"the bound overflows at c1={c1}, c2={c2}")
+        return out
+    # The extremes are checked as plain floats before any array product, so an infinite
+    # 2*lam*c raises ValueError and no numpy warning. (2*lam)*c is monotone in c, so its
+    # extremes are those of the array's product; a NaN entry makes min() NaN, which
+    # fails the comparison. A term that still overflows is caught after the products.
     c1 = np.asarray(c1, dtype=np.float64)
     k1_min, c1_max = 2.0 * lam * float(c1.min()), float(c1.max())
     if not k1_min > 1.0:
@@ -130,12 +134,16 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
     bexp, one_minus = _beta_terms(beta1, k2)
 
     at_limit = np.abs(e) <= BRANCH_TOL
-    first = 4.0 * inputs.gamma1_sq * np.where(at_limit, 1.0, bexp) * c1 * c1 / (T * (k1 - 1.0))
-    safe_e = np.where(at_limit, 1.0, e)
-    second_generic = 4.0 * inputs.gamma2_sq * one_minus * c2 * c2 / (T * safe_e)
-    second_limit = 4.0 * inputs.gamma2_sq * c2 * c2 * math.log(1.0 / beta1) / T
-    second = np.where(at_limit, second_limit, second_generic)
-    out = first + second
+    with np.errstate(over="ignore", invalid="ignore"):
+        first = 4.0 * inputs.gamma1_sq * np.where(at_limit, 1.0, bexp) * c1 * c1 \
+            / (T * (k1 - 1.0))
+        safe_e = np.where(at_limit, 1.0, e)
+        second_generic = 4.0 * inputs.gamma2_sq * one_minus * c2 * c2 / (T * safe_e)
+        second_limit = 4.0 * inputs.gamma2_sq * c2 * c2 * math.log(1.0 / beta1) / T
+        second = np.where(at_limit, second_limit, second_generic)
+        out = first + second
+    if not out.max() < math.inf:
+        raise ValueError(f"the bound overflows for some c1 up to {c1_max}, c2 up to {c2_max}")
     return float(out) if out.ndim == 0 else out
 
 

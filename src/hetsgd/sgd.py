@@ -22,21 +22,21 @@ max). A step on which the projection scaled a row also checks that no row
 became non-finite, and names the step if one did. A row
 names a ``Schedule`` (the oracle slot serving each step and each slot's rate
 constant), the oracles behind its slots, and whether it is the noisy run or
-its noiseless twin. Rows read their oracles' permutations and noise tables
-without consuming them, so every run over one seed shares one table, and
-``Row.starts`` lets runs read disjoint slices of one oracle. ``PhasePlan`` and
-``InterleavePattern`` build schedules; ``run_sgd`` and its siblings are
-single-run calls into the engine that also advance the cursors of the oracles
-they are given.
+its noiseless twin. Oracles are read-only tables, so every run over one seed
+shares one table, and ``Row.starts`` lets runs read disjoint slices of one
+oracle. ``PhasePlan`` and ``InterleavePattern`` build schedules; ``run_sgd``
+and its siblings are single-run calls into the engine that run every oracle
+they are given over its whole budget from batch 0.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import gradient_scales, margins, project
+from .core import gradient_scales, margins, norms, project
 from .oracles import BudgetExhausted, GradientOracle, rcn_scales
 
 
@@ -160,7 +160,6 @@ class Trajectory:
     final_w: np.ndarray
     steps: int
     iterates: Optional[list] = None          # [(t, w_{t+1}) ...] at the snapshot stride
-    consumed: tuple = ()                     # examples read per schedule slot
 
 
 def _within_slot_steps(slots: np.ndarray) -> np.ndarray:
@@ -177,7 +176,7 @@ def _start(w0, d: int, radius: float) -> np.ndarray:
     w0 = np.asarray(w0, dtype=np.float64)
     if w0.shape != (d,):
         raise ValueError(f"w0 must have shape ({d},), got {w0.shape}")
-    if not np.sqrt(w0 @ w0) <= radius * (1.0 + 1e-12):
+    if not norms(w0) <= radius * (1.0 + 1e-12):
         raise ValueError("w0 lies outside the feasible ball or is not finite")
     return w0
 
@@ -245,7 +244,6 @@ def run_batch(rows: Sequence[Row], radius: float,
     flip_at = np.zeros((n_rows, S), dtype=np.intp)
     rate_at = np.ones((n_rows, S))
     sigma_at = np.zeros((n_rows, S))
-    consumed = []
     patterns: dict = {}
     pattern_of = np.empty(n_rows, dtype=np.intp)
     for i, r in enumerate(rows):
@@ -267,7 +265,6 @@ def run_batch(rows: Sequence[Row], radius: float,
             if rcn and r.noisy and id(o) in flip_base:
                 flip_at[i, s] = flip_base[id(o)] + start
                 sigma_at[i, s] = o.spec.sigma
-        consumed.append(tuple(int(u) * b for u in counts))
         pattern_of[i] = patterns.setdefault(sched.slots.tobytes(), (len(patterns), sched.slots))[0]
     slot_tab = np.zeros((T, len(patterns)), dtype=np.intp)
     step_tab = np.zeros((T, len(patterns)), dtype=np.intp)
@@ -331,8 +328,7 @@ def run_batch(rows: Sequence[Row], radius: float,
         W[:R] = Wa
         t0 += C
 
-    norms = np.sqrt(np.einsum("rd,rd->r", W, W))
-    bad = ~(norms <= radius * (1.0 + 1e-9))
+    bad = ~(norms(W) <= radius * (1.0 + 1e-9))
     if bad.any():
         raise InfeasibleIterate(f"{int(bad.sum())} of {n_rows} runs ended outside the ball "
                                 f"of radius {radius} or non-finite")
@@ -340,27 +336,20 @@ def run_batch(rows: Sequence[Row], radius: float,
     out = [None] * n_rows
     for i, j in enumerate(order):
         out[j] = Trajectory(final_w=W[i].copy(), steps=int(lengths[i]),
-                            iterates=iterates[i] if iterates is not None else None,
-                            consumed=consumed[i])
+                            iterates=iterates[i] if iterates is not None else None)
     return out
 
 
-def _run_single(schedule: Schedule, oracles: Mapping[str, GradientOracle], radius: float,
+def _run_single(schedule_for, oracles: Mapping[str, GradientOracle], radius: float,
                 w0: Optional[np.ndarray], snapshot_stride: Optional[int] = None,
                 paired: bool = False) -> list:
-    """Reserve the schedule's batches on the given oracles, then run it (and its twin)."""
+    """Run ``schedule_for(steps_total of each oracle)`` (and its twin) from batch 0 on."""
+    schedule = schedule_for({k: o.steps_total for k, o in oracles.items()})
     row_oracles = tuple(oracles[k] for k in schedule.ids)
-    if w0 is not None:
-        w0 = _start(w0, row_oracles[0].dataset.d, radius)
-    starts = tuple(o.take(int(n)) for o, n in zip(row_oracles, schedule.counts()))
-    rows = [Row(schedule, row_oracles, True, starts, w0)]
+    rows = [Row(schedule, row_oracles, True, None, w0)]
     if paired:
-        rows.append(Row(schedule, row_oracles, False, starts, w0))
+        rows.append(Row(schedule, row_oracles, False, None, w0))
     return run_batch(rows, radius, snapshot_stride)
-
-
-def _remaining(oracles: Mapping[str, GradientOracle]) -> dict:
-    return {k: o.steps_remaining for k, o in oracles.items()}
 
 
 def run_sgd(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
@@ -370,8 +359,7 @@ def run_sgd(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
 
     The regularisation lam comes from the oracles' objective.
     """
-    schedule = plan.schedule(_remaining(oracles))
-    return _run_single(schedule, oracles, plan.radius, w0, snapshot_stride)[0]
+    return _run_single(plan.schedule, oracles, plan.radius, w0, snapshot_stride)[0]
 
 
 def run_sgd_interleaved(pattern: InterleavePattern, c: float, radius: float,
@@ -382,8 +370,7 @@ def run_sgd_interleaved(pattern: InterleavePattern, c: float, radius: float,
 
     The regularisation lam comes from the oracles' objective.
     """
-    schedule = pattern.schedule(c, _remaining(oracles))
-    return _run_single(schedule, oracles, radius, w0, snapshot_stride)[0]
+    return _run_single(partial(pattern.schedule, c), oracles, radius, w0, snapshot_stride)[0]
 
 
 def run_paired(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
@@ -393,17 +380,10 @@ def run_paired(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
     The twin replays the same permutations with injected noise forced to
     zero, so in expectation the squared gap isolates the noise effect.
     """
-    for oracle in oracles.values():
-        oracle.reset()
-    return tuple(_run_single(plan.schedule(_remaining(oracles)), oracles, plan.radius, w0,
-                             paired=True))
+    return tuple(_run_single(plan.schedule, oracles, plan.radius, w0, paired=True))
 
 
 def run_paired_interleaved(pattern: InterleavePattern, c: float, radius: float,
                            oracles: Mapping[str, GradientOracle],
                            w0: Optional[np.ndarray] = None) -> tuple:
-    for oracle in oracles.values():
-        oracle.reset()
-    return tuple(_run_single(pattern.schedule(c, _remaining(oracles)), oracles, radius, w0,
-                             paired=True))
-
+    return tuple(_run_single(partial(pattern.schedule, c), oracles, radius, w0, paired=True))

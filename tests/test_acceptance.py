@@ -70,9 +70,7 @@ def test_criterion_02_oracle_unbiasedness():
             target = lam * w + mean_loss_gradient(obj, w, ds.X, ds.y)
             spec = OracleSpec(kind, budget=n, batch_size=1, rng_seed=300 + w_idx, **kw)
             oracle = GradientOracle(spec, obj, ds)
-            samples = np.empty((n, d))
-            for i in range(n):
-                samples[i] = oracle.call(w)
+            samples = oracle.call(w, np.arange(n))
             mean = samples.mean(axis=0)
             se = samples.std(axis=0, ddof=1) / math.sqrt(n)
             z = np.abs(mean - target) / np.maximum(3.0 * se, 1e-9)

@@ -297,8 +297,9 @@ class TestDataBackedConfigs:
 
 class TestBudgetConservation:
     def test_each_trial_consumes_whole_budgets(self):
-        # The drivers check consumed == floor(budget/b)*b per oracle and run
-        # internally; this exercises that check across all strategies.
+        # Before each engine call the drivers check that every run's schedule reads
+        # floor(budget/b) batches of each of its oracles; this exercises that check
+        # across all strategies.
         cfg = small_config(epsilon_noisy_sweep=(2.0,), trials=2)
         rows, _ = strategy_comparison_details(cfg)
         assert rows  # reaching here means the internal accounting held

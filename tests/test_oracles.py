@@ -6,8 +6,12 @@ from scipy import stats
 
 from hetsgd.core import Dataset, ObjectiveSpec, loss_gradient, mean_loss_gradient
 from hetsgd.oracles import (BudgetExhausted, GradientOracle, NoiseLevel, OracleSpec,
-                            dp_noise_level, rcn_flip_label, rcn_noise_level,
+                            dp_noise_level, rcn_noise_level,
                             rcn_surrogate_gradient, sample_privacy_noise)
+
+
+MECHANISMS = [("clean", {}), ("local_dp", {"epsilon": 1.5}), ("rcn", {"sigma": 0.25}),
+              ("gaussian", {"noise_sq": 3.0})]
 
 
 def make_dataset(n=64, d=4, seed=0):
@@ -84,23 +88,28 @@ class TestNoiseLevels:
             NoiseLevel(1.0, 2.0)
 
 
+def rcn_flips(n, sigma, seed, batch_size=1):
+    """The label-flip table of an rcn oracle over n examples."""
+    spec = OracleSpec("rcn", budget=n, batch_size=batch_size, rng_seed=seed, sigma=sigma)
+    return GradientOracle(spec, ObjectiveSpec(lam=1.0), make_dataset(n=n, d=1, seed=seed)).flips
+
+
 class TestRcn:
     def test_flip_never_at_zero_sigma(self):
-        rng = np.random.default_rng(0)
-        assert all(rcn_flip_label(1.0, 0.0, rng) == 1.0 for _ in range(200))
+        assert not rcn_flips(200, 0.0, 0).any()
 
     def test_flip_frequency(self):
-        rng = np.random.default_rng(5)
         n = 100_000
-        flips = sum(rcn_flip_label(1.0, 0.3, rng) == -1.0 for _ in range(n))
-        assert flips / n == pytest.approx(0.3, abs=0.005)
+        flips = rcn_flips(n, 0.3, 5)
+        assert flips.shape == (n, 1)
+        assert flips.sum() / n == pytest.approx(0.3, abs=0.005)
 
     def test_flips_independent_across_examples(self):
-        rng = np.random.default_rng(6)
+        # The two examples of each batch of 2.
         n = 20_000
-        a = np.array([rcn_flip_label(1.0, 0.3, rng) for _ in range(n)])
-        b = np.array([rcn_flip_label(1.0, 0.3, rng) for _ in range(n)])
-        table = np.array([[np.sum((a == i) & (b == j)) for j in (-1.0, 1.0)] for i in (-1.0, 1.0)])
+        a, b = rcn_flips(2 * n, 0.3, 6, batch_size=2).T
+        table = np.array([[np.sum((a == i) & (b == j)) for j in (True, False)]
+                          for i in (True, False)])
         _, p, _, _ = stats.chi2_contingency(table)
         assert p > 0.01
 
@@ -174,11 +183,10 @@ class TestGradientOracle:
         obj = ObjectiveSpec(lam=0.4, loss="linear")
         oracle = GradientOracle(OracleSpec("clean", budget=20, batch_size=4, rng_seed=9), obj, ds)
         w = np.array([0.1, -0.2, 0.3])
-        g = oracle.call(w)
-        idx = oracle._order[:4]
-        expected = 0.4 * w - (ds.y[idx, None] * ds.X[idx]).mean(axis=0)
-        np.testing.assert_allclose(g, expected, atol=1e-15)
-        assert oracle.consumed == 4
+        for k in range(5):
+            idx = oracle.order[4 * k:4 * k + 4]
+            expected = 0.4 * w - (ds.y[idx, None] * ds.X[idx]).mean(axis=0)
+            np.testing.assert_allclose(oracle.call(w, k), expected, atol=1e-15)
 
     def test_budget_accounting_and_partial_batch(self):
         ds = make_dataset(n=7)
@@ -186,11 +194,10 @@ class TestGradientOracle:
         oracle = GradientOracle(OracleSpec("clean", budget=7, batch_size=2, rng_seed=0), obj, ds)
         assert oracle.steps_total == 3
         w = np.zeros(4)
-        for _ in range(3):
-            oracle.call(w)
-        assert oracle.consumed == 6
-        with pytest.raises(BudgetExhausted):
-            oracle.call(w)
+        assert oracle.call(w, np.arange(3)).shape == (3, 4)
+        for k in (3, -1, np.array([0, 3])):
+            with pytest.raises(BudgetExhausted):
+                oracle.call(w, k)
 
     def test_same_seed_same_order_and_noise(self):
         ds = make_dataset(n=30, seed=4)
@@ -199,8 +206,8 @@ class TestGradientOracle:
         a = GradientOracle(spec, obj, ds)
         b = GradientOracle(spec, obj, ds)
         w = np.full(4, 0.1)
-        for _ in range(10):
-            np.testing.assert_array_equal(a.call(w), b.call(w))
+        for k in range(10):
+            np.testing.assert_array_equal(a.call(w, k), b.call(w, k))
 
     def test_twin_traverses_same_data_without_noise(self):
         ds = make_dataset(n=24, seed=5)
@@ -209,8 +216,8 @@ class TestGradientOracle:
         noisy = GradientOracle(spec, obj, ds)
         twin = noisy.twin()
         w = np.full(4, 0.05)
-        for z_bar in noisy.noise_means:
-            np.testing.assert_allclose(noisy.call(w) - z_bar, twin.call(w), atol=1e-12)
+        for k, z_bar in enumerate(noisy.noise_means):
+            np.testing.assert_allclose(noisy.call(w, k) - z_bar, twin.call(w, k), atol=1e-12)
 
     def test_rcn_suppressed_twin_uses_true_labels(self):
         ds = make_dataset(n=16, seed=6)
@@ -218,26 +225,50 @@ class TestGradientOracle:
         spec = OracleSpec("rcn", budget=16, batch_size=16, rng_seed=1, sigma=0.4)
         twin = GradientOracle(spec, obj, ds).twin()
         w = np.full(4, 0.2)
-        idx = twin._order[:16]
+        idx = twin.order[:16]
         expected = 0.5 * w + mean_loss_gradient(obj, w, ds.X[idx], ds.y[idx])
-        np.testing.assert_allclose(twin.call(w), expected, atol=1e-12)
+        np.testing.assert_allclose(twin.call(w, 0), expected, atol=1e-12)
 
-    def test_reset_restores_initial_stream(self):
+    def test_same_batch_twice_gives_equal_bytes(self):
         ds = make_dataset(n=12, seed=8)
         obj = ObjectiveSpec(lam=1.0)
         oracle = GradientOracle(OracleSpec("gaussian", budget=12, rng_seed=5, noise_sq=2.0), obj, ds)
         w = np.zeros(4)
-        first = [oracle.call(w) for _ in range(4)]
-        oracle.reset()
-        again = [oracle.call(w) for _ in range(4)]
-        np.testing.assert_array_equal(np.array(first), np.array(again))
+        for k in (3, np.arange(4)):
+            assert oracle.call(w, k).tobytes() == oracle.call(w, k).tobytes()
 
-    @pytest.mark.parametrize("kind,kw", [
-        ("clean", {}),
-        ("local_dp", {"epsilon": 1.5}),
-        ("rcn", {"sigma": 0.25}),
-        ("gaussian", {"noise_sq": 3.0}),
-    ])
+    @pytest.mark.parametrize("kind,kw", MECHANISMS)
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_array_of_batches_matches_one_call_per_batch(self, kind, kw, b):
+        ds = make_dataset(n=30, seed=9)
+        obj = ObjectiveSpec(lam=0.3, loss="logistic")
+        oracle = GradientOracle(OracleSpec(kind, budget=30, batch_size=b, rng_seed=4, **kw),
+                                obj, ds)
+        w = np.array([0.2, -0.4, 0.1, 0.3])
+        k = np.array([4, 0, 4, oracle.steps_total - 1])
+        np.testing.assert_allclose(oracle.call(w, k), [oracle.call(w, int(i)) for i in k],
+                                   rtol=1e-14, atol=1e-15)
+        assert oracle.call(w, k[:0]).shape == (0, 4)
+
+    @pytest.mark.parametrize("k", [1.0, np.array([0.0, 1.0]), True, "0"])
+    def test_non_integer_batch_index_rejected(self, k):
+        oracle = GradientOracle(OracleSpec("clean", budget=8), ObjectiveSpec(lam=1.0),
+                                make_dataset(n=8))
+        with pytest.raises(ValueError, match="integer"):
+            oracle.call(np.zeros(4), k)
+
+    @pytest.mark.parametrize("kind,kw", MECHANISMS)
+    def test_oracle_tables_are_read_only(self, kind, kw):
+        oracle = GradientOracle(OracleSpec(kind, budget=8, batch_size=2, rng_seed=3, **kw),
+                                ObjectiveSpec(lam=1.0), make_dataset(n=8))
+        tables = [t for t in (oracle.order, oracle.noise_means, oracle.flips) if t is not None]
+        assert len(tables) == (1 if kind == "clean" else 2)
+        assert oracle.twin().order is oracle.order
+        for table in tables:
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = table[1]
+
+    @pytest.mark.parametrize("kind,kw", MECHANISMS)
     def test_second_moment_bounded_by_noise_level(self, kind, kw):
         rng = np.random.default_rng(31)
         n, d = 20_000, 4
@@ -252,7 +283,6 @@ class TestGradientOracle:
             w_rng = np.random.default_rng(w_seed)
             w = w_rng.standard_normal(d)
             w *= w_rng.uniform(0, 1) * obj.radius / np.linalg.norm(w)
-            oracle.reset()
-            sq = np.array([np.sum(oracle.call(w) ** 2) for _ in range(n)])
+            sq = np.sum(oracle.call(w, np.arange(n)) ** 2, axis=1)
             se = sq.std(ddof=1) / np.sqrt(n)
             assert sq.mean() <= gamma_sq + 3 * se

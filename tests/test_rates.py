@@ -100,6 +100,14 @@ class TestTwoPhaseBound:
                     with pytest.raises(ValueError, match="c2 must be finite"):
                         two_phase_bound(inputs, wrap(100.0), wrap(big))
 
+    def test_an_overflowing_bound_rejected_by_both_branches(self):
+        # 2*lam*c1 is finite, but c1*c1 overflows in the first term.
+        inputs = BoundInputs(3.0, 50.0, 0.3, 1.0, 1)
+        for wrap in (float, lambda c: np.array([c])):
+            with np.errstate(all="raise"):
+                with pytest.raises(ValueError, match="overflows"):
+                    two_phase_bound(inputs, wrap(1e160), wrap(0.6))
+
     def test_array_rates_match_scalar_calls_bit_for_bit(self):
         rng = np.random.default_rng(11)
         offsets = np.concatenate([[1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 1e-6],
