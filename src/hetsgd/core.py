@@ -10,7 +10,8 @@ losses are supported: logistic, hinge, and the plain linear loss -y w'x.
 Each is a function of the margin w'u of the signed example u = -y*x, and its
 gradient is phi(w'u) * u, which is how ``gradient_scales`` takes examples: a
 logistic gradient at batch size 1 is then three array calls (the margin, expit
-and the product). All functions here are pure and safe to call concurrently.
+and the product). All functions here but ``scale_into_ball``, which scales the
+rows of its argument in place, are pure and safe to call concurrently.
 """
 from __future__ import annotations
 
@@ -202,6 +203,25 @@ def _project_far(w: np.ndarray, radius: float) -> np.ndarray:
     return v * (radius / np.sqrt(np.sum(v * v, axis=-1, keepdims=True)))
 
 
+def scale_into_ball(w: np.ndarray, sq: np.ndarray, radius: float) -> np.ndarray:
+    """Scale in place each row of w outside the ball onto its sphere; return which rows.
+
+    ``sq`` holds the squared row norms of w, as ``np.einsum("rd,rd->r", w, w)`` gives
+    them, so a caller that has them already passes them in. A row is outside when
+    its norm exceeds the radius or is not finite (NaN included). Rows inside are
+    multiplied by exactly 1.0. A row whose squared norm overflows, or whose factor
+    radius/norm underflows, takes ``_project_far``; a row that is not finite becomes NaN.
+    """
+    nrm = np.sqrt(sq)
+    scale = radius / np.maximum(nrm, radius)
+    far = ~(scale > 0)          # NaN, or 0 where the norm or radius/norm left the range
+    scale[far] = 1.0
+    w *= scale[:, None]
+    if far.any():
+        w[far] = _project_far(w[far], radius)
+    return ~(nrm <= radius)
+
+
 def project(w: np.ndarray, radius: float) -> np.ndarray:
     """Euclidean projection onto the ball of the given radius. Idempotent.
 
@@ -220,13 +240,8 @@ def project(w: np.ndarray, radius: float) -> np.ndarray:
         # monotone, so this is max_r sqrt(sq[r]) <= radius; NaN fails it and is scaled.
         if math.sqrt(sq.max(initial=0.0)) <= radius:
             return w
-        scale = radius / np.maximum(np.sqrt(sq), radius)
-        if scale.min() > 0:
-            return w * scale[:, None]
-        far = ~(scale > 0)          # NaN, or 0 where the norm or radius/norm left the range
-        scale[far] = 1.0
-        out = w * scale[:, None]
-        out[far] = _project_far(w[far], radius)
+        out = w.copy()
+        scale_into_ball(out, sq, radius)
         return out
     with np.errstate(over="ignore"):        # a norm beyond the float range takes _project_far
         nrm = float(np.linalg.norm(w))

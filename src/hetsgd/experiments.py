@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import logging
 import platform
 import time
 from dataclasses import asdict, dataclass, field
@@ -28,6 +29,8 @@ STRATEGIES = ("Optimal", "CleanOnly", "SameClean", "SameNoisy", "Algorithm2")
 ORDER_STRATEGIES = ("CF", "NF", "AO")
 
 CSV_HEADER = ("strategy", "sweep_param", "mean", "stderr", "trials", "seconds")
+
+logger = logging.getLogger(__name__)
 
 
 # ---------------------------------------------------------------------------
@@ -314,14 +317,62 @@ def _check_budgets(rows: Sequence[Row]) -> None:
             raise RuntimeError(f"a run would read {steps} batches of oracle budgets {full}")
 
 
+class RunReport:
+    """What one driver call records about itself for meta.json, never for the CSVs.
+
+    ``timing`` holds the wall seconds of each stage: setup (data, split, seeds
+    and rate planning), oracles (building each trial's oracles and rows),
+    engine, scoring and emission. ``lap(stage)`` charges the time since the
+    previous lap to a stage. ``projection`` holds, per (strategy, sweep value),
+    the row-steps on which the projection scaled a run and all its row-steps.
+    ``assumes_inactive`` says that the driver's verdict assumes runs the
+    projection never touches.
+    """
+
+    STAGES = ("setup", "oracles", "engine", "scoring", "emission")
+
+    def __init__(self, assumes_inactive: bool = False):
+        self.assumes_inactive = assumes_inactive
+        self.timing = dict.fromkeys(self.STAGES, 0.0)
+        self.projection: dict = {}
+        self.started = self._last = time.perf_counter()
+
+    def lap(self, stage: str) -> None:
+        now = time.perf_counter()
+        self.timing[stage] += now - self._last
+        self._last = now
+
+    def meta(self) -> dict:
+        """The ``timing`` and ``projection`` blocks of meta.json.
+
+        Activity where the verdict assumes none sets ``violated`` and logs a warning.
+        """
+        points = [{"strategy": key[0], "sweep_param": float(key[1]),
+                   "active_frac": hit / steps if steps else 0.0}
+                  for key, (hit, steps) in self.projection.items()]
+        active = any(p["active_frac"] > 0 for p in points)
+        if self.assumes_inactive and active:
+            hit, steps = (sum(v) for v in zip(*self.projection.values()))
+            logger.warning("the projection scaled runs on %d of %d row-steps; the verdict "
+                           "assumes it never does", hit, steps)
+        return {"timing": {f"{stage}_s": t for stage, t in self.timing.items()},
+                "projection": {"points": points, "active": active,
+                               "assumes_inactive": self.assumes_inactive,
+                               "violated": self.assumes_inactive and active}}
+
+
 def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
-                score: Callable[[list], float]) -> dict:
+                score: Callable[[list], float], report: Optional[RunReport]) -> dict:
     """Per-trial scores of every keyed group of runs, through as few engine calls as fit.
 
     ``make_trial(i)`` lists trial i's (key, rows); ``score`` turns one
     group's trajectories into that trial's value for the key. Trials are
-    independent, so how they are batched does not change any value.
+    independent, so how they are batched does not change any value. The time
+    up to here is charged to setup in ``report``, which also gets the stage
+    times and the projection activity of the trials.
     """
+    report = report or RunReport()
+    report.lap("setup")
     values: dict = {}
     block, size = [], 0
     for i in range(trials):
@@ -330,12 +381,18 @@ def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
         _check_budgets(trial_rows)
         block += entries
         size += _batch_bytes(trial_rows)
+        report.lap("oracles")
         if size < BATCH_BYTES and i < trials - 1:
             continue
         trajectories = iter(run_batch([r for _, rows in block for r in rows], radius))
+        report.lap("engine")
         for key, rows in block:
             group = [next(trajectories) for _ in rows]
             values.setdefault(key, []).append(score(group))
+            counts = report.projection.setdefault(key, [0, 0])
+            counts[0] += sum(t.projected for t in group)
+            counts[1] += sum(t.steps for t in group)
+        report.lap("scoring")
         block, size = [], 0
     return {key: np.array(v) for key, v in values.items()}
 
@@ -346,15 +403,20 @@ def _result_row(strategy: str, sweep_param: float, values: np.ndarray) -> Result
                      mean=float(values.mean()), stderr=stderr, trials=len(values))
 
 
-def _emit(cfg: ExperimentConfig, rows: Sequence[ResultRow], started: float,
+def _emit(cfg: ExperimentConfig, rows: Sequence[ResultRow], report: RunReport,
           extras: Optional[dict] = None) -> None:
-    """results.csv, one plot_*.csv per strategy and meta.json, when the config names out_dir."""
+    """results.csv, one plot_*.csv per strategy and meta.json, when the config names out_dir.
+
+    meta.json also gets the report's blocks (see ``RunReport.meta``).
+    """
     if cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         emit_csv(rows, out / "results.csv")
         emit_plotdata(rows, out)
-        write_meta(out, cfg.to_dict(), time.perf_counter() - started, extras)
+        report.lap("emission")
+        write_meta(out, cfg.to_dict(), time.perf_counter() - report.started,
+                   {**report.meta(), **(extras or {})})
 
 
 def _strategies(cfg: ExperimentConfig, allowed: tuple) -> tuple:
@@ -437,12 +499,12 @@ def _strategy_plans(noise_c: NoiseLevel, noise_n: NoiseLevel, beta_c: float,
             "Algorithm2": _two_phase(sel.order, sel.c1, sel.c2, obj)}
 
 
-def strategy_comparison_details(cfg: ExperimentConfig):
+def strategy_comparison_details(cfg: ExperimentConfig, report: Optional[RunReport] = None):
     """Run the sweep and return (rows, {(strategy, sweep_value): per-trial objectives}).
 
     Within a trial all strategies share the dataset and the oracle seeds
     (common random numbers), so per-trial differences between strategies are
-    directly comparable.
+    directly comparable. ``report``, if given, records the run (see RunReport).
     """
     strategies = _strategies(cfg, STRATEGIES)
     clean_level, _, sweep = _levels(cfg)
@@ -465,16 +527,17 @@ def strategy_comparison_details(cfg: ExperimentConfig):
         return entries
 
     trial_values = _run_trials(cfg.trials, s.obj.radius, make_trial,
-                               lambda group: full_objective(s.obj, group[0].final_w, s.ds.X, s.ds.y))
+                               lambda group: full_objective(s.obj, group[0].final_w, s.ds.X, s.ds.y),
+                               report)
     rows = [_result_row(name, level, trial_values[(name, level)])
             for level in sweep for name in strategies]
     return rows, trial_values
 
 
 def run_strategy_comparison(cfg: ExperimentConfig) -> list:
-    started = time.perf_counter()
-    rows, _ = strategy_comparison_details(cfg)
-    _emit(cfg, rows, started)
+    report = RunReport()
+    rows, _ = strategy_comparison_details(cfg, report)
+    _emit(cfg, rows, report)
     return rows
 
 
@@ -482,7 +545,11 @@ def run_strategy_comparison(cfg: ExperimentConfig) -> list:
 # Order experiment: |f(w) - f(v)| for clean-first / noisy-first / arbitrary
 
 
-def order_experiment_details(cfg: ExperimentConfig):
+def order_experiment_details(cfg: ExperimentConfig, report: Optional[RunReport] = None):
+    """Run the c grid and return (rows, {(strategy, c): per-trial gaps |f(w) - f(v)|}).
+
+    ``report``, if given, records the run (see RunReport).
+    """
     strategies = _strategies(cfg, ORDER_STRATEGIES)
     if not cfg.c_grid:
         raise ValueError("order experiment needs c_grid")
@@ -513,15 +580,16 @@ def order_experiment_details(cfg: ExperimentConfig):
         noisy, twin = (full_objective(s.obj, t.final_w, s.ds.X, s.ds.y) for t in group)
         return abs(noisy - twin)
 
-    trial_values = _run_trials(cfg.trials, s.obj.radius, make_trial, gap)
+    trial_values = _run_trials(cfg.trials, s.obj.radius, make_trial, gap, report)
     rows = [_result_row(name, c, trial_values[(name, c)]) for c in c_grid for name in strategies]
     return rows, trial_values
 
 
 def run_order_experiment(cfg: ExperimentConfig) -> list:
-    started = time.perf_counter()
-    rows, _ = order_experiment_details(cfg)
-    _emit(cfg, rows, started)
+    # The order verdict rests on the delta_t closed form of a run without projection.
+    report = RunReport(assumes_inactive=True)
+    rows, _ = order_experiment_details(cfg, report)
+    _emit(cfg, rows, report)
     return rows
 
 
@@ -529,13 +597,14 @@ def run_order_experiment(cfg: ExperimentConfig) -> list:
 # Second-rate sweep against the clean-only reference
 
 
-def c2_sweep_details(cfg: ExperimentConfig):
+def c2_sweep_details(cfg: ExperimentConfig, report: Optional[RunReport] = None):
     """Final objective vs the second-phase rate at c1 = 1/lam.
 
     The data order is fixed once, by the rate selection on the upper-bound
     noise levels; c2(U) is that selection's rate and c2(L) re-minimizes the
     same order's bound curve with the lower-bound noise levels, so both
-    bracket rates live on the curve actually being swept.
+    bracket rates live on the curve actually being swept. ``report``, if
+    given, records the run (see RunReport).
     """
     clean_level, noisy_level, _ = _levels(cfg)
     s = _setup(cfg, 1)
@@ -562,7 +631,8 @@ def c2_sweep_details(cfg: ExperimentConfig):
         return [(key, (_row(sched, oracles),)) for key, sched in schedules.items()]
 
     trial_values = _run_trials(cfg.trials, s.obj.radius, make_trial,
-                               lambda group: full_objective(s.obj, group[0].final_w, s.ds.X, s.ds.y))
+                               lambda group: full_objective(s.obj, group[0].final_w, s.ds.X, s.ds.y),
+                               report)
     rows = [_result_row(name, param, trial_values[(name, param)]) for name, param in schedules]
     # Marker rows duplicate the grid rows at the bracketing and selected rates.
     markers = {"marker_c2_lower": c2_lower, "marker_c2_upper": c2_upper,
@@ -576,8 +646,8 @@ def c2_sweep_details(cfg: ExperimentConfig):
 
 
 def run_c2_sweep(cfg: ExperimentConfig) -> list:
-    started = time.perf_counter()
-    rows, _, info = c2_sweep_details(cfg)
-    _emit(cfg, rows, started,
+    report = RunReport()
+    rows, _, info = c2_sweep_details(cfg, report)
+    _emit(cfg, rows, report,
           extras={"c2_markers": {k: info[k] for k in ("c2_lower", "c2_upper", "c2_selected", "order")}})
     return rows

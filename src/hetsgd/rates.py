@@ -56,6 +56,10 @@ class BoundInputs:
     T: int
 
     def __post_init__(self):
+        # Plain floats, so that numpy scalars cannot send the bound's scalar branch into
+        # numpy-scalar arithmetic, which warns on overflow where float arithmetic does not.
+        for name in ("gamma1_sq", "gamma2_sq", "beta1", "lam"):
+            object.__setattr__(self, name, float(getattr(self, name)))
         if not (0 < self.gamma1_sq < math.inf and 0 < self.gamma2_sq < math.inf):
             raise ValueError(f"noise levels must be positive and finite, got "
                              f"{self.gamma1_sq} and {self.gamma2_sq}")

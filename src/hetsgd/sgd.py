@@ -14,12 +14,19 @@ sees x and its label only through u (see ``core.gradient_scales``). What the
 steps read that does not depend on W (every row's signed examples, label-flip
 signs, pre-drawn batch-mean noise and step size) is gathered for a chunk of
 steps at a time, already shaped for the step, and a chunk ends where a row's
-run does, so each step takes its inputs by one index and does only one
-vectorised gradient evaluation, the update and one row-wise projection: 10
-array calls for a logistic step at batch size 1 (the margin einsum, expit,
-the gradient product, five for the update, and the projection's einsum and
-max). A step on which the projection scaled a row also checks that no row
-became non-finite, and names the step if one did. A row
+run does, so each step takes its inputs by one index. The step buffers are
+made once per engine call, and a step writes into the first R rows of each
+(R rows are still running): the margins, then the scales, into one (rows, b)
+buffer; the gradient into a (rows, d) buffer; the update into the spare
+(rows, d) iterate buffer, which then swaps roles with the iterate's; and the
+squared row norms into a (rows,) buffer. A logistic step at batch size 1 is
+10 array calls (the margin einsum, expit, the gradient product, five for the
+update, the squared-norm einsum and its max) and allocates nothing. The
+inside-ball test and the scaling share those squared norms: a step whose
+largest row norm is within the radius leaves the update as it is, and only a
+step that fails the test scales rows (``core.scale_into_ball``), counts them
+in ``Trajectory.projected`` and checks that no row became non-finite, naming
+the step if one did. A row
 names a ``Schedule`` (the oracle slot serving each step and each slot's rate
 constant), the oracles behind its slots, and whether it is the noisy run or
 its noiseless twin. Oracles are read-only tables, so every run over one seed
@@ -30,13 +37,15 @@ they are given over its whole budget from batch 0.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
+from scipy.special import expit
 
-from .core import gradient_scales, margins, norms, project
+from .core import margin_scales, norms, scale_into_ball
 from .oracles import BudgetExhausted, GradientOracle, rcn_scales
 
 
@@ -159,6 +168,7 @@ class Row:
 class Trajectory:
     final_w: np.ndarray
     steps: int
+    projected: int = 0                       # steps on which the projection scaled this run
     iterates: Optional[list] = None          # [(t, w_{t+1}) ...] at the snapshot stride
 
 
@@ -280,9 +290,17 @@ def run_batch(rows: Sequence[Row], radius: float,
             W[i] = _start(r.w0, d, radius)
 
     iterates = [[] for _ in rows] if snapshot_stride is not None else None
+    projected = np.zeros(n_rows, dtype=np.intp)
+
+    # Step buffers, made once: a step writes into their first R rows. The update goes into
+    # the spare iterate buffer, which then swaps roles with the iterate's.
+    loss, bounded = objective.loss, math.isfinite(radius)
+    scales_buf = np.ones((n_rows, b))       # linear loss: the scales stay 1.0
+    grad_buf, spare = np.empty((n_rows, d)), np.empty((n_rows, d))
+    sq_buf = np.empty(n_rows)
 
     active = n_active.tolist()
-    row_bytes = 8 * (b * (d + 3) + d + 4)       # one row's gathers for one step
+    row_bytes = 8 * (b * (d + 3) + 2 * d + 4)   # one row's gathers for one step
     offsets = np.arange(b)
     step_no = np.arange(1, T + 1)[:, None]
     t0, R = 1, -1
@@ -292,40 +310,62 @@ def run_batch(rows: Sequence[Row], radius: float,
         if active[t0] != R:
             R = active[t0]
             pats, row_base = pattern_of[:R], np.arange(R) * S
+            M, G, sq, hits = scales_buf[:R], grad_buf[:R], sq_buf[:R], projected[:R]
         C = min(int(lengths[R - 1]) + 1 - t0, max(1, CHUNK_BYTES // (R * row_bytes)))
         steps = slice(t0 - 1, t0 - 1 + C)
         k = step_tab[steps, pats]
         rs = row_base + slot_tab[steps, pats]
-        Uc = U[examples[(ex_at[rs] + k * b)[..., None] + offsets]]
+        # np.take copies the same bytes as fancy indexing, in about half the time.
+        Uc = np.take(U, np.take(examples, (ex_at[rs] + k * b)[..., None] + offsets), axis=0)
         U1c = Uc[:, :, 0]
         if rcn:
-            f_c = np.where(flips[flip_at[rs] + k], -1.0, 1.0)
+            f_c = np.where(np.take(flips, flip_at[rs] + k, axis=0), -1.0, 1.0)
             sigma_c = sigma_at[rs][..., None]
             keep_c, denom_c = 1.0 - sigma_c, 1.0 - 2.0 * sigma_c
-        noise_c = noise[noise_at[rs] + k]
-        eta_c = (rate_at[rs] / step_no[steps])[..., None]
-        Wa = W[:R]
+        noise_c = np.take(noise, noise_at[rs] + k, axis=0)
+        # Each row's step size repeated along d, so that the step multiplies equal shapes.
+        eta_c = np.repeat((rate_at[rs] / step_no[steps])[..., None], d, axis=2)
+        Wa = home = W[:R]
+        V = spare[:R]
         for j, t in enumerate(range(t0, t0 + C)):
             Ub = Uc[j]
             if rcn:
-                s = rcn_scales(objective, margins(Wa, Ub), f_c[j], keep_c[j], sigma_c[j],
-                               denom_c[j])
+                s = rcn_scales(objective, np.einsum("rbd,rd->rb", Ub, Wa, out=M), f_c[j],
+                               keep_c[j], sigma_c[j], denom_c[j])
+            elif loss == "logistic":
+                s = expit(np.einsum("rbd,rd->rb", Ub, Wa, out=M), out=M)
+            elif loss == "hinge":
+                s = margin_scales(objective, np.einsum("rbd,rd->rb", Ub, Wa, out=M))
             else:
-                s = gradient_scales(objective, Wa, Ub)
+                s = M
             # At b=1 the product differs from einsum's sum only in the sign of an exact
             # zero, which the noise term (+0.0 where there is none) erases.
-            g = s * U1c[j] if b == 1 else np.einsum("rb,rbd->rd", s, Ub) / b
-            V = Wa - eta_c[j] * (lam * Wa + g + noise_c[j])
-            Wa = project(V, radius)
-            # project returns V itself unless it scaled a row, and a row that is not finite
-            # is always scaled (to NaN), so steps inside the ball skip this check.
-            if Wa is not V and np.isnan(Wa).any():
-                raise InfeasibleIterate(f"a run's iterate became non-finite at step {t}")
+            if b == 1:
+                np.multiply(s, U1c[j], out=G)
+            else:
+                np.divide(np.einsum("rb,rbd->rd", s, Ub, out=G), b, out=G)
+            # V = Wa - eta * ((lam * Wa + g) + noise), one operation at a time.
+            np.multiply(Wa, lam, out=V)
+            V += G
+            V += noise_c[j]
+            V *= eta_c[j]
+            np.subtract(Wa, V, out=V)
+            if bounded:
+                # A correctly rounded sqrt is monotone, so this is "every row inside";
+                # NaN fails it. Rows inside would be scaled by exactly 1.0, so a step that
+                # passes leaves V as it is; one that fails scales it and checks it.
+                np.einsum("rd,rd->r", V, V, out=sq)
+                if not math.sqrt(np.maximum.reduce(sq)) <= radius:
+                    hits += scale_into_ball(V, sq, radius)
+                    if np.isnan(V).any():
+                        raise InfeasibleIterate(f"a run's iterate became non-finite at step {t}")
             if iterates is not None:
                 due = range(R) if t % snapshot_stride == 0 else range(active[t + 1], R)
                 for i in due:
-                    iterates[i].append((t, Wa[i].copy()))
-        W[:R] = Wa
+                    iterates[i].append((t, V[i].copy()))
+            Wa, V = V, Wa
+        if Wa is not home:
+            home[...] = Wa
         t0 += C
 
     bad = ~(norms(W) <= radius * (1.0 + 1e-9))
@@ -336,6 +376,7 @@ def run_batch(rows: Sequence[Row], radius: float,
     out = [None] * n_rows
     for i, j in enumerate(order):
         out[j] = Trajectory(final_w=W[i].copy(), steps=int(lengths[i]),
+                            projected=int(projected[i]),
                             iterates=iterates[i] if iterates is not None else None)
     return out
 

@@ -242,6 +242,49 @@ def test_einsum_calls_per_logistic_step(kind, b, monkeypatch):
     assert len(calls) == (2 if b == 1 else 3) * steps + 1
 
 
+@pytest.mark.parametrize("b", [1, 3])
+def test_projected_counts_the_steps_the_reference_projects(b):
+    rows = mixed_rows("logistic", b)
+    trajectories = run_batch(rows, 0.3)
+    for row, traj in zip(rows, trajectories):
+        fresh = [GradientOracle(o.spec, o.objective, o.dataset) for o in row.oracles]
+        fresh = fresh if row.noisy else [o.twin() for o in fresh]
+        batch = list(row.starts or (0,) * len(fresh))
+        w, hits = np.zeros(row.oracles[0].dataset.d) if row.w0 is None else row.w0, 0
+        for t, slot in enumerate(row.schedule.slots, start=1):
+            v = w - (row.schedule.rates[slot] / t) * fresh[slot].call(w, batch[slot])
+            batch[slot] += 1
+            w = project(v, 0.3)
+            hits += w is not v
+        assert traj.projected == hits
+    assert any(t.projected for t in trajectories)
+    assert all(t.projected == 0 for t in run_batch(rows, 1e3))
+
+
+def test_results_share_no_memory_with_each_other_or_the_engine():
+    # Rows of two lengths, so the active rows shrink mid-run, and a radius at which the
+    # projection scales rows on steps inside a chunk (one chunk ends where the short rows
+    # do, at step 9, and the next at step 23).
+    rows = mixed_rows("logistic", 1)
+    assert sorted({len(r.schedule.slots) for r in rows}) == [9, 23]
+    first = run_batch(rows, 0.3, snapshot_stride=1)
+
+    def arrays(trajectories):
+        return [a for t in trajectories for a in [t.final_w] + [w for _, w in t.iterates]]
+
+    scaled = [t for traj in first for t, w in traj.iterates
+              if t not in (1, 10) and np.linalg.norm(w) == pytest.approx(0.3, rel=1e-12)]
+    assert scaled and any(traj.projected for traj in first)
+    before = [a.copy() for a in arrays(first)]
+    # Each result owns its bytes, so it shares them with no other result and no buffer.
+    assert all(a.base is None and a.flags.owndata for a in arrays(first))
+    assert len({a.ctypes.data for a in arrays(first)}) == len(before)
+    second = run_batch(rows, 0.3, snapshot_stride=1)
+    assert not {a.ctypes.data for a in arrays(first)} & {a.ctypes.data for a in arrays(second)}
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(first), before))
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(second), before))
+
+
 def test_twin_rows_differ_from_noisy_rows_only_through_noise():
     rows = mixed_rows("logistic", 2)
     trajectories = run_batch(rows, 1e3)
@@ -375,8 +418,8 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
     from hetsgd.oracles import GradientOracle, OracleSpec
 
     print("optimize", sys.flags.optimize)
-    real_project = sgd.project
-    sgd.project = lambda w, radius: w            # a projection that never projects
+    real_scale = sgd.scale_into_ball             # a projection that never projects:
+    sgd.scale_into_ball = lambda w, sq, radius: np.zeros(len(sq), dtype=bool)
     obj = ObjectiveSpec(lam=1.0, loss="linear", radius=0.1)
     ds = Dataset(np.full((5, 2), 0.5), np.ones(5))
     oracle = GradientOracle(OracleSpec("clean", budget=5), obj, ds)
@@ -385,7 +428,7 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
         print("feasibility unchecked")
     except sgd.InfeasibleIterate:
         print("feasibility checked")
-    sgd.project = real_project
+    sgd.scale_into_ball = real_scale
 
     full_schedule = sgd.PhasePlan.schedule
     def short_schedule(self, steps):             # drops each run's last step

@@ -229,6 +229,21 @@ class TestC2Sweep:
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert set(meta["c2_markers"]) == {"c2_lower", "c2_upper", "c2_selected", "order"}
 
+    def test_meta_reports_projection_activity(self, tmp_path):
+        # At c1 = 1/lam = 100 the first steps leave the ball of radius 1/lam, so the
+        # projection scales some runs; the CSVs carry none of it.
+        cfg = small_config(tmp_path, c2_grid_points=4, trials=2)
+        run_c2_sweep(cfg)
+        projection = json.loads((tmp_path / "out" / "meta.json").read_text())["projection"]
+        fractions = {(p["strategy"], p["sweep_param"]): p["active_frac"]
+                     for p in projection["points"]}
+        assert ("CleanOnly", 0.0) in fractions
+        assert {name for name, _ in fractions} == {"TwoRate", "CleanOnly"}
+        assert all(0.0 <= f < 1.0 for f in fractions.values())
+        assert any(f > 0.0 for f in fractions.values())
+        assert projection["active"] and not projection["assumes_inactive"]
+        assert not projection["violated"]
+
 
 @pytest.mark.parametrize("details", [order_experiment_details, strategy_comparison_details,
                                      c2_sweep_details])
@@ -404,4 +419,13 @@ def test_driver_outputs_are_pinned(tmp_path):
         assert cli_main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 0
         digests[case] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
                          for p in sorted(out.glob("*.csv"))}
+        # The run reports go to meta.json only: a time per stage and projection activity.
+        meta = json.loads((out / "meta.json").read_text())
+        assert set(meta["timing"]) == {"setup_s", "oracles_s", "engine_s", "scoring_s",
+                                       "emission_s"}
+        assert all(t >= 0.0 for t in meta["timing"].values())
+        assert sum(meta["timing"].values()) <= meta["runtime_seconds"]
+        projection = meta["projection"]
+        assert projection["assumes_inactive"] == (command == "order-exp")
+        assert projection["violated"] == (projection["assumes_inactive"] and projection["active"])
     assert digests == PINNED_DIGESTS

@@ -108,6 +108,18 @@ class TestTwoPhaseBound:
                 with pytest.raises(ValueError, match="overflows"):
                     two_phase_bound(inputs, wrap(1e160), wrap(0.6))
 
+    def test_numpy_float_inputs_take_the_plain_float_branch(self):
+        # A numpy-float field must not turn the scalar branch into numpy-scalar arithmetic,
+        # which warns on overflow (an error here) before the ValueError can be raised.
+        inputs = BoundInputs(np.float64(3.0), 50.0, 0.3, 1.0, 1)
+        assert all(type(v) is float for v in (inputs.gamma1_sq, inputs.gamma2_sq,
+                                              inputs.beta1, inputs.lam))
+        with np.errstate(all="raise"):
+            with pytest.raises(ValueError, match="overflows"):
+                two_phase_bound(inputs, 1e160, 0.6)
+            with pytest.raises(ValueError, match="c1 must be finite"):
+                two_phase_bound(BoundInputs(3.0, 50.0, 0.3, np.float64(1.0), 1), 1e308, 100.0)
+
     def test_array_rates_match_scalar_calls_bit_for_bit(self):
         rng = np.random.default_rng(11)
         offsets = np.concatenate([[1e-11, 1e-10, 5e-10, 1e-9, 2e-9, 1e-6],
