@@ -13,9 +13,8 @@ from .rates import (BoundInputs, C2Bracket, C2Choice, DomainError, PreconditionV
                     golden_section, minimize_phase2_rate, minimize_single_rate,
                     noisy_first_constant, noisy_first_rate_interval, search_c2_interval,
                     select_rates, two_phase_bound)
-from .sgd import (InfeasibleIterate, InterleavePattern, NonpositiveRate, PatternMismatch,
-                  PhasePlan, Row, Schedule, Trajectory, run_batch, run_paired,
-                  run_paired_interleaved, run_sgd, run_sgd_interleaved)
+from .sgd import (InfeasibleIterate, NonpositiveRate, PhasePlan, Row, Schedule, Trajectory,
+                  run_batch)
 from .datasets import (EmptyFileError, InconsistentDimensionError, ParseError,
                        SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm,
                        random_projection, sign_projection_matrix)

@@ -10,6 +10,8 @@ Subcommands:
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import sys
 
@@ -34,22 +36,15 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig.from_json(args.config)
-    overrides = {}
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if args.trials is not None:
-        overrides["trials"] = args.trials
-    if overrides:
-        d = cfg.to_dict()
-        d.update(overrides)
-        cfg = ExperimentConfig.from_dict(d)
-    return cfg
+    """The config file with the command line's overrides, checked again as a whole."""
+    overrides = {"master_seed": args.seed, "out_dir": args.out_dir, "trials": args.trials}
+    return dataclasses.replace(ExperimentConfig.from_json(args.config),
+                               **{k: v for k, v in overrides.items() if v is not None})
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process; each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(prog="hetsgd",
                                      description="SGD with heterogeneous-noise gradient oracles")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -13,7 +13,7 @@ import json
 import logging
 import platform
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple, Optional, Sequence
 
@@ -23,7 +23,7 @@ from .core import Dataset, ObjectiveSpec, full_objective
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
 from .oracles import GradientOracle, NoiseLevel, OracleSpec
 from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
-from .sgd import PhasePlan, Row, Schedule, run_batch
+from .sgd import PhasePlan, Row, Schedule, check_budgets, run_batch
 
 STRATEGIES = ("Optimal", "CleanOnly", "SameClean", "SameNoisy", "Algorithm2")
 ORDER_STRATEGIES = ("CF", "NF", "AO")
@@ -134,10 +134,16 @@ def write_meta(out_dir, config_dict: dict, runtime_seconds: float, extras: Optio
 # Configuration
 
 
-def _check_keys(d: dict, allowed: set, section: str) -> None:
-    unknown = sorted(set(d) - allowed)
+def _checked(d: dict, cls, section: str) -> dict:
+    """``d``, once each of its keys is checked to name a field of the dataclass ``cls``."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown config keys in {section}: {unknown}")
+    return d
+
+
+# Config keys that hold a sequence, kept as a tuple.
+_SEQUENCE_KEYS = ("strategies", "c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid")
 
 
 @dataclass(frozen=True)
@@ -145,11 +151,6 @@ class ProblemConfig:
     loss: str = "logistic"
     lam: float = 1e-3
     radius: Optional[float] = None
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ProblemConfig":
-        _check_keys(d, {"loss", "lam", "radius"}, "problem")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -161,11 +162,6 @@ class DataConfig:
     path: Optional[str] = None
     project_to: Optional[int] = None
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "DataConfig":
-        _check_keys(d, {"kind", "d", "n", "flip_rate", "path", "project_to"}, "data")
-        return cls(**d)
-
 
 @dataclass(frozen=True)
 class OracleSetupConfig:
@@ -175,12 +171,6 @@ class OracleSetupConfig:
     sigma_clean: float = 0.0
     sigma_noisy: float = 0.2
     batch_size: int = 50
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OracleSetupConfig":
-        _check_keys(d, {"kind", "epsilon_clean", "epsilon_noisy",
-                        "sigma_clean", "sigma_noisy", "batch_size"}, "oracles")
-        return cls(**d)
 
 
 @dataclass(frozen=True)
@@ -213,22 +203,18 @@ class ExperimentConfig:
         if self.strategies is not None and len(self.strategies) == 0:
             raise ValueError("strategies must name at least one strategy; omit it to run all")
         # Trials are keyed by strategy and sweep value, so a repeat would merge two rows' runs.
-        for key in ("strategies", "c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid"):
+        for key in _SEQUENCE_KEYS:
             values = getattr(self, key)
             if values is not None and len(set(values)) != len(values):
                 raise ValueError(f"{key} repeats a value: {values}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
-        _check_keys(d, {"problem", "data", "oracles", "beta_c", "strategies", "trials",
-                        "master_seed", "out_dir", "c_grid",
-                        "epsilon_noisy_sweep", "sigma_noisy_sweep",
-                        "c2_grid", "c2_grid_points"}, "config")
-        kw = dict(d)
-        kw["problem"] = ProblemConfig.from_dict(kw.get("problem", {}))
-        kw["data"] = DataConfig.from_dict(kw.get("data", {}))
-        kw["oracles"] = OracleSetupConfig.from_dict(kw.get("oracles", {}))
-        for key in ("strategies", "c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid"):
+        kw = dict(_checked(d, cls, "config"))
+        for key, section in (("problem", ProblemConfig), ("data", DataConfig),
+                             ("oracles", OracleSetupConfig)):
+            kw[key] = section(**_checked(kw.get(key, {}), section, key))
+        for key in _SEQUENCE_KEYS:
             if kw.get(key) is not None:
                 kw[key] = tuple(kw[key])
         return cls(**kw)
@@ -309,14 +295,6 @@ def _batch_bytes(rows: Sequence[Row]) -> int:
     return 8 * (2 * tables + 3 * gathered)
 
 
-def _check_budgets(rows: Sequence[Row]) -> None:
-    """Every run must read each of its oracles' whole budget (in whole batches)."""
-    for row in rows:
-        steps, full = row.schedule.counts().tolist(), [o.steps_total for o in row.oracles]
-        if steps != full:
-            raise RuntimeError(f"a run would read {steps} batches of oracle budgets {full}")
-
-
 class RunReport:
     """What one driver call records about itself for meta.json, never for the CSVs.
 
@@ -378,7 +356,7 @@ def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
     for i in range(trials):
         entries = make_trial(i)
         trial_rows = [r for _, rows in entries for r in rows]
-        _check_budgets(trial_rows)
+        check_budgets(trial_rows)
         block += entries
         size += _batch_bytes(trial_rows)
         report.lap("oracles")

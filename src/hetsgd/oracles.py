@@ -146,10 +146,10 @@ class OracleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
-        if self.budget < 1:
-            raise ValueError("budget must be a positive integer")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be a positive integer")
+        for key in ("budget", "batch_size"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
         if self.kind == "local_dp" and (self.epsilon is None or not self.epsilon > 0):
             raise ValueError("local_dp oracle needs epsilon > 0")
         if self.kind == "rcn" and (self.sigma is None or not 0.0 <= self.sigma < 0.5):

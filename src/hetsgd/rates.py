@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -270,16 +270,7 @@ class RateSelection:
     noisy_first_value: float
 
     def to_dict(self) -> dict:
-        return {
-            "order": self.order,
-            "c1": self.c1,
-            "c2": self.c2,
-            "bound_value": self.bound_value,
-            "clean_first_rate": self.clean_first_rate,
-            "clean_first_value": self.clean_first_value,
-            "noisy_first_rate": self.noisy_first_rate,
-            "noisy_first_value": self.noisy_first_value,
-        }
+        return asdict(self)
 
 
 def select_rates(gamma_c_sq: float, gamma_n_sq: float, beta_c: float, lam: float) -> RateSelection:

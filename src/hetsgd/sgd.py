@@ -31,15 +31,17 @@ names a ``Schedule`` (the oracle slot serving each step and each slot's rate
 constant), the oracles behind its slots, and whether it is the noisy run or
 its noiseless twin. Oracles are read-only tables, so every run over one seed
 shares one table, and ``Row.starts`` lets runs read disjoint slices of one
-oracle. ``PhasePlan`` and ``InterleavePattern`` build schedules; ``run_sgd``
-and its siblings are single-run calls into the engine that run every oracle
-they are given over its whole budget from batch 0.
+oracle. ``PhasePlan`` builds block schedules, and an interleaving is a
+``Schedule`` over shuffled slots. ``check_budgets`` is the rule every run
+keeps: it reads each of its oracles' whole budget. ``run_sgd``,
+``run_sgd_interleaved``, ``run_paired`` and ``run_paired_interleaved`` exist
+only because perfbench's tracer wraps them by name. Each is one ``run_batch``
+call over whole budgets from batch 0; the package calls none of them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -56,10 +58,6 @@ CHUNK_BYTES = 1 << 18
 
 class NonpositiveRate(ValueError):
     """A phase was configured with a rate constant c that is not in (0, inf)."""
-
-
-class PatternMismatch(ValueError):
-    """An interleave pattern does not match the oracles' step budgets."""
 
 
 class InfeasibleIterate(RuntimeError):
@@ -118,33 +116,6 @@ class PhasePlan:
         ids = tuple(k for k, _ in self.phases)
         return Schedule(ids, tuple(c for _, c in self.phases),
                         np.repeat(np.arange(len(ids)), [steps[k] for k in ids]))
-
-
-@dataclass(frozen=True)
-class InterleavePattern:
-    """Per-step oracle choice for arbitrary-order runs."""
-
-    sequence: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "sequence", tuple(str(s) for s in self.sequence))
-        if len(self.sequence) == 0:
-            raise ValueError("empty pattern")
-
-    def schedule(self, c: float, steps: Mapping[str, int]) -> Schedule:
-        """One rate c throughout; every oracle must be used exactly ``steps[id]`` times."""
-        ids = tuple(steps)
-        extra = set(self.sequence) - set(ids)
-        if extra:
-            raise PatternMismatch(f"pattern references unknown oracles {sorted(extra)}")
-        slot_of = {k: i for i, k in enumerate(ids)}
-        schedule = Schedule(ids, (float(c),) * len(ids), [slot_of[s] for s in self.sequence])
-        for oracle_id, used in zip(ids, schedule.counts()):
-            if used != steps[oracle_id]:
-                raise PatternMismatch(
-                    f"pattern uses oracle {oracle_id!r} {used} times, "
-                    f"budget allows {steps[oracle_id]} steps")
-        return schedule
 
 
 @dataclass(frozen=True, eq=False)
@@ -381,50 +352,56 @@ def run_batch(rows: Sequence[Row], radius: float,
     return out
 
 
-def _run_single(schedule_for, oracles: Mapping[str, GradientOracle], radius: float,
-                w0: Optional[np.ndarray], snapshot_stride: Optional[int] = None,
-                paired: bool = False) -> list:
-    """Run ``schedule_for(steps_total of each oracle)`` (and its twin) from batch 0 on."""
-    schedule = schedule_for({k: o.steps_total for k, o in oracles.items()})
+def check_budgets(rows: Sequence[Row]) -> None:
+    """Every run must read each of its oracles' whole budget (in whole batches).
+
+    A RuntimeError, not an assert, so that the rule holds under ``python -O``.
+    """
+    for row in rows:
+        steps, full = row.schedule.counts().tolist(), [o.steps_total for o in row.oracles]
+        if steps != full:
+            raise RuntimeError(f"a run would read {steps} batches of oracles "
+                               f"{list(row.schedule.ids)} with budgets {full}")
+
+
+# The four single-run calls below exist only as the names perfbench's tracer wraps;
+# the drivers and the tests build their rows for run_batch themselves.
+
+def _whole_runs(schedule: Schedule, oracles: Mapping[str, GradientOracle],
+                w0: Optional[np.ndarray], paired: bool) -> list:
+    """One run of ``schedule`` over the oracles it names, from batch 0, and its twin if paired."""
     row_oracles = tuple(oracles[k] for k in schedule.ids)
-    rows = [Row(schedule, row_oracles, True, None, w0)]
-    if paired:
-        rows.append(Row(schedule, row_oracles, False, None, w0))
-    return run_batch(rows, radius, snapshot_stride)
+    rows = [Row(schedule, row_oracles, noisy, None, w0)
+            for noisy in ((True, False) if paired else (True,))]
+    check_budgets(rows)
+    return rows
 
 
 def run_sgd(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
             w0: Optional[np.ndarray] = None,
             snapshot_stride: Optional[int] = None) -> Trajectory:
-    """Run each phase's oracle to exhaustion in order, then return the result.
-
-    The regularisation lam comes from the oracles' objective.
-    """
-    return _run_single(plan.schedule, oracles, plan.radius, w0, snapshot_stride)[0]
+    """Run each phase's oracle over its whole budget, in order."""
+    schedule = plan.schedule({k: o.steps_total for k, o in oracles.items()})
+    return run_batch(_whole_runs(schedule, oracles, w0, False), plan.radius, snapshot_stride)[0]
 
 
-def run_sgd_interleaved(pattern: InterleavePattern, c: float, radius: float,
+def run_sgd_interleaved(schedule: Schedule, radius: float,
                         oracles: Mapping[str, GradientOracle],
                         w0: Optional[np.ndarray] = None,
                         snapshot_stride: Optional[int] = None) -> Trajectory:
-    """Same update rule with the oracle chosen per pattern entry at each step.
-
-    The regularisation lam comes from the oracles' objective.
-    """
-    return _run_single(partial(pattern.schedule, c), oracles, radius, w0, snapshot_stride)[0]
+    """Run ``schedule`` over the oracles it names, each over its whole budget."""
+    return run_batch(_whole_runs(schedule, oracles, w0, False), radius, snapshot_stride)[0]
 
 
 def run_paired(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
                w0: Optional[np.ndarray] = None) -> tuple:
-    """Noisy trajectory plus its noiseless twin over the identical data order.
-
-    The twin replays the same permutations with injected noise forced to
-    zero, so in expectation the squared gap isolates the noise effect.
-    """
-    return tuple(_run_single(plan.schedule, oracles, plan.radius, w0, paired=True))
+    """``run_sgd``'s run and its noiseless twin (see ``Row``) over the same data order."""
+    schedule = plan.schedule({k: o.steps_total for k, o in oracles.items()})
+    return tuple(run_batch(_whole_runs(schedule, oracles, w0, True), plan.radius))
 
 
-def run_paired_interleaved(pattern: InterleavePattern, c: float, radius: float,
+def run_paired_interleaved(schedule: Schedule, radius: float,
                            oracles: Mapping[str, GradientOracle],
                            w0: Optional[np.ndarray] = None) -> tuple:
-    return tuple(_run_single(partial(pattern.schedule, c), oracles, radius, w0, paired=True))
+    """``run_sgd_interleaved``'s run and its noiseless twin over the same data order."""
+    return tuple(run_batch(_whole_runs(schedule, oracles, w0, True), radius))

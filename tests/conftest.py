@@ -1,15 +1,35 @@
-"""Shared fixtures: Monte Carlo paired runs on the batched engine."""
+"""Shared fixtures: whole-budget runs and Monte Carlo paired runs on the batched engine."""
 import numpy as np
 import pytest
 
 from hetsgd.core import Dataset, ObjectiveSpec
 from hetsgd.oracles import GradientOracle, OracleSpec
-from hetsgd.sgd import Row, Schedule, run_batch
+from hetsgd.sgd import PhasePlan, Row, Schedule, check_budgets, run_batch
 
 # Trials per engine call. Each call holds one oracle per source with every
 # trial's data and noise, and 2 rows per trial; at 1,000 trials of 200 steps
 # in d=5 (acceptance criterion 3) the test process peaks near 120 MiB.
 TRIALS_PER_CALL = 1000
+
+
+def _run_whole(plan, oracles, radius=None, w0=None, snapshot_stride=None, paired=False) -> list:
+    """Trajectories of one run that reads each oracle it names over its whole budget.
+
+    ``plan`` is a PhasePlan, whose phases each run their oracle's whole
+    budget inside the plan's radius, or a Schedule, run inside ``radius``.
+    ``oracles`` maps each id the schedule names to its oracle. Every oracle
+    is read from batch 0; with ``paired`` the noiseless twin's trajectory
+    follows the run's. The rows keep the drivers' rule (sgd.check_budgets).
+    """
+    if isinstance(plan, PhasePlan):
+        schedule, radius = plan.schedule({k: o.steps_total for k, o in oracles.items()}), plan.radius
+    else:
+        schedule = plan
+    row_oracles = tuple(oracles[k] for k in schedule.ids)
+    rows = [Row(schedule, row_oracles, noisy, None, w0)
+            for noisy in ((True, False) if paired else (True,))]
+    check_budgets(rows)
+    return run_batch(rows, radius, snapshot_stride)
 
 
 def _source(n: int, noise_sq: float, d: int, obj: ObjectiveSpec, data_seed: int,
@@ -51,6 +71,12 @@ def _paired_gaps(mask, v_c: float, v_n: float, c: float, lam: float, d: int,
         W = np.array([traj.final_w for traj in run_batch(rows, np.inf)])
         gaps.append(np.sum((W[1::2] - W[::2]) ** 2, axis=1))
     return np.concatenate(gaps)
+
+
+@pytest.fixture
+def run_whole():
+    """_run_whole(plan, oracles, radius=None, w0=None, snapshot_stride=None, paired=False)."""
+    return _run_whole
 
 
 @pytest.fixture

@@ -19,7 +19,7 @@ from hetsgd.ordering import expected_deviation, noise_weights, two_level_schedul
 from hetsgd.rates import (BoundInputs, clean_first_constant, clean_first_rate_interval,
                           minimize_phase2_rate, minimize_single_rate,
                           noisy_first_rate_interval, select_rates, two_phase_bound)
-from hetsgd.sgd import PhasePlan, run_sgd
+from hetsgd.sgd import PhasePlan
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -351,7 +351,7 @@ def test_criterion_09_c2_sweep_shape():
     report(9, "c2-sweep-shape", True, "; ".join(details))
 
 
-def test_criterion_10_convergence_rate():
+def test_criterion_10_convergence_rate(run_whole):
     lam, T, d, trials = 1.0, 2000, 5, 80
     obj = ObjectiveSpec(lam=lam, loss="linear", radius=np.inf)
     mu = np.zeros(d)
@@ -364,8 +364,8 @@ def test_criterion_10_convergence_rate():
         X = mu + rng.standard_normal((T, d)) / math.sqrt(d)
         ds = Dataset(X, np.ones(T))
         oracle = GradientOracle(OracleSpec("clean", budget=T, rng_seed=20_500 + trial), obj, ds)
-        traj = run_sgd(PhasePlan((("a", 1.0 / lam),), np.inf), {"a": oracle},
-                       snapshot_stride=5)
+        traj = run_whole(PhasePlan((("a", 1.0 / lam),), np.inf), {"a": oracle},
+                         snapshot_stride=5)[0]
         if times is None:
             times = np.array([t for t, _ in traj.iterates])
         errs.append([float(np.sum((w - w_star) ** 2)) for _, w in traj.iterates])

@@ -16,7 +16,7 @@ from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.experiments import (ExperimentConfig, c2_sweep_details, order_experiment_details,
                                 strategy_comparison_details)
 from hetsgd.oracles import GradientOracle, OracleSpec
-from hetsgd.sgd import InfeasibleIterate, PhasePlan, Row, Schedule, run_batch, run_sgd
+from hetsgd.sgd import InfeasibleIterate, PhasePlan, Row, Schedule, run_batch
 
 MECHANISMS = {
     "clean": {},
@@ -331,17 +331,17 @@ def test_fractional_schedule_slots_rejected():
         Schedule(("a", "b"), (1.0, 1.0), [0.7, 0.2])
 
 
-def test_w0_of_the_wrong_shape_rejected_before_the_budget_is_used():
+def test_w0_of_the_wrong_shape_rejected_before_the_budget_is_used(run_whole):
     obj = ObjectiveSpec(lam=1.0, loss="linear")
     oracle = GradientOracle(OracleSpec("clean", budget=12, rng_seed=1), obj, dataset(12, 3, 5))
     plan = PhasePlan((("a", 1.0),), 1.0)
     with pytest.raises(ValueError, match="shape"):
-        run_sgd(plan, {"a": oracle}, w0=np.array([0.3]))
+        run_whole(plan, {"a": oracle}, w0=np.array([0.3]))
     with pytest.raises(ValueError, match="shape"):
         run_batch([Row(plan.schedule({"a": 12}), (oracle,), w0=np.array([0.3]))], 1.0)
 
 
-def test_snapshots_are_opt_in():
+def test_snapshots_are_opt_in(run_whole):
     obj = ObjectiveSpec(lam=1.0, loss="linear", radius=np.inf)
     ds = dataset(12, 3, 5)
 
@@ -349,9 +349,9 @@ def test_snapshots_are_opt_in():
         return {"a": GradientOracle(OracleSpec("clean", budget=12, rng_seed=1), obj, ds)}
 
     plan = PhasePlan((("a", 1.0),), np.inf)
-    assert run_sgd(plan, fresh()).iterates is None
+    assert run_whole(plan, fresh())[0].iterates is None
     # Every stride-th step and the last one.
-    assert [t for t, _ in run_sgd(plan, fresh(), snapshot_stride=5).iterates] == [5, 10, 12]
+    assert [t for t, _ in run_whole(plan, fresh(), snapshot_stride=5)[0].iterates] == [5, 10, 12]
 
 
 def small_config(**overrides):
@@ -424,7 +424,8 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
     ds = Dataset(np.full((5, 2), 0.5), np.ones(5))
     oracle = GradientOracle(OracleSpec("clean", budget=5), obj, ds)
     try:
-        sgd.run_sgd(sgd.PhasePlan((("a", 50.0),), 0.1), {"a": oracle})
+        schedule = sgd.PhasePlan((("a", 50.0),), 0.1).schedule({"a": 5})
+        sgd.run_batch([sgd.Row(schedule, (oracle,))], 0.1)
         print("feasibility unchecked")
     except sgd.InfeasibleIterate:
         print("feasibility checked")

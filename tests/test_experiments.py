@@ -357,6 +357,14 @@ class TestCli:
         rows = read_csv_rows(out_dir / "results.csv")
         assert all(r.trials == 3 for r in rows)
 
+    def test_overrides_do_not_carry_over_to_the_next_call(self, tmp_path):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(epsilon_noisy_sweep=(2.0,), trials=2).to_dict()))
+        for out, extra, trials in (("a", ["--trials", "3"], 3), ("b", [], 2)):
+            assert cli_main(["strategy-cmp", "--config", str(cfg_path),
+                             "--out-dir", str(tmp_path / out), *extra]) == 0
+            assert {r.trials for r in read_csv_rows(tmp_path / out / "results.csv")} == {trials}
+
     def test_module_entry_point(self, tmp_path):
         proc = subprocess.run([sys.executable, "-m", "hetsgd", "noise-level",
                                "--kind", "rcn", "--sigma", "0.0"],

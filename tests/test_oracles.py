@@ -159,6 +159,18 @@ class TestOracleSpec:
         with pytest.raises(ValueError):
             OracleSpec("clean", budget=0)
 
+    @pytest.mark.parametrize("kw,field", [({"budget": 3.5}, "budget"),
+                                          ({"budget": np.float64(4)}, "budget"),
+                                          ({"budget": 4, "batch_size": 1.5}, "batch_size")])
+    def test_non_integer_budget_or_batch_size_rejected(self, kw, field):
+        with pytest.raises(ValueError, match=field):
+            OracleSpec("clean", **kw)
+
+    def test_numpy_integer_budget_and_batch_size_accepted(self):
+        spec = OracleSpec("clean", budget=np.int64(6), batch_size=np.int32(2))
+        oracle = GradientOracle(spec, ObjectiveSpec(lam=1.0), make_dataset(n=8))
+        assert oracle.steps_total == 3
+
     def test_nan_noise_parameters_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
             OracleSpec("local_dp", budget=10, epsilon=float("nan"))
