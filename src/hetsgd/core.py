@@ -24,6 +24,11 @@ from scipy.special import expit
 LOSSES = ("logistic", "hinge", "linear")
 
 
+def is_integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Regularization strength, loss name, and feasible-set radius.

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, ObjectiveSpec, full_objective
+from .core import Dataset, ObjectiveSpec, full_objective, is_integer
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
 from .oracles import GradientOracle, NoiseLevel, OracleSpec
 from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
@@ -198,8 +198,10 @@ class ExperimentConfig:
         if self.data.project_to is not None:
             counts.append(("data.project_to", self.data.project_to))
         for key, value in counts:
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        if not is_integer(self.master_seed) or self.master_seed < 0:
+            raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         if self.strategies is not None and len(self.strategies) == 0:
             raise ValueError("strategies must name at least one strategy; omit it to run all")
         # Trials are keyed by strategy and sweep value, so a repeat would merge two rows' runs.
@@ -303,6 +305,8 @@ class RunReport:
     engine, scoring and emission. ``lap(stage)`` charges the time since the
     previous lap to a stage. ``projection`` holds, per (strategy, sweep value),
     the row-steps on which the projection scaled a run and all its row-steps.
+    ``engine`` counts the engine calls, their rows, the rows' steps and the
+    steps a row took over from another row's run (``Trajectory.shared``).
     ``assumes_inactive`` says that the driver's verdict assumes runs the
     projection never touches.
     """
@@ -313,6 +317,7 @@ class RunReport:
         self.assumes_inactive = assumes_inactive
         self.timing = dict.fromkeys(self.STAGES, 0.0)
         self.projection: dict = {}
+        self.engine = dict.fromkeys(("calls", "rows", "row_steps", "shared_row_steps"), 0)
         self.started = self._last = time.perf_counter()
 
     def lap(self, stage: str) -> None:
@@ -321,7 +326,7 @@ class RunReport:
         self._last = now
 
     def meta(self) -> dict:
-        """The ``timing`` and ``projection`` blocks of meta.json.
+        """The ``timing``, ``engine`` and ``projection`` blocks of meta.json.
 
         Activity where the verdict assumes none sets ``violated`` and logs a warning.
         """
@@ -334,6 +339,7 @@ class RunReport:
             logger.warning("the projection scaled runs on %d of %d row-steps; the verdict "
                            "assumes it never does", hit, steps)
         return {"timing": {f"{stage}_s": t for stage, t in self.timing.items()},
+                "engine": dict(self.engine),
                 "projection": {"points": points, "active": active,
                                "assumes_inactive": self.assumes_inactive,
                                "violated": self.assumes_inactive and active}}
@@ -347,7 +353,7 @@ def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
     group's trajectories into that trial's value for the key. Trials are
     independent, so how they are batched does not change any value. The time
     up to here is charged to setup in ``report``, which also gets the stage
-    times and the projection activity of the trials.
+    times, the engine counts and the projection activity of the trials.
     """
     report = report or RunReport()
     report.lap("setup")
@@ -362,8 +368,14 @@ def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
         report.lap("oracles")
         if size < BATCH_BYTES and i < trials - 1:
             continue
-        trajectories = iter(run_batch([r for _, rows in block for r in rows], radius))
+        trajectories = run_batch([r for _, rows in block for r in rows], radius)
         report.lap("engine")
+        engine = report.engine
+        engine["calls"] += 1
+        engine["rows"] += len(trajectories)
+        engine["row_steps"] += sum(t.steps for t in trajectories)
+        engine["shared_row_steps"] += sum(t.shared for t in trajectories)
+        trajectories = iter(trajectories)
         for key, rows in block:
             group = [next(trajectories) for _ in rows]
             values.setdefault(key, []).append(score(group))

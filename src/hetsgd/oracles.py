@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, ObjectiveSpec, gradient_scales, margin_scales, margins
+from .core import Dataset, ObjectiveSpec, gradient_scales, is_integer, margin_scales, margins
 
 KINDS = ("clean", "local_dp", "rcn", "gaussian")
 
@@ -148,7 +148,7 @@ class OracleSpec:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
         for key in ("budget", "batch_size"):
             value = getattr(self, key)
-            if not isinstance(value, (int, np.integer)) or value < 1:
+            if not is_integer(value) or value < 1:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
         if self.kind == "local_dp" and (self.epsilon is None or not self.epsilon > 0):
             raise ValueError("local_dp oracle needs epsilon > 0")

@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from .core import is_integer
 from .oracles import NoiseLevel
 
 logger = logging.getLogger(__name__)
@@ -67,7 +68,7 @@ class BoundInputs:
             raise ValueError(f"beta1 must be in (0, 1), got {self.beta1}")
         if not 0 < self.lam < math.inf:
             raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if not isinstance(self.T, (int, np.integer)) or self.T < 1:
+        if not is_integer(self.T) or self.T < 1:
             raise ValueError(f"T must be a positive integer, got {self.T!r}")
 
 

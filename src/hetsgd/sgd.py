@@ -13,24 +13,36 @@ signed form u = -y*x, made once per engine call, since every margin loss
 sees x and its label only through u (see ``core.gradient_scales``). What the
 steps read that does not depend on W (every row's signed examples, label-flip
 signs, pre-drawn batch-mean noise and step size) is gathered for a chunk of
-steps at a time, already shaped for the step, and a chunk ends where a row's
-run does, so each step takes its inputs by one index. The step buffers are
-made once per engine call, and a step writes into the first R rows of each
-(R rows are still running): the margins, then the scales, into one (rows, b)
-buffer; the gradient into a (rows, d) buffer; the update into the spare
-(rows, d) iterate buffer, which then swaps roles with the iterate's; and the
-squared row norms into a (rows,) buffer. A logistic step at batch size 1 is
-10 array calls (the margin einsum, expit, the gradient product, five for the
-update, the squared-norm einsum and its max) and allocates nothing. The
-inside-ball test and the scaling share those squared norms: a step whose
-largest row norm is within the radius leaves the update as it is, and only a
-step that fails the test scales rows (``core.scale_into_ball``), counts them
-in ``Trajectory.projected`` and checks that no row became non-finite, naming
-the step if one did. A row
-names a ``Schedule`` (the oracle slot serving each step and each slot's rate
-constant), the oracles behind its slots, and whether it is the noisy run or
-its noiseless twin. Oracles are read-only tables, so every run over one seed
-shares one table, and ``Row.starts`` lets runs read disjoint slices of one
+steps at a time, already shaped for the step, and a chunk ends where a span
+(below) does, so each step takes its inputs by one index.
+
+A row whose first L steps read the same examples, noise and flip signs, at the
+same rates and from the same w0, as an earlier row's has bit-identical
+iterates through step L, so the engine does not step it there. At step L+1 it
+takes over a copy of the state, projection count and snapshots of the
+earliest earlier row that shares the longest such prefix, and
+``Trajectory.shared`` reports L; a row that shares all of its steps takes none
+of its own. Rows thus start or end only at a few steps, and between two of
+them the rows being stepped are a fixed index set, a span. Their iterates are
+copied out of W at the start of the span and back at its end.
+
+The step buffers are made once per engine call, and a step writes into the
+first R rows of each (the span's R rows): the margins, then the scales, into
+one (rows, b) buffer; the gradient into a (rows, d) buffer; the update into
+the spare (rows, d) iterate buffer, which then swaps roles with the
+iterate's; and the squared row norms into a (rows,) buffer. A logistic step at
+batch size 1 is 10 array calls (the margin einsum, expit, the gradient
+product, five for the update, the squared-norm einsum and its max) and
+allocates nothing. The inside-ball test and the scaling share those squared
+norms: a step whose largest row norm is within the radius leaves the update as
+it is, and only a step that fails the test scales rows
+(``core.scale_into_ball``), counts them in ``Trajectory.projected`` and checks
+that no row became non-finite, naming the step if one did.
+
+A row names a ``Schedule`` (the oracle slot serving each step and each
+slot's rate constant), the oracles behind its slots, and whether it is the
+noisy run or its noiseless twin. Oracles are read-only tables, so every run
+over one seed shares one table, and ``Row.starts`` lets runs read disjoint slices of one
 oracle. ``PhasePlan`` builds block schedules, and an interleaving is a
 ``Schedule`` over shuffled slots. ``check_budgets`` is the rule every run
 keeps: it reads each of its oracles' whole budget. ``run_sgd``,
@@ -47,7 +59,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
-from .core import margin_scales, norms, scale_into_ball
+from .core import is_integer, margin_scales, norms, scale_into_ball
 from .oracles import BudgetExhausted, GradientOracle, rcn_scales
 
 
@@ -140,16 +152,31 @@ class Trajectory:
     final_w: np.ndarray
     steps: int
     projected: int = 0                       # steps on which the projection scaled this run
+    shared: int = 0                          # leading steps taken over from another row's run
     iterates: Optional[list] = None          # [(t, w_{t+1}) ...] at the snapshot stride
 
 
-def _within_slot_steps(slots: np.ndarray) -> np.ndarray:
-    """k[t] = how often slots[t] occurs before t, i.e. the batch index within its oracle."""
+def _within_slot_steps(slots: np.ndarray) -> tuple:
+    """(k, firsts): k[t] = how often slots[t] occurs before t, i.e. the batch index within
+    its oracle, and the (0-based) steps at which a slot is first used, in order."""
     counts = np.bincount(slots)
     first = np.cumsum(counts) - counts
+    by_slot = np.argsort(slots, kind="stable")
     k = np.empty_like(slots)
-    k[np.argsort(slots, kind="stable")] = np.arange(len(slots)) - np.repeat(first, counts)
-    return k
+    k[by_slot] = np.arange(len(slots)) - np.repeat(first, counts)
+    return k, np.sort(by_slot[first[counts > 0]])
+
+
+def _as_values(a: np.ndarray) -> np.ndarray:
+    """Each vector along the last axis of a C-contiguous array as one bytes value."""
+    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
+
+
+def _common_prefix(a: np.ndarray, b: np.ndarray) -> int:
+    """Length of the longest common prefix of two 1-d arrays."""
+    n = min(len(a), len(b))
+    differ = np.flatnonzero(a[:n] != b[:n])
+    return int(differ[0]) if differ.size else n
 
 
 def _start(w0, d: int, radius: float) -> np.ndarray:
@@ -172,17 +199,68 @@ def _stack_tables(tables: dict, zeros: np.ndarray) -> tuple:
     return np.concatenate(parts), base
 
 
+def _shared_prefixes(W: np.ndarray, reads: np.ndarray, patterns: list,
+                     pattern_of: np.ndarray, ranked: list) -> tuple:
+    """(parent, shared) per row: the earliest earlier row with the longest run of equal steps.
+
+    Two rows take the same steps 1..L when they start from the same iterate, follow the
+    same slot sequence through step L, and each slot first used by then has the same
+    reads (``reads[row, slot]``: tables, offsets and rate). ``ranked[pattern]`` lists a
+    pattern's slots and the steps at which each is first used. Rows whose w0 or first
+    read differ share nothing, so only rows alike in both are looked at together. Within
+    such a group each row registers, per pattern, the reads of its first r slots, and a
+    later row walks those entries, so no two rows are compared. ``shared`` is the
+    prefix length (0, with parent -1, for a row that shares nothing).
+    """
+    n_rows = len(W)
+    parent, shared = np.full(n_rows, -1), np.zeros(n_rows, dtype=np.intp)
+    lead = np.array([used[0] if used else -1 for used, _ in ranked])[pattern_of]
+    groups: dict = {}
+    for i, key in enumerate(zip(lead.tolist(), reads[np.arange(n_rows), lead].tolist(),
+                                _as_values(W).tolist())):
+        groups.setdefault(key, []).append(i)
+    common: dict = {}       # (pattern, pattern) -> common prefix of their slot sequences
+    for (first_slot, _, _), members in groups.items():
+        if len(members) < 2 or first_slot < 0:
+            continue
+        seen: dict = {}     # (pattern, reads of its first r slots) -> earliest such row
+        met = []            # the patterns of the group's rows so far
+        for j, q, row_reads in zip(members, pattern_of[members].tolist(),
+                                   reads[members].tolist()):
+            used, at = ranked[q]
+            mine = tuple(row_reads[s] for s in used)
+            best = (0, 0)   # (prefix, -row): the longest prefix, then the earliest row
+            for p in met:
+                if (p, q) not in common:
+                    common[p, q] = _common_prefix(patterns[p], patterns[q])
+                end = common[p, q]
+                # The slots first used before the sequences part are the same for both.
+                usable, depth = sum(t < end for t in at), 1
+                while depth < usable and (p, mine[:depth + 1]) in seen:
+                    depth += 1
+                best = max(best, (end if depth == usable else at[depth], -seen[p, mine[:depth]]))
+            if best[0]:
+                shared[j], parent[j] = best[0], -best[1]
+            if q not in met:
+                met.append(q)
+            for depth in range(1, len(mine) + 1):
+                seen.setdefault((q, mine[:depth]), j)
+    return parent, shared
+
+
 def run_batch(rows: Sequence[Row], radius: float,
               snapshot_stride: Optional[int] = None) -> list:
     """Advance every row's run together; return one Trajectory per row, in order.
 
     All oracles of a batch share lam, loss, batch size and dimension.
-    ``snapshot_stride`` keeps iterates every that many steps and at each
-    row's last step.
+    ``snapshot_stride``, an integer >= 1, keeps iterates every that many steps
+    and at each row's last step.
     """
     rows = list(rows)
     if not radius > 0:
         raise ValueError("radius must be positive")
+    if snapshot_stride is not None and not (is_integer(snapshot_stride) and snapshot_stride >= 1):
+        raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
     if not rows:
         return []
     oracles = list({id(o): o for r in rows for o in r.oracles}.values())
@@ -194,12 +272,9 @@ def run_batch(rows: Sequence[Row], radius: float,
                 (lam, objective.loss, b, d):
             raise ValueError("the oracles of one batch must share lam, loss, batch size and d")
 
+    n_rows = len(rows)
     lengths = np.array([len(r.schedule.slots) for r in rows])
-    order = np.argsort(-lengths, kind="stable")     # longest first: active rows are a prefix
-    rows = [rows[i] for i in order]
-    lengths = lengths[order]
-    n_rows, T = len(rows), int(lengths[0])
-    n_active = np.searchsorted(-lengths, -np.arange(T + 2), side="right")
+    T = int(lengths.max())
 
     # Examples: the distinct datasets stacked once, each example signed by its label in
     # place (u = -y*x), and each oracle's permutation into them.
@@ -232,7 +307,7 @@ def run_batch(rows: Sequence[Row], radius: float,
         starts = r.starts if r.starts is not None else (0,) * len(sched.ids)
         if not len(r.oracles) == len(starts) == len(sched.ids):
             raise ValueError("need one oracle and one start per schedule slot")
-        if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in starts):
+        if not all(is_integer(k) and k >= 0 for k in starts):
             raise ValueError(f"starts must be non-negative integers, got {starts}")
         counts = sched.counts()
         for s, (o, c, start, used) in enumerate(zip(r.oracles, sched.rates, starts, counts)):
@@ -247,109 +322,130 @@ def run_batch(rows: Sequence[Row], radius: float,
                 flip_at[i, s] = flip_base[id(o)] + start
                 sigma_at[i, s] = o.spec.sigma
         pattern_of[i] = patterns.setdefault(sched.slots.tobytes(), (len(patterns), sched.slots))[0]
+    patterns = [slots for _, slots in patterns.values()]
     slot_tab = np.zeros((T, len(patterns)), dtype=np.intp)
     step_tab = np.zeros((T, len(patterns)), dtype=np.intp)
-    for p, slots in patterns.values():
+    ranked = []
+    for p, slots in enumerate(patterns):
         slot_tab[:len(slots), p] = slots
-        step_tab[:len(slots), p] = _within_slot_steps(slots)
-    ex_at, noise_at, flip_at = ex_at.ravel(), noise_at.ravel(), flip_at.ravel()
-    rate_at, sigma_at = rate_at.ravel(), sigma_at.ravel()
+        step_tab[:len(slots), p], first = _within_slot_steps(slots)
+        ranked.append((slots[first].tolist(), first.tolist()))
 
     W = np.zeros((n_rows, d))
     for i, r in enumerate(rows):
         if r.w0 is not None:
             W[i] = _start(r.w0, d, radius)
 
+    # A row whose first steps are an earlier row's takes over that row's state there and
+    # steps from its own first step on (none, if it shares all of its steps). What a slot
+    # reads is its tables' offsets and its rate, as one value (a flip offset names the
+    # oracle, so its sigma too).
+    reads = _as_values(np.stack([ex_at, noise_at, flip_at, rate_at.view(np.intp)], axis=2))
+    parent, shared = _shared_prefixes(W, reads, patterns, pattern_of, ranked)
+    own = shared + 1
+    ex_at, noise_at, flip_at = ex_at.ravel(), noise_at.ravel(), flip_at.ravel()
+    rate_at, sigma_at = rate_at.ravel(), sigma_at.ravel()
+
     iterates = [[] for _ in rows] if snapshot_stride is not None else None
     projected = np.zeros(n_rows, dtype=np.intp)
 
-    # Step buffers, made once: a step writes into their first R rows. The update goes into
-    # the spare iterate buffer, which then swaps roles with the iterate's.
+    # Step buffers, made once: a span's R active rows are copied into the first R rows of
+    # the iterate buffer, and a step writes into the first R rows of each. The update goes
+    # into the spare iterate buffer, which then swaps roles with the iterate's.
     loss, bounded = objective.loss, math.isfinite(radius)
     scales_buf = np.ones((n_rows, b))       # linear loss: the scales stay 1.0
     grad_buf, spare = np.empty((n_rows, d)), np.empty((n_rows, d))
-    sq_buf = np.empty(n_rows)
+    iterate_buf, sq_buf = np.empty((n_rows, d)), np.empty(n_rows)
 
-    active = n_active.tolist()
     row_bytes = 8 * (b * (d + 3) + 2 * d + 4)   # one row's gathers for one step
     offsets = np.arange(b)
     step_no = np.arange(1, T + 1)[:, None]
-    t0, R = 1, -1
-    while t0 <= T:
-        # Steps t0 .. t0+C-1 advance the same R rows (a chunk ends where a row does), and
-        # everything they read that does not depend on W is gathered at once.
-        if active[t0] != R:
-            R = active[t0]
-            pats, row_base = pattern_of[:R], np.arange(R) * S
-            M, G, sq, hits = scales_buf[:R], grad_buf[:R], sq_buf[:R], projected[:R]
-        C = min(int(lengths[R - 1]) + 1 - t0, max(1, CHUNK_BYTES // (R * row_bytes)))
-        steps = slice(t0 - 1, t0 - 1 + C)
-        k = step_tab[steps, pats]
-        rs = row_base + slot_tab[steps, pats]
-        # np.take copies the same bytes as fancy indexing, in about half the time.
-        Uc = np.take(U, np.take(examples, (ex_at[rs] + k * b)[..., None] + offsets), axis=0)
-        U1c = Uc[:, :, 0]
-        if rcn:
-            f_c = np.where(np.take(flips, flip_at[rs] + k, axis=0), -1.0, 1.0)
-            sigma_c = sigma_at[rs][..., None]
-            keep_c, denom_c = 1.0 - sigma_c, 1.0 - 2.0 * sigma_c
-        noise_c = np.take(noise, noise_at[rs] + k, axis=0)
-        # Each row's step size repeated along d, so that the step multiplies equal shapes.
-        eta_c = np.repeat((rate_at[rs] / step_no[steps])[..., None], d, axis=2)
-        Wa = home = W[:R]
-        V = spare[:R]
-        for j, t in enumerate(range(t0, t0 + C)):
-            Ub = Uc[j]
-            if rcn:
-                s = rcn_scales(objective, np.einsum("rbd,rd->rb", Ub, Wa, out=M), f_c[j],
-                               keep_c[j], sigma_c[j], denom_c[j])
-            elif loss == "logistic":
-                s = expit(np.einsum("rbd,rd->rb", Ub, Wa, out=M), out=M)
-            elif loss == "hinge":
-                s = margin_scales(objective, np.einsum("rbd,rd->rb", Ub, Wa, out=M))
-            else:
-                s = M
-            # At b=1 the product differs from einsum's sum only in the sign of an exact
-            # zero, which the noise term (+0.0 where there is none) erases.
-            if b == 1:
-                np.multiply(s, U1c[j], out=G)
-            else:
-                np.divide(np.einsum("rb,rbd->rd", s, Ub, out=G), b, out=G)
-            # V = Wa - eta * ((lam * Wa + g) + noise), one operation at a time.
-            np.multiply(Wa, lam, out=V)
-            V += G
-            V += noise_c[j]
-            V *= eta_c[j]
-            np.subtract(Wa, V, out=V)
-            if bounded:
-                # A correctly rounded sqrt is monotone, so this is "every row inside";
-                # NaN fails it. Rows inside would be scaled by exactly 1.0, so a step that
-                # passes leaves V as it is; one that fails scales it and checks it.
-                np.einsum("rd,rd->r", V, V, out=sq)
-                if not math.sqrt(np.maximum.reduce(sq)) <= radius:
-                    hits += scale_into_ball(V, sq, radius)
-                    if np.isnan(V).any():
-                        raise InfeasibleIterate(f"a run's iterate became non-finite at step {t}")
+    # Rows start or end only at these steps, so between two of them the active rows
+    # (those whose own steps include that span) are a fixed set.
+    bounds = np.unique(np.concatenate([own, lengths + 1, [1, T + 1]])).tolist()
+    for t0, t1 in zip(bounds, bounds[1:] + [None]):
+        for i in np.flatnonzero((own == t0) & (parent >= 0)).tolist():
+            p, L = int(parent[i]), int(shared[i])
+            W[i], projected[i] = W[p], projected[p]
             if iterates is not None:
-                due = range(R) if t % snapshot_stride == 0 else range(active[t + 1], R)
-                for i in due:
-                    iterates[i].append((t, V[i].copy()))
-            Wa, V = V, Wa
-        if Wa is not home:
-            home[...] = Wa
-        t0 += C
+                # The parent's snapshots through step L, less the one it keeps as its last.
+                iterates[i] = [(t, w.copy()) for t, w in iterates[p] if t % snapshot_stride == 0]
+                if L == lengths[i] and L % snapshot_stride:
+                    iterates[i].append((L, W[i].copy()))
+        if t1 is None:
+            break
+        idx = np.flatnonzero((own <= t0) & (t0 <= lengths))
+        R, rows_at = len(idx), idx.tolist()
+        pats, row_base = pattern_of[idx], idx * S
+        M, G, sq, hits = scales_buf[:R], grad_buf[:R], sq_buf[:R], projected[idx]
+        ending = np.flatnonzero(lengths[idx] == t1 - 1).tolist()
+        Wa, V = np.take(W, idx, axis=0, out=iterate_buf[:R]), spare[:R]
+        C = max(1, CHUNK_BYTES // (R * row_bytes))
+        for c0 in range(t0, t1, C):
+            # Everything steps c0 .. c1-1 read that does not depend on W is gathered at once.
+            c1 = min(c0 + C, t1)
+            steps = slice(c0 - 1, c1 - 1)
+            k = step_tab[steps, pats]
+            rs = row_base + slot_tab[steps, pats]
+            # np.take copies the same bytes as fancy indexing, in about half the time.
+            Uc = np.take(U, np.take(examples, (ex_at[rs] + k * b)[..., None] + offsets), axis=0)
+            U1c = Uc[:, :, 0]
+            if rcn:
+                f_c = np.where(np.take(flips, flip_at[rs] + k, axis=0), -1.0, 1.0)
+                sigma_c = sigma_at[rs][..., None]
+                keep_c, denom_c = 1.0 - sigma_c, 1.0 - 2.0 * sigma_c
+            noise_c = np.take(noise, noise_at[rs] + k, axis=0)
+            # Each row's step size repeated along d, so that the step multiplies equal shapes.
+            eta_c = np.repeat((rate_at[rs] / step_no[steps])[..., None], d, axis=2)
+            for j, t in enumerate(range(c0, c1)):
+                Ub = Uc[j]
+                if rcn:
+                    s = rcn_scales(objective, np.einsum("rbd,rd->rb", Ub, Wa, out=M), f_c[j],
+                                   keep_c[j], sigma_c[j], denom_c[j])
+                elif loss == "logistic":
+                    s = expit(np.einsum("rbd,rd->rb", Ub, Wa, out=M), out=M)
+                elif loss == "hinge":
+                    s = margin_scales(objective, np.einsum("rbd,rd->rb", Ub, Wa, out=M))
+                else:
+                    s = M
+                # At b=1 the product differs from einsum's sum only in the sign of an exact
+                # zero, which the noise term (+0.0 where there is none) erases.
+                if b == 1:
+                    np.multiply(s, U1c[j], out=G)
+                else:
+                    np.divide(np.einsum("rb,rbd->rd", s, Ub, out=G), b, out=G)
+                # V = Wa - eta * ((lam * Wa + g) + noise), one operation at a time.
+                np.multiply(Wa, lam, out=V)
+                V += G
+                V += noise_c[j]
+                V *= eta_c[j]
+                np.subtract(Wa, V, out=V)
+                if bounded:
+                    # A correctly rounded sqrt is monotone, so this is "every row inside";
+                    # NaN fails it. Rows inside would be scaled by exactly 1.0, so a step that
+                    # passes leaves V as it is; one that fails scales it and checks it.
+                    np.einsum("rd,rd->r", V, V, out=sq)
+                    if not math.sqrt(np.maximum.reduce(sq)) <= radius:
+                        hits += scale_into_ball(V, sq, radius)
+                        if np.isnan(V).any():
+                            raise InfeasibleIterate(
+                                f"a run's iterate became non-finite at step {t}")
+                if iterates is not None:
+                    due = range(R) if t % snapshot_stride == 0 else ending if t == t1 - 1 else ()
+                    for r in due:
+                        iterates[rows_at[r]].append((t, V[r].copy()))
+                Wa, V = V, Wa
+        W[idx], projected[idx] = Wa, hits
 
     bad = ~(norms(W) <= radius * (1.0 + 1e-9))
     if bad.any():
         raise InfeasibleIterate(f"{int(bad.sum())} of {n_rows} runs ended outside the ball "
                                 f"of radius {radius} or non-finite")
 
-    out = [None] * n_rows
-    for i, j in enumerate(order):
-        out[j] = Trajectory(final_w=W[i].copy(), steps=int(lengths[i]),
-                            projected=int(projected[i]),
-                            iterates=iterates[i] if iterates is not None else None)
-    return out
+    return [Trajectory(final_w=W[i].copy(), steps=int(lengths[i]), projected=int(projected[i]),
+                       shared=int(shared[i]),
+                       iterates=iterates[i] if iterates is not None else None)
+            for i in range(n_rows)]
 
 
 def check_budgets(rows: Sequence[Row]) -> None:

@@ -316,7 +316,7 @@ def test_budget_overrun_rejected():
         run_batch([Row(row.schedule, row.oracles, starts=(1, 0))], 1.0)
 
 
-@pytest.mark.parametrize("start", [-1, 0.5])
+@pytest.mark.parametrize("start", [-1, 0.5, True])
 def test_negative_or_fractional_start_rejected(start):
     obj = ObjectiveSpec(lam=1.0, loss="linear")
     oracle = GradientOracle(OracleSpec("gaussian", budget=12, rng_seed=1, noise_sq=1.0), obj,

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hetsgd.cli import main as cli_main
-from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, c2_sweep_details,
+from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, _setup, c2_sweep_details,
                                 emit_csv, emit_plotdata, load_dataset, order_experiment_details,
                                 read_csv_rows, run_c2_sweep, run_order_experiment,
                                 run_strategy_comparison, strategy_comparison_details)
@@ -99,6 +99,20 @@ class TestConfig:
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig.from_dict({"data": data})
         ExperimentConfig.from_dict({"data": {"project_to": None}})
+
+    @pytest.mark.parametrize("overrides,key", [({"trials": True}, "trials"),
+                                               ({"c2_grid_points": True}, "c2_grid_points"),
+                                               ({"data": {"n": True}}, "data.n"),
+                                               ({"oracles": {"batch_size": True}}, "batch_size")])
+    def test_bool_counts_rejected(self, overrides, key):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict(overrides)
+
+    @pytest.mark.parametrize("seed", [1.5, -3, "x", True, None])
+    def test_master_seed_must_be_a_nonnegative_integer(self, seed):
+        with pytest.raises(ValueError, match="master_seed"):
+            ExperimentConfig.from_dict({"master_seed": seed})
+        assert ExperimentConfig.from_dict({"master_seed": np.int64(7)}).master_seed == 7
 
     @pytest.mark.parametrize("strategies", [(), ("CleanOnly", "CleanOnly")])
     def test_empty_or_repeated_strategies_rejected(self, strategies):
@@ -243,6 +257,21 @@ class TestC2Sweep:
         assert any(f > 0.0 for f in fractions.values())
         assert projection["active"] and not projection["assumes_inactive"]
         assert not projection["violated"]
+
+    def test_meta_counts_the_row_steps_taken_over(self, tmp_path):
+        # Noisy first, every TwoRate row of a trial after the first takes over the noisy
+        # phase (c1 = 1/lam whatever c2 is); CleanOnly starts on the other source.
+        cfg = small_config(tmp_path, c2_grid_points=4, trials=3)
+        rows = run_c2_sweep(cfg)
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        assert meta["c2_markers"]["order"] == "noisy_first"
+        steps = _setup(cfg, 1).steps
+        clean, noisy = steps["clean_data"], steps["noisy_data"]
+        two_rate = sum(1 for r in rows if r.strategy == "TwoRate")
+        engine = meta["engine"]
+        assert engine["calls"] >= 1 and engine["rows"] == cfg.trials * (two_rate + 1)
+        assert engine["row_steps"] == cfg.trials * (two_rate * (noisy + clean) + clean)
+        assert engine["shared_row_steps"] == cfg.trials * (two_rate - 1) * noisy > 0
 
 
 @pytest.mark.parametrize("details", [order_experiment_details, strategy_comparison_details,

@@ -161,7 +161,9 @@ class TestOracleSpec:
 
     @pytest.mark.parametrize("kw,field", [({"budget": 3.5}, "budget"),
                                           ({"budget": np.float64(4)}, "budget"),
-                                          ({"budget": 4, "batch_size": 1.5}, "batch_size")])
+                                          ({"budget": 4, "batch_size": 1.5}, "batch_size"),
+                                          ({"budget": True}, "budget"),
+                                          ({"budget": 4, "batch_size": True}, "batch_size")])
     def test_non_integer_budget_or_batch_size_rejected(self, kw, field):
         with pytest.raises(ValueError, match=field):
             OracleSpec("clean", **kw)

@@ -82,7 +82,7 @@ class TestTwoPhaseBound:
         with pytest.raises(ValueError, match="finite"):
             BoundInputs(*args)
 
-    @pytest.mark.parametrize("T", [1.5, 10.0, 0, -3])
+    @pytest.mark.parametrize("T", [1.5, 10.0, 0, -3, True])
     def test_non_integer_or_nonpositive_horizon_rejected(self, T):
         with pytest.raises(ValueError, match="T must be a positive integer"):
             BoundInputs(1.0, 1.0, 0.5, 1.0, T)
