@@ -304,9 +304,11 @@ class RunReport:
     and rate planning), oracles (building each trial's oracles and rows),
     engine, scoring and emission. ``lap(stage)`` charges the time since the
     previous lap to a stage. ``projection`` holds, per (strategy, sweep value),
-    the row-steps on which the projection scaled a run and all its row-steps.
-    ``engine`` counts the engine calls, their rows, the rows' steps and the
-    steps a row took over from another row's run (``Trajectory.shared``).
+    the row-steps on which the projection scaled a run, all its row-steps and
+    the last step on which it scaled one (0: none). ``engine`` counts the
+    engine calls, their rows, the rows' steps, the steps a row took over from
+    another row's run (``Trajectory.shared``) and the row-steps on which the
+    exact inside-ball test ran (``Trajectory.checked``).
     ``assumes_inactive`` says that the driver's verdict assumes runs the
     projection never touches.
     """
@@ -317,7 +319,8 @@ class RunReport:
         self.assumes_inactive = assumes_inactive
         self.timing = dict.fromkeys(self.STAGES, 0.0)
         self.projection: dict = {}
-        self.engine = dict.fromkeys(("calls", "rows", "row_steps", "shared_row_steps"), 0)
+        self.engine = dict.fromkeys(("calls", "rows", "row_steps", "shared_row_steps",
+                                     "checked_row_steps"), 0)
         self.started = self._last = time.perf_counter()
 
     def lap(self, stage: str) -> None:
@@ -331,13 +334,14 @@ class RunReport:
         Activity where the verdict assumes none sets ``violated`` and logs a warning.
         """
         points = [{"strategy": key[0], "sweep_param": float(key[1]),
-                   "active_frac": hit / steps if steps else 0.0}
-                  for key, (hit, steps) in self.projection.items()]
+                   "active_frac": hit / steps if steps else 0.0, "last_active_step": last}
+                  for key, (hit, steps, last) in self.projection.items()]
         active = any(p["active_frac"] > 0 for p in points)
         if self.assumes_inactive and active:
-            hit, steps = (sum(v) for v in zip(*self.projection.values()))
-            logger.warning("the projection scaled runs on %d of %d row-steps; the verdict "
-                           "assumes it never does", hit, steps)
+            hit, steps, _ = (sum(v) for v in zip(*self.projection.values()))
+            logger.warning("the projection scaled runs on %d of %d row-steps, the last at step "
+                           "%d; the verdict assumes it never does", hit, steps,
+                           max(p["last_active_step"] for p in points))
         return {"timing": {f"{stage}_s": t for stage, t in self.timing.items()},
                 "engine": dict(self.engine),
                 "projection": {"points": points, "active": active,
@@ -375,13 +379,15 @@ def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
         engine["rows"] += len(trajectories)
         engine["row_steps"] += sum(t.steps for t in trajectories)
         engine["shared_row_steps"] += sum(t.shared for t in trajectories)
+        engine["checked_row_steps"] += sum(t.checked for t in trajectories)
         trajectories = iter(trajectories)
         for key, rows in block:
             group = [next(trajectories) for _ in rows]
             values.setdefault(key, []).append(score(group))
-            counts = report.projection.setdefault(key, [0, 0])
+            counts = report.projection.setdefault(key, [0, 0, 0])
             counts[0] += sum(t.projected for t in group)
             counts[1] += sum(t.steps for t in group)
+            counts[2] = max(counts[2], *(t.last_projected for t in group))
         report.lap("scoring")
         block, size = [], 0
     return {key: np.array(v) for key, v in values.items()}
@@ -547,10 +553,14 @@ def order_experiment_details(cfg: ExperimentConfig, report: Optional[RunReport] 
     _, noisy_level, _ = _levels(cfg)
     s = _setup(cfg, len(c_grid))
 
+    # Clean first and noisy first depend only on c, so every trial shares their schedules.
+    blocks = {(name, c): _two_phase("clean_first" if name == "CF" else "noisy_first", c, c,
+                                    s.obj).schedule(s.steps)
+              for name in strategies if name != "AO" for c in c_grid}
+
     def schedule(name: str, c: float, seed_ao: int) -> Schedule:
         if name != "AO":
-            return _two_phase("clean_first" if name == "CF" else "noisy_first", c, c,
-                              s.obj).schedule(s.steps)
+            return blocks[name, c]
         # Arbitrary order: the clean and noisy steps shuffled by the trial's pattern seed.
         slots = np.repeat([0, 1], [s.steps["clean_data"], s.steps["noisy_data"]])
         np.random.default_rng(seed_ao).shuffle(slots)

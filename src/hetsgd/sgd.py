@@ -31,13 +31,31 @@ first R rows of each (the span's R rows): the margins, then the scales, into
 one (rows, b) buffer; the gradient into a (rows, d) buffer; the update into
 the spare (rows, d) iterate buffer, which then swaps roles with the
 iterate's; and the squared row norms into a (rows,) buffer. A logistic step at
-batch size 1 is 10 array calls (the margin einsum, expit, the gradient
-product, five for the update, the squared-norm einsum and its max) and
-allocates nothing. The inside-ball test and the scaling share those squared
-norms: a step whose largest row norm is within the radius leaves the update as
-it is, and only a step that fails the test scales rows
-(``core.scale_into_ball``), counts them in ``Trajectory.projected`` and checks
-that no row became non-finite, naming the step if one did.
+batch size 1 is 8 array calls (the margin einsum, expit, the gradient product
+and five for the update) and allocates nothing; a step that runs the exact
+inside-ball test adds 2 (the squared-norm einsum and its max). The test and
+the scaling share those squared norms: a step whose largest row norm is within
+the radius leaves the update as it is, and only a step that fails the test
+scales rows (``core.scale_into_ball``), counts them in
+``Trajectory.projected`` and ``Trajectory.last_projected`` and checks that no
+row became non-finite, naming the step if one did.
+
+Most steps need no test, because a running bound n on the span's largest row
+norm already places every row inside the ball. The update is
+V = (1 - eta*lam) W - eta (g + z) with eta = c/t, so
+||V|| <= max |1 - eta*lam| * n + max eta * (||g|| + ||z||) over the span's
+rows. |1 - c*lam/t| is convex in c, so its largest value is at the span's
+least or largest rate; ||g|| is at most the largest signed-example norm times
+the largest scale (1, or 1/(1 - 2 sigma) under label flips); and ||z|| is at
+most the largest norm in the noise table. These are scalars per span, padded
+to dominate rounding (``_norm_bounds``), so a step costs one float
+multiply-add and one compare. When n is within radius * (1 - 1e-9) (and
+1e150), the exact test would leave V as it is, so skipping it changes no byte
+and no ``projected`` count. The first step of a span and each step the bound
+cannot place inside run the test, and n restarts from the norms it computes.
+A NaN or infinite table norm gives a bound that never passes, so a non-finite
+row still raises ``InfeasibleIterate`` naming its step. ``Trajectory.checked``
+counts a row's own steps on which the test ran.
 
 A row names a ``Schedule`` (the oracle slot serving each step and each
 slot's rate constant), the oracles behind its slots, and whether it is the
@@ -153,6 +171,8 @@ class Trajectory:
     steps: int
     projected: int = 0                       # steps on which the projection scaled this run
     shared: int = 0                          # leading steps taken over from another row's run
+    checked: int = 0                         # own steps on which the exact inside-ball test ran
+    last_projected: int = 0                  # last step the projection scaled this run (0: none)
     iterates: Optional[list] = None          # [(t, w_{t+1}) ...] at the snapshot stride
 
 
@@ -197,6 +217,24 @@ def _stack_tables(tables: dict, zeros: np.ndarray) -> tuple:
         parts.append(table)
         n += len(table)
     return np.concatenate(parts), base
+
+
+def _norm_bounds(t0: int, t1: int, c_lo: float, c_hi: float, lam: float, reach: float,
+                 eps: float) -> tuple:
+    """(a, e), arrays over steps t0 .. t1-1: each step's update of a row keeps ||V|| <= a*||W|| + e.
+
+    The update is V = W - eta*((lam*W + g) + z) = (1 - eta*lam) W - eta (g + z) with
+    eta = c/t, c in [c_lo, c_hi] and ||g|| + ||z|| <= reach. |1 - c*lam/t| is convex in c,
+    so its largest value is at c_lo or c_hi. ``eps`` bounds the relative rounding of one
+    step and of the norms it starts from; the absolute 1e-300 covers subnormal results.
+    Overflow gives inf and a NaN reach gives NaN, and neither lets a bound pass a test.
+    """
+    t = np.arange(t0, t1, dtype=np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = c_lo * lam / t, c_hi * lam / t
+        a = np.maximum(np.abs(1.0 - lo), np.abs(1.0 - hi)) + eps * (1.0 + hi)
+        e = c_hi / t * reach * (1.0 + eps) + 1e-300
+    return a, e
 
 
 def _shared_prefixes(W: np.ndarray, reads: np.ndarray, patterns: list,
@@ -300,6 +338,7 @@ def run_batch(rows: Sequence[Row], radius: float,
     flip_at = np.zeros((n_rows, S), dtype=np.intp)
     rate_at = np.ones((n_rows, S))
     sigma_at = np.zeros((n_rows, S))
+    c_lo, c_hi = np.empty(n_rows), np.empty(n_rows)       # each row's extreme rate constants
     patterns: dict = {}
     pattern_of = np.empty(n_rows, dtype=np.intp)
     for i, r in enumerate(rows):
@@ -310,6 +349,7 @@ def run_batch(rows: Sequence[Row], radius: float,
         if not all(is_integer(k) and k >= 0 for k in starts):
             raise ValueError(f"starts must be non-negative integers, got {starts}")
         counts = sched.counts()
+        c_lo[i], c_hi[i] = min(sched.rates), max(sched.rates)
         for s, (o, c, start, used) in enumerate(zip(r.oracles, sched.rates, starts, counts)):
             if start + used > o.steps_total:
                 raise BudgetExhausted(f"oracle {sched.ids[s]!r} serves {o.steps_total} batches, "
@@ -344,10 +384,16 @@ def run_batch(rows: Sequence[Row], radius: float,
     parent, shared = _shared_prefixes(W, reads, patterns, pattern_of, ranked)
     own = shared + 1
     ex_at, noise_at, flip_at = ex_at.ravel(), noise_at.ravel(), flip_at.ravel()
+    # What bounds one step's move (see _norm_bounds): a row's loss gradient is at most
+    # s_max * u_max, its scales being at most 1, or 1 / (1 - 2 sigma) under label flips,
+    # and its noise at most z_max; u_max and z_max are the largest table norms.
+    s_max = 1.0 / (1.0 - 2.0 * sigma_at.max(axis=1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        u_max, z_max = (math.sqrt(np.einsum("nd,nd->n", a, a).max()) for a in (U, noise))
     rate_at, sigma_at = rate_at.ravel(), sigma_at.ravel()
 
     iterates = [[] for _ in rows] if snapshot_stride is not None else None
-    projected = np.zeros(n_rows, dtype=np.intp)
+    projected, last_projected, checked = (np.zeros(n_rows, dtype=np.intp) for _ in range(3))
 
     # Step buffers, made once: a span's R active rows are copied into the first R rows of
     # the iterate buffer, and a step writes into the first R rows of each. The update goes
@@ -356,6 +402,14 @@ def run_batch(rows: Sequence[Row], radius: float,
     scales_buf = np.ones((n_rows, b))       # linear loss: the scales stay 1.0
     grad_buf, spare = np.empty((n_rows, d)), np.empty((n_rows, d))
     iterate_buf, sq_buf = np.empty((n_rows, d)), np.empty(n_rows)
+    # A bound n >= a span's largest row norm passes a step when its rows must all be inside
+    # the ball, also as the test computes their norms. One step rounds by at most about
+    # b + 8 units of 2**-53 (relative), a computed norm by d + 3, and eps is 2**13 times
+    # their sum; a norm up to 1e150 cannot overflow its square. n restarts from the norms
+    # each test computes.
+    eps = (b + d + 8) * 2.0 ** -40
+    grow = 1.0 + eps
+    inside = min(radius * (1.0 - 1e-9) / grow, 1e150)
 
     row_bytes = 8 * (b * (d + 3) + 2 * d + 4)   # one row's gathers for one step
     offsets = np.arange(b)
@@ -366,7 +420,7 @@ def run_batch(rows: Sequence[Row], radius: float,
     for t0, t1 in zip(bounds, bounds[1:] + [None]):
         for i in np.flatnonzero((own == t0) & (parent >= 0)).tolist():
             p, L = int(parent[i]), int(shared[i])
-            W[i], projected[i] = W[p], projected[p]
+            W[i], projected[i], last_projected[i] = W[p], projected[p], last_projected[p]
             if iterates is not None:
                 # The parent's snapshots through step L, less the one it keeps as its last.
                 iterates[i] = [(t, w.copy()) for t, w in iterates[p] if t % snapshot_stride == 0]
@@ -380,6 +434,10 @@ def run_batch(rows: Sequence[Row], radius: float,
         M, G, sq, hits = scales_buf[:R], grad_buf[:R], sq_buf[:R], projected[idx]
         ending = np.flatnonzero(lengths[idx] == t1 - 1).tolist()
         Wa, V = np.take(W, idx, axis=0, out=iterate_buf[:R]), spare[:R]
+        if bounded:
+            a_span, e_span = _norm_bounds(t0, t1, c_lo[idx].min(), c_hi[idx].max(), lam,
+                                          s_max[idx].max() * u_max + z_max, eps)
+            n, checks, last = math.inf, 0, last_projected[idx]
         C = max(1, CHUNK_BYTES // (R * row_bytes))
         for c0 in range(t0, t1, C):
             # Everything steps c0 .. c1-1 read that does not depend on W is gathered at once.
@@ -397,6 +455,8 @@ def run_batch(rows: Sequence[Row], radius: float,
             noise_c = np.take(noise, noise_at[rs] + k, axis=0)
             # Each row's step size repeated along d, so that the step multiplies equal shapes.
             eta_c = np.repeat((rate_at[rs] / step_no[steps])[..., None], d, axis=2)
+            if bounded:
+                a_c, e_c = a_span[c0 - t0:c1 - t0].tolist(), e_span[c0 - t0:c1 - t0].tolist()
             for j, t in enumerate(range(c0, c1)):
                 Ub = Uc[j]
                 if rcn:
@@ -421,21 +481,32 @@ def run_batch(rows: Sequence[Row], radius: float,
                 V *= eta_c[j]
                 np.subtract(Wa, V, out=V)
                 if bounded:
-                    # A correctly rounded sqrt is monotone, so this is "every row inside";
-                    # NaN fails it. Rows inside would be scaled by exactly 1.0, so a step that
-                    # passes leaves V as it is; one that fails scales it and checks it.
-                    np.einsum("rd,rd->r", V, V, out=sq)
-                    if not math.sqrt(np.maximum.reduce(sq)) <= radius:
-                        hits += scale_into_ball(V, sq, radius)
-                        if np.isnan(V).any():
-                            raise InfeasibleIterate(
-                                f"a run's iterate became non-finite at step {t}")
+                    n = a_c[j] * n + e_c[j]
+                    if not n <= inside:
+                        # The exact test. A correctly rounded sqrt is monotone, so this is
+                        # "every row inside"; NaN fails it. Rows inside would be scaled by
+                        # exactly 1.0, so a step that passes leaves V as it is (as does one
+                        # the bound passes); one that fails scales it and checks it.
+                        np.einsum("rd,rd->r", V, V, out=sq)
+                        top, checks = math.sqrt(np.maximum.reduce(sq)), checks + 1
+                        if not top <= radius:
+                            scaled = scale_into_ball(V, sq, radius)
+                            hits += scaled
+                            last[scaled] = t
+                            if np.isnan(V).any():
+                                raise InfeasibleIterate(
+                                    f"a run's iterate became non-finite at step {t}")
+                            top = radius
+                        # Squares below 1e-300 may have lost all accuracy: floor the norm.
+                        n = max(top, 1e-140) * grow
                 if iterates is not None:
                     due = range(R) if t % snapshot_stride == 0 else ending if t == t1 - 1 else ()
                     for r in due:
                         iterates[rows_at[r]].append((t, V[r].copy()))
                 Wa, V = V, Wa
         W[idx], projected[idx] = Wa, hits
+        if bounded:
+            last_projected[idx], checked[idx] = last, checked[idx] + checks
 
     bad = ~(norms(W) <= radius * (1.0 + 1e-9))
     if bad.any():
@@ -443,7 +514,8 @@ def run_batch(rows: Sequence[Row], radius: float,
                                 f"of radius {radius} or non-finite")
 
     return [Trajectory(final_w=W[i].copy(), steps=int(lengths[i]), projected=int(projected[i]),
-                       shared=int(shared[i]),
+                       shared=int(shared[i]), checked=int(checked[i]),
+                       last_projected=int(last_projected[i]),
                        iterates=iterates[i] if iterates is not None else None)
             for i in range(n_rows)]
 

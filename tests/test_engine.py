@@ -227,8 +227,10 @@ def test_a_nan_row_ends_in_infeasible_iterate(radius, chunk_bytes, monkeypatch):
 @pytest.mark.parametrize("kind", ["local_dp", "rcn"])
 @pytest.mark.parametrize("b", [1, 3])
 def test_einsum_calls_per_logistic_step(kind, b, monkeypatch):
-    # One margin einsum and one squared-row-norm einsum per step (plus the gradient's sum
-    # over the batch when b > 1), and one for the final feasibility check.
+    # Every step makes one margin einsum (plus the gradient's sum over the batch when
+    # b > 1). A step the norm bound cannot place inside the ball adds one squared-row-norm
+    # einsum. Each engine call adds three: the largest example and noise norms, and the
+    # final feasibility check. At radius 0.3 the bound places no step inside; at 1e3 most.
     rows = [r for r in mixed_rows("logistic", b) if r.oracles[0].spec.kind == kind]
     steps = max(len(r.schedule.slots) for r in rows)
     einsum, calls = np.einsum, []
@@ -239,7 +241,14 @@ def test_einsum_calls_per_logistic_step(kind, b, monkeypatch):
 
     monkeypatch.setattr(np, "einsum", counted)
     run_batch(rows, 0.3)
-    assert len(calls) == (2 if b == 1 else 3) * steps + 1
+    assert calls.count("rd,rd->r") == steps + 1
+    assert len(calls) == (2 if b == 1 else 3) * steps + 3
+    calls.clear()
+    run_batch(rows, 1e3)
+    assert calls.count("rbd,rd->rb") == steps
+    assert calls.count("rb,rbd->rd") == (0 if b == 1 else steps)
+    assert calls.count("nd,nd->n") == 2
+    assert calls.count("rd,rd->r") - 1 < steps
 
 
 @pytest.mark.parametrize("b", [1, 3])
@@ -251,14 +260,103 @@ def test_projected_counts_the_steps_the_reference_projects(b):
         fresh = fresh if row.noisy else [o.twin() for o in fresh]
         batch = list(row.starts or (0,) * len(fresh))
         w, hits = np.zeros(row.oracles[0].dataset.d) if row.w0 is None else row.w0, 0
+        last = 0
         for t, slot in enumerate(row.schedule.slots, start=1):
             v = w - (row.schedule.rates[slot] / t) * fresh[slot].call(w, batch[slot])
             batch[slot] += 1
             w = project(v, 0.3)
             hits += w is not v
-        assert traj.projected == hits
+            last = t if w is not v else last
+        assert (traj.projected, traj.last_projected) == (hits, last)
     assert any(t.projected for t in trajectories)
     assert all(t.projected == 0 for t in run_batch(rows, 1e3))
+
+
+def bound_rows(loss, b):
+    """mixed_rows, and for each mechanism two rows (noisy and twin) that repeat the first
+    plan's first phase at another second rate."""
+    rows = mixed_rows(loss, b)
+    for first in rows[::15]:        # each mechanism's first plan, noisy
+        steps = {"a": first.oracles[0].steps_total, "b": first.oracles[1].steps_total}
+        other = PhasePlan((("a", 30.0), ("b", 4.0)), 1.0).schedule(steps)
+        rows += [Row(other, first.oracles), Row(other, first.oracles, False)]
+    return rows
+
+
+def aligned_rows(b, flip_rate=0.45, plans=((1.0, 1.0), (3.0, 3.0), (3.0, 1.0))):
+    """Runs over one repeated example u under the linear loss and lam = 1, so that every
+    gradient is u (clean) or +-u / (1 - 2 sigma) (label flips): iterates move along u, and
+    the norm bound is as tight as the flips allow. Rates 3 and 3 then 1 share their first
+    phase. Without flips, runs at rate 1/2 creep towards the norm |u| = 1 from inside."""
+    obj = ObjectiveSpec(lam=1.0, loss="linear")
+    n = 40 * b
+    ds = Dataset(np.tile([0.6, 0.8], (n, 1)), np.ones(n))
+    rows = []
+    for seed in range(4):
+        flips = GradientOracle(OracleSpec("rcn", budget=n, batch_size=b, rng_seed=seed,
+                                          sigma=flip_rate), obj, ds)
+        clean = GradientOracle(OracleSpec("clean", budget=n, batch_size=b, rng_seed=seed),
+                               obj, ds)
+        for rates in plans:
+            sched = Schedule(("a", "b"), rates, np.repeat([0, 1], [20, 20]))
+            rows += [Row(sched, (flips, clean)), Row(sched, (clean, flips)),
+                     Row(sched, (flips, clean), False)]
+    return rows
+
+
+BOUND_CASES = ([(loss, b, 50.0) for loss in ("logistic", "hinge", "linear") for b in (1, 3)]
+               + [(case, b, radius) for case, radius in (("aligned", 3.0), ("creep", 0.9))
+                  for b in (1, 3)])
+
+
+@pytest.mark.parametrize("case,b,radius", BOUND_CASES)
+def test_steps_the_norm_bound_passes_change_no_byte(case, b, radius, monkeypatch):
+    # At lam = 0.1 the rates 30, 25 and 20 of bound_rows have c*lam >= 2, so the first
+    # steps leave the ball of radius 50 and are projected; later the bound places whole
+    # steps inside it. aligned_rows (rates 3 at lam = 1) do the same in a ball of radius 3.
+    # Creeping runs reach the sphere of radius 0.9 late, after steps the bound passed.
+    if case == "aligned":
+        rows = aligned_rows(b)
+    elif case == "creep":
+        rows = aligned_rows(b, 0.0, ((0.5, 0.5), (0.5, 0.25)))
+    else:
+        rows = bound_rows(case, b)
+    bounded = run_batch(rows, radius, snapshot_stride=1)
+    monkeypatch.setattr(sgd, "_norm_bounds",
+                        lambda t0, t1, *rest: (np.ones(t1 - t0), np.full(t1 - t0, np.inf)))
+    exact = run_batch(rows, radius, snapshot_stride=1)
+    for got, want in zip(bounded, exact):
+        assert got.final_w.tobytes() == want.final_w.tobytes()
+        assert [(t, w.tobytes()) for t, w in got.iterates] == \
+            [(t, w.tobytes()) for t, w in want.iterates]
+        assert (got.projected, got.last_projected, got.shared) == \
+            (want.projected, want.last_projected, want.shared)
+        assert got.checked <= want.checked == want.steps - want.shared
+    # Rows that were projected, then had steps the bound passed; and rows taken over.
+    assert any(t.projected and t.checked < t.steps - t.shared for t in bounded)
+    assert any(0 < t.shared < t.steps for t in bounded)
+
+
+@pytest.mark.parametrize("c_lo,c_hi", [(1.0, 1.0), (0.5, 8.0), (3.0, 40.0)])
+def test_norm_bounds_hold_where_the_triangle_inequality_is_tight(c_lo, c_hi):
+    # The update, in the engine's operation order, of W, g and z along one direction, where
+    # ||V|| meets the bound up to rounding: at both ends of the rates and between them, on
+    # steps where c*lam/t is above 2, near 1 and small, with W of either orientation.
+    lam, d = 0.5, 4
+    eps = (1 + d + 8) * 2.0 ** -40          # the engine's eps at b=1
+    a, e = sgd._norm_bounds(1, 80, c_lo, c_hi, lam, 3.0, eps)
+    u = np.full(d, 0.5)
+    g, z = 1.0 * u, 2.0 * u                  # ||g|| + ||z|| = 3
+    for c in (c_lo, (c_lo + c_hi) / 2, c_hi):
+        for t in range(1, 80):
+            eta = np.full(d, c / t)
+            for size in (0.0, 0.1, 1.0, 7.0, 1e3):
+                for W in (size * u, -size * u):
+                    V = W * lam
+                    V += g
+                    V += z
+                    V *= eta
+                    assert np.linalg.norm(W - V) <= a[t - 1] * size + e[t - 1]
 
 
 def test_results_share_no_memory_with_each_other_or_the_engine():

@@ -2,10 +2,12 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from hetsgd import experiments
 from hetsgd.cli import main as cli_main
 from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, _setup, c2_sweep_details,
                                 emit_csv, emit_plotdata, load_dataset, order_experiment_details,
@@ -194,6 +196,44 @@ class TestOrderExperiment:
         assert (out / "meta.json").exists()
         assert sorted(p.name for p in out.glob("plot_*.csv")) == \
             ["plot_AO.csv", "plot_CF.csv", "plot_NF.csv"]
+
+    def test_meta_reports_the_last_active_step_and_the_checked_row_steps(self, tmp_path,
+                                                                         monkeypatch):
+        # At c >= 100 = 1/lam the first steps leave the ball of radius 1/lam. Each trial's
+        # engine rows are, per c and strategy, a run and its twin.
+        cfg = small_config(tmp_path, c_grid=(25.0, 100.0, 400.0), trials=3)
+        calls, run_batch = [], experiments.run_batch
+
+        def recorded(rows, radius, snapshot_stride=None):
+            calls.append(run_batch(rows, radius, snapshot_stride))
+            return calls[-1]
+
+        monkeypatch.setattr(experiments, "run_batch", recorded)
+        run_order_experiment(cfg)
+        meta = json.loads((tmp_path / "out" / "meta.json").read_text())
+        trajectories = [t for call in calls for t in call]
+        keys = [(name, c) for c in cfg.c_grid for name in ("CF", "NF", "AO")]
+        last = dict.fromkeys(keys, 0)
+        for i, key in enumerate(keys * cfg.trials):
+            last[key] = max(last[key], *(t.last_projected for t in trajectories[2 * i:2 * i + 2]))
+        points = meta["projection"]["points"]
+        assert {(p["strategy"], p["sweep_param"]): p["last_active_step"] for p in points} == last
+        assert all((p["last_active_step"] > 0) == (p["active_frac"] > 0) for p in points)
+        steps = _setup(cfg, 1).steps
+        assert 0 < max(last.values()) <= steps["clean_data"] + steps["noisy_data"]
+        engine = meta["engine"]
+        assert engine["checked_row_steps"] == sum(t.checked for t in trajectories)
+        assert 0 < engine["checked_row_steps"] <= engine["row_steps"] - engine["shared_row_steps"]
+
+    def test_the_norm_bound_spares_most_exact_tests_at_the_shipped_config(self, tmp_path):
+        # The inside-ball test runs on at most 30% of the row-steps the engine takes.
+        shipped = Path(__file__).resolve().parent.parent / "configs" / "order_exp.json"
+        cfg = ExperimentConfig.from_dict({**json.loads(shipped.read_text()), "trials": 1,
+                                          "out_dir": str(tmp_path / "out")})
+        run_order_experiment(cfg)
+        engine = json.loads((tmp_path / "out" / "meta.json").read_text())["engine"]
+        assert 0 < engine["checked_row_steps"] <= \
+            0.3 * (engine["row_steps"] - engine["shared_row_steps"])
 
 
 class TestC2Sweep:
