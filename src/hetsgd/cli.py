@@ -6,6 +6,8 @@ Subcommands:
   c2-sweep      final objective vs the second-phase rate
   select-rates  print the chosen order and rates as JSON
   noise-level   print the noise level for given epsilon/sigma/d/batch
+
+Every subcommand takes ``--log-level``; without it logging is left unconfigured.
 """
 from __future__ import annotations
 
@@ -13,7 +15,9 @@ import argparse
 import dataclasses
 import functools
 import json
+import logging
 import sys
+from typing import Optional
 
 from . import experiments
 from .experiments import ExperimentConfig
@@ -26,6 +30,16 @@ from .rates import select_rates
 EXPERIMENTS = {"order-exp": "run_order_experiment",
                "strategy-cmp": "run_strategy_comparison",
                "c2-sweep": "run_c2_sweep"}
+
+
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
+
+
+def _configure_logging(level: Optional[str]) -> None:
+    """Log the package's records at ``level`` and above to stderr; None leaves logging as it is."""
+    if level is not None:
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+        logging.getLogger("hetsgd").setLevel(level.upper())
 
 
 def _add_experiment_args(p: argparse.ArgumentParser) -> None:
@@ -48,12 +62,19 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="hetsgd",
                                      description="SGD with heterogeneous-noise gradient oracles")
     sub = parser.add_subparsers(dest="command", required=True)
+    # Every subcommand takes --log-level.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--log-level", choices=LOG_LEVELS, default=None,
+                        help="log the package's records at this level and above to stderr "
+                             "(default: logging left unconfigured)")
+
+    def add(name: str, **kw) -> argparse.ArgumentParser:
+        return sub.add_parser(name, parents=[common], **kw)
 
     for name in EXPERIMENTS:
-        p = sub.add_parser(name)
-        _add_experiment_args(p)
+        _add_experiment_args(add(name))
 
-    p = sub.add_parser("select-rates", help="order and rate selection from noise levels")
+    p = add("select-rates", help="order and rate selection from noise levels")
     p.add_argument("--lam", type=float, required=True)
     p.add_argument("--beta-c", type=float, required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -64,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, default=None)
     p.add_argument("--batch-size", type=int, default=1)
 
-    p = sub.add_parser("noise-level", help="second-moment bound for one oracle")
+    p = add("noise-level", help="second-moment bound for one oracle")
     p.add_argument("--kind", choices=("dp", "rcn"), required=True)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
@@ -75,6 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    _configure_logging(args.log_level)
 
     if args.command in EXPERIMENTS:
         getattr(experiments, EXPERIMENTS[args.command])(_load_config(args))

@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import Dataset, ObjectiveSpec, full_objective, is_integer
+from .core import LOSSES, Dataset, ObjectiveSpec, full_objective, is_integer
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
 from .oracles import GradientOracle, NoiseLevel, OracleSpec
 from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
@@ -90,20 +90,43 @@ def emit_plotdata(rows: Sequence[ResultRow], out_dir, prefix: str = "plot") -> l
     return paths
 
 
+def _git_dir(root: Path) -> Optional[Path]:
+    """The git directory of a repository rooted at ``root``, or None.
+
+    A worktree or a submodule has a ``.git`` file reading ``gitdir: <path>`` (relative to
+    ``root`` or absolute) in place of the directory.
+    """
+    git = root / ".git"
+    if git.is_file():
+        text = git.read_text(encoding="utf-8").strip()
+        if not text.startswith("gitdir:"):
+            return None
+        git = root / text.split(":", 1)[1].strip()
+    return git if (git / "HEAD").exists() else None
+
+
 def _git_hash(start: Path) -> str:
-    """Commit checked out in the repository holding ``start``, or 'unknown'."""
+    """Commit checked out in the repository holding ``start``, or 'unknown'.
+
+    A worktree's git directory names, in its ``commondir`` file, the directory
+    that holds the branches and ``packed-refs``.
+    """
     for root in (start, *start.parents):
-        git = root / ".git"
-        if not (git / "HEAD").exists():
-            continue
         try:
+            git = _git_dir(root)
+            if git is None:
+                continue
             text = (git / "HEAD").read_text(encoding="utf-8").strip()
             if not text.startswith("ref:"):
                 return text
             ref = text.split(":", 1)[1].strip()
-            if (git / ref).exists():
-                return (git / ref).read_text(encoding="utf-8").strip()
-            packed = git / "packed-refs"
+            common = git
+            if (git / "commondir").exists():
+                common = git / (git / "commondir").read_text(encoding="utf-8").strip()
+            for base in (git, common):
+                if (base / ref).exists():
+                    return (base / ref).read_text(encoding="utf-8").strip()
+            packed = common / "packed-refs"
             if packed.exists():
                 for line in packed.read_text(encoding="utf-8").splitlines():
                     if line.endswith(" " + ref):
@@ -153,9 +176,12 @@ class ProblemConfig:
     radius: Optional[float] = None
 
 
+DATA_KINDS = ("synthetic", "csv", "libsvm")
+
+
 @dataclass(frozen=True)
 class DataConfig:
-    kind: str = "synthetic"          # synthetic | csv | libsvm
+    kind: str = "synthetic"          # one of DATA_KINDS
     d: int = 10
     n: int = 5000
     flip_rate: float = 0.05
@@ -190,6 +216,14 @@ class ExperimentConfig:
     c2_grid_points: int = 12
 
     def __post_init__(self):
+        for what, key, value, allowed in (
+                ("loss", "problem.loss", self.problem.loss, LOSSES),
+                ("data kind", "data.kind", self.data.kind, DATA_KINDS),
+                ("oracle kind", "oracles.kind", self.oracles.kind, tuple(_LEVEL_FIELDS))):
+            if value not in allowed:
+                raise ValueError(f"unknown {what} {value!r} in {key}, expected one of {allowed}")
+        if self.data.kind != "synthetic" and not self.data.path:
+            raise ValueError(f"data.path must name the file of a {self.data.kind} dataset")
         if not 0.0 < self.beta_c < 1.0:
             raise ValueError("beta_c must be in (0, 1)")
         counts = [("trials", self.trials), ("data.n", self.data.n), ("data.d", self.data.d),
@@ -244,10 +278,8 @@ def load_dataset(cfg: ExperimentConfig, data_ss: np.random.SeedSequence) -> Data
         ds = generate_synthetic(SyntheticSpec(dc.d, dc.n, dc.flip_rate), _seed_int(data_seed_ss))
     elif dc.kind == "csv":
         ds = ingest_csv(dc.path)
-    elif dc.kind == "libsvm":
-        ds = ingest_libsvm(dc.path)
     else:
-        raise ValueError(f"unknown data kind {dc.kind!r}")
+        ds = ingest_libsvm(dc.path)
     if dc.project_to is not None and dc.project_to != ds.d:
         ds = random_projection(ds, dc.project_to, _seed_int(proj_ss))
     return ds
@@ -286,8 +318,10 @@ def _setup(cfg: ExperimentConfig, n_sweep: int) -> _Setup:
 
 # Trials are batched into one engine call until the batch holds about this
 # many bytes of noise tables and permutations (each kept twice: per oracle
-# and stacked by the engine) plus one step's example gathers.
-BATCH_BYTES = 2 << 20
+# and stacked by the engine) plus one step's example gathers. At the shipped
+# order-exp config 8 MiB puts about 4 trials into a call; the README gives
+# the measured speed and memory of other budgets.
+BATCH_BYTES = 8 << 20
 
 
 def _batch_bytes(rows: Sequence[Row]) -> int:
@@ -303,12 +337,14 @@ class RunReport:
     ``timing`` holds the wall seconds of each stage: setup (data, split, seeds
     and rate planning), oracles (building each trial's oracles and rows),
     engine, scoring and emission. ``lap(stage)`` charges the time since the
-    previous lap to a stage. ``projection`` holds, per (strategy, sweep value),
-    the row-steps on which the projection scaled a run, all its row-steps and
-    the last step on which it scaled one (0: none). ``engine`` counts the
-    engine calls, their rows, the rows' steps, the steps a row took over from
-    another row's run (``Trajectory.shared``) and the row-steps on which the
-    exact inside-ball test ran (``Trajectory.checked``).
+    previous lap to a stage and returns it. ``projection`` holds, per
+    (strategy, sweep value), the row-steps on which the projection scaled a
+    run, all its row-steps and the last step on which it scaled one (0:
+    none). ``engine`` counts the engine calls, their rows, the rows' steps,
+    the steps a row took over from another row's run (``Trajectory.shared``)
+    and the row-steps on which the exact inside-ball test ran
+    (``Trajectory.checked``), and keeps the most trials one engine call held
+    (``max_trials_per_call``).
     ``assumes_inactive`` says that the driver's verdict assumes runs the
     projection never touches.
     """
@@ -320,13 +356,14 @@ class RunReport:
         self.timing = dict.fromkeys(self.STAGES, 0.0)
         self.projection: dict = {}
         self.engine = dict.fromkeys(("calls", "rows", "row_steps", "shared_row_steps",
-                                     "checked_row_steps"), 0)
+                                     "checked_row_steps", "max_trials_per_call"), 0)
         self.started = self._last = time.perf_counter()
 
-    def lap(self, stage: str) -> None:
+    def lap(self, stage: str) -> float:
         now = time.perf_counter()
-        self.timing[stage] += now - self._last
-        self._last = now
+        seconds, self._last = now - self._last, now
+        self.timing[stage] += seconds
+        return seconds
 
     def meta(self) -> dict:
         """The ``timing``, ``engine`` and ``projection`` blocks of meta.json.
@@ -362,7 +399,7 @@ def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
     report = report or RunReport()
     report.lap("setup")
     values: dict = {}
-    block, size = [], 0
+    block, size, first = [], 0, 0
     for i in range(trials):
         entries = make_trial(i)
         trial_rows = [r for _, rows in entries for r in rows]
@@ -373,13 +410,18 @@ def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
         if size < BATCH_BYTES and i < trials - 1:
             continue
         trajectories = run_batch([r for _, rows in block for r in rows], radius)
-        report.lap("engine")
+        seconds = report.lap("engine")
         engine = report.engine
+        row_steps = sum(t.steps for t in trajectories)
+        logger.info("engine call %d: %d trials (%d-%d), %d rows, %d row-steps, %.3f s",
+                    engine["calls"], i + 1 - first, first, i, len(trajectories), row_steps,
+                    seconds)
         engine["calls"] += 1
         engine["rows"] += len(trajectories)
-        engine["row_steps"] += sum(t.steps for t in trajectories)
+        engine["row_steps"] += row_steps
         engine["shared_row_steps"] += sum(t.shared for t in trajectories)
         engine["checked_row_steps"] += sum(t.checked for t in trajectories)
+        engine["max_trials_per_call"] = max(engine["max_trials_per_call"], i + 1 - first)
         trajectories = iter(trajectories)
         for key, rows in block:
             group = [next(trajectories) for _ in rows]
@@ -389,7 +431,7 @@ def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
             counts[1] += sum(t.steps for t in group)
             counts[2] = max(counts[2], *(t.last_projected for t in group))
         report.lap("scoring")
-        block, size = [], 0
+        block, size, first = [], 0, i + 1
     return {key: np.array(v) for key, v in values.items()}
 
 
@@ -434,10 +476,7 @@ _LEVEL_FIELDS = {"local_dp": "epsilon", "rcn": "sigma"}
 
 def _levels(cfg: ExperimentConfig) -> tuple:
     """(clean level, default noisy level, noisy sweep) of the config's mechanism."""
-    kind = cfg.oracles.kind
-    if kind not in _LEVEL_FIELDS:
-        raise ValueError(f"unknown oracle kind {kind!r}")
-    field_name = _LEVEL_FIELDS[kind]
+    field_name = _LEVEL_FIELDS[cfg.oracles.kind]
     noisy = getattr(cfg.oracles, f"{field_name}_noisy")
     return (getattr(cfg.oracles, f"{field_name}_clean"), noisy,
             tuple(getattr(cfg, f"{field_name}_noisy_sweep") or (noisy,)))

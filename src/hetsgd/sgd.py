@@ -62,7 +62,10 @@ slot's rate constant), the oracles behind its slots, and whether it is the
 noisy run or its noiseless twin. Oracles are read-only tables, so every run
 over one seed shares one table, and ``Row.starts`` lets runs read disjoint slices of one
 oracle. ``PhasePlan`` builds block schedules, and an interleaving is a
-``Schedule`` over shuffled slots. ``check_budgets`` is the rule every run
+``Schedule`` over shuffled slots. A ``Schedule`` derives what the engine
+reads from its slots once, at construction, and ``run_batch`` builds its
+(row, slot) tables from per-oracle arrays, so the setup of a call costs
+array time, not Python time per row. ``check_budgets`` is the rule every run
 keeps: it reads each of its oracles' whole budget. ``run_sgd``,
 ``run_sgd_interleaved``, ``run_paired`` and ``run_paired_interleaved`` exist
 only because perfbench's tracer wraps them by name. Each is one ``run_batch``
@@ -71,7 +74,7 @@ call over whole budgets from batch 0; the package calls none of them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -99,29 +102,57 @@ class Schedule:
     """Which oracle slot serves each step of one run, and each slot's rate constant.
 
     Step t (1-based) calls the oracle of slot ``slots[t-1]`` at rate
-    ``rates[slots[t-1]] / t``; ``ids`` names the slots.
+    ``rates[slots[t-1]] / t``; ``ids`` names the slots. ``slots`` is kept as
+    a read-only copy, so what is derived from it once, at construction (the
+    steps per slot, each step's batch index within its slot, the steps at
+    which the slots are first used and the sequence as one bytes value),
+    cannot go stale.
     """
 
     ids: tuple
     rates: tuple
     slots: np.ndarray
+    # Derived at construction: steps per slot; each step's batch index within its slot;
+    # (the slots in order of first use, the step of each first use); slots as bytes.
+    _counts: np.ndarray = field(init=False, repr=False)
+    _batch: np.ndarray = field(init=False, repr=False)
+    _firsts: tuple = field(init=False, repr=False)
+    _key: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         slots = np.asarray(self.slots)
         if slots.size and slots.dtype.kind not in "iu":
             raise ValueError(f"schedule slots must be integers, got dtype {slots.dtype}")
-        object.__setattr__(self, "slots", slots.astype(np.intp, copy=False))
+        if slots.ndim != 1:
+            raise ValueError(f"schedule slots must be 1-d, got shape {slots.shape}")
+        slots = slots.astype(np.intp)
+        slots.flags.writeable = False
+        object.__setattr__(self, "slots", slots)
         if len(self.ids) != len(self.rates):
             raise ValueError("need one rate per oracle slot")
         for oracle_id, c in zip(self.ids, self.rates):
             if not 0 < c < np.inf:
                 raise NonpositiveRate(f"oracle {oracle_id!r} needs a rate in (0, inf), got {c}")
-        if self.slots.size and not 0 <= self.slots.min() <= self.slots.max() < len(self.ids):
+        if slots.size and not 0 <= slots.min() <= slots.max() < len(self.ids):
             raise ValueError("schedule refers to a slot it does not name")
+        # One pass per slot: its steps, numbered within the slot, and the first of them.
+        counts, batch, firsts = np.zeros(len(self.ids), dtype=np.intp), np.empty_like(slots), []
+        for s in range(len(self.ids)):
+            at = np.flatnonzero(slots == s)
+            counts[s] = len(at)
+            batch[at] = np.arange(len(at))
+            if len(at):
+                firsts.append(int(at[0]))
+        firsts.sort()
+        counts.flags.writeable = batch.flags.writeable = False
+        object.__setattr__(self, "_counts", counts)
+        object.__setattr__(self, "_batch", batch)
+        object.__setattr__(self, "_firsts", (slots[firsts].tolist(), firsts))
+        object.__setattr__(self, "_key", slots.tobytes())
 
     def counts(self) -> np.ndarray:
         """Steps per slot."""
-        return np.bincount(self.slots, minlength=len(self.ids))
+        return self._counts
 
 
 @dataclass(frozen=True)
@@ -176,17 +207,6 @@ class Trajectory:
     iterates: Optional[list] = None          # [(t, w_{t+1}) ...] at the snapshot stride
 
 
-def _within_slot_steps(slots: np.ndarray) -> tuple:
-    """(k, firsts): k[t] = how often slots[t] occurs before t, i.e. the batch index within
-    its oracle, and the (0-based) steps at which a slot is first used, in order."""
-    counts = np.bincount(slots)
-    first = np.cumsum(counts) - counts
-    by_slot = np.argsort(slots, kind="stable")
-    k = np.empty_like(slots)
-    k[by_slot] = np.arange(len(slots)) - np.repeat(first, counts)
-    return k, np.sort(by_slot[first[counts > 0]])
-
-
 def _as_values(a: np.ndarray) -> np.ndarray:
     """Each vector along the last axis of a C-contiguous array as one bytes value."""
     return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
@@ -209,14 +229,16 @@ def _start(w0, d: int, radius: float) -> np.ndarray:
     return w0
 
 
-def _stack_tables(tables: dict, zeros: np.ndarray) -> tuple:
-    """Concatenate keyed tables after a leading block; return (stacked, offset per key)."""
-    base, parts, n = {}, [zeros], len(zeros)
-    for key, table in tables.items():
-        base[key] = n
-        parts.append(table)
-        n += len(table)
-    return np.concatenate(parts), base
+def _stack_tables(tables: Sequence, lead: np.ndarray) -> tuple:
+    """Concatenate tables (None: none) after a leading block; return (stacked, offsets).
+
+    tables[j] starts at offsets[j]; a None entry gets offset 0, the leading block.
+    """
+    present = np.array([t is not None for t in tables], dtype=bool)
+    sizes = [len(t) for t in tables if t is not None]
+    starts = np.zeros(len(tables), dtype=np.intp)
+    starts[present] = len(lead) + np.cumsum(sizes) - sizes
+    return np.concatenate([lead, *(t for t in tables if t is not None)]), starts
 
 
 def _norm_bounds(t0: int, t1: int, c_lo: float, c_hi: float, lam: float, reach: float,
@@ -311,65 +333,90 @@ def run_batch(rows: Sequence[Row], radius: float,
             raise ValueError("the oracles of one batch must share lam, loss, batch size and d")
 
     n_rows = len(rows)
-    lengths = np.array([len(r.schedule.slots) for r in rows])
-    T = int(lengths.max())
+    schedules = [r.schedule for r in rows]
+    widths = [len(sched.ids) for sched in schedules]
+    lengths = np.array([len(sched.slots) for sched in schedules])
+    T, S = int(lengths.max()), max(widths)
 
-    # Examples: the distinct datasets stacked once, each example signed by its label in
-    # place (u = -y*x), and each oracle's permutation into them.
-    datasets = {id(o.dataset): o.dataset for o in oracles}
-    U, ds_base = _stack_tables({k: ds.X for k, ds in datasets.items()}, np.zeros((0, d)))
-    y, _ = _stack_tables({k: ds.y for k, ds in datasets.items()}, np.zeros(0))
+    # Examples: the distinct datasets stacked once, each example signed by its label
+    # (u = -y*x), and each oracle's permutation into them.
+    datasets = list({id(o.dataset): o.dataset for o in oracles}.values())
+    U, ds_base = _stack_tables([ds.X for ds in datasets], np.zeros((0, d)))
+    y, _ = _stack_tables([ds.y for ds in datasets], np.zeros(0))
     U *= -y[:, None]
+    ds_of = {id(ds): j for j, ds in enumerate(datasets)}
     examples, ex_base = _stack_tables(
-        {id(o): o.order[:o.steps_total * b] + ds_base[id(o.dataset)] for o in oracles},
+        [o.order[:o.steps_total * b] + ds_base[ds_of[id(o.dataset)]] for o in oracles],
         np.zeros(0, dtype=np.intp))
     # Noise: twin rows and noiseless oracles read the leading zero block.
-    noise, noise_base = _stack_tables(
-        {id(o): o.noise_means for o in oracles if o.noise_means is not None}, np.zeros((T, d)))
-    flip_tables = {id(o): o.flips for o in oracles if o.flips is not None}
-    rcn = any(r.noisy and id(o) in flip_tables for r in rows for o in r.oracles)
-    if rcn:
-        flips, flip_base = _stack_tables(flip_tables, np.zeros((T, b), dtype=bool))
+    noise, noise_base = _stack_tables([o.noise_means for o in oracles], np.zeros((T, d)))
+    has_noise = np.array([o.noise_means is not None for o in oracles], dtype=bool)
+    has_flips = np.array([o.flips is not None for o in oracles], dtype=bool)
+    sigmas = np.array([o.spec.sigma if o.flips is not None else 0.0 for o in oracles])
+    budgets = np.array([o.steps_total for o in oracles])
 
-    # Per (row, slot): base offsets into those tables, rate constant and flip rate.
-    S = max(len(r.schedule.ids) for r in rows)
-    ex_at = np.zeros((n_rows, S), dtype=np.intp)
-    noise_at = np.zeros((n_rows, S), dtype=np.intp)
-    flip_at = np.zeros((n_rows, S), dtype=np.intp)
-    rate_at = np.ones((n_rows, S))
-    sigma_at = np.zeros((n_rows, S))
-    c_lo, c_hi = np.empty(n_rows), np.empty(n_rows)       # each row's extreme rate constants
-    patterns: dict = {}
-    pattern_of = np.empty(n_rows, dtype=np.intp)
+    # Every (row, slot) pair, flat and in row order: its oracle, first batch and steps.
+    at = {id(o): j for j, o in enumerate(oracles)}
+    pair_row = np.repeat(np.arange(n_rows), widths)
+    row_first = np.cumsum(widths) - widths
+    pair_slot = np.arange(len(pair_row)) - row_first[pair_row]
+    start = np.zeros(len(pair_row), dtype=np.intp)
     for i, r in enumerate(rows):
-        sched = r.schedule
-        starts = r.starts if r.starts is not None else (0,) * len(sched.ids)
-        if not len(r.oracles) == len(starts) == len(sched.ids):
+        if len(r.oracles) != widths[i] or (r.starts is not None and len(r.starts) != widths[i]):
             raise ValueError("need one oracle and one start per schedule slot")
-        if not all(is_integer(k) and k >= 0 for k in starts):
-            raise ValueError(f"starts must be non-negative integers, got {starts}")
-        counts = sched.counts()
-        c_lo[i], c_hi[i] = min(sched.rates), max(sched.rates)
-        for s, (o, c, start, used) in enumerate(zip(r.oracles, sched.rates, starts, counts)):
-            if start + used > o.steps_total:
-                raise BudgetExhausted(f"oracle {sched.ids[s]!r} serves {o.steps_total} batches, "
-                                      f"a run asks for {start + used}")
-            ex_at[i, s] = ex_base[id(o)] + start * b
-            rate_at[i, s] = c
-            if r.noisy and id(o) in noise_base:
-                noise_at[i, s] = noise_base[id(o)] + start
-            if rcn and r.noisy and id(o) in flip_base:
-                flip_at[i, s] = flip_base[id(o)] + start
-                sigma_at[i, s] = o.spec.sigma
-        pattern_of[i] = patterns.setdefault(sched.slots.tobytes(), (len(patterns), sched.slots))[0]
-    patterns = [slots for _, slots in patterns.values()]
-    slot_tab = np.zeros((T, len(patterns)), dtype=np.intp)
-    step_tab = np.zeros((T, len(patterns)), dtype=np.intp)
-    ranked = []
-    for p, slots in enumerate(patterns):
-        slot_tab[:len(slots), p] = slots
-        step_tab[:len(slots), p], first = _within_slot_steps(slots)
-        ranked.append((slots[first].tolist(), first.tolist()))
+        if r.starts is not None:
+            if not all(is_integer(k) and k >= 0 for k in r.starts):
+                raise ValueError(f"starts must be non-negative integers, got {r.starts}")
+            # Past its budget, a start fails the check below whatever its size.
+            start[row_first[i]:row_first[i] + widths[i]] = \
+                [min(k, o.steps_total + 1) for k, o in zip(r.starts, r.oracles)]
+    oracle_of = np.array([at[id(o)] for r in rows for o in r.oracles], dtype=np.intp)
+    used = np.concatenate([sched.counts() for sched in schedules])
+    over = np.flatnonzero(start + used > budgets[oracle_of])
+    if over.size:
+        i, s = int(pair_row[over[0]]), int(pair_slot[over[0]])
+        r = rows[i]
+        asked = (r.starts[s] if r.starts is not None else 0) + int(used[over[0]])
+        raise BudgetExhausted(f"oracle {r.schedule.ids[s]!r} serves {r.oracles[s].steps_total} "
+                              f"batches, a run asks for {asked}")
+
+    # Per (row, slot): base offsets into those tables, rate constant and flip rate; twin
+    # rows read no noise and no flips. A padding slot is never read.
+    noisy = np.repeat(np.array([r.noisy for r in rows], dtype=bool), widths)
+    reads_noise, reads_flips = noisy & has_noise[oracle_of], noisy & has_flips[oracle_of]
+    rcn = bool(reads_flips.any())
+    if rcn:
+        flips, flip_base = _stack_tables([o.flips for o in oracles], np.zeros((T, b), dtype=bool))
+    else:
+        flip_base = np.zeros(len(oracles), dtype=np.intp)
+
+    def per_slot(flat: np.ndarray, pad) -> np.ndarray:
+        table = np.full((n_rows, S), pad, dtype=flat.dtype)
+        table[pair_row, pair_slot] = flat
+        return table
+
+    ex_at = per_slot(ex_base[oracle_of] + start * b, 0)
+    noise_at = per_slot(np.where(reads_noise, noise_base[oracle_of] + start, 0), 0)
+    flip_at = per_slot(np.where(reads_flips, flip_base[oracle_of] + start, 0), 0)
+    rate_at = per_slot(np.array([c for sched in schedules for c in sched.rates], dtype=float),
+                       np.nan)
+    sigma_at = per_slot(np.where(reads_flips, sigmas[oracle_of], 0.0), 0.0)
+    # Each row's extreme rate constants (fmin and fmax pass over the padding's NaN).
+    c_lo, c_hi = np.fmin.reduce(rate_at, axis=1), np.fmax.reduce(rate_at, axis=1)
+
+    # The distinct slot sequences ("patterns") and, per step, each one's slot and batch
+    # index within that slot.
+    distinct: dict = {}
+    pattern_of = np.array([distinct.setdefault(sched._key, (len(distinct), sched))[0]
+                           for sched in schedules], dtype=np.intp)
+    distinct = [sched for _, sched in distinct.values()]
+    slot_tab = np.zeros((T, len(distinct)), dtype=np.intp)
+    step_tab = np.zeros((T, len(distinct)), dtype=np.intp)
+    for p, sched in enumerate(distinct):
+        slot_tab[:len(sched.slots), p] = sched.slots
+        step_tab[:len(sched.slots), p] = sched._batch
+    patterns = [sched.slots for sched in distinct]
+    ranked = [sched._firsts for sched in distinct]
 
     W = np.zeros((n_rows, d))
     for i, r in enumerate(rows):

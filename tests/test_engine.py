@@ -414,6 +414,41 @@ def test_budget_overrun_rejected():
         run_batch([Row(row.schedule, row.oracles, starts=(1, 0))], 1.0)
 
 
+def test_budget_overrun_names_the_first_slot_over_and_what_it_asks():
+    # The check runs over every (row, slot) at once; a start too large for any integer
+    # type still reads as the batch count it asks for.
+    rows = mixed_rows("logistic", 1)
+    row = rows[0]
+    ids, (used_a, used_b) = row.schedule.ids, row.schedule.counts().tolist()
+    budget_b = row.oracles[1].steps_total
+    with pytest.raises(hetsgd.BudgetExhausted,
+                       match=f"oracle {ids[1]!r} serves {budget_b} batches, "
+                             f"a run asks for {used_b + 2}"):
+        run_batch(rows[:2] + [Row(row.schedule, row.oracles, starts=(0, 2))], 1.0)
+    with pytest.raises(hetsgd.BudgetExhausted, match=f"asks for {2 ** 80 + used_a}$"):
+        run_batch([Row(row.schedule, row.oracles, starts=(2 ** 80, 0))], 1.0)
+    with pytest.raises(ValueError, match="one oracle and one start"):
+        run_batch([Row(row.schedule, row.oracles, starts=(0,))], 1.0)
+    with pytest.raises(ValueError, match="one oracle and one start"):
+        run_batch([Row(row.schedule, row.oracles[:1])], 1.0)
+
+
+def test_a_schedule_keeps_a_read_only_copy_of_its_slots():
+    # What a schedule derives from its slots at construction cannot go stale.
+    slots = np.array([1, 0, 1, 1, 0])
+    schedule = Schedule(("a", "b"), (1.0, 2.0), slots)
+    slots[:] = 0
+    assert schedule.slots.tolist() == [1, 0, 1, 1, 0]
+    assert schedule.counts().tolist() == [2, 3]
+    assert schedule._batch.tolist() == [0, 0, 1, 2, 1]
+    assert schedule._firsts == ([1, 0], [0, 1])
+    for derived in (schedule.slots, schedule.counts(), schedule._batch):
+        with pytest.raises(ValueError, match="read-only"):
+            derived[0] = 1
+    with pytest.raises(ValueError, match="1-d"):
+        Schedule(("a",), (1.0,), [[0, 0]])
+
+
 @pytest.mark.parametrize("start", [-1, 0.5, True])
 def test_negative_or_fractional_start_rejected(start):
     obj = ObjectiveSpec(lam=1.0, loss="linear")

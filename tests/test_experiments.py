@@ -1,5 +1,6 @@
 import hashlib
 import json
+import logging
 import subprocess
 import sys
 from pathlib import Path
@@ -101,6 +102,17 @@ class TestConfig:
             with pytest.raises(ValueError, match=key):
                 ExperimentConfig.from_dict({"data": data})
         ExperimentConfig.from_dict({"data": {"project_to": None}})
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"problem": {"loss": "squared"}}, "problem.loss"),
+        ({"data": {"kind": "parquet"}}, "data.kind"),
+        ({"oracles": {"kind": "gaussian"}}, "oracles.kind"),
+        ({"data": {"kind": "csv"}}, "data.path"),
+        ({"data": {"kind": "libsvm", "path": ""}}, "data.path")])
+    def test_unknown_kinds_and_missing_paths_rejected_at_load(self, overrides, key):
+        # Each used to load and fail only in setup, a missing path as a bare TypeError.
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict(overrides)
 
     @pytest.mark.parametrize("overrides,key", [({"trials": True}, "trials"),
                                                ({"c2_grid_points": True}, "c2_grid_points"),
@@ -309,7 +321,9 @@ class TestC2Sweep:
         clean, noisy = steps["clean_data"], steps["noisy_data"]
         two_rate = sum(1 for r in rows if r.strategy == "TwoRate")
         engine = meta["engine"]
-        assert engine["calls"] >= 1 and engine["rows"] == cfg.trials * (two_rate + 1)
+        # The default block budget holds all of this small config's trials in one call.
+        assert engine["calls"] == 1 and engine["max_trials_per_call"] == cfg.trials
+        assert engine["rows"] == cfg.trials * (two_rate + 1)
         assert engine["row_steps"] == cfg.trials * (two_rate * (noisy + clean) + clean)
         assert engine["shared_row_steps"] == cfg.trials * (two_rate - 1) * noisy > 0
 
@@ -506,3 +520,104 @@ def test_driver_outputs_are_pinned(tmp_path):
         assert projection["assumes_inactive"] == (command == "order-exp")
         assert projection["violated"] == (projection["assumes_inactive"] and projection["active"])
     assert digests == PINNED_DIGESTS
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_grouping_trials_into_engine_calls_changes_no_byte(case, tmp_path, monkeypatch):
+    # One trial per engine call, then every trial in one call: the same CSV bytes.
+    command, overrides = PINNED_CASES[case]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(small_config(trials=3, **overrides).to_dict()))
+    outputs = {}
+    for budget, calls, per_call in ((1, 3, 1), (1 << 40, 1, 3)):
+        monkeypatch.setattr(experiments, "BATCH_BYTES", budget)
+        out = tmp_path / str(budget)
+        assert cli_main([command, "--config", str(cfg_path), "--out-dir", str(out)]) == 0
+        engine = json.loads((out / "meta.json").read_text())["engine"]
+        assert (engine["calls"], engine["max_trials_per_call"]) == (calls, per_call)
+        outputs[budget] = {p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))}
+    assert "results.csv" in outputs[1] and len(outputs[1]) > 1
+    assert outputs[1] == outputs[1 << 40]
+
+
+@pytest.fixture
+def package_log_level():
+    """Restores the level of the package's logger, which --log-level sets."""
+    logger = logging.getLogger("hetsgd")
+    level = logger.level
+    yield logger
+    logger.setLevel(level)
+
+
+class TestLogLevel:
+    def test_each_engine_call_is_logged_at_info(self, tmp_path, caplog, monkeypatch,
+                                                 package_log_level):
+        monkeypatch.setattr(experiments, "BATCH_BYTES", 1)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(trials=2, c2_grid_points=3).to_dict()))
+        assert cli_main(["c2-sweep", "--config", str(cfg_path), "--out-dir", str(tmp_path / "o"),
+                         "--log-level", "info"]) == 0
+        assert package_log_level.level == logging.INFO
+        lines = [r.getMessage() for r in caplog.records if r.name == "hetsgd.experiments"]
+        engine = [line for line in lines if line.startswith("engine call")]
+        assert len(engine) == 2
+        assert engine[1].startswith("engine call 1: 1 trials (1-1), ")
+        assert "row-steps" in engine[1] and engine[1].endswith(" s")
+
+    def test_without_the_flag_logging_is_left_alone(self, tmp_path, caplog, package_log_level):
+        package_log_level.setLevel(logging.NOTSET)
+        assert cli_main(["noise-level", "--kind", "rcn", "--sigma", "0.1"]) == 0
+        assert package_log_level.level == logging.NOTSET
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(small_config(trials=2, c2_grid_points=3).to_dict()))
+        assert cli_main(["c2-sweep", "--config", str(cfg_path),
+                         "--out-dir", str(tmp_path / "o")]) == 0
+        assert not [r for r in caplog.records if r.levelno < logging.WARNING]
+
+    def test_every_subcommand_takes_the_flag(self, capsys, package_log_level):
+        assert cli_main(["noise-level", "--kind", "rcn", "--sigma", "0.1",
+                         "--log-level", "warning"]) == 0
+        assert package_log_level.level == logging.WARNING
+        assert cli_main(["select-rates", "--lam", "0.1", "--beta-c", "0.5", "--gamma-c-sq", "10",
+                         "--gamma-n-sq", "10", "--log-level", "error"]) == 0
+        assert package_log_level.level == logging.ERROR
+        with pytest.raises(SystemExit):
+            cli_main(["noise-level", "--kind", "rcn", "--sigma", "0.1", "--log-level", "loud"])
+
+
+class TestGitHash:
+    HASH = "0123456789abcdef0123456789abcdef01234567"
+
+    def test_a_worktree_resolves_its_branch_in_the_common_directory(self, tmp_path):
+        main_git = tmp_path / "main" / ".git"
+        gitdir = main_git / "worktrees" / "wt"
+        gitdir.mkdir(parents=True)
+        (gitdir / "HEAD").write_text("ref: refs/heads/feature\n")
+        (gitdir / "commondir").write_text("../..\n")
+        (main_git / "refs" / "heads").mkdir(parents=True)
+        (main_git / "refs" / "heads" / "feature").write_text(self.HASH + "\n")
+        package = tmp_path / "wt" / "src" / "pkg"
+        package.mkdir(parents=True)
+        (tmp_path / "wt" / ".git").write_text(f"gitdir: {gitdir}\n")
+        assert experiments._git_hash(package) == self.HASH
+        # A branch only in packed-refs of the common directory.
+        (main_git / "refs" / "heads" / "feature").unlink()
+        (main_git / "packed-refs").write_text(f"# pack-refs\n{self.HASH} refs/heads/feature\n")
+        assert experiments._git_hash(package) == self.HASH
+
+    def test_a_submodule_follows_a_relative_gitdir(self, tmp_path):
+        gitdir = tmp_path / "super" / ".git" / "modules" / "sub"
+        gitdir.mkdir(parents=True)
+        (gitdir / "HEAD").write_text(self.HASH + "\n")          # detached
+        sub = tmp_path / "super" / "sub"
+        sub.mkdir()
+        (sub / ".git").write_text("gitdir: ../.git/modules/sub\n")
+        assert experiments._git_hash(sub) == self.HASH
+
+    def test_an_unresolvable_head_is_unknown(self, tmp_path):
+        gitdir = tmp_path / "gitdir"
+        gitdir.mkdir()
+        (gitdir / "HEAD").write_text("ref: refs/heads/gone\n")
+        (tmp_path / "repo").mkdir()
+        (tmp_path / "repo" / ".git").write_text(f"gitdir: {gitdir}\n")
+        assert experiments._git_hash(tmp_path / "repo") == "unknown"
