@@ -128,10 +128,6 @@ def loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray
     return -margins
 
 
-def loss_value(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float) -> float:
-    return float(loss_values(spec, w, np.asarray(x)[None, :], np.asarray([y]))[0])
-
-
 def margin_scales(spec: ObjectiveSpec, m: np.ndarray) -> np.ndarray:
     """phi(m) at margins m = w'u, so that the loss gradient at signed example u is phi * u.
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import numbers
 import platform
 import time
 from dataclasses import asdict, dataclass, field, fields
@@ -72,8 +73,8 @@ def read_csv_rows(path) -> list:
                 for rec in reader]
 
 
-def emit_plotdata(rows: Sequence[ResultRow], out_dir, prefix: str = "plot") -> list:
-    """One CSV per strategy series, same schema, for external plotting."""
+def emit_plotdata(rows: Sequence[ResultRow], out_dir) -> list:
+    """One plot_<strategy>.csv per strategy series, same schema, for external plotting."""
     if not rows:
         raise ValueError("no rows to emit")
     out_dir = Path(out_dir)
@@ -84,7 +85,7 @@ def emit_plotdata(rows: Sequence[ResultRow], out_dir, prefix: str = "plot") -> l
         by_strategy.setdefault(r.strategy, []).append(r)
     for name in sorted(by_strategy):
         safe = "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
-        path = out_dir / f"{prefix}_{safe}.csv"
+        path = out_dir / f"plot_{safe}.csv"
         emit_csv(by_strategy[name], path)
         paths.append(path)
     return paths
@@ -158,14 +159,16 @@ def write_meta(out_dir, config_dict: dict, runtime_seconds: float, extras: Optio
 
 
 def _checked(d: dict, cls, section: str) -> dict:
-    """``d``, once each of its keys is checked to name a field of the dataclass ``cls``."""
+    """``d``, once checked to be a dict whose keys each name a field of the dataclass ``cls``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} must be an object, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown config keys in {section}: {unknown}")
     return d
 
 
-# Config keys that hold a sequence, kept as a tuple.
+# Config keys that hold a list, kept as a tuple: of strategy names, or of numbers.
 _SEQUENCE_KEYS = ("strategies", "c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid")
 
 
@@ -236,13 +239,20 @@ class ExperimentConfig:
                 raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
         if not is_integer(self.master_seed) or self.master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
-        if self.strategies is not None and len(self.strategies) == 0:
-            raise ValueError("strategies must name at least one strategy; omit it to run all")
-        # Trials are keyed by strategy and sweep value, so a repeat would merge two rows' runs.
         for key in _SEQUENCE_KEYS:
             values = getattr(self, key)
-            if values is not None and len(set(values)) != len(values):
+            if values is None:
+                continue
+            entry, what = (str, "strings") if key == "strategies" else (numbers.Real, "numbers")
+            if not isinstance(values, (list, tuple)) or not all(
+                    isinstance(v, entry) and not isinstance(v, bool) for v in values):
+                raise ValueError(f"{key} must be a list of {what}, got {values!r}")
+            object.__setattr__(self, key, tuple(values))
+            # Trials are keyed by strategy and sweep value, so a repeat would merge two rows' runs.
+            if len(set(values)) != len(values):
                 raise ValueError(f"{key} repeats a value: {values}")
+        if self.strategies == ():
+            raise ValueError("strategies must name at least one strategy; omit it to run all")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -250,9 +260,6 @@ class ExperimentConfig:
         for key, section in (("problem", ProblemConfig), ("data", DataConfig),
                              ("oracles", OracleSetupConfig)):
             kw[key] = section(**_checked(kw.get(key, {}), section, key))
-        for key in _SEQUENCE_KEYS:
-            if kw.get(key) is not None:
-                kw[key] = tuple(kw[key])
         return cls(**kw)
 
     @classmethod
@@ -542,6 +549,10 @@ def strategy_comparison_details(cfg: ExperimentConfig, report: Optional[RunRepor
     directly comparable. ``report``, if given, records the run (see RunReport).
     """
     strategies = _strategies(cfg, STRATEGIES)
+    for kind, name in _LEVEL_FIELDS.items():
+        if kind != cfg.oracles.kind and getattr(cfg, f"{name}_noisy_sweep") is not None:
+            raise ValueError(f"{name}_noisy_sweep sweeps {kind} oracles, not oracles.kind "
+                             f"{cfg.oracles.kind!r}")
     clean_level, _, sweep = _levels(cfg)
     s = _setup(cfg, len(sweep))
     schedules = []

@@ -56,10 +56,6 @@ class NoiseLevel:
         if not (self.gamma_sq >= self.gamma_sq_lower >= 0.0):
             raise ValueError("need gamma_sq >= gamma_sq_lower >= 0")
 
-    @property
-    def gamma(self) -> float:
-        return float(np.sqrt(self.gamma_sq))
-
 
 def dp_noise_level(epsilon: float, d: int, batch_size: int = 1) -> NoiseLevel:
     """Noise level of the local-DP oracle at privacy epsilon in d dimensions.
@@ -86,8 +82,8 @@ def rcn_noise_level(sigma: float) -> NoiseLevel:
 
 
 def sample_privacy_noise(epsilon: float, d: int, rng: np.random.Generator,
-                         size: Optional[int] = None) -> np.ndarray:
-    """Draw from the density rho(z) proportional to exp(-(epsilon/2)||z||).
+                         size: int) -> np.ndarray:
+    """Draw ``size`` rows from the density rho(z) proportional to exp(-(epsilon/2)||z||).
 
     The radius follows Gamma(shape=d, scale=2/epsilon) and the direction is
     uniform on the unit sphere (a normalized Gaussian vector), so
@@ -95,11 +91,10 @@ def sample_privacy_noise(epsilon: float, d: int, rng: np.random.Generator,
     """
     if not epsilon > 0 or d < 1:
         raise ValueError("epsilon and d must be positive")
-    n = 1 if size is None else int(size)
-    radii = rng.standard_gamma(d, size=n) * (2.0 / epsilon)
-    z = rng.standard_normal((n, d))
+    radii = rng.standard_gamma(d, size=size) * (2.0 / epsilon)
+    z = rng.standard_normal((size, d))
     z *= (radii / np.linalg.norm(z, axis=1))[:, None]
-    return z[0] if size is None else z
+    return z
 
 
 def rcn_scales(objective: ObjectiveSpec, m: np.ndarray, f, keep, sigma, denom) -> np.ndarray:

@@ -15,7 +15,7 @@ c < 1/lam, noisy data first for c > 1/lam, and a tie at c = 1/lam.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -87,27 +87,21 @@ class OrderingVerdict:
 
 def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
                    v_clean_sq: float, v_noisy_sq: float,
-                   arbitrary_pattern: Optional[np.ndarray] = None,
-                   seed: int = 0) -> OrderingVerdict:
+                   arbitrary_pattern: np.ndarray) -> OrderingVerdict:
     """Closed-form deviations of clean-first, noisy-first, and one interleaving.
 
     ``arbitrary_pattern`` is a boolean mask of length T_clean + T_noisy with
-    exactly T_noisy True entries (noisy steps); a seeded random interleaving
-    is drawn when omitted. Ties are declared when clean-first and noisy-first
-    agree to relative 1e-12, which happens exactly at c = 1/lam.
+    exactly T_noisy True entries (noisy steps). Ties are declared when
+    clean-first and noisy-first agree to relative 1e-12, which happens
+    exactly at c = 1/lam.
     """
     if not 0.0 <= v_clean_sq <= v_noisy_sq:
         raise ValueError("expected 0 <= v_clean_sq <= v_noisy_sq")
     T = T_clean + T_noisy
     weights = noise_weights(c, lam, T)
-    if arbitrary_pattern is None:
-        rng = np.random.default_rng(seed)
-        arbitrary_pattern = np.zeros(T, dtype=bool)
-        arbitrary_pattern[rng.choice(T, size=T_noisy, replace=False)] = True
-    else:
-        arbitrary_pattern = np.asarray(arbitrary_pattern, dtype=bool)
-        if arbitrary_pattern.shape != (T,) or int(arbitrary_pattern.sum()) != T_noisy:
-            raise ValueError("pattern must have length T with T_noisy noisy steps")
+    arbitrary_pattern = np.asarray(arbitrary_pattern, dtype=bool)
+    if arbitrary_pattern.shape != (T,) or int(arbitrary_pattern.sum()) != T_noisy:
+        raise ValueError("pattern must have length T with T_noisy noisy steps")
 
     cf = np.zeros(T, dtype=bool)
     cf[T_clean:] = True

@@ -17,7 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import asdict, dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -183,10 +183,8 @@ def noisy_first_constant(c, gamma_c_sq: float, gamma_n_sq: float,
     return _phase_constant(c, gamma_n_sq, gamma_c_sq, beta_n, lam)
 
 
-def golden_section(f: Callable[[float], float], lo: float, hi: float,
-                   rel_tol: float = GOLDEN_REL_TOL,
-                   max_evals: Optional[int] = None) -> tuple:
-    """Golden-section minimization on [lo, hi]; returns the best point seen.
+def golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple:
+    """Golden-section minimization on [lo, hi] to GOLDEN_REL_TOL; returns the best point seen.
 
     f is called one point at a time, in the order lo, hi, then the interior
     points, and only at points the search uses.
@@ -199,10 +197,7 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
     x1 = b - _INVPHI * (b - a)
     x2 = a + _INVPHI * (b - a)
     f1, f2 = f(x1), f(x2)
-    evals = 4
-    while (b - a) > rel_tol * max(abs(a), abs(b), 1e-300):
-        if max_evals is not None and evals >= max_evals:
-            break
+    while (b - a) > GOLDEN_REL_TOL * max(abs(a), abs(b), 1e-300):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _INVPHI * (b - a)
@@ -211,7 +206,6 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float,
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
             f2 = f(x2)
-        evals += 1
         for x, fx in ((x1, f1), (x2, f2)):
             if fx < best_f:
                 best_x, best_f = x, fx
@@ -377,28 +371,3 @@ def c2_bracket(noise_clean: NoiseLevel, noise_noisy: NoiseLevel,
     c2_lower, _ = minimize_phase2_rate(lower)
     return C2Bracket(order=sel.order, c2_lower=c2_lower, c2_upper=sel.c2)
 
-
-class C2Choice(NamedTuple):
-    order: str
-    c2: float
-
-
-def search_c2_interval(noise_clean: NoiseLevel, noise_noisy: NoiseLevel,
-                       beta_c: float, lam: float,
-                       evaluate: Callable[[float], float],
-                       eval_budget: int = 12) -> C2Choice:
-    """Line-search c2 between its lower- and upper-bound minimisers for one data order.
-
-    The order and c2(U) come from the selector run with each oracle's
-    gamma_sq; c2(L) re-minimises that order's bound with gamma_sq_lower (see
-    ``c2_bracket``). ``evaluate`` is then golden-section searched over
-    [c2(L), c2(U)] with a fixed evaluation budget. A degenerate span (equal
-    bounds, as with label-flip noise) is returned directly without calling
-    ``evaluate``. Returns the order with the chosen c2.
-    """
-    bracket = c2_bracket(noise_clean, noise_noisy, beta_c, lam)
-    lo, hi = sorted((bracket.c2_lower, bracket.c2_upper))
-    if hi - lo <= 1e-12 * max(hi, 1e-300):
-        return C2Choice(bracket.order, lo)
-    best_c2, _ = golden_section(evaluate, lo, hi, rel_tol=0.0, max_evals=eval_budget)
-    return C2Choice(bracket.order, best_c2)

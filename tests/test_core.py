@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from hetsgd.core import (Dataset, ObjectiveSpec, full_objective, gradient_scales, loss_gradient,
-                         loss_value, margins, mean_loss_gradient, project)
+                         loss_values, margins, mean_loss_gradient, project)
 from hetsgd.oracles import rcn_scales
 
 
@@ -15,21 +15,21 @@ def spec(loss, lam=1.0, radius=None):
 
 class TestLossValue:
     def test_logistic_at_zero_weight(self):
-        w = np.zeros(3)
-        assert loss_value(spec("logistic"), w, np.array([0.2, -0.4, 0.1]), 1.0) == pytest.approx(np.log(2))
-        assert loss_value(spec("logistic"), w, np.array([0.9, 0.0, 0.0]), -1.0) == pytest.approx(np.log(2))
+        w, sp = np.zeros(3), spec("logistic")
+        assert loss_values(sp, w, np.array([0.2, -0.4, 0.1]), 1.0)[0] == pytest.approx(np.log(2))
+        assert loss_values(sp, w, np.array([0.9, 0.0, 0.0]), -1.0)[0] == pytest.approx(np.log(2))
 
     def test_hinge_at_zero_weight(self):
         w = np.zeros(2)
-        assert loss_value(spec("hinge"), w, np.array([0.3, 0.3]), -1.0) == pytest.approx(1.0)
+        assert loss_values(spec("hinge"), w, np.array([0.3, 0.3]), -1.0)[0] == pytest.approx(1.0)
 
     def test_linear_direct(self):
         w = np.array([1.0, 0.0])
-        assert loss_value(spec("linear"), w, np.array([0.5, 0.5]), 1.0) == pytest.approx(-0.5)
+        assert loss_values(spec("linear"), w, np.array([0.5, 0.5]), 1.0)[0] == pytest.approx(-0.5)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
-            loss_value(spec("logistic"), np.zeros(3), np.zeros(2), 1.0)
+            loss_values(spec("logistic"), np.zeros(3), np.zeros(2), 1.0)
 
 
 class TestLossGradient:
@@ -66,7 +66,7 @@ class TestLossGradient:
             for i in range(d):
                 e = np.zeros(d)
                 e[i] = step
-                fd[i] = (loss_value(sp, w + e, x, y) - loss_value(sp, w - e, x, y)) / (2 * step)
+                fd[i] = (loss_values(sp, w + e, x, y) - loss_values(sp, w - e, x, y))[0] / (2 * step)
             scale = max(np.linalg.norm(g), 1e-3)
             np.testing.assert_allclose(g, fd, atol=1e-5 * scale, rtol=1e-5)
             checked += 1

@@ -108,9 +108,21 @@ class TestConfig:
         ({"data": {"kind": "parquet"}}, "data.kind"),
         ({"oracles": {"kind": "gaussian"}}, "oracles.kind"),
         ({"data": {"kind": "csv"}}, "data.path"),
-        ({"data": {"kind": "libsvm", "path": ""}}, "data.path")])
+        ({"data": {"kind": "libsvm", "path": ""}}, "data.path"),
+        ({"c_grid": "35"}, "c_grid"),
+        ({"c2_grid": 80.0}, "c2_grid"),
+        ({"epsilon_noisy_sweep": {"eps": 2.0}}, "epsilon_noisy_sweep"),
+        ({"sigma_noisy_sweep": [0.1, True]}, "sigma_noisy_sweep"),
+        ({"c_grid": [100.0, "200"]}, "c_grid"),
+        ({"c2_grid": [None]}, "c2_grid"),
+        ({"strategies": "CleanOnly"}, "strategies"),
+        ({"strategies": ["CleanOnly", 3]}, "strategies"),
+        ({"problem": None}, "problem"),
+        ({"data": [["n", 300]]}, "data"),
+        ({"oracles": "rcn"}, "oracles")])
     def test_unknown_kinds_and_missing_paths_rejected_at_load(self, overrides, key):
-        # Each used to load and fail only in setup, a missing path as a bare TypeError.
+        # Each used to load and fail only in setup, a missing path or a null section as a bare
+        # TypeError; a string c_grid loaded as its characters.
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(overrides)
 
@@ -185,6 +197,15 @@ class TestStrategyComparison:
                            sigma_noisy_sweep=(0.1, 0.4))
         rows, _ = strategy_comparison_details(cfg)
         assert {r.sweep_param for r in rows} == {0.1, 0.4}
+
+    @pytest.mark.parametrize("oracles,sweep", [
+        ({"kind": "rcn", "sigma_noisy": 0.2, "batch_size": 10}, "epsilon_noisy_sweep"),
+        ({"kind": "local_dp", "batch_size": 10}, "sigma_noisy_sweep")])
+    def test_a_sweep_of_the_other_mechanism_is_rejected(self, oracles, sweep):
+        # It used to run only the default noisy level, here sigma_noisy = 0.2.
+        cfg = small_config(oracles=oracles, **{sweep: (0.1, 0.3)})
+        with pytest.raises(ValueError, match=sweep):
+            strategy_comparison_details(cfg)
 
 
 class TestOrderExperiment:

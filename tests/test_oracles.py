@@ -47,13 +47,9 @@ class TestDpNoiseSample:
         stat = stats.kstest(radii, "gamma", args=(d, 0, 2.0 / eps)).statistic
         assert stat < 1.6276 / np.sqrt(n)  # 1% critical value
 
-    def test_single_draw_shape(self):
-        z = sample_privacy_noise(1.0, 4, np.random.default_rng(0))
-        assert z.shape == (4,)
-
     def test_nan_epsilon_rejected(self):
         with pytest.raises(ValueError, match="epsilon"):
-            sample_privacy_noise(np.nan, 3, np.random.default_rng(0))
+            sample_privacy_noise(np.nan, 3, np.random.default_rng(0), size=1)
 
 
 class TestNoiseLevels:

@@ -81,12 +81,20 @@ class TestExpectedDeviation:
             expected_deviation(noise_weights(1.0, 1.0, 4), np.zeros(5))
 
 
+def seeded_pattern(T_clean, T_noisy, seed=0):
+    """An interleaving with T_noisy noisy steps among T_clean + T_noisy, drawn from ``seed``."""
+    pattern = np.zeros(T_clean + T_noisy, dtype=bool)
+    pattern[np.random.default_rng(seed).choice(T_clean + T_noisy, size=T_noisy,
+                                               replace=False)] = True
+    return pattern
+
+
 class TestCompareOrders:
     def test_clean_first_wins_below_critical_rate(self):
         rng = np.random.default_rng(42)
         T_c, T_n = 8, 12
         weights = noise_weights(0.5, 1.0, T_c + T_n)
-        verdict = compare_orders(0.5, 1.0, T_c, T_n, 1.0, 25.0, seed=1)
+        verdict = compare_orders(0.5, 1.0, T_c, T_n, 1.0, 25.0, seeded_pattern(T_c, T_n, 1))
         assert verdict.best == "clean_first"
         for _ in range(100):
             pattern = np.zeros(T_c + T_n, dtype=bool)
@@ -99,7 +107,7 @@ class TestCompareOrders:
         rng = np.random.default_rng(43)
         T_c, T_n = 8, 12
         weights = noise_weights(2.0, 1.0, T_c + T_n)
-        verdict = compare_orders(2.0, 1.0, T_c, T_n, 1.0, 25.0, seed=2)
+        verdict = compare_orders(2.0, 1.0, T_c, T_n, 1.0, 25.0, seeded_pattern(T_c, T_n, 2))
         assert verdict.best == "noisy_first"
         for _ in range(100):
             pattern = np.zeros(T_c + T_n, dtype=bool)
@@ -109,7 +117,7 @@ class TestCompareOrders:
             assert dev_ao <= verdict.deviation_clean_first + 1e-12
 
     def test_tie_at_critical_rate(self):
-        verdict = compare_orders(1.0, 1.0, 10, 10, 1.0, 25.0, seed=3)
+        verdict = compare_orders(1.0, 1.0, 10, 10, 1.0, 25.0, seeded_pattern(10, 10, 3))
         assert verdict.best == "tie"
         rel = abs(verdict.deviation_clean_first - verdict.deviation_noisy_first)
         assert rel <= 1e-12 * verdict.deviation_clean_first
@@ -120,7 +128,7 @@ class TestCompareOrders:
         (np.nan, 1.0, 5.0), (500.0, np.nan, 5.0), (500.0, 1.0, np.nan), (500.0, -1.0, 5.0)])
     def test_nan_or_negative_input_gives_no_verdict(self, c, v_clean_sq, v_noisy_sq):
         with pytest.raises(ValueError):
-            compare_orders(c, 1e-3, 10, 90, v_clean_sq, v_noisy_sq)
+            compare_orders(c, 1e-3, 10, 90, v_clean_sq, v_noisy_sq, seeded_pattern(10, 90))
 
     def test_supplied_pattern_and_validation(self):
         pattern = np.array([True, False, True, False])
@@ -131,7 +139,7 @@ class TestCompareOrders:
         with pytest.raises(ValueError):
             compare_orders(0.5, 1.0, 2, 2, 1.0, 4.0, arbitrary_pattern=np.array([True] * 4))
         with pytest.raises(ValueError):
-            compare_orders(0.5, 1.0, 2, 2, 9.0, 4.0)
+            compare_orders(0.5, 1.0, 2, 2, 9.0, 4.0, pattern)
 
 
 class TestRearrangement:
