@@ -12,14 +12,17 @@ gradient is phi(w'u) * u, which is how ``gradient_scales`` takes examples: a
 logistic gradient at batch size 1 is then three array calls (the margin, expit
 and the product). All functions here but ``scale_into_ball``, which scales the
 rows of its argument in place, are pure and safe to call concurrently.
+
+scipy is imported on first use (``load_expit``), not with the package, so a
+process that only plans rates never loads it.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 LOSSES = ("logistic", "hinge", "linear")
 
@@ -108,6 +111,18 @@ def _check_dims(w: np.ndarray, X: np.ndarray) -> None:
         raise ValueError(f"dimension mismatch: w has d={w.shape[-1]}, x has d={X.shape[-1]}")
 
 
+@functools.cache
+def load_expit():
+    """scipy's logistic sigmoid ufunc ``expit``, importing scipy.special on the first call.
+
+    Loading scipy.special costs about 0.3 s, which only a process that evaluates a
+    logistic gradient needs to pay. Its 1/(1 + exp(-x)) uses libm's exp, which numpy's
+    SIMD exp does not match bit for bit, so no numpy formula stands in for it.
+    """
+    from scipy.special import expit
+    return expit
+
+
 def margins(w: np.ndarray, U: np.ndarray) -> np.ndarray:
     """w'u per signed example; w of shape (rows, d) takes U of shape (rows, b, d) row by row."""
     if w.ndim == 1:
@@ -135,7 +150,7 @@ def margin_scales(spec: ObjectiveSpec, m: np.ndarray) -> np.ndarray:
     included), else 0; linear: phi = 1.
     """
     if spec.loss == "logistic":
-        return expit(m)
+        return load_expit()(m)
     if spec.loss == "hinge":
         return np.where(m >= -1.0, 1.0, 0.0)
     return np.ones_like(m)

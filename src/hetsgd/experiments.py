@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import logging
+import math
 import numbers
 import platform
+import sys
 import time
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
@@ -20,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import LOSSES, Dataset, ObjectiveSpec, full_objective, is_integer
+from .core import LOSSES, Dataset, ObjectiveSpec, full_objective, is_integer, load_expit
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
 from .oracles import GradientOracle, NoiseLevel, OracleSpec
 from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
@@ -139,13 +141,18 @@ def _git_hash(start: Path) -> str:
 
 
 def write_meta(out_dir, config_dict: dict, runtime_seconds: float, extras: Optional[dict] = None) -> None:
-    """meta.json: the config, what ran (package commit, Python, numpy) and the wall time."""
+    """meta.json: the config, what ran (package commit, Python, numpy, scipy) and the wall time.
+
+    scipy's version is read from the loaded module, the one whose ``expit`` the engine
+    ran; it is null in a process that never loaded scipy.
+    """
     out_dir = Path(out_dir)
     meta = {
         "config": config_dict,
         "git_hash": _git_hash(Path(__file__).resolve().parent),
         "python": platform.python_version(),
         "numpy": np.__version__,
+        "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "runtime_seconds": runtime_seconds,
     }
     if extras:
@@ -170,6 +177,15 @@ def _checked(d: dict, cls, section: str) -> dict:
 
 # Config keys that hold a list, kept as a tuple: of strategy names, or of numbers.
 _SEQUENCE_KEYS = ("strategies", "c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid")
+
+# Ranges of real-valued config values, as (the range in words, its test); NaN is in none.
+_POSITIVE_FINITE = ("in (0, inf)", lambda v: 0 < v < math.inf)
+_POSITIVE = ("in (0, inf]", lambda v: v > 0)
+_FLIP_RATE = ("in [0, 0.5)", lambda v: 0 <= v < 0.5)
+# The list keys of numbers and the range of each of their entries: rate constants, privacy
+# levels and flip rates.
+_ENTRY_RANGES = {"c_grid": _POSITIVE_FINITE, "c2_grid": _POSITIVE_FINITE,
+                 "epsilon_noisy_sweep": _POSITIVE, "sigma_noisy_sweep": _FLIP_RATE}
 
 
 @dataclass(frozen=True)
@@ -227,8 +243,20 @@ class ExperimentConfig:
                 raise ValueError(f"unknown {what} {value!r} in {key}, expected one of {allowed}")
         if self.data.kind != "synthetic" and not self.data.path:
             raise ValueError(f"data.path must name the file of a {self.data.kind} dataset")
-        if not 0.0 < self.beta_c < 1.0:
-            raise ValueError("beta_c must be in (0, 1)")
+        # Both mechanisms' levels are checked, whichever oracles.kind runs.
+        o = self.oracles
+        reals = [("beta_c", self.beta_c, ("in (0, 1)", lambda v: 0 < v < 1)),
+                 ("problem.lam", self.problem.lam, _POSITIVE_FINITE),
+                 ("data.flip_rate", self.data.flip_rate, _FLIP_RATE),
+                 ("oracles.epsilon_clean", o.epsilon_clean, _POSITIVE),
+                 ("oracles.epsilon_noisy", o.epsilon_noisy, _POSITIVE),
+                 ("oracles.sigma_clean", o.sigma_clean, _FLIP_RATE),
+                 ("oracles.sigma_noisy", o.sigma_noisy, _FLIP_RATE)]
+        if self.problem.radius is not None:
+            reals.append(("problem.radius", self.problem.radius, _POSITIVE))
+        for key, value, (where, ok) in reals:
+            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and ok(value)):
+                raise ValueError(f"{key} must be a number {where}, got {value!r}")
         counts = [("trials", self.trials), ("data.n", self.data.n), ("data.d", self.data.d),
                   ("oracles.batch_size", self.oracles.batch_size),
                   ("c2_grid_points", self.c2_grid_points)]
@@ -248,6 +276,11 @@ class ExperimentConfig:
                     isinstance(v, entry) and not isinstance(v, bool) for v in values):
                 raise ValueError(f"{key} must be a list of {what}, got {values!r}")
             object.__setattr__(self, key, tuple(values))
+            if key in _ENTRY_RANGES:
+                where, ok = _ENTRY_RANGES[key]
+                for v in values:
+                    if not ok(v):
+                        raise ValueError(f"{key} entries must be {where}, got {v!r}")
             # Trials are keyed by strategy and sweep value, so a repeat would merge two rows' runs.
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} repeats a value: {values}")
@@ -312,6 +345,9 @@ class _Setup(NamedTuple):
 
 
 def _setup(cfg: ExperimentConfig, n_sweep: int) -> _Setup:
+    # The engine's first logistic step would import scipy.special; do it here, so that a
+    # fresh process's import is charged to the setup stage, not to the engine's.
+    load_expit()
     data_ss, split_ss, sweep_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
     ds = load_dataset(cfg, data_ss)
     ds_c, ds_n = split_dataset(ds, cfg.beta_c, split_ss)

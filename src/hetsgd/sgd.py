@@ -78,9 +78,8 @@ from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
-from .core import is_integer, margin_scales, norms, scale_into_ball
+from .core import is_integer, load_expit, margin_scales, norms, scale_into_ball
 from .oracles import BudgetExhausted, GradientOracle, rcn_scales
 
 
@@ -446,6 +445,7 @@ def run_batch(rows: Sequence[Row], radius: float,
     # the iterate buffer, and a step writes into the first R rows of each. The update goes
     # into the spare iterate buffer, which then swaps roles with the iterate's.
     loss, bounded = objective.loss, math.isfinite(radius)
+    expit = load_expit() if loss == "logistic" else None
     scales_buf = np.ones((n_rows, b))       # linear loss: the scales stay 1.0
     grad_buf, spare = np.empty((n_rows, d)), np.empty((n_rows, d))
     iterate_buf, sq_buf = np.empty((n_rows, d)), np.empty(n_rows)

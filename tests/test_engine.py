@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
 import hetsgd
 from hetsgd import experiments, sgd
@@ -604,3 +605,5 @@ def test_meta_names_the_package_commit_from_any_directory(tmp_path):
     assert meta["git_hash"] == expected
     assert meta["python"] == ".".join(map(str, sys.version_info[:3]))
     assert meta["numpy"] == np.__version__
+    # The engine's expit is scipy's, loaded by the run's own process.
+    assert meta["scipy"] == scipy.__version__

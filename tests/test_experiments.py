@@ -1,6 +1,8 @@
 import hashlib
 import json
 import logging
+import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +127,35 @@ class TestConfig:
         # TypeError; a string c_grid loaded as its characters.
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(overrides)
+
+    @pytest.mark.parametrize("overrides,key", [
+        ({"c_grid": [math.nan, 300.0]}, "c_grid"),
+        ({"c_grid": [-5.0]}, "c_grid"),
+        ({"c2_grid": [math.inf]}, "c2_grid"),
+        ({"problem": {"lam": -1.0}}, "problem.lam"),
+        ({"problem": {"lam": math.nan}}, "problem.lam"),
+        ({"problem": {"lam": "0.01"}}, "problem.lam"),
+        ({"problem": {"radius": 0.0}}, "problem.radius"),
+        ({"oracles": {"epsilon_clean": -1.0}}, "oracles.epsilon_clean"),
+        ({"oracles": {"epsilon_noisy": math.nan}}, "oracles.epsilon_noisy"),
+        ({"oracles": {"kind": "rcn", "sigma_noisy": 0.7}}, "oracles.sigma_noisy"),
+        ({"oracles": {"kind": "rcn", "sigma_clean": math.nan}}, "oracles.sigma_clean"),
+        ({"data": {"flip_rate": 0.7}}, "data.flip_rate"),
+        ({"data": {"flip_rate": math.nan}}, "data.flip_rate"),
+        ({"epsilon_noisy_sweep": [0.0]}, "epsilon_noisy_sweep"),
+        ({"oracles": {"kind": "rcn"}, "sigma_noisy_sweep": [0.6]}, "sigma_noisy_sweep")])
+    def test_values_out_of_range_rejected_at_load(self, overrides, key):
+        # Each used to load and fail only after the data was made and split, most of them
+        # naming no key (a bad rate as NonpositiveRate of oracle 'clean_data').
+        with pytest.raises(ValueError, match=re.escape(key)):
+            small_config(**overrides)
+
+    def test_edges_of_the_ranges_load(self):
+        cfg = small_config(problem={"lam": 0.01, "radius": math.inf},
+                           data={"flip_rate": 0.0},
+                           oracles={"kind": "rcn", "sigma_clean": 0.0, "epsilon_noisy": math.inf},
+                           c_grid=[1e-300, 1e300], sigma_noisy_sweep=[0.0, 0.49])
+        assert cfg.problem.radius == math.inf and cfg.c_grid == (1e-300, 1e300)
 
     @pytest.mark.parametrize("overrides,key", [({"trials": True}, "trials"),
                                                ({"c2_grid_points": True}, "c2_grid_points"),
