@@ -11,8 +11,7 @@ from .rates import (BoundInputs, C2Bracket, DomainError, PreconditionViolated, R
                     RateSelection, c2_bracket, clean_first_constant, clean_first_rate_interval,
                     minimize_phase2_rate, minimize_single_rate, noisy_first_constant,
                     noisy_first_rate_interval, select_rates, two_phase_bound)
-from .sgd import (InfeasibleIterate, NonpositiveRate, PhasePlan, Row, Schedule, Trajectory,
-                  run_batch)
+from .sgd import InfeasibleIterate, NonpositiveRate, Row, Schedule, Trajectory, run_batch
 from .datasets import (EmptyFileError, InconsistentDimensionError, ParseError,
                        SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm,
                        random_projection, sign_projection_matrix)

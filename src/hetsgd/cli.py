@@ -83,15 +83,22 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma-n-sq", type=float)
     p.add_argument("--epsilon-noisy", type=float)
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=1)
+    p.add_argument("--batch-size", type=int, default=None, help="default 1")
 
     p = add("noise-level", help="second-moment bound for one oracle")
     p.add_argument("--kind", choices=("dp", "rcn"), required=True)
     p.add_argument("--epsilon", type=float, default=None)
     p.add_argument("--sigma", type=float, default=None)
     p.add_argument("--dim", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=1)
+    p.add_argument("--batch-size", type=int, default=None, help="default 1")
     return parser
+
+
+def _unused(args: argparse.Namespace, mode: str, *names: str) -> None:
+    """Exit naming the first flag of ``names`` (as attributes) given, which ``mode`` does not read."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise SystemExit(f"--{name.replace('_', '-')} does not apply with {mode}")
 
 
 def main(argv=None) -> int:
@@ -102,26 +109,31 @@ def main(argv=None) -> int:
         getattr(experiments, EXPERIMENTS[args.command])(_load_config(args))
         return 0
 
+    batch_size = 1 if args.batch_size is None else args.batch_size
     if args.command == "select-rates":
         if args.gamma_c_sq is not None:
+            _unused(args, "--gamma-c-sq", "epsilon_noisy", "dim", "batch_size")
             if args.gamma_n_sq is None:
                 raise SystemExit("--gamma-n-sq required with --gamma-c-sq")
             gc, gn = args.gamma_c_sq, args.gamma_n_sq
         else:
+            _unused(args, "--epsilon-clean", "gamma_n_sq")
             if args.epsilon_noisy is None or args.dim is None:
                 raise SystemExit("--epsilon-noisy and --dim required with --epsilon-clean")
-            gc = dp_noise_level(args.epsilon_clean, args.dim, args.batch_size).gamma_sq
-            gn = dp_noise_level(args.epsilon_noisy, args.dim, args.batch_size).gamma_sq
+            gc = dp_noise_level(args.epsilon_clean, args.dim, batch_size).gamma_sq
+            gn = dp_noise_level(args.epsilon_noisy, args.dim, batch_size).gamma_sq
         sel = select_rates(gc, gn, args.beta_c, args.lam)
         print(json.dumps(sel.to_dict(), indent=2, sort_keys=True))
         return 0
 
     if args.command == "noise-level":
         if args.kind == "dp":
+            _unused(args, "--kind dp", "sigma")
             if args.epsilon is None or args.dim is None:
                 raise SystemExit("--epsilon and --dim required for kind=dp")
-            level = dp_noise_level(args.epsilon, args.dim, args.batch_size)
+            level = dp_noise_level(args.epsilon, args.dim, batch_size)
         else:
+            _unused(args, "--kind rcn", "epsilon", "dim", "batch_size")
             if args.sigma is None:
                 raise SystemExit("--sigma required for kind=rcn")
             level = rcn_noise_level(args.sigma)

@@ -26,7 +26,7 @@ from .core import LOSSES, Dataset, ObjectiveSpec, full_objective, is_integer, lo
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
 from .oracles import GradientOracle, NoiseLevel, OracleSpec
 from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
-from .sgd import PhasePlan, Row, Schedule, check_budgets, run_batch
+from .sgd import Row, Schedule, check_budgets, run_batch
 
 STRATEGIES = ("Optimal", "CleanOnly", "SameClean", "SameNoisy", "Algorithm2")
 ORDER_STRATEGIES = ("CF", "NF", "AO")
@@ -429,7 +429,7 @@ class RunReport:
                                "violated": self.assumes_inactive and active}}
 
 
-def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
+def _run_trials(trials: int, make_trial: Callable[[int], list],
                 score: Callable[[list], float], report: Optional[RunReport]) -> dict:
     """Per-trial scores of every keyed group of runs, through as few engine calls as fit.
 
@@ -452,7 +452,7 @@ def _run_trials(trials: int, radius: float, make_trial: Callable[[int], list],
         report.lap("oracles")
         if size < BATCH_BYTES and i < trials - 1:
             continue
-        trajectories = run_batch([r for _, rows in block for r in rows], radius)
+        trajectories = run_batch([r for _, rows in block for r in rows])
         seconds = report.lap("engine")
         engine = report.engine
         row_steps = sum(t.steps for t in trajectories)
@@ -553,28 +553,28 @@ def _row(schedule: Schedule, oracles: dict, noisy: bool = True) -> Row:
     return Row(schedule, tuple(oracles[k] for k in schedule.ids), noisy)
 
 
-def _two_phase(order: str, c1: float, c2: float, obj: ObjectiveSpec) -> PhasePlan:
+def _two_phase(order: str, c1: float, c2: float, steps: dict) -> Schedule:
     """Both sources, ``order`` 'clean_first' or 'noisy_first', at rate constants c1 then c2."""
     sources = ("clean_data", "noisy_data") if order == "clean_first" else ("noisy_data", "clean_data")
-    return PhasePlan(tuple(zip(sources, (c1, c2))), obj.radius)
+    return Schedule.blocks(tuple(zip(sources, (c1, c2))), steps)
 
 
 # ---------------------------------------------------------------------------
 # Strategy comparison
 
 
-def _strategy_plans(noise_c: NoiseLevel, noise_n: NoiseLevel, beta_c: float,
-                    obj: ObjectiveSpec) -> dict:
-    """Every strategy's plan at one pair of noise levels."""
-    lam, gc, gn = obj.lam, noise_c.gamma_sq, noise_n.gamma_sq
+def _strategy_plans(noise_c: NoiseLevel, noise_n: NoiseLevel, beta_c: float, lam: float,
+                    steps: dict) -> dict:
+    """Every strategy's block schedule at one pair of noise levels."""
+    gc, gn = noise_c.gamma_sq, noise_n.gamma_sq
     sel = select_rates(gc, gn, beta_c, lam)
     same_clean_c, _ = minimize_single_rate(BoundInputs(gc, gn, beta_c, lam, T=1))
     same_noisy_c, _ = minimize_single_rate(BoundInputs(gn, gc, 1.0 - beta_c, lam, T=1))
-    return {"Optimal": PhasePlan((("all_data", 1.0 / lam),), obj.radius),
-            "CleanOnly": PhasePlan((("clean_data", 1.0 / lam),), obj.radius),
-            "SameClean": _two_phase("clean_first", same_clean_c, same_clean_c, obj),
-            "SameNoisy": _two_phase("noisy_first", same_noisy_c, same_noisy_c, obj),
-            "Algorithm2": _two_phase(sel.order, sel.c1, sel.c2, obj)}
+    return {"Optimal": Schedule.blocks((("all_data", 1.0 / lam),), steps),
+            "CleanOnly": Schedule.blocks((("clean_data", 1.0 / lam),), steps),
+            "SameClean": _two_phase("clean_first", same_clean_c, same_clean_c, steps),
+            "SameNoisy": _two_phase("noisy_first", same_noisy_c, same_noisy_c, steps),
+            "Algorithm2": _two_phase(sel.order, sel.c1, sel.c2, steps)}
 
 
 def strategy_comparison_details(cfg: ExperimentConfig, report: Optional[RunReport] = None):
@@ -594,8 +594,7 @@ def strategy_comparison_details(cfg: ExperimentConfig, report: Optional[RunRepor
     schedules = []
     for level in sweep:
         noise_c, noise_n = (_noise_level(cfg, s.ds.d, v) for v in (clean_level, level))
-        plans = _strategy_plans(noise_c, noise_n, s.beta_c, s.obj)
-        schedules.append({name: plans[name].schedule(s.steps) for name in strategies})
+        schedules.append(_strategy_plans(noise_c, noise_n, s.beta_c, s.obj.lam, s.steps))
 
     def make_trial(i: int) -> list:
         entries = []
@@ -608,7 +607,7 @@ def strategy_comparison_details(cfg: ExperimentConfig, report: Optional[RunRepor
                         for name in strategies]
         return entries
 
-    trial_values = _run_trials(cfg.trials, s.obj.radius, make_trial,
+    trial_values = _run_trials(cfg.trials, make_trial,
                                lambda group: full_objective(s.obj, group[0].final_w, s.ds.X, s.ds.y),
                                report)
     rows = [_result_row(name, level, trial_values[(name, level)])
@@ -640,8 +639,7 @@ def order_experiment_details(cfg: ExperimentConfig, report: Optional[RunReport] 
     s = _setup(cfg, len(c_grid))
 
     # Clean first and noisy first depend only on c, so every trial shares their schedules.
-    blocks = {(name, c): _two_phase("clean_first" if name == "CF" else "noisy_first", c, c,
-                                    s.obj).schedule(s.steps)
+    blocks = {(name, c): _two_phase("clean_first" if name == "CF" else "noisy_first", c, c, s.steps)
               for name in strategies if name != "AO" for c in c_grid}
 
     def schedule(name: str, c: float, seed_ao: int) -> Schedule:
@@ -666,7 +664,7 @@ def order_experiment_details(cfg: ExperimentConfig, report: Optional[RunReport] 
         noisy, twin = (full_objective(s.obj, t.final_w, s.ds.X, s.ds.y) for t in group)
         return abs(noisy - twin)
 
-    trial_values = _run_trials(cfg.trials, s.obj.radius, make_trial, gap, report)
+    trial_values = _run_trials(cfg.trials, make_trial, gap, report)
     rows = [_result_row(name, c, trial_values[(name, c)]) for c in c_grid for name in strategies]
     return rows, trial_values
 
@@ -707,16 +705,15 @@ def c2_sweep_details(cfg: ExperimentConfig, report: Optional[RunReport] = None):
     # The bracketing rates are always measured so the marker rows carry data.
     grid = sorted(set(float(c) for c in span) | {float(c2_lower), float(c2_upper)})
 
-    schedules = {("TwoRate", c2): _two_phase(bracket.order, 1.0 / s.obj.lam, c2,
-                                             s.obj).schedule(s.steps) for c2 in grid}
-    schedules[("CleanOnly", 0.0)] = PhasePlan((("clean_data", 1.0 / s.obj.lam),),
-                                              s.obj.radius).schedule(s.steps)
+    schedules = {("TwoRate", c2): _two_phase(bracket.order, 1.0 / s.obj.lam, c2, s.steps)
+                 for c2 in grid}
+    schedules[("CleanOnly", 0.0)] = Schedule.blocks((("clean_data", 1.0 / s.obj.lam),), s.steps)
 
     def make_trial(i: int) -> list:
         oracles = _split_oracles(cfg, s, s.seeds[0][i], noisy_level)
         return [(key, (_row(sched, oracles),)) for key, sched in schedules.items()]
 
-    trial_values = _run_trials(cfg.trials, s.obj.radius, make_trial,
+    trial_values = _run_trials(cfg.trials, make_trial,
                                lambda group: full_objective(s.obj, group[0].final_w, s.ds.X, s.ds.y),
                                report)
     rows = [_result_row(name, param, trial_values[(name, param)]) for name, param in schedules]

@@ -61,12 +61,13 @@ A row names a ``Schedule`` (the oracle slot serving each step and each
 slot's rate constant), the oracles behind its slots, and whether it is the
 noisy run or its noiseless twin. Oracles are read-only tables, so every run
 over one seed shares one table, and ``Row.starts`` lets runs read disjoint slices of one
-oracle. ``PhasePlan`` builds block schedules, and an interleaving is a
-``Schedule`` over shuffled slots. A ``Schedule`` derives what the engine
-reads from its slots once, at construction, and ``run_batch`` builds its
-(row, slot) tables from per-oracle arrays, so the setup of a call costs
-array time, not Python time per row. ``check_budgets`` is the rule every run
-keeps: it reads each of its oracles' whole budget. ``run_sgd``,
+oracle. ``Schedule.blocks`` builds block schedules from ordered phases, and an
+interleaving is a ``Schedule`` over shuffled slots. A ``Schedule`` derives what the
+engine reads from its slots once, at construction, and ``run_batch`` builds its
+(row, slot) tables from per-oracle arrays, so the setup of a call costs array time,
+not Python time per row. A run's radius is its objective's: a call's oracles share
+one ``ObjectiveSpec``. ``check_budgets`` is the rule every run keeps: it reads each
+of its oracles' whole budget, and no oracle in two slots. ``run_sgd``,
 ``run_sgd_interleaved``, ``run_paired`` and ``run_paired_interleaved`` exist
 only because perfbench's tracer wraps them by name. Each is one ``run_batch``
 call over whole budgets from batch 0; the package calls none of them.
@@ -74,6 +75,7 @@ call over whole budgets from batch 0; the package calls none of them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
@@ -89,7 +91,7 @@ CHUNK_BYTES = 1 << 18
 
 
 class NonpositiveRate(ValueError):
-    """A phase was configured with a rate constant c that is not in (0, inf)."""
+    """A slot was given a rate constant c that is not a real number in (0, inf)."""
 
 
 class InfeasibleIterate(RuntimeError):
@@ -129,9 +131,12 @@ class Schedule:
         object.__setattr__(self, "slots", slots)
         if len(self.ids) != len(self.rates):
             raise ValueError("need one rate per oracle slot")
+        if not self.ids or len(set(self.ids)) != len(self.ids):
+            raise ValueError(f"need at least one slot, and each oracle id once, got {self.ids}")
         for oracle_id, c in zip(self.ids, self.rates):
-            if not 0 < c < np.inf:
-                raise NonpositiveRate(f"oracle {oracle_id!r} needs a rate in (0, inf), got {c}")
+            if isinstance(c, bool) or not (isinstance(c, numbers.Real) and 0 < c < np.inf):
+                raise NonpositiveRate(f"oracle {oracle_id!r} needs a real rate in (0, inf), "
+                                      f"got {c!r}")
         if slots.size and not 0 <= slots.min() <= slots.max() < len(self.ids):
             raise ValueError("schedule refers to a slot it does not name")
         # One pass per slot: its steps, numbered within the slot, and the first of them.
@@ -149,33 +154,16 @@ class Schedule:
         object.__setattr__(self, "_firsts", (slots[firsts].tolist(), firsts))
         object.__setattr__(self, "_key", slots.tobytes())
 
+    @classmethod
+    def blocks(cls, phases: Sequence, steps: Mapping[str, int]) -> Schedule:
+        """Ordered (oracle id, rate constant) phases, each running its oracle ``steps[id]`` steps."""
+        ids = tuple(k for k, _ in phases)
+        return cls(ids, tuple(c for _, c in phases),
+                   np.repeat(np.arange(len(ids)), [steps[k] for k in ids]))
+
     def counts(self) -> np.ndarray:
         """Steps per slot."""
         return self._counts
-
-
-@dataclass(frozen=True)
-class PhasePlan:
-    """Ordered (oracle_id, rate constant) phases sharing one global step clock."""
-
-    phases: tuple
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "phases", tuple((str(k), float(c)) for k, c in self.phases))
-        if len(self.phases) == 0:
-            raise ValueError("need at least one phase")
-        ids = [k for k, _ in self.phases]
-        if len(set(ids)) != len(ids):
-            raise ValueError("each oracle may be referenced by exactly one phase")
-        if not self.radius > 0:
-            raise ValueError("radius must be positive")
-
-    def schedule(self, steps: Mapping[str, int]) -> Schedule:
-        """The block schedule: each phase runs its oracle for ``steps[id]`` steps, in order."""
-        ids = tuple(k for k, _ in self.phases)
-        return Schedule(ids, tuple(c for _, c in self.phases),
-                        np.repeat(np.arange(len(ids)), [steps[k] for k in ids]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,17 +295,15 @@ def _shared_prefixes(W: np.ndarray, reads: np.ndarray, patterns: list,
     return parent, shared
 
 
-def run_batch(rows: Sequence[Row], radius: float,
-              snapshot_stride: Optional[int] = None) -> list:
+def run_batch(rows: Sequence[Row], snapshot_stride: Optional[int] = None) -> list:
     """Advance every row's run together; return one Trajectory per row, in order.
 
-    All oracles of a batch share lam, loss, batch size and dimension.
+    All oracles of a batch share one objective (lam, loss and radius), batch
+    size and dimension; every run stays in the ball of that objective's radius.
     ``snapshot_stride``, an integer >= 1, keeps iterates every that many steps
     and at each row's last step.
     """
     rows = list(rows)
-    if not radius > 0:
-        raise ValueError("radius must be positive")
     if snapshot_stride is not None and not (is_integer(snapshot_stride) and snapshot_stride >= 1):
         raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
     if not rows:
@@ -325,11 +311,10 @@ def run_batch(rows: Sequence[Row], radius: float,
     oracles = list({id(o): o for r in rows for o in r.oracles}.values())
     first = oracles[0]
     objective, b, d = first.objective, first.spec.batch_size, first.dataset.d
-    lam = objective.lam
+    lam, radius = objective.lam, objective.radius
     for o in oracles:
-        if (o.objective.lam, o.objective.loss, o.spec.batch_size, o.dataset.d) != \
-                (lam, objective.loss, b, d):
-            raise ValueError("the oracles of one batch must share lam, loss, batch size and d")
+        if (o.objective, o.spec.batch_size, o.dataset.d) != (objective, b, d):
+            raise ValueError("the oracles of one batch must share objective, batch size and d")
 
     n_rows = len(rows)
     schedules = [r.schedule for r in rows]
@@ -568,11 +553,15 @@ def run_batch(rows: Sequence[Row], radius: float,
 
 
 def check_budgets(rows: Sequence[Row]) -> None:
-    """Every run must read each of its oracles' whole budget (in whole batches).
+    """Every run must read each of its oracles' whole budget (in whole batches), each once.
 
-    A RuntimeError, not an assert, so that the rule holds under ``python -O``.
+    An oracle named in two slots of one run would serve its examples twice,
+    which the one-pass privacy accounting does not allow. A RuntimeError, not
+    an assert, so that the rule holds under ``python -O``.
     """
     for row in rows:
+        if len({id(o) for o in row.oracles}) != len(row.oracles):
+            raise RuntimeError(f"a run names one oracle in two slots of {list(row.schedule.ids)}")
         steps, full = row.schedule.counts().tolist(), [o.steps_total for o in row.oracles]
         if steps != full:
             raise RuntimeError(f"a run would read {steps} batches of oracles "
@@ -592,31 +581,29 @@ def _whole_runs(schedule: Schedule, oracles: Mapping[str, GradientOracle],
     return rows
 
 
-def run_sgd(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
+def run_sgd(phases: Sequence, oracles: Mapping[str, GradientOracle],
             w0: Optional[np.ndarray] = None,
             snapshot_stride: Optional[int] = None) -> Trajectory:
-    """Run each phase's oracle over its whole budget, in order."""
-    schedule = plan.schedule({k: o.steps_total for k, o in oracles.items()})
-    return run_batch(_whole_runs(schedule, oracles, w0, False), plan.radius, snapshot_stride)[0]
+    """Run each (oracle id, rate constant) phase's oracle over its whole budget, in order."""
+    schedule = Schedule.blocks(phases, {k: o.steps_total for k, o in oracles.items()})
+    return run_batch(_whole_runs(schedule, oracles, w0, False), snapshot_stride)[0]
 
 
-def run_sgd_interleaved(schedule: Schedule, radius: float,
-                        oracles: Mapping[str, GradientOracle],
+def run_sgd_interleaved(schedule: Schedule, oracles: Mapping[str, GradientOracle],
                         w0: Optional[np.ndarray] = None,
                         snapshot_stride: Optional[int] = None) -> Trajectory:
     """Run ``schedule`` over the oracles it names, each over its whole budget."""
-    return run_batch(_whole_runs(schedule, oracles, w0, False), radius, snapshot_stride)[0]
+    return run_batch(_whole_runs(schedule, oracles, w0, False), snapshot_stride)[0]
 
 
-def run_paired(plan: PhasePlan, oracles: Mapping[str, GradientOracle],
+def run_paired(phases: Sequence, oracles: Mapping[str, GradientOracle],
                w0: Optional[np.ndarray] = None) -> tuple:
     """``run_sgd``'s run and its noiseless twin (see ``Row``) over the same data order."""
-    schedule = plan.schedule({k: o.steps_total for k, o in oracles.items()})
-    return tuple(run_batch(_whole_runs(schedule, oracles, w0, True), plan.radius))
+    schedule = Schedule.blocks(phases, {k: o.steps_total for k, o in oracles.items()})
+    return tuple(run_batch(_whole_runs(schedule, oracles, w0, True)))
 
 
-def run_paired_interleaved(schedule: Schedule, radius: float,
-                           oracles: Mapping[str, GradientOracle],
+def run_paired_interleaved(schedule: Schedule, oracles: Mapping[str, GradientOracle],
                            w0: Optional[np.ndarray] = None) -> tuple:
     """``run_sgd_interleaved``'s run and its noiseless twin over the same data order."""
-    return tuple(run_batch(_whole_runs(schedule, oracles, w0, True), radius))
+    return tuple(run_batch(_whole_runs(schedule, oracles, w0, True)))

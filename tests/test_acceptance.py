@@ -19,7 +19,6 @@ from hetsgd.ordering import expected_deviation, noise_weights, two_level_schedul
 from hetsgd.rates import (BoundInputs, clean_first_constant, clean_first_rate_interval,
                           minimize_phase2_rate, minimize_single_rate,
                           noisy_first_rate_interval, select_rates, two_phase_bound)
-from hetsgd.sgd import PhasePlan
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -364,7 +363,7 @@ def test_criterion_10_convergence_rate(run_whole):
         X = mu + rng.standard_normal((T, d)) / math.sqrt(d)
         ds = Dataset(X, np.ones(T))
         oracle = GradientOracle(OracleSpec("clean", budget=T, rng_seed=20_500 + trial), obj, ds)
-        traj = run_whole(PhasePlan((("a", 1.0 / lam),), np.inf), {"a": oracle},
+        traj = run_whole((("a", 1.0 / lam),), {"a": oracle},
                          snapshot_stride=5)[0]
         if times is None:
             times = np.array([t for t, _ in traj.iterates])

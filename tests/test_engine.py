@@ -17,7 +17,7 @@ from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.experiments import (ExperimentConfig, c2_sweep_details, order_experiment_details,
                                 strategy_comparison_details)
 from hetsgd.oracles import GradientOracle, OracleSpec
-from hetsgd.sgd import InfeasibleIterate, PhasePlan, Row, Schedule, run_batch
+from hetsgd.sgd import InfeasibleIterate, Row, Schedule, run_batch
 
 MECHANISMS = {
     "clean": {},
@@ -38,8 +38,9 @@ def dataset(n, d, seed, zeros=False):
     return Dataset(X, y)
 
 
-def reference_run(row: Row, radius: float) -> list:
+def reference_run(row: Row) -> list:
     """Iterates of one row, stepped through GradientOracle.call on fresh oracles."""
+    radius = row.oracles[0].objective.radius
     fresh = [GradientOracle(o.spec, o.objective, o.dataset) for o in row.oracles]
     if not row.noisy:
         fresh = [o.twin() for o in fresh]
@@ -54,11 +55,12 @@ def reference_run(row: Row, radius: float) -> list:
     return iterates
 
 
-def mixed_rows(loss, b, seed=0, zeros=False):
+def mixed_rows(loss, b, seed=0, zeros=False, radius=1.0):
     """Every mechanism under a plan, its reverse, a one-phase plan, an interleaving and a
-    shorter interleaving that starts mid-budget, each noisy, as a twin and from a w0."""
+    shorter interleaving that starts mid-budget, each noisy, as a twin and from a w0, in
+    the ball of the given radius."""
     lam, d = 0.1, 4
-    obj = ObjectiveSpec(lam=lam, loss=loss)
+    obj = ObjectiveSpec(lam=lam, loss=loss, radius=radius)
     ds1, ds2 = dataset(8 * b + 1, d, seed, zeros), dataset(12 * b + 2, d, seed + 1, zeros)
     rows = []
     for m, (kind, kw) in enumerate(MECHANISMS.items()):
@@ -71,9 +73,9 @@ def mixed_rows(loss, b, seed=0, zeros=False):
         np.random.default_rng(m).shuffle(slots)
         late = np.repeat([0, 1], [3, steps["a"] - 3])     # as long as the one-phase plan
         np.random.default_rng(m + 10).shuffle(late)
-        schedules = [(PhasePlan((("a", 30.0), ("b", 12.0)), 1.0).schedule(steps), None),
-                     (PhasePlan((("b", 8.0), ("a", 20.0)), 1.0).schedule(steps), None),
-                     (PhasePlan((("a", 10.0),), 1.0).schedule(steps), None),
+        schedules = [(Schedule.blocks((("a", 30.0), ("b", 12.0)), steps), None),
+                     (Schedule.blocks((("b", 8.0), ("a", 20.0)), steps), None),
+                     (Schedule.blocks((("a", 10.0),), steps), None),
                      (Schedule(("a", "b"), (15.0, 15.0), slots), None),
                      (Schedule(("a", "b"), (25.0, 5.0), late), (4, 6))]
         oracles = {"a": first, "b": second}
@@ -89,11 +91,11 @@ def mixed_rows(loss, b, seed=0, zeros=False):
 @pytest.mark.parametrize("b", [1, 3])
 @pytest.mark.parametrize("radius,active", [(0.3, True), (1e3, False)])
 def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
-    rows = mixed_rows(loss, b)
-    trajectories = run_batch(rows, radius, snapshot_stride=1)
+    rows = mixed_rows(loss, b, radius=radius)
+    trajectories = run_batch(rows, snapshot_stride=1)
     hit = False
     for row, traj in zip(rows, trajectories):
-        ref = reference_run(row, radius)
+        ref = reference_run(row)
         assert traj.steps == len(ref)
         assert [t for t, _ in traj.iterates] == list(range(1, len(ref) + 1))
         np.testing.assert_allclose(np.array([w for _, w in traj.iterates]), np.array(ref),
@@ -103,10 +105,10 @@ def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
     assert hit == active
 
 
-def engine_digest(rows, radius):
+def engine_digest(rows):
     """sha256 over every row's snapshots (step and iterate bytes) and final iterate."""
     h = hashlib.sha256()
-    for traj in run_batch(rows, radius, snapshot_stride=1):
+    for traj in run_batch(rows, snapshot_stride=1):
         for t, w in traj.iterates:
             h.update(t.to_bytes(4, "little") + w.tobytes())
         h.update(traj.final_w.tobytes())
@@ -173,7 +175,7 @@ PINNED_ENGINE_DIGESTS = {
 @pytest.mark.parametrize("radius", [0.3, 1e3])
 @pytest.mark.parametrize("zeros", [False, True])
 def test_engine_bytes_are_pinned(loss, b, radius, zeros):
-    digest = engine_digest(mixed_rows(loss, b, zeros=zeros), radius)
+    digest = engine_digest(mixed_rows(loss, b, zeros=zeros, radius=radius))
     assert digest == PINNED_ENGINE_DIGESTS[loss, b, radius, zeros]
 
 
@@ -182,12 +184,12 @@ def test_engine_bytes_are_pinned(loss, b, radius, zeros):
 @pytest.mark.parametrize("radius", [0.3, 1e3])
 def test_chunk_size_does_not_change_a_value(loss, b, radius, monkeypatch):
     # One-phase rows are shorter than the rest and leave mid-chunk unless a chunk is one step.
-    rows = mixed_rows(loss, b)
+    rows = mixed_rows(loss, b, radius=radius)
     assert len({len(r.schedule.slots) for r in rows}) == 2
     runs = []
     for chunk_bytes in (1, 1 << 14, sgd.CHUNK_BYTES):
         monkeypatch.setattr(sgd, "CHUNK_BYTES", chunk_bytes)
-        runs.append(run_batch(rows, radius, snapshot_stride=1))
+        runs.append(run_batch(rows, snapshot_stride=1))
     for one_step, *others in zip(*runs):
         for traj in others:
             assert traj.final_w.tobytes() == one_step.final_w.tobytes()
@@ -214,7 +216,7 @@ def test_projection_scales_only_the_rows_outside_the_ball():
 @pytest.mark.parametrize("chunk_bytes", [1, sgd.CHUNK_BYTES])
 def test_a_nan_row_ends_in_infeasible_iterate(radius, chunk_bytes, monkeypatch):
     monkeypatch.setattr(sgd, "CHUNK_BYTES", chunk_bytes)
-    rows = mixed_rows("logistic", 1)
+    rows = mixed_rows("logistic", 1, radius=radius)
     noisy = next(r for r in rows if r.oracles[0].noise_means is not None)
     oracle = noisy.oracles[0]
     oracle.noise_means = oracle.noise_means.copy()      # the oracle's own table is read-only
@@ -222,7 +224,7 @@ def test_a_nan_row_ends_in_infeasible_iterate(radius, chunk_bytes, monkeypatch):
     # That row's plan reads batch 2 of the oracle at step 3, and no row reads it sooner.
     assert noisy.schedule.slots[:3].tolist() == [0, 0, 0] and noisy.starts is None
     with pytest.raises(InfeasibleIterate, match=r"non-finite at step 3$"):
-        run_batch(rows, radius)
+        run_batch(rows)
 
 
 @pytest.mark.parametrize("kind", ["local_dp", "rcn"])
@@ -232,8 +234,9 @@ def test_einsum_calls_per_logistic_step(kind, b, monkeypatch):
     # b > 1). A step the norm bound cannot place inside the ball adds one squared-row-norm
     # einsum. Each engine call adds three: the largest example and noise norms, and the
     # final feasibility check. At radius 0.3 the bound places no step inside; at 1e3 most.
-    rows = [r for r in mixed_rows("logistic", b) if r.oracles[0].spec.kind == kind]
-    steps = max(len(r.schedule.slots) for r in rows)
+    small, large = ([r for r in mixed_rows("logistic", b, radius=radius)
+                     if r.oracles[0].spec.kind == kind] for radius in (0.3, 1e3))
+    steps = max(len(r.schedule.slots) for r in small)
     einsum, calls = np.einsum, []
 
     def counted(*args, **kwargs):
@@ -241,11 +244,11 @@ def test_einsum_calls_per_logistic_step(kind, b, monkeypatch):
         return einsum(*args, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counted)
-    run_batch(rows, 0.3)
+    run_batch(small)
     assert calls.count("rd,rd->r") == steps + 1
     assert len(calls) == (2 if b == 1 else 3) * steps + 3
     calls.clear()
-    run_batch(rows, 1e3)
+    run_batch(large)
     assert calls.count("rbd,rd->rb") == steps
     assert calls.count("rb,rbd->rd") == (0 if b == 1 else steps)
     assert calls.count("nd,nd->n") == 2
@@ -254,8 +257,8 @@ def test_einsum_calls_per_logistic_step(kind, b, monkeypatch):
 
 @pytest.mark.parametrize("b", [1, 3])
 def test_projected_counts_the_steps_the_reference_projects(b):
-    rows = mixed_rows("logistic", b)
-    trajectories = run_batch(rows, 0.3)
+    rows = mixed_rows("logistic", b, radius=0.3)
+    trajectories = run_batch(rows)
     for row, traj in zip(rows, trajectories):
         fresh = [GradientOracle(o.spec, o.objective, o.dataset) for o in row.oracles]
         fresh = fresh if row.noisy else [o.twin() for o in fresh]
@@ -270,26 +273,26 @@ def test_projected_counts_the_steps_the_reference_projects(b):
             last = t if w is not v else last
         assert (traj.projected, traj.last_projected) == (hits, last)
     assert any(t.projected for t in trajectories)
-    assert all(t.projected == 0 for t in run_batch(rows, 1e3))
+    assert all(t.projected == 0 for t in run_batch(mixed_rows("logistic", b, radius=1e3)))
 
 
-def bound_rows(loss, b):
+def bound_rows(loss, b, radius):
     """mixed_rows, and for each mechanism two rows (noisy and twin) that repeat the first
     plan's first phase at another second rate."""
-    rows = mixed_rows(loss, b)
+    rows = mixed_rows(loss, b, radius=radius)
     for first in rows[::15]:        # each mechanism's first plan, noisy
         steps = {"a": first.oracles[0].steps_total, "b": first.oracles[1].steps_total}
-        other = PhasePlan((("a", 30.0), ("b", 4.0)), 1.0).schedule(steps)
+        other = Schedule.blocks((("a", 30.0), ("b", 4.0)), steps)
         rows += [Row(other, first.oracles), Row(other, first.oracles, False)]
     return rows
 
 
-def aligned_rows(b, flip_rate=0.45, plans=((1.0, 1.0), (3.0, 3.0), (3.0, 1.0))):
+def aligned_rows(b, radius, flip_rate=0.45, plans=((1.0, 1.0), (3.0, 3.0), (3.0, 1.0))):
     """Runs over one repeated example u under the linear loss and lam = 1, so that every
     gradient is u (clean) or +-u / (1 - 2 sigma) (label flips): iterates move along u, and
     the norm bound is as tight as the flips allow. Rates 3 and 3 then 1 share their first
     phase. Without flips, runs at rate 1/2 creep towards the norm |u| = 1 from inside."""
-    obj = ObjectiveSpec(lam=1.0, loss="linear")
+    obj = ObjectiveSpec(lam=1.0, loss="linear", radius=radius)
     n = 40 * b
     ds = Dataset(np.tile([0.6, 0.8], (n, 1)), np.ones(n))
     rows = []
@@ -317,15 +320,15 @@ def test_steps_the_norm_bound_passes_change_no_byte(case, b, radius, monkeypatch
     # steps inside it. aligned_rows (rates 3 at lam = 1) do the same in a ball of radius 3.
     # Creeping runs reach the sphere of radius 0.9 late, after steps the bound passed.
     if case == "aligned":
-        rows = aligned_rows(b)
+        rows = aligned_rows(b, radius)
     elif case == "creep":
-        rows = aligned_rows(b, 0.0, ((0.5, 0.5), (0.5, 0.25)))
+        rows = aligned_rows(b, radius, 0.0, ((0.5, 0.5), (0.5, 0.25)))
     else:
-        rows = bound_rows(case, b)
-    bounded = run_batch(rows, radius, snapshot_stride=1)
+        rows = bound_rows(case, b, radius)
+    bounded = run_batch(rows, snapshot_stride=1)
     monkeypatch.setattr(sgd, "_norm_bounds",
                         lambda t0, t1, *rest: (np.ones(t1 - t0), np.full(t1 - t0, np.inf)))
-    exact = run_batch(rows, radius, snapshot_stride=1)
+    exact = run_batch(rows, snapshot_stride=1)
     for got, want in zip(bounded, exact):
         assert got.final_w.tobytes() == want.final_w.tobytes()
         assert [(t, w.tobytes()) for t, w in got.iterates] == \
@@ -364,9 +367,9 @@ def test_results_share_no_memory_with_each_other_or_the_engine():
     # Rows of two lengths, so the active rows shrink mid-run, and a radius at which the
     # projection scales rows on steps inside a chunk (one chunk ends where the short rows
     # do, at step 9, and the next at step 23).
-    rows = mixed_rows("logistic", 1)
+    rows = mixed_rows("logistic", 1, radius=0.3)
     assert sorted({len(r.schedule.slots) for r in rows}) == [9, 23]
-    first = run_batch(rows, 0.3, snapshot_stride=1)
+    first = run_batch(rows, snapshot_stride=1)
 
     def arrays(trajectories):
         return [a for t in trajectories for a in [t.final_w] + [w for _, w in t.iterates]]
@@ -378,15 +381,15 @@ def test_results_share_no_memory_with_each_other_or_the_engine():
     # Each result owns its bytes, so it shares them with no other result and no buffer.
     assert all(a.base is None and a.flags.owndata for a in arrays(first))
     assert len({a.ctypes.data for a in arrays(first)}) == len(before)
-    second = run_batch(rows, 0.3, snapshot_stride=1)
+    second = run_batch(rows, snapshot_stride=1)
     assert not {a.ctypes.data for a in arrays(first)} & {a.ctypes.data for a in arrays(second)}
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(first), before))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(second), before))
 
 
 def test_twin_rows_differ_from_noisy_rows_only_through_noise():
-    rows = mixed_rows("logistic", 2)
-    trajectories = run_batch(rows, 1e3)
+    rows = mixed_rows("logistic", 2, radius=1e3)
+    trajectories = run_batch(rows)
     for i in range(0, len(rows), 3):
         noisy, twin = trajectories[i].final_w, trajectories[i + 1].final_w
         kind = rows[i].oracles[0].spec.kind
@@ -402,9 +405,9 @@ def test_rows_do_not_consume_their_oracles():
                 for o in oracles]
 
     before = table_bytes()
-    first = run_batch(rows, 1.0)
+    first = run_batch(rows)
     assert table_bytes() == before
-    again = run_batch(rows, 1.0)
+    again = run_batch(rows)
     assert [t.final_w.tobytes() for t in again] == [t.final_w.tobytes() for t in first]
 
 
@@ -412,7 +415,7 @@ def test_budget_overrun_rejected():
     rows = mixed_rows("logistic", 1)
     row = rows[0]
     with pytest.raises(hetsgd.BudgetExhausted):
-        run_batch([Row(row.schedule, row.oracles, starts=(1, 0))], 1.0)
+        run_batch([Row(row.schedule, row.oracles, starts=(1, 0))])
 
 
 def test_budget_overrun_names_the_first_slot_over_and_what_it_asks():
@@ -425,13 +428,13 @@ def test_budget_overrun_names_the_first_slot_over_and_what_it_asks():
     with pytest.raises(hetsgd.BudgetExhausted,
                        match=f"oracle {ids[1]!r} serves {budget_b} batches, "
                              f"a run asks for {used_b + 2}"):
-        run_batch(rows[:2] + [Row(row.schedule, row.oracles, starts=(0, 2))], 1.0)
+        run_batch(rows[:2] + [Row(row.schedule, row.oracles, starts=(0, 2))])
     with pytest.raises(hetsgd.BudgetExhausted, match=f"asks for {2 ** 80 + used_a}$"):
-        run_batch([Row(row.schedule, row.oracles, starts=(2 ** 80, 0))], 1.0)
+        run_batch([Row(row.schedule, row.oracles, starts=(2 ** 80, 0))])
     with pytest.raises(ValueError, match="one oracle and one start"):
-        run_batch([Row(row.schedule, row.oracles, starts=(0,))], 1.0)
+        run_batch([Row(row.schedule, row.oracles, starts=(0,))])
     with pytest.raises(ValueError, match="one oracle and one start"):
-        run_batch([Row(row.schedule, row.oracles[:1])], 1.0)
+        run_batch([Row(row.schedule, row.oracles[:1])])
 
 
 def test_a_schedule_keeps_a_read_only_copy_of_its_slots():
@@ -457,7 +460,7 @@ def test_negative_or_fractional_start_rejected(start):
                             dataset(12, 3, 5))
     schedule = Schedule(("a",), (2.0,), [0, 0])
     with pytest.raises(ValueError, match="starts"):
-        run_batch([Row(schedule, (oracle,), True, (start,))], 2.0)
+        run_batch([Row(schedule, (oracle,), True, (start,))])
 
 
 def test_fractional_schedule_slots_rejected():
@@ -465,14 +468,51 @@ def test_fractional_schedule_slots_rejected():
         Schedule(("a", "b"), (1.0, 1.0), [0.7, 0.2])
 
 
+@pytest.mark.parametrize("ids,rates,match", [
+    (("a", "a"), (1.0, 2.0), "each oracle id once"),
+    ((), (), "at least one slot"),
+    (("a", "b"), (1.0, True), r"'b' needs a real rate in \(0, inf\), got True"),
+    (("a",), (np.True_,), "'a' needs a real rate"),
+    (("a",), ("1.0",), "'a' needs a real rate"),
+])
+def test_schedule_rejects_repeated_ids_no_slots_and_rates_that_are_not_real(ids, rates, match):
+    with pytest.raises(ValueError, match=match):
+        Schedule(ids, rates, np.zeros(min(len(ids), 1), dtype=int))
+
+
+def test_a_run_may_not_read_one_oracle_in_two_slots():
+    # Reading an example twice breaks the one-pass model that local DP accounts for.
+    obj = ObjectiveSpec(lam=1.0, loss="linear")
+    oracle = GradientOracle(OracleSpec("local_dp", budget=20, rng_seed=1, epsilon=1.0), obj,
+                            dataset(20, 3, 5))
+    both = Schedule(("a", "b"), (10.0, 10.0), [0] * 20 + [1] * 20)
+    with pytest.raises(RuntimeError, match="one oracle in two"):
+        sgd.check_budgets([Row(both, (oracle, oracle))])
+    # Disjoint slices of one oracle, through starts, are the engine's to read.
+    halves = Schedule(("a", "b"), (10.0, 10.0), [0] * 10 + [1] * 10)
+    traj, = run_batch([Row(halves, (oracle, oracle), starts=(0, 10))])
+    assert traj.steps == 20
+
+
+def test_a_batch_whose_objectives_differ_only_in_radius_is_rejected():
+    ds = dataset(12, 3, 5)
+    oracles = [GradientOracle(OracleSpec("clean", budget=12, rng_seed=1),
+                              ObjectiveSpec(lam=1.0, loss="linear", radius=radius), ds)
+               for radius in (1.0, 2.0)]
+    schedule = Schedule(("a",), (1.0,), [0] * 12)
+    assert all(t.steps == 12 for t in run_batch([Row(schedule, (oracles[0],))] * 2))
+    with pytest.raises(ValueError, match="share objective"):
+        run_batch([Row(schedule, (o,)) for o in oracles])
+
+
 def test_w0_of_the_wrong_shape_rejected_before_the_budget_is_used(run_whole):
     obj = ObjectiveSpec(lam=1.0, loss="linear")
     oracle = GradientOracle(OracleSpec("clean", budget=12, rng_seed=1), obj, dataset(12, 3, 5))
-    plan = PhasePlan((("a", 1.0),), 1.0)
+    phases = (("a", 1.0),)
     with pytest.raises(ValueError, match="shape"):
-        run_whole(plan, {"a": oracle}, w0=np.array([0.3]))
+        run_whole(phases, {"a": oracle}, w0=np.array([0.3]))
     with pytest.raises(ValueError, match="shape"):
-        run_batch([Row(plan.schedule({"a": 12}), (oracle,), w0=np.array([0.3]))], 1.0)
+        run_batch([Row(Schedule.blocks(phases, {"a": 12}), (oracle,), w0=np.array([0.3]))])
 
 
 def test_snapshots_are_opt_in(run_whole):
@@ -482,10 +522,10 @@ def test_snapshots_are_opt_in(run_whole):
     def fresh():
         return {"a": GradientOracle(OracleSpec("clean", budget=12, rng_seed=1), obj, ds)}
 
-    plan = PhasePlan((("a", 1.0),), np.inf)
-    assert run_whole(plan, fresh())[0].iterates is None
+    phases = (("a", 1.0),)
+    assert run_whole(phases, fresh())[0].iterates is None
     # Every stride-th step and the last one.
-    assert [t for t, _ in run_whole(plan, fresh(), snapshot_stride=5)[0].iterates] == [5, 10, 12]
+    assert [t for t, _ in run_whole(phases, fresh(), snapshot_stride=5)[0].iterates] == [5, 10, 12]
 
 
 def small_config(**overrides):
@@ -558,18 +598,18 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
     ds = Dataset(np.full((5, 2), 0.5), np.ones(5))
     oracle = GradientOracle(OracleSpec("clean", budget=5), obj, ds)
     try:
-        schedule = sgd.PhasePlan((("a", 50.0),), 0.1).schedule({"a": 5})
-        sgd.run_batch([sgd.Row(schedule, (oracle,))], 0.1)
+        schedule = sgd.Schedule.blocks((("a", 50.0),), {"a": 5})
+        sgd.run_batch([sgd.Row(schedule, (oracle,))])
         print("feasibility unchecked")
     except sgd.InfeasibleIterate:
         print("feasibility checked")
     sgd.scale_into_ball = real_scale
 
-    full_schedule = sgd.PhasePlan.schedule
-    def short_schedule(self, steps):             # drops each run's last step
-        s = full_schedule(self, steps)
+    full_blocks = sgd.Schedule.blocks
+    def short_blocks(phases, steps):             # drops each run's last step
+        s = full_blocks(phases, steps)
         return sgd.Schedule(s.ids, s.rates, s.slots[:-1])
-    sgd.PhasePlan.schedule = short_schedule
+    sgd.Schedule.blocks = staticmethod(short_blocks)
     cfg = ExperimentConfig.from_dict({
         "data": {"kind": "synthetic", "d": 3, "n": 120},
         "oracles": {"kind": "local_dp", "batch_size": 10}, "beta_c": 0.25, "trials": 2})

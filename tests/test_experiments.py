@@ -268,8 +268,8 @@ class TestOrderExperiment:
         cfg = small_config(tmp_path, c_grid=(25.0, 100.0, 400.0), trials=3)
         calls, run_batch = [], experiments.run_batch
 
-        def recorded(rows, radius, snapshot_stride=None):
-            calls.append(run_batch(rows, radius, snapshot_stride))
+        def recorded(rows, snapshot_stride=None):
+            calls.append(run_batch(rows, snapshot_stride))
             return calls[-1]
 
         monkeypatch.setattr(experiments, "run_batch", recorded)
@@ -481,6 +481,25 @@ class TestCli:
                          "--gamma-c-sq", "10", "--gamma-n-sq", "10"]) == 0
         out = json.loads(capsys.readouterr().out)
         assert out["order"] == "clean_first"
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["select-rates", "--lam", "0.1", "--beta-c", "0.5", "--gamma-c-sq", "8",
+          "--gamma-n-sq", "50", "--epsilon-noisy", "2", "--dim", "10", "--batch-size", "7"],
+         "--epsilon-noisy"),
+        (["select-rates", "--lam", "0.1", "--beta-c", "0.5", "--gamma-c-sq", "8",
+          "--gamma-n-sq", "50", "--batch-size", "1"], "--batch-size"),
+        (["select-rates", "--lam", "0.1", "--beta-c", "0.5", "--epsilon-clean", "8",
+          "--epsilon-noisy", "2", "--dim", "10", "--gamma-n-sq", "50"], "--gamma-n-sq"),
+        (["noise-level", "--kind", "rcn", "--sigma", "0.2", "--epsilon", "3", "--dim", "4"],
+         "--epsilon"),
+        (["noise-level", "--kind", "rcn", "--sigma", "0.2", "--batch-size", "1"], "--batch-size"),
+        (["noise-level", "--kind", "dp", "--epsilon", "2", "--dim", "10", "--sigma", "0.3"],
+         "--sigma"),
+    ])
+    def test_a_flag_the_input_mode_does_not_read_is_rejected(self, argv, flag, capsys):
+        with pytest.raises(SystemExit, match=f"^{flag} does not apply"):
+            cli_main(argv)
+        assert capsys.readouterr().out == ""
 
     def test_experiment_with_config_and_overrides(self, tmp_path, capsys):
         cfg = small_config(epsilon_noisy_sweep=(2.0,), trials=2)

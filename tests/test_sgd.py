@@ -4,7 +4,7 @@ import pytest
 from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.oracles import GradientOracle, OracleSpec
 from hetsgd.ordering import expected_deviation, noise_weights, two_level_schedule
-from hetsgd.sgd import NonpositiveRate, PhasePlan, Schedule
+from hetsgd.sgd import NonpositiveRate, Schedule
 
 
 def linear_dataset(n, d=3, seed=0, all_positive=False):
@@ -24,7 +24,7 @@ class TestRunSgd:
         obj = ObjectiveSpec(lam=2.0, loss="linear")  # radius 0.5
         ds = Dataset(np.array([[0.6, 0.8]]), np.array([1.0]))
         oracle = clean_oracle(ds, obj)
-        traj = run_whole(PhasePlan((("a", 0.5),), 0.5), {"a": oracle})[0]
+        traj = run_whole((("a", 0.5),), {"a": oracle})[0]
         # w2 = project(eta1 * y1 x1) with eta1 = c = 1/lam and lam*w0 = 0
         np.testing.assert_allclose(traj.final_w, project(0.5 * np.array([0.6, 0.8]), 0.5))
         assert traj.steps == 1
@@ -34,7 +34,7 @@ class TestRunSgd:
         # must still put the iterate on the sphere rather than scale it to 0.
         obj = ObjectiveSpec(lam=0.1, loss="logistic")        # radius 10
         oracle = clean_oracle(linear_dataset(20, seed=3), obj)
-        traj = run_whole(PhasePlan((("a", 1e300),), obj.radius), {"a": oracle})[0]
+        traj = run_whole((("a", 1e300),), {"a": oracle})[0]
         assert np.linalg.norm(traj.final_w) == pytest.approx(obj.radius, rel=1e-12)
 
     def test_matches_closed_form_recursion_without_projection(self, run_whole):
@@ -43,7 +43,7 @@ class TestRunSgd:
         obj = ObjectiveSpec(lam=lam, loss="linear", radius=np.inf)
         ds = linear_dataset(T, d=3, seed=10)
         oracle = clean_oracle(ds, obj, seed=4)
-        traj = run_whole(PhasePlan((("a", c),), np.inf), {"a": oracle}, snapshot_stride=1)[0]
+        traj = run_whole((("a", c),), {"a": oracle}, snapshot_stride=1)[0]
         order = GradientOracle(OracleSpec("clean", budget=T, rng_seed=4), obj, ds).order
         yx = ds.y[order, None] * ds.X[order]
         w = np.zeros(3)
@@ -62,7 +62,7 @@ class TestRunSgd:
         ds1 = linear_dataset(3, seed=1, all_positive=True)
         ds2 = linear_dataset(2, seed=2, all_positive=True)
         o1, o2 = clean_oracle(ds1, obj, seed=5), clean_oracle(ds2, obj, seed=6)
-        traj = run_whole(PhasePlan((("a", 0.5), ("b", 2.0)), np.inf), {"a": o1, "b": o2})[0]
+        traj = run_whole((("a", 0.5), ("b", 2.0)), {"a": o1, "b": o2})[0]
         yx1 = ds1.y[o1.order, None] * ds1.X[o1.order]
         yx2 = ds2.y[o2.order, None] * ds2.X[o2.order]
         w = np.zeros(3)
@@ -79,7 +79,7 @@ class TestRunSgd:
         ds = linear_dataset(50, seed=3)
         oracle = GradientOracle(OracleSpec("gaussian", budget=50, rng_seed=2, noise_sq=25.0),
                                 obj, ds)
-        traj = run_whole(PhasePlan((("a", 40.0),), 2.0), {"a": oracle}, snapshot_stride=1)[0]
+        traj = run_whole((("a", 40.0),), {"a": oracle}, snapshot_stride=1)[0]
         for _, w in traj.iterates:
             assert np.linalg.norm(w) <= 2.0 * (1 + 1e-9)
 
@@ -87,16 +87,12 @@ class TestRunSgd:
         obj = ObjectiveSpec(lam=1.0)
         ds = linear_dataset(4)
         with pytest.raises(NonpositiveRate):
-            run_whole(PhasePlan((("a", -0.1),), 1.0), {"a": clean_oracle(ds, obj)})
-
-    def test_nan_plan_rejected(self):
-        with pytest.raises(ValueError, match="positive"):
-            PhasePlan((("a", 1.0),), np.nan)
+            run_whole((("a", -0.1),), {"a": clean_oracle(ds, obj)})
 
     def test_deterministic_given_seeds(self, run_whole):
         obj = ObjectiveSpec(lam=0.2, loss="logistic")
         ds = linear_dataset(40, seed=7)
-        plan = PhasePlan((("a", 5.0),), 5.0)
+        plan = (("a", 5.0),)
         spec = OracleSpec("local_dp", budget=40, batch_size=2, rng_seed=123, epsilon=1.0)
         t1 = run_whole(plan, {"a": GradientOracle(spec, obj, ds)})[0]
         t2 = run_whole(plan, {"a": GradientOracle(spec, obj, ds)})[0]
@@ -106,23 +102,25 @@ class TestRunSgd:
         # Squared norms near 1e600 overflow; the final feasibility check must not.
         obj = ObjectiveSpec(lam=1e-300, loss="logistic")      # radius 1e300
         oracle = clean_oracle(linear_dataset(20, seed=3), obj)
-        traj = run_whole(PhasePlan((("a", 1e300),), obj.radius), {"a": oracle})[0]
+        traj = run_whole((("a", 1e300),), {"a": oracle})[0]
         assert np.linalg.norm(traj.final_w / 1e300) == pytest.approx(1.0, rel=1e-12)
 
     def test_w0_whose_square_overflows_accepted(self, run_whole):
         obj = ObjectiveSpec(lam=1e-300, loss="linear")        # radius 1e300
         oracle = clean_oracle(linear_dataset(4), obj)
         w0 = np.array([1e200, 0.0, 0.0])
-        traj = run_whole(PhasePlan((("a", 1.0),), obj.radius), {"a": oracle}, w0=w0)[0]
+        traj = run_whole((("a", 1.0),), {"a": oracle}, w0=w0)[0]
         assert traj.steps == 4 and np.all(np.isfinite(traj.final_w))
+        small = clean_oracle(linear_dataset(4), ObjectiveSpec(lam=1e-300, loss="linear",
+                                                              radius=1e199))
         with pytest.raises(ValueError, match="feasible"):
-            run_whole(PhasePlan((("a", 1.0),), 1e199), {"a": oracle}, w0=w0)
+            run_whole((("a", 1.0),), {"a": small}, w0=w0)
 
     def test_w0_outside_ball_rejected(self, run_whole):
         obj = ObjectiveSpec(lam=1.0)
         ds = linear_dataset(4)
         with pytest.raises(ValueError, match="feasible"):
-            run_whole(PhasePlan((("a", 1.0),), 1.0), {"a": clean_oracle(ds, obj)},
+            run_whole((("a", 1.0),), {"a": clean_oracle(ds, obj)},
                       w0=np.array([2.0, 0.0, 0.0]))
 
     @pytest.mark.parametrize("w0", [[np.nan, 0.0, 0.0], [2.0, 0.0, 0.0]])
@@ -130,14 +128,14 @@ class TestRunSgd:
     def test_bad_start_rejected_before_the_budget_is_used(self, w0, paired, run_whole):
         oracle = clean_oracle(linear_dataset(3), ObjectiveSpec(lam=1.0))
         with pytest.raises(ValueError, match="feasible"):
-            run_whole(PhasePlan((("a", 1.0),), 1.0), {"a": oracle}, w0=np.array(w0),
+            run_whole((("a", 1.0),), {"a": oracle}, w0=np.array(w0),
                       paired=paired)
 
     @pytest.mark.parametrize("c", [np.inf, np.nan])
     def test_non_finite_rate_rejected_before_any_step(self, c, run_whole):
         oracle = clean_oracle(linear_dataset(3), ObjectiveSpec(lam=1e-3))
         with pytest.raises(NonpositiveRate):
-            run_whole(PhasePlan((("a", c),), 1e3), {"a": oracle})
+            run_whole((("a", c),), {"a": oracle})
 
 
 class TestInterleaved:
@@ -149,14 +147,13 @@ class TestInterleaved:
         def oracles():
             return {"a": clean_oracle(ds1, obj, seed=21), "b": clean_oracle(ds2, obj, seed=22)}
 
-        plan_traj = run_whole(PhasePlan((("a", c), ("b", c)), np.inf), oracles())[0]
+        plan_traj = run_whole((("a", c), ("b", c)), oracles())[0]
         pattern = Schedule(("a", "b"), (c, c), [0] * 6 + [1] * 4)
-        pat_traj = run_whole(pattern, oracles(), np.inf)[0]
+        pat_traj = run_whole(pattern, oracles())[0]
         np.testing.assert_array_equal(plan_traj.final_w, pat_traj.final_w)
 
-        rev_plan = run_whole(PhasePlan((("b", c), ("a", c)), np.inf), oracles())[0]
-        rev_pat = run_whole(Schedule(("a", "b"), (c, c), [1] * 4 + [0] * 6), oracles(),
-                            np.inf)[0]
+        rev_plan = run_whole((("b", c), ("a", c)), oracles())[0]
+        rev_pat = run_whole(Schedule(("a", "b"), (c, c), [1] * 4 + [0] * 6), oracles())[0]
         np.testing.assert_array_equal(rev_plan.final_w, rev_pat.final_w)
 
     def test_random_pattern_consumes_all_budgets(self, run_whole):
@@ -166,7 +163,7 @@ class TestInterleaved:
         slots = [0] * 5 + [1] * 7
         np.random.default_rng(0).shuffle(slots)
         pattern = Schedule(("a", "b"), (1.0, 1.0), slots)
-        assert run_whole(pattern, oracles, np.inf)[0].steps == 12
+        assert run_whole(pattern, oracles)[0].steps == 12
         assert pattern.counts().tolist() == [5, 7]
 
     def test_pattern_budget_mismatch_rejected(self, run_whole):
@@ -174,17 +171,17 @@ class TestInterleaved:
         ds = linear_dataset(4)
         oracles = {"a": clean_oracle(ds, obj)}
         with pytest.raises(RuntimeError, match="batches"):      # reads 3 of 4 batches
-            run_whole(Schedule(("a",), (1.0,), [0] * 3), oracles, 1.0)
+            run_whole(Schedule(("a",), (1.0,), [0] * 3), oracles)
         with pytest.raises(KeyError, match="z"):                # names an oracle not given
             run_whole(Schedule(("a", "z"), (1.0, 1.0), [0] * 4 + [1]),
-                      {"a": clean_oracle(ds, obj)}, 1.0)
+                      {"a": clean_oracle(ds, obj)})
 
 
 class TestPaired:
     def test_clean_oracles_give_identical_twins(self, run_whole):
         obj = ObjectiveSpec(lam=0.5, loss="logistic")
         ds = linear_dataset(20, seed=15)
-        noisy, twin = run_whole(PhasePlan((("a", 2.0),), 2.0),
+        noisy, twin = run_whole((("a", 2.0),),
                                 {"a": clean_oracle(ds, obj, seed=31)}, paired=True)
         np.testing.assert_array_equal(noisy.final_w, twin.final_w)
 
@@ -196,7 +193,7 @@ class TestPaired:
         ds = linear_dataset(T, seed=16)
         oracle = GradientOracle(OracleSpec("gaussian", budget=T, rng_seed=8, noise_sq=4.0),
                                 obj, ds)
-        plan = PhasePlan((("g", c),), np.inf)
+        plan = (("g", c),)
         noisy, twin = run_whole(plan, {"g": oracle}, paired=True)
         rerun = run_whole(plan, {"g": oracle})[0]       # the oracle holds no state
         np.testing.assert_array_equal(rerun.final_w, noisy.final_w)
@@ -213,7 +210,7 @@ class TestPaired:
         slots = [0, 1] * 10
         np.random.default_rng(3).shuffle(slots)
         pattern = Schedule(("a", "b"), (c, c), slots)
-        noisy, twin = run_whole(pattern, {"a": o1, "b": o2}, np.inf, paired=True)
+        noisy, twin = run_whole(pattern, {"a": o1, "b": o2}, paired=True)
         rows = (iter(o1.noise_means), iter(o2.noise_means))
         Z = np.array([next(rows[s]) for s in slots])
         deltas = noise_weights(c, lam, 20).deltas
@@ -234,7 +231,7 @@ class TestPaired:
                                            noise_sq=var_c), obj, ds_c)
             on = GradientOracle(OracleSpec("gaussian", budget=15, rng_seed=7000 + trial,
                                            noise_sq=var_n), obj, ds_n)
-            noisy, twin = run_whole(PhasePlan((("c", c), ("n", c)), np.inf),
+            noisy, twin = run_whole((("c", c), ("n", c)),
                                     {"c": oc, "n": on}, paired=True)
             gaps.append(np.sum((twin.final_w - noisy.final_w) ** 2))
         gaps = np.asarray(gaps)
@@ -297,7 +294,7 @@ def test_two_phase_error_within_leading_bound(run_whole):
                                        noise_sq=v1_sq), obj, ds1)
         o2 = GradientOracle(OracleSpec("gaussian", budget=T - T1, rng_seed=92_000 + trial,
                                        noise_sq=v2_sq), obj, ds2)
-        traj = run_whole(PhasePlan((("n", c1), ("c", c2)), radius), {"n": o1, "c": o2})[0]
+        traj = run_whole((("n", c1), ("c", c2)), {"n": o1, "c": o2})[0]
         errs.append(float(np.sum((traj.final_w - w_star) ** 2)))
 
     inputs = BoundInputs(4.0 + v1_sq, 4.0 + v2_sq, beta1, lam, T)
@@ -321,7 +318,7 @@ def test_convergence_rate_on_noiseless_problem(run_whole):
         X = mu + rng.standard_normal((T, d)) / np.sqrt(d)
         ds = Dataset(X, np.ones(T))
         oracle = clean_oracle(ds, obj, seed=61_000 + trial)
-        traj = run_whole(PhasePlan((("a", 1.0 / lam),), np.inf), {"a": oracle},
+        traj = run_whole((("a", 1.0 / lam),), {"a": oracle},
                          snapshot_stride=5)[0]
         errs.append([(t, float(np.sum((w - w_star) ** 2))) for t, w in traj.iterates])
     times = np.array([t for t, _ in errs[0]])

@@ -21,7 +21,7 @@ def dataset(n, d, seed):
 
 def sources(b=2, d=4):
     """A noisy (local-DP) source, a clean source, an rcn source and a larger noisy one."""
-    obj = ObjectiveSpec(lam=LAM, loss="logistic")
+    obj = ObjectiveSpec(lam=LAM, loss="logistic", radius=RADIUS)
     ds_n, ds_c = dataset(N_NOISY * b, d, 1), dataset(N_CLEAN * b, d, 2)
 
     def oracle(kind, ds, seed, **kw):
@@ -81,7 +81,7 @@ def stepped_row_steps(rows, snapshot_stride, monkeypatch):
         return einsum(spec, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counted)
-    trajectories = run_batch(rows, RADIUS, snapshot_stride)
+    trajectories = run_batch(rows, snapshot_stride)
     monkeypatch.setattr(np, "einsum", einsum)
     return trajectories, sum(stepped)
 
@@ -103,14 +103,14 @@ def test_each_row_matches_the_row_run_alone(case, snapshot_stride, chunk_bytes, 
     # The engine steps each row on its own steps only.
     assert computed == sum(t.steps - t.shared for t in batch)
     for r, traj in zip(rows, batch):
-        alone, = run_batch([r], RADIUS, snapshot_stride)
+        alone, = run_batch([r], snapshot_stride)
         assert alone.shared == 0
         assert as_bytes(traj) == as_bytes(alone)
 
 
 def test_projection_is_active_inside_the_shared_prefix():
     rows, _ = cases(sources())["c2_group"]
-    child = run_batch(rows, RADIUS, snapshot_stride=1)[1]
+    child = run_batch(rows, snapshot_stride=1)[1]
     assert child.shared == N_NOISY and child.projected > 0
     assert any(np.linalg.norm(w) == pytest.approx(RADIUS, rel=1e-12)
                for t, w in child.iterates if t <= child.shared)
@@ -121,7 +121,7 @@ def test_forked_rows_report_the_steps_they_took_over():
     src = sources()
     group = [noisy_first(src, c2) for c2 in (1.0, 2.0, 3.0)]
     others = [noisy_first(src, 2.0, noisy=False), row(src, ("c",), (10.0,), [0] * N_CLEAN)]
-    batch = run_batch(others[:1] + group + others[1:], RADIUS)
+    batch = run_batch(others[:1] + group + others[1:])
     assert [t.shared for t in batch] == [0, 0, N_NOISY, N_NOISY, 0]
     assert all(t.steps == N_NOISY + N_CLEAN for t in batch[:4])
 
@@ -135,12 +135,12 @@ def test_a_nan_in_a_shared_prefix_names_its_step(chunk_bytes, monkeypatch):
     noisy.noise_means[4, 0] = np.nan                  # batch 4, read at step 5 by every row
     rows = [noisy_first(src, c2) for c2 in (1.0, 4.0, 16.0)]
     with pytest.raises(InfeasibleIterate, match=r"non-finite at step 5$"):
-        run_batch(rows, RADIUS)
+        run_batch(rows)
 
 
 @pytest.mark.parametrize("stride", [0, -1, True, 1.5])
 def test_snapshot_stride_must_be_a_positive_integer(stride):
     rows, _ = cases(sources())["c2_group"]
     with pytest.raises(ValueError, match="snapshot_stride must be an integer >= 1"):
-        run_batch(rows, RADIUS, snapshot_stride=stride)
-    assert [t for t, _ in run_batch(rows[:1], RADIUS, np.int64(5))[0].iterates] == [5, 10, 13]
+        run_batch(rows, snapshot_stride=stride)
+    assert [t for t, _ in run_batch(rows[:1], np.int64(5))[0].iterates] == [5, 10, 13]

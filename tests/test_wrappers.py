@@ -12,7 +12,7 @@ from hetsgd.oracles import GradientOracle, OracleSpec
 
 RADIUS = 0.5
 W0 = np.array([0.1, -0.2, 0.05])
-PLAN = sgd.PhasePlan((("clean", 3.0), ("noisy", 1.5)), RADIUS)
+PHASES = (("clean", 3.0), ("noisy", 1.5))
 SLOTS = np.repeat([0, 1], [6, 9])
 np.random.default_rng(2).shuffle(SLOTS)
 SCHEDULE = sgd.Schedule(("clean", "noisy"), (3.0, 1.5), SLOTS)
@@ -37,11 +37,11 @@ def test_wrapper_matches_run_whole(name, run_whole):
     snapshots = {} if paired else {"snapshot_stride": 4}
     shared = oracles()
     if interleaved:
-        got = wrapper(SCHEDULE, RADIUS, shared, w0=W0, **snapshots)
-        want = run_whole(SCHEDULE, shared, RADIUS, w0=W0, paired=paired, **snapshots)
+        got = wrapper(SCHEDULE, shared, w0=W0, **snapshots)
+        want = run_whole(SCHEDULE, shared, w0=W0, paired=paired, **snapshots)
     else:
-        got = wrapper(PLAN, shared, w0=W0, **snapshots)
-        want = run_whole(PLAN, shared, w0=W0, paired=paired, **snapshots)
+        got = wrapper(PHASES, shared, w0=W0, **snapshots)
+        want = run_whole(PHASES, shared, w0=W0, paired=paired, **snapshots)
     got = list(got) if paired else [got]
     assert len(got) == len(want) == 1 + paired
     assert sum(t.projected for t in want) > 0          # the projection is compared too
@@ -55,4 +55,4 @@ def test_wrapper_matches_run_whole(name, run_whole):
                 [(t, x.tobytes()) for t, x in w.iterates]
     if interleaved:     # a schedule that leaves a batch unread fails the shared budget check
         with pytest.raises(RuntimeError, match="batches"):
-            wrapper(sgd.Schedule(SCHEDULE.ids, SCHEDULE.rates, SLOTS[:-1]), RADIUS, shared)
+            wrapper(sgd.Schedule(SCHEDULE.ids, SCHEDULE.rates, SLOTS[:-1]), shared)
