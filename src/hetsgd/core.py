@@ -32,6 +32,13 @@ def is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def check_counts(counts: dict) -> None:
+    """Raise ValueError naming the first entry of ``counts`` that is not an integer >= 1."""
+    for name, value in counts.items():
+        if not is_integer(value) or value < 1:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Regularization strength, loss name, and feasible-set radius.
@@ -45,8 +52,8 @@ class ObjectiveSpec:
     radius: float | None = None
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < math.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
         if self.radius is None:

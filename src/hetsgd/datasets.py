@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, check_counts
 
 logger = logging.getLogger(__name__)
 
@@ -46,8 +46,7 @@ class SyntheticSpec:
     flip_rate: float = 0.0
 
     def __post_init__(self):
-        if self.d < 1 or self.n < 1:
-            raise ValueError("d and n must be positive")
+        check_counts({"d": self.d, "n": self.n})
         if not 0.0 <= self.flip_rate < 0.5:
             raise ValueError("flip_rate must be in [0, 0.5)")
 
@@ -73,6 +72,7 @@ def sign_projection_matrix(d_in: int, d_out: int, seed: int) -> np.ndarray:
 
 def random_projection(data: Dataset, d_out: int, seed: int) -> Dataset:
     """Project features to d_out dimensions with a seeded sign matrix, then renormalize."""
+    check_counts({"d_out": d_out})
     if d_out > data.d:
         raise ValueError(f"d_out={d_out} exceeds input dimension {data.d}")
     P = sign_projection_matrix(data.d, d_out, seed)

@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import LOSSES, Dataset, ObjectiveSpec, full_objective, is_integer, load_expit
+from .core import LOSSES, Dataset, ObjectiveSpec, check_counts, full_objective, is_integer, load_expit
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
 from .oracles import GradientOracle, NoiseLevel, OracleSpec
 from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
@@ -257,14 +257,12 @@ class ExperimentConfig:
         for key, value, (where, ok) in reals:
             if isinstance(value, bool) or not (isinstance(value, numbers.Real) and ok(value)):
                 raise ValueError(f"{key} must be a number {where}, got {value!r}")
-        counts = [("trials", self.trials), ("data.n", self.data.n), ("data.d", self.data.d),
-                  ("oracles.batch_size", self.oracles.batch_size),
-                  ("c2_grid_points", self.c2_grid_points)]
+        counts = {"trials": self.trials, "data.n": self.data.n, "data.d": self.data.d,
+                  "oracles.batch_size": self.oracles.batch_size,
+                  "c2_grid_points": self.c2_grid_points}
         if self.data.project_to is not None:
-            counts.append(("data.project_to", self.data.project_to))
-        for key, value in counts:
-            if not is_integer(value) or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+            counts["data.project_to"] = self.data.project_to
+        check_counts(counts)
         if not is_integer(self.master_seed) or self.master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
         for key in _SEQUENCE_KEYS:

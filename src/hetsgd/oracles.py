@@ -32,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, ObjectiveSpec, gradient_scales, is_integer, margin_scales, margins
+from .core import Dataset, ObjectiveSpec, check_counts, gradient_scales, margin_scales, margins
 
 KINDS = ("clean", "local_dp", "rcn", "gaussian")
 
@@ -63,8 +63,9 @@ def dp_noise_level(epsilon: float, d: int, batch_size: int = 1) -> NoiseLevel:
     gamma_sq = 4 + 4(d^2 + d)/(epsilon^2 * b); the lower variant drops the
     (loose) data-term constant 4.
     """
-    if not epsilon > 0 or d < 1 or batch_size < 1:
-        raise ValueError("epsilon, d and batch_size must be positive")
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    check_counts({"d": d, "batch_size": batch_size})
     noise_part = 4.0 * (d * d + d) / (epsilon * epsilon * batch_size)
     return NoiseLevel(DATA_TERM_BOUND + noise_part, noise_part)
 
@@ -141,10 +142,7 @@ class OracleSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
-        for key in ("budget", "batch_size"):
-            value = getattr(self, key)
-            if not is_integer(value) or value < 1:
-                raise ValueError(f"{key} must be an integer >= 1, got {value!r}")
+        check_counts({"budget": self.budget, "batch_size": self.batch_size})
         if self.kind == "local_dp" and (self.epsilon is None or not self.epsilon > 0):
             raise ValueError("local_dp oracle needs epsilon > 0")
         if self.kind == "rcn" and (self.sigma is None or not 0.0 <= self.sigma < 0.5):

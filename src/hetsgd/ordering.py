@@ -19,6 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from .core import check_counts
+
 
 @dataclass(frozen=True)
 class NoiseWeights:
@@ -37,8 +39,9 @@ def noise_weights(c: float, lam: float, T: int) -> NoiseWeights:
     integer <= T); signs are accumulated separately so the magnitudes stay in
     log space.
     """
-    if not c > 0 or not lam > 0 or T < 1:
-        raise ValueError("need c > 0, lam > 0, T >= 1")
+    if not (0.0 < c < np.inf and 0.0 < lam < np.inf):
+        raise ValueError(f"need c > 0, lam > 0, both finite, got c={c!r} and lam={lam!r}")
+    check_counts({"T": T})
     if T == 1:
         return NoiseWeights(np.array([c]), c, lam, 1)
     s = np.arange(2, T + 1, dtype=np.float64)
@@ -68,6 +71,8 @@ def expected_deviation(weights: NoiseWeights, step_noise_sq: Sequence[float]) ->
     if variances.shape != weights.deltas.shape:
         raise ValueError(
             f"schedule length {variances.shape} does not match T={weights.T}")
+    if not variances.min() >= 0.0:             # NaN fails too
+        raise ValueError(f"step_noise_sq must be >= 0, got {variances.min()}")
     return float(np.sum(weights.deltas ** 2 * variances))
 
 
@@ -95,8 +100,9 @@ def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
     clean-first and noisy-first agree to relative 1e-12, which happens
     exactly at c = 1/lam.
     """
-    if not 0.0 <= v_clean_sq <= v_noisy_sq:
-        raise ValueError("expected 0 <= v_clean_sq <= v_noisy_sq")
+    if not 0.0 <= v_clean_sq <= v_noisy_sq < np.inf:
+        raise ValueError(f"expected 0 <= v_clean_sq <= v_noisy_sq < inf, got v_clean_sq="
+                         f"{v_clean_sq!r} and v_noisy_sq={v_noisy_sq!r}")
     T = T_clean + T_noisy
     weights = noise_weights(c, lam, T)
     arbitrary_pattern = np.asarray(arbitrary_pattern, dtype=bool)

@@ -314,10 +314,11 @@ def noisy_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
                   1 + (2 log 4r + log log(1/beta_n)) / log(1/beta_n)]
     with r = gamma_n / gamma_c; natural logs throughout.
     """
-    if lam <= 0:
-        raise ValueError("lam must be positive")
-    if gamma_n_sq <= gamma_c_sq:
-        raise ValueError("need gamma_n > gamma_c")
+    if not 0.0 < lam < math.inf:
+        raise ValueError(f"lam must be positive and finite, got {lam!r}")
+    if not 0.0 < gamma_c_sq < gamma_n_sq < math.inf:
+        raise ValueError(f"need 0 < gamma_c_sq < gamma_n_sq < inf, got gamma_c_sq={gamma_c_sq!r} "
+                         f"and gamma_n_sq={gamma_n_sq!r}")
     if not 0.0 < beta_n < 1.0:
         raise DomainError(f"beta_n must be in (0, 1), got {beta_n}")
     ratio = math.sqrt(gamma_n_sq / gamma_c_sq)
@@ -331,8 +332,9 @@ def noisy_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
 def clean_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
                               beta_c: float) -> RateInterval:
     """Bracket when the clean data goes first: [s, 8s/beta_c], s = (gamma_n/gamma_c)^-2."""
-    if gamma_n_sq <= gamma_c_sq:
-        raise ValueError("need gamma_n > gamma_c")
+    if not 0.0 < gamma_c_sq < gamma_n_sq < math.inf:
+        raise ValueError(f"need 0 < gamma_c_sq < gamma_n_sq < inf, got gamma_c_sq={gamma_c_sq!r} "
+                         f"and gamma_n_sq={gamma_n_sq!r}")
     if not 0.0 < beta_c < 1.0:
         raise DomainError(f"beta_c must be in (0, 1), got {beta_c}")
     s = gamma_c_sq / gamma_n_sq

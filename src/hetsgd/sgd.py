@@ -57,20 +57,21 @@ A NaN or infinite table norm gives a bound that never passes, so a non-finite
 row still raises ``InfeasibleIterate`` naming its step. ``Trajectory.checked``
 counts a row's own steps on which the test ran.
 
-A row names a ``Schedule`` (the oracle slot serving each step and each
-slot's rate constant), the oracles behind its slots, and whether it is the
-noisy run or its noiseless twin. Oracles are read-only tables, so every run
-over one seed shares one table, and ``Row.starts`` lets runs read disjoint slices of one
-oracle. ``Schedule.blocks`` builds block schedules from ordered phases, and an
-interleaving is a ``Schedule`` over shuffled slots. A ``Schedule`` derives what the
-engine reads from its slots once, at construction, and ``run_batch`` builds its
-(row, slot) tables from per-oracle arrays, so the setup of a call costs array time,
-not Python time per row. A run's radius is its objective's: a call's oracles share
-one ``ObjectiveSpec``. ``check_budgets`` is the rule every run keeps: it reads each
-of its oracles' whole budget, and no oracle in two slots. ``run_sgd``,
-``run_sgd_interleaved``, ``run_paired`` and ``run_paired_interleaved`` exist
-only because perfbench's tracer wraps them by name. Each is one ``run_batch``
-call over whole budgets from batch 0; the package calls none of them.
+A row names a ``Schedule`` (the oracle slot serving each step and each slot's
+rate constant), the oracles behind its slots, each read from batch 0, and
+whether it is the noisy run or its noiseless twin. Oracles are read-only tables,
+so every run over one seed shares one table. ``Schedule.blocks`` builds block
+schedules from ordered phases, and an interleaving is a ``Schedule`` over shuffled
+slots. A ``Schedule`` derives what the engine reads from its slots once, at
+construction, and ``run_batch`` builds its (row, slot) tables from per-oracle
+arrays, so the setup of a call costs array time, not Python time per row. A run's
+radius is its objective's: a call's oracles share one ``ObjectiveSpec``.
+``run_batch`` refuses a run that would read an oracle's examples twice (the
+one-pass rule of local DP), and ``check_budgets`` adds the drivers' rule: every
+run reads each of its oracles' whole budget. ``run_sgd``, ``run_sgd_interleaved``,
+``run_paired`` and ``run_paired_interleaved`` exist only because perfbench's
+tracer wraps them by name. Each is one ``run_batch`` call over whole budgets; the
+package calls none of them.
 """
 from __future__ import annotations
 
@@ -81,7 +82,7 @@ from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import is_integer, load_expit, margin_scales, norms, scale_into_ball
+from .core import load_expit, margin_scales, norms, scale_into_ball
 from .oracles import BudgetExhausted, GradientOracle, rcn_scales
 
 
@@ -170,16 +171,14 @@ class Schedule:
 class Row:
     """One run of a batch: a schedule over its oracles, noisy or as the noiseless twin.
 
-    The twin (``noisy=False``) replays the same examples with the injected
-    noise set to zero and, for label-flip oracles, the true labels.
-    ``starts`` gives the first batch each slot reads, a non-negative integer
-    per slot (default 0).
+    Each slot reads its oracle's batches 0, 1, ... in order. The twin
+    (``noisy=False``) replays the same examples with the injected noise set to
+    zero and, for label-flip oracles, the true labels.
     """
 
     schedule: Schedule
     oracles: tuple
     noisy: bool = True
-    starts: Optional[tuple] = None
     w0: Optional[np.ndarray] = None
 
 
@@ -191,7 +190,7 @@ class Trajectory:
     shared: int = 0                          # leading steps taken over from another row's run
     checked: int = 0                         # own steps on which the exact inside-ball test ran
     last_projected: int = 0                  # last step the projection scaled this run (0: none)
-    iterates: Optional[list] = None          # [(t, w_{t+1}) ...] at the snapshot stride
+    iterates: Optional[list] = None          # [(t, w_{t+1}) ...] at every step, if kept
 
 
 def _as_values(a: np.ndarray) -> np.ndarray:
@@ -295,17 +294,17 @@ def _shared_prefixes(W: np.ndarray, reads: np.ndarray, patterns: list,
     return parent, shared
 
 
-def run_batch(rows: Sequence[Row], snapshot_stride: Optional[int] = None) -> list:
+def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
     """Advance every row's run together; return one Trajectory per row, in order.
 
     All oracles of a batch share one objective (lam, loss and radius), batch
     size and dimension; every run stays in the ball of that objective's radius.
-    ``snapshot_stride``, an integer >= 1, keeps iterates every that many steps
-    and at each row's last step.
+    A run that names one oracle in two slots, or asks an oracle for more batches
+    than it serves, raises ``BudgetExhausted``. ``snapshots=True`` keeps every step.
     """
     rows = list(rows)
-    if snapshot_stride is not None and not (is_integer(snapshot_stride) and snapshot_stride >= 1):
-        raise ValueError(f"snapshot_stride must be an integer >= 1, got {snapshot_stride!r}")
+    if not isinstance(snapshots, bool):
+        raise ValueError(f"snapshots must be a bool, got {snapshots!r}")
     if not rows:
         return []
     oracles = list({id(o): o for r in rows for o in r.oracles}.values())
@@ -339,30 +338,29 @@ def run_batch(rows: Sequence[Row], snapshot_stride: Optional[int] = None) -> lis
     sigmas = np.array([o.spec.sigma if o.flips is not None else 0.0 for o in oracles])
     budgets = np.array([o.steps_total for o in oracles])
 
-    # Every (row, slot) pair, flat and in row order: its oracle, first batch and steps.
+    # Every (row, slot) pair, flat and in row order: its oracle and steps.
+    if any(len(r.oracles) != width for r, width in zip(rows, widths)):
+        raise ValueError("need one oracle per schedule slot")
     at = {id(o): j for j, o in enumerate(oracles)}
     pair_row = np.repeat(np.arange(n_rows), widths)
-    row_first = np.cumsum(widths) - widths
-    pair_slot = np.arange(len(pair_row)) - row_first[pair_row]
-    start = np.zeros(len(pair_row), dtype=np.intp)
-    for i, r in enumerate(rows):
-        if len(r.oracles) != widths[i] or (r.starts is not None and len(r.starts) != widths[i]):
-            raise ValueError("need one oracle and one start per schedule slot")
-        if r.starts is not None:
-            if not all(is_integer(k) and k >= 0 for k in r.starts):
-                raise ValueError(f"starts must be non-negative integers, got {r.starts}")
-            # Past its budget, a start fails the check below whatever its size.
-            start[row_first[i]:row_first[i] + widths[i]] = \
-                [min(k, o.steps_total + 1) for k, o in zip(r.starts, r.oracles)]
+    pair_slot = np.arange(len(pair_row)) - (np.cumsum(widths) - widths)[pair_row]
     oracle_of = np.array([at[id(o)] for r in rows for o in r.oracles], dtype=np.intp)
+    # One pass: no oracle serves two slots of a run (sorted by row and oracle, such pairs
+    # are adjacent), and no slot asks its oracle for more batches than it serves.
+    key = pair_row * len(oracles) + oracle_of
+    order = np.argsort(key, kind="stable")
+    later = order[1:][key[order[1:]] == key[order[:-1]]]      # each repeat's later slot
+    if later.size:
+        r, s = rows[pair_row[later[0]]], pair_slot[later[0]]
+        s0, ids = r.oracles.index(r.oracles[s]), r.schedule.ids
+        raise BudgetExhausted(f"a run names one oracle in two slots, {ids[s0]!r} and "
+                              f"{ids[s]!r}, and would read its examples twice")
     used = np.concatenate([sched.counts() for sched in schedules])
-    over = np.flatnonzero(start + used > budgets[oracle_of])
+    over = np.flatnonzero(used > budgets[oracle_of])
     if over.size:
-        i, s = int(pair_row[over[0]]), int(pair_slot[over[0]])
-        r = rows[i]
-        asked = (r.starts[s] if r.starts is not None else 0) + int(used[over[0]])
+        r, s = rows[pair_row[over[0]]], pair_slot[over[0]]
         raise BudgetExhausted(f"oracle {r.schedule.ids[s]!r} serves {r.oracles[s].steps_total} "
-                              f"batches, a run asks for {asked}")
+                              f"batches, a run asks for {used[over[0]]}")
 
     # Per (row, slot): base offsets into those tables, rate constant and flip rate; twin
     # rows read no noise and no flips. A padding slot is never read.
@@ -379,9 +377,9 @@ def run_batch(rows: Sequence[Row], snapshot_stride: Optional[int] = None) -> lis
         table[pair_row, pair_slot] = flat
         return table
 
-    ex_at = per_slot(ex_base[oracle_of] + start * b, 0)
-    noise_at = per_slot(np.where(reads_noise, noise_base[oracle_of] + start, 0), 0)
-    flip_at = per_slot(np.where(reads_flips, flip_base[oracle_of] + start, 0), 0)
+    ex_at = per_slot(ex_base[oracle_of], 0)
+    noise_at = per_slot(np.where(reads_noise, noise_base[oracle_of], 0), 0)
+    flip_at = per_slot(np.where(reads_flips, flip_base[oracle_of], 0), 0)
     rate_at = per_slot(np.array([c for sched in schedules for c in sched.rates], dtype=float),
                        np.nan)
     sigma_at = per_slot(np.where(reads_flips, sigmas[oracle_of], 0.0), 0.0)
@@ -423,7 +421,7 @@ def run_batch(rows: Sequence[Row], snapshot_stride: Optional[int] = None) -> lis
         u_max, z_max = (math.sqrt(np.einsum("nd,nd->n", a, a).max()) for a in (U, noise))
     rate_at, sigma_at = rate_at.ravel(), sigma_at.ravel()
 
-    iterates = [[] for _ in rows] if snapshot_stride is not None else None
+    iterates = [[] for _ in rows] if snapshots else None
     projected, last_projected, checked = (np.zeros(n_rows, dtype=np.intp) for _ in range(3))
 
     # Step buffers, made once: a span's R active rows are copied into the first R rows of
@@ -451,20 +449,17 @@ def run_batch(rows: Sequence[Row], snapshot_stride: Optional[int] = None) -> lis
     bounds = np.unique(np.concatenate([own, lengths + 1, [1, T + 1]])).tolist()
     for t0, t1 in zip(bounds, bounds[1:] + [None]):
         for i in np.flatnonzero((own == t0) & (parent >= 0)).tolist():
-            p, L = int(parent[i]), int(shared[i])
+            p = int(parent[i])
             W[i], projected[i], last_projected[i] = W[p], projected[p], last_projected[p]
-            if iterates is not None:
-                # The parent's snapshots through step L, less the one it keeps as its last.
-                iterates[i] = [(t, w.copy()) for t, w in iterates[p] if t % snapshot_stride == 0]
-                if L == lengths[i] and L % snapshot_stride:
-                    iterates[i].append((L, W[i].copy()))
+            if snapshots:
+                # The parent has taken exactly the shared steps 1 .. t0 - 1 by now.
+                iterates[i] = [(t, w.copy()) for t, w in iterates[p]]
         if t1 is None:
             break
         idx = np.flatnonzero((own <= t0) & (t0 <= lengths))
         R, rows_at = len(idx), idx.tolist()
         pats, row_base = pattern_of[idx], idx * S
         M, G, sq, hits = scales_buf[:R], grad_buf[:R], sq_buf[:R], projected[idx]
-        ending = np.flatnonzero(lengths[idx] == t1 - 1).tolist()
         Wa, V = np.take(W, idx, axis=0, out=iterate_buf[:R]), spare[:R]
         if bounded:
             a_span, e_span = _norm_bounds(t0, t1, c_lo[idx].min(), c_hi[idx].max(), lam,
@@ -531,10 +526,9 @@ def run_batch(rows: Sequence[Row], snapshot_stride: Optional[int] = None) -> lis
                             top = radius
                         # Squares below 1e-300 may have lost all accuracy: floor the norm.
                         n = max(top, 1e-140) * grow
-                if iterates is not None:
-                    due = range(R) if t % snapshot_stride == 0 else ending if t == t1 - 1 else ()
-                    for r in due:
-                        iterates[rows_at[r]].append((t, V[r].copy()))
+                if snapshots:
+                    for i, v in zip(rows_at, V):
+                        iterates[i].append((t, v.copy()))
                 Wa, V = V, Wa
         W[idx], projected[idx] = Wa, hits
         if bounded:
@@ -553,15 +547,11 @@ def run_batch(rows: Sequence[Row], snapshot_stride: Optional[int] = None) -> lis
 
 
 def check_budgets(rows: Sequence[Row]) -> None:
-    """Every run must read each of its oracles' whole budget (in whole batches), each once.
+    """The drivers' rule: every run reads each of its oracles' whole budget, in whole batches.
 
-    An oracle named in two slots of one run would serve its examples twice,
-    which the one-pass privacy accounting does not allow. A RuntimeError, not
-    an assert, so that the rule holds under ``python -O``.
+    A RuntimeError, not an assert, so that the rule holds under ``python -O``.
     """
     for row in rows:
-        if len({id(o) for o in row.oracles}) != len(row.oracles):
-            raise RuntimeError(f"a run names one oracle in two slots of {list(row.schedule.ids)}")
         steps, full = row.schedule.counts().tolist(), [o.steps_total for o in row.oracles]
         if steps != full:
             raise RuntimeError(f"a run would read {steps} batches of oracles "
@@ -575,25 +565,23 @@ def _whole_runs(schedule: Schedule, oracles: Mapping[str, GradientOracle],
                 w0: Optional[np.ndarray], paired: bool) -> list:
     """One run of ``schedule`` over the oracles it names, from batch 0, and its twin if paired."""
     row_oracles = tuple(oracles[k] for k in schedule.ids)
-    rows = [Row(schedule, row_oracles, noisy, None, w0)
+    rows = [Row(schedule, row_oracles, noisy, w0=w0)
             for noisy in ((True, False) if paired else (True,))]
     check_budgets(rows)
     return rows
 
 
 def run_sgd(phases: Sequence, oracles: Mapping[str, GradientOracle],
-            w0: Optional[np.ndarray] = None,
-            snapshot_stride: Optional[int] = None) -> Trajectory:
+            w0: Optional[np.ndarray] = None, snapshots: bool = False) -> Trajectory:
     """Run each (oracle id, rate constant) phase's oracle over its whole budget, in order."""
     schedule = Schedule.blocks(phases, {k: o.steps_total for k, o in oracles.items()})
-    return run_batch(_whole_runs(schedule, oracles, w0, False), snapshot_stride)[0]
+    return run_batch(_whole_runs(schedule, oracles, w0, False), snapshots)[0]
 
 
 def run_sgd_interleaved(schedule: Schedule, oracles: Mapping[str, GradientOracle],
-                        w0: Optional[np.ndarray] = None,
-                        snapshot_stride: Optional[int] = None) -> Trajectory:
+                        w0: Optional[np.ndarray] = None, snapshots: bool = False) -> Trajectory:
     """Run ``schedule`` over the oracles it names, each over its whole budget."""
-    return run_batch(_whole_runs(schedule, oracles, w0, False), snapshot_stride)[0]
+    return run_batch(_whole_runs(schedule, oracles, w0, False), snapshots)[0]
 
 
 def run_paired(phases: Sequence, oracles: Mapping[str, GradientOracle],

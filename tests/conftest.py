@@ -1,4 +1,7 @@
 """Shared fixtures: whole-budget runs and Monte Carlo paired runs on the batched engine."""
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -12,7 +15,30 @@ from hetsgd.sgd import Row, Schedule, check_budgets, run_batch
 TRIALS_PER_CALL = 1000
 
 
-def _run_whole(plan, oracles, w0=None, snapshot_stride=None, paired=False) -> list:
+def windows(oracle: GradientOracle, steps: int) -> list:
+    """Views of ``oracle`` that serve its batches, ``steps`` each, as disjoint whole budgets.
+
+    View i serves the oracle's batches i*steps .. (i+1)*steps - 1 as its own
+    batches 0 .. steps-1, for each i that fits in the oracle's budget. A view
+    is a ``copy.copy`` of the oracle (as ``twin()`` is) with its order, noise
+    and flip tables sliced, so the engine reads the same bytes from a view as
+    from the oracle itself. The views share one ``OracleSpec``.
+    """
+    b = oracle.spec.batch_size
+    spec = dataclasses.replace(oracle.spec, budget=steps * b)
+    views = []
+    for k in range(0, oracle.steps_total - steps + 1, steps):
+        view = copy.copy(oracle)
+        view.spec, view.order = spec, oracle.order[k * b:(k + steps) * b]
+        if oracle.noise_means is not None:
+            view.noise_means = oracle.noise_means[k:k + steps]
+        if oracle.flips is not None:
+            view.flips = oracle.flips[k:k + steps]
+        views.append(view)
+    return views
+
+
+def _run_whole(plan, oracles, w0=None, snapshots=False, paired=False) -> list:
     """Trajectories of one run that reads each oracle it names over its whole budget.
 
     ``plan`` is a Schedule, or ordered (oracle id, rate constant) phases that
@@ -25,10 +51,10 @@ def _run_whole(plan, oracles, w0=None, snapshot_stride=None, paired=False) -> li
     schedule = plan if isinstance(plan, Schedule) else \
         Schedule.blocks(plan, {k: o.steps_total for k, o in oracles.items()})
     row_oracles = tuple(oracles[k] for k in schedule.ids)
-    rows = [Row(schedule, row_oracles, noisy, None, w0)
+    rows = [Row(schedule, row_oracles, noisy, w0=w0)
             for noisy in ((True, False) if paired else (True,))]
     check_budgets(rows)
-    return run_batch(rows, snapshot_stride)
+    return run_batch(rows, snapshots)
 
 
 def _source(n: int, noise_sq: float, d: int, obj: ObjectiveSpec, data_seed: int,
@@ -49,8 +75,9 @@ def _paired_gaps(mask, v_c: float, v_n: float, c: float, lam: float, d: int,
     the sources are gaussian oracles with second moments v_n and v_c, so the
     mean gap is ordering.expected_deviation of the step-noise schedule. Both
     sources must serve at least one step. Each engine call shares one oracle
-    per source among its trials, and trial i reads that oracle from batch
-    i*T_c (clean) and i*T_n (noisy) on. ``seed`` is the root SeedSequence.
+    per source among its trials, and trial i reads that oracle's batches from
+    i*T_c (clean) and i*T_n (noisy) on, through its i-th view (``windows``).
+    ``seed`` is the root SeedSequence.
     """
     mask = np.asarray(mask, dtype=bool)
     T_n = int(mask.sum())
@@ -61,12 +88,9 @@ def _paired_gaps(mask, v_c: float, v_n: float, c: float, lam: float, d: int,
     gaps = []
     for k, call_ss in zip(sizes, np.random.SeedSequence(seed).spawn(len(sizes))):
         data_c, data_n, oracle_c, oracle_n = (int(v) for v in call_ss.generate_state(4, np.uint64))
-        oracles = (_source(k * T_c, v_c, d, obj, data_c, oracle_c),
-                   _source(k * T_n, v_n, d, obj, data_n, oracle_n))
-        rows = []
-        for i in range(k):
-            starts = (i * T_c, i * T_n)
-            rows += [Row(schedule, oracles, True, starts), Row(schedule, oracles, False, starts)]
+        views = zip(windows(_source(k * T_c, v_c, d, obj, data_c, oracle_c), T_c),
+                    windows(_source(k * T_n, v_n, d, obj, data_n, oracle_n), T_n))
+        rows = [Row(schedule, pair, noisy) for pair in views for noisy in (True, False)]
         W = np.array([traj.final_w for traj in run_batch(rows)])
         gaps.append(np.sum((W[1::2] - W[::2]) ** 2, axis=1))
     return np.concatenate(gaps)
@@ -74,7 +98,7 @@ def _paired_gaps(mask, v_c: float, v_n: float, c: float, lam: float, d: int,
 
 @pytest.fixture
 def run_whole():
-    """_run_whole(plan, oracles, w0=None, snapshot_stride=None, paired=False)."""
+    """_run_whole(plan, oracles, w0=None, snapshots=False, paired=False)."""
     return _run_whole
 
 

@@ -363,11 +363,11 @@ def test_criterion_10_convergence_rate(run_whole):
         X = mu + rng.standard_normal((T, d)) / math.sqrt(d)
         ds = Dataset(X, np.ones(T))
         oracle = GradientOracle(OracleSpec("clean", budget=T, rng_seed=20_500 + trial), obj, ds)
-        traj = run_whole((("a", 1.0 / lam),), {"a": oracle},
-                         snapshot_stride=5)[0]
+        # Every fifth step: T is a multiple of 5, so these end at step T.
+        fifth = run_whole((("a", 1.0 / lam),), {"a": oracle}, snapshots=True)[0].iterates[4::5]
         if times is None:
-            times = np.array([t for t, _ in traj.iterates])
-        errs.append([float(np.sum((w - w_star) ** 2)) for _, w in traj.iterates])
+            times = np.array([t for t, _ in fifth])
+        errs.append([float(np.sum((w - w_star) ** 2)) for _, w in fifth])
     mean_err = np.mean(errs, axis=0)
     keep = times >= T // 10
     slope = float(np.polyfit(np.log(times[keep]), np.log(mean_err[keep]), 1)[0])

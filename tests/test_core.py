@@ -302,6 +302,12 @@ class TestDataset:
         with pytest.raises(ValueError, match="positive"):
             ObjectiveSpec(**kw)
 
+    @pytest.mark.parametrize("radius", [None, 1.0])
+    def test_infinite_lam_rejected_as_lam(self, radius):
+        # With the default radius 1/lam, an infinite lam once failed as a zero radius.
+        with pytest.raises(ValueError, match="lam must be positive and finite, got inf"):
+            ObjectiveSpec(lam=np.inf, radius=radius)
+
     def test_defaults(self):
         sp = ObjectiveSpec(lam=0.25)
         assert sp.radius == pytest.approx(4.0)

@@ -43,6 +43,11 @@ class TestSynthetic:
         with pytest.raises(ValueError):
             SyntheticSpec(d=2, n=10, flip_rate=0.6)
 
+    @pytest.mark.parametrize("d,n,name", [(2.5, 10, "d"), (True, 10, "d"), (3, 10.0, "n")])
+    def test_non_integer_counts_rejected(self, d, n, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            SyntheticSpec(d, n)
+
 
 class TestRandomProjection:
     def test_deterministic(self):
@@ -55,6 +60,12 @@ class TestRandomProjection:
         ds = generate_synthetic(SyntheticSpec(d=5, n=10), seed=0)
         with pytest.raises(ValueError):
             random_projection(ds, 6, seed=0)
+
+    @pytest.mark.parametrize("d_out", [0, -1, 2.5, True])
+    def test_rejects_empty_or_fractional_projection(self, d_out):
+        ds = generate_synthetic(SyntheticSpec(d=5, n=10), seed=0)
+        with pytest.raises(ValueError, match="d_out must be an integer >= 1"):
+            random_projection(ds, d_out, seed=0)
 
     def test_pairwise_distances_preserved(self):
         # Sign projection to 25 dims keeps most pairwise squared distances

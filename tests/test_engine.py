@@ -12,6 +12,7 @@ import pytest
 import scipy
 
 import hetsgd
+from conftest import windows
 from hetsgd import experiments, sgd
 from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.experiments import (ExperimentConfig, c2_sweep_details, order_experiment_details,
@@ -39,16 +40,14 @@ def dataset(n, d, seed, zeros=False):
 
 
 def reference_run(row: Row) -> list:
-    """Iterates of one row, stepped through GradientOracle.call on fresh oracles."""
+    """Iterates of one row, stepped through GradientOracle.call on its oracles (or twins)."""
     radius = row.oracles[0].objective.radius
-    fresh = [GradientOracle(o.spec, o.objective, o.dataset) for o in row.oracles]
-    if not row.noisy:
-        fresh = [o.twin() for o in fresh]
-    batch = list(row.starts or (0,) * len(fresh))        # the next batch of each slot
+    oracles = row.oracles if row.noisy else [o.twin() for o in row.oracles]
+    batch = [0] * len(oracles)                            # the next batch of each slot
     w = np.zeros(row.oracles[0].dataset.d) if row.w0 is None else row.w0.copy()
     iterates = []
     for t, slot in enumerate(row.schedule.slots, start=1):
-        g = fresh[slot].call(w, batch[slot])
+        g = oracles[slot].call(w, batch[slot])
         batch[slot] += 1
         w = project(w - (row.schedule.rates[slot] / t) * g, radius)
         iterates.append(w)
@@ -57,8 +56,9 @@ def reference_run(row: Row) -> list:
 
 def mixed_rows(loss, b, seed=0, zeros=False, radius=1.0):
     """Every mechanism under a plan, its reverse, a one-phase plan, an interleaving and a
-    shorter interleaving that starts mid-budget, each noisy, as a twin and from a w0, in
-    the ball of the given radius."""
+    shorter interleaving that reads each oracle from mid-budget on (through a view that
+    starts at batch 4 of the first and 6 of the second), each noisy, as a twin and from a
+    w0, in the ball of the given radius."""
     lam, d = 0.1, 4
     obj = ObjectiveSpec(lam=lam, loss=loss, radius=radius)
     ds1, ds2 = dataset(8 * b + 1, d, seed, zeros), dataset(12 * b + 2, d, seed + 1, zeros)
@@ -73,17 +73,16 @@ def mixed_rows(loss, b, seed=0, zeros=False, radius=1.0):
         np.random.default_rng(m).shuffle(slots)
         late = np.repeat([0, 1], [3, steps["a"] - 3])     # as long as the one-phase plan
         np.random.default_rng(m + 10).shuffle(late)
-        schedules = [(Schedule.blocks((("a", 30.0), ("b", 12.0)), steps), None),
-                     (Schedule.blocks((("b", 8.0), ("a", 20.0)), steps), None),
-                     (Schedule.blocks((("a", 10.0),), steps), None),
-                     (Schedule(("a", "b"), (15.0, 15.0), slots), None),
-                     (Schedule(("a", "b"), (25.0, 5.0), late), (4, 6))]
-        oracles = {"a": first, "b": second}
+        whole = (first, second)
+        schedules = [(Schedule.blocks((("a", 30.0), ("b", 12.0)), steps), whole),
+                     (Schedule.blocks((("b", 8.0), ("a", 20.0)), steps), whole[::-1]),
+                     (Schedule.blocks((("a", 10.0),), steps), whole[:1]),
+                     (Schedule(("a", "b"), (15.0, 15.0), slots), whole),
+                     (Schedule(("a", "b"), (25.0, 5.0), late),
+                      (windows(first, 4)[1], windows(second, 6)[1]))]
         w0 = np.full(d, 0.05)
-        for sched, starts in schedules:
-            pair = tuple(oracles[k] for k in sched.ids)
-            rows += [Row(sched, pair, starts=starts), Row(sched, pair, False, starts),
-                     Row(sched, pair, starts=starts, w0=w0)]
+        for sched, pair in schedules:
+            rows += [Row(sched, pair), Row(sched, pair, False), Row(sched, pair, w0=w0)]
     return rows
 
 
@@ -92,7 +91,7 @@ def mixed_rows(loss, b, seed=0, zeros=False, radius=1.0):
 @pytest.mark.parametrize("radius,active", [(0.3, True), (1e3, False)])
 def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
     rows = mixed_rows(loss, b, radius=radius)
-    trajectories = run_batch(rows, snapshot_stride=1)
+    trajectories = run_batch(rows, snapshots=True)
     hit = False
     for row, traj in zip(rows, trajectories):
         ref = reference_run(row)
@@ -108,7 +107,7 @@ def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
 def engine_digest(rows):
     """sha256 over every row's snapshots (step and iterate bytes) and final iterate."""
     h = hashlib.sha256()
-    for traj in run_batch(rows, snapshot_stride=1):
+    for traj in run_batch(rows, snapshots=True):
         for t, w in traj.iterates:
             h.update(t.to_bytes(4, "little") + w.tobytes())
         h.update(traj.final_w.tobytes())
@@ -189,7 +188,7 @@ def test_chunk_size_does_not_change_a_value(loss, b, radius, monkeypatch):
     runs = []
     for chunk_bytes in (1, 1 << 14, sgd.CHUNK_BYTES):
         monkeypatch.setattr(sgd, "CHUNK_BYTES", chunk_bytes)
-        runs.append(run_batch(rows, snapshot_stride=1))
+        runs.append(run_batch(rows, snapshots=True))
     for one_step, *others in zip(*runs):
         for traj in others:
             assert traj.final_w.tobytes() == one_step.final_w.tobytes()
@@ -222,7 +221,7 @@ def test_a_nan_row_ends_in_infeasible_iterate(radius, chunk_bytes, monkeypatch):
     oracle.noise_means = oracle.noise_means.copy()      # the oracle's own table is read-only
     oracle.noise_means[2, 0] = np.nan
     # That row's plan reads batch 2 of the oracle at step 3, and no row reads it sooner.
-    assert noisy.schedule.slots[:3].tolist() == [0, 0, 0] and noisy.starts is None
+    assert noisy.schedule.slots[:3].tolist() == [0, 0, 0]
     with pytest.raises(InfeasibleIterate, match=r"non-finite at step 3$"):
         run_batch(rows)
 
@@ -260,13 +259,12 @@ def test_projected_counts_the_steps_the_reference_projects(b):
     rows = mixed_rows("logistic", b, radius=0.3)
     trajectories = run_batch(rows)
     for row, traj in zip(rows, trajectories):
-        fresh = [GradientOracle(o.spec, o.objective, o.dataset) for o in row.oracles]
-        fresh = fresh if row.noisy else [o.twin() for o in fresh]
-        batch = list(row.starts or (0,) * len(fresh))
+        oracles = row.oracles if row.noisy else [o.twin() for o in row.oracles]
+        batch = [0] * len(oracles)
         w, hits = np.zeros(row.oracles[0].dataset.d) if row.w0 is None else row.w0, 0
         last = 0
         for t, slot in enumerate(row.schedule.slots, start=1):
-            v = w - (row.schedule.rates[slot] / t) * fresh[slot].call(w, batch[slot])
+            v = w - (row.schedule.rates[slot] / t) * oracles[slot].call(w, batch[slot])
             batch[slot] += 1
             w = project(v, 0.3)
             hits += w is not v
@@ -325,10 +323,10 @@ def test_steps_the_norm_bound_passes_change_no_byte(case, b, radius, monkeypatch
         rows = aligned_rows(b, radius, 0.0, ((0.5, 0.5), (0.5, 0.25)))
     else:
         rows = bound_rows(case, b, radius)
-    bounded = run_batch(rows, snapshot_stride=1)
+    bounded = run_batch(rows, snapshots=True)
     monkeypatch.setattr(sgd, "_norm_bounds",
                         lambda t0, t1, *rest: (np.ones(t1 - t0), np.full(t1 - t0, np.inf)))
-    exact = run_batch(rows, snapshot_stride=1)
+    exact = run_batch(rows, snapshots=True)
     for got, want in zip(bounded, exact):
         assert got.final_w.tobytes() == want.final_w.tobytes()
         assert [(t, w.tobytes()) for t, w in got.iterates] == \
@@ -369,7 +367,7 @@ def test_results_share_no_memory_with_each_other_or_the_engine():
     # do, at step 9, and the next at step 23).
     rows = mixed_rows("logistic", 1, radius=0.3)
     assert sorted({len(r.schedule.slots) for r in rows}) == [9, 23]
-    first = run_batch(rows, snapshot_stride=1)
+    first = run_batch(rows, snapshots=True)
 
     def arrays(trajectories):
         return [a for t in trajectories for a in [t.final_w] + [w for _, w in t.iterates]]
@@ -381,7 +379,7 @@ def test_results_share_no_memory_with_each_other_or_the_engine():
     # Each result owns its bytes, so it shares them with no other result and no buffer.
     assert all(a.base is None and a.flags.owndata for a in arrays(first))
     assert len({a.ctypes.data for a in arrays(first)}) == len(before)
-    second = run_batch(rows, snapshot_stride=1)
+    second = run_batch(rows, snapshots=True)
     assert not {a.ctypes.data for a in arrays(first)} & {a.ctypes.data for a in arrays(second)}
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(first), before))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(second), before))
@@ -411,29 +409,35 @@ def test_rows_do_not_consume_their_oracles():
     assert [t.final_w.tobytes() for t in again] == [t.final_w.tobytes() for t in first]
 
 
+def longer(schedule: Schedule, slot: int, extra: int) -> Schedule:
+    """``schedule`` with ``extra`` more steps of ``slot`` at its end."""
+    return Schedule(schedule.ids, schedule.rates,
+                    np.concatenate([schedule.slots, np.full(extra, slot)]))
+
+
 def test_budget_overrun_rejected():
     rows = mixed_rows("logistic", 1)
     row = rows[0]
     with pytest.raises(hetsgd.BudgetExhausted):
-        run_batch([Row(row.schedule, row.oracles, starts=(1, 0))])
+        run_batch([Row(longer(row.schedule, 0, 1), row.oracles)])
 
 
 def test_budget_overrun_names_the_first_slot_over_and_what_it_asks():
-    # The check runs over every (row, slot) at once; a start too large for any integer
-    # type still reads as the batch count it asks for.
+    # The check runs over every (row, slot) at once.
     rows = mixed_rows("logistic", 1)
     row = rows[0]
     ids, (used_a, used_b) = row.schedule.ids, row.schedule.counts().tolist()
-    budget_b = row.oracles[1].steps_total
+    budget_a, budget_b = (o.steps_total for o in row.oracles)
+    assert (used_a, used_b) == (budget_a, budget_b)
     with pytest.raises(hetsgd.BudgetExhausted,
                        match=f"oracle {ids[1]!r} serves {budget_b} batches, "
-                             f"a run asks for {used_b + 2}"):
-        run_batch(rows[:2] + [Row(row.schedule, row.oracles, starts=(0, 2))])
-    with pytest.raises(hetsgd.BudgetExhausted, match=f"asks for {2 ** 80 + used_a}$"):
-        run_batch([Row(row.schedule, row.oracles, starts=(2 ** 80, 0))])
-    with pytest.raises(ValueError, match="one oracle and one start"):
-        run_batch([Row(row.schedule, row.oracles, starts=(0,))])
-    with pytest.raises(ValueError, match="one oracle and one start"):
+                             f"a run asks for {used_b + 2}$"):
+        run_batch(rows[:2] + [Row(longer(row.schedule, 1, 2), row.oracles)])
+    with pytest.raises(hetsgd.BudgetExhausted,
+                       match=f"oracle {ids[0]!r} serves {budget_a} batches, "
+                             f"a run asks for {used_a + 3}$"):
+        run_batch([Row(longer(longer(row.schedule, 1, 1), 0, 3), row.oracles)])
+    with pytest.raises(ValueError, match="one oracle per schedule slot"):
         run_batch([Row(row.schedule, row.oracles[:1])])
 
 
@@ -451,16 +455,6 @@ def test_a_schedule_keeps_a_read_only_copy_of_its_slots():
             derived[0] = 1
     with pytest.raises(ValueError, match="1-d"):
         Schedule(("a",), (1.0,), [[0, 0]])
-
-
-@pytest.mark.parametrize("start", [-1, 0.5, True])
-def test_negative_or_fractional_start_rejected(start):
-    obj = ObjectiveSpec(lam=1.0, loss="linear")
-    oracle = GradientOracle(OracleSpec("gaussian", budget=12, rng_seed=1, noise_sq=1.0), obj,
-                            dataset(12, 3, 5))
-    schedule = Schedule(("a",), (2.0,), [0, 0])
-    with pytest.raises(ValueError, match="starts"):
-        run_batch([Row(schedule, (oracle,), True, (start,))])
 
 
 def test_fractional_schedule_slots_rejected():
@@ -481,16 +475,29 @@ def test_schedule_rejects_repeated_ids_no_slots_and_rates_that_are_not_real(ids,
 
 
 def test_a_run_may_not_read_one_oracle_in_two_slots():
-    # Reading an example twice breaks the one-pass model that local DP accounts for.
+    # Reading an example twice breaks the one-pass model that local DP accounts for, and
+    # run_batch itself refuses it, before any step and whatever else the call holds.
     obj = ObjectiveSpec(lam=1.0, loss="linear")
     oracle = GradientOracle(OracleSpec("local_dp", budget=20, rng_seed=1, epsilon=1.0), obj,
                             dataset(20, 3, 5))
+    other = GradientOracle(OracleSpec("clean", budget=20, rng_seed=2), obj, dataset(20, 3, 6))
     both = Schedule(("a", "b"), (10.0, 10.0), [0] * 20 + [1] * 20)
-    with pytest.raises(RuntimeError, match="one oracle in two"):
-        sgd.check_budgets([Row(both, (oracle, oracle))])
-    # Disjoint slices of one oracle, through starts, are the engine's to read.
-    halves = Schedule(("a", "b"), (10.0, 10.0), [0] * 10 + [1] * 10)
-    traj, = run_batch([Row(halves, (oracle, oracle), starts=(0, 10))])
+    three = Schedule(("c", "a", "b"), (1.0, 10.0, 10.0), [0] * 20 + [1] * 20 + [2] * 20)
+    for rows in ([Row(both, (oracle, oracle))],
+                 [Row(both, (other, oracle)), Row(three, (other, oracle, oracle), False)]):
+        with pytest.raises(hetsgd.BudgetExhausted,
+                           match="one oracle in two slots, 'a' and 'b'"):
+            run_batch(rows)
+    # A slot may not read past its oracle's budget either: 21 steps of 20 batches.
+    with pytest.raises(hetsgd.BudgetExhausted, match="serves 20 batches, a run asks for 21"):
+        run_batch([Row(Schedule(("a",), (10.0,), [0] * 21), (oracle,))])
+    # A row has no per-slot start batch, so it cannot read from mid-budget on.
+    halves = Schedule(("a", "b"), (10.0, 10.0), [0] * 15 + [1] * 15)
+    with pytest.raises(TypeError, match="starts"):
+        Row(halves, (oracle, oracle), starts=(0, 5))
+    # Disjoint views of one oracle are disjoint whole budgets, each read once.
+    traj, = run_batch([Row(Schedule(("a", "b"), (10.0, 10.0), [0] * 10 + [1] * 10),
+                           tuple(windows(oracle, 10)))])
     assert traj.steps == 20
 
 
@@ -524,8 +531,8 @@ def test_snapshots_are_opt_in(run_whole):
 
     phases = (("a", 1.0),)
     assert run_whole(phases, fresh())[0].iterates is None
-    # Every stride-th step and the last one.
-    assert [t for t, _ in run_whole(phases, fresh(), snapshot_stride=5)[0].iterates] == [5, 10, 12]
+    assert [t for t, _ in run_whole(phases, fresh(), snapshots=True)[0].iterates] == \
+        list(range(1, 13))
 
 
 def small_config(**overrides):
@@ -604,6 +611,12 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
     except sgd.InfeasibleIterate:
         print("feasibility checked")
     sgd.scale_into_ball = real_scale
+    try:                                         # one oracle in two slots of a run
+        both = sgd.Schedule(("a", "b"), (1.0, 1.0), [0] * 5 + [1] * 5)
+        sgd.run_batch([sgd.Row(both, (oracle, oracle))])
+        print("one pass unchecked")
+    except sgd.BudgetExhausted:
+        print("one pass checked")
 
     full_blocks = sgd.Schedule.blocks
     def short_blocks(phases, steps):             # drops each run's last step
@@ -626,7 +639,8 @@ def test_invariants_hold_under_python_optimize():
     proc = subprocess.run([sys.executable, "-O", "-c", OPTIMIZED_CHECKS], capture_output=True,
                           text=True, env={**os.environ, "PYTHONPATH": src}, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n")[:3] == ["optimize 1", "feasibility checked", "budget checked"]
+    assert proc.stdout.split("\n")[:4] == ["optimize 1", "feasibility checked", "one pass checked",
+                                           "budget checked"]
 
 
 def test_meta_names_the_package_commit_from_any_directory(tmp_path):

@@ -268,8 +268,8 @@ class TestOrderExperiment:
         cfg = small_config(tmp_path, c_grid=(25.0, 100.0, 400.0), trials=3)
         calls, run_batch = [], experiments.run_batch
 
-        def recorded(rows, snapshot_stride=None):
-            calls.append(run_batch(rows, snapshot_stride))
+        def recorded(rows, snapshots=False):
+            calls.append(run_batch(rows, snapshots))
             return calls[-1]
 
         monkeypatch.setattr(experiments, "run_batch", recorded)

@@ -66,6 +66,12 @@ class TestNoiseLevels:
         with pytest.raises(ValueError, match="epsilon"):
             dp_noise_level(np.nan, 3, 1)
 
+    @pytest.mark.parametrize("d,b,name", [(2.5, 1, "d"), (True, 1, "d"), (0, 1, "d"),
+                                          (3, 0.5, "batch_size"), (3, True, "batch_size")])
+    def test_dp_level_non_integer_counts_rejected(self, d, b, name):
+        with pytest.raises(ValueError, match=f"{name} must be an integer >= 1"):
+            dp_noise_level(1.0, d, b)
+
     def test_rcn_level_values(self):
         assert rcn_noise_level(0.0).gamma_sq == pytest.approx(4.0)
         assert rcn_noise_level(0.25).gamma_sq == pytest.approx(7.0)

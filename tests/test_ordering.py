@@ -27,6 +27,15 @@ class TestNoiseWeights:
         with pytest.raises(ValueError, match="c > 0, lam > 0"):
             noise_weights(c, lam, 5)
 
+    @pytest.mark.parametrize("c,lam,T,named", [
+        (np.inf, 1e-3, 5, "c=inf"), (0.0, 1e-3, 5, "c=0.0"), (1.0, np.inf, 5, "lam=inf"),
+        (1.0, 1e-3, True, "T must be an integer >= 1, got True"),
+        (1.0, 1e-3, 5.0, "T must be an integer >= 1, got 5.0"),
+        (1.0, 1e-3, 0, "T must be an integer >= 1, got 0")])
+    def test_infinite_rate_or_lam_and_non_integer_horizon_rejected(self, c, lam, T, named):
+        with pytest.raises(ValueError, match=named):
+            noise_weights(c, lam, T)
+
     def test_single_step(self):
         np.testing.assert_array_equal(noise_weights(0.7, 2.0, 1).deltas, [0.7])
 
@@ -80,6 +89,11 @@ class TestExpectedDeviation:
         with pytest.raises(ValueError, match="length"):
             expected_deviation(noise_weights(1.0, 1.0, 4), np.zeros(5))
 
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_negative_or_nan_variance_rejected(self, bad):
+        with pytest.raises(ValueError, match="step_noise_sq must be >= 0"):
+            expected_deviation(noise_weights(1.0, 1.0, 2), [1.0, bad])
+
 
 def seeded_pattern(T_clean, T_noisy, seed=0):
     """An interleaving with T_noisy noisy steps among T_clean + T_noisy, drawn from ``seed``."""
@@ -129,6 +143,11 @@ class TestCompareOrders:
     def test_nan_or_negative_input_gives_no_verdict(self, c, v_clean_sq, v_noisy_sq):
         with pytest.raises(ValueError):
             compare_orders(c, 1e-3, 10, 90, v_clean_sq, v_noisy_sq, seeded_pattern(10, 90))
+
+    @pytest.mark.parametrize("v_clean_sq,v_noisy_sq", [(1.0, np.inf), (np.inf, np.inf)])
+    def test_infinite_variance_gives_no_verdict(self, v_clean_sq, v_noisy_sq):
+        with pytest.raises(ValueError, match="v_noisy_sq=inf"):
+            compare_orders(500.0, 1e-3, 10, 90, v_clean_sq, v_noisy_sq, seeded_pattern(10, 90))
 
     def test_supplied_pattern_and_validation(self):
         pattern = np.array([True, False, True, False])

@@ -438,6 +438,23 @@ class TestRateIntervals:
         c2, _ = minimize_phase2_rate(BoundInputs(1.0, ratio_sq, beta_c, lam, 1))
         assert iv.lo <= 2 * lam * c2 <= iv.hi
 
+    @pytest.mark.parametrize("args,named", [
+        ((4.0, math.nan, 0.1), "gamma_n_sq=nan"), ((4.0, math.inf, 0.1), "gamma_n_sq=inf"),
+        ((math.nan, 5.0, 0.1), "gamma_c_sq=nan"), ((0.0, 5.0, 0.1), "gamma_c_sq=0.0"),
+        ((math.inf, math.inf, 0.1), "gamma_c_sq=inf")])
+    def test_clean_first_interval_rejects_bad_noise_levels(self, args, named):
+        # Each once returned a NaN bracket, or [0, 0].
+        with pytest.raises(ValueError, match=named):
+            clean_first_rate_interval(*args)
+
+    @pytest.mark.parametrize("args,named", [
+        ((math.nan, 5.0, 0.9, 1e-3), "gamma_c_sq=nan"), ((0.0, 5.0, 0.9, 1e-3), "gamma_c_sq=0.0"),
+        ((4.0, math.nan, 0.9, 1e-3), "gamma_n_sq=nan"), ((4.0, 5.0, 0.9, math.nan), "lam .*nan"),
+        ((4.0, 5.0, 0.9, math.inf), "lam .*inf"), ((4.0, 5.0, 0.9, 0.0), "lam .*0.0")])
+    def test_noisy_first_interval_rejects_bad_inputs(self, args, named):
+        with pytest.raises(ValueError, match=named):
+            noisy_first_rate_interval(*args)
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             noisy_first_rate_interval(4.0, 2.0, 0.5, 1.0)

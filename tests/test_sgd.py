@@ -43,7 +43,7 @@ class TestRunSgd:
         obj = ObjectiveSpec(lam=lam, loss="linear", radius=np.inf)
         ds = linear_dataset(T, d=3, seed=10)
         oracle = clean_oracle(ds, obj, seed=4)
-        traj = run_whole((("a", c),), {"a": oracle}, snapshot_stride=1)[0]
+        traj = run_whole((("a", c),), {"a": oracle}, snapshots=True)[0]
         order = GradientOracle(OracleSpec("clean", budget=T, rng_seed=4), obj, ds).order
         yx = ds.y[order, None] * ds.X[order]
         w = np.zeros(3)
@@ -79,7 +79,7 @@ class TestRunSgd:
         ds = linear_dataset(50, seed=3)
         oracle = GradientOracle(OracleSpec("gaussian", budget=50, rng_seed=2, noise_sq=25.0),
                                 obj, ds)
-        traj = run_whole((("a", 40.0),), {"a": oracle}, snapshot_stride=1)[0]
+        traj = run_whole((("a", 40.0),), {"a": oracle}, snapshots=True)[0]
         for _, w in traj.iterates:
             assert np.linalg.norm(w) <= 2.0 * (1 + 1e-9)
 
@@ -318,9 +318,9 @@ def test_convergence_rate_on_noiseless_problem(run_whole):
         X = mu + rng.standard_normal((T, d)) / np.sqrt(d)
         ds = Dataset(X, np.ones(T))
         oracle = clean_oracle(ds, obj, seed=61_000 + trial)
-        traj = run_whole((("a", 1.0 / lam),), {"a": oracle},
-                         snapshot_stride=5)[0]
-        errs.append([(t, float(np.sum((w - w_star) ** 2))) for t, w in traj.iterates])
+        traj = run_whole((("a", 1.0 / lam),), {"a": oracle}, snapshots=True)[0]
+        # Every fifth step: T is a multiple of 5, so these end at step T.
+        errs.append([(t, float(np.sum((w - w_star) ** 2))) for t, w in traj.iterates[4::5]])
     times = np.array([t for t, _ in errs[0]])
     mean_err = np.mean([[e for _, e in row] for row in errs], axis=0)
     keep = times >= T // 10

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 
+from conftest import windows
 from hetsgd import sgd
 from hetsgd.core import Dataset, ObjectiveSpec
 from hetsgd.oracles import GradientOracle, OracleSpec
@@ -34,9 +35,9 @@ def sources(b=2, d=4):
             "big": oracle("local_dp", dataset(2 * N_NOISY * b, d, 3), 13, epsilon=2.0)}
 
 
-def row(src, ids, rates, slots, noisy=True, starts=None, w0=None):
+def row(src, ids, rates, slots, noisy=True, w0=None):
     return Row(Schedule(tuple(ids), tuple(rates), np.array(slots)),
-               tuple(src[k] for k in ids), noisy, starts, w0)
+               tuple(src[k] for k in ids), noisy, w0)
 
 
 def noisy_first(src, c2, c1=30.0, **kw):
@@ -49,6 +50,7 @@ def cases(src):
     ao = [0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1]        # the noisy slot first, three times
     one_phase = row(src, ("n",), (30.0,), [0] * N_NOISY)
     w0 = np.full(4, 0.05)
+    big, clean = windows(src["big"], N_NOISY), windows(src["c"], 2)
     return {
         # One schedule, the phase-2 rate varied (a c2 sweep), and a clean-only row.
         "c2_group": ([noisy_first(src, c2) for c2 in (1.0, 4.0, 16.0, 64.0)]
@@ -61,9 +63,11 @@ def cases(src):
         # drivers' clean-first slot numbers, and shares nothing.
         "ao_next_to_nf": ([noisy_first(src, 30.0), row(src, ("n", "c"), (30.0, 30.0), ao),
                            row(src, ("c", "n"), (30.0, 30.0), [1 - s for s in ao])], [0, 3, 0]),
-        # Starts that differ only in the clean slot leave the noisy phase shared.
-        "late_starts": ([row(src, ("big", "c"), (30.0, 5.0), [0] * N_NOISY + [1] * 2, starts=s)
-                         for s in ((0, 0), (0, 3), (1, 0))], [0, N_NOISY, 0]),
+        # Rows that read later batches of an oracle, through views of it: views that
+        # differ only in the clean slot leave the noisy phase shared.
+        "late_starts": ([row({"big": big[i], "c": clean[j]}, ("big", "c"), (30.0, 5.0),
+                             [0] * N_NOISY + [1] * 2)
+                         for i, j in ((0, 0), (0, 1), (1, 0))], [0, N_NOISY, 0]),
         "no_share": ([noisy_first(src, 5.0), noisy_first(src, 5.0, w0=w0),
                       noisy_first(src, 5.0, noisy=False)], [0, 0, 0]),
         "rcn": ([row(src, ("rcn",), (30.0,), [0] * N_NOISY, noisy=noisy)
@@ -71,7 +75,7 @@ def cases(src):
     }
 
 
-def stepped_row_steps(rows, snapshot_stride, monkeypatch):
+def stepped_row_steps(rows, monkeypatch):
     """Trajectories of one engine call, and how many row-steps the engine computed."""
     einsum, stepped = np.einsum, []
 
@@ -81,7 +85,7 @@ def stepped_row_steps(rows, snapshot_stride, monkeypatch):
         return einsum(spec, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counted)
-    trajectories = run_batch(rows, snapshot_stride)
+    trajectories = run_batch(rows, snapshots=True)
     monkeypatch.setattr(np, "einsum", einsum)
     return trajectories, sum(stepped)
 
@@ -93,24 +97,24 @@ def as_bytes(traj):
 
 @pytest.mark.parametrize("case", ["c2_group", "prefix_first", "prefix_covered", "identical",
                                   "ao_next_to_nf", "late_starts", "no_share", "rcn"])
-@pytest.mark.parametrize("snapshot_stride", [1, 3])
+@pytest.mark.parametrize("b", [1, 3])
 @pytest.mark.parametrize("chunk_bytes", [1, sgd.CHUNK_BYTES])
-def test_each_row_matches_the_row_run_alone(case, snapshot_stride, chunk_bytes, monkeypatch):
+def test_each_row_matches_the_row_run_alone(case, b, chunk_bytes, monkeypatch):
     monkeypatch.setattr(sgd, "CHUNK_BYTES", chunk_bytes)
-    rows, expected = cases(sources())[case]
-    batch, computed = stepped_row_steps(rows, snapshot_stride, monkeypatch)
+    rows, expected = cases(sources(b))[case]
+    batch, computed = stepped_row_steps(rows, monkeypatch)
     assert [t.shared for t in batch] == expected
     # The engine steps each row on its own steps only.
     assert computed == sum(t.steps - t.shared for t in batch)
     for r, traj in zip(rows, batch):
-        alone, = run_batch([r], snapshot_stride)
+        alone, = run_batch([r], snapshots=True)
         assert alone.shared == 0
         assert as_bytes(traj) == as_bytes(alone)
 
 
 def test_projection_is_active_inside_the_shared_prefix():
     rows, _ = cases(sources())["c2_group"]
-    child = run_batch(rows, snapshot_stride=1)[1]
+    child = run_batch(rows, snapshots=True)[1]
     assert child.shared == N_NOISY and child.projected > 0
     assert any(np.linalg.norm(w) == pytest.approx(RADIUS, rel=1e-12)
                for t, w in child.iterates if t <= child.shared)
@@ -138,9 +142,10 @@ def test_a_nan_in_a_shared_prefix_names_its_step(chunk_bytes, monkeypatch):
         run_batch(rows)
 
 
-@pytest.mark.parametrize("stride", [0, -1, True, 1.5])
-def test_snapshot_stride_must_be_a_positive_integer(stride):
+@pytest.mark.parametrize("snapshots", [0, -1, pytest.param(np.True_, id="True"), 1.5])
+def test_snapshots_must_be_a_bool(snapshots):
     rows, _ = cases(sources())["c2_group"]
-    with pytest.raises(ValueError, match="snapshot_stride must be an integer >= 1"):
-        run_batch(rows, snapshot_stride=stride)
-    assert [t for t, _ in run_batch(rows[:1], np.int64(5))[0].iterates] == [5, 10, 13]
+    with pytest.raises(ValueError, match="snapshots must be a bool"):
+        run_batch(rows, snapshots=snapshots)
+    assert run_batch(rows[:1], False)[0].iterates is None
+    assert [t for t, _ in run_batch(rows[:1], True)[0].iterates] == list(range(1, 14))

@@ -34,7 +34,7 @@ def oracles() -> dict:
 def test_wrapper_matches_run_whole(name, run_whole):
     wrapper = getattr(sgd, name)
     interleaved, paired = name.endswith("_interleaved"), name.startswith("run_paired")
-    snapshots = {} if paired else {"snapshot_stride": 4}
+    snapshots = {} if paired else {"snapshots": True}
     shared = oracles()
     if interleaved:
         got = wrapper(SCHEDULE, shared, w0=W0, **snapshots)
