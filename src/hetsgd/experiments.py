@@ -5,6 +5,12 @@ dataset, the clean/noisy split, and every trial's oracle seeds derive from it
 through a splittable seed tree, and trials aggregate by index. Emitted CSVs
 are byte-identical across reruns; wall-clock timing goes to ``meta.json``
 only (the ``seconds`` column in result rows is reserved and written as 0).
+
+Each driver is a plan function (``_order_plan``, ``_strategy_plan``, ``_c2_plan``): it
+checks its inputs, sets up data and seeds, makes its schedules and returns a ``_Plan``.
+``_run`` runs every plan: it rejects a list config key the plan does not read, runs the
+trials, makes one row per (strategy, sweep value) key and then the marker rows, emits,
+and returns a ``Run`` of the rows, the per-trial values and the meta.json blocks.
 """
 from __future__ import annotations
 
@@ -26,7 +32,7 @@ from .core import LOSSES, Dataset, ObjectiveSpec, check_counts, full_objective, 
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
 from .oracles import GradientOracle, NoiseLevel, OracleSpec
 from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
-from .sgd import Row, Schedule, check_budgets, run_batch
+from .sgd import Row, Schedule, Trajectory, check_budgets, run_batch
 
 STRATEGIES = ("Optimal", "CleanOnly", "SameClean", "SameNoisy", "Algorithm2")
 ORDER_STRATEGIES = ("CF", "NF", "AO")
@@ -140,8 +146,8 @@ def _git_hash(start: Path) -> str:
     return "unknown"
 
 
-def write_meta(out_dir, config_dict: dict, runtime_seconds: float, extras: Optional[dict] = None) -> None:
-    """meta.json: the config, what ran (package commit, Python, numpy, scipy) and the wall time.
+def write_meta(out_dir, config_dict: dict, runtime_seconds: float, blocks: dict) -> None:
+    """meta.json: the config, what ran (commit, Python, numpy, scipy), wall time and ``blocks``.
 
     scipy's version is read from the loaded module, the one whose ``expit`` the engine
     ran; it is null in a process that never loaded scipy.
@@ -154,9 +160,8 @@ def write_meta(out_dir, config_dict: dict, runtime_seconds: float, extras: Optio
         "numpy": np.__version__,
         "scipy": getattr(sys.modules.get("scipy"), "__version__", None),
         "runtime_seconds": runtime_seconds,
+        **blocks,
     }
-    if extras:
-        meta.update(extras)
     (out_dir / "meta.json").write_text(json.dumps(meta, indent=2, sort_keys=True) + "\n",
                                        encoding="utf-8")
 
@@ -302,7 +307,7 @@ class ExperimentConfig:
 
 
 # ---------------------------------------------------------------------------
-# The experiment skeleton: setup -> per-trial rows -> _run_trials -> aggregate -> emit
+# The experiment skeleton: plan -> _run_trials -> one row per key -> emit
 
 
 def _seed_int(ss: np.random.SeedSequence) -> int:
@@ -340,6 +345,10 @@ class _Setup(NamedTuple):
     obj: ObjectiveSpec
     steps: dict              # oracle id -> batches in its source
     seeds: list              # [sweep point][trial] -> seeds (clean, noisy, pattern, full oracle)
+
+    def objective(self, t: Trajectory) -> float:
+        """The full objective at a run's final iterate."""
+        return full_objective(self.obj, t.final_w, self.ds.X, self.ds.y)
 
 
 def _setup(cfg: ExperimentConfig, n_sweep: int) -> _Setup:
@@ -428,7 +437,7 @@ class RunReport:
 
 
 def _run_trials(trials: int, make_trial: Callable[[int], list],
-                score: Callable[[list], float], report: Optional[RunReport]) -> dict:
+                score: Callable[[list], float], report: RunReport) -> dict:
     """Per-trial scores of every keyed group of runs, through as few engine calls as fit.
 
     ``make_trial(i)`` lists trial i's (key, rows); ``score`` turns one
@@ -437,7 +446,6 @@ def _run_trials(trials: int, make_trial: Callable[[int], list],
     up to here is charged to setup in ``report``, which also gets the stage
     times, the engine counts and the projection activity of the trials.
     """
-    report = report or RunReport()
     report.lap("setup")
     values: dict = {}
     block, size, first = [], 0, 0
@@ -483,10 +491,10 @@ def _result_row(strategy: str, sweep_param: float, values: np.ndarray) -> Result
 
 
 def _emit(cfg: ExperimentConfig, rows: Sequence[ResultRow], report: RunReport,
-          extras: Optional[dict] = None) -> None:
-    """results.csv, one plot_*.csv per strategy and meta.json, when the config names out_dir.
+          driver_meta: dict) -> dict:
+    """The report's meta.json blocks (see ``RunReport.meta``) and then the driver's.
 
-    meta.json also gets the report's blocks (see ``RunReport.meta``).
+    With out_dir it writes results.csv, one plot_*.csv per strategy and meta.json.
     """
     if cfg.out_dir:
         out = Path(cfg.out_dir)
@@ -494,16 +502,51 @@ def _emit(cfg: ExperimentConfig, rows: Sequence[ResultRow], report: RunReport,
         emit_csv(rows, out / "results.csv")
         emit_plotdata(rows, out)
         report.lap("emission")
-        write_meta(out, cfg.to_dict(), time.perf_counter() - report.started,
-                   {**report.meta(), **(extras or {})})
+    meta = {**report.meta(), **driver_meta}
+    if cfg.out_dir:
+        write_meta(cfg.out_dir, cfg.to_dict(), time.perf_counter() - report.started, meta)
+    return meta
 
 
 def _strategies(cfg: ExperimentConfig, allowed: tuple) -> tuple:
-    strategies = allowed if cfg.strategies is None else tuple(cfg.strategies)
-    for s in strategies:
+    for s in cfg.strategies or ():
         if s not in allowed:
             raise ValueError(f"unknown strategy {s!r}, expected one of {allowed}")
-    return strategies
+    return cfg.strategies or allowed
+
+
+class _Plan(NamedTuple):
+    """What a driver gives ``_run``, once its inputs are checked and its schedules made."""
+
+    command: str             # the subcommand, named in errors
+    reads: tuple             # the keys of _SEQUENCE_KEYS the driver reads; any other must be unset
+    make_trial: Callable[[int], list]    # trial i -> its [(key, rows)] (see _run_trials)
+    score: Callable[[list], float]       # one key's trajectories -> its value for the trial
+    markers: tuple = ()      # (row name, key): an extra row repeating that key's values
+    meta: dict = {}          # the driver's own meta.json blocks (never mutated)
+
+
+class Run(NamedTuple):
+    """What a driver call returns."""
+
+    rows: list               # the rows of results.csv
+    values: dict             # (strategy, sweep value) -> per-trial values, in row order
+    meta: dict               # the blocks of meta.json besides the config and what ran
+
+
+def _run(cfg: ExperimentConfig, plan: Callable[[ExperimentConfig], _Plan],
+         assumes_inactive: bool = False) -> Run:
+    """A driver's plan, trials, a row per key in key order, its marker rows, and emission."""
+    report = RunReport(assumes_inactive)
+    p = plan(cfg)
+    for key in _SEQUENCE_KEYS:
+        if getattr(cfg, key) is not None and key not in p.reads:
+            raise ValueError(f"{key} is set, but {p.command} with oracles.kind "
+                             f"{cfg.oracles.kind!r} does not read it")
+    values = _run_trials(cfg.trials, p.make_trial, p.score, report)
+    rows = [_result_row(*key, v) for key, v in values.items()]
+    rows += [_result_row(name, key[1], values[key]) for name, key in p.markers]
+    return Run(rows, values, _emit(cfg, rows, report, p.meta))
 
 
 # ---------------------------------------------------------------------------
@@ -561,38 +604,28 @@ def _two_phase(order: str, c1: float, c2: float, steps: dict) -> Schedule:
 # Strategy comparison
 
 
-def _strategy_plans(noise_c: NoiseLevel, noise_n: NoiseLevel, beta_c: float, lam: float,
-                    steps: dict) -> dict:
-    """Every strategy's block schedule at one pair of noise levels."""
-    gc, gn = noise_c.gamma_sq, noise_n.gamma_sq
-    sel = select_rates(gc, gn, beta_c, lam)
-    same_clean_c, _ = minimize_single_rate(BoundInputs(gc, gn, beta_c, lam, T=1))
-    same_noisy_c, _ = minimize_single_rate(BoundInputs(gn, gc, 1.0 - beta_c, lam, T=1))
-    return {"Optimal": Schedule.blocks((("all_data", 1.0 / lam),), steps),
+def _strategy_plan(cfg: ExperimentConfig) -> _Plan:
+    """Every strategy at every noisy level of the sweep, scored by the final full objective.
+
+    Within a trial all strategies share the dataset and the oracle seeds (common random
+    numbers), so per-trial differences between strategies are directly comparable.
+    """
+    strategies = _strategies(cfg, STRATEGIES)
+    clean_level, _, sweep = _levels(cfg)
+    s = _setup(cfg, len(sweep))
+    beta_c, lam, steps = s.beta_c, s.obj.lam, s.steps
+    schedules = []
+    for level in sweep:
+        gc, gn = (_noise_level(cfg, s.ds.d, v).gamma_sq for v in (clean_level, level))
+        sel = select_rates(gc, gn, beta_c, lam)
+        same_clean_c, _ = minimize_single_rate(BoundInputs(gc, gn, beta_c, lam, T=1))
+        same_noisy_c, _ = minimize_single_rate(BoundInputs(gn, gc, 1.0 - beta_c, lam, T=1))
+        schedules.append({
+            "Optimal": Schedule.blocks((("all_data", 1.0 / lam),), steps),
             "CleanOnly": Schedule.blocks((("clean_data", 1.0 / lam),), steps),
             "SameClean": _two_phase("clean_first", same_clean_c, same_clean_c, steps),
             "SameNoisy": _two_phase("noisy_first", same_noisy_c, same_noisy_c, steps),
-            "Algorithm2": _two_phase(sel.order, sel.c1, sel.c2, steps)}
-
-
-def strategy_comparison_details(cfg: ExperimentConfig, report: Optional[RunReport] = None):
-    """Run the sweep and return (rows, {(strategy, sweep_value): per-trial objectives}).
-
-    Within a trial all strategies share the dataset and the oracle seeds
-    (common random numbers), so per-trial differences between strategies are
-    directly comparable. ``report``, if given, records the run (see RunReport).
-    """
-    strategies = _strategies(cfg, STRATEGIES)
-    for kind, name in _LEVEL_FIELDS.items():
-        if kind != cfg.oracles.kind and getattr(cfg, f"{name}_noisy_sweep") is not None:
-            raise ValueError(f"{name}_noisy_sweep sweeps {kind} oracles, not oracles.kind "
-                             f"{cfg.oracles.kind!r}")
-    clean_level, _, sweep = _levels(cfg)
-    s = _setup(cfg, len(sweep))
-    schedules = []
-    for level in sweep:
-        noise_c, noise_n = (_noise_level(cfg, s.ds.d, v) for v in (clean_level, level))
-        schedules.append(_strategy_plans(noise_c, noise_n, s.beta_c, s.obj.lam, s.steps))
+            "Algorithm2": _two_phase(sel.order, sel.c1, sel.c2, steps)})
 
     def make_trial(i: int) -> list:
         entries = []
@@ -605,30 +638,20 @@ def strategy_comparison_details(cfg: ExperimentConfig, report: Optional[RunRepor
                         for name in strategies]
         return entries
 
-    trial_values = _run_trials(cfg.trials, make_trial,
-                               lambda group: full_objective(s.obj, group[0].final_w, s.ds.X, s.ds.y),
-                               report)
-    rows = [_result_row(name, level, trial_values[(name, level)])
-            for level in sweep for name in strategies]
-    return rows, trial_values
+    reads = ("strategies", _LEVEL_FIELDS[cfg.oracles.kind] + "_noisy_sweep")
+    return _Plan("strategy-cmp", reads, make_trial, lambda group: s.objective(group[0]))
 
 
-def run_strategy_comparison(cfg: ExperimentConfig) -> list:
-    report = RunReport()
-    rows, _ = strategy_comparison_details(cfg, report)
-    _emit(cfg, rows, report)
-    return rows
+def run_strategy_comparison(cfg: ExperimentConfig) -> Run:
+    return _run(cfg, _strategy_plan)
 
 
 # ---------------------------------------------------------------------------
 # Order experiment: |f(w) - f(v)| for clean-first / noisy-first / arbitrary
 
 
-def order_experiment_details(cfg: ExperimentConfig, report: Optional[RunReport] = None):
-    """Run the c grid and return (rows, {(strategy, c): per-trial gaps |f(w) - f(v)|}).
-
-    ``report``, if given, records the run (see RunReport).
-    """
+def _order_plan(cfg: ExperimentConfig) -> _Plan:
+    """Every order at every c of the grid, scored by the gap |f(w) - f(v)| to the noiseless twin."""
     strategies = _strategies(cfg, ORDER_STRATEGIES)
     if not cfg.c_grid:
         raise ValueError("order experiment needs c_grid")
@@ -658,35 +681,27 @@ def order_experiment_details(cfg: ExperimentConfig, report: Optional[RunReport] 
                 entries.append(((name, c), (_row(sched, oracles), _row(sched, oracles, noisy=False))))
         return entries
 
-    def gap(group: list) -> float:
-        noisy, twin = (full_objective(s.obj, t.final_w, s.ds.X, s.ds.y) for t in group)
-        return abs(noisy - twin)
-
-    trial_values = _run_trials(cfg.trials, make_trial, gap, report)
-    rows = [_result_row(name, c, trial_values[(name, c)]) for c in c_grid for name in strategies]
-    return rows, trial_values
+    return _Plan("order-exp", ("strategies", "c_grid"), make_trial,
+                 lambda group: abs(s.objective(group[0]) - s.objective(group[1])))
 
 
-def run_order_experiment(cfg: ExperimentConfig) -> list:
+def run_order_experiment(cfg: ExperimentConfig) -> Run:
     # The order verdict rests on the delta_t closed form of a run without projection.
-    report = RunReport(assumes_inactive=True)
-    rows, _ = order_experiment_details(cfg, report)
-    _emit(cfg, rows, report)
-    return rows
+    return _run(cfg, _order_plan, assumes_inactive=True)
 
 
 # ---------------------------------------------------------------------------
 # Second-rate sweep against the clean-only reference
 
 
-def c2_sweep_details(cfg: ExperimentConfig, report: Optional[RunReport] = None):
-    """Final objective vs the second-phase rate at c1 = 1/lam.
+def _c2_plan(cfg: ExperimentConfig) -> _Plan:
+    """Final objective vs the second-phase rate at c1 = 1/lam, and the clean-only reference.
 
     The data order is fixed once, by the rate selection on the upper-bound
     noise levels; c2(U) is that selection's rate and c2(L) re-minimizes the
     same order's bound curve with the lower-bound noise levels, so both
-    bracket rates live on the curve actually being swept. ``report``, if
-    given, records the run (see RunReport).
+    bracket rates live on the curve actually being swept. Marker rows repeat
+    the grid rows at the bracketing and selected rates, named in ``c2_markers``.
     """
     clean_level, noisy_level, _ = _levels(cfg)
     s = _setup(cfg, 1)
@@ -695,13 +710,10 @@ def c2_sweep_details(cfg: ExperimentConfig, report: Optional[RunReport] = None):
     c2_lower, c2_upper = bracket.c2_lower, bracket.c2_upper
     lo, hi = sorted((c2_lower, c2_upper))
 
-    if cfg.c2_grid:
-        span = [float(c) for c in cfg.c2_grid]
-    else:
-        span = list(np.geomspace(0.5 * lo, 2.0 * hi, cfg.c2_grid_points)) if hi > lo \
-            else [lo]
+    span = cfg.c2_grid or (np.geomspace(0.5 * lo, 2.0 * hi, cfg.c2_grid_points) if hi > lo
+                           else [lo])
     # The bracketing rates are always measured so the marker rows carry data.
-    grid = sorted(set(float(c) for c in span) | {float(c2_lower), float(c2_upper)})
+    grid = sorted({float(c) for c in span} | {float(c2_lower), float(c2_upper)})
 
     schedules = {("TwoRate", c2): _two_phase(bracket.order, 1.0 / s.obj.lam, c2, s.steps)
                  for c2 in grid}
@@ -711,24 +723,11 @@ def c2_sweep_details(cfg: ExperimentConfig, report: Optional[RunReport] = None):
         oracles = _split_oracles(cfg, s, s.seeds[0][i], noisy_level)
         return [(key, (_row(sched, oracles),)) for key, sched in schedules.items()]
 
-    trial_values = _run_trials(cfg.trials, make_trial,
-                               lambda group: full_objective(s.obj, group[0].final_w, s.ds.X, s.ds.y),
-                               report)
-    rows = [_result_row(name, param, trial_values[(name, param)]) for name, param in schedules]
-    # Marker rows duplicate the grid rows at the bracketing and selected rates.
-    markers = {"marker_c2_lower": c2_lower, "marker_c2_upper": c2_upper,
-               "marker_c2_selected": c2_upper}
-    rows += [_result_row(name, c2, trial_values[("TwoRate", float(c2))])
-             for name, c2 in markers.items()]
-
-    info = {"c2_lower": c2_lower, "c2_upper": c2_upper, "c2_selected": c2_upper,
-            "order": bracket.order, "grid": grid}
-    return rows, trial_values, info
+    rates = {"c2_lower": c2_lower, "c2_upper": c2_upper, "c2_selected": c2_upper}
+    markers = tuple((f"marker_{name}", ("TwoRate", float(c2))) for name, c2 in rates.items())
+    return _Plan("c2-sweep", ("c2_grid",), make_trial, lambda group: s.objective(group[0]),
+                 markers, {"c2_markers": {**rates, "order": bracket.order}})
 
 
-def run_c2_sweep(cfg: ExperimentConfig) -> list:
-    report = RunReport()
-    rows, _, info = c2_sweep_details(cfg, report)
-    _emit(cfg, rows, report,
-          extras={"c2_markers": {k: info[k] for k in ("c2_lower", "c2_upper", "c2_selected", "order")}})
-    return rows
+def run_c2_sweep(cfg: ExperimentConfig) -> Run:
+    return _run(cfg, _c2_plan)

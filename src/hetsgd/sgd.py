@@ -66,9 +66,9 @@ slots. A ``Schedule`` derives what the engine reads from its slots once, at
 construction, and ``run_batch`` builds its (row, slot) tables from per-oracle
 arrays, so the setup of a call costs array time, not Python time per row. A run's
 radius is its objective's: a call's oracles share one ``ObjectiveSpec``.
-``run_batch`` refuses a run that would read an oracle's examples twice (the
-one-pass rule of local DP), and ``check_budgets`` adds the drivers' rule: every
-run reads each of its oracles' whole budget. ``run_sgd``, ``run_sgd_interleaved``,
+``run_batch`` refuses a run two of whose slots would read one example of one
+dataset (the one-pass rule of local DP), and ``check_budgets`` adds the drivers'
+rule: every run reads each of its oracles' whole budget. ``run_sgd``, ``run_sgd_interleaved``,
 ``run_paired`` and ``run_paired_interleaved`` exist only because perfbench's
 tracer wraps them by name. Each is one ``run_batch`` call over whole budgets; the
 package calls none of them.
@@ -294,13 +294,36 @@ def _shared_prefixes(W: np.ndarray, reads: np.ndarray, patterns: list,
     return parent, shared
 
 
+def _check_one_pass(rows: Sequence[Row], pairs: np.ndarray, pair_row: np.ndarray,
+                    pair_slot: np.ndarray, used: np.ndarray, b: int) -> None:
+    """Raise ``BudgetExhausted`` if two (row, slot) ``pairs`` over one dataset read one example.
+
+    A slot that takes n steps reads its oracle's examples ``order[:n*b]``.
+    """
+    slots = [(rows[i].oracles[s], rows[i].schedule.ids[s]) for i, s in
+             zip(pair_row[pairs].tolist(), pair_slot[pairs].tolist())]
+    reads = [o.order[:n * b] for (o, _), n in zip(slots, used[pairs].tolist())]
+    examples = np.concatenate(reads)
+    owner = np.repeat(np.arange(len(reads)), [len(r) for r in reads])
+    by_example = np.argsort(examples, kind="stable")
+    twice = np.flatnonzero(examples[by_example[1:]] == examples[by_example[:-1]])
+    if twice.size:
+        j = by_example[twice[0]]
+        (o0, a), (o1, c) = slots[owner[j]], slots[owner[by_example[twice[0] + 1]]]
+        what = "one oracle" if o0.spec == o1.spec else "one dataset"
+        raise BudgetExhausted(f"a run reads {what} in two slots, {a!r} and {c!r}, and would "
+                              f"read its example {examples[j]} twice")
+
+
 def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
     """Advance every row's run together; return one Trajectory per row, in order.
 
     All oracles of a batch share one objective (lam, loss and radius), batch
     size and dimension; every run stays in the ball of that objective's radius.
-    A run that names one oracle in two slots, or asks an oracle for more batches
-    than it serves, raises ``BudgetExhausted``. ``snapshots=True`` keeps every step.
+    A run two of whose slots read one example of one dataset (one oracle in two
+    slots, an oracle and its ``twin()``, or two oracles whose permutations overlap), or
+    that asks an oracle for more batches than it serves, raises ``BudgetExhausted``.
+    ``snapshots=True`` keeps every step.
     """
     rows = list(rows)
     if not isinstance(snapshots, bool):
@@ -328,8 +351,9 @@ def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
     y, _ = _stack_tables([ds.y for ds in datasets], np.zeros(0))
     U *= -y[:, None]
     ds_of = {id(ds): j for j, ds in enumerate(datasets)}
+    dataset_of = np.array([ds_of[id(o.dataset)] for o in oracles], dtype=np.intp)
     examples, ex_base = _stack_tables(
-        [o.order[:o.steps_total * b] + ds_base[ds_of[id(o.dataset)]] for o in oracles],
+        [o.order[:o.steps_total * b] + ds_base[j] for o, j in zip(oracles, dataset_of.tolist())],
         np.zeros(0, dtype=np.intp))
     # Noise: twin rows and noiseless oracles read the leading zero block.
     noise, noise_base = _stack_tables([o.noise_means for o in oracles], np.zeros((T, d)))
@@ -345,22 +369,19 @@ def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
     pair_row = np.repeat(np.arange(n_rows), widths)
     pair_slot = np.arange(len(pair_row)) - (np.cumsum(widths) - widths)[pair_row]
     oracle_of = np.array([at[id(o)] for r in rows for o in r.oracles], dtype=np.intp)
-    # One pass: no oracle serves two slots of a run (sorted by row and oracle, such pairs
-    # are adjacent), and no slot asks its oracle for more batches than it serves.
-    key = pair_row * len(oracles) + oracle_of
-    order = np.argsort(key, kind="stable")
-    later = order[1:][key[order[1:]] == key[order[:-1]]]      # each repeat's later slot
-    if later.size:
-        r, s = rows[pair_row[later[0]]], pair_slot[later[0]]
-        s0, ids = r.oracles.index(r.oracles[s]), r.schedule.ids
-        raise BudgetExhausted(f"a run names one oracle in two slots, {ids[s0]!r} and "
-                              f"{ids[s]!r}, and would read its examples twice")
+    # One pass: no slot asks its oracle for more batches than it serves, and no two slots
+    # of a run read one example. Only slots over one dataset can share one: sorted by row
+    # and dataset such pairs are adjacent, and only their reads are compared.
     used = np.concatenate([sched.counts() for sched in schedules])
     over = np.flatnonzero(used > budgets[oracle_of])
     if over.size:
         r, s = rows[pair_row[over[0]]], pair_slot[over[0]]
         raise BudgetExhausted(f"oracle {r.schedule.ids[s]!r} serves {r.oracles[s].steps_total} "
                               f"batches, a run asks for {used[over[0]]}")
+    key = pair_row * len(datasets) + dataset_of[oracle_of]
+    order = np.argsort(key, kind="stable")
+    for k in np.unique(key[order[1:]][key[order[1:]] == key[order[:-1]]]):
+        _check_one_pass(rows, np.flatnonzero(key == k), pair_row, pair_slot, used, b)
 
     # Per (row, slot): base offsets into those tables, rate constant and flip rate; twin
     # rows read no noise and no flips. A padding slot is never read.

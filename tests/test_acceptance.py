@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from hetsgd.core import Dataset, ObjectiveSpec, mean_loss_gradient, loss_gradient
-from hetsgd.experiments import (ExperimentConfig, c2_sweep_details, read_csv_rows,
-                                run_strategy_comparison, strategy_comparison_details)
+from hetsgd.experiments import (ExperimentConfig, read_csv_rows, run_c2_sweep,
+                                run_strategy_comparison)
 from hetsgd.oracles import (GradientOracle, OracleSpec, dp_noise_level, rcn_noise_level,
                             rcn_surrogate_gradient, sample_privacy_noise)
 from hetsgd.ordering import expected_deviation, noise_weights, two_level_schedule
@@ -255,11 +255,11 @@ def test_criterion_07_selection_dominates_single_rate():
 
 @pytest.fixture(scope="module")
 def strategy_cmp_results():
-    return strategy_comparison_details(strategy_cmp_config())
+    return run_strategy_comparison(strategy_cmp_config())
 
 
 def test_criterion_08_strategy_comparison_shape(strategy_cmp_results):
-    rows, tv = strategy_cmp_results
+    rows, tv, _ = strategy_cmp_results
     sweep = [1.0, 2.0, 3.0, 5.0, 8.0, 10.0]
     means = {(r.strategy, r.sweep_param): r.mean for r in rows}
     stderrs = {(r.strategy, r.sweep_param): r.stderr for r in rows}
@@ -321,9 +321,10 @@ def c2_sweep_config(eps_n):
 def test_criterion_09_c2_sweep_shape():
     details = []
     for eps_n in (1.0, 2.0):
-        rows, tv, info = c2_sweep_details(c2_sweep_config(eps_n))
+        rows, tv, meta = run_c2_sweep(c2_sweep_config(eps_n))
+        info = meta["c2_markers"]
         lo, hi = sorted((info["c2_lower"], info["c2_upper"]))
-        grid = info["grid"]
+        grid = [c2 for name, c2 in tv if name == "TwoRate"]
         best_c2 = min(grid, key=lambda c: tv[("TwoRate", c)].mean())
         best = tv[("TwoRate", best_c2)]
 

@@ -15,8 +15,8 @@ import hetsgd
 from conftest import windows
 from hetsgd import experiments, sgd
 from hetsgd.core import Dataset, ObjectiveSpec, project
-from hetsgd.experiments import (ExperimentConfig, c2_sweep_details, order_experiment_details,
-                                strategy_comparison_details)
+from hetsgd.experiments import (ExperimentConfig, run_c2_sweep, run_order_experiment,
+                                run_strategy_comparison)
 from hetsgd.oracles import GradientOracle, OracleSpec
 from hetsgd.sgd import InfeasibleIterate, Row, Schedule, run_batch
 
@@ -289,16 +289,17 @@ def aligned_rows(b, radius, flip_rate=0.45, plans=((1.0, 1.0), (3.0, 3.0), (3.0,
     """Runs over one repeated example u under the linear loss and lam = 1, so that every
     gradient is u (clean) or +-u / (1 - 2 sigma) (label flips): iterates move along u, and
     the norm bound is as tight as the flips allow. Rates 3 and 3 then 1 share their first
-    phase. Without flips, runs at rate 1/2 creep towards the norm |u| = 1 from inside."""
+    phase. Without flips, runs at rate 1/2 creep towards the norm |u| = 1 from inside.
+    Each source has its own copies of u, so that no run reads one example twice."""
     obj = ObjectiveSpec(lam=1.0, loss="linear", radius=radius)
     n = 40 * b
-    ds = Dataset(np.tile([0.6, 0.8], (n, 1)), np.ones(n))
+    ds_flips, ds_clean = (Dataset(np.tile([0.6, 0.8], (n, 1)), np.ones(n)) for _ in range(2))
     rows = []
     for seed in range(4):
         flips = GradientOracle(OracleSpec("rcn", budget=n, batch_size=b, rng_seed=seed,
-                                          sigma=flip_rate), obj, ds)
+                                          sigma=flip_rate), obj, ds_flips)
         clean = GradientOracle(OracleSpec("clean", budget=n, batch_size=b, rng_seed=seed),
-                               obj, ds)
+                               obj, ds_clean)
         for rates in plans:
             sched = Schedule(("a", "b"), rates, np.repeat([0, 1], [20, 20]))
             rows += [Row(sched, (flips, clean)), Row(sched, (clean, flips)),
@@ -488,6 +489,17 @@ def test_a_run_may_not_read_one_oracle_in_two_slots():
         with pytest.raises(hetsgd.BudgetExhausted,
                            match="one oracle in two slots, 'a' and 'b'"):
             run_batch(rows)
+    # The rule is keyed on the examples a slot reads, not on the oracle object: an oracle's
+    # twin and an oracle rebuilt from its spec and dataset read the same examples, and so
+    # does, in another order, an oracle over the same dataset with another seed.
+    once_each = Schedule(("a", "b"), (1.0, 1.0), [0] * 20 + [1] * 20)
+    for again, what in ((oracle.twin(), "one oracle"),
+                        (GradientOracle(oracle.spec, oracle.objective, oracle.dataset),
+                         "one oracle"),
+                        (GradientOracle(OracleSpec("local_dp", budget=20, rng_seed=9, epsilon=1.0),
+                                        obj, oracle.dataset), "one dataset")):
+        with pytest.raises(hetsgd.BudgetExhausted, match=f"{what} in two slots, 'a' and 'b'"):
+            run_batch([Row(once_each, (oracle, again))])
     # A slot may not read past its oracle's budget either: 21 steps of 20 batches.
     with pytest.raises(hetsgd.BudgetExhausted, match="serves 20 batches, a run asks for 21"):
         run_batch([Row(Schedule(("a",), (10.0,), [0] * 21), (oracle,))])
@@ -544,21 +556,29 @@ def small_config(**overrides):
         "beta_c": 0.25,
         "trials": 3,
         "master_seed": 42,
-        "c_grid": (50.0, 200.0),
-        "epsilon_noisy_sweep": (2.0, 5.0),
         "c2_grid_points": 4,
     }
     base.update(overrides)
     return ExperimentConfig.from_dict(base)
 
 
-@pytest.mark.parametrize("details", [order_experiment_details, strategy_comparison_details,
-                                     c2_sweep_details])
-def test_trial_values_do_not_depend_on_the_batch(details, monkeypatch):
-    few = details(small_config(trials=3))[1]
-    many = details(small_config(trials=8))[1]
+# The list keys each driver reads; a driver rejects a list key it does not read.
+OWN_KEYS = {run_order_experiment: {"c_grid": (50.0, 200.0)},
+            run_strategy_comparison: {"epsilon_noisy_sweep": (2.0, 5.0)},
+            run_c2_sweep: {}}
+# Test ids stay as they were before the three drivers shared one runner, so that results
+# of these cases stay comparable across commits.
+CASE_IDS = {run_order_experiment: "order_experiment_details",
+            run_strategy_comparison: "strategy_comparison_details",
+            run_c2_sweep: "c2_sweep_details"}
+
+
+@pytest.mark.parametrize("run", [pytest.param(run, id=name) for run, name in CASE_IDS.items()])
+def test_trial_values_do_not_depend_on_the_batch(run, monkeypatch):
+    few = run(small_config(trials=3, **OWN_KEYS[run])).values
+    many = run(small_config(trials=8, **OWN_KEYS[run])).values
     monkeypatch.setattr(experiments, "BATCH_BYTES", 1)     # one trial per engine call
-    split = details(small_config(trials=8))[1]
+    split = run(small_config(trials=8, **OWN_KEYS[run])).values
     assert set(few) == set(many) == set(split)
     for key in few:
         np.testing.assert_array_equal(many[key][:3], few[key])
@@ -568,25 +588,23 @@ def test_trial_values_do_not_depend_on_the_batch(details, monkeypatch):
 RCN_ORACLES = {"kind": "rcn", "sigma_clean": 0.0, "sigma_noisy": 0.3, "batch_size": 5}
 
 
-@pytest.mark.parametrize("details,overrides", [
-    (order_experiment_details, {}),
-    (order_experiment_details, {"oracles": RCN_ORACLES}),
-    (strategy_comparison_details, {}),
-    (c2_sweep_details, {}),
-])
-def test_trial_values_do_not_depend_on_the_chunk(details, overrides, monkeypatch):
+@pytest.mark.parametrize("run,overrides", [
+    pytest.param(run, overrides, id=f"{CASE_IDS[run]}-overrides{i}") for i, (run, overrides) in
+    enumerate([(run_order_experiment, {}), (run_order_experiment, {"oracles": RCN_ORACLES}),
+               (run_strategy_comparison, {}), (run_c2_sweep, {})])])
+def test_trial_values_do_not_depend_on_the_chunk(run, overrides, monkeypatch):
     # Interleaved (AO) rows, twins, rcn flips and shorter CleanOnly rows, one step per chunk.
-    chunked = details(small_config(**overrides))[1]
+    chunked = run(small_config(**OWN_KEYS[run], **overrides)).values
     monkeypatch.setattr(sgd, "CHUNK_BYTES", 1)
-    stepwise = details(small_config(**overrides))[1]
+    stepwise = run(small_config(**OWN_KEYS[run], **overrides)).values
     assert set(chunked) == set(stepwise)
     for key in chunked:
         assert chunked[key].tobytes() == stepwise[key].tobytes()
 
 
 def test_rcn_order_experiment_runs_batched():
-    cfg = small_config(oracles=RCN_ORACLES)
-    rows, tv = order_experiment_details(cfg)
+    cfg = small_config(oracles=RCN_ORACLES, **OWN_KEYS[run_order_experiment])
+    rows, tv, _ = run_order_experiment(cfg)
     assert all(np.all(np.isfinite(v)) and np.all(v >= 0) for v in tv.values())
 
 
@@ -595,7 +613,7 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
     import numpy as np
     import hetsgd.sgd as sgd
     from hetsgd.core import Dataset, ObjectiveSpec
-    from hetsgd.experiments import ExperimentConfig, strategy_comparison_details
+    from hetsgd.experiments import ExperimentConfig, run_strategy_comparison
     from hetsgd.oracles import GradientOracle, OracleSpec
 
     print("optimize", sys.flags.optimize)
@@ -627,7 +645,7 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
         "data": {"kind": "synthetic", "d": 3, "n": 120},
         "oracles": {"kind": "local_dp", "batch_size": 10}, "beta_c": 0.25, "trials": 2})
     try:
-        strategy_comparison_details(cfg)
+        run_strategy_comparison(cfg)
         print("budget unchecked")
     except RuntimeError:
         print("budget checked")
@@ -648,7 +666,7 @@ def test_meta_names_the_package_commit_from_any_directory(tmp_path):
     git = subprocess.run(["git", "rev-parse", "HEAD"], cwd=package, capture_output=True,
                          text=True)
     expected = git.stdout.strip() if git.returncode == 0 else "unknown"
-    cfg = small_config(trials=2).to_dict()
+    cfg = small_config(trials=2, **OWN_KEYS[run_strategy_comparison]).to_dict()
     (tmp_path / "cfg.json").write_text(json.dumps(cfg))
     proc = subprocess.run([sys.executable, "-m", "hetsgd", "strategy-cmp", "--config", "cfg.json",
                            "--out-dir", "out"], cwd=tmp_path, capture_output=True, text=True,

@@ -12,10 +12,9 @@ import pytest
 
 from hetsgd import experiments
 from hetsgd.cli import main as cli_main
-from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, _setup, c2_sweep_details,
-                                emit_csv, emit_plotdata, load_dataset, order_experiment_details,
-                                read_csv_rows, run_c2_sweep, run_order_experiment,
-                                run_strategy_comparison, strategy_comparison_details)
+from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, _setup, emit_csv,
+                                emit_plotdata, load_dataset, read_csv_rows, run_c2_sweep,
+                                run_order_experiment, run_strategy_comparison)
 
 FIXTURE_ROWS = [
     ResultRow("Algorithm2", 2.0, 1.25, 0.03125, 100, 1.5),
@@ -190,7 +189,7 @@ class TestConfig:
 class TestStrategyComparison:
     def test_rows_and_trial_values(self):
         cfg = small_config(epsilon_noisy_sweep=(2.0, 10.0))
-        rows, tv = strategy_comparison_details(cfg)
+        rows, tv, _ = run_strategy_comparison(cfg)
         strategies = {"Optimal", "CleanOnly", "SameClean", "SameNoisy", "Algorithm2"}
         assert {r.strategy for r in rows} == strategies
         assert {r.sweep_param for r in rows} == {2.0, 10.0}
@@ -205,10 +204,10 @@ class TestStrategyComparison:
     def test_strategy_subset(self):
         cfg = small_config(strategies=("CleanOnly", "Algorithm2"),
                            epsilon_noisy_sweep=(2.0,))
-        rows, _ = strategy_comparison_details(cfg)
+        rows = run_strategy_comparison(cfg).rows
         assert {r.strategy for r in rows} == {"CleanOnly", "Algorithm2"}
         with pytest.raises(ValueError):
-            strategy_comparison_details(small_config(strategies=("Nope",)))
+            run_strategy_comparison(small_config(strategies=("Nope",)))
 
     def test_emits_deterministic_artifacts(self, tmp_path):
         cfg_a = small_config(tmp_path / "a", epsilon_noisy_sweep=(2.0,))
@@ -226,7 +225,7 @@ class TestStrategyComparison:
         cfg = small_config(oracles={"kind": "rcn", "sigma_clean": 0.0, "sigma_noisy": 0.3,
                                     "batch_size": 10},
                            sigma_noisy_sweep=(0.1, 0.4))
-        rows, _ = strategy_comparison_details(cfg)
+        rows = run_strategy_comparison(cfg).rows
         assert {r.sweep_param for r in rows} == {0.1, 0.4}
 
     @pytest.mark.parametrize("oracles,sweep", [
@@ -236,13 +235,13 @@ class TestStrategyComparison:
         # It used to run only the default noisy level, here sigma_noisy = 0.2.
         cfg = small_config(oracles=oracles, **{sweep: (0.1, 0.3)})
         with pytest.raises(ValueError, match=sweep):
-            strategy_comparison_details(cfg)
+            run_strategy_comparison(cfg)
 
 
 class TestOrderExperiment:
     def test_rows_cover_grid_and_strategies(self):
         cfg = small_config(c_grid=(50.0, 100.0, 200.0))
-        rows, tv = order_experiment_details(cfg)
+        rows, tv, _ = run_order_experiment(cfg)
         assert {r.strategy for r in rows} == {"CF", "NF", "AO"}
         assert {r.sweep_param for r in rows} == {50.0, 100.0, 200.0}
         for vals in tv.values():
@@ -250,7 +249,7 @@ class TestOrderExperiment:
 
     def test_requires_grid(self):
         with pytest.raises(ValueError, match="c_grid"):
-            order_experiment_details(small_config())
+            run_order_experiment(small_config())
 
     def test_run_writes_outputs(self, tmp_path):
         cfg = small_config(tmp_path, c_grid=(100.0,), trials=3)
@@ -300,10 +299,16 @@ class TestOrderExperiment:
             0.3 * (engine["row_steps"] - engine["shared_row_steps"])
 
 
+def c2_results(run):
+    """(rows, values, info) of a c2-sweep run; info holds its c2_markers and its rate grid."""
+    grid = [c2 for name, c2 in run.values if name == "TwoRate"]
+    return run.rows, run.values, {**run.meta["c2_markers"], "grid": grid}
+
+
 class TestC2Sweep:
     def test_grid_brackets_and_markers(self, tmp_path):
         cfg = small_config(tmp_path, c2_grid_points=6)
-        rows, tv, info = c2_sweep_details(cfg)
+        rows, tv, info = c2_results(run_c2_sweep(cfg))
         lo, hi = sorted((info["c2_lower"], info["c2_upper"]))
         assert any(abs(c - info["c2_lower"]) < 1e-9 for c in info["grid"])
         assert any(abs(c - info["c2_upper"]) < 1e-9 for c in info["grid"])
@@ -319,7 +324,7 @@ class TestC2Sweep:
 
     def test_explicit_grid_keeps_markers(self):
         cfg = small_config(c2_grid=(80.0, 120.0))
-        rows, tv, info = c2_sweep_details(cfg)
+        rows, tv, info = c2_results(run_c2_sweep(cfg))
         assert {80.0, 120.0} <= set(info["grid"])
         assert {info["c2_lower"], info["c2_upper"]} <= set(info["grid"])
         assert sum(1 for r in rows if r.strategy == "TwoRate") == len(info["grid"])
@@ -328,7 +333,7 @@ class TestC2Sweep:
         from hetsgd.oracles import dp_noise_level
         from hetsgd.rates import BoundInputs, minimize_phase2_rate, select_rates
         cfg = small_config(trials=2)
-        _, _, info = c2_sweep_details(cfg)
+        _, _, info = c2_results(run_c2_sweep(cfg))
         n_c = round(cfg.beta_c * cfg.data.n)
         beta_c, lam, d, b = n_c / cfg.data.n, cfg.problem.lam, cfg.data.d, cfg.oracles.batch_size
         gc = dp_noise_level(cfg.oracles.epsilon_clean, d, b)
@@ -366,7 +371,7 @@ class TestC2Sweep:
         # Noisy first, every TwoRate row of a trial after the first takes over the noisy
         # phase (c1 = 1/lam whatever c2 is); CleanOnly starts on the other source.
         cfg = small_config(tmp_path, c2_grid_points=4, trials=3)
-        rows = run_c2_sweep(cfg)
+        rows = run_c2_sweep(cfg).rows
         meta = json.loads((tmp_path / "out" / "meta.json").read_text())
         assert meta["c2_markers"]["order"] == "noisy_first"
         steps = _setup(cfg, 1).steps
@@ -380,11 +385,49 @@ class TestC2Sweep:
         assert engine["shared_row_steps"] == cfg.trials * (two_rate - 1) * noisy > 0
 
 
-@pytest.mark.parametrize("details", [order_experiment_details, strategy_comparison_details,
-                                     c2_sweep_details])
-def test_unknown_oracle_kind_rejected(details):
+# Test ids stay as they were before the three drivers shared one runner, so that results
+# of these cases stay comparable across commits.
+@pytest.mark.parametrize("run", [pytest.param(run_order_experiment, id="order_experiment_details"),
+                                 pytest.param(run_strategy_comparison,
+                                              id="strategy_comparison_details"),
+                                 pytest.param(run_c2_sweep, id="c2_sweep_details")])
+def test_unknown_oracle_kind_rejected(run):
     with pytest.raises(ValueError, match="oracle kind"):
-        details(small_config(c_grid=(100.0,), oracles={"kind": "gaussian"}))
+        run(small_config(c_grid=(100.0,), oracles={"kind": "gaussian"}))
+
+
+# The list keys each driver reads, at small values.
+OWN_KEYS = {run_order_experiment: {"c_grid": (50.0, 200.0)},
+            run_strategy_comparison: {"epsilon_noisy_sweep": (2.0,)},
+            run_c2_sweep: {"c2_grid_points": 4}}
+
+
+@pytest.mark.parametrize("run,command,key,value", [
+    (run_c2_sweep, "c2-sweep", "strategies", ("Algorithm2",)),
+    (run_c2_sweep, "c2-sweep", "epsilon_noisy_sweep", (1.0,)),
+    (run_order_experiment, "order-exp", "epsilon_noisy_sweep", (1.0,)),
+    (run_order_experiment, "order-exp", "c2_grid", (80.0,)),
+    (run_strategy_comparison, "strategy-cmp", "c_grid", (100.0,)),
+    (run_strategy_comparison, "strategy-cmp", "c2_grid", (80.0,))])
+def test_a_list_key_the_driver_does_not_read_is_rejected(run, command, key, value):
+    # Each used to run as if the key were unset: c2-sweep ran TwoRate and CleanOnly for
+    # strategies ["Algorithm2"], and order-exp ignored its noisy sweep.
+    cfg = small_config(trials=2, **OWN_KEYS[run], **{key: value})
+    with pytest.raises(ValueError, match=f"^{key} is set, but {command} "):
+        run(cfg)
+
+
+@pytest.mark.parametrize("run", [run_order_experiment, run_strategy_comparison, run_c2_sweep])
+def test_a_run_returns_the_rows_and_meta_blocks_it_writes(run, tmp_path):
+    result = run(small_config(tmp_path, trials=2, **OWN_KEYS[run]))
+    out = tmp_path / "out"
+    assert result.rows == read_csv_rows(out / "results.csv")
+    assert [(r.strategy, r.sweep_param) for r in result.rows][:len(result.values)] == \
+        list(result.values)
+    blocks = {"timing", "engine", "projection"} | ({"c2_markers"} if run is run_c2_sweep else set())
+    assert set(result.meta) == blocks
+    meta = json.loads((out / "meta.json").read_text())
+    assert json.loads(json.dumps(result.meta)) == {name: meta[name] for name in blocks}
 
 
 class TestOrderExperimentDeskScale:
@@ -402,7 +445,7 @@ class TestOrderExperimentDeskScale:
             "strategies": ("CF", "NF"),
             "c_grid": (500.0, 1000.0, 2000.0),
         })
-        rows, tv = order_experiment_details(cfg)
+        rows, tv, _ = run_order_experiment(cfg)
         mean = {(r.strategy, r.sweep_param): r.mean for r in rows}
         se = {(r.strategy, r.sweep_param): r.stderr for r in rows}
 
@@ -428,14 +471,14 @@ class TestDataBackedConfigs:
                            oracles={"kind": "local_dp", "epsilon_clean": 10.0,
                                     "epsilon_noisy": 2.0, "batch_size": 5},
                            epsilon_noisy_sweep=(2.0,), trials=2)
-        rows, _ = strategy_comparison_details(cfg)
+        rows = run_strategy_comparison(cfg).rows
         assert rows
 
     def test_projection_in_pipeline(self):
         cfg = small_config(data={"kind": "synthetic", "d": 20, "n": 200,
                                  "flip_rate": 0.0, "project_to": 6},
                            epsilon_noisy_sweep=(2.0,), trials=2)
-        rows, _ = strategy_comparison_details(cfg)
+        rows = run_strategy_comparison(cfg).rows
         assert rows
 
     def test_projection_to_the_input_dimension_is_skipped(self):
@@ -451,7 +494,7 @@ class TestBudgetConservation:
         # floor(budget/b) batches of each of its oracles; this exercises that check
         # across all strategies.
         cfg = small_config(epsilon_noisy_sweep=(2.0,), trials=2)
-        rows, _ = strategy_comparison_details(cfg)
+        rows = run_strategy_comparison(cfg).rows
         assert rows  # reaching here means the internal accounting held
 
 

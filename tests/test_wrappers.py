@@ -19,14 +19,15 @@ SCHEDULE = sgd.Schedule(("clean", "noisy"), (3.0, 1.5), SLOTS)
 
 
 def oracles() -> dict:
-    """Two batch-2 oracles over one dataset: 6 gaussian batches and 9 local-DP batches."""
+    """Two batch-2 oracles over disjoint parts of one dataset: 6 gaussian batches over its
+    first 12 examples and 9 local-DP batches over the other 18."""
     rng = np.random.default_rng(1)
     ds = Dataset(rng.standard_normal((30, 3)) / np.sqrt(3), np.where(rng.random(30) < 0.5, 1.0, -1.0))
     obj = ObjectiveSpec(lam=0.1, loss="logistic", radius=RADIUS)
     return {"clean": GradientOracle(OracleSpec("gaussian", budget=12, batch_size=2, rng_seed=3,
-                                               noise_sq=4.0), obj, ds),
+                                               noise_sq=4.0), obj, ds.subset(np.arange(12))),
             "noisy": GradientOracle(OracleSpec("local_dp", budget=18, batch_size=2, rng_seed=4,
-                                               epsilon=1.0), obj, ds)}
+                                               epsilon=1.0), obj, ds.subset(np.arange(12, 30)))}
 
 
 @pytest.mark.parametrize("name", ["run_sgd", "run_sgd_interleaved", "run_paired",
