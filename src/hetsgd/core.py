@@ -39,6 +39,17 @@ def check_counts(counts: dict) -> None:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+def reject_bools(values: dict) -> None:
+    """Raise ValueError naming the first entry of ``values`` that is a bool or a bool array.
+
+    float() and numpy take True as 1.0, so a bool passed as a rate or a noise level
+    would otherwise run as a plausible number.
+    """
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == np.bool_:
+            raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Regularization strength, loss name, and feasible-set radius.

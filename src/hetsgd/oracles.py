@@ -32,7 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Dataset, ObjectiveSpec, check_counts, gradient_scales, margin_scales, margins
+from .core import (Dataset, ObjectiveSpec, check_counts, gradient_scales, margin_scales, margins,
+                   reject_bools)
 
 KINDS = ("clean", "local_dp", "rcn", "gaussian")
 
@@ -63,6 +64,7 @@ def dp_noise_level(epsilon: float, d: int, batch_size: int = 1) -> NoiseLevel:
     gamma_sq = 4 + 4(d^2 + d)/(epsilon^2 * b); the lower variant drops the
     (loose) data-term constant 4.
     """
+    reject_bools({"epsilon": epsilon})
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon!r}")
     check_counts({"d": d, "batch_size": batch_size})
@@ -76,6 +78,7 @@ def rcn_noise_level(sigma: float) -> NoiseLevel:
     No separate lower bound exists for this mechanism, so both fields
     coincide and interval heuristics built on them degenerate to a point.
     """
+    reject_bools({"sigma": sigma})
     if not 0.0 <= sigma < 0.5:
         raise ValueError(f"sigma must be in [0, 0.5), got {sigma}")
     g = 3.0 + 1.0 / (1.0 - 2.0 * sigma) ** 2

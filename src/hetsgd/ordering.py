@@ -11,6 +11,12 @@ sum_t delta_t^2 * E||Z_t||^2. Whether delta_t decreases, stays flat, or
 increases in t is decided by the sign of 1 - c*lam, which is what makes the
 optimal data order depend on the rate constant: clean data first for
 c < 1/lam, noisy data first for c > 1/lam, and a tie at c = 1/lam.
+
+Only the factors 1 - c*lam/s with s <= c*lam are negative or zero, and they
+come first, so ``noise_weights`` tracks signs and zeros over that prefix
+alone (none at all when c*lam < 2). ``compare_orders`` squares delta_t once
+for its three schedules. Both give the bits of the full computation: a
+product by +1.0 and a select that keeps every entry change nothing.
 """
 from __future__ import annotations
 
@@ -19,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import check_counts
+from .core import check_counts, reject_bools
 
 
 @dataclass(frozen=True)
@@ -37,8 +43,11 @@ def noise_weights(c: float, lam: float, T: int) -> NoiseWeights:
 
     Factors 1 - c*lam/s can be negative (c > 1/lam) or exactly zero (c*lam an
     integer <= T); signs are accumulated separately so the magnitudes stay in
-    log space.
+    log space. The factors rise with s (float division and subtraction are
+    monotone), so the nonpositive ones form a prefix, empty when c*lam < 2,
+    and signs and zeros are tracked over that prefix alone.
     """
+    reject_bools({"c": c, "lam": lam})
     if not (0.0 < c < np.inf and 0.0 < lam < np.inf):
         raise ValueError(f"need c > 0, lam > 0, both finite, got c={c!r} and lam={lam!r}")
     check_counts({"T": T})
@@ -46,22 +55,22 @@ def noise_weights(c: float, lam: float, T: int) -> NoiseWeights:
         return NoiseWeights(np.array([c]), c, lam, 1)
     s = np.arange(2, T + 1, dtype=np.float64)
     factors = 1.0 - c * lam / s
-    zero = factors == 0.0
-    with np.errstate(divide="ignore"):
-        logs = np.where(zero, 0.0, np.log(np.abs(np.where(zero, 1.0, factors))))
-    neg = (factors < 0.0).astype(np.int64)
+    k = int(np.searchsorted(factors, 0.0, side="right"))    # factors[:k] <= 0
+    head = factors[:k]
+    zero = head == 0.0
+    logs = np.empty(T - 1)
+    logs[:k] = np.log(np.abs(np.where(zero, 1.0, head)))
+    logs[k:] = np.log(factors[k:])
 
-    # Suffix aggregates over s = t+1..T for each t = 1..T (empty suffix at t=T).
+    # Suffix sums over s = t+1..T for each t = 1..T (empty suffix at t=T).
     suffix_log = np.zeros(T)
     suffix_log[:-1] = np.cumsum(logs[::-1])[::-1]
-    suffix_neg = np.zeros(T, dtype=np.int64)
-    suffix_neg[:-1] = np.cumsum(neg[::-1])[::-1]
-    suffix_zero = np.zeros(T, dtype=bool)
-    suffix_zero[:-1] = np.cumsum(zero[::-1])[::-1] > 0
-
     t = np.arange(1, T + 1, dtype=np.float64)
-    deltas = np.exp(np.log(c / t) + suffix_log) * np.where(suffix_neg % 2 == 0, 1.0, -1.0)
-    deltas[suffix_zero] = 0.0
+    deltas = np.exp(np.log(c / t) + suffix_log)
+    if k:
+        head_deltas = deltas[:k]     # a view: the suffixes that reach into the prefix
+        head_deltas[np.cumsum((head < 0.0)[::-1])[::-1] % 2 == 1] *= -1.0
+        head_deltas[np.cumsum(zero[::-1])[::-1] > 0] = 0.0
     return NoiseWeights(deltas, c, lam, T)
 
 
@@ -95,27 +104,34 @@ def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
                    arbitrary_pattern: np.ndarray) -> OrderingVerdict:
     """Closed-form deviations of clean-first, noisy-first, and one interleaving.
 
-    ``arbitrary_pattern`` is a boolean mask of length T_clean + T_noisy with
-    exactly T_noisy True entries (noisy steps). Ties are declared when
-    clean-first and noisy-first agree to relative 1e-12, which happens
-    exactly at c = 1/lam.
+    ``arbitrary_pattern`` is a mask of length T_clean + T_noisy, of bools or
+    0/1 entries, with exactly T_noisy noisy (True or 1) steps. Ties are
+    declared when clean-first and noisy-first agree to relative 1e-12, which
+    happens exactly at c = 1/lam. The three deviations share one delta_t^2,
+    squared once, and give expected_deviation's bits.
     """
     if not 0.0 <= v_clean_sq <= v_noisy_sq < np.inf:
         raise ValueError(f"expected 0 <= v_clean_sq <= v_noisy_sq < inf, got v_clean_sq="
                          f"{v_clean_sq!r} and v_noisy_sq={v_noisy_sq!r}")
+    check_counts({"T_clean": T_clean, "T_noisy": T_noisy})
+    pattern = np.asarray(arbitrary_pattern)
+    if pattern.dtype != bool:
+        bad = pattern[(pattern != 0) & (pattern != 1)]
+        if bad.size:
+            raise ValueError(f"pattern entries must be bools or 0/1, got {bad[0]!r}")
+    pattern = pattern.astype(bool)
     T = T_clean + T_noisy
-    weights = noise_weights(c, lam, T)
-    arbitrary_pattern = np.asarray(arbitrary_pattern, dtype=bool)
-    if arbitrary_pattern.shape != (T,) or int(arbitrary_pattern.sum()) != T_noisy:
+    if pattern.shape != (T,) or int(pattern.sum()) != T_noisy:
         raise ValueError("pattern must have length T with T_noisy noisy steps")
+    deltas_sq = noise_weights(c, lam, T).deltas ** 2
 
     cf = np.zeros(T, dtype=bool)
     cf[T_clean:] = True
     nf = np.zeros(T, dtype=bool)
     nf[:T_noisy] = True
-    dev_cf = expected_deviation(weights, two_level_schedule(cf, v_clean_sq, v_noisy_sq))
-    dev_nf = expected_deviation(weights, two_level_schedule(nf, v_clean_sq, v_noisy_sq))
-    dev_ao = expected_deviation(weights, two_level_schedule(arbitrary_pattern, v_clean_sq, v_noisy_sq))
+    dev_cf, dev_nf, dev_ao = (
+        float(np.sum(deltas_sq * two_level_schedule(mask, v_clean_sq, v_noisy_sq)))
+        for mask in (cf, nf, pattern))
 
     scale = max(abs(dev_cf), abs(dev_nf), 1e-300)
     if abs(dev_cf - dev_nf) <= 1e-12 * scale:

@@ -11,6 +11,17 @@ valid for 2*lam*c1 > 1, with the continuous log limit at 2*lam*c2 = 1.
 Optimizing c1 alone gives c1* = 1/lam regardless of the noise levels, which
 reduces the search to the one-dimensional minimization over c2 done here.
 The selector evaluates both data orders and keeps the better one.
+
+Each search evaluates a 400-point log grid in one array call, then refines
+around its best point by golden section, one plain-float point at a time.
+What does not change within a search is built once per search: a scalar
+evaluator (``_bound_evaluator``) holds 2*lam, 4*g1, 4*g2, the logs of beta1
+and the first term's T*(2*lam*c1 - 1). What does not change with the order is
+built once per lam: the c2 grid is shared by both orders of ``select_rates``.
+The bits do not change: hoisting a product that the formula already
+evaluates first keeps every rounding, the evaluator runs the array path's
+operations in the same order, and the grid is the same array. Nothing is
+kept past one public call.
 """
 from __future__ import annotations
 
@@ -21,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import is_integer
+from .core import is_integer, reject_bools
 from .oracles import NoiseLevel
 
 logger = logging.getLogger(__name__)
@@ -59,8 +70,10 @@ class BoundInputs:
     def __post_init__(self):
         # Plain floats, so that numpy scalars cannot send the bound's scalar branch into
         # numpy-scalar arithmetic, which warns on overflow where float arithmetic does not.
-        for name in ("gamma1_sq", "gamma2_sq", "beta1", "lam"):
-            object.__setattr__(self, name, float(getattr(self, name)))
+        rates = {name: getattr(self, name) for name in ("gamma1_sq", "gamma2_sq", "beta1", "lam")}
+        reject_bools(rates)
+        for name, value in rates.items():
+            object.__setattr__(self, name, float(value))
         if not (0 < self.gamma1_sq < math.inf and 0 < self.gamma2_sq < math.inf):
             raise ValueError(f"noise levels must be positive and finite, got "
                              f"{self.gamma1_sq} and {self.gamma2_sq}")
@@ -81,21 +94,55 @@ def _beta_terms(beta1: float, k2):
     return bexp, one_minus
 
 
+def _bound_evaluator(inputs: BoundInputs, c1: float | None) -> Callable[[float], float]:
+    """B(c1, c2) as a function of one plain-float c2; B(c, c) as a function of c if c1 is None.
+
+    Everything that does not depend on the evaluated rate (2*lam, 4*g1, 4*g2, the two
+    logs of beta1 and, for a fixed c1, the first term's T*(2*lam*c1 - 1)) is computed
+    once here, with the operation order of the array path, so each point costs a few
+    float operations and gives the array path's bits. The rates are not checked: the
+    caller validates them. A bound that overflows still raises ValueError.
+    """
+    two_lam, T = 2.0 * inputs.lam, inputs.T
+    four_g1, four_g2 = 4.0 * inputs.gamma1_sq, 4.0 * inputs.gamma2_sq
+    log_beta, log_inv_beta = math.log(inputs.beta1), math.log(1.0 / inputs.beta1)
+    first_den = None if c1 is None else T * (two_lam * c1 - 1.0)
+
+    def bound(c2: float) -> float:
+        e = two_lam * c2 - 1.0
+        # With c1 = c2 the first term's 2*lam*c1 - 1 is e itself.
+        c, den = (c2, T * e) if c1 is None else (c1, first_den)
+        if abs(e) <= BRANCH_TOL:
+            bexp, second = 1.0, four_g2 * c2 * c2 * log_inv_beta / T
+        else:
+            x = e * log_beta
+            bexp = float(np.exp(x))
+            second = four_g2 * -float(np.expm1(x)) * c2 * c2 / (T * e)
+        out = four_g1 * bexp * c * c / den + second
+        if not out < math.inf:
+            raise ValueError(f"the bound overflows at c1={c}, c2={c2}")
+        return out
+
+    return bound
+
+
 def two_phase_bound(inputs: BoundInputs, c1, c2):
     """Leading regret-bound constant B(c1, c2); c1 and c2 broadcast as arrays.
 
     Returns a float when both rates are scalars. Every entry of c1 must
     satisfy 2*lam*c1 > 1, every entry of c2 must be positive, 2*lam*c1 and
     2*lam*c2 must be finite, and so must the bound itself: one that overflows
-    raises ValueError. Inside |2*lam*c2 - 1| <= BRANCH_TOL the removable
-    singularity is replaced by its limit: first-phase exponent 0 and second
-    term 4*g2*c2^2*log(1/beta1)/T.
+    raises ValueError. A bool rate raises ValueError. Inside
+    |2*lam*c2 - 1| <= BRANCH_TOL the removable singularity is replaced by its
+    limit: first-phase exponent 0 and second term 4*g2*c2^2*log(1/beta1)/T.
 
-    Scalar rates take a plain-float path with the array path's operation
-    order. It calls np.exp/np.expm1, not math.exp/math.expm1, which can round
-    differently, so both paths give the same bits.
+    Scalar rates are checked here and then evaluated by ``_bound_evaluator``,
+    the plain-float path the minimisers call point by point. It keeps the array
+    path's operation order and calls np.exp/np.expm1, not math.exp/math.expm1,
+    which can round differently, so both paths give the same bits.
     """
-    lam, T, beta1 = inputs.lam, inputs.T, inputs.beta1
+    reject_bools({"c1": c1, "c2": c2})
+    lam = inputs.lam
     if isinstance(c1, (int, float)) and isinstance(c2, (int, float)):
         c1, c2 = float(c1), float(c2)
         k1 = 2.0 * lam * c1
@@ -105,19 +152,9 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
             raise ValueError(f"2*lam*c1 must be finite, got c1={c1}")
         if not c2 > 0:
             raise ValueError("c2 must be positive")
-        e = 2.0 * lam * c2 - 1.0
-        if not e < math.inf:
+        if not 2.0 * lam * c2 - 1.0 < math.inf:
             raise ValueError(f"2*lam*c2 must be finite, got c2={c2}")
-        if abs(e) <= BRANCH_TOL:
-            bexp, second = 1.0, 4.0 * inputs.gamma2_sq * c2 * c2 * math.log(1.0 / beta1) / T
-        else:
-            x = e * math.log(beta1)
-            bexp = float(np.exp(x))
-            second = 4.0 * inputs.gamma2_sq * -float(np.expm1(x)) * c2 * c2 / (T * e)
-        out = float(4.0 * inputs.gamma1_sq * bexp * c1 * c1 / (T * (k1 - 1.0)) + second)
-        if not out < math.inf:
-            raise ValueError(f"the bound overflows at c1={c1}, c2={c2}")
-        return out
+        return _bound_evaluator(inputs, c1)(c2)
     # The extremes are checked as plain floats before any array product, so an infinite
     # 2*lam*c raises ValueError and no numpy warning. (2*lam)*c is monotone in c, so its
     # extremes are those of the array's product; a NaN entry makes min() NaN, which
@@ -134,18 +171,23 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
         raise ValueError("c2 must be positive")
     if not 2.0 * lam * c2_max < math.inf:
         raise ValueError(f"2*lam*c2 must be finite, got c2={c2_max}")
+    T, beta1 = inputs.T, inputs.beta1
     k1, k2 = 2.0 * lam * c1, 2.0 * lam * c2
     e = k2 - 1.0
     bexp, one_minus = _beta_terms(beta1, k2)
 
+    # The limit branch swaps entries in with np.where, which only selects: a grid with no
+    # point at the limit skips it and gives the same bits.
     at_limit = np.abs(e) <= BRANCH_TOL
+    limit = bool(at_limit.any())
+    if limit:
+        bexp, e = np.where(at_limit, 1.0, bexp), np.where(at_limit, 1.0, e)
     with np.errstate(over="ignore", invalid="ignore"):
-        first = 4.0 * inputs.gamma1_sq * np.where(at_limit, 1.0, bexp) * c1 * c1 \
-            / (T * (k1 - 1.0))
-        safe_e = np.where(at_limit, 1.0, e)
-        second_generic = 4.0 * inputs.gamma2_sq * one_minus * c2 * c2 / (T * safe_e)
-        second_limit = 4.0 * inputs.gamma2_sq * c2 * c2 * math.log(1.0 / beta1) / T
-        second = np.where(at_limit, second_limit, second_generic)
+        first = 4.0 * inputs.gamma1_sq * bexp * c1 * c1 / (T * (k1 - 1.0))
+        second = 4.0 * inputs.gamma2_sq * one_minus * c2 * c2 / (T * e)
+        if limit:
+            second_limit = 4.0 * inputs.gamma2_sq * c2 * c2 * math.log(1.0 / beta1) / T
+            second = np.where(at_limit, second_limit, second)
         out = first + second
     if not out.max() < math.inf:
         raise ValueError(f"the bound overflows for some c1 up to {c1_max}, c2 up to {c2_max}")
@@ -174,12 +216,16 @@ def _phase_constant(c, gamma_first_sq: float, gamma_second_sq: float,
 def clean_first_constant(c, gamma_c_sq: float, gamma_n_sq: float,
                          beta_c: float, lam: float):
     """Leading bound constant for the clean-then-noisy order at second rate c."""
+    reject_bools({"c": c, "gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq, "beta_c": beta_c,
+                  "lam": lam})
     return _phase_constant(c, gamma_c_sq, gamma_n_sq, beta_c, lam)
 
 
 def noisy_first_constant(c, gamma_c_sq: float, gamma_n_sq: float,
                          beta_n: float, lam: float):
     """Same with the roles swapped: noisy data first, clean data second."""
+    reject_bools({"c": c, "gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq, "beta_n": beta_n,
+                  "lam": lam})
     return _phase_constant(c, gamma_n_sq, gamma_c_sq, beta_n, lam)
 
 
@@ -206,19 +252,32 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple:
             a, x1, f1 = x1, x2, f2
             x2 = a + _INVPHI * (b - a)
             f2 = f(x2)
-        for x, fx in ((x1, f1), (x2, f2)):
-            if fx < best_f:
-                best_x, best_f = x, fx
+        if f1 < best_f:
+            best_x, best_f = x1, f1
+        if f2 < best_f:
+            best_x, best_f = x2, f2
     return best_x, best_f
 
 
-def _grid_then_golden(f: Callable[[float], float], grid: np.ndarray, values: np.ndarray) -> tuple:
+def _c2_grid(lam: float) -> np.ndarray:
+    """The log grid over the c2 search domain that brackets the phase-2 minimum."""
+    return np.geomspace(C2_DOMAIN_LO / lam, C2_DOMAIN_HI / lam, GRID_POINTS)
+
+
+def _minimize_on_grid(inputs: BoundInputs, grid: np.ndarray, shared: bool) -> tuple:
+    """argmin over c of B(1/lam, c), or of B(c, c) if shared: the grid, then golden section.
+
+    The grid is evaluated in one array call; the refinement calls one scalar
+    evaluator, built once for the whole search.
+    """
+    c1 = None if shared else 1.0 / inputs.lam
+    values = two_phase_bound(inputs, grid if shared else c1, grid)
     i = int(np.argmin(values))
     if i in (0, len(grid) - 1):
         logger.warning("rate minimizer hit the search-domain boundary at c2=%g", grid[i])
     lo = float(grid[max(i - 1, 0)])
     hi = float(grid[min(i + 1, len(grid) - 1)])
-    x, fx = golden_section(f, lo, hi)
+    x, fx = golden_section(_bound_evaluator(inputs, c1), lo, hi)
     if values[i] < fx:
         return float(grid[i]), float(values[i])
     return float(x), float(fx)
@@ -231,10 +290,7 @@ def minimize_phase2_rate(inputs: BoundInputs) -> tuple:
     term), so a coarse 400-point log grid brackets the minimum before the
     unimodal refinement.
     """
-    lam = inputs.lam
-    grid = np.geomspace(C2_DOMAIN_LO / lam, C2_DOMAIN_HI / lam, GRID_POINTS)
-    values = two_phase_bound(inputs, 1.0 / lam, grid)
-    return _grid_then_golden(lambda c: two_phase_bound(inputs, 1.0 / lam, c), grid, values)
+    return _minimize_on_grid(inputs, _c2_grid(inputs.lam), shared=False)
 
 
 def minimize_single_rate(inputs: BoundInputs) -> tuple:
@@ -244,11 +300,8 @@ def minimize_single_rate(inputs: BoundInputs) -> tuple:
     just above 1/(2*lam).
     """
     lam = inputs.lam
-    lo = (1.0 + 1e-9) / (2.0 * lam)
-    hi = C2_DOMAIN_HI / lam
-    grid = np.geomspace(lo, hi, GRID_POINTS)
-    values = two_phase_bound(inputs, grid, grid)
-    return _grid_then_golden(lambda c: two_phase_bound(inputs, c, c), grid, values)
+    grid = np.geomspace((1.0 + 1e-9) / (2.0 * lam), C2_DOMAIN_HI / lam, GRID_POINTS)
+    return _minimize_on_grid(inputs, grid, shared=True)
 
 
 @dataclass(frozen=True)
@@ -272,15 +325,17 @@ def select_rates(gamma_c_sq: float, gamma_n_sq: float, beta_c: float, lam: float
     """Pick the data order and rate pair with the smaller bound constant.
 
     Both orders are minimized with the first rate pinned at 1/lam; ties go to
-    clean-first.
+    clean-first. The c2 grid depends on lam alone, so both orders are searched
+    on one grid, built after the inputs are checked.
     """
     if not 0.0 < beta_c < 1.0:
         raise ValueError("beta_c must be in (0, 1)")
     beta_n = 1.0 - beta_c
     cn = BoundInputs(gamma_c_sq, gamma_n_sq, beta_c, lam, T=1)
     nc = BoundInputs(gamma_n_sq, gamma_c_sq, beta_n, lam, T=1)
-    c_cn, v_cn = minimize_phase2_rate(cn)
-    c_nc, v_nc = minimize_phase2_rate(nc)
+    grid = _c2_grid(cn.lam)
+    c_cn, v_cn = _minimize_on_grid(cn, grid, shared=False)
+    c_nc, v_nc = _minimize_on_grid(nc, grid, shared=False)
     if v_cn <= v_nc:
         order, c2, value = "clean_first", c_cn, v_cn
     else:
@@ -314,6 +369,8 @@ def noisy_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
                   1 + (2 log 4r + log log(1/beta_n)) / log(1/beta_n)]
     with r = gamma_n / gamma_c; natural logs throughout.
     """
+    reject_bools({"gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq, "beta_n": beta_n,
+                  "lam": lam})
     if not 0.0 < lam < math.inf:
         raise ValueError(f"lam must be positive and finite, got {lam!r}")
     if not 0.0 < gamma_c_sq < gamma_n_sq < math.inf:
@@ -332,6 +389,7 @@ def noisy_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
 def clean_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
                               beta_c: float) -> RateInterval:
     """Bracket when the clean data goes first: [s, 8s/beta_c], s = (gamma_n/gamma_c)^-2."""
+    reject_bools({"gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq, "beta_c": beta_c})
     if not 0.0 < gamma_c_sq < gamma_n_sq < math.inf:
         raise ValueError(f"need 0 < gamma_c_sq < gamma_n_sq < inf, got gamma_c_sq={gamma_c_sq!r} "
                          f"and gamma_n_sq={gamma_n_sq!r}")

@@ -65,6 +65,38 @@ class TestNoiseWeights:
         np.testing.assert_allclose(lhs, rhs, rtol=1e-10)
 
 
+def reference_noise_weights(c, lam, T):
+    """Sign and zero tracking over every factor, kept verbatim as the bit reference."""
+    if T == 1:
+        return np.array([c])
+    s = np.arange(2, T + 1, dtype=np.float64)
+    factors = 1.0 - c * lam / s
+    zero = factors == 0.0
+    with np.errstate(divide="ignore"):
+        logs = np.where(zero, 0.0, np.log(np.abs(np.where(zero, 1.0, factors))))
+    neg = (factors < 0.0).astype(np.int64)
+    suffix_log = np.zeros(T)
+    suffix_log[:-1] = np.cumsum(logs[::-1])[::-1]
+    suffix_neg = np.zeros(T, dtype=np.int64)
+    suffix_neg[:-1] = np.cumsum(neg[::-1])[::-1]
+    suffix_zero = np.zeros(T, dtype=bool)
+    suffix_zero[:-1] = np.cumsum(zero[::-1])[::-1] > 0
+    t = np.arange(1, T + 1, dtype=np.float64)
+    deltas = np.exp(np.log(c / t) + suffix_log) * np.where(suffix_neg % 2 == 0, 1.0, -1.0)
+    deltas[suffix_zero] = 0.0
+    return deltas
+
+
+@pytest.mark.parametrize("c_lam", [0.5, 1.0, 1.999, 2.0, 2.5, 3.0, 7.2])
+@pytest.mark.parametrize("T", [1, 2, 3, 100, 5000])
+def test_prefix_sign_tracking_gives_the_full_tracking_bits(c_lam, T):
+    for lam in (1.0, 1e-3, 0.37):
+        c = c_lam / lam
+        deltas = noise_weights(c, lam, T).deltas
+        # tobytes: the same bits, signed zeros included.
+        assert deltas.tobytes() == reference_noise_weights(c, lam, T).tobytes()
+
+
 class TestExpectedDeviation:
     def test_zero_variances(self):
         assert expected_deviation(noise_weights(1.0, 1.0, 5), np.zeros(5)) == 0.0
@@ -159,6 +191,43 @@ class TestCompareOrders:
             compare_orders(0.5, 1.0, 2, 2, 1.0, 4.0, arbitrary_pattern=np.array([True] * 4))
         with pytest.raises(ValueError):
             compare_orders(0.5, 1.0, 2, 2, 9.0, 4.0, pattern)
+
+
+    @pytest.mark.parametrize("c_lam", [0.5, 1.0, 2.0, 2.5, 7.2])
+    @pytest.mark.parametrize("T_clean,T_noisy", [(1, 1), (3, 5), (40, 60), (250, 4750)])
+    def test_deviations_are_expected_deviation_bits(self, c_lam, T_clean, T_noisy):
+        lam, v_c, v_n = 1e-3, 2.5, 917.0
+        pattern = seeded_pattern(T_clean, T_noisy, 5)
+        verdict = compare_orders(c_lam / lam, lam, T_clean, T_noisy, v_c, v_n, pattern)
+        weights = noise_weights(c_lam / lam, lam, T_clean + T_noisy)
+        cf = np.arange(T_clean + T_noisy) >= T_clean
+        nf = np.arange(T_clean + T_noisy) < T_noisy
+        assert (verdict.deviation_clean_first, verdict.deviation_noisy_first,
+                verdict.deviation_arbitrary) == tuple(
+            expected_deviation(weights, two_level_schedule(mask, v_c, v_n))
+            for mask in (cf, nf, pattern))
+
+    @pytest.mark.parametrize("T_clean,T_noisy,named", [
+        (0, 4, "T_clean must be an integer >= 1, got 0"),
+        (4, 0, "T_noisy must be an integer >= 1, got 0"),
+        (True, 3, "T_clean must be an integer >= 1, got True"),
+        (2, 2.0, "T_noisy must be an integer >= 1, got 2.0")])
+    def test_degenerate_counts_rejected(self, T_clean, T_noisy, named):
+        pattern = np.arange(int(T_clean + T_noisy)) % 2 == 0
+        with pytest.raises(ValueError, match=named):
+            compare_orders(0.5, 1.0, T_clean, T_noisy, 1.0, 4.0, pattern)
+
+    @pytest.mark.parametrize("pattern", [[0, 1, 1, 2], [0, 1, 0.5, 1], [0, 1, np.nan, 1],
+                                         ["a", "b", "c", "d"]])
+    def test_pattern_of_other_values_rejected(self, pattern):
+        with pytest.raises(ValueError, match="pattern entries must be bools or 0/1"):
+            compare_orders(0.5, 1.0, 1, 3, 1.0, 4.0, pattern)
+
+    def test_zero_one_pattern_reads_as_the_mask(self):
+        mask = np.array([False, True, True, False, True])
+        expected = compare_orders(0.5, 1.0, 2, 3, 1.0, 4.0, mask)
+        for pattern in ([0, 1, 1, 0, 1], np.array([0.0, 1.0, 1.0, 0.0, 1.0])):
+            assert compare_orders(0.5, 1.0, 2, 3, 1.0, 4.0, pattern) == expected
 
 
 class TestRearrangement:

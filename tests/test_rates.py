@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from hetsgd.oracles import NoiseLevel, dp_noise_level, rcn_noise_level
+from hetsgd.ordering import noise_weights
 from hetsgd.rates import (_INVPHI, BRANCH_TOL, C2_DOMAIN_HI, C2_DOMAIN_LO, GOLDEN_REL_TOL,
                           GRID_POINTS, BoundInputs, DomainError, PreconditionViolated,
-                          RateSelection, c2_bracket, clean_first_constant, clean_first_rate_interval,
+                          RateSelection, _bound_evaluator, c2_bracket, clean_first_constant, clean_first_rate_interval,
                           golden_section, minimize_phase2_rate, minimize_single_rate,
                           noisy_first_constant, noisy_first_rate_interval, select_rates,
                           two_phase_bound)
@@ -203,6 +204,75 @@ class TestLeadingConstants:
         for c in (0.1, 1.0, 5.0, 40.0):
             assert noisy_first_constant(c, gc, gn, beta_n, lam) == pytest.approx(
                 clean_first_constant(c, gn, gc, beta_n, lam), rel=1e-15)
+
+
+class TestBoundEvaluator:
+    """The scalar evaluator the searches call gives two_phase_bound's array bits."""
+
+    @staticmethod
+    def rates_around_the_limit(lam):
+        # Rates 20 ulps either side of 2*lam*c = 1 and of 2*lam*c = 1 +- BRANCH_TOL,
+        # plus a log grid far from the limit.
+        points = []
+        for k in (1.0 - BRANCH_TOL, 1.0, 1.0 + BRANCH_TOL):
+            c = k / (2.0 * lam)
+            points += [c + i * math.ulp(c) for i in range(-20, 21)]
+        return np.array(points + list(np.geomspace(1e-3, 1e3, 40) / lam))
+
+    def test_phase2_form_matches_the_array_path(self):
+        rng = np.random.default_rng(31)
+        for _ in range(30):
+            inputs = random_inputs(rng)
+            grid = self.rates_around_the_limit(inputs.lam)
+            at_limit = np.abs(2.0 * inputs.lam * grid - 1.0) <= BRANCH_TOL
+            assert at_limit.any() and not at_limit.all()
+            for c1 in (1.0 / inputs.lam, rng.uniform(0.6, 50.0) / inputs.lam):
+                bound = _bound_evaluator(inputs, c1)
+                assert [bound(float(c)) for c in grid] == list(two_phase_bound(inputs, c1, grid))
+
+    def test_single_rate_form_matches_the_array_path(self):
+        rng = np.random.default_rng(37)
+        for _ in range(30):
+            inputs = random_inputs(rng)
+            grid = self.rates_around_the_limit(inputs.lam)
+            grid = grid[2.0 * inputs.lam * grid > 1.0]       # the shared rate's precondition
+            at_limit = np.abs(2.0 * inputs.lam * grid - 1.0) <= BRANCH_TOL
+            assert at_limit.any() and not at_limit.all()
+            bound = _bound_evaluator(inputs, None)
+            assert [bound(float(c)) for c in grid] == list(two_phase_bound(inputs, grid, grid))
+
+    def test_an_overflowing_bound_still_raises(self):
+        inputs = BoundInputs(3.0, 50.0, 0.3, 1.0, 1)
+        with np.errstate(over="raise", invalid="raise"):
+            with pytest.raises(ValueError, match="overflows"):
+                _bound_evaluator(inputs, 1e160)(0.6)
+            with pytest.raises(ValueError, match="overflows"):
+                _bound_evaluator(inputs, None)(1e160)
+
+
+@pytest.mark.parametrize("call,named", [
+    (lambda: dp_noise_level(True, 10, 1), "epsilon"),
+    (lambda: rcn_noise_level(False), "sigma"),
+    (lambda: BoundInputs(True, 2.0, 0.5, 1.0, 10), "gamma1_sq"),
+    (lambda: BoundInputs(1.0, np.True_, 0.5, 1.0, 10), "gamma2_sq"),
+    (lambda: BoundInputs(1.0, 2.0, 0.5, True, 10), "lam"),
+    (lambda: two_phase_bound(BoundInputs(1.0, 2.0, 0.5, 1.0, 10), True, 2.0), "c1"),
+    (lambda: two_phase_bound(BoundInputs(1.0, 2.0, 0.5, 1.0, 10), 2.0, np.True_), "c2"),
+    (lambda: two_phase_bound(BoundInputs(1.0, 2.0, 0.5, 1.0, 10), 2.0,
+                             np.array([True, True])), "c2"),
+    (lambda: noise_weights(True, 1.0, 5), "c"),
+    (lambda: noise_weights(1.0, True, 5), "lam"),
+    (lambda: noisy_first_rate_interval(1.0, 4.0, 0.3, True), "lam"),
+    (lambda: clean_first_rate_interval(True, 4.0, 0.3), "gamma_c_sq"),
+    (lambda: clean_first_constant(2.0, 1.0, 4.0, 0.3, True), "lam"),
+    (lambda: noisy_first_constant(2.0, True, 4.0, 0.7, 1.0), "gamma_c_sq"),
+], ids=["dp_epsilon", "rcn_sigma", "inputs_gamma1", "inputs_gamma2_numpy", "inputs_lam",
+        "bound_c1", "bound_c2_numpy", "bound_c2_array", "weights_c", "weights_lam",
+        "noisy_interval_lam", "clean_interval_gamma", "constant_lam", "noisy_constant_gamma"])
+def test_a_bool_planning_number_is_rejected(call, named):
+    # float() and numpy read True as 1.0, so each of these used to return a plausible number.
+    with pytest.raises(ValueError, match=f"^{named} must be a number, not a bool"):
+        call()
 
 
 class TestGoldenSection:

@@ -23,14 +23,18 @@ def nodes():
 def import_time_nodes():
     """(file name, node) for every node that runs when its module is imported.
 
-    That is every node but those inside a function's body (a class body runs at import).
+    That is every node but those inside the body of a function or a lambda (a class body
+    runs at import, and so do a function's decorators and default values).
     """
     for name, tree in modules():
         stack = list(tree.body)
         while stack:
             node = stack.pop()
             yield name, node
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                stack.extend(getattr(node, "decorator_list", []))
+                stack.extend(node.args.defaults + [d for d in node.args.kw_defaults if d])
+            else:
                 stack.extend(ast.iter_child_nodes(node))
 
 
@@ -60,4 +64,18 @@ def test_scipy_is_imported_only_inside_functions():
 
     found = [f"{name}:{node.lineno}" for name, node in import_time_nodes()
              if any(m == "scipy" or m.startswith("scipy.") for m in names(node))]
+    assert found == []
+
+
+def test_no_numpy_call_runs_at_import():
+    # Every process pays for work done at import, the set-up of a benchmark run among them;
+    # arrays and numpy constants are built inside the functions that use them.
+    def root(func):
+        while isinstance(func, ast.Attribute):
+            func = func.value
+        return func.id if isinstance(func, ast.Name) else None
+
+    found = [f"{name}:{node.lineno}" for name, node in import_time_nodes()
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and root(node.func) in ("np", "numpy")]
     assert found == []
