@@ -32,8 +32,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Dataset, ObjectiveSpec, check_counts, gradient_scales, margin_scales, margins,
-                   reject_bools)
+from .core import (Dataset, ObjectiveSpec, check_counts, gradient_scales, is_integer,
+                   margin_scales, margins, reject_bools)
 
 KINDS = ("clean", "local_dp", "rcn", "gaussian")
 
@@ -54,6 +54,7 @@ class NoiseLevel:
     gamma_sq_lower: float
 
     def __post_init__(self):
+        reject_bools({"gamma_sq": self.gamma_sq, "gamma_sq_lower": self.gamma_sq_lower})
         if not (self.gamma_sq >= self.gamma_sq_lower >= 0.0):
             raise ValueError("need gamma_sq >= gamma_sq_lower >= 0")
 
@@ -93,8 +94,13 @@ def sample_privacy_noise(epsilon: float, d: int, rng: np.random.Generator,
     uniform on the unit sphere (a normalized Gaussian vector), so
     E[Z] = 0 and E||Z||^2 = 4(d^2 + d)/epsilon^2.
     """
-    if not epsilon > 0 or d < 1:
-        raise ValueError("epsilon and d must be positive")
+    reject_bools({"epsilon": epsilon})
+    if not epsilon > 0:
+        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    check_counts({"d": d})
+    # A zero-step oracle (budget below its batch size) draws no rows.
+    if not is_integer(size) or size < 0:
+        raise ValueError(f"size must be an integer >= 0, got {size!r}")
     radii = rng.standard_gamma(d, size=size) * (2.0 / epsilon)
     z = rng.standard_normal((size, d))
     z *= (radii / np.linalg.norm(z, axis=1))[:, None]

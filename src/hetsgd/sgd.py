@@ -16,15 +16,19 @@ signs, pre-drawn batch-mean noise and step size) is gathered for a chunk of
 steps at a time, already shaped for the step, and a chunk ends where a span
 (below) does, so each step takes its inputs by one index.
 
-A row whose first L steps read the same examples, noise and flip signs, at the
-same rates and from the same w0, as an earlier row's has bit-identical
-iterates through step L, so the engine does not step it there. At step L+1 it
-takes over a copy of the state, projection count and snapshots of the
-earliest earlier row that shares the longest such prefix, and
-``Trajectory.shared`` reports L; a row that shares all of its steps takes none
-of its own. Rows thus start or end only at a few steps, and between two of
-them the rows being stepped are a fixed index set, a span. Their iterates are
-copied out of W at the start of the span and back at its end.
+Rows may share their first run, the steps before their slot first changes: a
+``c2-sweep`` trial's TwoRate rows all run one first phase at c1 = 1/lam, and a
+CleanOnly row runs the clean phase of a clean-first row. Rows alike in their
+first slot's number, what that slot reads (examples, noise and flip signs, and
+its rate) and w0 form a group. Its root, the earliest row with the longest
+first run, steps on its own. Every other member of length L and first run
+L1 <= L has the root's iterates through step L1, so the engine does not step
+it there: at step L1 + 1 it takes over a copy of the root's state, projection
+count and snapshots, and ``Trajectory.shared`` reports L1. A member that is
+only its first run takes no step of its own. Rows thus start or end only at a
+few steps, and between two of them the rows being stepped are a fixed index
+set, a span. Their iterates are copied out of W at the start of the span and
+back at its end, so a root may come after its members in row order.
 
 The step buffers are made once per engine call, and a step writes into the
 first R rows of each (the span's R rows): the margins, then the scales, into
@@ -106,19 +110,17 @@ class Schedule:
     Step t (1-based) calls the oracle of slot ``slots[t-1]`` at rate
     ``rates[slots[t-1]] / t``; ``ids`` names the slots. ``slots`` is kept as
     a read-only copy, so what is derived from it once, at construction (the
-    steps per slot, each step's batch index within its slot, the steps at
-    which the slots are first used and the sequence as one bytes value),
-    cannot go stale.
+    steps per slot, each step's batch index within its slot and the sequence
+    as one bytes value), cannot go stale.
     """
 
     ids: tuple
     rates: tuple
     slots: np.ndarray
     # Derived at construction: steps per slot; each step's batch index within its slot;
-    # (the slots in order of first use, the step of each first use); slots as bytes.
+    # slots as bytes.
     _counts: np.ndarray = field(init=False, repr=False)
     _batch: np.ndarray = field(init=False, repr=False)
-    _firsts: tuple = field(init=False, repr=False)
     _key: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -140,19 +142,15 @@ class Schedule:
                                       f"got {c!r}")
         if slots.size and not 0 <= slots.min() <= slots.max() < len(self.ids):
             raise ValueError("schedule refers to a slot it does not name")
-        # One pass per slot: its steps, numbered within the slot, and the first of them.
-        counts, batch, firsts = np.zeros(len(self.ids), dtype=np.intp), np.empty_like(slots), []
+        # One pass per slot: its steps, numbered within the slot.
+        counts, batch = np.zeros(len(self.ids), dtype=np.intp), np.empty_like(slots)
         for s in range(len(self.ids)):
             at = np.flatnonzero(slots == s)
             counts[s] = len(at)
             batch[at] = np.arange(len(at))
-            if len(at):
-                firsts.append(int(at[0]))
-        firsts.sort()
         counts.flags.writeable = batch.flags.writeable = False
         object.__setattr__(self, "_counts", counts)
         object.__setattr__(self, "_batch", batch)
-        object.__setattr__(self, "_firsts", (slots[firsts].tolist(), firsts))
         object.__setattr__(self, "_key", slots.tobytes())
 
     @classmethod
@@ -187,22 +185,10 @@ class Trajectory:
     final_w: np.ndarray
     steps: int
     projected: int = 0                       # steps on which the projection scaled this run
-    shared: int = 0                          # leading steps taken over from another row's run
+    shared: int = 0                          # first-run steps taken over from its group's root
     checked: int = 0                         # own steps on which the exact inside-ball test ran
     last_projected: int = 0                  # last step the projection scaled this run (0: none)
     iterates: Optional[list] = None          # [(t, w_{t+1}) ...] at every step, if kept
-
-
-def _as_values(a: np.ndarray) -> np.ndarray:
-    """Each vector along the last axis of a C-contiguous array as one bytes value."""
-    return a.view(np.dtype((np.void, a.shape[-1] * a.itemsize)))[..., 0]
-
-
-def _common_prefix(a: np.ndarray, b: np.ndarray) -> int:
-    """Length of the longest common prefix of two 1-d arrays."""
-    n = min(len(a), len(b))
-    differ = np.flatnonzero(a[:n] != b[:n])
-    return int(differ[0]) if differ.size else n
 
 
 def _start(w0, d: int, radius: float) -> np.ndarray:
@@ -243,55 +229,6 @@ def _norm_bounds(t0: int, t1: int, c_lo: float, c_hi: float, lam: float, reach: 
         a = np.maximum(np.abs(1.0 - lo), np.abs(1.0 - hi)) + eps * (1.0 + hi)
         e = c_hi / t * reach * (1.0 + eps) + 1e-300
     return a, e
-
-
-def _shared_prefixes(W: np.ndarray, reads: np.ndarray, patterns: list,
-                     pattern_of: np.ndarray, ranked: list) -> tuple:
-    """(parent, shared) per row: the earliest earlier row with the longest run of equal steps.
-
-    Two rows take the same steps 1..L when they start from the same iterate, follow the
-    same slot sequence through step L, and each slot first used by then has the same
-    reads (``reads[row, slot]``: tables, offsets and rate). ``ranked[pattern]`` lists a
-    pattern's slots and the steps at which each is first used. Rows whose w0 or first
-    read differ share nothing, so only rows alike in both are looked at together. Within
-    such a group each row registers, per pattern, the reads of its first r slots, and a
-    later row walks those entries, so no two rows are compared. ``shared`` is the
-    prefix length (0, with parent -1, for a row that shares nothing).
-    """
-    n_rows = len(W)
-    parent, shared = np.full(n_rows, -1), np.zeros(n_rows, dtype=np.intp)
-    lead = np.array([used[0] if used else -1 for used, _ in ranked])[pattern_of]
-    groups: dict = {}
-    for i, key in enumerate(zip(lead.tolist(), reads[np.arange(n_rows), lead].tolist(),
-                                _as_values(W).tolist())):
-        groups.setdefault(key, []).append(i)
-    common: dict = {}       # (pattern, pattern) -> common prefix of their slot sequences
-    for (first_slot, _, _), members in groups.items():
-        if len(members) < 2 or first_slot < 0:
-            continue
-        seen: dict = {}     # (pattern, reads of its first r slots) -> earliest such row
-        met = []            # the patterns of the group's rows so far
-        for j, q, row_reads in zip(members, pattern_of[members].tolist(),
-                                   reads[members].tolist()):
-            used, at = ranked[q]
-            mine = tuple(row_reads[s] for s in used)
-            best = (0, 0)   # (prefix, -row): the longest prefix, then the earliest row
-            for p in met:
-                if (p, q) not in common:
-                    common[p, q] = _common_prefix(patterns[p], patterns[q])
-                end = common[p, q]
-                # The slots first used before the sequences part are the same for both.
-                usable, depth = sum(t < end for t in at), 1
-                while depth < usable and (p, mine[:depth + 1]) in seen:
-                    depth += 1
-                best = max(best, (end if depth == usable else at[depth], -seen[p, mine[:depth]]))
-            if best[0]:
-                shared[j], parent[j] = best[0], -best[1]
-            if q not in met:
-                met.append(q)
-            for depth in range(1, len(mine) + 1):
-                seen.setdefault((q, mine[:depth]), j)
-    return parent, shared
 
 
 def _check_one_pass(rows: Sequence[Row], pairs: np.ndarray, pair_row: np.ndarray,
@@ -407,31 +344,46 @@ def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
     # Each row's extreme rate constants (fmin and fmax pass over the padding's NaN).
     c_lo, c_hi = np.fmin.reduce(rate_at, axis=1), np.fmax.reduce(rate_at, axis=1)
 
-    # The distinct slot sequences ("patterns") and, per step, each one's slot and batch
-    # index within that slot.
+    # The distinct slot sequences ("patterns"): per step, each one's slot and batch index
+    # within that slot; and each one's first slot and first run, the steps before its slot
+    # first changes.
     distinct: dict = {}
     pattern_of = np.array([distinct.setdefault(sched._key, (len(distinct), sched))[0]
                            for sched in schedules], dtype=np.intp)
     distinct = [sched for _, sched in distinct.values()]
     slot_tab = np.zeros((T, len(distinct)), dtype=np.intp)
     step_tab = np.zeros((T, len(distinct)), dtype=np.intp)
+    first_of, run_of = (np.zeros(len(distinct), dtype=np.intp) for _ in range(2))
     for p, sched in enumerate(distinct):
-        slot_tab[:len(sched.slots), p] = sched.slots
-        step_tab[:len(sched.slots), p] = sched._batch
-    patterns = [sched.slots for sched in distinct]
-    ranked = [sched._firsts for sched in distinct]
+        L = len(sched.slots)
+        slot_tab[:L, p], step_tab[:L, p] = sched.slots, sched._batch
+        if L:
+            change = np.flatnonzero(sched.slots != sched.slots[0])
+            first_of[p], run_of[p] = sched.slots[0], change[0] if change.size else L
 
     W = np.zeros((n_rows, d))
     for i, r in enumerate(rows):
         if r.w0 is not None:
             W[i] = _start(r.w0, d, radius)
 
-    # A row whose first steps are an earlier row's takes over that row's state there and
-    # steps from its own first step on (none, if it shares all of its steps). What a slot
-    # reads is its tables' offsets and its rate, as one value (a flip offset names the
-    # oracle, so its sigma too).
-    reads = _as_values(np.stack([ex_at, noise_at, flip_at, rate_at.view(np.intp)], axis=2))
-    parent, shared = _shared_prefixes(W, reads, patterns, pattern_of, ranked)
+    # Rows alike in their first slot, what it reads (its tables' offsets and its rate; a
+    # flip offset names the oracle, so its sigma too) and w0 take the same steps while each
+    # stays in that slot. A group's root, its earliest row with the longest first run, shares
+    # nothing; every other member takes over the root's state after its own first run.
+    first, run = first_of[pattern_of], run_of[pattern_of]
+    on_first = (np.arange(n_rows), first)
+    groups: dict = {}
+    for i, key in enumerate(zip(first.tolist(), ex_at[on_first].tolist(),
+                                noise_at[on_first].tolist(), flip_at[on_first].tolist(),
+                                rate_at[on_first].tolist(), (w.tobytes() for w in W))):
+        if lengths[i]:
+            groups.setdefault(key, []).append(i)
+    parent, shared = np.full(n_rows, -1), np.zeros(n_rows, dtype=np.intp)
+    for members in groups.values():
+        root = max(members, key=lambda i: (run[i], -i))
+        for j in members:
+            if j != root:
+                parent[j], shared[j] = root, run[j]
     own = shared + 1
     ex_at, noise_at, flip_at = ex_at.ravel(), noise_at.ravel(), flip_at.ravel()
     # What bounds one step's move (see _norm_bounds): a row's loss gradient is at most
@@ -470,10 +422,11 @@ def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
     bounds = np.unique(np.concatenate([own, lengths + 1, [1, T + 1]])).tolist()
     for t0, t1 in zip(bounds, bounds[1:] + [None]):
         for i in np.flatnonzero((own == t0) & (parent >= 0)).tolist():
+            # The parent, earlier or later in row order, has taken exactly the shared steps
+            # 1 .. t0 - 1 by now: W holds every row's state at a span's start.
             p = int(parent[i])
             W[i], projected[i], last_projected[i] = W[p], projected[p], last_projected[p]
             if snapshots:
-                # The parent has taken exactly the shared steps 1 .. t0 - 1 by now.
                 iterates[i] = [(t, w.copy()) for t, w in iterates[p]]
         if t1 is None:
             break

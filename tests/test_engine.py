@@ -450,7 +450,7 @@ def test_a_schedule_keeps_a_read_only_copy_of_its_slots():
     assert schedule.slots.tolist() == [1, 0, 1, 1, 0]
     assert schedule.counts().tolist() == [2, 3]
     assert schedule._batch.tolist() == [0, 0, 1, 2, 1]
-    assert schedule._firsts == ([1, 0], [0, 1])
+    assert schedule._key == np.array([1, 0, 1, 1, 0], dtype=np.intp).tobytes()
     for derived in (schedule.slots, schedule.counts(), schedule._batch):
         with pytest.raises(ValueError, match="read-only"):
             derived[0] = 1

@@ -614,9 +614,22 @@ PINNED_DIGESTS = {
     },
 }
 
+# meta.json's engine counts of each case: how many calls, rows and row-steps, and how many
+# of those steps were taken over from another row or ran the exact inside-ball test.
+PINNED_ENGINE_COUNTS = {
+    "order-exp": {"calls": 1, "rows": 36, "row_steps": 864, "shared_row_steps": 2,
+                  "checked_row_steps": 718, "max_trials_per_call": 3},
+    "strategy-cmp": {"calls": 1, "rows": 30, "row_steps": 612, "shared_row_steps": 18,
+                     "checked_row_steps": 354, "max_trials_per_call": 3},
+    "strategy-cmp-rcn": {"calls": 1, "rows": 30, "row_steps": 612, "shared_row_steps": 0,
+                         "checked_row_steps": 294, "max_trials_per_call": 3},
+    "c2-sweep": {"calls": 1, "rows": 21, "row_steps": 450, "shared_row_steps": 270,
+                 "checked_row_steps": 159, "max_trials_per_call": 3},
+}
+
 
 def test_driver_outputs_are_pinned(tmp_path):
-    digests = {}
+    digests, engines = {}, {}
     for case, (command, overrides) in PINNED_CASES.items():
         cfg_path = tmp_path / f"{case}.json"
         cfg_path.write_text(json.dumps(small_config(trials=3, **overrides).to_dict()))
@@ -626,6 +639,7 @@ def test_driver_outputs_are_pinned(tmp_path):
                          for p in sorted(out.glob("*.csv"))}
         # The run reports go to meta.json only: a time per stage and projection activity.
         meta = json.loads((out / "meta.json").read_text())
+        engines[case] = meta["engine"]
         assert set(meta["timing"]) == {"setup_s", "oracles_s", "engine_s", "scoring_s",
                                        "emission_s"}
         assert all(t >= 0.0 for t in meta["timing"].values())
@@ -634,6 +648,7 @@ def test_driver_outputs_are_pinned(tmp_path):
         assert projection["assumes_inactive"] == (command == "order-exp")
         assert projection["violated"] == (projection["assumes_inactive"] and projection["active"])
     assert digests == PINNED_DIGESTS
+    assert engines == PINNED_ENGINE_COUNTS
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_CASES))

@@ -51,6 +51,17 @@ class TestDpNoiseSample:
         with pytest.raises(ValueError, match="epsilon"):
             sample_privacy_noise(np.nan, 3, np.random.default_rng(0), size=1)
 
+    @pytest.mark.parametrize("name, value", [
+        ("epsilon", True), pytest.param("epsilon", np.True_, id="epsilon-np.True_"),
+        ("d", True), ("d", 2.0), ("d", 0), ("size", True), ("size", 1.0), ("size", -1)])
+    def test_bad_inputs_rejected_by_name(self, name, value):
+        args = {"epsilon": 2.0, "d": 3, "rng": np.random.default_rng(0), "size": 2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            sample_privacy_noise(**args)
+
+    def test_zero_rows_for_a_zero_step_oracle(self):
+        assert sample_privacy_noise(2.0, 3, np.random.default_rng(0), size=0).shape == (0, 3)
+
 
 class TestNoiseLevels:
     def test_dp_level_values(self):
@@ -88,6 +99,13 @@ class TestNoiseLevels:
     def test_noise_level_ordering_invariant(self):
         with pytest.raises(ValueError):
             NoiseLevel(1.0, 2.0)
+
+    @pytest.mark.parametrize("name, gamma_sq, gamma_sq_lower", [
+        ("gamma_sq", True, False), pytest.param("gamma_sq", np.True_, 0.0, id="gamma_sq-np.True_"),
+        ("gamma_sq_lower", 2.0, True)])
+    def test_bool_noise_level_rejected_by_name(self, name, gamma_sq, gamma_sq_lower):
+        with pytest.raises(ValueError, match=f"^{name} must be a number, not a bool"):
+            NoiseLevel(gamma_sq, gamma_sq_lower)
 
 
 def rcn_flips(n, sigma, seed, batch_size=1):

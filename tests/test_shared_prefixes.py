@@ -46,7 +46,6 @@ def noisy_first(src, c2, c1=30.0, **kw):
 
 # Each case: its rows and the steps each row takes over from an earlier one.
 def cases(src):
-    both = N_NOISY + N_CLEAN
     ao = [0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1]        # the noisy slot first, three times
     one_phase = row(src, ("n",), (30.0,), [0] * N_NOISY)
     w0 = np.full(4, 0.05)
@@ -58,11 +57,15 @@ def cases(src):
         # A one-phase row is a prefix of the two-phase row at the same first rate.
         "prefix_first": ([one_phase, noisy_first(src, 5.0)], [0, N_NOISY]),
         "prefix_covered": ([noisy_first(src, 5.0), one_phase], [0, N_NOISY]),
-        "identical": ([noisy_first(src, 5.0)] * 3, [0, both, both]),
+        # Rows share their first run only, not the steps after it.
+        "identical": ([noisy_first(src, 5.0)] * 3, [0, N_NOISY, N_NOISY]),
         # Slots are matched by number: the last row reads what the second does, under the
         # drivers' clean-first slot numbers, and shares nothing.
         "ao_next_to_nf": ([noisy_first(src, 30.0), row(src, ("n", "c"), (30.0, 30.0), ao),
                            row(src, ("c", "n"), (30.0, 30.0), [1 - s for s in ao])], [0, 3, 0]),
+        # The root is the row with the longest first run, here the later one.
+        "parent_after_child": ([row(src, ("n", "c"), (30.0, 30.0), ao), noisy_first(src, 30.0)],
+                               [3, 0]),
         # Rows that read later batches of an oracle, through views of it: views that
         # differ only in the clean slot leave the noisy phase shared.
         "late_starts": ([row({"big": big[i], "c": clean[j]}, ("big", "c"), (30.0, 5.0),
@@ -96,7 +99,8 @@ def as_bytes(traj):
 
 
 @pytest.mark.parametrize("case", ["c2_group", "prefix_first", "prefix_covered", "identical",
-                                  "ao_next_to_nf", "late_starts", "no_share", "rcn"])
+                                  "ao_next_to_nf", "parent_after_child", "late_starts",
+                                  "no_share", "rcn"])
 @pytest.mark.parametrize("b", [1, 3])
 @pytest.mark.parametrize("chunk_bytes", [1, sgd.CHUNK_BYTES])
 def test_each_row_matches_the_row_run_alone(case, b, chunk_bytes, monkeypatch):
