@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,11 +40,34 @@ def check_counts(counts: dict) -> None:
             raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
+# Ranges of real-valued inputs, as (the range in words, its test); NaN lies in none.
+POSITIVE_FINITE = ("in (0, inf)", lambda v: 0 < v < math.inf)
+POSITIVE = ("in (0, inf]", lambda v: v > 0)
+NONNEGATIVE_FINITE = ("in [0, inf)", lambda v: 0 <= v < math.inf)
+NONNEGATIVE = ("in [0, inf]", lambda v: v >= 0)
+FRACTION = ("in (0, 1)", lambda v: 0 < v < 1)
+FLIP_RATE = ("in [0, 0.5)", lambda v: 0 <= v < 0.5)
+
+
+def check_reals(values: dict, in_range: tuple, error: type = ValueError) -> None:
+    """Raise ``error`` naming the first entry of ``values`` not a real number in ``in_range``.
+
+    ``in_range`` is one of the (words, test) ranges above. A bool is not a number here:
+    float() and numpy take True as 1.0, so it would otherwise run as a plausible number.
+    """
+    words, test = in_range
+    for name, value in values.items():
+        if isinstance(value, (bool, np.bool_)):
+            raise error(f"{name} must be a number, not a bool, got {value!r}")
+        # float first: it is the common case, and an ABC check costs several type checks.
+        if not (isinstance(value, (float, numbers.Real)) and test(value)):
+            raise error(f"{name} must be a number {words}, got {value!r}")
+
+
 def reject_bools(values: dict) -> None:
     """Raise ValueError naming the first entry of ``values`` that is a bool or a bool array.
 
-    float() and numpy take True as 1.0, so a bool passed as a rate or a noise level
-    would otherwise run as a plausible number.
+    For inputs that may be arrays; a scalar real takes ``check_reals``.
     """
     for name, value in values.items():
         if isinstance(value, (bool, np.bool_)) or getattr(value, "dtype", None) == np.bool_:
@@ -63,14 +87,12 @@ class ObjectiveSpec:
     radius: float | None = None
 
     def __post_init__(self):
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
+        check_reals({"lam": self.lam}, POSITIVE_FINITE)
         if self.loss not in LOSSES:
             raise ValueError(f"unknown loss {self.loss!r}, expected one of {LOSSES}")
         if self.radius is None:
             object.__setattr__(self, "radius", 1.0 / self.lam)
-        if not self.radius > 0:
-            raise ValueError(f"radius must be positive, got {self.radius}")
+        check_reals({"radius": self.radius}, POSITIVE)
 
 
 @dataclass
@@ -263,8 +285,7 @@ def project(w: np.ndarray, radius: float) -> np.ndarray:
     (every row of it, for a matrix) is returned as is. A row that is not finite
     comes back as NaN.
     """
-    if not radius > 0:
-        raise ValueError("radius must be positive")
+    check_reals({"radius": radius}, POSITIVE)
     w = np.asarray(w, dtype=np.float64)
     if not math.isfinite(radius):
         return w

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Dataset, check_counts
+from .core import FLIP_RATE, Dataset, check_counts, check_reals
 
 logger = logging.getLogger(__name__)
 
@@ -47,8 +47,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         check_counts({"d": self.d, "n": self.n})
-        if not 0.0 <= self.flip_rate < 0.5:
-            raise ValueError("flip_rate must be in [0, 0.5)")
+        check_reals({"flip_rate": self.flip_rate}, FLIP_RATE)
 
 
 def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:

@@ -17,8 +17,6 @@ from __future__ import annotations
 import csv
 import json
 import logging
-import math
-import numbers
 import platform
 import sys
 import time
@@ -28,7 +26,8 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .core import LOSSES, Dataset, ObjectiveSpec, check_counts, full_objective, is_integer, load_expit
+from .core import (FLIP_RATE, FRACTION, LOSSES, POSITIVE, POSITIVE_FINITE, Dataset, ObjectiveSpec,
+                   check_counts, check_reals, full_objective, is_integer, load_expit)
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
 from .oracles import GradientOracle, NoiseLevel, OracleSpec
 from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
@@ -183,14 +182,10 @@ def _checked(d: dict, cls, section: str) -> dict:
 # Config keys that hold a list, kept as a tuple: of strategy names, or of numbers.
 _SEQUENCE_KEYS = ("strategies", "c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid")
 
-# Ranges of real-valued config values, as (the range in words, its test); NaN is in none.
-_POSITIVE_FINITE = ("in (0, inf)", lambda v: 0 < v < math.inf)
-_POSITIVE = ("in (0, inf]", lambda v: v > 0)
-_FLIP_RATE = ("in [0, 0.5)", lambda v: 0 <= v < 0.5)
 # The list keys of numbers and the range of each of their entries: rate constants, privacy
 # levels and flip rates.
-_ENTRY_RANGES = {"c_grid": _POSITIVE_FINITE, "c2_grid": _POSITIVE_FINITE,
-                 "epsilon_noisy_sweep": _POSITIVE, "sigma_noisy_sweep": _FLIP_RATE}
+_ENTRY_RANGES = {"c_grid": POSITIVE_FINITE, "c2_grid": POSITIVE_FINITE,
+                 "epsilon_noisy_sweep": POSITIVE, "sigma_noisy_sweep": FLIP_RATE}
 
 
 @dataclass(frozen=True)
@@ -250,18 +245,14 @@ class ExperimentConfig:
             raise ValueError(f"data.path must name the file of a {self.data.kind} dataset")
         # Both mechanisms' levels are checked, whichever oracles.kind runs.
         o = self.oracles
-        reals = [("beta_c", self.beta_c, ("in (0, 1)", lambda v: 0 < v < 1)),
-                 ("problem.lam", self.problem.lam, _POSITIVE_FINITE),
-                 ("data.flip_rate", self.data.flip_rate, _FLIP_RATE),
-                 ("oracles.epsilon_clean", o.epsilon_clean, _POSITIVE),
-                 ("oracles.epsilon_noisy", o.epsilon_noisy, _POSITIVE),
-                 ("oracles.sigma_clean", o.sigma_clean, _FLIP_RATE),
-                 ("oracles.sigma_noisy", o.sigma_noisy, _FLIP_RATE)]
+        check_reals({"beta_c": self.beta_c}, FRACTION)
+        check_reals({"problem.lam": self.problem.lam}, POSITIVE_FINITE)
+        check_reals({"data.flip_rate": self.data.flip_rate, "oracles.sigma_clean": o.sigma_clean,
+                     "oracles.sigma_noisy": o.sigma_noisy}, FLIP_RATE)
+        check_reals({"oracles.epsilon_clean": o.epsilon_clean,
+                     "oracles.epsilon_noisy": o.epsilon_noisy}, POSITIVE)
         if self.problem.radius is not None:
-            reals.append(("problem.radius", self.problem.radius, _POSITIVE))
-        for key, value, (where, ok) in reals:
-            if isinstance(value, bool) or not (isinstance(value, numbers.Real) and ok(value)):
-                raise ValueError(f"{key} must be a number {where}, got {value!r}")
+            check_reals({"problem.radius": self.problem.radius}, POSITIVE)
         counts = {"trials": self.trials, "data.n": self.data.n, "data.d": self.data.d,
                   "oracles.batch_size": self.oracles.batch_size,
                   "c2_grid_points": self.c2_grid_points}
@@ -274,16 +265,14 @@ class ExperimentConfig:
             values = getattr(self, key)
             if values is None:
                 continue
-            entry, what = (str, "strings") if key == "strategies" else (numbers.Real, "numbers")
-            if not isinstance(values, (list, tuple)) or not all(
-                    isinstance(v, entry) and not isinstance(v, bool) for v in values):
-                raise ValueError(f"{key} must be a list of {what}, got {values!r}")
+            strings = key == "strategies"
+            if not isinstance(values, (list, tuple)) or (strings and not all(
+                    isinstance(v, str) for v in values)):
+                raise ValueError(f"{key} must be a list of {'strings' if strings else 'numbers'}, "
+                                 f"got {values!r}")
             object.__setattr__(self, key, tuple(values))
-            if key in _ENTRY_RANGES:
-                where, ok = _ENTRY_RANGES[key]
-                for v in values:
-                    if not ok(v):
-                        raise ValueError(f"{key} entries must be {where}, got {v!r}")
+            if not strings:
+                check_reals({f"{key}[{i}]": v for i, v in enumerate(values)}, _ENTRY_RANGES[key])
             # Trials are keyed by strategy and sweep value, so a repeat would merge two rows' runs.
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} repeats a value: {values}")

@@ -32,10 +32,13 @@ from typing import Optional
 
 import numpy as np
 
-from .core import (Dataset, ObjectiveSpec, check_counts, gradient_scales, is_integer,
-                   margin_scales, margins, reject_bools)
+from .core import (FLIP_RATE, NONNEGATIVE, POSITIVE, Dataset, ObjectiveSpec, check_counts,
+                   check_reals, gradient_scales, is_integer, margin_scales, margins)
 
-KINDS = ("clean", "local_dp", "rcn", "gaussian")
+# Each oracle kind and the level field it reads, with that field's range; clean reads none.
+_LEVELS = {"clean": (None, None), "local_dp": ("epsilon", POSITIVE), "rcn": ("sigma", FLIP_RATE),
+           "gaussian": ("noise_sq", NONNEGATIVE)}
+KINDS = tuple(_LEVELS)
 
 # Bound on ||lam*w + grad loss||^2 over the feasible ball: ||w|| <= 1/lam and
 # ||grad loss|| <= 1 give (1 + 1)^2 = 4.
@@ -54,9 +57,11 @@ class NoiseLevel:
     gamma_sq_lower: float
 
     def __post_init__(self):
-        reject_bools({"gamma_sq": self.gamma_sq, "gamma_sq_lower": self.gamma_sq_lower})
-        if not (self.gamma_sq >= self.gamma_sq_lower >= 0.0):
-            raise ValueError("need gamma_sq >= gamma_sq_lower >= 0")
+        check_reals({"gamma_sq": self.gamma_sq, "gamma_sq_lower": self.gamma_sq_lower},
+                    NONNEGATIVE)
+        if not self.gamma_sq >= self.gamma_sq_lower:
+            raise ValueError(f"need gamma_sq >= gamma_sq_lower, got gamma_sq={self.gamma_sq!r} "
+                             f"and gamma_sq_lower={self.gamma_sq_lower!r}")
 
 
 def dp_noise_level(epsilon: float, d: int, batch_size: int = 1) -> NoiseLevel:
@@ -65,9 +70,7 @@ def dp_noise_level(epsilon: float, d: int, batch_size: int = 1) -> NoiseLevel:
     gamma_sq = 4 + 4(d^2 + d)/(epsilon^2 * b); the lower variant drops the
     (loose) data-term constant 4.
     """
-    reject_bools({"epsilon": epsilon})
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    check_reals({"epsilon": epsilon}, POSITIVE)
     check_counts({"d": d, "batch_size": batch_size})
     noise_part = 4.0 * (d * d + d) / (epsilon * epsilon * batch_size)
     return NoiseLevel(DATA_TERM_BOUND + noise_part, noise_part)
@@ -79,9 +82,7 @@ def rcn_noise_level(sigma: float) -> NoiseLevel:
     No separate lower bound exists for this mechanism, so both fields
     coincide and interval heuristics built on them degenerate to a point.
     """
-    reject_bools({"sigma": sigma})
-    if not 0.0 <= sigma < 0.5:
-        raise ValueError(f"sigma must be in [0, 0.5), got {sigma}")
+    check_reals({"sigma": sigma}, FLIP_RATE)
     g = 3.0 + 1.0 / (1.0 - 2.0 * sigma) ** 2
     return NoiseLevel(g, g)
 
@@ -94,9 +95,7 @@ def sample_privacy_noise(epsilon: float, d: int, rng: np.random.Generator,
     uniform on the unit sphere (a normalized Gaussian vector), so
     E[Z] = 0 and E||Z||^2 = 4(d^2 + d)/epsilon^2.
     """
-    reject_bools({"epsilon": epsilon})
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon!r}")
+    check_reals({"epsilon": epsilon}, POSITIVE)
     check_counts({"d": d})
     # A zero-step oracle (budget below its batch size) draws no rows.
     if not is_integer(size) or size < 0:
@@ -129,8 +128,7 @@ def rcn_surrogate_gradient(objective: ObjectiveSpec, w: np.ndarray, x: np.ndarra
     ((1 - sigma) * grad(w, x, y_obs) - sigma * grad(w, x, -y_obs)) / (1 - 2 sigma),
     whose expectation over the label flip equals the clean-loss gradient.
     """
-    if not 0.0 <= sigma < 0.5:
-        raise ValueError(f"sigma must be in [0, 0.5), got {sigma}")
+    check_reals({"sigma": sigma}, FLIP_RATE)
     u = -float(y_observed) * np.asarray(x, dtype=np.float64)
     m = margins(np.asarray(w, dtype=np.float64), u[None, :])
     return rcn_scales(objective, m, 1.0, 1.0 - sigma, sigma, 1.0 - 2.0 * sigma)[0] * u
@@ -152,12 +150,13 @@ class OracleSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown oracle kind {self.kind!r}")
         check_counts({"budget": self.budget, "batch_size": self.batch_size})
-        if self.kind == "local_dp" and (self.epsilon is None or not self.epsilon > 0):
-            raise ValueError("local_dp oracle needs epsilon > 0")
-        if self.kind == "rcn" and (self.sigma is None or not 0.0 <= self.sigma < 0.5):
-            raise ValueError("rcn oracle needs sigma in [0, 0.5)")
-        if self.kind == "gaussian" and (self.noise_sq is None or not self.noise_sq >= 0):
-            raise ValueError("gaussian oracle needs noise_sq >= 0")
+        reads, in_range = _LEVELS[self.kind]
+        for name in ("epsilon", "sigma", "noise_sq"):
+            if name != reads and getattr(self, name) is not None:
+                raise ValueError(f"a {self.kind} oracle reads no {name}, "
+                                 f"got {name}={getattr(self, name)!r}")
+        if reads:
+            check_reals({reads: getattr(self, reads)}, in_range)
 
     def noise_level(self, d: int) -> NoiseLevel:
         if self.kind == "clean":

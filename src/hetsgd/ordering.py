@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import check_counts, reject_bools
+from .core import NONNEGATIVE_FINITE, POSITIVE_FINITE, check_counts, check_reals
 
 
 @dataclass(frozen=True)
@@ -47,9 +47,7 @@ def noise_weights(c: float, lam: float, T: int) -> NoiseWeights:
     monotone), so the nonpositive ones form a prefix, empty when c*lam < 2,
     and signs and zeros are tracked over that prefix alone.
     """
-    reject_bools({"c": c, "lam": lam})
-    if not (0.0 < c < np.inf and 0.0 < lam < np.inf):
-        raise ValueError(f"need c > 0, lam > 0, both finite, got c={c!r} and lam={lam!r}")
+    check_reals({"c": c, "lam": lam}, POSITIVE_FINITE)
     check_counts({"T": T})
     if T == 1:
         return NoiseWeights(np.array([c]), c, lam, 1)
@@ -110,9 +108,10 @@ def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
     happens exactly at c = 1/lam. The three deviations share one delta_t^2,
     squared once, and give expected_deviation's bits.
     """
-    if not 0.0 <= v_clean_sq <= v_noisy_sq < np.inf:
-        raise ValueError(f"expected 0 <= v_clean_sq <= v_noisy_sq < inf, got v_clean_sq="
-                         f"{v_clean_sq!r} and v_noisy_sq={v_noisy_sq!r}")
+    check_reals({"v_clean_sq": v_clean_sq, "v_noisy_sq": v_noisy_sq}, NONNEGATIVE_FINITE)
+    if not v_clean_sq <= v_noisy_sq:
+        raise ValueError(f"need v_clean_sq <= v_noisy_sq, got v_clean_sq={v_clean_sq!r} "
+                         f"and v_noisy_sq={v_noisy_sq!r}")
     check_counts({"T_clean": T_clean, "T_noisy": T_noisy})
     pattern = np.asarray(arbitrary_pattern)
     if pattern.dtype != bool:

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .core import is_integer, reject_bools
+from .core import FRACTION, POSITIVE_FINITE, check_counts, check_reals, reject_bools
 from .oracles import NoiseLevel
 
 logger = logging.getLogger(__name__)
@@ -68,21 +68,14 @@ class BoundInputs:
     T: int
 
     def __post_init__(self):
+        check_reals({"gamma1_sq": self.gamma1_sq, "gamma2_sq": self.gamma2_sq,
+                     "lam": self.lam}, POSITIVE_FINITE)
+        check_reals({"beta1": self.beta1}, FRACTION)
+        check_counts({"T": self.T})
         # Plain floats, so that numpy scalars cannot send the bound's scalar branch into
         # numpy-scalar arithmetic, which warns on overflow where float arithmetic does not.
-        rates = {name: getattr(self, name) for name in ("gamma1_sq", "gamma2_sq", "beta1", "lam")}
-        reject_bools(rates)
-        for name, value in rates.items():
-            object.__setattr__(self, name, float(value))
-        if not (0 < self.gamma1_sq < math.inf and 0 < self.gamma2_sq < math.inf):
-            raise ValueError(f"noise levels must be positive and finite, got "
-                             f"{self.gamma1_sq} and {self.gamma2_sq}")
-        if not 0.0 < self.beta1 < 1.0:
-            raise ValueError(f"beta1 must be in (0, 1), got {self.beta1}")
-        if not 0 < self.lam < math.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if not is_integer(self.T) or self.T < 1:
-            raise ValueError(f"T must be a positive integer, got {self.T!r}")
+        for name in ("gamma1_sq", "gamma2_sq", "beta1", "lam"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
 
 def _beta_terms(beta1: float, k2):
@@ -328,8 +321,8 @@ def select_rates(gamma_c_sq: float, gamma_n_sq: float, beta_c: float, lam: float
     clean-first. The c2 grid depends on lam alone, so both orders are searched
     on one grid, built after the inputs are checked.
     """
-    if not 0.0 < beta_c < 1.0:
-        raise ValueError("beta_c must be in (0, 1)")
+    check_reals({"gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq, "lam": lam}, POSITIVE_FINITE)
+    check_reals({"beta_c": beta_c}, FRACTION)
     beta_n = 1.0 - beta_c
     cn = BoundInputs(gamma_c_sq, gamma_n_sq, beta_c, lam, T=1)
     nc = BoundInputs(gamma_n_sq, gamma_c_sq, beta_n, lam, T=1)
@@ -361,6 +354,14 @@ class RateInterval:
     loglog_negative: bool = False
 
 
+def _check_levels(gamma_c_sq: float, gamma_n_sq: float) -> None:
+    """Raise ValueError unless 0 < gamma_c_sq < gamma_n_sq < inf, as both brackets need."""
+    check_reals({"gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq}, POSITIVE_FINITE)
+    if not gamma_c_sq < gamma_n_sq:
+        raise ValueError(f"need gamma_c_sq < gamma_n_sq, got gamma_c_sq={gamma_c_sq!r} "
+                         f"and gamma_n_sq={gamma_n_sq!r}")
+
+
 def noisy_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
                               beta_n: float, lam: float) -> RateInterval:
     """Bracket for the optimal second-phase rate when the noisy data goes first.
@@ -369,15 +370,9 @@ def noisy_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
                   1 + (2 log 4r + log log(1/beta_n)) / log(1/beta_n)]
     with r = gamma_n / gamma_c; natural logs throughout.
     """
-    reject_bools({"gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq, "beta_n": beta_n,
-                  "lam": lam})
-    if not 0.0 < lam < math.inf:
-        raise ValueError(f"lam must be positive and finite, got {lam!r}")
-    if not 0.0 < gamma_c_sq < gamma_n_sq < math.inf:
-        raise ValueError(f"need 0 < gamma_c_sq < gamma_n_sq < inf, got gamma_c_sq={gamma_c_sq!r} "
-                         f"and gamma_n_sq={gamma_n_sq!r}")
-    if not 0.0 < beta_n < 1.0:
-        raise DomainError(f"beta_n must be in (0, 1), got {beta_n}")
+    check_reals({"lam": lam}, POSITIVE_FINITE)
+    _check_levels(gamma_c_sq, gamma_n_sq)
+    check_reals({"beta_n": beta_n}, FRACTION, DomainError)
     ratio = math.sqrt(gamma_n_sq / gamma_c_sq)
     log_inv_beta = math.log(1.0 / beta_n)
     loglog = math.log(log_inv_beta)
@@ -389,12 +384,8 @@ def noisy_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
 def clean_first_rate_interval(gamma_c_sq: float, gamma_n_sq: float,
                               beta_c: float) -> RateInterval:
     """Bracket when the clean data goes first: [s, 8s/beta_c], s = (gamma_n/gamma_c)^-2."""
-    reject_bools({"gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq, "beta_c": beta_c})
-    if not 0.0 < gamma_c_sq < gamma_n_sq < math.inf:
-        raise ValueError(f"need 0 < gamma_c_sq < gamma_n_sq < inf, got gamma_c_sq={gamma_c_sq!r} "
-                         f"and gamma_n_sq={gamma_n_sq!r}")
-    if not 0.0 < beta_c < 1.0:
-        raise DomainError(f"beta_c must be in (0, 1), got {beta_c}")
+    _check_levels(gamma_c_sq, gamma_n_sq)
+    check_reals({"beta_c": beta_c}, FRACTION, DomainError)
     s = gamma_c_sq / gamma_n_sq
     return RateInterval(s, 8.0 * s / beta_c, regime="clean_first")
 
@@ -418,9 +409,6 @@ def c2_bracket(noise_clean: NoiseLevel, noise_noisy: NoiseLevel,
     Selecting independently at both bounds can pick different orders, whose
     rates do not bracket anything on one curve.
     """
-    if noise_clean.gamma_sq_lower > noise_clean.gamma_sq or \
-            noise_noisy.gamma_sq_lower > noise_noisy.gamma_sq:
-        raise ValueError("lower noise bounds must not exceed upper bounds")
     sel = select_rates(noise_clean.gamma_sq, noise_noisy.gamma_sq, beta_c, lam)
     if sel.order == "clean_first":
         lower = BoundInputs(noise_clean.gamma_sq_lower, noise_noisy.gamma_sq_lower,

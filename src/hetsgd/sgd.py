@@ -80,13 +80,12 @@ package calls none of them.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
-from .core import load_expit, margin_scales, norms, scale_into_ball
+from .core import POSITIVE_FINITE, check_reals, load_expit, margin_scales, norms, scale_into_ball
 from .oracles import BudgetExhausted, GradientOracle, rcn_scales
 
 
@@ -137,9 +136,7 @@ class Schedule:
         if not self.ids or len(set(self.ids)) != len(self.ids):
             raise ValueError(f"need at least one slot, and each oracle id once, got {self.ids}")
         for oracle_id, c in zip(self.ids, self.rates):
-            if isinstance(c, bool) or not (isinstance(c, numbers.Real) and 0 < c < np.inf):
-                raise NonpositiveRate(f"oracle {oracle_id!r} needs a real rate in (0, inf), "
-                                      f"got {c!r}")
+            check_reals({f"the rate of oracle {oracle_id!r}": c}, POSITIVE_FINITE, NonpositiveRate)
         if slots.size and not 0 <= slots.min() <= slots.max() < len(self.ids):
             raise ValueError("schedule refers to a slot it does not name")
         # One pass per slot: its steps, numbered within the slot.

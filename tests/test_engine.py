@@ -466,9 +466,9 @@ def test_fractional_schedule_slots_rejected():
 @pytest.mark.parametrize("ids,rates,match", [
     (("a", "a"), (1.0, 2.0), "each oracle id once"),
     ((), (), "at least one slot"),
-    (("a", "b"), (1.0, True), r"'b' needs a real rate in \(0, inf\), got True"),
-    (("a",), (np.True_,), "'a' needs a real rate"),
-    (("a",), ("1.0",), "'a' needs a real rate"),
+    (("a", "b"), (1.0, True), "^the rate of oracle 'b' must be a number, not a bool, got True"),
+    (("a",), (np.True_,), "^the rate of oracle 'a' must be a number, not a bool"),
+    (("a",), ("1.0",), r"^the rate of oracle 'a' must be a number in \(0, inf\), got '1.0'"),
 ])
 def test_schedule_rejects_repeated_ids_no_slots_and_rates_that_are_not_real(ids, rates, match):
     with pytest.raises(ValueError, match=match):

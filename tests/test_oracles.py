@@ -199,6 +199,14 @@ class TestOracleSpec:
         with pytest.raises(ValueError, match="noise_sq"):
             OracleSpec("gaussian", budget=10, noise_sq=float("nan"))
 
+    @pytest.mark.parametrize("kind, kw, field", [("clean", {"epsilon": -3.0}, "epsilon"),
+                                                 ("local_dp", {"epsilon": 2.0, "sigma": 0.9}, "sigma"),
+                                                 ("rcn", {"sigma": 0.1, "noise_sq": 1.0}, "noise_sq")])
+    def test_a_level_field_the_kind_does_not_read_is_rejected(self, kind, kw, field):
+        # Each used to construct and ignore the extra field.
+        with pytest.raises(ValueError, match=f"^a {kind} oracle reads no {field}, got {field}="):
+            OracleSpec(kind, budget=10, **kw)
+
     def test_budget_cannot_exceed_dataset(self):
         ds = make_dataset(n=8)
         with pytest.raises(ValueError, match="budget"):
