@@ -31,6 +31,8 @@ EXPERIMENTS = {"order-exp": "run_order_experiment",
                "strategy-cmp": "run_strategy_comparison",
                "c2-sweep": "run_c2_sweep"}
 
+logger = logging.getLogger(__name__)
+
 
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
@@ -104,7 +106,17 @@ def _unused(args: argparse.Namespace, mode: str, *names: str) -> None:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _configure_logging(args.log_level)
+    try:
+        return _run(args)
+    except ValueError as err:
+        # A library check that refuses an input (a flag's value or a config entry) ends the
+        # command with its one-line message, as the CLI's own flag checks do. The traceback
+        # is logged at DEBUG, for a ValueError that comes from a fault, not from the input.
+        logger.debug("%s stopped on a ValueError", args.command, exc_info=True)
+        raise SystemExit(str(err)) from None
 
+
+def _run(args: argparse.Namespace) -> int:
     if args.command in EXPERIMENTS:
         getattr(experiments, EXPERIMENTS[args.command])(_load_config(args))
         return 0

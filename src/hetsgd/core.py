@@ -74,6 +74,19 @@ def reject_bools(values: dict) -> None:
             raise ValueError(f"{name} must be a number, not a bool, got {value!r}")
 
 
+def check_labels(values: dict) -> None:
+    """Raise ValueError naming the first entry of ``values`` that holds a label not -1 or +1.
+
+    An entry is one label or an array of them. A bool is not a label: numpy takes
+    True as 1.0, so it would otherwise run as the label +1.
+    """
+    for name, value in values.items():
+        y = np.asarray(value)
+        bad = ~np.isin(y, (-1, 1)) if y.dtype.kind in "iuf" else np.ones(y.shape, dtype=bool)
+        if bad.any():
+            raise ValueError(f"labels must be -1 or +1, got {y[bad][0].item()!r} in {name}")
+
+
 @dataclass(frozen=True)
 class ObjectiveSpec:
     """Regularization strength, loss name, and feasible-set radius.
@@ -103,6 +116,7 @@ class Dataset:
     y: np.ndarray
 
     def __post_init__(self):
+        labels = self.y
         self.X = np.asarray(self.X, dtype=np.float64)
         self.y = np.asarray(self.y, dtype=np.float64)
         if self.X.ndim != 2:
@@ -111,8 +125,7 @@ class Dataset:
             raise ValueError("y length must match number of rows in X")
         if not np.all(np.isfinite(self.X)):
             raise ValueError("features must be finite")
-        if not np.all(np.isin(self.y, (-1.0, 1.0))):
-            raise ValueError("labels must be -1 or +1")
+        check_labels({"y": labels})
 
     def __len__(self) -> int:
         return self.X.shape[0]
@@ -215,11 +228,13 @@ def gradient_scales(spec: ObjectiveSpec, w: np.ndarray, U: np.ndarray) -> np.nda
 
 def loss_gradient(spec: ObjectiveSpec, w: np.ndarray, x: np.ndarray, y: float) -> np.ndarray:
     """Gradient of the per-example loss term (excludes the lam*w part)."""
+    check_labels({"y": y})
     u = -float(y) * np.asarray(x, dtype=np.float64)
     return gradient_scales(spec, w, u[None, :])[0] * u
 
 
 def mean_loss_gradient(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    check_labels({"y": y})
     U = -np.asarray(y, dtype=np.float64)[:, None] * np.atleast_2d(np.asarray(X, dtype=np.float64))
     return (U.T @ gradient_scales(spec, w, U)) / U.shape[0]
 

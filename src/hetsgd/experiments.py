@@ -357,9 +357,19 @@ def _setup(cfg: ExperimentConfig, n_sweep: int) -> _Setup:
 
 # Trials are batched into one engine call until the batch holds about this
 # many bytes of noise tables and permutations (each kept twice: per oracle
-# and stacked by the engine) plus one step's example gathers. At the shipped
-# order-exp config 8 MiB puts about 4 trials into a call; the README gives
-# the measured speed and memory of other budgets.
+# and stacked by the engine) plus one step's example gathers; it holds all 4
+# trials of perfbench's strategy-cmp and c2-sweep runs in one call. Trials are
+# independent, so the grouping changes no byte. At the shipped order-exp config
+# with 16 trials (seed 777), on a shared 2-core VM (Python 3.11.7, numpy 2.4.6)
+# where timings drift by about 30%, in process, 9 to 12 driver calls a budget:
+#   budget   engine calls   trials/s median (range)   peak RSS (3 calls)
+#   2 MiB    16             17.0 (13.9-19.2)           63 MiB
+#   4 MiB     8             19.4 (18.5-24.8)           64 MiB
+#   8 MiB     4             21.6 (19.0-28.8)           70 MiB
+#   16 MiB    3             23.8 (21.7-28.9)           79 MiB
+#   32 MiB    2             24.3 (19.7-34.8)          100 MiB
+# 16 MiB reads about 10% faster than 8 MiB for 9 MiB more RSS; the budget stays
+# at 8 MiB until a benchmark workload with many trials per call decides it.
 BATCH_BYTES = 8 << 20
 
 

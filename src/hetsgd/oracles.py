@@ -22,7 +22,10 @@ budget's noise: one batch-mean noise vector per batch for ``local_dp`` and
 ``gaussian``, one flip mask per batch for ``rcn``. ``call(w, k)`` reads
 batch k from those tables and is the reference path; the batched engine in
 ``sgd`` reads the same tables, so any number of runs can share one oracle's
-draws.
+draws. Drawing the whole budget up front changed the noise streams once,
+relative to versions that drew noise call by call: across that change a seed
+gives statistically equivalent, not identical, results; within a version it
+gives the same bytes.
 """
 from __future__ import annotations
 
@@ -33,7 +36,8 @@ from typing import Optional
 import numpy as np
 
 from .core import (FLIP_RATE, NONNEGATIVE, POSITIVE, Dataset, ObjectiveSpec, check_counts,
-                   check_reals, gradient_scales, is_integer, margin_scales, margins)
+                   check_labels, check_reals, gradient_scales, is_integer, margin_scales,
+                   margins)
 
 # Each oracle kind and the level field it reads, with that field's range; clean reads none.
 _LEVELS = {"clean": (None, None), "local_dp": ("epsilon", POSITIVE), "rcn": ("sigma", FLIP_RATE),
@@ -129,6 +133,7 @@ def rcn_surrogate_gradient(objective: ObjectiveSpec, w: np.ndarray, x: np.ndarra
     whose expectation over the label flip equals the clean-loss gradient.
     """
     check_reals({"sigma": sigma}, FLIP_RATE)
+    check_labels({"y_observed": y_observed})
     u = -float(y_observed) * np.asarray(x, dtype=np.float64)
     m = margins(np.asarray(w, dtype=np.float64), u[None, :])
     return rcn_scales(objective, m, 1.0, 1.0 - sigma, sigma, 1.0 - 2.0 * sigma)[0] * u

@@ -10,25 +10,32 @@ Mini-batched oracle calls count as a single t increment.
 One engine, ``run_batch``, advances any number of runs ("rows") together.
 Its state is a matrix W with one row per run. Each example enters as its
 signed form u = -y*x, made once per engine call, since every margin loss
-sees x and its label only through u (see ``core.gradient_scales``). What the
-steps read that does not depend on W (every row's signed examples, label-flip
-signs, pre-drawn batch-mean noise and step size) is gathered for a chunk of
-steps at a time, already shaped for the step, and a chunk ends where a span
-(below) does, so each step takes its inputs by one index.
+sees x and its label only through u (see ``core.gradient_scales``); negation
+is exact and rounding sign-symmetric, so u gives the bits of the label form.
+What the steps read that does not depend on W (every row's signed examples,
+label-flip signs, pre-drawn batch-mean noise and step size) is gathered for a
+chunk of steps at a time, already shaped for the step, and a chunk ends where
+a span (below) does, so each step takes its inputs by one index. A chunk holds
+about ``CHUNK_BYTES`` and at least one step; one step's gathers take
+8*(b*(d + 3) + 2d + 4) bytes a row, 5,392 at b = 50 and d = 10, so at that
+batch size most chunks hold one step.
 
 Rows may share their first run, the steps before their slot first changes: a
-``c2-sweep`` trial's TwoRate rows all run one first phase at c1 = 1/lam, and a
-CleanOnly row runs the clean phase of a clean-first row. Rows alike in their
-first slot's number, what that slot reads (examples, noise and flip signs, and
-its rate) and w0 form a group. Its root, the earliest row with the longest
-first run, steps on its own. Every other member of length L and first run
-L1 <= L has the root's iterates through step L1, so the engine does not step
-it there: at step L1 + 1 it takes over a copy of the root's state, projection
-count and snapshots, and ``Trajectory.shared`` reports L1. A member that is
-only its first run takes no step of its own. Rows thus start or end only at a
-few steps, and between two of them the rows being stepped are a fixed index
-set, a span. Their iterates are copied out of W at the start of the span and
-back at its end, so a root may come after its members in row order.
+``c2-sweep`` trial's TwoRate rows all run one first phase at c1 = 1/lam, a
+CleanOnly row runs the clean phase of a clean-first row, and an ``order-exp``
+AO row that opens with the clean source runs the first steps of the CF row at
+its rate. Nothing past a first run is shared: three identical two-phase rows
+share their first phase, not all of their steps. Rows alike in their first
+slot's number, what that slot reads (examples, noise and flip signs, and its
+rate) and w0 form a group. Its root, the earliest row with the longest first
+run, steps on its own. Every other member of length L and first run L1 <= L
+has the root's iterates through step L1, so the engine does not step it
+there: at step L1 + 1 it takes over a copy of the root's state and projection
+counts, and ``Trajectory.shared`` reports L1. A member that is only its first
+run takes no step of its own. Rows thus start or end only at a few steps, and
+between two of them the rows being stepped are a fixed index set, a span.
+Their iterates are copied out of W at the start of the span and back at its
+end, so a root may come after its members in row order.
 
 The step buffers are made once per engine call, and a step writes into the
 first R rows of each (the span's R rows): the margins, then the scales, into
@@ -60,6 +67,14 @@ cannot place inside run the test, and n restarts from the norms it computes.
 A NaN or infinite table norm gives a bound that never passes, so a non-finite
 row still raises ``InfeasibleIterate`` naming its step. ``Trajectory.checked``
 counts a row's own steps on which the test ran.
+
+A driver's ``meta.json`` sums ``shared`` and ``checked`` over its rows in its
+``engine`` block (``shared_row_steps`` and ``checked_row_steps``, of
+``row_steps``). At the shipped configs it reads 83% of ``c2-sweep``'s
+row-steps shared, 0.41% of ``strategy-cmp``'s and 0.002% of ``order-exp``'s;
+the exact test runs on 21% of ``order-exp``'s stepped row-steps, 53-55% of
+``strategy-cmp``'s and all of ``c2-sweep``'s, whose first steps at c1 = 1/lam
+keep its iterates near the sphere.
 
 A row names a ``Schedule`` (the oracle slot serving each step and each slot's
 rate constant), the oracles behind its slots, each read from batch 0, and
@@ -110,7 +125,8 @@ class Schedule:
     ``rates[slots[t-1]] / t``; ``ids`` names the slots. ``slots`` is kept as
     a read-only copy, so what is derived from it once, at construction (the
     steps per slot, each step's batch index within its slot and the sequence
-    as one bytes value), cannot go stale.
+    as one bytes value), cannot go stale. A schedule names each oracle id once,
+    has at least one slot and takes only real rate constants in (0, inf).
     """
 
     ids: tuple
@@ -185,7 +201,6 @@ class Trajectory:
     shared: int = 0                          # first-run steps taken over from its group's root
     checked: int = 0                         # own steps on which the exact inside-ball test ran
     last_projected: int = 0                  # last step the projection scaled this run (0: none)
-    iterates: Optional[list] = None          # [(t, w_{t+1}) ...] at every step, if kept
 
 
 def _start(w0, d: int, radius: float) -> np.ndarray:
@@ -249,19 +264,17 @@ def _check_one_pass(rows: Sequence[Row], pairs: np.ndarray, pair_row: np.ndarray
                               f"read its example {examples[j]} twice")
 
 
-def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
+def run_batch(rows: Sequence[Row]) -> list:
     """Advance every row's run together; return one Trajectory per row, in order.
 
     All oracles of a batch share one objective (lam, loss and radius), batch
     size and dimension; every run stays in the ball of that objective's radius.
     A run two of whose slots read one example of one dataset (one oracle in two
-    slots, an oracle and its ``twin()``, or two oracles whose permutations overlap), or
-    that asks an oracle for more batches than it serves, raises ``BudgetExhausted``.
-    ``snapshots=True`` keeps every step.
+    slots, an oracle and its ``twin()``, an oracle rebuilt from one spec and dataset, or
+    two oracles whose permutations overlap), or that asks an oracle for more batches
+    than it serves, raises ``BudgetExhausted``; disjoint windows of one permutation run.
     """
     rows = list(rows)
-    if not isinstance(snapshots, bool):
-        raise ValueError(f"snapshots must be a bool, got {snapshots!r}")
     if not rows:
         return []
     oracles = list({id(o): o for r in rows for o in r.oracles}.values())
@@ -391,7 +404,6 @@ def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
         u_max, z_max = (math.sqrt(np.einsum("nd,nd->n", a, a).max()) for a in (U, noise))
     rate_at, sigma_at = rate_at.ravel(), sigma_at.ravel()
 
-    iterates = [[] for _ in rows] if snapshots else None
     projected, last_projected, checked = (np.zeros(n_rows, dtype=np.intp) for _ in range(3))
 
     # Step buffers, made once: a span's R active rows are copied into the first R rows of
@@ -423,12 +435,10 @@ def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
             # 1 .. t0 - 1 by now: W holds every row's state at a span's start.
             p = int(parent[i])
             W[i], projected[i], last_projected[i] = W[p], projected[p], last_projected[p]
-            if snapshots:
-                iterates[i] = [(t, w.copy()) for t, w in iterates[p]]
         if t1 is None:
             break
         idx = np.flatnonzero((own <= t0) & (t0 <= lengths))
-        R, rows_at = len(idx), idx.tolist()
+        R = len(idx)
         pats, row_base = pattern_of[idx], idx * S
         M, G, sq, hits = scales_buf[:R], grad_buf[:R], sq_buf[:R], projected[idx]
         Wa, V = np.take(W, idx, axis=0, out=iterate_buf[:R]), spare[:R]
@@ -497,9 +507,6 @@ def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
                             top = radius
                         # Squares below 1e-300 may have lost all accuracy: floor the norm.
                         n = max(top, 1e-140) * grow
-                if snapshots:
-                    for i, v in zip(rows_at, V):
-                        iterates[i].append((t, v.copy()))
                 Wa, V = V, Wa
         W[idx], projected[idx] = Wa, hits
         if bounded:
@@ -512,8 +519,7 @@ def run_batch(rows: Sequence[Row], snapshots: bool = False) -> list:
 
     return [Trajectory(final_w=W[i].copy(), steps=int(lengths[i]), projected=int(projected[i]),
                        shared=int(shared[i]), checked=int(checked[i]),
-                       last_projected=int(last_projected[i]),
-                       iterates=iterates[i] if iterates is not None else None)
+                       last_projected=int(last_projected[i]))
             for i in range(n_rows)]
 
 
@@ -543,16 +549,16 @@ def _whole_runs(schedule: Schedule, oracles: Mapping[str, GradientOracle],
 
 
 def run_sgd(phases: Sequence, oracles: Mapping[str, GradientOracle],
-            w0: Optional[np.ndarray] = None, snapshots: bool = False) -> Trajectory:
+            w0: Optional[np.ndarray] = None) -> Trajectory:
     """Run each (oracle id, rate constant) phase's oracle over its whole budget, in order."""
     schedule = Schedule.blocks(phases, {k: o.steps_total for k, o in oracles.items()})
-    return run_batch(_whole_runs(schedule, oracles, w0, False), snapshots)[0]
+    return run_batch(_whole_runs(schedule, oracles, w0, False))[0]
 
 
 def run_sgd_interleaved(schedule: Schedule, oracles: Mapping[str, GradientOracle],
-                        w0: Optional[np.ndarray] = None, snapshots: bool = False) -> Trajectory:
+                        w0: Optional[np.ndarray] = None) -> Trajectory:
     """Run ``schedule`` over the oracles it names, each over its whole budget."""
-    return run_batch(_whole_runs(schedule, oracles, w0, False), snapshots)[0]
+    return run_batch(_whole_runs(schedule, oracles, w0, False))[0]
 
 
 def run_paired(phases: Sequence, oracles: Mapping[str, GradientOracle],

@@ -1,6 +1,8 @@
-"""Shared fixtures: whole-budget runs and Monte Carlo paired runs on the batched engine."""
+"""Shared fixtures: whole-budget runs, step-by-step iterates and Monte Carlo paired runs on
+the batched engine."""
 import copy
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -38,8 +40,8 @@ def windows(oracle: GradientOracle, steps: int) -> list:
     return views
 
 
-def _run_whole(plan, oracles, w0=None, snapshots=False, paired=False) -> list:
-    """Trajectories of one run that reads each oracle it names over its whole budget.
+def whole_rows(plan, oracles, w0=None, paired=False) -> list:
+    """The rows of one run that reads each oracle it names over its whole budget.
 
     ``plan`` is a Schedule, or ordered (oracle id, rate constant) phases that
     each run their oracle's whole budget (``Schedule.blocks``). ``oracles``
@@ -54,7 +56,53 @@ def _run_whole(plan, oracles, w0=None, snapshots=False, paired=False) -> list:
     rows = [Row(schedule, row_oracles, noisy, w0=w0)
             for noisy in ((True, False) if paired else (True,))]
     check_budgets(rows)
-    return run_batch(rows, snapshots)
+    return rows
+
+
+def _run_whole(plan, oracles, w0=None, paired=False) -> list:
+    """Trajectories of ``whole_rows(plan, oracles, w0, paired)``, from one run_batch call."""
+    return run_batch(whole_rows(plan, oracles, w0, paired))
+
+
+def prefix_rows(rows, every: int = 1) -> list:
+    """Each row cut to its first t steps, for t = every, 2*every, ... up to its length, in order.
+
+    Rows that hold one Schedule object share its cuts, so many trials of one
+    schedule make its cuts once.
+    """
+    @functools.cache
+    def cut(schedule: Schedule, t: int) -> Schedule:
+        return Schedule(schedule.ids, schedule.rates, schedule.slots[:t])
+
+    return [Row(cut(r.schedule, t), r.oracles, r.noisy, r.w0)
+            for r in rows for t in range(every, len(r.schedule.slots) + 1, every)]
+
+
+def prefix_runs(rows, every: int = 1, by_length: bool = False) -> list:
+    """Per row, [(t, trajectory of the row cut to its first t steps) ...] (``prefix_rows``).
+
+    By default every cut of every row runs in one run_batch call. Each cut's end
+    then splits every row's spans there, so no span is longer than ``every``
+    steps. With ``by_length`` one call runs the cuts of one length t, so its spans
+    end only at t and where a cut takes over a shared first run, as in a call over
+    the uncut rows: chunks hold several steps and the norm bound passes steps.
+    """
+    cuts = prefix_rows(rows, every)
+    if by_length:
+        calls = {t: iter(run_batch([c for c in cuts if len(c.schedule.slots) == t]))
+                 for t in {len(c.schedule.slots) for c in cuts}}
+        runs = iter([next(calls[len(c.schedule.slots)]) for c in cuts])
+    else:
+        runs = iter(run_batch(cuts))
+    return [[(t, next(runs)) for t in range(every, len(r.schedule.slots) + 1, every)]
+            for r in rows]
+
+
+def prefix_iterates(rows, every: int = 1, by_length: bool = False) -> list:
+    """Per row, [(t, w_{t+1}) ...]: its iterate after step t, for t = every, 2*every, ...,
+    the final iterate of its cut of t steps (``prefix_runs``)."""
+    return [[(t, traj.final_w) for t, traj in runs]
+            for runs in prefix_runs(rows, every, by_length)]
 
 
 def _source(n: int, noise_sq: float, d: int, obj: ObjectiveSpec, data_seed: int,
@@ -98,7 +146,7 @@ def _paired_gaps(mask, v_c: float, v_n: float, c: float, lam: float, d: int,
 
 @pytest.fixture
 def run_whole():
-    """_run_whole(plan, oracles, w0=None, snapshots=False, paired=False)."""
+    """_run_whole(plan, oracles, w0=None, paired=False)."""
     return _run_whole
 
 

@@ -10,6 +10,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
+from conftest import prefix_iterates, whole_rows
 from hetsgd.core import Dataset, ObjectiveSpec, mean_loss_gradient, loss_gradient
 from hetsgd.experiments import (ExperimentConfig, read_csv_rows, run_c2_sweep,
                                 run_strategy_comparison)
@@ -19,6 +20,7 @@ from hetsgd.ordering import expected_deviation, noise_weights, two_level_schedul
 from hetsgd.rates import (BoundInputs, clean_first_constant, clean_first_rate_interval,
                           minimize_phase2_rate, minimize_single_rate,
                           noisy_first_rate_interval, select_rates, two_phase_bound)
+from hetsgd.sgd import Schedule
 
 
 def report(num: int, name: str, ok: bool, detail: str = "") -> None:
@@ -351,24 +353,24 @@ def test_criterion_09_c2_sweep_shape():
     report(9, "c2-sweep-shape", True, "; ".join(details))
 
 
-def test_criterion_10_convergence_rate(run_whole):
+def test_criterion_10_convergence_rate():
     lam, T, d, trials = 1.0, 2000, 5, 80
     obj = ObjectiveSpec(lam=lam, loss="linear", radius=np.inf)
     mu = np.zeros(d)
     mu[0] = 0.3
     w_star = mu / lam
-    errs = []
-    times = None
+    schedule = Schedule.blocks((("a", 1.0 / lam),), {"a": T})
+    rows = []
     for trial in range(trials):
         rng = np.random.default_rng(10_500 + trial)
         X = mu + rng.standard_normal((T, d)) / math.sqrt(d)
         ds = Dataset(X, np.ones(T))
         oracle = GradientOracle(OracleSpec("clean", budget=T, rng_seed=20_500 + trial), obj, ds)
-        # Every fifth step: T is a multiple of 5, so these end at step T.
-        fifth = run_whole((("a", 1.0 / lam),), {"a": oracle}, snapshots=True)[0].iterates[4::5]
-        if times is None:
-            times = np.array([t for t, _ in fifth])
-        errs.append([float(np.sum((w - w_star) ** 2)) for _, w in fifth])
+        rows += whole_rows(schedule, {"a": oracle})
+    # Every fifth step: T is a multiple of 5, so these end at step T.
+    fifths = prefix_iterates(rows, every=5)
+    times = np.array([t for t, _ in fifths[0]])
+    errs = [[float(np.sum((w - w_star) ** 2)) for _, w in fifth] for fifth in fifths]
     mean_err = np.mean(errs, axis=0)
     keep = times >= T // 10
     slope = float(np.polyfit(np.log(times[keep]), np.log(mean_err[keep]), 1)[0])

@@ -265,6 +265,11 @@ class TestDataset:
         with pytest.raises(ValueError, match="labels"):
             Dataset(np.zeros((2, 2)), np.array([1.0, 2.0]))
 
+    def test_bool_labels_rejected(self):
+        # numpy reads True as 1.0, so these used to load as two +1 labels.
+        with pytest.raises(ValueError, match="got True in y$"):
+            Dataset(np.zeros((2, 2)), np.array([True, True]))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_features_rejected(self, bad):
         with pytest.raises(ValueError, match="finite"):
@@ -325,3 +330,14 @@ def test_mean_loss_gradient_matches_loop():
     w = rng.standard_normal(3)
     manual = np.mean([loss_gradient(sp, w, X[i], y[i]) for i in range(8)], axis=0)
     np.testing.assert_allclose(mean_loss_gradient(sp, w, X, y), manual, rtol=1e-12)
+
+
+@pytest.mark.parametrize("label", [3.0, 0.0, -0.5, np.nan, True,
+                                   pytest.param(np.True_, id="np.True_"), "1"])
+def test_reference_gradients_reject_a_label_not_plus_or_minus_one(label):
+    # y = 3 used to give three times the y = 1 gradient, and True the y = 1 gradient.
+    sp, w, x = spec("logistic"), np.zeros(2), np.array([0.6, 0.8])
+    with pytest.raises(ValueError, match=r"labels must be -1 or \+1, got .* in y$"):
+        loss_gradient(sp, w, x, label)
+    with pytest.raises(ValueError, match=r"labels must be -1 or \+1, got .* in y$"):
+        mean_loss_gradient(sp, w, np.stack([x, x]), [label, label])

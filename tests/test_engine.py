@@ -12,7 +12,7 @@ import pytest
 import scipy
 
 import hetsgd
-from conftest import windows
+from conftest import prefix_iterates, prefix_rows, prefix_runs, windows
 from hetsgd import experiments, sgd
 from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.experiments import (ExperimentConfig, run_c2_sweep, run_order_experiment,
@@ -91,13 +91,12 @@ def mixed_rows(loss, b, seed=0, zeros=False, radius=1.0):
 @pytest.mark.parametrize("radius,active", [(0.3, True), (1e3, False)])
 def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
     rows = mixed_rows(loss, b, radius=radius)
-    trajectories = run_batch(rows, snapshots=True)
     hit = False
-    for row, traj in zip(rows, trajectories):
+    for row, traj, iterates in zip(rows, run_batch(rows), prefix_iterates(rows)):
         ref = reference_run(row)
         assert traj.steps == len(ref)
-        assert [t for t, _ in traj.iterates] == list(range(1, len(ref) + 1))
-        np.testing.assert_allclose(np.array([w for _, w in traj.iterates]), np.array(ref),
+        assert [t for t, _ in iterates] == list(range(1, len(ref) + 1))
+        np.testing.assert_allclose(np.array([w for _, w in iterates]), np.array(ref),
                                    rtol=1e-12, atol=1e-15)
         np.testing.assert_allclose(traj.final_w, ref[-1], rtol=1e-12, atol=1e-15)
         hit |= any(np.linalg.norm(w) >= radius * (1 - 1e-12) for w in ref)
@@ -105,10 +104,11 @@ def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
 
 
 def engine_digest(rows):
-    """sha256 over every row's snapshots (step and iterate bytes) and final iterate."""
+    """sha256 over every row's iterates (step and iterate bytes, ``prefix_iterates``) and its
+    final iterate."""
     h = hashlib.sha256()
-    for traj in run_batch(rows, snapshots=True):
-        for t, w in traj.iterates:
+    for traj, iterates in zip(run_batch(rows), prefix_iterates(rows)):
+        for t, w in iterates:
             h.update(t.to_bytes(4, "little") + w.tobytes())
         h.update(traj.final_w.tobytes())
     return h.hexdigest()
@@ -183,17 +183,32 @@ def test_engine_bytes_are_pinned(loss, b, radius, zeros):
 @pytest.mark.parametrize("radius", [0.3, 1e3])
 def test_chunk_size_does_not_change_a_value(loss, b, radius, monkeypatch):
     # One-phase rows are shorter than the rest and leave mid-chunk unless a chunk is one step.
+    # The cuts of one length run in a call of their own, so their chunks hold as many steps
+    # as CHUNK_BYTES lets them; one call over all cuts has one-step spans, so at one-step
+    # chunks it is the same run.
     rows = mixed_rows(loss, b, radius=radius)
     assert len({len(r.schedule.slots) for r in rows}) == 2
     runs = []
     for chunk_bytes in (1, 1 << 14, sgd.CHUNK_BYTES):
         monkeypatch.setattr(sgd, "CHUNK_BYTES", chunk_bytes)
-        runs.append(run_batch(rows, snapshots=True))
-    for one_step, *others in zip(*runs):
-        for traj in others:
-            assert traj.final_w.tobytes() == one_step.final_w.tobytes()
-            assert [(t, w.tobytes()) for t, w in traj.iterates] == \
-                [(t, w.tobytes()) for t, w in one_step.iterates]
+        iterates = prefix_iterates(rows, by_length=chunk_bytes > 1)
+        runs.append([(traj.final_w.tobytes(), [(t, w.tobytes()) for t, w in row_iterates])
+                     for traj, row_iterates in zip(run_batch(rows), iterates)])
+    assert runs[0] == runs[1] == runs[2]
+
+
+def test_prefix_rows_in_one_call_match_each_prefix_row_run_alone():
+    # prefix_iterates runs every cut of every row in one call, where cuts of one row share
+    # their first run with the row's longest cut; a cut run alone shares nothing. The rows
+    # of the first mechanism (15 rows, 261 cuts) keep each plan, twin and w0.
+    cuts = prefix_rows(mixed_rows("logistic", 1, radius=0.3)[:15])
+    together = run_batch(cuts)
+    assert sum(t.shared for t in together) > 0 and sum(t.projected for t in together) > 0
+    for cut, traj in zip(cuts, together):
+        alone, = run_batch([cut])
+        assert alone.shared == 0
+        assert (traj.final_w.tobytes(), traj.steps, traj.projected, traj.last_projected) == \
+            (alone.final_w.tobytes(), alone.steps, alone.projected, alone.last_projected)
 
 
 def test_projection_of_rows_inside_the_ball_returns_the_input():
@@ -324,20 +339,27 @@ def test_steps_the_norm_bound_passes_change_no_byte(case, b, radius, monkeypatch
         rows = aligned_rows(b, radius, 0.0, ((0.5, 0.5), (0.5, 0.25)))
     else:
         rows = bound_rows(case, b, radius)
-    bounded = run_batch(rows, snapshots=True)
+
+    def runs():
+        # The rows, then each row's cuts run alone (one span each, so the bound can pass
+        # steps inside a cut as it does inside the row).
+        return run_batch(rows) + [traj for cuts in prefix_runs(rows, by_length=True)
+                                  for _, traj in cuts]
+
+    bounded = runs()
     monkeypatch.setattr(sgd, "_norm_bounds",
                         lambda t0, t1, *rest: (np.ones(t1 - t0), np.full(t1 - t0, np.inf)))
-    exact = run_batch(rows, snapshots=True)
-    for got, want in zip(bounded, exact):
+    exact = runs()
+    for got, want in zip(bounded, exact, strict=True):
         assert got.final_w.tobytes() == want.final_w.tobytes()
-        assert [(t, w.tobytes()) for t, w in got.iterates] == \
-            [(t, w.tobytes()) for t, w in want.iterates]
         assert (got.projected, got.last_projected, got.shared) == \
             (want.projected, want.last_projected, want.shared)
         assert got.checked <= want.checked == want.steps - want.shared
-    # Rows that were projected, then had steps the bound passed; and rows taken over.
-    assert any(t.projected and t.checked < t.steps - t.shared for t in bounded)
-    assert any(0 < t.shared < t.steps for t in bounded)
+    # Rows and cuts that were projected, then had steps the bound passed; rows taken over.
+    rows_bounded, cuts_bounded = bounded[:len(rows)], bounded[len(rows):]
+    for trajectories in (rows_bounded, cuts_bounded):
+        assert any(t.projected and t.checked < t.steps - t.shared for t in trajectories)
+    assert any(0 < t.shared < t.steps for t in rows_bounded)
 
 
 @pytest.mark.parametrize("c_lo,c_hi", [(1.0, 1.0), (0.5, 8.0), (3.0, 40.0)])
@@ -368,19 +390,19 @@ def test_results_share_no_memory_with_each_other_or_the_engine():
     # do, at step 9, and the next at step 23).
     rows = mixed_rows("logistic", 1, radius=0.3)
     assert sorted({len(r.schedule.slots) for r in rows}) == [9, 23]
-    first = run_batch(rows, snapshots=True)
+    first = run_batch(rows)
 
     def arrays(trajectories):
-        return [a for t in trajectories for a in [t.final_w] + [w for _, w in t.iterates]]
+        return [t.final_w for t in trajectories]
 
-    scaled = [t for traj in first for t, w in traj.iterates
+    scaled = [t for iterates in prefix_iterates(rows) for t, w in iterates
               if t not in (1, 10) and np.linalg.norm(w) == pytest.approx(0.3, rel=1e-12)]
     assert scaled and any(traj.projected for traj in first)
     before = [a.copy() for a in arrays(first)]
     # Each result owns its bytes, so it shares them with no other result and no buffer.
     assert all(a.base is None and a.flags.owndata for a in arrays(first))
     assert len({a.ctypes.data for a in arrays(first)}) == len(before)
-    second = run_batch(rows, snapshots=True)
+    second = run_batch(rows)
     assert not {a.ctypes.data for a in arrays(first)} & {a.ctypes.data for a in arrays(second)}
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(first), before))
     assert all(a.tobytes() == b.tobytes() for a, b in zip(arrays(second), before))
@@ -532,19 +554,6 @@ def test_w0_of_the_wrong_shape_rejected_before_the_budget_is_used(run_whole):
         run_whole(phases, {"a": oracle}, w0=np.array([0.3]))
     with pytest.raises(ValueError, match="shape"):
         run_batch([Row(Schedule.blocks(phases, {"a": 12}), (oracle,), w0=np.array([0.3]))])
-
-
-def test_snapshots_are_opt_in(run_whole):
-    obj = ObjectiveSpec(lam=1.0, loss="linear", radius=np.inf)
-    ds = dataset(12, 3, 5)
-
-    def fresh():
-        return {"a": GradientOracle(OracleSpec("clean", budget=12, rng_seed=1), obj, ds)}
-
-    phases = (("a", 1.0),)
-    assert run_whole(phases, fresh())[0].iterates is None
-    assert [t for t, _ in run_whole(phases, fresh(), snapshots=True)[0].iterates] == \
-        list(range(1, 13))
 
 
 def small_config(**overrides):

@@ -267,8 +267,8 @@ class TestOrderExperiment:
         cfg = small_config(tmp_path, c_grid=(25.0, 100.0, 400.0), trials=3)
         calls, run_batch = [], experiments.run_batch
 
-        def recorded(rows, snapshots=False):
-            calls.append(run_batch(rows, snapshots))
+        def recorded(rows):
+            calls.append(run_batch(rows))
             return calls[-1]
 
         monkeypatch.setattr(experiments, "run_batch", recorded)
@@ -543,6 +543,28 @@ class TestCli:
         with pytest.raises(SystemExit, match=f"^{flag} does not apply"):
             cli_main(argv)
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["select-rates", "--lam", "0.01", "--beta-c", "0.3", "--gamma-c-sq", "3",
+          "--gamma-n-sq", "nan"], "gamma_n_sq must be a number in (0, inf), got nan"),
+        (["order-exp", "--config", "{config}"], "beta_c must be a number in (0, 1), got 1.5"),
+    ], ids=["select-rates", "order-exp"])
+    def test_a_value_the_library_refuses_ends_in_its_one_line_message(self, argv, message,
+                                                                      tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"beta_c": 1.5}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([a.format(config=config) for a in argv])
+        assert exit_info.value.code == message
+        assert capsys.readouterr().out == ""
+
+    def test_a_refused_value_logs_its_traceback_at_debug(self, caplog):
+        caplog.set_level(logging.DEBUG, logger="hetsgd")
+        with pytest.raises(SystemExit, match="^gamma_n_sq must be"):
+            cli_main(["select-rates", "--lam", "0.01", "--beta-c", "0.3", "--gamma-c-sq", "3",
+                      "--gamma-n-sq", "nan"])
+        record, = [r for r in caplog.records if r.name == "hetsgd.cli"]
+        assert record.levelno == logging.DEBUG and record.exc_info[0] is ValueError
 
     def test_experiment_with_config_and_overrides(self, tmp_path, capsys):
         cfg = small_config(epsilon_noisy_sweep=(2.0,), trials=2)

@@ -151,6 +151,13 @@ class TestRcn:
         with pytest.raises(ValueError, match="sigma"):
             rcn_surrogate_gradient(obj, np.zeros(2), np.array([0.6, 0.8]), 1.0, sigma)
 
+    @pytest.mark.parametrize("label", [0.5, 0.0, 3.0, True, pytest.param(np.True_, id="np.True_")])
+    def test_surrogate_observed_label_not_plus_or_minus_one_rejected(self, label):
+        # 0.5 and True used to run, True as the label +1.
+        obj = ObjectiveSpec(lam=1.0, loss="logistic")
+        with pytest.raises(ValueError, match=r"labels must be -1 or \+1, got .* in y_observed$"):
+            rcn_surrogate_gradient(obj, np.zeros(2), np.array([0.6, 0.8]), label, 0.25)
+
     @pytest.mark.parametrize("loss", ["logistic", "hinge", "linear"])
     def test_flip_expectation_equals_plain_gradient(self, loss):
         # Enumerate both flip outcomes exactly: (1-s) grad~(y) + s grad~(-y) = grad(y).

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import prefix_iterates, whole_rows
 from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.oracles import GradientOracle, OracleSpec
 from hetsgd.ordering import expected_deviation, noise_weights, two_level_schedule
@@ -37,13 +38,13 @@ class TestRunSgd:
         traj = run_whole((("a", 1e300),), {"a": oracle})[0]
         assert np.linalg.norm(traj.final_w) == pytest.approx(obj.radius, rel=1e-12)
 
-    def test_matches_closed_form_recursion_without_projection(self, run_whole):
+    def test_matches_closed_form_recursion_without_projection(self):
         # Deterministic linear problem: unrolled product/sum form of the iterate.
         lam, c, T = 0.8, 0.9, 25
         obj = ObjectiveSpec(lam=lam, loss="linear", radius=np.inf)
         ds = linear_dataset(T, d=3, seed=10)
         oracle = clean_oracle(ds, obj, seed=4)
-        traj = run_whole((("a", c),), {"a": oracle}, snapshots=True)[0]
+        iterates, = prefix_iterates(whole_rows((("a", c),), {"a": oracle}))
         order = GradientOracle(OracleSpec("clean", budget=T, rng_seed=4), obj, ds).order
         yx = ds.y[order, None] * ds.X[order]
         w = np.zeros(3)
@@ -52,7 +53,8 @@ class TestRunSgd:
             eta = c / t
             w = (1 - eta * lam) * w + eta * yx[t - 1]
             manual.append(w.copy())
-        for (t, snap), ref in zip(traj.iterates, manual):
+        assert len(iterates) == len(manual)
+        for (t, snap), ref in zip(iterates, manual):
             np.testing.assert_allclose(snap, ref, atol=1e-12)
 
     def test_global_step_index_never_resets(self, run_whole):
@@ -74,13 +76,14 @@ class TestRunSgd:
             w = (1 - eta * lam) * w + eta * yx
         np.testing.assert_allclose(traj.final_w, w, atol=1e-12)
 
-    def test_every_iterate_feasible(self, run_whole):
+    def test_every_iterate_feasible(self):
         obj = ObjectiveSpec(lam=0.05, loss="logistic", radius=2.0)
         ds = linear_dataset(50, seed=3)
         oracle = GradientOracle(OracleSpec("gaussian", budget=50, rng_seed=2, noise_sq=25.0),
                                 obj, ds)
-        traj = run_whole((("a", 40.0),), {"a": oracle}, snapshots=True)[0]
-        for _, w in traj.iterates:
+        iterates, = prefix_iterates(whole_rows((("a", 40.0),), {"a": oracle}))
+        assert len(iterates) == 50
+        for _, w in iterates:
             assert np.linalg.norm(w) <= 2.0 * (1 + 1e-9)
 
     def test_nonpositive_rate_rejected(self, run_whole):
@@ -305,22 +308,23 @@ def test_two_phase_error_within_leading_bound(run_whole):
     assert np.mean(errs) <= bound + lower_order
 
 
-def test_convergence_rate_on_noiseless_problem(run_whole):
+def test_convergence_rate_on_noiseless_problem():
     # Clean oracle, fresh data each trial, c = 1/lam: squared error decays like 1/t.
     lam, T, d, trials = 1.0, 1500, 5, 60
     obj = ObjectiveSpec(lam=lam, loss="linear", radius=np.inf)
     mu = np.zeros(d)
     mu[0] = 0.3
     w_star = mu / lam
-    errs = []
+    schedule = Schedule.blocks((("a", 1.0 / lam),), {"a": T})
+    rows = []
     for trial in range(trials):
         rng = np.random.default_rng(31_000 + trial)
         X = mu + rng.standard_normal((T, d)) / np.sqrt(d)
         ds = Dataset(X, np.ones(T))
-        oracle = clean_oracle(ds, obj, seed=61_000 + trial)
-        traj = run_whole((("a", 1.0 / lam),), {"a": oracle}, snapshots=True)[0]
-        # Every fifth step: T is a multiple of 5, so these end at step T.
-        errs.append([(t, float(np.sum((w - w_star) ** 2))) for t, w in traj.iterates[4::5]])
+        rows += whole_rows(schedule, {"a": clean_oracle(ds, obj, seed=61_000 + trial)})
+    # Every fifth step: T is a multiple of 5, so these end at step T.
+    errs = [[(t, float(np.sum((w - w_star) ** 2))) for t, w in fifth]
+            for fifth in prefix_iterates(rows, every=5)]
     times = np.array([t for t, _ in errs[0]])
     mean_err = np.mean([[e for _, e in row] for row in errs], axis=0)
     keep = times >= T // 10

@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from conftest import windows
+from conftest import prefix_iterates, windows
 from hetsgd import sgd
 from hetsgd.core import Dataset, ObjectiveSpec
 from hetsgd.oracles import GradientOracle, OracleSpec
@@ -88,14 +88,14 @@ def stepped_row_steps(rows, monkeypatch):
         return einsum(spec, *operands, **kwargs)
 
     monkeypatch.setattr(np, "einsum", counted)
-    trajectories = run_batch(rows, snapshots=True)
+    trajectories = run_batch(rows)
     monkeypatch.setattr(np, "einsum", einsum)
     return trajectories, sum(stepped)
 
 
-def as_bytes(traj):
-    return (traj.final_w.tobytes(), traj.steps, traj.projected,
-            [(t, w.tobytes()) for t, w in traj.iterates])
+def as_bytes(traj, iterates):
+    return (traj.final_w.tobytes(), traj.steps, traj.projected, traj.last_projected,
+            [(t, w.tobytes()) for t, w in iterates])
 
 
 @pytest.mark.parametrize("case", ["c2_group", "prefix_first", "prefix_covered", "identical",
@@ -110,18 +110,21 @@ def test_each_row_matches_the_row_run_alone(case, b, chunk_bytes, monkeypatch):
     assert [t.shared for t in batch] == expected
     # The engine steps each row on its own steps only.
     assert computed == sum(t.steps - t.shared for t in batch)
-    for r, traj in zip(rows, batch):
-        alone, = run_batch([r], snapshots=True)
+    # Every row's iterates come from one call over the cuts of all rows, which share first
+    # runs as the rows do; those of the row run alone, from each of its cuts run alone.
+    for r, traj, iterates in zip(rows, batch, prefix_iterates(rows)):
+        alone, = run_batch([r])
         assert alone.shared == 0
-        assert as_bytes(traj) == as_bytes(alone)
+        assert as_bytes(traj, iterates) == \
+            as_bytes(alone, prefix_iterates([r], by_length=True)[0])
 
 
 def test_projection_is_active_inside_the_shared_prefix():
     rows, _ = cases(sources())["c2_group"]
-    child = run_batch(rows, snapshots=True)[1]
+    child = run_batch(rows)[1]
     assert child.shared == N_NOISY and child.projected > 0
     assert any(np.linalg.norm(w) == pytest.approx(RADIUS, rel=1e-12)
-               for t, w in child.iterates if t <= child.shared)
+               for t, w in prefix_iterates(rows)[1] if t <= child.shared)
 
 
 def test_forked_rows_report_the_steps_they_took_over():
@@ -144,12 +147,3 @@ def test_a_nan_in_a_shared_prefix_names_its_step(chunk_bytes, monkeypatch):
     rows = [noisy_first(src, c2) for c2 in (1.0, 4.0, 16.0)]
     with pytest.raises(InfeasibleIterate, match=r"non-finite at step 5$"):
         run_batch(rows)
-
-
-@pytest.mark.parametrize("snapshots", [0, -1, pytest.param(np.True_, id="True"), 1.5])
-def test_snapshots_must_be_a_bool(snapshots):
-    rows, _ = cases(sources())["c2_group"]
-    with pytest.raises(ValueError, match="snapshots must be a bool"):
-        run_batch(rows, snapshots=snapshots)
-    assert run_batch(rows[:1], False)[0].iterates is None
-    assert [t for t, _ in run_batch(rows[:1], True)[0].iterates] == list(range(1, 14))
