@@ -52,10 +52,18 @@ def _add_experiment_args(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    """The config file with the command line's overrides, checked again as a whole."""
+    """The config file with the command line's overrides, checked again as a whole.
+
+    A file that cannot be read, or is not JSON, ends the command in one line naming it.
+    """
+    try:
+        cfg = ExperimentConfig.from_json(args.config)
+    except OSError as err:
+        raise SystemExit(f"cannot read config {args.config}: {err.strerror or err}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as err:
+        raise SystemExit(f"config {args.config} is not valid JSON: {err}") from None
     overrides = {"master_seed": args.seed, "out_dir": args.out_dir, "trials": args.trials}
-    return dataclasses.replace(ExperimentConfig.from_json(args.config),
-                               **{k: v for k, v in overrides.items() if v is not None})
+    return dataclasses.replace(cfg, **{k: v for k, v in overrides.items() if v is not None})
 
 
 @functools.lru_cache(maxsize=None)

@@ -78,10 +78,17 @@ def check_labels(values: dict) -> None:
     """Raise ValueError naming the first entry of ``values`` that holds a label not -1 or +1.
 
     An entry is one label or an array of them. A bool is not a label: numpy takes
-    True as 1.0, so it would otherwise run as the label +1.
+    True as 1.0, so it would otherwise run as the label +1. A sequence that mixes
+    bools with numbers converts to a number array, so its items are looked at one
+    by one; an ndarray is judged by its dtype.
     """
     for name, value in values.items():
         y = np.asarray(value)
+        if y.ndim and not isinstance(value, np.ndarray):
+            bools = [v for v in np.asarray(value, dtype=object).flat
+                     if isinstance(v, (bool, np.bool_))]
+            if bools:
+                raise ValueError(f"labels must be -1 or +1, got {bools[0]!r} in {name}")
         bad = ~np.isin(y, (-1, 1)) if y.dtype.kind in "iuf" else np.ones(y.shape, dtype=bool)
         if bad.any():
             raise ValueError(f"labels must be -1 or +1, got {y[bad][0].item()!r} in {name}")

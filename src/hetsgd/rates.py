@@ -19,9 +19,21 @@ evaluator (``_bound_evaluator``) holds 2*lam, 4*g1, 4*g2, the logs of beta1
 and the first term's T*(2*lam*c1 - 1). What does not change with the order is
 built once per lam: the c2 grid is shared by both orders of ``select_rates``.
 The bits do not change: hoisting a product that the formula already
-evaluates first keeps every rounding, the evaluator runs the array path's
-operations in the same order, and the grid is the same array. Nothing is
-kept past one public call.
+evaluates first keeps every rounding, and the evaluator runs the array path's
+operations in the same order. Nothing is kept past one public call.
+
+The grids are ``np.geomspace(lo, hi, GRID_POINTS)`` without its generic path
+(dtype promotion, sign rotation, the call through linspace and logspace):
+``_log_grid`` runs numpy's own operations on float64 in numpy's order, so it
+returns the same array. Those are log10 of both ends; arange(GRID_POINTS)
+times (b - a)/(GRID_POINTS - 1), plus a; the last entry set to b; 10 to the
+power of each entry; and both ends set back to lo and hi. A search evaluates
+its own grid through ``_bound_values``, the array core of ``two_phase_bound``
+without its argument checks. Those checks cannot fail there, for the
+minimiser built the rates: c1 = 1/lam, or a shared-rate grid that starts at
+(1 + 1e-9)/(2*lam), so 2*lam*c1 > 1 and c2 > 0. What is left, 2*lam*c
+finite on the whole grid, is one check of lam (``_search_grid``) before the
+grid is built; an overflowing bound still raises.
 """
 from __future__ import annotations
 
@@ -132,7 +144,9 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
     Scalar rates are checked here and then evaluated by ``_bound_evaluator``,
     the plain-float path the minimisers call point by point. It keeps the array
     path's operation order and calls np.exp/np.expm1, not math.exp/math.expm1,
-    which can round differently, so both paths give the same bits.
+    which can round differently, so both paths give the same bits. Array rates
+    are checked here and then evaluated by ``_bound_values``, which the
+    minimisers call on their own grids.
     """
     reject_bools({"c1": c1, "c2": c2})
     lam = inputs.lam
@@ -164,7 +178,17 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
         raise ValueError("c2 must be positive")
     if not 2.0 * lam * c2_max < math.inf:
         raise ValueError(f"2*lam*c2 must be finite, got c2={c2_max}")
-    T, beta1 = inputs.T, inputs.beta1
+    out = _bound_values(inputs, c1, c2)
+    return float(out) if out.ndim == 0 else out
+
+
+def _bound_values(inputs: BoundInputs, c1, c2: np.ndarray) -> np.ndarray:
+    """B(c1, c2) over a float64 array c2 and a float or float64 array c1, unchecked.
+
+    The rates must be valid as ``two_phase_bound`` checks them; a bound that
+    overflows still raises ValueError.
+    """
+    lam, T, beta1 = inputs.lam, inputs.T, inputs.beta1
     k1, k2 = 2.0 * lam * c1, 2.0 * lam * c2
     e = k2 - 1.0
     bexp, one_minus = _beta_terms(beta1, k2)
@@ -183,8 +207,9 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
             second = np.where(at_limit, second_limit, second)
         out = first + second
     if not out.max() < math.inf:
-        raise ValueError(f"the bound overflows for some c1 up to {c1_max}, c2 up to {c2_max}")
-    return float(out) if out.ndim == 0 else out
+        raise ValueError(f"the bound overflows for some c1 up to {float(np.max(c1))}, "
+                         f"c2 up to {float(c2.max())}")
+    return out
 
 
 def _phase_constant(c, gamma_first_sq: float, gamma_second_sq: float,
@@ -252,19 +277,39 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple:
     return best_x, best_f
 
 
-def _c2_grid(lam: float) -> np.ndarray:
-    """The log grid over the c2 search domain that brackets the phase-2 minimum."""
-    return np.geomspace(C2_DOMAIN_LO / lam, C2_DOMAIN_HI / lam, GRID_POINTS)
+def _log_grid(lo: float, hi: float) -> np.ndarray:
+    """np.geomspace(lo, hi, GRID_POINTS) for 0 < lo < hi < inf: numpy's operations, in its order."""
+    a, b = np.log10(lo), np.log10(hi)
+    y = np.arange(GRID_POINTS, dtype=np.float64)
+    y *= (b - a) / (GRID_POINTS - 1)
+    y += a
+    y[-1] = b
+    grid = np.power(10.0, y)
+    grid[0], grid[-1] = lo, hi
+    return grid
+
+
+def _search_grid(lam: float, shared: bool) -> np.ndarray:
+    """The log grid a search evaluates: the c2 domain, or the shared rate's if shared.
+
+    The shared rate's domain starts just above 1/(2*lam), where 2*lam*c > 1. A lam
+    so extreme that 2*lam*c overflows at the domain's top (below about 6e-306 or
+    above about 9e307) raises ValueError before any array is built.
+    """
+    hi = C2_DOMAIN_HI / lam
+    if not 2.0 * lam * hi < math.inf:
+        raise ValueError(f"2*lam*c must be finite on the rate search's domain, got lam={lam}")
+    return _log_grid((1.0 + 1e-9) / (2.0 * lam) if shared else C2_DOMAIN_LO / lam, hi)
 
 
 def _minimize_on_grid(inputs: BoundInputs, grid: np.ndarray, shared: bool) -> tuple:
     """argmin over c of B(1/lam, c), or of B(c, c) if shared: the grid, then golden section.
 
-    The grid is evaluated in one array call; the refinement calls one scalar
-    evaluator, built once for the whole search.
+    The grid, built by ``_search_grid``, is evaluated in one unchecked array call;
+    the refinement calls one scalar evaluator, built once for the whole search.
     """
     c1 = None if shared else 1.0 / inputs.lam
-    values = two_phase_bound(inputs, grid if shared else c1, grid)
+    values = _bound_values(inputs, grid if shared else c1, grid)
     i = int(np.argmin(values))
     if i in (0, len(grid) - 1):
         logger.warning("rate minimizer hit the search-domain boundary at c2=%g", grid[i])
@@ -283,7 +328,7 @@ def minimize_phase2_rate(inputs: BoundInputs) -> tuple:
     term), so a coarse 400-point log grid brackets the minimum before the
     unimodal refinement.
     """
-    return _minimize_on_grid(inputs, _c2_grid(inputs.lam), shared=False)
+    return _minimize_on_grid(inputs, _search_grid(inputs.lam, shared=False), shared=False)
 
 
 def minimize_single_rate(inputs: BoundInputs) -> tuple:
@@ -292,9 +337,7 @@ def minimize_single_rate(inputs: BoundInputs) -> tuple:
     The shared rate must satisfy 2*lam*c > 1, so the search domain starts
     just above 1/(2*lam).
     """
-    lam = inputs.lam
-    grid = np.geomspace((1.0 + 1e-9) / (2.0 * lam), C2_DOMAIN_HI / lam, GRID_POINTS)
-    return _minimize_on_grid(inputs, grid, shared=True)
+    return _minimize_on_grid(inputs, _search_grid(inputs.lam, shared=True), shared=True)
 
 
 @dataclass(frozen=True)
@@ -326,7 +369,7 @@ def select_rates(gamma_c_sq: float, gamma_n_sq: float, beta_c: float, lam: float
     beta_n = 1.0 - beta_c
     cn = BoundInputs(gamma_c_sq, gamma_n_sq, beta_c, lam, T=1)
     nc = BoundInputs(gamma_n_sq, gamma_c_sq, beta_n, lam, T=1)
-    grid = _c2_grid(cn.lam)
+    grid = _search_grid(cn.lam, shared=False)
     c_cn, v_cn = _minimize_on_grid(cn, grid, shared=False)
     c_nc, v_nc = _minimize_on_grid(nc, grid, shared=False)
     if v_cn <= v_nc:

@@ -341,3 +341,22 @@ def test_reference_gradients_reject_a_label_not_plus_or_minus_one(label):
         loss_gradient(sp, w, x, label)
     with pytest.raises(ValueError, match=r"labels must be -1 or \+1, got .* in y$"):
         mean_loss_gradient(sp, w, np.stack([x, x]), [label, label])
+
+
+@pytest.mark.parametrize("labels", [[1, True], [-1.0, np.True_], (True, -1), [[1], [True]]],
+                         ids=["int_then_bool", "float_then_np_bool", "tuple", "nested"])
+def test_a_label_sequence_that_mixes_bools_with_numbers_is_rejected(labels):
+    # np.asarray([1, True]) is the int array [1, 1], so True used to run as the label +1.
+    sp, x = spec("logistic"), np.array([0.6, 0.8])
+    X = np.stack([x] * len(labels))
+    with pytest.raises(ValueError, match=r"labels must be -1 or \+1, got (np\.)?True_? in y$"):
+        mean_loss_gradient(sp, np.zeros(2), X, labels)
+    if np.ndim(labels) == 1:
+        with pytest.raises(ValueError, match=r"labels must be -1 or \+1, got (np\.)?True_? in y$"):
+            Dataset(X, labels)
+
+
+def test_label_arrays_and_number_sequences_still_pass():
+    X = np.array([[0.6, 0.8], [0.8, 0.6]])
+    for labels in ([1, -1], (1.0, -1.0), np.array([1, -1]), np.array([1.0, -1.0])):
+        assert list(Dataset(X, labels).y) == [1.0, -1.0]

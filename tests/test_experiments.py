@@ -558,6 +558,26 @@ class TestCli:
         assert exit_info.value.code == message
         assert capsys.readouterr().out == ""
 
+    @pytest.mark.parametrize("command", ["order-exp", "strategy-cmp", "c2-sweep"])
+    @pytest.mark.parametrize("content,message", [
+        (None, "cannot read config {config}: No such file or directory"),
+        ('{"beta_c": 0.3,', "config {config} is not valid JSON: Expecting property name"),
+        (b"\xff\xfe", "config {config} is not valid JSON: 'utf-8' codec can't decode"),
+    ], ids=["missing", "truncated", "not_utf8"])
+    def test_a_config_file_that_cannot_be_read_ends_in_one_line_naming_it(
+            self, command, content, message, tmp_path, capsys):
+        config = tmp_path / "cfg.json"
+        if isinstance(content, str):
+            config.write_text(content)
+        elif content is not None:
+            config.write_bytes(content)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "--config", str(config)])
+        text = exit_info.value.code
+        assert isinstance(text, str) and "\n" not in text
+        assert text.startswith(message.format(config=config))
+        assert capsys.readouterr().out == ""
+
     def test_a_refused_value_logs_its_traceback_at_debug(self, caplog):
         caplog.set_level(logging.DEBUG, logger="hetsgd")
         with pytest.raises(SystemExit, match="^gamma_n_sq must be"):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from hetsgd.oracles import NoiseLevel, dp_noise_level, rcn_noise_level
 from hetsgd.ordering import noise_weights
 from hetsgd.rates import (_INVPHI, BRANCH_TOL, C2_DOMAIN_HI, C2_DOMAIN_LO, GOLDEN_REL_TOL,
                           GRID_POINTS, BoundInputs, DomainError, PreconditionViolated,
-                          RateSelection, _bound_evaluator, c2_bracket, clean_first_constant, clean_first_rate_interval,
+                          RateSelection, _bound_evaluator, _search_grid, c2_bracket,
+                          clean_first_constant, clean_first_rate_interval,
                           golden_section, minimize_phase2_rate, minimize_single_rate,
                           noisy_first_constant, noisy_first_rate_interval, select_rates,
                           two_phase_bound)
@@ -413,6 +415,46 @@ class TestMinimizers:
         c, val = minimize_single_rate(inputs)
         assert 2 * inputs.lam * c > 1.0
         assert val == pytest.approx(two_phase_bound(inputs, c, c), rel=1e-12)
+
+
+class TestSearchGrids:
+    """The minimisers' own grids and their unchecked evaluation."""
+
+    # A log spread over the lam the searches accept: 2*lam*c stays finite up to 1e3/lam.
+    LAMS = [float(x) for x in np.geomspace(1e-305, 8e307, 241)] + [1e-3, 1e-2, 0.5]
+
+    @pytest.mark.parametrize("shared", [False, True], ids=["c2", "shared"])
+    def test_each_grid_is_geomspace_bit_for_bit(self, shared):
+        for lam in self.LAMS:
+            lo = (1.0 + 1e-9) / (2.0 * lam) if shared else C2_DOMAIN_LO / lam
+            expected = np.geomspace(lo, C2_DOMAIN_HI / lam, GRID_POINTS)
+            assert _search_grid(lam, shared).tobytes() == expected.tobytes(), lam
+
+    @pytest.mark.parametrize("search", [
+        lambda gc, gn, lam: minimize_phase2_rate(BoundInputs(gc, gn, 0.3, lam, 1)),
+        lambda gc, gn, lam: minimize_single_rate(BoundInputs(gc, gn, 0.3, lam, 1)),
+        lambda gc, gn, lam: select_rates(gc, gn, 0.3, lam),
+    ], ids=["phase2", "single", "select"])
+    def test_an_overflowing_bound_on_the_grid_raises_without_a_warning(self, search):
+        for lam in (1e-3, 1e-2, 0.5):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match="overflows"):
+                    search(1e306, 1e306, lam)
+
+    @pytest.mark.parametrize("search", [
+        lambda lam: minimize_phase2_rate(BoundInputs(3.0, 50.0, 0.3, lam, 1)),
+        lambda lam: minimize_single_rate(BoundInputs(3.0, 50.0, 0.3, lam, 1)),
+        lambda lam: select_rates(3.0, 50.0, 0.3, lam),
+    ], ids=["phase2", "single", "select"])
+    def test_a_lam_whose_grid_overflows_is_refused_before_the_search(self, search):
+        # Unchecked, lam = 1e308 made 2*lam*c infinite on the whole grid, where the bound
+        # reads 0; a subnormal lam made 1e3/lam infinite and the grid NaN.
+        for lam in (5e-324, 1e-307, 1e308, 1.7e308):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=r"^2\*lam\*c must be finite on the rate "):
+                    search(lam)
 
 
 class TestSelectRates:
