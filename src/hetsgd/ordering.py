@@ -14,12 +14,23 @@ c < 1/lam, noisy data first for c > 1/lam, and a tie at c = 1/lam.
 
 Only the factors 1 - c*lam/s with s <= c*lam are negative or zero, and they
 come first, so ``noise_weights`` tracks signs and zeros over that prefix
-alone (none at all when c*lam < 2). ``compare_orders`` squares delta_t once
-for its three schedules. Both give the bits of the full computation: a
-product by +1.0 and a select that keeps every entry change nothing.
+alone (none at all when c*lam < 2); it gives the bits of the full
+computation, for a product by +1.0 and a select that keeps every entry change
+nothing. Its logs, suffix sums and exponentials are written in place, into
+arrays it made itself.
+
+``compare_orders`` gives its verdict from one table: the per-step variances
+of clean-first, noisy-first and the given interleaving are the rows of one
+(3, T) array, filled by slices and one masked fill, multiplied in place by
+delta_t^2 (squared once) and summed by one ``np.add.reduce(axis=1)``. Each
+deviation keeps ``expected_deviation``'s bits: every entry is the same
+product delta_t^2 * variance, and numpy sums each contiguous row with the
+same pairwise summation that ``np.sum`` runs over the 1-D product. The
+measured runs are in BENCH_order_table.json.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,35 +62,44 @@ def noise_weights(c: float, lam: float, T: int) -> NoiseWeights:
     check_counts({"T": T})
     if T == 1:
         return NoiseWeights(np.array([c]), c, lam, 1)
-    s = np.arange(2, T + 1, dtype=np.float64)
-    factors = 1.0 - c * lam / s
-    k = int(np.searchsorted(factors, 0.0, side="right"))    # factors[:k] <= 0
-    head = factors[:k]
-    zero = head == 0.0
-    logs = np.empty(T - 1)
-    logs[:k] = np.log(np.abs(np.where(zero, 1.0, head)))
-    logs[k:] = np.log(factors[k:])
-
-    # Suffix sums over s = t+1..T for each t = 1..T (empty suffix at t=T).
-    suffix_log = np.zeros(T)
-    suffix_log[:-1] = np.cumsum(logs[::-1])[::-1]
     t = np.arange(1, T + 1, dtype=np.float64)
-    deltas = np.exp(np.log(c / t) + suffix_log)
+    factors = 1.0 - c * lam / t[1:]          # s = t + 1 = 2..T
+    # factors[:k] <= 0; none when the first factor, at s = 2, is positive.
+    k = 0 if factors[0] > 0.0 else int(np.searchsorted(factors, 0.0, side="right"))
+    if k:
+        head = factors[:k]                   # a view: |factor|, zeros as 1, before the logs
+        neg, zero = head < 0.0, head == 0.0
+        np.abs(head, out=head)
+        head[zero] = 1.0
+    logs = np.log(factors, out=factors)
+
+    # Suffix sums over s = t+1..T for each t = 1..T (empty suffix at t=T), written
+    # backwards by one cumsum over the reversed logs.
+    deltas = np.empty(T)
+    deltas[-1] = 0.0
+    np.cumsum(logs[::-1], out=deltas[-2::-1])
+    deltas += np.log(np.divide(c, t, out=t), out=t)     # log(c/t), in t's own buffer
+    np.exp(deltas, out=deltas)
     if k:
         head_deltas = deltas[:k]     # a view: the suffixes that reach into the prefix
-        head_deltas[np.cumsum((head < 0.0)[::-1])[::-1] % 2 == 1] *= -1.0
+        head_deltas[np.cumsum(neg[::-1])[::-1] % 2 == 1] *= -1.0
         head_deltas[np.cumsum(zero[::-1])[::-1] > 0] = 0.0
     return NoiseWeights(deltas, c, lam, T)
 
 
 def expected_deviation(weights: NoiseWeights, step_noise_sq: Sequence[float]) -> float:
-    """Closed-form E||v_{T+1} - w_{T+1}||^2 = sum_t delta_t^2 * E||Z_t||^2."""
+    """Closed-form E||v_{T+1} - w_{T+1}||^2 = sum_t delta_t^2 * E||Z_t||^2.
+
+    Every variance must be finite and >= 0; a NaN, negative or infinite one raises
+    ValueError.
+    """
     variances = np.asarray(step_noise_sq, dtype=np.float64)
     if variances.shape != weights.deltas.shape:
         raise ValueError(
             f"schedule length {variances.shape} does not match T={weights.T}")
-    if not variances.min() >= 0.0:             # NaN fails too
-        raise ValueError(f"step_noise_sq must be >= 0, got {variances.min()}")
+    lo, hi = variances.min(), variances.max()
+    if not (lo >= 0.0 and hi < math.inf):      # NaN fails too
+        raise ValueError(f"step_noise_sq must be >= 0 and finite, got values from {lo} to {hi}")
     return float(np.sum(weights.deltas ** 2 * variances))
 
 
@@ -105,8 +125,8 @@ def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
     ``arbitrary_pattern`` is a mask of length T_clean + T_noisy, of bools or
     0/1 entries, with exactly T_noisy noisy (True or 1) steps. Ties are
     declared when clean-first and noisy-first agree to relative 1e-12, which
-    happens exactly at c = 1/lam. The three deviations share one delta_t^2,
-    squared once, and give expected_deviation's bits.
+    happens exactly at c = 1/lam. The three deviations are the row sums of one
+    table (see the module docstring) and give expected_deviation's bits.
     """
     check_reals({"v_clean_sq": v_clean_sq, "v_noisy_sq": v_noisy_sq}, NONNEGATIVE_FINITE)
     if not v_clean_sq <= v_noisy_sq:
@@ -118,19 +138,23 @@ def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
         bad = pattern[(pattern != 0) & (pattern != 1)]
         if bad.size:
             raise ValueError(f"pattern entries must be bools or 0/1, got {bad[0]!r}")
-    pattern = pattern.astype(bool)
+    pattern = pattern.astype(bool, copy=False)
     T = T_clean + T_noisy
-    if pattern.shape != (T,) or int(pattern.sum()) != T_noisy:
+    if pattern.shape != (T,) or np.count_nonzero(pattern) != T_noisy:
         raise ValueError("pattern must have length T with T_noisy noisy steps")
-    deltas_sq = noise_weights(c, lam, T).deltas ** 2
+    deltas_sq = noise_weights(c, lam, T).deltas
+    np.square(deltas_sq, out=deltas_sq)
 
-    cf = np.zeros(T, dtype=bool)
-    cf[T_clean:] = True
-    nf = np.zeros(T, dtype=bool)
-    nf[:T_noisy] = True
-    dev_cf, dev_nf, dev_ao = (
-        float(np.sum(deltas_sq * two_level_schedule(mask, v_clean_sq, v_noisy_sq)))
-        for mask in (cf, nf, pattern))
+    # One row per order: clean-first, noisy-first, the given pattern.
+    schedules = np.empty((3, T))
+    schedules[0, :T_clean] = v_clean_sq
+    schedules[0, T_clean:] = v_noisy_sq
+    schedules[1, :T_noisy] = v_noisy_sq
+    schedules[1, T_noisy:] = v_clean_sq
+    schedules[2] = v_clean_sq
+    np.putmask(schedules[2], pattern, v_noisy_sq)
+    schedules *= deltas_sq
+    dev_cf, dev_nf, dev_ao = np.add.reduce(schedules, axis=1).tolist()
 
     scale = max(abs(dev_cf), abs(dev_nf), 1e-300)
     if abs(dev_cf - dev_nf) <= 1e-12 * scale:

@@ -15,9 +15,11 @@ The selector evaluates both data orders and keeps the better one.
 Each search evaluates a 400-point log grid in one array call, then refines
 around its best point by golden section, one plain-float point at a time.
 What does not change within a search is built once per search: a scalar
-evaluator (``_bound_evaluator``) holds 2*lam, 4*g1, 4*g2, the logs of beta1
-and the first term's T*(2*lam*c1 - 1). What does not change with the order is
-built once per lam: the c2 grid is shared by both orders of ``select_rates``.
+evaluator (``_bound_evaluator``) holds 2*lam, 4*g1, 4*g2, the logs of beta1,
+the first term's T*(2*lam*c1 - 1), np.exp, np.expm1 and the branch tolerance,
+and ``golden_section`` binds its step and tolerance once. What does not change
+with the order is built once per lam: the c2 grid is shared by both orders of
+``select_rates``.
 The bits do not change: hoisting a product that the formula already
 evaluates first keeps every rounding, and the evaluator runs the array path's
 operations in the same order. Nothing is kept past one public call.
@@ -39,7 +41,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -104,27 +106,32 @@ def _bound_evaluator(inputs: BoundInputs, c1: float | None) -> Callable[[float],
 
     Everything that does not depend on the evaluated rate (2*lam, 4*g1, 4*g2, the two
     logs of beta1 and, for a fixed c1, the first term's T*(2*lam*c1 - 1)) is computed
-    once here, with the operation order of the array path, so each point costs a few
-    float operations and gives the array path's bits. The rates are not checked: the
+    once here, with the operation order of the array path, and np.exp, np.expm1 and the
+    tolerances are bound once, so each point costs a few float operations, builds no
+    tuple and gives the array path's bits. The rates are not checked: the
     caller validates them. A bound that overflows still raises ValueError.
     """
     two_lam, T = 2.0 * inputs.lam, inputs.T
     four_g1, four_g2 = 4.0 * inputs.gamma1_sq, 4.0 * inputs.gamma2_sq
     log_beta, log_inv_beta = math.log(inputs.beta1), math.log(1.0 / inputs.beta1)
     first_den = None if c1 is None else T * (two_lam * c1 - 1.0)
+    exp, expm1, tol, inf = np.exp, np.expm1, BRANCH_TOL, math.inf
 
     def bound(c2: float) -> float:
         e = two_lam * c2 - 1.0
         # With c1 = c2 the first term's 2*lam*c1 - 1 is e itself.
-        c, den = (c2, T * e) if c1 is None else (c1, first_den)
-        if abs(e) <= BRANCH_TOL:
+        if c1 is None:
+            c, den = c2, T * e
+        else:
+            c, den = c1, first_den
+        if abs(e) <= tol:
             bexp, second = 1.0, four_g2 * c2 * c2 * log_inv_beta / T
         else:
             x = e * log_beta
-            bexp = float(np.exp(x))
-            second = four_g2 * -float(np.expm1(x)) * c2 * c2 / (T * e)
+            bexp = float(exp(x))
+            second = four_g2 * -float(expm1(x)) * c2 * c2 / (T * e)
         out = four_g1 * bexp * c * c / den + second
-        if not out < math.inf:
+        if not out < inf:
             raise ValueError(f"the bound overflows at c1={c}, c2={c2}")
         return out
 
@@ -253,22 +260,23 @@ def golden_section(f: Callable[[float], float], lo: float, hi: float) -> tuple:
     f is called one point at a time, in the order lo, hi, then the interior
     points, and only at points the search uses.
     """
+    invphi, tol = _INVPHI, GOLDEN_REL_TOL
     best_x, best_f = lo, f(lo)
     f_hi = f(hi)
     if f_hi < best_f:
         best_x, best_f = hi, f_hi
     a, b = lo, hi
-    x1 = b - _INVPHI * (b - a)
-    x2 = a + _INVPHI * (b - a)
+    x1 = b - invphi * (b - a)
+    x2 = a + invphi * (b - a)
     f1, f2 = f(x1), f(x2)
-    while (b - a) > GOLDEN_REL_TOL * max(abs(a), abs(b), 1e-300):
+    while (b - a) > tol * max(abs(a), abs(b), 1e-300):
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
-            x1 = b - _INVPHI * (b - a)
+            x1 = b - invphi * (b - a)
             f1 = f(x1)
         else:
             a, x1, f1 = x1, x2, f2
-            x2 = a + _INVPHI * (b - a)
+            x2 = a + invphi * (b - a)
             f2 = f(x2)
         if f1 < best_f:
             best_x, best_f = x1, f1
@@ -354,7 +362,9 @@ class RateSelection:
     noisy_first_value: float
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # The fields are a str and floats, set in field order, so a copy of the
+        # instance dict equals asdict's deep copy.
+        return dict(vars(self))
 
 
 def select_rates(gamma_c_sq: float, gamma_n_sq: float, beta_c: float, lam: float) -> RateSelection:

@@ -1,3 +1,4 @@
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -89,12 +90,22 @@ def reference_noise_weights(c, lam, T):
 
 
 @pytest.mark.parametrize("c_lam", [0.5, 1.0, 1.999, 2.0, 2.5, 3.0, 7.2])
-@pytest.mark.parametrize("T", [1, 2, 3, 100, 5000])
+@pytest.mark.parametrize("T", [1, 2, 3, 100, 5000, 20000])
 def test_prefix_sign_tracking_gives_the_full_tracking_bits(c_lam, T):
     for lam in (1.0, 1e-3, 0.37):
         c = c_lam / lam
         deltas = noise_weights(c, lam, T).deltas
         # tobytes: the same bits, signed zeros included.
+        assert deltas.tobytes() == reference_noise_weights(c, lam, T).tobytes()
+
+
+@pytest.mark.parametrize("T", [20000, 70000])
+def test_a_prefix_past_numpys_buffers_gives_the_full_tracking_bits(T):
+    # c*lam = 10000.5 puts 9999 negative factors first, more than numpy's 8192-element
+    # buffers hold. (A horizon below c*lam would overflow delta_t.)
+    for lam in (1.0, 1e-3, 0.37):
+        c = 10000.5 / lam
+        deltas = noise_weights(c, lam, T).deltas
         assert deltas.tobytes() == reference_noise_weights(c, lam, T).tobytes()
 
 
@@ -126,6 +137,11 @@ class TestExpectedDeviation:
     def test_negative_or_nan_variance_rejected(self, bad):
         with pytest.raises(ValueError, match="step_noise_sq must be >= 0"):
             expected_deviation(noise_weights(1.0, 1.0, 2), [1.0, bad])
+
+    def test_infinite_variance_rejected(self):
+        # compare_orders refuses an infinite level; the deviation of one would read inf.
+        with pytest.raises(ValueError, match="step_noise_sq must be >= 0 and finite"):
+            expected_deviation(noise_weights(1.0, 1.0, 2), [1.0, np.inf])
 
 
 def seeded_pattern(T_clean, T_noisy, seed=0):
@@ -207,6 +223,35 @@ class TestCompareOrders:
                 verdict.deviation_arbitrary) == tuple(
             expected_deviation(weights, two_level_schedule(mask, v_c, v_n))
             for mask in (cf, nf, pattern))
+
+    @staticmethod
+    def assert_expected_deviation_bits(c, lam, T_clean, v_c, v_n, mask, pattern):
+        """compare_orders' three deviations are expected_deviation's, bit for bit."""
+        T = len(mask)
+        verdict = compare_orders(c, lam, T_clean, T - T_clean, v_c, v_n, pattern)
+        weights = noise_weights(c, lam, T)
+        steps = np.arange(T)
+        assert (verdict.deviation_clean_first, verdict.deviation_noisy_first,
+                verdict.deviation_arbitrary) == tuple(
+            expected_deviation(weights, two_level_schedule(order, v_c, v_n))
+            for order in (steps >= T_clean, steps < T - T_clean, mask))
+
+    # Around and past numpy's 8192-element buffers, for each kind of pattern the
+    # docstring allows.
+    @pytest.mark.parametrize("kind", [bool, int, float])
+    @pytest.mark.parametrize("c_lam", [0.5, 1.0, 2.5, 7.2])
+    @pytest.mark.parametrize("T", [8191, 8192, 8193, 20000])
+    def test_long_horizons_give_expected_deviation_bits(self, T, c_lam, kind):
+        mask = seeded_pattern(T // 3, T - T // 3, 6)
+        self.assert_expected_deviation_bits(c_lam / 1e-3, 1e-3, T // 3, 2.5, 917.0, mask,
+                                            mask.astype(kind))
+
+    def test_fraction_levels_give_expected_deviation_bits(self):
+        # Levels are read as float64, as expected_deviation reads a schedule, not
+        # summed as Python objects one by one.
+        mask = seeded_pattern(2500, 2500, 7)
+        self.assert_expected_deviation_bits(700.0, 1e-3, 2500, Fraction(1, 3), Fraction(7, 3),
+                                            mask, mask)
 
     @pytest.mark.parametrize("T_clean,T_noisy,named", [
         (0, 4, "T_clean must be an integer >= 1, got 0"),

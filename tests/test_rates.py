@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import itertools
 import logging
@@ -511,6 +512,16 @@ class TestSelectRates:
         sel = select_rates(5.0, 50.0, 0.2, 0.1)
         d = sel.to_dict()
         assert d["order"] == sel.order and d["c2"] == sel.c2
+
+    def test_to_dict_is_asdict_and_a_fresh_dict_each_call(self):
+        sel = select_rates(5.0, 50.0, 0.2, 0.1)
+        d = sel.to_dict()
+        assert d == dataclasses.asdict(sel)
+        assert repr(d) == repr(dataclasses.asdict(sel))     # the same keys in the same order
+        assert d is not sel.to_dict()
+        d["c2"], d["extra"] = -1.0, 1
+        assert sel.c2 != -1.0 and not hasattr(sel, "extra")
+        assert sel.to_dict() == dataclasses.asdict(sel)
 
 
 class TestRateIntervals:
