@@ -31,12 +31,16 @@ measured runs are in BENCH_order_table.json.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .core import NONNEGATIVE_FINITE, POSITIVE_FINITE, check_counts, check_reals
+
+# exp(x) is finite exactly for x <= log(largest float).
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -56,7 +60,9 @@ def noise_weights(c: float, lam: float, T: int) -> NoiseWeights:
     integer <= T); signs are accumulated separately so the magnitudes stay in
     log space. The factors rise with s (float division and subtraction are
     monotone), so the nonpositive ones form a prefix, empty when c*lam < 2,
-    and signs and zeros are tracked over that prefix alone.
+    and signs and zeros are tracked over that prefix alone. A delta past the
+    float range, which only a factor below -1 at the head of that prefix can
+    give, raises ValueError naming c, lam and T.
     """
     check_reals({"c": c, "lam": lam}, POSITIVE_FINITE)
     check_counts({"T": T})
@@ -66,6 +72,9 @@ def noise_weights(c: float, lam: float, T: int) -> NoiseWeights:
     factors = 1.0 - c * lam / t[1:]          # s = t + 1 = 2..T
     # factors[:k] <= 0; none when the first factor, at s = 2, is positive.
     k = 0 if factors[0] > 0.0 else int(np.searchsorted(factors, 0.0, side="right"))
+    # Only a factor below -1 (c*lam/s > 2) has a positive log, so only then can a delta
+    # leave the float range; such factors come first.
+    steep = factors[0] < -1.0
     if k:
         head = factors[:k]                   # a view: |factor|, zeros as 1, before the logs
         neg, zero = head < 0.0, head == 0.0
@@ -79,19 +88,27 @@ def noise_weights(c: float, lam: float, T: int) -> NoiseWeights:
     deltas[-1] = 0.0
     np.cumsum(logs[::-1], out=deltas[-2::-1])
     deltas += np.log(np.divide(c, t, out=t), out=t)     # log(c/t), in t's own buffer
-    np.exp(deltas, out=deltas)
     if k:
         head_deltas = deltas[:k]     # a view: the suffixes that reach into the prefix
+        zeroed = np.cumsum(zero[::-1])[::-1] > 0        # a zero factor makes the delta zero
+        if steep and not np.max(head_deltas, where=~zeroed, initial=-math.inf) <= _LOG_MAX:
+            raise ValueError(_overflow("the noise weights", c, lam, T))
+    np.exp(deltas, out=deltas)
+    if k:
         head_deltas[np.cumsum(neg[::-1])[::-1] % 2 == 1] *= -1.0
-        head_deltas[np.cumsum(zero[::-1])[::-1] > 0] = 0.0
+        head_deltas[zeroed] = 0.0
     return NoiseWeights(deltas, c, lam, T)
+
+
+def _overflow(what: str, c: float, lam: float, T: int) -> str:
+    return f"{what} overflow the float range at c={c!r}, lam={lam!r}, T={T}"
 
 
 def expected_deviation(weights: NoiseWeights, step_noise_sq: Sequence[float]) -> float:
     """Closed-form E||v_{T+1} - w_{T+1}||^2 = sum_t delta_t^2 * E||Z_t||^2.
 
     Every variance must be finite and >= 0; a NaN, negative or infinite one raises
-    ValueError.
+    ValueError, as does a sum past the float range.
     """
     variances = np.asarray(step_noise_sq, dtype=np.float64)
     if variances.shape != weights.deltas.shape:
@@ -100,7 +117,11 @@ def expected_deviation(weights: NoiseWeights, step_noise_sq: Sequence[float]) ->
     lo, hi = variances.min(), variances.max()
     if not (lo >= 0.0 and hi < math.inf):      # NaN fails too
         raise ValueError(f"step_noise_sq must be >= 0 and finite, got values from {lo} to {hi}")
-    return float(np.sum(weights.deltas ** 2 * variances))
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(weights.deltas ** 2 * variances))
+    if not total < math.inf:                    # NaN fails too
+        raise ValueError(_overflow("the weighted squares", weights.c, weights.lam, weights.T))
+    return total
 
 
 def two_level_schedule(pattern_noisy: np.ndarray, v_clean_sq: float, v_noisy_sq: float) -> np.ndarray:
@@ -126,7 +147,8 @@ def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
     0/1 entries, with exactly T_noisy noisy (True or 1) steps. Ties are
     declared when clean-first and noisy-first agree to relative 1e-12, which
     happens exactly at c = 1/lam. The three deviations are the row sums of one
-    table (see the module docstring) and give expected_deviation's bits.
+    table (see the module docstring) and give expected_deviation's bits; one past
+    the float range raises ValueError naming c, lam and T.
     """
     check_reals({"v_clean_sq": v_clean_sq, "v_noisy_sq": v_noisy_sq}, NONNEGATIVE_FINITE)
     if not v_clean_sq <= v_noisy_sq:
@@ -143,7 +165,6 @@ def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
     if pattern.shape != (T,) or np.count_nonzero(pattern) != T_noisy:
         raise ValueError("pattern must have length T with T_noisy noisy steps")
     deltas_sq = noise_weights(c, lam, T).deltas
-    np.square(deltas_sq, out=deltas_sq)
 
     # One row per order: clean-first, noisy-first, the given pattern.
     schedules = np.empty((3, T))
@@ -153,8 +174,13 @@ def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
     schedules[1, T_noisy:] = v_clean_sq
     schedules[2] = v_clean_sq
     np.putmask(schedules[2], pattern, v_noisy_sq)
-    schedules *= deltas_sq
-    dev_cf, dev_nf, dev_ao = np.add.reduce(schedules, axis=1).tolist()
+    with np.errstate(over="ignore", invalid="ignore"):
+        np.square(deltas_sq, out=deltas_sq)
+        schedules *= deltas_sq
+        deviations = np.add.reduce(schedules, axis=1)
+    dev_cf, dev_nf, dev_ao = deviations.tolist()
+    if not (math.isfinite(dev_cf) and math.isfinite(dev_nf) and math.isfinite(dev_ao)):
+        raise ValueError(_overflow("the weighted squares", c, lam, T))
 
     scale = max(abs(dev_cf), abs(dev_nf), 1e-300)
     if abs(dev_cf - dev_nf) <= 1e-12 * scale:

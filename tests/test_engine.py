@@ -39,19 +39,30 @@ def dataset(n, d, seed, zeros=False):
     return Dataset(X, y)
 
 
-def reference_run(row: Row) -> list:
-    """Iterates of one row, stepped through GradientOracle.call on its oracles (or twins)."""
+def reference_run(row: Row, as_row: bool = False) -> tuple:
+    """(iterates, steps the projection scaled) of one row, stepped through
+    GradientOracle.call on its oracles (or twins) and ``project``.
+
+    With ``as_row`` the iterate is a (1, d) matrix and each batch index an array,
+    so the oracle takes its margins and ``project`` its norms by the engine's
+    einsums: the iterates then carry the engine's bytes at b = 1.
+    """
     radius = row.oracles[0].objective.radius
     oracles = row.oracles if row.noisy else [o.twin() for o in row.oracles]
     batch = [0] * len(oracles)                            # the next batch of each slot
     w = np.zeros(row.oracles[0].dataset.d) if row.w0 is None else row.w0.copy()
-    iterates = []
+    if as_row:
+        w = w[None, :]
+    iterates, scaled = [], []
     for t, slot in enumerate(row.schedule.slots, start=1):
-        g = oracles[slot].call(w, batch[slot])
+        g = oracles[slot].call(w, np.array([batch[slot]]) if as_row else batch[slot])
         batch[slot] += 1
-        w = project(w - (row.schedule.rates[slot] / t) * g, radius)
-        iterates.append(w)
-    return iterates
+        v = w - (row.schedule.rates[slot] / t) * g
+        w = project(v, radius)
+        if w is not v:
+            scaled.append(t)
+        iterates.append(w[0] if as_row else w)
+    return iterates, scaled
 
 
 def mixed_rows(loss, b, seed=0, zeros=False, radius=1.0):
@@ -93,7 +104,7 @@ def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
     rows = mixed_rows(loss, b, radius=radius)
     hit = False
     for row, traj, iterates in zip(rows, run_batch(rows), prefix_iterates(rows)):
-        ref = reference_run(row)
+        ref, _ = reference_run(row)
         assert traj.steps == len(ref)
         assert [t for t, _ in iterates] == list(range(1, len(ref) + 1))
         np.testing.assert_allclose(np.array([w for _, w in iterates]), np.array(ref),
@@ -101,6 +112,22 @@ def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
         np.testing.assert_allclose(traj.final_w, ref[-1], rtol=1e-12, atol=1e-15)
         hit |= any(np.linalg.norm(w) >= radius * (1 - 1e-12) for w in ref)
     assert hit == active
+
+
+@pytest.mark.parametrize("radius", [0.3, 1e3])
+@pytest.mark.parametrize("zeros", [False, True])
+def test_logistic_b1_rows_without_flips_step_the_reference_paths_bytes(radius, zeros):
+    # Without the rcn rows, a logistic b = 1 call takes the engine's fast step body. Row by
+    # row and step by step it gives the bytes of the reference path run as a (1, d) row.
+    rows = [r for r in mixed_rows("logistic", 1, zeros=zeros, radius=radius)
+            if r.oracles[0].spec.kind != "rcn"]
+    trajectories = run_batch(rows)
+    for row, traj, iterates in zip(rows, trajectories, prefix_iterates(rows)):
+        ref, scaled = reference_run(row, as_row=True)
+        assert [w.tobytes() for _, w in iterates] == [w.tobytes() for w in ref]
+        assert traj.final_w.tobytes() == ref[-1].tobytes()
+        assert (traj.projected, traj.last_projected) == (len(scaled), max(scaled, default=0))
+    assert any(t.projected for t in trajectories) == (radius < 1)
 
 
 def engine_digest(rows):
@@ -274,17 +301,8 @@ def test_projected_counts_the_steps_the_reference_projects(b):
     rows = mixed_rows("logistic", b, radius=0.3)
     trajectories = run_batch(rows)
     for row, traj in zip(rows, trajectories):
-        oracles = row.oracles if row.noisy else [o.twin() for o in row.oracles]
-        batch = [0] * len(oracles)
-        w, hits = np.zeros(row.oracles[0].dataset.d) if row.w0 is None else row.w0, 0
-        last = 0
-        for t, slot in enumerate(row.schedule.slots, start=1):
-            v = w - (row.schedule.rates[slot] / t) * oracles[slot].call(w, batch[slot])
-            batch[slot] += 1
-            w = project(v, 0.3)
-            hits += w is not v
-            last = t if w is not v else last
-        assert (traj.projected, traj.last_projected) == (hits, last)
+        _, scaled = reference_run(row)
+        assert (traj.projected, traj.last_projected) == (len(scaled), max(scaled, default=0))
     assert any(t.projected for t in trajectories)
     assert all(t.projected == 0 for t in run_batch(mixed_rows("logistic", b, radius=1e3)))
 
@@ -609,6 +627,28 @@ def test_trial_values_do_not_depend_on_the_chunk(run, overrides, monkeypatch):
     assert set(chunked) == set(stepwise)
     for key in chunked:
         assert chunked[key].tobytes() == stepwise[key].tobytes()
+
+
+def test_an_order_experiment_trial_steps_the_reference_paths_bytes(monkeypatch):
+    # One order-exp trial at b = 1, every step of which takes the engine's logistic b = 1
+    # step body: CF, NF and AO rows, noisy and twin, below and above c = 1/lam = 100, with
+    # the projection active. At this seed both AO rows open with the clean source, so each
+    # takes over the first run of the CF row at its rate.
+    calls = []
+    monkeypatch.setattr(experiments, "run_batch", lambda rows: calls.append(rows) or
+                        run_batch(rows))
+    run_order_experiment(small_config(trials=1, master_seed=7, c_grid=(50.0, 200.0), oracles={
+        "kind": "local_dp", "epsilon_clean": 10.0, "epsilon_noisy": 2.0, "batch_size": 1}))
+    rows, = calls
+    trajectories = run_batch(rows)
+    assert len(rows) == 12 and {r.oracles[0].spec.batch_size for r in rows} == {1}
+    assert [t.shared > 0 for t in trajectories] == [False] * 4 + [True] * 2 + \
+        [False] * 4 + [True] * 2
+    assert sum(t.projected for t in trajectories) > 0
+    for row, traj in zip(rows, trajectories):
+        iterates, scaled = reference_run(row, as_row=True)
+        assert traj.final_w.tobytes() == iterates[-1].tobytes()
+        assert (traj.projected, traj.last_projected) == (len(scaled), max(scaled, default=0))
 
 
 def test_rcn_order_experiment_runs_batched():

@@ -109,6 +109,28 @@ def test_a_prefix_past_numpys_buffers_gives_the_full_tracking_bits(T):
         assert deltas.tobytes() == reference_noise_weights(c, lam, T).tobytes()
 
 
+def test_weights_past_the_float_range_raise_naming_c_lam_and_t():
+    # c*lam = 10000.5 over 5000 steps: every factor lies below -1, and 3,139 of the deltas
+    # would leave the float range.
+    with pytest.raises(ValueError, match=r"^the noise weights overflow the float range at "
+                                         r"c=10000\.5, lam=1\.0, T=5000$"):
+        noise_weights(10000.5, 1.0, 5000)
+    pattern = seeded_pattern(2500, 2500)
+    with pytest.raises(ValueError, match=r"noise weights .* c=10000500\.0, lam=0\.001, T=5000$"):
+        compare_orders(10000.5 / 1e-3, 1e-3, 2500, 2500, 1.0, 4.0, pattern)
+
+
+def test_weighted_squares_past_the_float_range_raise():
+    # c*lam = 0.1: every factor lies in (0, 1), but c/t leaves delta_t^2 past the float range.
+    weights = noise_weights(1e200, 1e-201, 10)
+    assert np.isfinite(weights.deltas).all()
+    named = r"^the weighted squares overflow the float range at c=1e\+200, lam=1e-201, T=10$"
+    with pytest.raises(ValueError, match=named):
+        expected_deviation(weights, np.ones(10))
+    with pytest.raises(ValueError, match=named):
+        compare_orders(1e200, 1e-201, 5, 5, 1.0, 4.0, seeded_pattern(5, 5))
+
+
 class TestExpectedDeviation:
     def test_zero_variances(self):
         assert expected_deviation(noise_weights(1.0, 1.0, 5), np.zeros(5)) == 0.0
