@@ -106,8 +106,7 @@ def sample_privacy_noise(epsilon: float, d: int, rng: np.random.Generator,
         raise ValueError(f"size must be an integer >= 0, got {size!r}")
     radii = rng.standard_gamma(d, size=size) * (2.0 / epsilon)
     z = rng.standard_normal((size, d))
-    # np.linalg.norm(z, axis=1)'s own computation, without its copy of z.conj().
-    z *= (radii / np.sqrt(np.add.reduce(z * z, axis=1)))[:, None]
+    z *= (radii / np.linalg.norm(z, axis=1))[:, None]
     return z
 
 
@@ -179,14 +178,12 @@ def _draw_noise(spec: OracleSpec, d: int, rng: np.random.Generator) -> tuple:
     """(batch-mean noise (steps, d) or None, label flips (steps, b) or None) for a whole budget."""
     b = spec.batch_size
     steps = spec.budget // b
-
-    def batch_means(z):     # a mean of one row divides by 1: at b = 1 it is z's own bytes
-        return z if b == 1 else z.reshape(steps, b, d).mean(axis=1)
-
     if spec.kind == "local_dp":
-        return batch_means(sample_privacy_noise(spec.epsilon, d, rng, size=steps * b)), None
+        z = sample_privacy_noise(spec.epsilon, d, rng, size=steps * b)
+        return z.reshape(steps, b, d).mean(axis=1), None
     if spec.kind == "gaussian":
-        return batch_means(rng.standard_normal((steps * b, d))) * np.sqrt(spec.noise_sq / d), None
+        z = rng.standard_normal((steps * b, d))
+        return z.reshape(steps, b, d).mean(axis=1) * np.sqrt(spec.noise_sq / d), None
     if spec.kind == "rcn":
         return None, (rng.random(steps * b) < spec.sigma).reshape(steps, b)
     return None, None

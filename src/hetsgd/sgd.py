@@ -43,25 +43,19 @@ one (rows, b) buffer; the gradient into a (rows, d) buffer; the update into
 the spare (rows, d) iterate buffer, which then swaps roles with the
 iterate's; and the squared row norms into a (rows,) buffer.
 
-The step body is chosen once per engine call. Logistic rows at b = 1 that read
-no label flips, in a finite ball, take the fast body: every ``order-exp``
-step, and no ``c2-sweep`` or ``strategy-cmp`` step, since those run at b = 50.
-It zips over a chunk's gathered arrays and the bound's coefficients and
-branches on nothing but the norm bound. Each step is 8 array calls (the
-margin einsum, expit, the gradient product and five for the update) and
-allocates nothing. Every other shape (b > 1, label flips, the hinge and linear
-losses, an infinite radius) takes the general body. It branches each step on
-the loss and the batch size, and makes the same calls in the same order (at
-b > 1 the gradient is an einsum and a division, 9 calls for a logistic step),
-so a logistic b = 1 step gives the same bytes in either body.
-BENCH_order_step.json holds the measured runs. Both bodies run the exact
-inside-ball test through one helper, ``_exact_test``, adding 2 calls (the
+One step body serves every shape. It zips over a chunk's gathered arrays and
+the bound's coefficients, passes ``out`` positionally and branches each step on
+label flips, the loss, b and the radius. A logistic step at batch size 1 is 8
+array calls (the margin einsum, expit, the gradient product and five for the
+update) and allocates nothing; at b > 1 the gradient is an einsum and a
+division, 9 calls. A step that runs the exact inside-ball test adds 2 (the
 squared-norm einsum and its max). The test and the scaling share those squared
 norms: a step whose largest row norm is within the radius leaves the update as
 it is, and only a step that fails the test scales rows
 (``core.scale_into_ball``), counts them in ``Trajectory.projected`` and
-``Trajectory.last_projected`` and checks that no row became non-finite,
-naming the step if one did.
+``Trajectory.last_projected`` and checks that no row became non-finite, naming
+the step if one did. BENCH_order_step.json holds the measured runs, and why a
+second body for logistic rows at b = 1 was not kept.
 
 Most steps need no test, because a running bound n on the span's largest row
 norm already places every row inside the ball. The update is
@@ -255,28 +249,6 @@ def _norm_bounds(t0: int, t1: int, c_lo: float, c_hi: float, lam: float, reach: 
     return a, e
 
 
-def _exact_test(V: np.ndarray, sq: np.ndarray, radius: float, grow: float, hits: np.ndarray,
-                last: np.ndarray, t: int) -> float:
-    """Run the exact inside-ball test on the update V of step t; return the restarted bound.
-
-    A correctly rounded sqrt is monotone, so the test is "every row inside"; NaN fails it.
-    Rows inside would be scaled by exactly 1.0, so a step that passes leaves V as it is; one
-    that fails scales V's rows outside the ball, adds them to ``hits``, sets their ``last``
-    to t and raises ``InfeasibleIterate`` if a row is not finite.
-    """
-    np.einsum("rd,rd->r", V, V, out=sq)
-    top = math.sqrt(np.maximum.reduce(sq))
-    if not top <= radius:
-        scaled = scale_into_ball(V, sq, radius)
-        hits += scaled
-        last[scaled] = t
-        if np.isnan(V).any():
-            raise InfeasibleIterate(f"a run's iterate became non-finite at step {t}")
-        top = radius
-    # Squares below 1e-300 may have lost all accuracy: floor the norm.
-    return max(top, 1e-140) * grow
-
-
 def _check_one_pass(rows: Sequence[Row], pairs: np.ndarray, pair_row: np.ndarray,
                     pair_slot: np.ndarray, used: np.ndarray, b: int) -> None:
     """Raise ``BudgetExhausted`` if two (row, slot) ``pairs`` over one dataset read one example.
@@ -444,11 +416,10 @@ def run_batch(rows: Sequence[Row]) -> list:
     # the iterate buffer, and a step writes into the first R rows of each. The update goes
     # into the spare iterate buffer, which then swaps roles with the iterate's.
     loss, bounded = objective.loss, math.isfinite(radius)
-    expit = load_expit() if loss == "logistic" else None
-    # The step body, chosen once (see the module docstring); the fast one calls numpy
-    # through these local names.
-    fast = b == 1 and loss == "logistic" and not rcn and bounded
-    einsum, multiply, add, subtract = np.einsum, np.multiply, np.add, np.subtract
+    logistic = loss == "logistic"
+    expit = load_expit() if logistic else None
+    einsum, multiply, divide = np.einsum, np.multiply, np.divide
+    add, subtract = np.add, np.subtract
     scales_buf = np.ones((n_rows, b))       # linear loss: the scales stay 1.0
     grad_buf, spare = np.empty((n_rows, d)), np.empty((n_rows, d))
     iterate_buf, sq_buf = np.empty((n_rows, d)), np.empty(n_rows)
@@ -495,9 +466,7 @@ def run_batch(rows: Sequence[Row]) -> list:
             rs += row_base
             at_ex = np.take(ex_at, rs)
             at_ex += k * b
-            # Uc is (steps, rows, b, d); at b = 1 the batch axis is a trailing unit axis.
-            at_ex = at_ex[..., None] if b == 1 else at_ex[..., None] + offsets
-            Uc = np.take(U, np.take(examples, at_ex), axis=0)
+            Uc = np.take(U, np.take(examples, at_ex[..., None] + offsets), axis=0)
             U1c = Uc[:, :, 0]
             if rcn:
                 f_c = np.where(np.take(flips, np.take(flip_at, rs) + k, axis=0), -1.0, 1.0)
@@ -508,50 +477,53 @@ def run_batch(rows: Sequence[Row]) -> list:
             eta_c = np.repeat((np.take(rate_at, rs) / step_no[steps])[..., None], d, axis=2)
             if bounded:
                 a_c, e_c = a_span[c0 - t0:c1 - t0].tolist(), e_span[c0 - t0:c1 - t0].tolist()
-            if fast:
-                # The general body's logistic b = 1 step, call for call, with ``out``
-                # positional; only the norm bound branches.
-                for t, Ub, u1, z, eta, a, e in zip(range(c0, c1), Uc, U1c, noise_c, eta_c,
-                                                   a_c, e_c):
-                    expit(einsum("rbd,rd->rb", Ub, Wa, out=M), M)
-                    multiply(M, u1, G)
-                    multiply(Wa, lam, V)
-                    add(V, G, V)
-                    add(V, z, V)
-                    multiply(V, eta, V)
-                    subtract(Wa, V, V)
-                    n = a * n + e
-                    if not n <= inside:
-                        n, checks = _exact_test(V, sq, radius, grow, hits, last, t), checks + 1
-                    Wa, V = V, Wa
-                continue
-            for j, t in enumerate(range(c0, c1)):
-                Ub = Uc[j]
+            else:
+                a_c = e_c = [None] * (c1 - c0)
+            # At b = 1 a step's array calls are small, so its Python dispatch is much of its
+            # cost: the loop zips over the chunk, calls numpy through local names and passes
+            # ``out`` positionally (BENCH_order_step.json).
+            for t, Ub, u1, z, eta, a, e in zip(range(c0, c1), Uc, U1c, noise_c, eta_c, a_c, e_c):
                 if rcn:
-                    s = rcn_scales(objective, np.einsum("rbd,rd->rb", Ub, Wa, out=M), f_c[j],
+                    j = t - c0
+                    s = rcn_scales(objective, einsum("rbd,rd->rb", Ub, Wa, out=M), f_c[j],
                                    keep_c[j], sigma_c[j], denom_c[j])
-                elif loss == "logistic":
-                    s = expit(np.einsum("rbd,rd->rb", Ub, Wa, out=M), out=M)
+                elif logistic:
+                    s = expit(einsum("rbd,rd->rb", Ub, Wa, out=M), M)
                 elif loss == "hinge":
-                    s = margin_scales(objective, np.einsum("rbd,rd->rb", Ub, Wa, out=M))
+                    s = margin_scales(objective, einsum("rbd,rd->rb", Ub, Wa, out=M))
                 else:
                     s = M
                 # At b=1 the product differs from einsum's sum only in the sign of an exact
                 # zero, which the noise term (+0.0 where there is none) erases.
                 if b == 1:
-                    np.multiply(s, U1c[j], out=G)
+                    multiply(s, u1, G)
                 else:
-                    np.divide(np.einsum("rb,rbd->rd", s, Ub, out=G), b, out=G)
+                    divide(einsum("rb,rbd->rd", s, Ub, out=G), b, G)
                 # V = Wa - eta * ((lam * Wa + g) + noise), one operation at a time.
-                np.multiply(Wa, lam, out=V)
-                V += G
-                V += noise_c[j]
-                V *= eta_c[j]
-                np.subtract(Wa, V, out=V)
+                multiply(Wa, lam, V)
+                add(V, G, V)
+                add(V, z, V)
+                multiply(V, eta, V)
+                subtract(Wa, V, V)
                 if bounded:
-                    n = a_c[j] * n + e_c[j]
+                    n = a * n + e
                     if not n <= inside:
-                        n, checks = _exact_test(V, sq, radius, grow, hits, last, t), checks + 1
+                        # The exact test. A correctly rounded sqrt is monotone, so this is
+                        # "every row inside"; NaN fails it. Rows inside would be scaled by
+                        # exactly 1.0, so a step that passes leaves V as it is (as does one
+                        # the bound passes); one that fails scales it and checks it.
+                        einsum("rd,rd->r", V, V, out=sq)
+                        top, checks = math.sqrt(np.maximum.reduce(sq)), checks + 1
+                        if not top <= radius:
+                            scaled = scale_into_ball(V, sq, radius)
+                            hits += scaled
+                            last[scaled] = t
+                            if np.isnan(V).any():
+                                raise InfeasibleIterate(
+                                    f"a run's iterate became non-finite at step {t}")
+                            top = radius
+                        # Squares below 1e-300 may have lost all accuracy: floor the norm.
+                        n = max(top, 1e-140) * grow
                 Wa, V = V, Wa
         W[idx], projected[idx] = Wa, hits
         if bounded:

@@ -117,8 +117,9 @@ def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
 @pytest.mark.parametrize("radius", [0.3, 1e3])
 @pytest.mark.parametrize("zeros", [False, True])
 def test_logistic_b1_rows_without_flips_step_the_reference_paths_bytes(radius, zeros):
-    # Without the rcn rows, a logistic b = 1 call takes the engine's fast step body. Row by
-    # row and step by step it gives the bytes of the reference path run as a (1, d) row.
+    # Without the rcn rows, every step of a logistic b = 1 call takes the step body's
+    # logistic b = 1 branches, as every order-exp step does. Row by row and step by step it
+    # gives the bytes of the reference path run as a (1, d) row.
     rows = [r for r in mixed_rows("logistic", 1, zeros=zeros, radius=radius)
             if r.oracles[0].spec.kind != "rcn"]
     trajectories = run_batch(rows)
@@ -630,8 +631,8 @@ def test_trial_values_do_not_depend_on_the_chunk(run, overrides, monkeypatch):
 
 
 def test_an_order_experiment_trial_steps_the_reference_paths_bytes(monkeypatch):
-    # One order-exp trial at b = 1, every step of which takes the engine's logistic b = 1
-    # step body: CF, NF and AO rows, noisy and twin, below and above c = 1/lam = 100, with
+    # One order-exp trial at b = 1, logistic and without label flips: CF, NF and AO rows,
+    # noisy and twin, below and above c = 1/lam = 100, with
     # the projection active. At this seed both AO rows open with the clean source, so each
     # takes over the first run of the CF row at its rate.
     calls = []

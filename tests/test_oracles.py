@@ -62,24 +62,6 @@ class TestDpNoiseSample:
     def test_zero_rows_for_a_zero_step_oracle(self):
         assert sample_privacy_noise(2.0, 3, np.random.default_rng(0), size=0).shape == (0, 3)
 
-    @pytest.mark.parametrize("b", [1, 50])
-    def test_tables_keep_the_bytes_of_linalg_norm_and_the_batch_mean(self, b):
-        # The draw's row norms are np.linalg.norm(z, axis=1)'s bytes, and at b = 1 the
-        # oracle's table is the draw itself, which a mean over batches of one row gives.
-        d, steps, eps = 54, 30, 1.5
-        rng = np.random.default_rng(9)
-        radii = rng.standard_gamma(d, size=steps * b) * (2.0 / eps)
-        z = rng.standard_normal((steps * b, d))
-        z = z * (radii / np.linalg.norm(z, axis=1))[:, None]
-        drawn = sample_privacy_noise(eps, d, np.random.default_rng(9), size=steps * b)
-        assert drawn.tobytes() == z.tobytes()
-        oracle = GradientOracle(OracleSpec("local_dp", budget=steps * b, batch_size=b,
-                                           rng_seed=4, epsilon=eps),
-                                ObjectiveSpec(lam=1.0), make_dataset(n=steps * b, d=d))
-        noise_rng = np.random.default_rng(np.random.SeedSequence(4).spawn(2)[1])
-        z = sample_privacy_noise(eps, d, noise_rng, size=steps * b)
-        assert oracle.noise_means.tobytes() == z.reshape(steps, b, d).mean(axis=1).tobytes()
-
 
 class TestNoiseLevels:
     def test_dp_level_values(self):
