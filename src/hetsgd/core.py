@@ -141,6 +141,10 @@ class Dataset:
     def d(self) -> int:
         return self.X.shape[1]
 
+    def objective(self, spec: ObjectiveSpec, w: np.ndarray) -> float:
+        """``full_objective`` over this dataset, without checking the labels again."""
+        return _objective(spec, w, self.X, self.y)
+
     def subset(self, indices) -> "Dataset":
         return Dataset(self.X[indices], self.y[indices])
 
@@ -247,7 +251,16 @@ def mean_loss_gradient(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.
 
 
 def full_objective(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
-    """lam/2 ||w||^2 plus the mean loss over the dataset."""
+    """lam/2 ||w||^2 plus the mean loss over the dataset; labels other than -1 and +1 raise.
+
+    ``Dataset.objective`` gives the same value over a dataset, whose labels were checked
+    once, when it was made.
+    """
+    check_labels({"y": y})
+    return _objective(spec, w, X, y)
+
+
+def _objective(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> float:
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("empty dataset")

@@ -27,9 +27,9 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from .core import (FLIP_RATE, FRACTION, LOSSES, POSITIVE, POSITIVE_FINITE, Dataset, ObjectiveSpec,
-                   check_counts, check_reals, full_objective, is_integer, load_expit)
+                   check_counts, check_reals, is_integer, load_expit)
 from .datasets import SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm, random_projection
-from .oracles import GradientOracle, NoiseLevel, OracleSpec
+from .oracles import GradientOracle, NoiseLevel, OracleSpec, draw_tables
 from .rates import BoundInputs, c2_bracket, minimize_single_rate, select_rates
 from .sgd import Row, Schedule, Trajectory, check_budgets, run_batch
 
@@ -337,7 +337,7 @@ class _Setup(NamedTuple):
 
     def objective(self, t: Trajectory) -> float:
         """The full objective at a run's final iterate."""
-        return full_objective(self.obj, t.final_w, self.ds.X, self.ds.y)
+        return self.ds.objective(self.obj, t.final_w)
 
 
 def _setup(cfg: ExperimentConfig, n_sweep: int) -> _Setup:
@@ -355,29 +355,33 @@ def _setup(cfg: ExperimentConfig, n_sweep: int) -> _Setup:
     return _Setup(ds, ds_c, ds_n, len(ds_c) / len(ds), obj, steps, seeds)
 
 
-# Trials are batched into one engine call until the batch holds about this
-# many bytes of noise tables and permutations (each kept twice: per oracle
-# and stacked by the engine) plus one step's example gathers; it holds all 4
-# trials of perfbench's strategy-cmp and c2-sweep runs in one call. Trials are
-# independent, so the grouping changes no byte. At the shipped order-exp config
-# with 16 trials (seed 777), on a shared 2-core VM (Python 3.11.7, numpy 2.4.6)
-# where timings drift by about 30%, in process, 9 to 12 driver calls a budget:
-#   budget   engine calls   trials/s median (range)   peak RSS (3 calls)
-#   2 MiB    16             17.0 (13.9-19.2)           63 MiB
-#   4 MiB     8             19.4 (18.5-24.8)           64 MiB
-#   8 MiB     4             21.6 (19.0-28.8)           70 MiB
-#   16 MiB    3             23.8 (21.7-28.9)           79 MiB
-#   32 MiB    2             24.3 (19.7-34.8)          100 MiB
-# 16 MiB reads about 10% faster than 8 MiB for 9 MiB more RSS; the budget stays
-# at 8 MiB until a benchmark workload with many trials per call decides it.
+# Trials are batched into one engine call until the batch holds about this many
+# bytes: each oracle's noise table once (a block's tables share one buffer, which
+# the engine reads in place; see oracles.draw_tables), its permutation twice (the
+# oracle's and the engine's example index) and one step's example gathers per row.
+# That is 1.35 MB per shipped order-exp trial, so 8 MiB holds 7 of them and all 4
+# trials of perfbench's strategy-cmp and c2-sweep runs. Trials are independent,
+# so the grouping changes no byte. At the shipped order-exp config with 16 trials
+# (seed 777), on a shared 2-core VM (Python 3.11.7, numpy 2.4.6) where timings
+# drift by about 30%, in process, 9 to 12 driver calls per grouping, with the
+# noise tables then held twice (the RSS column is from that time):
+#   trials per call   engine calls   trials/s median (range)   peak RSS (3 calls)
+#    1                16             17.0 (13.9-19.2)           63 MiB
+#    2                 8             19.4 (18.5-24.8)           64 MiB
+#    4                 4             21.6 (19.0-28.8)           70 MiB
+#    7                 3             23.8 (21.7-28.9)           79 MiB
+#   14                 2             24.3 (19.7-34.8)          100 MiB
+# The budget stays at 8 MiB until a benchmark workload with many trials per
+# call decides it.
 BATCH_BYTES = 8 << 20
 
 
 def _batch_bytes(rows: Sequence[Row]) -> int:
+    """What ``rows`` add to an engine call, in the terms of ``BATCH_BYTES``."""
     oracles = {id(o): o for r in rows for o in r.oracles}.values()
-    tables = sum(o.steps_total * (o.dataset.d + o.spec.batch_size) for o in oracles)
+    tables = sum(o.steps_total * (o.dataset.d + 2 * o.spec.batch_size) for o in oracles)
     gathered = sum(r.oracles[0].spec.batch_size * r.oracles[0].dataset.d for r in rows)
-    return 8 * (2 * tables + 3 * gathered)
+    return 8 * (tables + 3 * gathered)
 
 
 class RunReport:
@@ -454,10 +458,16 @@ def _run_trials(trials: int, make_trial: Callable[[int], list],
         check_budgets(trial_rows)
         block += entries
         size += _batch_bytes(trial_rows)
+        full = size >= BATCH_BYTES or i == trials - 1
+        if full:
+            # The block's noise and flip tables, drawn into one buffer each that the engine
+            # call reads in place.
+            block_rows = [r for _, rows in block for r in rows]
+            draw_tables([o for r in block_rows for o in r.oracles])
         report.lap("oracles")
-        if size < BATCH_BYTES and i < trials - 1:
+        if not full:
             continue
-        trajectories = run_batch([r for _, rows in block for r in rows])
+        trajectories = run_batch(block_rows)
         seconds = report.lap("engine")
         engine = report.engine
         row_steps = sum(t.steps for t in trajectories)
@@ -479,6 +489,9 @@ def _run_trials(trials: int, make_trial: Callable[[int], list],
             counts[1] += sum(t.steps for t in group)
             counts[2] = max(counts[2], *(t.last_projected for t in group))
         report.lap("scoring")
+        # Every name still bound to the block's rows holds, through their oracles, the
+        # block's table buffer: drop them before the next block is built.
+        del entries, trial_rows, block_rows, rows
         block, size, first = [], 0, i + 1
     return {key: np.array(v) for key, v in values.items()}
 

@@ -17,15 +17,18 @@ over the next ``batch_size`` examples. Four noise mechanisms are provided:
 
 An oracle serves ``budget // batch_size`` batches, k = 0, 1, ..., and is a
 set of read-only tables. At construction it draws from its own seed the
-example permutation (batch k is ``order[k*b:(k+1)*b]``) and its whole
-budget's noise: one batch-mean noise vector per batch for ``local_dp`` and
-``gaussian``, one flip mask per batch for ``rcn``. ``call(w, k)`` reads
-batch k from those tables and is the reference path; the batched engine in
-``sgd`` reads the same tables, so any number of runs can share one oracle's
-draws. Drawing the whole budget up front changed the noise streams once,
-relative to versions that drew noise call by call: across that change a seed
-gives statistically equivalent, not identical, results; within a version it
-gives the same bytes.
+example permutation (batch k is ``order[k*b:(k+1)*b]``); its whole budget's
+noise (one batch-mean noise vector per batch for ``local_dp`` and
+``gaussian``, one flip mask per batch for ``rcn``) comes from a second seed of
+its own and is drawn on first use. ``draw_tables`` draws the tables of many
+oracles at once into one buffer of each kind, behind a row of zeros; the
+batched engine in ``sgd`` reads such a buffer in place, so the noise and flip
+tables of one engine call exist once. Where a table lies does not change its
+values. ``call(w, k)`` reads batch k from the tables and is the reference
+path; any number of runs can share one oracle's draws. Drawing the whole
+budget up front changed the noise streams once, relative to versions that drew
+noise call by call: across that change a seed gives statistically equivalent,
+not identical, results; within a version it gives the same bytes.
 """
 from __future__ import annotations
 
@@ -174,19 +177,53 @@ class OracleSpec:
         return NoiseLevel(DATA_TERM_BOUND + extra, extra)
 
 
-def _draw_noise(spec: OracleSpec, d: int, rng: np.random.Generator) -> tuple:
-    """(batch-mean noise (steps, d) or None, label flips (steps, b) or None) for a whole budget."""
+# The kinds whose oracles hold a batch-mean noise table; rcn oracles hold a flip table.
+_NOISE_KINDS = ("local_dp", "gaussian")
+
+
+def _draw_noise(spec: OracleSpec, d: int, rng: np.random.Generator, out: np.ndarray) -> None:
+    """Write a whole budget's batch-mean noise (steps, d), or for rcn its label flips
+    (steps, b), into ``out``; out= writes the allocating calls' bytes."""
     b = spec.batch_size
     steps = spec.budget // b
     if spec.kind == "local_dp":
         z = sample_privacy_noise(spec.epsilon, d, rng, size=steps * b)
-        return z.reshape(steps, b, d).mean(axis=1), None
-    if spec.kind == "gaussian":
-        z = rng.standard_normal((steps * b, d))
-        return z.reshape(steps, b, d).mean(axis=1) * np.sqrt(spec.noise_sq / d), None
-    if spec.kind == "rcn":
-        return None, (rng.random(steps * b) < spec.sigma).reshape(steps, b)
-    return None, None
+        z.reshape(steps, b, d).mean(axis=1, out=out)
+    elif spec.kind == "gaussian":
+        rng.standard_normal((steps * b, d)).reshape(steps, b, d).mean(axis=1, out=out)
+        out *= np.sqrt(spec.noise_sq / d)
+    else:
+        np.less(rng.random(steps * b), spec.sigma, out=out.reshape(-1))
+
+
+def draw_tables(oracles) -> None:
+    """Draw the noise and flip tables of those ``oracles`` that hold none yet, into one
+    buffer of each kind.
+
+    The batch-mean noise tables become row blocks of one (1 + rows, d) float buffer and
+    the flip masks row blocks of one (1 + rows, b) bool buffer, both read-only. Row 0 of
+    each holds zeros (no noise, no flip): the engine reads it for twin rows and
+    noiseless oracles. Each oracle draws from its own seed, so its values do not depend
+    on which oracles share its buffer. The oracles to draw must share d and batch size.
+    """
+    pending = {id(o): o for o in oracles}.values()
+    noisy = [o for o in pending if o.spec.kind in _NOISE_KINDS and "noise_means" not in vars(o)]
+    flipping = [o for o in pending if o.spec.kind == "rcn" and "flips" not in vars(o)]
+    if not noisy and not flipping:
+        return
+    shapes = {(o.dataset.d, o.spec.batch_size) for o in noisy + flipping}
+    if len(shapes) > 1:
+        raise ValueError(f"oracles drawn into one buffer must share d and batch size, "
+                         f"got (d, b) in {sorted(shapes)}")
+    (d, b), = shapes
+    for group, width, dtype in ((noisy, d, np.float64), (flipping, b, bool)):
+        ends = np.cumsum([1, *(o.steps_total for o in group)]).tolist()
+        buffer = np.zeros((ends[-1], width), dtype=dtype)
+        for o, lo, hi in zip(group, ends, ends[1:]):
+            _draw_noise(o.spec, d, np.random.default_rng(o._noise_seed), buffer[lo:hi])
+        buffer.flags.writeable = False
+        for o, lo, hi in zip(group, ends, ends[1:]):
+            setattr(o, "flips" if o.spec.kind == "rcn" else "noise_means", buffer[lo:hi])
 
 
 class GradientOracle:
@@ -195,7 +232,10 @@ class GradientOracle:
     Two oracles built from the same spec and dataset traverse examples in
     the same order and hold identical noise tables, which is what makes the
     noiseless-twin construction exact: ``twin()`` returns an oracle over the
-    same permutation with all extra noise forced to zero.
+    same permutation with all extra noise forced to zero. ``noise_means`` is
+    None for clean and rcn oracles and ``flips`` None for all but rcn; the one
+    table a kind holds is drawn on first read, into a buffer of its own,
+    unless ``draw_tables`` has drawn it with others before.
     """
 
     def __init__(self, spec: OracleSpec, objective: ObjectiveSpec, dataset: Dataset):
@@ -205,12 +245,20 @@ class GradientOracle:
         self.spec = spec
         self.objective = objective
         self.dataset = dataset
-        perm_ss, noise_ss = np.random.SeedSequence(spec.rng_seed).spawn(2)
+        perm_ss, self._noise_seed = np.random.SeedSequence(spec.rng_seed).spawn(2)
         self.order = np.random.default_rng(perm_ss).permutation(len(dataset))
-        self.noise_means, self.flips = _draw_noise(spec, dataset.d, np.random.default_rng(noise_ss))
-        for table in (self.order, self.noise_means, self.flips):
-            if table is not None:
-                table.flags.writeable = False
+        self.order.flags.writeable = False
+        if spec.kind not in _NOISE_KINDS:
+            self.noise_means = None
+        if spec.kind != "rcn":
+            self.flips = None
+
+    def __getattr__(self, name: str):
+        # Called only for an attribute not set yet: the table this oracle draws on first read.
+        if name not in ("noise_means", "flips"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        draw_tables([self])
+        return vars(self)[name]
 
     def twin(self) -> "GradientOracle":
         twin = copy.copy(self)

@@ -238,19 +238,33 @@ def _phase_constant(c, gamma_first_sq: float, gamma_second_sq: float,
     return float(out) if out.ndim == 0 else out
 
 
+def _check_phase_inputs(c, levels: dict, beta: dict, lam) -> None:
+    """Raise ValueError naming the first input of a phase constant out of its range.
+
+    c is a rate constant in (0, inf) or an array of them, each level and lam a number in
+    (0, inf) and the first-phase fraction ``beta`` one in (0, 1).
+    """
+    reject_bools({"c": c})
+    c_values = np.asarray(c)
+    if c_values.dtype.kind not in "iuf" or not np.all((c_values > 0) & (c_values < math.inf)):
+        raise ValueError(f"c must be a number in (0, inf) or an array of them, got {c!r}")
+    check_reals({**levels, "lam": lam}, POSITIVE_FINITE)
+    check_reals(beta, FRACTION)
+
+
 def clean_first_constant(c, gamma_c_sq: float, gamma_n_sq: float,
                          beta_c: float, lam: float):
     """Leading bound constant for the clean-then-noisy order at second rate c."""
-    reject_bools({"c": c, "gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq, "beta_c": beta_c,
-                  "lam": lam})
+    _check_phase_inputs(c, {"gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq},
+                        {"beta_c": beta_c}, lam)
     return _phase_constant(c, gamma_c_sq, gamma_n_sq, beta_c, lam)
 
 
 def noisy_first_constant(c, gamma_c_sq: float, gamma_n_sq: float,
                          beta_n: float, lam: float):
     """Same with the roles swapped: noisy data first, clean data second."""
-    reject_bools({"c": c, "gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq, "beta_n": beta_n,
-                  "lam": lam})
+    _check_phase_inputs(c, {"gamma_c_sq": gamma_c_sq, "gamma_n_sq": gamma_n_sq},
+                        {"beta_n": beta_n}, lam)
     return _phase_constant(c, gamma_n_sq, gamma_c_sq, beta_n, lam)
 
 

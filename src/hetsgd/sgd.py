@@ -85,7 +85,15 @@ keep its iterates near the sphere.
 A row names a ``Schedule`` (the oracle slot serving each step and each slot's
 rate constant), the oracles behind its slots, each read from batch 0, and
 whether it is the noisy run or its noiseless twin. Oracles are read-only tables,
-so every run over one seed shares one table. ``Schedule.blocks`` builds block
+so every run over one seed shares one table. A call stacks its datasets' signed
+examples once and copies each oracle's permutation into one index into them,
+but holds each noise and flip table once: ``run_batch`` first draws the tables
+of every oracle that holds none yet into one buffer of each kind
+(``oracles.draw_tables``, which a driver calls per block of trials), and reads
+a buffer that holds all of a call's tables in place. Its row 0 holds zeros,
+which twin rows and noiseless oracles read at every step. Tables drawn apart
+(oracles read before they met, or a table replaced by hand) are copied below a
+zero row instead, with the same values. ``Schedule.blocks`` builds block
 schedules from ordered phases, and an interleaving is a ``Schedule`` over shuffled
 slots. A ``Schedule`` derives what the engine reads from its slots once, at
 construction, and ``run_batch`` builds its (row, slot) tables from per-oracle
@@ -107,7 +115,7 @@ from typing import Mapping, Optional, Sequence
 import numpy as np
 
 from .core import POSITIVE_FINITE, check_reals, load_expit, margin_scales, norms, scale_into_ball
-from .oracles import BudgetExhausted, GradientOracle, rcn_scales
+from .oracles import BudgetExhausted, GradientOracle, draw_tables, rcn_scales
 
 
 # A chunk of steps gathers its signed examples, flip signs, noise and step sizes in one
@@ -231,6 +239,26 @@ def _stack_tables(tables: Sequence, lead: np.ndarray) -> tuple:
     return np.concatenate([lead, *(t for t in tables if t is not None)]), starts
 
 
+def _one_table(tables: Sequence, zero_row: np.ndarray) -> tuple:
+    """(table, offsets): a table holding every entry of ``tables`` (None: none) below a zero row 0.
+
+    Tables that ``draw_tables`` drew together are row blocks of one buffer whose row 0
+    holds zero bytes; that buffer is the table, read in place. Any other tables are
+    copied below ``zero_row`` (``_stack_tables``). tables[j] starts at offsets[j].
+    """
+    present = [t for t in tables if t is not None]
+    buffer = present[0].base if present else None
+    if buffer is not None and buffer.ndim == 2 and buffer.flags.c_contiguous \
+            and not buffer[0].view(np.uint8).any() \
+            and all(t.base is buffer and t.strides == buffer.strides
+                    and t.shape[1] == buffer.shape[1] for t in present):
+        start, row = buffer.__array_interface__["data"][0], buffer.strides[0]
+        at = [0 if t is None else t.__array_interface__["data"][0] - start for t in tables]
+        if not any(a % row for a in at):
+            return buffer, np.array(at, dtype=np.intp) // row
+    return _stack_tables(tables, zero_row)
+
+
 def _norm_bounds(t0: int, t1: int, c_lo: float, c_hi: float, lam: float, reach: float,
                  eps: float) -> tuple:
     """(a, e), arrays over steps t0 .. t1-1: each step's update of a row keeps ||V|| <= a*||W|| + e.
@@ -308,8 +336,11 @@ def run_batch(rows: Sequence[Row]) -> list:
     examples, ex_base = _stack_tables(
         [o.order[:o.steps_total * b] + ds_base[j] for o, j in zip(oracles, dataset_of.tolist())],
         np.zeros(0, dtype=np.intp))
-    # Noise: twin rows and noiseless oracles read the leading zero block.
-    noise, noise_base = _stack_tables([o.noise_means for o in oracles], np.zeros((T, d)))
+    # Noise: every oracle's batch-mean noise table in one table below a zero row, in place
+    # where the oracles' tables were drawn together (the drivers' case).
+    draw_tables(oracles)
+    noise_tables = [o.noise_means for o in oracles]
+    noise, noise_base = _one_table(noise_tables, np.zeros((1, d)))
     has_noise = np.array([o.noise_means is not None for o in oracles], dtype=bool)
     has_flips = np.array([o.flips is not None for o in oracles], dtype=bool)
     sigmas = np.array([o.spec.sigma if o.flips is not None else 0.0 for o in oracles])
@@ -336,13 +367,15 @@ def run_batch(rows: Sequence[Row]) -> list:
     for k in np.unique(key[order[1:]][key[order[1:]] == key[order[:-1]]]):
         _check_one_pass(rows, np.flatnonzero(key == k), pair_row, pair_slot, used, b)
 
-    # Per (row, slot): base offsets into those tables, rate constant and flip rate; twin
-    # rows read no noise and no flips. A padding slot is never read.
+    # Per (row, slot): base offsets into those tables, rate constant and flip rate. A pair
+    # that reads no noise or no flips (a twin row, a noiseless oracle) starts at -T, below
+    # any batch index, and the gathers' mode="clip" takes each negative index to the zero
+    # row 0. A padding slot is never read.
     noisy = np.repeat(np.array([r.noisy for r in rows], dtype=bool), widths)
     reads_noise, reads_flips = noisy & has_noise[oracle_of], noisy & has_flips[oracle_of]
     rcn = bool(reads_flips.any())
     if rcn:
-        flips, flip_base = _stack_tables([o.flips for o in oracles], np.zeros((T, b), dtype=bool))
+        flips, flip_base = _one_table([o.flips for o in oracles], np.zeros((1, b), dtype=bool))
     else:
         flip_base = np.zeros(len(oracles), dtype=np.intp)
 
@@ -352,8 +385,8 @@ def run_batch(rows: Sequence[Row]) -> list:
         return table
 
     ex_at = per_slot(ex_base[oracle_of], 0)
-    noise_at = per_slot(np.where(reads_noise, noise_base[oracle_of], 0), 0)
-    flip_at = per_slot(np.where(reads_flips, flip_base[oracle_of], 0), 0)
+    noise_at = per_slot(np.where(reads_noise, noise_base[oracle_of], -T), -T)
+    flip_at = per_slot(np.where(reads_flips, flip_base[oracle_of], -T), -T)
     rate_at = per_slot(np.array([c for sched in schedules for c in sched.rates], dtype=float),
                        np.nan)
     sigma_at = per_slot(np.where(reads_flips, sigmas[oracle_of], 0.0), 0.0)
@@ -404,10 +437,16 @@ def run_batch(rows: Sequence[Row]) -> list:
     ex_at, noise_at, flip_at = ex_at.ravel(), noise_at.ravel(), flip_at.ravel()
     # What bounds one step's move (see _norm_bounds): a row's loss gradient is at most
     # s_max * u_max, its scales being at most 1, or 1 / (1 - 2 sigma) under label flips,
-    # and its noise at most z_max; u_max and z_max are the largest table norms.
+    # and its noise at most z_max; u_max and z_max are the largest norms in the call's
+    # example and noise tables (not in rows of a shared buffer that the call's oracles do
+    # not hold), NaN if one is NaN.
     s_max = 1.0 / (1.0 - 2.0 * sigma_at.max(axis=1))
     with np.errstate(over="ignore", invalid="ignore"):
-        u_max, z_max = (math.sqrt(np.einsum("nd,nd->n", a, a).max()) for a in (U, noise))
+        u_max = math.sqrt(np.einsum("nd,nd->n", U, U).max())
+        sq = np.einsum("nd,nd->n", noise, noise)
+        z_sq = [sq[at:at + len(t)].max(initial=0.0)
+                for at, t in zip(noise_base.tolist(), noise_tables) if t is not None]
+        z_max = math.sqrt(np.max(z_sq, initial=0.0))
     rate_at, sigma_at = rate_at.ravel(), sigma_at.ravel()
 
     projected, last_projected, checked = (np.zeros(n_rows, dtype=np.intp) for _ in range(3))
@@ -469,10 +508,11 @@ def run_batch(rows: Sequence[Row]) -> list:
             Uc = np.take(U, np.take(examples, at_ex[..., None] + offsets), axis=0)
             U1c = Uc[:, :, 0]
             if rcn:
-                f_c = np.where(np.take(flips, np.take(flip_at, rs) + k, axis=0), -1.0, 1.0)
+                f_c = np.where(np.take(flips, np.take(flip_at, rs) + k, axis=0, mode="clip"),
+                               -1.0, 1.0)
                 sigma_c = np.take(sigma_at, rs)[..., None]
                 keep_c, denom_c = 1.0 - sigma_c, 1.0 - 2.0 * sigma_c
-            noise_c = np.take(noise, np.take(noise_at, rs) + k, axis=0)
+            noise_c = np.take(noise, np.take(noise_at, rs) + k, axis=0, mode="clip")
             # Each row's step size repeated along d, so that the step multiplies equal shapes.
             eta_c = np.repeat((np.take(rate_at, rs) / step_no[steps])[..., None], d, axis=2)
             if bounded:

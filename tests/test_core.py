@@ -107,6 +107,18 @@ class TestFullObjective:
         with pytest.raises(ValueError, match="empty"):
             full_objective(spec("logistic"), np.zeros(2), np.empty((0, 2)), np.empty(0))
 
+    @pytest.mark.parametrize("y", [[3, 3], [True, False], [0.5, 0.5], np.array([1.0, 0.0])])
+    def test_labels_other_than_plus_minus_one_rejected(self, y):
+        with pytest.raises(ValueError, match="labels must be -1 or \\+1"):
+            full_objective(spec("logistic"), np.zeros(2), np.eye(2), y)
+
+    def test_dataset_objective_is_full_objective(self):
+        rng = np.random.default_rng(5)
+        ds = Dataset(rng.standard_normal((30, 3)), np.where(rng.random(30) < 0.5, 1.0, -1.0))
+        w = rng.standard_normal(3)
+        for loss in ("logistic", "hinge", "linear"):
+            assert ds.objective(spec(loss), w) == full_objective(spec(loss), w, ds.X, ds.y)
+
     def test_strong_convexity(self):
         rng = np.random.default_rng(99)
         lam = 0.7

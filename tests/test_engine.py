@@ -5,6 +5,8 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +19,7 @@ from hetsgd import experiments, sgd
 from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.experiments import (ExperimentConfig, run_c2_sweep, run_order_experiment,
                                 run_strategy_comparison)
-from hetsgd.oracles import GradientOracle, OracleSpec
+from hetsgd.oracles import GradientOracle, OracleSpec, draw_tables
 from hetsgd.sgd import InfeasibleIterate, Row, Schedule, run_batch
 
 MECHANISMS = {
@@ -65,20 +67,24 @@ def reference_run(row: Row, as_row: bool = False) -> tuple:
     return iterates, scaled
 
 
-def mixed_rows(loss, b, seed=0, zeros=False, radius=1.0):
+def mixed_rows(loss, b, seed=0, zeros=False, radius=1.0, shared=False):
     """Every mechanism under a plan, its reverse, a one-phase plan, an interleaving and a
     shorter interleaving that reads each oracle from mid-budget on (through a view that
     starts at batch 4 of the first and 6 of the second), each noisy, as a twin and from a
-    w0, in the ball of the given radius."""
+    w0, in the ball of the given radius. Each oracle draws its tables into a buffer of its
+    own, or with ``shared`` all into one (``draw_tables``)."""
     lam, d = 0.1, 4
     obj = ObjectiveSpec(lam=lam, loss=loss, radius=radius)
     ds1, ds2 = dataset(8 * b + 1, d, seed, zeros), dataset(12 * b + 2, d, seed + 1, zeros)
+    sources = [(GradientOracle(OracleSpec(kind, budget=len(ds1), batch_size=b,
+                                          rng_seed=100 + m, **kw), obj, ds1),
+                GradientOracle(OracleSpec(kind, budget=len(ds2), batch_size=b,
+                                          rng_seed=200 + m, **kw), obj, ds2))
+               for m, (kind, kw) in enumerate(MECHANISMS.items())]
+    if shared:
+        draw_tables([o for pair in sources for o in pair])
     rows = []
-    for m, (kind, kw) in enumerate(MECHANISMS.items()):
-        first = GradientOracle(OracleSpec(kind, budget=len(ds1), batch_size=b,
-                                          rng_seed=100 + m, **kw), obj, ds1)
-        second = GradientOracle(OracleSpec(kind, budget=len(ds2), batch_size=b,
-                                           rng_seed=200 + m, **kw), obj, ds2)
+    for m, (first, second) in enumerate(sources):
         steps = {"a": first.steps_total, "b": second.steps_total}
         slots = np.repeat([0, 1], [steps["a"], steps["b"]])
         np.random.default_rng(m).shuffle(slots)
@@ -451,6 +457,76 @@ def test_rows_do_not_consume_their_oracles():
     assert [t.final_w.tobytes() for t in again] == [t.final_w.tobytes() for t in first]
 
 
+def noise_buffers(rows) -> list:
+    """The distinct buffers behind the noise and flip tables that ``rows`` read."""
+    tables = [t for r in rows for o in r.oracles for t in (o.noise_means, o.flips)
+              if t is not None]
+    return list({id(b): b for b in (t if t.base is None else t.base for t in tables)}.values())
+
+
+@pytest.mark.parametrize("b", [1, 3])
+@pytest.mark.parametrize("radius", [0.3, 1e3])
+def test_tables_drawn_together_or_apart_give_the_same_bytes(b, radius):
+    # Noisy, twin, noiseless and rcn rows, and views from mid-budget on: read in place
+    # from one buffer of each kind, or stacked from a buffer per oracle.
+    apart, together = (mixed_rows("logistic", b, radius=radius, shared=shared)
+                       for shared in (False, True))
+    assert len(noise_buffers(apart)) == 6 and len(noise_buffers(together)) == 2
+    for x, y in zip(run_batch(apart), run_batch(together)):
+        assert x.final_w.tobytes() == y.final_w.tobytes()
+        assert (x.projected, x.shared, x.checked, x.last_projected) == \
+            (y.projected, y.shared, y.checked, y.last_projected)
+
+
+def test_an_engine_call_holds_no_second_copy_of_its_noise_tables():
+    # b = 1, d = 50 and a long budget: a call's noise tables and its stacked examples are
+    # T x d floats each, and everything else it holds about 1 float per step. So the call
+    # adds about 1.25 times the tables at its peak; a copy of the tables would add 2.25.
+    obj = ObjectiveSpec(lam=0.01)
+    ds = dataset(10_000, 50, 3)
+    oracles = [GradientOracle(OracleSpec("local_dp", budget=5_000, rng_seed=s, epsilon=3.0),
+                              obj, ds.subset(part))
+               for s, part in enumerate((slice(0, 5_000), slice(5_000, None)))]
+    draw_tables(oracles)
+    table_bytes = sum(o.noise_means.nbytes for o in oracles)
+    schedule = Schedule.blocks((("a", 50.0), ("b", 50.0)), {"a": 5_000, "b": 5_000})
+    rows = [Row(schedule, tuple(oracles), noisy) for noisy in (True, False)]
+    first = run_batch(rows)        # and scipy's import, which a call makes only once
+    tracemalloc.start()
+    try:
+        again = run_batch(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table_bytes
+    assert [t.final_w.tobytes() for t in again] == [t.final_w.tobytes() for t in first]
+
+
+def test_a_driver_block_draws_its_tables_into_one_buffer_of_each_kind(monkeypatch):
+    calls = []
+    monkeypatch.setattr(experiments, "run_batch", lambda rows: calls.append(rows) or
+                        run_batch(rows))
+    for oracles in ({}, {"oracles": RCN_ORACLES}):
+        run_order_experiment(small_config(**OWN_KEYS[run_order_experiment], **oracles))
+    assert len(calls) == 2
+    assert all(len(noise_buffers(rows)) == 1 for rows in calls)
+
+
+def test_a_driver_holds_one_blocks_tables_at_a_time(monkeypatch):
+    # Once a block is scored, no name still holds its rows, whose oracles hold its tables.
+    earlier, alive = [], []
+
+    def spy(rows):
+        alive.append(sum(ref() is not None for ref in earlier))
+        earlier.extend(weakref.ref(b) for b in noise_buffers(rows))
+        return run_batch(rows)
+
+    monkeypatch.setattr(experiments, "run_batch", spy)
+    monkeypatch.setattr(experiments, "BATCH_BYTES", 1)     # one trial per engine call
+    run_order_experiment(small_config(**OWN_KEYS[run_order_experiment]))
+    assert alive == [0, 0, 0]
+
+
 def longer(schedule: Schedule, slot: int, extra: int) -> Schedule:
     """``schedule`` with ``extra`` more steps of ``slot`` at its end."""
     return Schedule(schedule.ids, schedule.rates,
@@ -664,7 +740,7 @@ OPTIMIZED_CHECKS = textwrap.dedent("""
     import hetsgd.sgd as sgd
     from hetsgd.core import Dataset, ObjectiveSpec
     from hetsgd.experiments import ExperimentConfig, run_strategy_comparison
-    from hetsgd.oracles import GradientOracle, OracleSpec
+    from hetsgd.oracles import GradientOracle, OracleSpec, draw_tables
 
     print("optimize", sys.flags.optimize)
     real_scale = sgd.scale_into_ball             # a projection that never projects:

@@ -7,7 +7,7 @@ from scipy import stats
 from hetsgd.core import Dataset, ObjectiveSpec, loss_gradient, mean_loss_gradient
 from hetsgd.oracles import (BudgetExhausted, GradientOracle, NoiseLevel, OracleSpec,
                             dp_noise_level, rcn_noise_level,
-                            rcn_surrogate_gradient, sample_privacy_noise)
+                            draw_tables, rcn_surrogate_gradient, sample_privacy_noise)
 
 
 MECHANISMS = [("clean", {}), ("local_dp", {"epsilon": 1.5}), ("rcn", {"sigma": 0.25}),
@@ -316,6 +316,32 @@ class TestGradientOracle:
         for table in tables:
             with pytest.raises(ValueError, match="read-only"):
                 table[0] = table[1]
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_tables_drawn_together_equal_tables_drawn_alone(self, b):
+        def build():
+            return [GradientOracle(OracleSpec(kind, budget=60 - 6 * m, batch_size=b,
+                                              rng_seed=m, **kw), ObjectiveSpec(lam=1.0),
+                                   make_dataset())
+                    for m, (kind, kw) in enumerate(MECHANISMS * 2)]
+        alone, together = build(), build()
+        draw_tables(together)
+        for a, t in zip(alone, together):
+            for name in ("noise_means", "flips"):
+                x, y = getattr(a, name), getattr(t, name)
+                assert (x is None) == (y is None)
+                if y is not None:
+                    assert x.tobytes() == y.tobytes() and not y.flags.writeable
+        for name, count in (("noise_means", 4), ("flips", 2)):
+            tables = [getattr(t, name) for t in together if getattr(t, name) is not None]
+            assert len(tables) == count and len({id(t.base) for t in tables}) == 1
+            assert not tables[0].base[0].any()        # row 0, which twins read, holds zeros
+
+    def test_oracles_of_different_batch_sizes_are_not_drawn_together(self):
+        oracles = [GradientOracle(OracleSpec("local_dp", budget=8, batch_size=b, epsilon=1.0),
+                                  ObjectiveSpec(lam=1.0), make_dataset(n=8)) for b in (1, 2)]
+        with pytest.raises(ValueError, match=r"share d and batch size, got \(d, b\) in"):
+            draw_tables(oracles)
 
     @pytest.mark.parametrize("kind,kw", MECHANISMS)
     def test_second_moment_bounded_by_noise_level(self, kind, kw):

@@ -202,6 +202,21 @@ class TestLeadingConstants:
             scaled = inputs.T * two_phase_bound(inputs, 1.0 / inputs.lam, c)
             assert scaled == pytest.approx(h, rel=1e-12)
 
+    @pytest.mark.parametrize("args,named", [
+        ((2.0, math.nan, 4.0, 0.3, 1.0), "gamma_c_sq .*nan"),
+        ((2.0, 1.0, -4.0, 0.3, 1.0), "gamma_n_sq .*-4.0"),
+        ((2.0, 1.0, 4.0, 1.5, 1.0), "beta_(c|n) .*1.5"),
+        ((2.0, 1.0, 4.0, 0.3, -1.0), "lam .*-1.0"),
+        ((2.0, 1.0, 4.0, 0.3, 0.0), "lam .*0.0"),
+        ((-2.0, 1.0, 4.0, 0.3, 1.0), "c .*-2.0"),
+        ((np.array([2.0, math.nan]), 1.0, 4.0, 0.3, 1.0), "c .*nan"),
+        ((math.inf, 1.0, 4.0, 0.3, 1.0), "c .*inf")])
+    @pytest.mark.parametrize("constant", [clean_first_constant, noisy_first_constant])
+    def test_bad_input_rejected(self, constant, args, named):
+        # Each once returned NaN, inf, a negative or a plausible positive constant.
+        with pytest.raises(ValueError, match=f"^{named}"):
+            constant(*args)
+
     def test_noisy_first_is_role_swap(self):
         gc, gn, beta_c, lam = 3.0, 80.0, 0.25, 0.5
         beta_n = 1 - beta_c
