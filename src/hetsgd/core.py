@@ -117,7 +117,7 @@ class ObjectiveSpec:
 
 @dataclass
 class Dataset:
-    """Feature matrix X (n, d) with labels y in {-1, +1}."""
+    """Feature matrix X (n, d) with labels y in {-1, +1}, not changed after construction."""
 
     X: np.ndarray
     y: np.ndarray
@@ -147,6 +147,13 @@ class Dataset:
 
     def subset(self, indices) -> "Dataset":
         return Dataset(self.X[indices], self.y[indices])
+
+    @functools.cached_property
+    def max_square_norm(self) -> float:
+        """The largest ||x||^2 over the rows (0.0 for none, inf past the float range),
+        computed once per dataset: the one-einsum test that the rows lie in a ball."""
+        with np.errstate(over="ignore"):
+            return float(np.einsum("nd,nd->n", self.X, self.X).max(initial=0.0))
 
     def max_feature_norm(self) -> float:
         if len(self) == 0:

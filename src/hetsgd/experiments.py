@@ -356,15 +356,16 @@ def _setup(cfg: ExperimentConfig, n_sweep: int) -> _Setup:
 
 
 # Trials are batched into one engine call until the batch holds about this many
-# bytes: each oracle's noise table once (a block's tables share one buffer, which
-# the engine reads in place; see oracles.draw_tables), its permutation twice (the
-# oracle's and the engine's example index) and one step's example gathers per row.
-# That is 1.35 MB per shipped order-exp trial, so 8 MiB holds 7 of them and all 4
-# trials of perfbench's strategy-cmp and c2-sweep runs. Trials are independent,
-# so the grouping changes no byte. At the shipped order-exp config with 16 trials
-# (seed 777), on a shared 2-core VM (Python 3.11.7, numpy 2.4.6) where timings
-# drift by about 30%, in process, 9 to 12 driver calls per grouping, with the
-# noise tables then held twice (the RSS column is from that time):
+# bytes: each oracle's noise table and permutation once (a block's tables share one
+# buffer of each kind, which the engine reads in place; see oracles.draw_tables) and
+# one step's example gathers per row. That is 1.24 MB per shipped order-exp trial,
+# 0.94 MB per strategy-cmp trial and 1.06 MB per c2-sweep trial, so 8 MiB holds 7, 9
+# and 8 of them, and all 4 trials of perfbench's strategy-cmp and c2-sweep runs.
+# Trials are independent, so the grouping changes no byte. At the shipped order-exp
+# config with 16 trials (seed 777), on a shared 2-core VM (Python 3.11.7, numpy
+# 2.4.6) where timings drift by about 30%, in process, 9 to 12 driver calls per
+# grouping, with the noise tables and permutations then held twice (the RSS column
+# is from that time):
 #   trials per call   engine calls   trials/s median (range)   peak RSS (3 calls)
 #    1                16             17.0 (13.9-19.2)           63 MiB
 #    2                 8             19.4 (18.5-24.8)           64 MiB
@@ -379,7 +380,7 @@ BATCH_BYTES = 8 << 20
 def _batch_bytes(rows: Sequence[Row]) -> int:
     """What ``rows`` add to an engine call, in the terms of ``BATCH_BYTES``."""
     oracles = {id(o): o for r in rows for o in r.oracles}.values()
-    tables = sum(o.steps_total * (o.dataset.d + 2 * o.spec.batch_size) for o in oracles)
+    tables = sum(o.steps_total * (o.dataset.d + o.spec.batch_size) for o in oracles)
     gathered = sum(r.oracles[0].spec.batch_size * r.oracles[0].dataset.d for r in rows)
     return 8 * (tables + 3 * gathered)
 

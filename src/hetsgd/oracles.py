@@ -16,19 +16,21 @@ over the next ``batch_size`` examples. Four noise mechanisms are provided:
                     the data-ordering analysis).
 
 An oracle serves ``budget // batch_size`` batches, k = 0, 1, ..., and is a
-set of read-only tables. At construction it draws from its own seed the
-example permutation (batch k is ``order[k*b:(k+1)*b]``); its whole budget's
+set of read-only tables: the example permutation (batch k is
+``order[k*b:(k+1)*b]``), drawn from one seed of its own, and its whole budget's
 noise (one batch-mean noise vector per batch for ``local_dp`` and
-``gaussian``, one flip mask per batch for ``rcn``) comes from a second seed of
-its own and is drawn on first use. ``draw_tables`` draws the tables of many
-oracles at once into one buffer of each kind, behind a row of zeros; the
-batched engine in ``sgd`` reads such a buffer in place, so the noise and flip
-tables of one engine call exist once. Where a table lies does not change its
-values. ``call(w, k)`` reads batch k from the tables and is the reference
-path; any number of runs can share one oracle's draws. Drawing the whole
-budget up front changed the noise streams once, relative to versions that drew
-noise call by call: across that change a seed gives statistically equivalent,
-not identical, results; within a version it gives the same bytes.
+``gaussian``, one flip mask per batch for ``rcn``), drawn from a second seed of
+its own. Construction keeps only the seeds: each table is drawn on first use.
+``draw_tables`` draws the tables of many oracles at once into one buffer of
+each kind (the permutations into one, the noise tables into one behind a row
+of zeros, the flip masks likewise); the batched engine in ``sgd`` reads such
+buffers in place, so the permutations, noise and flip tables of one engine call
+exist once. Where a table lies does not change its values. ``call(w, k)`` reads
+batch k from the tables and is the reference path; any number of runs can
+share one oracle's draws. Drawing the whole budget up front changed the noise
+streams once, relative to versions that drew noise call by call: across that
+change a seed gives statistically equivalent, not identical, results; within a
+version it gives the same bytes.
 """
 from __future__ import annotations
 
@@ -181,9 +183,10 @@ class OracleSpec:
 _NOISE_KINDS = ("local_dp", "gaussian")
 
 
-def _draw_noise(spec: OracleSpec, d: int, rng: np.random.Generator, out: np.ndarray) -> None:
-    """Write a whole budget's batch-mean noise (steps, d), or for rcn its label flips
-    (steps, b), into ``out``; out= writes the allocating calls' bytes."""
+def _draw_noise(oracle: "GradientOracle", out: np.ndarray) -> None:
+    """Write an oracle's whole budget of batch-mean noise (steps, d), or for rcn its label
+    flips (steps, b), into ``out``; out= writes the allocating calls' bytes."""
+    spec, d, rng = oracle.spec, oracle.dataset.d, np.random.default_rng(oracle._noise_seed)
     b = spec.batch_size
     steps = spec.budget // b
     if spec.kind == "local_dp":
@@ -196,34 +199,64 @@ def _draw_noise(spec: OracleSpec, d: int, rng: np.random.Generator, out: np.ndar
         np.less(rng.random(steps * b), spec.sigma, out=out.reshape(-1))
 
 
-def draw_tables(oracles) -> None:
-    """Draw the noise and flip tables of those ``oracles`` that hold none yet, into one
-    buffer of each kind.
+def _into_one_buffer(group, name: str, lead: int, sizes, width: int, dtype, fill) -> None:
+    """Give each oracle of ``group`` its table ``name``, a row block of one read-only buffer.
 
-    The batch-mean noise tables become row blocks of one (1 + rows, d) float buffer and
-    the flip masks row blocks of one (1 + rows, b) bool buffer, both read-only. Row 0 of
-    each holds zeros (no noise, no flip): the engine reads it for twin rows and
-    noiseless oracles. Each oracle draws from its own seed, so its values do not depend
-    on which oracles share its buffer. The oracles to draw must share d and batch size.
+    The buffer's rows hold ``width`` entries: ``lead`` rows of zeros, then each oracle's
+    ``sizes`` rows in turn; ``fill(oracle, block)`` writes an oracle's values into its block.
+    """
+    ends = np.cumsum([lead, *sizes]).tolist()
+    buffer = np.zeros((ends[-1], width), dtype=dtype)
+    for o, lo, hi in zip(group, ends, ends[1:]):
+        fill(o, buffer[lo:hi])
+    buffer.flags.writeable = False
+    for o, lo, hi in zip(group, ends, ends[1:]):
+        setattr(o, name, buffer[lo:hi])
+
+
+def _draw_permutation(oracle: "GradientOracle", out: np.ndarray) -> None:
+    """Write the oracle's permutation into the first n entries of ``out``, row by row: the
+    bytes of Generator.permutation(n)."""
+    n = len(oracle.dataset)
+    perm = out.reshape(-1)[:n]
+    perm[:] = np.arange(n)
+    np.random.default_rng(oracle._perm_seed).shuffle(perm)
+
+
+def draw_tables(oracles) -> None:
+    """Draw the tables of those ``oracles`` that hold none yet, into one buffer of each kind.
+
+    The permutations fill row blocks of one (rows, b) ``np.intp`` buffer, each from a
+    row's start, so that the engine reads it as one batch per row (b = 1 where the
+    oracles' batch sizes differ); the batch-mean noise tables become row blocks of one
+    (1 + rows, d) float buffer and the flip masks row blocks of one (1 + rows, b) bool
+    buffer; all are read-only. Row 0 of the noise and flip buffers holds zeros (no
+    noise, no flip): the engine reads it for twin rows and noiseless oracles. Each
+    oracle draws from its own seeds, so its values do not depend on which oracles share
+    its buffers. The oracles with noise or flips to draw must share d and batch size.
     """
     pending = {id(o): o for o in oracles}.values()
+    permuting = [o for o in pending if "order" not in vars(o)]
     noisy = [o for o in pending if o.spec.kind in _NOISE_KINDS and "noise_means" not in vars(o)]
     flipping = [o for o in pending if o.spec.kind == "rcn" and "flips" not in vars(o)]
-    if not noisy and not flipping:
-        return
     shapes = {(o.dataset.d, o.spec.batch_size) for o in noisy + flipping}
     if len(shapes) > 1:
         raise ValueError(f"oracles drawn into one buffer must share d and batch size, "
                          f"got (d, b) in {sorted(shapes)}")
-    (d, b), = shapes
-    for group, width, dtype in ((noisy, d, np.float64), (flipping, b, bool)):
-        ends = np.cumsum([1, *(o.steps_total for o in group)]).tolist()
-        buffer = np.zeros((ends[-1], width), dtype=dtype)
-        for o, lo, hi in zip(group, ends, ends[1:]):
-            _draw_noise(o.spec, d, np.random.default_rng(o._noise_seed), buffer[lo:hi])
-        buffer.flags.writeable = False
-        for o, lo, hi in zip(group, ends, ends[1:]):
-            setattr(o, "flips" if o.spec.kind == "rcn" else "noise_means", buffer[lo:hi])
+    if permuting:
+        sizes = {o.spec.batch_size for o in permuting}
+        width = sizes.pop() if len(sizes) == 1 else 1
+        _into_one_buffer(permuting, "order", 0, [-(-len(o.dataset) // width) for o in permuting],
+                         width, np.intp, _draw_permutation)
+        for o in permuting:     # its n entries, read row by row
+            o.order = o.order.reshape(-1)[:len(o.dataset)]
+    if shapes:
+        (d, b), = shapes
+        for group, name, width, dtype in ((noisy, "noise_means", d, np.float64),
+                                          (flipping, "flips", b, bool)):
+            if group:
+                _into_one_buffer(group, name, 1, [o.steps_total for o in group], width, dtype,
+                                 _draw_noise)
 
 
 class GradientOracle:
@@ -233,34 +266,38 @@ class GradientOracle:
     the same order and hold identical noise tables, which is what makes the
     noiseless-twin construction exact: ``twin()`` returns an oracle over the
     same permutation with all extra noise forced to zero. ``noise_means`` is
-    None for clean and rcn oracles and ``flips`` None for all but rcn; the one
-    table a kind holds is drawn on first read, into a buffer of its own,
-    unless ``draw_tables`` has drawn it with others before.
+    None for clean and rcn oracles and ``flips`` None for all but rcn.
+    Construction keeps the seeds only: ``order`` and the one noise table a kind
+    holds are drawn on first read, into buffers of their own, unless
+    ``draw_tables`` has drawn them with others before. A ``local_dp`` oracle
+    needs examples of norm at most 1, which its noise is calibrated for.
     """
 
     def __init__(self, spec: OracleSpec, objective: ObjectiveSpec, dataset: Dataset):
         if spec.budget > len(dataset):
             raise ValueError(
                 f"budget {spec.budget} exceeds dataset size {len(dataset)}")
+        if spec.kind == "local_dp" and not dataset.max_square_norm <= (1.0 + 1e-9) ** 2:
+            raise ValueError(f"a local_dp oracle needs examples of norm at most 1, got a "
+                             f"dataset whose largest norm is {dataset.max_feature_norm()!r}")
         self.spec = spec
         self.objective = objective
         self.dataset = dataset
-        perm_ss, self._noise_seed = np.random.SeedSequence(spec.rng_seed).spawn(2)
-        self.order = np.random.default_rng(perm_ss).permutation(len(dataset))
-        self.order.flags.writeable = False
+        self._perm_seed, self._noise_seed = np.random.SeedSequence(spec.rng_seed).spawn(2)
         if spec.kind not in _NOISE_KINDS:
             self.noise_means = None
         if spec.kind != "rcn":
             self.flips = None
 
     def __getattr__(self, name: str):
-        # Called only for an attribute not set yet: the table this oracle draws on first read.
-        if name not in ("noise_means", "flips"):
+        # Called only for an attribute not set yet: a table this oracle draws on first read.
+        if name not in ("order", "noise_means", "flips"):
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         draw_tables([self])
         return vars(self)[name]
 
     def twin(self) -> "GradientOracle":
+        self.order      # drawn before the copy, so that the twin shares this permutation
         twin = copy.copy(self)
         twin.noise_means = twin.flips = None
         return twin

@@ -86,19 +86,24 @@ A row names a ``Schedule`` (the oracle slot serving each step and each slot's
 rate constant), the oracles behind its slots, each read from batch 0, and
 whether it is the noisy run or its noiseless twin. Oracles are read-only tables,
 so every run over one seed shares one table. A call stacks its datasets' signed
-examples once and copies each oracle's permutation into one index into them,
-but holds each noise and flip table once: ``run_batch`` first draws the tables
-of every oracle that holds none yet into one buffer of each kind
-(``oracles.draw_tables``, which a driver calls per block of trials), and reads
-a buffer that holds all of a call's tables in place. Its row 0 holds zeros,
-which twin rows and noiseless oracles read at every step. Tables drawn apart
-(oracles read before they met, or a table replaced by hand) are copied below a
-zero row instead, with the same values. ``Schedule.blocks`` builds block
-schedules from ordered phases, and an interleaving is a ``Schedule`` over shuffled
-slots. A ``Schedule`` derives what the engine reads from its slots once, at
-construction, and ``run_batch`` builds its (row, slot) tables from per-oracle
-arrays, so the setup of a call costs array time, not Python time per row. A run's
-radius is its objective's: a call's oracles share one ``ObjectiveSpec``.
+examples once, but holds each permutation, noise and flip table once:
+``run_batch`` first draws the tables of every oracle that holds none yet into
+one buffer of each kind (``oracles.draw_tables``, which a driver calls per
+block of trials), and reads a buffer that holds all of a call's tables of one
+kind in place. It reads the permutation buffer as one batch per row, as
+``draw_tables`` lays it out, so a step's batch index picks one row: its b
+examples. A permutation's entries index its own dataset, so each chunk adds its
+(row, slot)'s dataset offset to the example indices it gathers, before it takes
+the signed examples. Row 0 of the noise and flip buffers holds zeros, which
+twin rows and noiseless oracles read at every step. Tables drawn apart
+(oracles read before they met, or a table replaced by hand) are copied
+instead, the noise and flip tables below a zero row, with the same values.
+``Schedule.blocks`` builds block schedules from ordered phases, and an
+interleaving is a ``Schedule`` over shuffled slots. A ``Schedule`` derives what
+the engine reads from its slots once, at construction, and ``run_batch`` builds
+its (row, slot) tables from per-oracle arrays, so the setup of a call costs
+array time, not Python time per row. A run's radius is its objective's: a
+call's oracles share one ``ObjectiveSpec``.
 ``run_batch`` refuses a run two of whose slots would read one example of one
 dataset (the one-pass rule of local DP), and ``check_budgets`` adds the drivers'
 rule: every run reads each of its oracles' whole budget. ``run_sgd``, ``run_sgd_interleaved``,
@@ -239,24 +244,26 @@ def _stack_tables(tables: Sequence, lead: np.ndarray) -> tuple:
     return np.concatenate([lead, *(t for t in tables if t is not None)]), starts
 
 
-def _one_table(tables: Sequence, zero_row: np.ndarray) -> tuple:
-    """(table, offsets): a table holding every entry of ``tables`` (None: none) below a zero row 0.
+def _one_table(tables: Sequence, lead: np.ndarray) -> tuple:
+    """(table, offsets): one table holding every entry of ``tables`` (None: none) after ``lead``.
 
-    Tables that ``draw_tables`` drew together are row blocks of one buffer whose row 0
-    holds zero bytes; that buffer is the table, read in place. Any other tables are
-    copied below ``zero_row`` (``_stack_tables``). tables[j] starts at offsets[j].
+    Tables that ``draw_tables`` drew together are blocks of one buffer that starts with
+    ``lead``'s bytes (a zero row, or nothing); that buffer is the table, read in place.
+    Any other tables are copied after ``lead`` (``_stack_tables``). tables[j] starts at
+    offsets[j].
     """
     present = [t for t in tables if t is not None]
     buffer = present[0].base if present else None
-    if buffer is not None and buffer.ndim == 2 and buffer.flags.c_contiguous \
-            and not buffer[0].view(np.uint8).any() \
+    if buffer is not None and buffer.dtype == lead.dtype and buffer.flags.c_contiguous \
+            and buffer.shape[1:] == lead.shape[1:] \
+            and buffer[:len(lead)].tobytes() == lead.tobytes() \
             and all(t.base is buffer and t.strides == buffer.strides
-                    and t.shape[1] == buffer.shape[1] for t in present):
+                    and t.shape[1:] == buffer.shape[1:] for t in present):
         start, row = buffer.__array_interface__["data"][0], buffer.strides[0]
         at = [0 if t is None else t.__array_interface__["data"][0] - start for t in tables]
         if not any(a % row for a in at):
             return buffer, np.array(at, dtype=np.intp) // row
-    return _stack_tables(tables, zero_row)
+    return _stack_tables(tables, lead)
 
 
 def _norm_bounds(t0: int, t1: int, c_lo: float, c_hi: float, lam: float, reach: float,
@@ -325,20 +332,20 @@ def run_batch(rows: Sequence[Row]) -> list:
     lengths = np.array([len(sched.slots) for sched in schedules])
     T, S = int(lengths.max()), max(widths)
 
+    # Every oracle's permutation in one table of one batch per row, its batch-mean noise
+    # tables in one table below a zero row and its flip tables likewise, each read in place
+    # where the oracles' tables were drawn together (the drivers' case).
+    draw_tables(oracles)
+    examples, ex_base = _one_table([o.order[:o.steps_total * b].reshape(-1, b)
+                                    for o in oracles], np.zeros((0, b), dtype=np.intp))
     # Examples: the distinct datasets stacked once, each example signed by its label
-    # (u = -y*x), and each oracle's permutation into them.
+    # (u = -y*x); a permutation's entries index its dataset, which starts at ds_base.
     datasets = list({id(o.dataset): o.dataset for o in oracles}.values())
     U, ds_base = _stack_tables([ds.X for ds in datasets], np.zeros((0, d)))
     y, _ = _stack_tables([ds.y for ds in datasets], np.zeros(0))
     U *= -y[:, None]
     ds_of = {id(ds): j for j, ds in enumerate(datasets)}
     dataset_of = np.array([ds_of[id(o.dataset)] for o in oracles], dtype=np.intp)
-    examples, ex_base = _stack_tables(
-        [o.order[:o.steps_total * b] + ds_base[j] for o, j in zip(oracles, dataset_of.tolist())],
-        np.zeros(0, dtype=np.intp))
-    # Noise: every oracle's batch-mean noise table in one table below a zero row, in place
-    # where the oracles' tables were drawn together (the drivers' case).
-    draw_tables(oracles)
     noise_tables = [o.noise_means for o in oracles]
     noise, noise_base = _one_table(noise_tables, np.zeros((1, d)))
     has_noise = np.array([o.noise_means is not None for o in oracles], dtype=bool)
@@ -367,10 +374,12 @@ def run_batch(rows: Sequence[Row]) -> list:
     for k in np.unique(key[order[1:]][key[order[1:]] == key[order[:-1]]]):
         _check_one_pass(rows, np.flatnonzero(key == k), pair_row, pair_slot, used, b)
 
-    # Per (row, slot): base offsets into those tables, rate constant and flip rate. A pair
-    # that reads no noise or no flips (a twin row, a noiseless oracle) starts at -T, below
-    # any batch index, and the gathers' mode="clip" takes each negative index to the zero
-    # row 0. A padding slot is never read.
+    # Per (row, slot): its offsets into U (its dataset's start) and, in batches, into the
+    # example, noise and flip tables, side by side so that a chunk takes them at once and
+    # adds its batch indices to the last three in one call; its rate constant; its flip
+    # rate. A pair that reads no noise or no flips (a twin row, a noiseless oracle) starts
+    # at -T there, below any batch index, and the gathers' mode="clip" takes each negative
+    # index to the zero row 0. A padding slot is never read.
     noisy = np.repeat(np.array([r.noisy for r in rows], dtype=bool), widths)
     reads_noise, reads_flips = noisy & has_noise[oracle_of], noisy & has_flips[oracle_of]
     rcn = bool(reads_flips.any())
@@ -380,13 +389,14 @@ def run_batch(rows: Sequence[Row]) -> list:
         flip_base = np.zeros(len(oracles), dtype=np.intp)
 
     def per_slot(flat: np.ndarray, pad) -> np.ndarray:
-        table = np.full((n_rows, S), pad, dtype=flat.dtype)
+        table = np.full((n_rows, S, *flat.shape[1:]), pad, dtype=flat.dtype)
         table[pair_row, pair_slot] = flat
         return table
 
-    ex_at = per_slot(ex_base[oracle_of], 0)
-    noise_at = per_slot(np.where(reads_noise, noise_base[oracle_of], -T), -T)
-    flip_at = per_slot(np.where(reads_flips, flip_base[oracle_of], -T), -T)
+    offsets_at = per_slot(np.stack([ds_base[dataset_of[oracle_of]], ex_base[oracle_of],
+                                    np.where(reads_noise, noise_base[oracle_of], -T),
+                                    np.where(reads_flips, flip_base[oracle_of], -T)], axis=1),
+                          -T)
     rate_at = per_slot(np.array([c for sched in schedules for c in sched.rates], dtype=float),
                        np.nan)
     sigma_at = per_slot(np.where(reads_flips, sigmas[oracle_of], 0.0), 0.0)
@@ -400,8 +410,10 @@ def run_batch(rows: Sequence[Row]) -> list:
     pattern_of = np.array([distinct.setdefault(sched._key, (len(distinct), sched))[0]
                            for sched in schedules], dtype=np.intp)
     distinct = [sched for _, sched in distinct.values()]
-    slot_tab = np.zeros((T, len(distinct)), dtype=np.intp)
-    step_tab = np.zeros((T, len(distinct)), dtype=np.intp)
+    # In the narrowest dtype of their values (slot numbers below S, batch indices below T):
+    # each sum they enter has an np.intp operand, which holds it.
+    slot_tab = np.zeros((T, len(distinct)), dtype=np.min_scalar_type(S - 1))
+    step_tab = np.zeros((T, len(distinct)), dtype=np.min_scalar_type(T - 1))
     first_of, run_of = (np.zeros(len(distinct), dtype=np.intp) for _ in range(2))
     for p, sched in enumerate(distinct):
         L = len(sched.slots)
@@ -415,15 +427,15 @@ def run_batch(rows: Sequence[Row]) -> list:
         if r.w0 is not None:
             W[i] = _start(r.w0, d, radius)
 
-    # Rows alike in their first slot, what it reads (its tables' offsets and its rate; a
-    # flip offset names the oracle, so its sigma too) and w0 take the same steps while each
-    # stays in that slot. A group's root, its earliest row with the longest first run, shares
-    # nothing; every other member takes over the root's state after its own first run.
+    # Rows alike in their first slot, what it reads (its offsets and its rate; a flip
+    # offset names the oracle, so its sigma too) and w0 take the same steps while each
+    # stays in that slot. A group's root, its earliest row with the longest first run,
+    # shares nothing; every other member takes over the root's state after its own first
+    # run.
     first, run = first_of[pattern_of], run_of[pattern_of]
     on_first = (np.arange(n_rows), first)
     groups: dict = {}
-    for i, key in enumerate(zip(first.tolist(), ex_at[on_first].tolist(),
-                                noise_at[on_first].tolist(), flip_at[on_first].tolist(),
+    for i, key in enumerate(zip(first.tolist(), map(tuple, offsets_at[on_first].tolist()),
                                 rate_at[on_first].tolist(), (w.tobytes() for w in W))):
         if lengths[i]:
             groups.setdefault(key, []).append(i)
@@ -434,7 +446,9 @@ def run_batch(rows: Sequence[Row]) -> list:
             if j != root:
                 parent[j], shared[j] = root, run[j]
     own = shared + 1
-    ex_at, noise_at, flip_at = ex_at.ravel(), noise_at.ravel(), flip_at.ravel()
+    # One row per kind of offset, so that a chunk's gather gives each kind as one
+    # contiguous (steps, rows) plane.
+    offsets_at = np.ascontiguousarray(offsets_at.reshape(n_rows * S, 4).T)
     # What bounds one step's move (see _norm_bounds): a row's loss gradient is at most
     # s_max * u_max, its scales being at most 1, or 1 / (1 - 2 sigma) under label flips,
     # and its noise at most z_max; u_max and z_max are the largest norms in the call's
@@ -472,7 +486,6 @@ def run_batch(rows: Sequence[Row]) -> list:
     inside = min(radius * (1.0 - 1e-9) / grow, 1e150)
 
     row_bytes = 8 * (b * (d + 3) + 2 * d + 4)   # one row's gathers for one step
-    offsets = np.arange(b)
     step_no = np.arange(1, T + 1)[:, None]
     # Rows start or end only at these steps, so between two of them the active rows
     # (those whose own steps include that span) are a fixed set.
@@ -501,18 +514,18 @@ def run_batch(rows: Sequence[Row]) -> list:
             c1 = min(c0 + C, t1)
             steps = slice(c0 - 1, c1 - 1)
             k = np.take(step_tab[steps], pats, axis=1)
-            rs = np.take(slot_tab[steps], pats, axis=1)
-            rs += row_base
-            at_ex = np.take(ex_at, rs)
-            at_ex += k * b
-            Uc = np.take(U, np.take(examples, at_ex[..., None] + offsets), axis=0)
+            rs = row_base + np.take(slot_tab[steps], pats, axis=1)
+            at = np.take(offsets_at, rs, axis=1)
+            at[1:] += k
+            local = np.take(examples, at[1], axis=0)
+            local += at[0][..., None]
+            Uc = np.take(U, local, axis=0)
             U1c = Uc[:, :, 0]
             if rcn:
-                f_c = np.where(np.take(flips, np.take(flip_at, rs) + k, axis=0, mode="clip"),
-                               -1.0, 1.0)
+                f_c = np.where(np.take(flips, at[3], axis=0, mode="clip"), -1.0, 1.0)
                 sigma_c = np.take(sigma_at, rs)[..., None]
                 keep_c, denom_c = 1.0 - sigma_c, 1.0 - 2.0 * sigma_c
-            noise_c = np.take(noise, np.take(noise_at, rs) + k, axis=0, mode="clip")
+            noise_c = np.take(noise, at[2], axis=0, mode="clip")
             # Each row's step size repeated along d, so that the step multiplies equal shapes.
             eta_c = np.repeat((np.take(rate_at, rs) / step_no[steps])[..., None], d, axis=2)
             if bounded:

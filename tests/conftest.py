@@ -3,6 +3,7 @@ the batched engine."""
 import copy
 import dataclasses
 import functools
+from importlib.metadata import version
 
 import numpy as np
 import pytest
@@ -15,6 +16,20 @@ from hetsgd.sgd import Row, Schedule, check_budgets, run_batch
 # trial's data and noise, and 2 rows per trial; at 1,000 trials of 200 steps
 # in d=5 (acceptance criterion 3) the test process peaks near 120 MiB.
 TRIALS_PER_CALL = 1000
+
+# The build the pinned digests and counts (test_engine, test_experiments, test_rates) were
+# recorded on. Their bytes rest on numpy's and scipy's kernels and on numpy's Generator
+# streams, so another build may change them with no change to the package.
+PINNED_BUILD = {"numpy": "2.4.6", "scipy": "1.17.1"}
+
+
+def assert_pinned(got, pinned) -> None:
+    """Assert ``got == pinned``; a mismatch names the build the pins were recorded on and the
+    running one, which may be the cause."""
+    running = {name: version(name) for name in PINNED_BUILD}
+    assert got == pinned, (
+        f"outputs differ from their pins, recorded on {PINNED_BUILD}; this build is {running}"
+        + ("" if running == PINNED_BUILD else ", a different one"))
 
 
 def windows(oracle: GradientOracle, steps: int) -> list:

@@ -14,7 +14,7 @@ import pytest
 import scipy
 
 import hetsgd
-from conftest import prefix_iterates, prefix_rows, prefix_runs, windows
+from conftest import assert_pinned, prefix_iterates, prefix_rows, prefix_runs, windows
 from hetsgd import experiments, sgd
 from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.experiments import (ExperimentConfig, run_c2_sweep, run_order_experiment,
@@ -120,6 +120,18 @@ def test_engine_matches_scalar_reference_run_by_run(loss, b, radius, active):
     assert hit == active
 
 
+@pytest.mark.parametrize("T,b", [(100, 3), (300, 300)])
+def test_batch_offsets_past_the_range_of_the_narrow_step_table(T, b):
+    # Batch indices below T = 100 fit uint8 and below T = 300 uint16, while the offsets k*b
+    # reach 297 and 89,700, past either dtype's range.
+    obj = ObjectiveSpec(lam=0.1, loss="linear", radius=1e3)
+    oracle = GradientOracle(OracleSpec("local_dp", budget=T * b, batch_size=b, epsilon=2.0),
+                            obj, dataset(T * b, 2, 4))
+    row = Row(Schedule.blocks((("a", 10.0),), {"a": T}), (oracle,))
+    ref, _ = reference_run(row)
+    np.testing.assert_allclose(run_batch([row])[0].final_w, ref[-1], rtol=1e-12, atol=1e-15)
+
+
 @pytest.mark.parametrize("radius", [0.3, 1e3])
 @pytest.mark.parametrize("zeros", [False, True])
 def test_logistic_b1_rows_without_flips_step_the_reference_paths_bytes(radius, zeros):
@@ -151,6 +163,7 @@ def engine_digest(rows):
 # Digests of the engine's bytes on mixed_rows(loss, b, zeros=zeros) at each radius: a leaner
 # step must give the same bits for every loss, mechanism and batch size, also on features
 # with exact zeros (where only the sign of a zero could tell two products apart).
+# Recorded on conftest.PINNED_BUILD.
 PINNED_ENGINE_DIGESTS = {
     ("logistic", 1, 0.3, False):
         "02bead673ecda2c697bf213538d9804163e38a1a9abcb5bcecbd08f8ef4787dd",
@@ -209,7 +222,7 @@ PINNED_ENGINE_DIGESTS = {
 @pytest.mark.parametrize("zeros", [False, True])
 def test_engine_bytes_are_pinned(loss, b, radius, zeros):
     digest = engine_digest(mixed_rows(loss, b, zeros=zeros, radius=radius))
-    assert digest == PINNED_ENGINE_DIGESTS[loss, b, radius, zeros]
+    assert_pinned(digest, PINNED_ENGINE_DIGESTS[loss, b, radius, zeros])
 
 
 @pytest.mark.parametrize("loss", ["logistic", "hinge"])
@@ -457,9 +470,9 @@ def test_rows_do_not_consume_their_oracles():
     assert [t.final_w.tobytes() for t in again] == [t.final_w.tobytes() for t in first]
 
 
-def noise_buffers(rows) -> list:
-    """The distinct buffers behind the noise and flip tables that ``rows`` read."""
-    tables = [t for r in rows for o in r.oracles for t in (o.noise_means, o.flips)
+def table_buffers(rows, names=("noise_means", "flips")) -> list:
+    """The distinct buffers behind the tables ``names`` that ``rows`` read."""
+    tables = [t for r in rows for o in r.oracles for t in (getattr(o, n) for n in names)
               if t is not None]
     return list({id(b): b for b in (t if t.base is None else t.base for t in tables)}.values())
 
@@ -471,7 +484,9 @@ def test_tables_drawn_together_or_apart_give_the_same_bytes(b, radius):
     # from one buffer of each kind, or stacked from a buffer per oracle.
     apart, together = (mixed_rows("logistic", b, radius=radius, shared=shared)
                        for shared in (False, True))
-    assert len(noise_buffers(apart)) == 6 and len(noise_buffers(together)) == 2
+    assert len(table_buffers(apart)) == 6 and len(table_buffers(together)) == 2
+    assert len(table_buffers(apart, ["order"])) == 8
+    assert len(table_buffers(together, ["order"])) == 1
     for x, y in zip(run_batch(apart), run_batch(together)):
         assert x.final_w.tobytes() == y.final_w.tobytes()
         assert (x.projected, x.shared, x.checked, x.last_projected) == \
@@ -509,7 +524,37 @@ def test_a_driver_block_draws_its_tables_into_one_buffer_of_each_kind(monkeypatc
     for oracles in ({}, {"oracles": RCN_ORACLES}):
         run_order_experiment(small_config(**OWN_KEYS[run_order_experiment], **oracles))
     assert len(calls) == 2
-    assert all(len(noise_buffers(rows)) == 1 for rows in calls)
+    assert all(len(table_buffers(rows)) == len(table_buffers(rows, ["order"])) == 1
+               for rows in calls)
+
+
+def test_permutations_drawn_at_another_batch_size_give_the_same_bytes():
+    # Permutations drawn with oracles of another batch size lie in rows of one entry; a
+    # call at b = 3 copies them, with the same values as when they were drawn alone.
+    obj = ObjectiveSpec(lam=0.1, radius=0.5)
+    ds = dataset(40, 3, 5)
+    def build():
+        return [GradientOracle(OracleSpec("clean", budget=20, batch_size=b, rng_seed=b), obj,
+                               ds.subset(np.arange(20 * i, 20 * i + 20)))
+                for i, b in enumerate((3, 1))]
+    alone, mixed = build(), build()
+    draw_tables(mixed)
+    assert mixed[0].order.base.shape[1] == 1
+    rows = [Row(Schedule.blocks((("a", 2.0),), {"a": 6}), (o[0],)) for o in (alone, mixed)]
+    assert [t.final_w.tobytes() for t in run_batch(rows[:1])] == \
+        [t.final_w.tobytes() for t in run_batch(rows[1:])]
+
+
+def test_an_engine_call_copies_only_the_tables_drawn_apart(monkeypatch):
+    # Drawn together, a call's permutations, noise and flip tables are read in place, and
+    # only the datasets' features and labels are stacked; drawn apart, each kind is copied.
+    stacked, stack = [], sgd._stack_tables
+    monkeypatch.setattr(sgd, "_stack_tables",
+                        lambda tables, lead: stacked.append(lead.dtype.name) or stack(tables, lead))
+    for shared, copied in ((True, []), (False, ["bool", "float64", np.dtype(np.intp).name])):
+        stacked.clear()
+        run_batch(mixed_rows("logistic", 1, shared=shared))
+        assert sorted(stacked) == sorted(["float64", "float64", *copied])
 
 
 def test_a_driver_holds_one_blocks_tables_at_a_time(monkeypatch):
@@ -518,7 +563,7 @@ def test_a_driver_holds_one_blocks_tables_at_a_time(monkeypatch):
 
     def spy(rows):
         alive.append(sum(ref() is not None for ref in earlier))
-        earlier.extend(weakref.ref(b) for b in noise_buffers(rows))
+        earlier.extend(weakref.ref(b) for b in table_buffers(rows, ["order", "noise_means"]))
         return run_batch(rows)
 
     monkeypatch.setattr(experiments, "run_batch", spy)

@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import assert_pinned
 from hetsgd import experiments
 from hetsgd.cli import main as cli_main
 from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, _setup, emit_csv,
@@ -614,6 +615,7 @@ class TestCli:
 
 # SHA-256 of every CSV each driver writes at a small config. Same seeds must
 # give the same CSV bytes across commits, not only across reruns of one.
+# The digests and engine counts were recorded on conftest.PINNED_BUILD.
 PINNED_CASES = {
     "order-exp": ("order-exp", {"c_grid": [50.0, 200.0]}),
     "strategy-cmp": ("strategy-cmp", {"epsilon_noisy_sweep": [2.0, 10.0]}),
@@ -689,8 +691,17 @@ def test_driver_outputs_are_pinned(tmp_path):
         projection = meta["projection"]
         assert projection["assumes_inactive"] == (command == "order-exp")
         assert projection["violated"] == (projection["assumes_inactive"] and projection["active"])
-    assert digests == PINNED_DIGESTS
-    assert engines == PINNED_ENGINE_COUNTS
+    assert_pinned(digests, PINNED_DIGESTS)
+    assert_pinned(engines, PINNED_ENGINE_COUNTS)
+
+
+def test_a_pin_mismatch_names_both_builds(monkeypatch):
+    import conftest
+    monkeypatch.setitem(conftest.PINNED_BUILD, "numpy", "0.0")
+    running = re.escape(f"this build is {{'numpy': '{np.__version__}', ")
+    with pytest.raises(AssertionError, match=r"recorded on \{'numpy': '0\.0', .*" + running
+                       + r".*, a different one"):
+        assert_pinned("got", "pinned")
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_CASES))

@@ -327,15 +327,61 @@ class TestGradientOracle:
         alone, together = build(), build()
         draw_tables(together)
         for a, t in zip(alone, together):
-            for name in ("noise_means", "flips"):
+            for name in ("order", "noise_means", "flips"):
                 x, y = getattr(a, name), getattr(t, name)
                 assert (x is None) == (y is None)
                 if y is not None:
                     assert x.tobytes() == y.tobytes() and not y.flags.writeable
-        for name, count in (("noise_means", 4), ("flips", 2)):
+        for name, count in (("order", 8), ("noise_means", 4), ("flips", 2)):
             tables = [getattr(t, name) for t in together if getattr(t, name) is not None]
             assert len(tables) == count and len({id(t.base) for t in tables}) == 1
-            assert not tables[0].base[0].any()        # row 0, which twins read, holds zeros
+            # Row 0 of the noise and flip buffers, which twins read, holds zeros.
+            assert name == "order" or not tables[0].base[0].any()
+
+    @pytest.mark.parametrize("n", [1, 2, 500, 4500, 5000])
+    @pytest.mark.parametrize("sizes", [(1, 1, 1), (3, 3, 3), (1, 3, 2)])
+    def test_order_is_the_generator_permutation_of_its_seed(self, n, sizes):
+        # Drawn alone or with others, behind any offset, in rows of one batch size or of
+        # mixed ones: Generator.permutation's bytes.
+        def build():
+            return [GradientOracle(OracleSpec("clean", budget=m, batch_size=min(b, m),
+                                              rng_seed=seed), ObjectiveSpec(lam=1.0),
+                                   make_dataset(n=m))
+                    for seed, m, b in zip((7, n, 8), (3, n, n), sizes)]
+        alone, together = build(), build()
+        draw_tables(together)
+        for seed, a, t in zip((7, n, 8), alone, together):
+            perm_seed, _ = np.random.SeedSequence(seed).spawn(2)
+            want = np.random.default_rng(perm_seed).permutation(len(a.dataset)).tobytes()
+            assert a.order.tobytes() == t.order.tobytes() == want
+            assert a.order.dtype == np.intp
+
+    def test_a_local_dp_oracle_rejects_examples_outside_the_unit_ball(self):
+        # Its noise is calibrated for gradients of norm at most 1; here ||x|| = 5 * sqrt(3).
+        ds, obj = Dataset(np.full((10, 3), 5.0), np.ones(10)), ObjectiveSpec(lam=1.0)
+        with pytest.raises(ValueError, match=r"norm at most 1, got .* largest norm is 8\.66"):
+            GradientOracle(OracleSpec("local_dp", budget=10, epsilon=1.0), obj, ds)
+        for kind, kw in MECHANISMS:
+            if kind != "local_dp":
+                GradientOracle(OracleSpec(kind, budget=10, **kw), obj, ds)
+        GradientOracle(OracleSpec("local_dp", budget=10, epsilon=1.0), obj, ds.normalized())
+
+    def test_a_dataset_computes_its_largest_norm_once(self, monkeypatch):
+        ds, calls = make_dataset(n=20), []
+        einsum = np.einsum
+        monkeypatch.setattr(np, "einsum", lambda *a, **k: calls.append(1) or einsum(*a, **k))
+        for seed in range(3):
+            GradientOracle(OracleSpec("local_dp", budget=20, rng_seed=seed, epsilon=1.0),
+                           ObjectiveSpec(lam=1.0), ds)
+        assert len(calls) == 1
+        assert ds.max_square_norm == pytest.approx(ds.max_feature_norm() ** 2, rel=1e-15)
+
+    def test_examples_past_the_float_range_are_rejected(self):
+        ds = Dataset(np.array([[1e200, 0.0], [0.0, 0.5]]), np.ones(2))
+        assert ds.max_square_norm == np.inf
+        with pytest.raises(ValueError, match="largest norm is 1e\\+200"):
+            GradientOracle(OracleSpec("local_dp", budget=2, epsilon=1.0), ObjectiveSpec(lam=1.0),
+                           ds)
 
     def test_oracles_of_different_batch_sizes_are_not_drawn_together(self):
         oracles = [GradientOracle(OracleSpec("local_dp", budget=8, batch_size=b, epsilon=1.0),

@@ -5,7 +5,7 @@ from conftest import prefix_iterates, whole_rows
 from hetsgd.core import Dataset, ObjectiveSpec, project
 from hetsgd.oracles import GradientOracle, OracleSpec
 from hetsgd.ordering import expected_deviation, noise_weights, two_level_schedule
-from hetsgd.sgd import NonpositiveRate, Schedule
+from hetsgd.sgd import NonpositiveRate, Schedule, run_batch
 
 
 def linear_dataset(n, d=3, seed=0, all_positive=False):
@@ -94,7 +94,7 @@ class TestRunSgd:
 
     def test_deterministic_given_seeds(self, run_whole):
         obj = ObjectiveSpec(lam=0.2, loss="logistic")
-        ds = linear_dataset(40, seed=7)
+        ds = linear_dataset(40, seed=7).normalized()      # local DP needs ||x|| <= 1
         plan = (("a", 5.0),)
         spec = OracleSpec("local_dp", budget=40, batch_size=2, rng_seed=123, epsilon=1.0)
         t1 = run_whole(plan, {"a": GradientOracle(spec, obj, ds)})[0]
@@ -240,6 +240,28 @@ class TestPaired:
         gaps = np.asarray(gaps)
         se = gaps.std(ddof=1) / np.sqrt(len(gaps))
         assert abs(gaps.mean() - target) <= 3 * se
+
+
+def test_clean_and_noisy_first_end_at_one_iterate_at_c_one_over_lam_under_linear_loss():
+    # A linear-loss step's gradient is lam*w plus a term that does not depend on w, so at
+    # c = 1/lam the iterate after T steps is -1/(lam*T) times the sum of those terms, in any
+    # order: compare_orders' tie at c*lam = 1 holds trial by trial, to rounding, where the
+    # projection never acts. Off c*lam = 1 the two orders part.
+    lam = 0.01
+    obj = ObjectiveSpec(lam=lam, loss="linear", radius=np.inf)
+    for trial in range(5):
+        ds = linear_dataset(60, seed=300 + trial).normalized()
+        oracles = {"c": GradientOracle(OracleSpec("clean", budget=20, rng_seed=trial), obj,
+                                       ds.subset(np.arange(20))),
+                   "n": GradientOracle(OracleSpec("local_dp", budget=40, rng_seed=50 + trial,
+                                                  epsilon=1.0), obj, ds.subset(np.arange(20, 60)))}
+        for c_lam, tie in ((0.7, False), (1.0, True), (1.4, False)):
+            c = c_lam / lam
+            rows = whole_rows((("c", c), ("n", c)), oracles) + \
+                whole_rows((("n", c), ("c", c)), oracles)
+            cf, nf = (t.final_w for t in run_batch(rows))
+            gap = np.linalg.norm(cf - nf) / np.linalg.norm(cf)
+            assert (gap < 1e-13) == tie, (trial, c_lam, gap)
 
 
 class TestVectorizedGapSimulator:

@@ -22,7 +22,8 @@ def oracles() -> dict:
     """Two batch-2 oracles over disjoint parts of one dataset: 6 gaussian batches over its
     first 12 examples and 9 local-DP batches over the other 18."""
     rng = np.random.default_rng(1)
-    ds = Dataset(rng.standard_normal((30, 3)) / np.sqrt(3), np.where(rng.random(30) < 0.5, 1.0, -1.0))
+    ds = Dataset(rng.standard_normal((30, 3)), np.where(rng.random(30) < 0.5, 1.0, -1.0))
+    ds = ds.normalized()                                # local DP needs ||x|| <= 1
     obj = ObjectiveSpec(lam=0.1, loss="logistic", radius=RADIUS)
     return {"clean": GradientOracle(OracleSpec("gaussian", budget=12, batch_size=2, rng_seed=3,
                                                noise_sq=4.0), obj, ds.subset(np.arange(12))),
