@@ -15,8 +15,7 @@ from .sgd import InfeasibleIterate, NonpositiveRate, Row, Schedule, Trajectory, 
 from .datasets import (EmptyFileError, InconsistentDimensionError, ParseError,
                        SyntheticSpec, generate_synthetic, ingest_csv, ingest_libsvm,
                        random_projection, sign_projection_matrix)
-from .experiments import (ExperimentConfig, ResultRow, emit_csv, emit_plotdata,
-                          read_csv_rows, run_c2_sweep, run_order_experiment,
-                          run_strategy_comparison)
+from .experiments import (ExperimentConfig, ResultRow, emit_csv, read_csv_rows,
+                          run_c2_sweep, run_order_experiment, run_strategy_comparison)
 
 __version__ = "0.1.0"

@@ -16,7 +16,6 @@ import dataclasses
 import functools
 import json
 import logging
-import sys
 from typing import Optional
 
 from . import experiments
@@ -146,22 +145,16 @@ def _run(args: argparse.Namespace) -> int:
         print(json.dumps(sel.to_dict(), indent=2, sort_keys=True))
         return 0
 
-    if args.command == "noise-level":
-        if args.kind == "dp":
-            _unused(args, "--kind dp", "sigma")
-            if args.epsilon is None or args.dim is None:
-                raise SystemExit("--epsilon and --dim required for kind=dp")
-            level = dp_noise_level(args.epsilon, args.dim, batch_size)
-        else:
-            _unused(args, "--kind rcn", "epsilon", "dim", "batch_size")
-            if args.sigma is None:
-                raise SystemExit("--sigma required for kind=rcn")
-            level = rcn_noise_level(args.sigma)
-        print(json.dumps({"gamma_sq": level.gamma_sq,
-                          "gamma_sq_lower": level.gamma_sq_lower}, indent=2, sort_keys=True))
-        return 0
-    return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+    if args.kind == "dp":
+        _unused(args, "--kind dp", "sigma")
+        if args.epsilon is None or args.dim is None:
+            raise SystemExit("--epsilon and --dim required for kind=dp")
+        level = dp_noise_level(args.epsilon, args.dim, batch_size)
+    else:
+        _unused(args, "--kind rcn", "epsilon", "dim", "batch_size")
+        if args.sigma is None:
+            raise SystemExit("--sigma required for kind=rcn")
+        level = rcn_noise_level(args.sigma)
+    print(json.dumps({"gamma_sq": level.gamma_sq,
+                      "gamma_sq_lower": level.gamma_sq_lower}, indent=2, sort_keys=True))
+    return 0

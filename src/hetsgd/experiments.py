@@ -2,9 +2,12 @@
 
 Experiments are fully deterministic given the config's ``master_seed``: the
 dataset, the clean/noisy split, and every trial's oracle seeds derive from it
-through a splittable seed tree, and trials aggregate by index. Emitted CSVs
-are byte-identical across reruns; wall-clock timing goes to ``meta.json``
-only (the ``seconds`` column in result rows is reserved and written as 0).
+through a splittable seed tree, and trials aggregate by index. The emitted
+results.csv and trials.csv (every key's per-trial values) are byte-identical
+across reruns; wall-clock timing goes to ``meta.json`` only (the ``seconds``
+column in result rows is reserved and written as 0). Values that share a sweep
+value and a trial ran on that trial's oracle seeds, so their difference is paired;
+in strategy-cmp and order-exp different sweep points do not share seeds.
 
 Each driver is a plan function (``_order_plan``, ``_strategy_plan``, ``_c2_plan``): it
 checks its inputs, sets up data and seeds, makes its schedules and returns a ``_Plan``.
@@ -55,47 +58,46 @@ class ResultRow:
     seconds: float = 0.0
 
 
+def _write_csv(path, header: tuple, records) -> None:
+    """Write ``header`` and then ``records``, each a list of strings, as one CSV file."""
+    with Path(path).open("w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(records)
+
+
 def emit_csv(rows: Sequence[ResultRow], path) -> None:
     """Write rows under the fixed header; floats via repr so re-parsing is exact."""
     if not rows:
         raise ValueError("no rows to emit")
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER)
-        for r in rows:
-            writer.writerow([r.strategy, repr(float(r.sweep_param)), repr(float(r.mean)),
-                             repr(float(r.stderr)), str(int(r.trials)), repr(float(r.seconds))])
+    _write_csv(path, CSV_HEADER, ([r.strategy, repr(float(r.sweep_param)), repr(float(r.mean)),
+                                   repr(float(r.stderr)), str(int(r.trials)),
+                                   repr(float(r.seconds))] for r in rows))
+
+
+def _emit_trials(values: dict, path) -> None:
+    """trials.csv: one line per (strategy, sweep value) key, in ``values`` order, and trial."""
+    _write_csv(path, ("strategy", "sweep_param", "trial", "value"),
+               ([strategy, repr(float(param)), str(i), repr(float(v))]
+                for (strategy, param), vals in values.items() for i, v in enumerate(vals.tolist())))
 
 
 def read_csv_rows(path) -> list:
-    path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    """The rows of a results.csv; a malformed file raises ValueError naming it and the line."""
+    with Path(path).open("r", encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        header = tuple(next(reader))
+        header = tuple(next(reader, ()))
         if header != CSV_HEADER:
-            raise ValueError(f"unexpected header {header}")
-        return [ResultRow(strategy=rec[0], sweep_param=float(rec[1]), mean=float(rec[2]),
-                          stderr=float(rec[3]), trials=int(rec[4]), seconds=float(rec[5]))
-                for rec in reader]
-
-
-def emit_plotdata(rows: Sequence[ResultRow], out_dir) -> list:
-    """One plot_<strategy>.csv per strategy series, same schema, for external plotting."""
-    if not rows:
-        raise ValueError("no rows to emit")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    paths = []
-    by_strategy: dict = {}
-    for r in rows:
-        by_strategy.setdefault(r.strategy, []).append(r)
-    for name in sorted(by_strategy):
-        safe = "".join(ch if ch.isalnum() or ch in "-_" else "_" for ch in name)
-        path = out_dir / f"plot_{safe}.csv"
-        emit_csv(by_strategy[name], path)
-        paths.append(path)
-    return paths
+            raise ValueError(f"{path} line 1: expected the header {CSV_HEADER}, got {header}")
+        rows = []
+        for rec in reader:
+            try:
+                strategy, sweep_param, mean, stderr, trials, seconds = rec
+                rows.append(ResultRow(strategy, float(sweep_param), float(mean), float(stderr),
+                                      int(trials), float(seconds)))
+            except ValueError as err:
+                raise ValueError(f"{path} line {reader.line_num}: {err}") from None
+        return rows
 
 
 def _git_dir(root: Path) -> Optional[Path]:
@@ -145,13 +147,12 @@ def _git_hash(start: Path) -> str:
     return "unknown"
 
 
-def write_meta(out_dir, config_dict: dict, runtime_seconds: float, blocks: dict) -> None:
+def write_meta(out_dir: Path, config_dict: dict, runtime_seconds: float, blocks: dict) -> None:
     """meta.json: the config, what ran (commit, Python, numpy, scipy), wall time and ``blocks``.
 
     scipy's version is read from the loaded module, the one whose ``expit`` the engine
     ran; it is null in a process that never loaded scipy.
     """
-    out_dir = Path(out_dir)
     meta = {
         "config": config_dict,
         "git_hash": _git_hash(Path(__file__).resolve().parent),
@@ -503,21 +504,21 @@ def _result_row(strategy: str, sweep_param: float, values: np.ndarray) -> Result
                      mean=float(values.mean()), stderr=stderr, trials=len(values))
 
 
-def _emit(cfg: ExperimentConfig, rows: Sequence[ResultRow], report: RunReport,
+def _emit(cfg: ExperimentConfig, rows: Sequence[ResultRow], values: dict, report: RunReport,
           driver_meta: dict) -> dict:
     """The report's meta.json blocks (see ``RunReport.meta``) and then the driver's.
 
-    With out_dir it writes results.csv, one plot_*.csv per strategy and meta.json.
+    With out_dir it writes results.csv, trials.csv (the per-trial ``values``) and meta.json.
     """
     if cfg.out_dir:
         out = Path(cfg.out_dir)
         out.mkdir(parents=True, exist_ok=True)
         emit_csv(rows, out / "results.csv")
-        emit_plotdata(rows, out)
+        _emit_trials(values, out / "trials.csv")
         report.lap("emission")
     meta = {**report.meta(), **driver_meta}
     if cfg.out_dir:
-        write_meta(cfg.out_dir, cfg.to_dict(), time.perf_counter() - report.started, meta)
+        write_meta(out, cfg.to_dict(), time.perf_counter() - report.started, meta)
     return meta
 
 
@@ -543,7 +544,7 @@ class Run(NamedTuple):
     """What a driver call returns."""
 
     rows: list               # the rows of results.csv
-    values: dict             # (strategy, sweep value) -> per-trial values, in row order
+    values: dict             # (strategy, sweep value) -> its trial values, in row order (trials.csv)
     meta: dict               # the blocks of meta.json besides the config and what ran
 
 
@@ -559,7 +560,7 @@ def _run(cfg: ExperimentConfig, plan: Callable[[ExperimentConfig], _Plan],
     values = _run_trials(cfg.trials, p.make_trial, p.score, report)
     rows = [_result_row(*key, v) for key, v in values.items()]
     rows += [_result_row(name, key[1], values[key]) for name, key in p.markers]
-    return Run(rows, values, _emit(cfg, rows, report, p.meta))
+    return Run(rows, values, _emit(cfg, rows, values, report, p.meta))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,12 @@ and the expected squared gap between a noisy run and its noiseless twin is
 sum_t delta_t^2 * E||Z_t||^2. Whether delta_t decreases, stays flat, or
 increases in t is decided by the sign of 1 - c*lam, which is what makes the
 optimal data order depend on the rate constant: clean data first for
-c < 1/lam, noisy data first for c > 1/lam, and a tie at c = 1/lam.
+c < 1/lam, noisy data first for c > 1/lam, and a tie at c = 1/lam. The tie is
+exact only for gradients that do not depend on w. Under linear loss both orders
+end at one iterate, as tests/test_sgd.py pins in
+test_clean_and_noisy_first_end_at_one_iterate_at_c_one_over_lam_under_linear_loss.
+Under logistic and hinge loss, unprojected, noisy-first leads at c*lam = 1 by
+about 8 standard errors (ROADMAP.md, item 11's table).
 
 Only the factors 1 - c*lam/s with s <= c*lam are negative or zero, and they
 come first, so ``noise_weights`` tracks signs and zeros over that prefix
@@ -146,8 +151,9 @@ def compare_orders(c: float, lam: float, T_clean: int, T_noisy: int,
     ``arbitrary_pattern`` is a mask of length T_clean + T_noisy, of bools or
     0/1 entries, with exactly T_noisy noisy (True or 1) steps. Ties are
     declared when clean-first and noisy-first agree to relative 1e-12, which
-    happens exactly at c = 1/lam. The three deviations are the row sums of one
-    table (see the module docstring) and give expected_deviation's bits; one past
+    happens exactly at c = 1/lam; runs tie there only for gradients that do not
+    depend on w. The three deviations are the row sums of one table (the module
+    docstring says more on both) and give expected_deviation's bits; one past
     the float range raises ValueError naming c, lam and T.
     """
     check_reals({"v_clean_sq": v_clean_sq, "v_noisy_sq": v_noisy_sq}, NONNEGATIVE_FINITE)

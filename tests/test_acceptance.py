@@ -382,7 +382,7 @@ def test_criterion_11_determinism(tmp_path):
     run_strategy_comparison(strategy_cmp_config(out_a))
     run_strategy_comparison(strategy_cmp_config(out_b))
     names = sorted(p.name for p in out_a.glob("*.csv"))
-    assert "results.csv" in names and any(n.startswith("plot_") for n in names)
+    assert names == ["results.csv", "trials.csv"]
     assert names == sorted(p.name for p in out_b.glob("*.csv"))
     for name in names:
         assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), \

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import logging
@@ -12,9 +13,9 @@ import pytest
 
 from conftest import assert_pinned
 from hetsgd import experiments
-from hetsgd.cli import main as cli_main
-from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, _setup, emit_csv,
-                                emit_plotdata, load_dataset, read_csv_rows, run_c2_sweep,
+from hetsgd.cli import EXPERIMENTS, main as cli_main
+from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, _result_row, _setup,
+                                emit_csv, load_dataset, read_csv_rows, run_c2_sweep,
                                 run_order_experiment, run_strategy_comparison)
 
 FIXTURE_ROWS = [
@@ -59,12 +60,19 @@ class TestCsvEmission:
     def test_header_pinned(self):
         assert CSV_HEADER == ("strategy", "sweep_param", "mean", "stderr", "trials", "seconds")
 
-    def test_plotdata_one_file_per_strategy(self, tmp_path):
-        paths = emit_plotdata(FIXTURE_ROWS, tmp_path)
-        names = sorted(p.name for p in paths)
-        assert names == ["plot_Algorithm2.csv", "plot_CleanOnly.csv"]
-        rows = read_csv_rows(tmp_path / "plot_Algorithm2.csv")
-        assert rows == [FIXTURE_ROWS[0]]
+    @pytest.mark.parametrize("text,line", [
+        # An empty file raised a bare StopIteration, a short record an IndexError, and a
+        # long one was cut to its first 6 fields.
+        ("", 1),
+        ("Algorithm2,2.0,1.25\n", 2),
+        ("Algorithm2,2.0,1.25,0.03125,100,1.5,7\n", 2),
+        ("CleanOnly,0.0,2.5,0.0625,100,0.75\nAlgorithm2,two,1.25,0.03125,100,1.5\n", 3)])
+    def test_a_malformed_file_names_itself_and_the_line(self, tmp_path, text, line):
+        path = tmp_path / "results.csv"
+        path.write_text(("strategy,sweep_param,mean,stderr,trials,seconds\n" if text else "")
+                        + text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))} line {line}: [^\n]+$"):
+            read_csv_rows(path)
 
     def test_empty_rows_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -216,7 +224,7 @@ class TestStrategyComparison:
         run_strategy_comparison(cfg_a)
         run_strategy_comparison(cfg_b)
         a_dir, b_dir = tmp_path / "a" / "out", tmp_path / "b" / "out"
-        for name in ["results.csv"] + sorted(p.name for p in a_dir.glob("plot_*.csv")):
+        for name in ("results.csv", "trials.csv"):
             assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes()
         meta = json.loads((a_dir / "meta.json").read_text())
         assert meta["config"]["master_seed"] == 42
@@ -256,10 +264,7 @@ class TestOrderExperiment:
         cfg = small_config(tmp_path, c_grid=(100.0,), trials=3)
         run_order_experiment(cfg)
         out = tmp_path / "out"
-        assert (out / "results.csv").exists()
-        assert (out / "meta.json").exists()
-        assert sorted(p.name for p in out.glob("plot_*.csv")) == \
-            ["plot_AO.csv", "plot_CF.csv", "plot_NF.csv"]
+        assert sorted(p.name for p in out.iterdir()) == ["meta.json", "results.csv", "trials.csv"]
 
     def test_meta_reports_the_last_active_step_and_the_checked_row_steps(self, tmp_path,
                                                                          monkeypatch):
@@ -627,34 +632,20 @@ PINNED_CASES = {
 
 PINNED_DIGESTS = {
     "order-exp": {
-        "plot_AO.csv": "a5d559f1eddf4712d8a16d583cdb1a93bb7b2f22bb624ea6557c9805ba49903d",
-        "plot_CF.csv": "4d055278ba0f04c1b9e110a18ddabe1a4dfa9830c8ea8b0acd0ea1d6c0435c93",
-        "plot_NF.csv": "d000629e102c3b1cdb2babc3c23b37b7584f600324c0335c46004a291f0936ca",
         "results.csv": "fdb028e2242a5c99cc09ec4f2c7dc06d431590ff19f1c81714ee818fa203dadd",
+        "trials.csv": "66947061d94e666ef81789aa8de8d27153624da3f93b5476bab78c34d1cebbba",
     },
     "strategy-cmp": {
-        "plot_Algorithm2.csv": "bb9bfffab18df564fd486c9324cacce1b52d7836bd8ffea8ffe31726d6bac805",
-        "plot_CleanOnly.csv": "350ea89a084eb300af45a2b025abc3f00f1fb5b0cf7c81efd82a9af7ee08b2d1",
-        "plot_Optimal.csv": "48ca967664b0f9ee62237839569da6b5f1f8ec633c14bfaff0ed538b1e1e6d5c",
-        "plot_SameClean.csv": "aadbf0ac6f82a0d39c9f7390e5feebe1ec84a8195240b154de199f54bb1fd21d",
-        "plot_SameNoisy.csv": "ad1c7c3950617677bd765dd6f8b51ab47971e0698a58b604c1e5d94c30a105cb",
         "results.csv": "cc21485e50cc53453375659a5d9db1e546e4f863771e02c8b44d4ce9c724b47a",
+        "trials.csv": "37ab7c99b7b04e8de208465cd8f044a21e581f8dce02f3a699507575a938e56a",
     },
     "strategy-cmp-rcn": {
-        "plot_Algorithm2.csv": "bc349a33778f63e5a70dfad9ef4e82daad7819c74a644d96e757f20cb233d7da",
-        "plot_CleanOnly.csv": "5f498aa2e3efa2408cac7af800327f081367e94ff2be1955907027f777390da3",
-        "plot_Optimal.csv": "6a2c2becf0aafcb4061769b8bd71144e9bbd10a3bdefdb6ca91da44f9e25eb63",
-        "plot_SameClean.csv": "ce701bc56b48273f18c54529f4d52721c9cbbea8392d922c9648467a62a1ff65",
-        "plot_SameNoisy.csv": "849e21d8d13456e92d4644367add4665d575f7ee4fc83ed9ee4aec895a12f208",
         "results.csv": "0511514727907e5ffb9db206cad7f8f38dd6ed814d96961eab09c542e7d25c35",
+        "trials.csv": "a13dac12c3f7a5ee8ab0006a205dc61a593a5170b04ed34dd6a7fb9624f51ff2",
     },
     "c2-sweep": {
-        "plot_CleanOnly.csv": "259d441741d5cefafc8f4a9b362833b332c44f09b8fa5105b57c40cd0bb84f7e",
-        "plot_TwoRate.csv": "ab7a8239e7ea83d3a063fc28a94da6f2a32a98f3de1f368cedf066676f539cd6",
-        "plot_marker_c2_lower.csv": "945404e1bbc441b394db312af1a365b25bd79c2fac773e19f94344b0a5ff2609",
-        "plot_marker_c2_selected.csv": "0ed62ba7a30a8091e288c5c060835646103fd265d9de6ef56d87170825a4438c",
-        "plot_marker_c2_upper.csv": "dc5a6a87a58fc0051ee6279f19b09211e93d8bda063a98ed361e6f32e18d94a5",
         "results.csv": "4a564d4094536d888066503d85f1de8d1b97c3359830b4d3a7b230d532febf96",
+        "trials.csv": "f6c778ebe4c041ae54c44de19346a4b0c05f3c0c0f3c2044263e68dcfceae336",
     },
 }
 
@@ -702,6 +693,36 @@ def test_a_pin_mismatch_names_both_builds(monkeypatch):
     with pytest.raises(AssertionError, match=r"recorded on \{'numpy': '0\.0', .*" + running
                        + r".*, a different one"):
         assert_pinned("got", "pinned")
+
+
+def read_trials(path) -> dict:
+    """trials.csv's values per (strategy, sweep value), in file order; trials count from 0."""
+    values = {}
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        assert next(reader) == ["strategy", "sweep_param", "trial", "value"]
+        for strategy, sweep_param, trial, value in reader:
+            trials = values.setdefault((strategy, float(sweep_param)), [])
+            assert int(trial) == len(trials)
+            trials.append(float(value))
+    return {key: np.array(v) for key, v in values.items()}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_CASES))
+def test_results_csv_is_rebuilt_from_trials_csv_and_meta_json(case, tmp_path):
+    command, overrides = PINNED_CASES[case]
+    run = getattr(experiments, EXPERIMENTS[command])(small_config(tmp_path, trials=3, **overrides))
+    out = tmp_path / "out"
+    assert sorted(p.name for p in out.iterdir()) == ["meta.json", "results.csv", "trials.csv"]
+    values = read_trials(out / "trials.csv")
+    assert list(values) == list(run.values)
+    assert all(values[key].tobytes() == run.values[key].tobytes() for key in run.values)
+    # c2-sweep's marker rows repeat the TwoRate rows that c2_markers names, in this order.
+    markers = json.loads((out / "meta.json").read_text()).get("c2_markers")
+    names = ("c2_lower", "c2_upper", "c2_selected") if command == "c2-sweep" else ()
+    rows = [_result_row(*key, v) for key, v in values.items()]
+    rows += [_result_row(f"marker_{n}", markers[n], values["TwoRate", markers[n]]) for n in names]
+    assert rows == read_csv_rows(out / "results.csv")
 
 
 @pytest.mark.parametrize("case", sorted(PINNED_CASES))
