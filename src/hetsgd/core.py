@@ -235,12 +235,8 @@ def gradient_scales(spec: ObjectiveSpec, w: np.ndarray, U: np.ndarray) -> np.nda
     takes signed examples U (rows, b, d).
     """
     w = np.asarray(w, dtype=np.float64)
-    U = np.asarray(U, dtype=np.float64)
-    if U.ndim < 2:
-        U = np.atleast_2d(U)
+    U = np.atleast_2d(np.asarray(U, dtype=np.float64))
     _check_dims(w, U)
-    if spec.loss == "linear":
-        return np.ones(U.shape[:-1])
     return margin_scales(spec, margins(w, U))
 
 
@@ -276,18 +272,17 @@ def _objective(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray)
     return reg + float(np.mean(loss_values(spec, w, X, y)))
 
 
-def norms(w: np.ndarray) -> np.ndarray:
-    """Euclidean norm of w, or of each row of a matrix w, with no overflow in the squares.
+def norms(W: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a matrix W, with no overflow in the squares.
 
     Each row is divided by its largest magnitude before squaring, as in
     ``_project_far``; a row that is not finite has norm NaN.
     """
-    peak = np.max(np.abs(w), axis=-1)
+    peak = np.max(np.abs(W), axis=1)
     peak = np.where(peak > 0, peak, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        v = w / (peak if w.ndim == 1 else peak[:, None])
-        sq = v @ v if w.ndim == 1 else np.einsum("rd,rd->r", v, v)
-        return np.sqrt(sq) * peak
+        v = W / peak[:, None]
+        return np.sqrt(np.einsum("rd,rd->r", v, v)) * peak
 
 
 def _project_far(w: np.ndarray, radius: float) -> np.ndarray:

@@ -120,7 +120,7 @@ def ingest_csv(path) -> Dataset:
 
 
 def ingest_libsvm(path) -> Dataset:
-    """Load sparse 'label idx:value ...' text (1-based indices) as dense features."""
+    """Load sparse 'label idx:value ...' rows (1-based indices, each once) as dense features."""
     path = Path(path)
     entries = []
     labels = []
@@ -150,6 +150,8 @@ def ingest_libsvm(path) -> Dataset:
                     raise ParseError(path, line_number, "feature indices are 1-based")
                 if not math.isfinite(val):
                     raise ParseError(path, line_number, f"non-finite feature {token!r}")
+                if idx in row:
+                    raise ParseError(path, line_number, f"feature index {idx} given twice")
                 row[idx] = val
                 max_index = max(max_index, idx)
             entries.append(row)

@@ -148,27 +148,14 @@ def two_phase_bound(inputs: BoundInputs, c1, c2):
     |2*lam*c2 - 1| <= BRANCH_TOL the removable singularity is replaced by its
     limit: first-phase exponent 0 and second term 4*g2*c2^2*log(1/beta1)/T.
 
-    Scalar rates are checked here and then evaluated by ``_bound_evaluator``,
-    the plain-float path the minimisers call point by point. It keeps the array
-    path's operation order and calls np.exp/np.expm1, not math.exp/math.expm1,
-    which can round differently, so both paths give the same bits. Array rates
-    are checked here and then evaluated by ``_bound_values``, which the
-    minimisers call on their own grids.
+    Scalar and array rates alike are checked here as float64 arrays (a scalar as a
+    0-d one) and then evaluated by ``_bound_values``, which the minimisers call on
+    their own grids. The minimisers' plain-float path, ``_bound_evaluator``, keeps
+    the array path's operation order and calls np.exp/np.expm1, not
+    math.exp/math.expm1, which can round differently, so both give the same bits.
     """
     reject_bools({"c1": c1, "c2": c2})
     lam = inputs.lam
-    if isinstance(c1, (int, float)) and isinstance(c2, (int, float)):
-        c1, c2 = float(c1), float(c2)
-        k1 = 2.0 * lam * c1
-        if not k1 > 1.0:
-            raise PreconditionViolated(f"need 2*lam*c1 > 1, got {k1}")
-        if not k1 < math.inf:
-            raise ValueError(f"2*lam*c1 must be finite, got c1={c1}")
-        if not c2 > 0:
-            raise ValueError("c2 must be positive")
-        if not 2.0 * lam * c2 - 1.0 < math.inf:
-            raise ValueError(f"2*lam*c2 must be finite, got c2={c2}")
-        return _bound_evaluator(inputs, c1)(c2)
     # The extremes are checked as plain floats before any array product, so an infinite
     # 2*lam*c raises ValueError and no numpy warning. (2*lam)*c is monotone in c, so its
     # extremes are those of the array's product; a NaN entry makes min() NaN, which

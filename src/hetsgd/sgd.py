@@ -20,22 +20,23 @@ about ``CHUNK_BYTES`` and at least one step; one step's gathers take
 8*(b*(d + 3) + 2d + 4) bytes a row, 5,392 at b = 50 and d = 10, so at that
 batch size most chunks hold one step.
 
-Rows may share their first run, the steps before their slot first changes: a
-``c2-sweep`` trial's TwoRate rows all run one first phase at c1 = 1/lam, a
-CleanOnly row runs the clean phase of a clean-first row, and an ``order-exp``
-AO row that opens with the clean source runs the first steps of the CF row at
-its rate. Nothing past a first run is shared: three identical two-phase rows
-share their first phase, not all of their steps. Rows alike in their first
-slot's number, what that slot reads (examples, noise and flip signs, and its
-rate) and w0 form a group. Its root, the earliest row with the longest first
-run, steps on its own. Every other member of length L and first run L1 <= L
-has the root's iterates through step L1, so the engine does not step it
-there: at step L1 + 1 it takes over a copy of the root's state and projection
-counts, and ``Trajectory.shared`` reports L1. A member that is only its first
-run takes no step of its own. Rows thus start or end only at a few steps, and
-between two of them the rows being stepped are a fixed index set, a span.
-Their iterates are copied out of W at the start of the span and back at its
-end, so a root may come after its members in row order.
+Every run starts at w = 0. Rows may share their first run, the steps before
+their slot first changes: a ``c2-sweep`` trial's TwoRate rows all run one
+first phase at c1 = 1/lam, a CleanOnly row runs the clean phase of a
+clean-first row, and an ``order-exp`` AO row that opens with the clean source
+runs the first steps of the CF row at its rate. Nothing past a first run is
+shared: three identical two-phase rows share their first phase, not all of
+their steps. Rows alike in their first slot's number and what that slot reads
+(examples, noise and flip signs, and its rate) form a group. Its root, the
+earliest row with the longest first run, steps on its own. Every other member
+of length L and first run L1 <= L has the root's iterates through step L1, so
+the engine does not step it there: at step L1 + 1 it takes over a copy of the
+root's state and projection counts, and ``Trajectory.shared`` reports L1. A
+member that is only its first run takes no step of its own. Rows thus start or
+end only at a few steps, and between two of them the rows being stepped are a
+fixed index set, a span. Their iterates are copied out of W at the start of
+the span and back at its end, so a root may come after its members in row
+order.
 
 The step buffers are made once per engine call, and a step writes into the
 first R rows of each (the span's R rows): the margins, then the scales, into
@@ -115,7 +116,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -201,15 +202,14 @@ class Schedule:
 class Row:
     """One run of a batch: a schedule over its oracles, noisy or as the noiseless twin.
 
-    Each slot reads its oracle's batches 0, 1, ... in order. The twin
-    (``noisy=False``) replays the same examples with the injected noise set to
-    zero and, for label-flip oracles, the true labels.
+    The run starts at w = 0, and each slot reads its oracle's batches 0, 1, ...
+    in order. The twin (``noisy=False``) replays the same examples with the
+    injected noise set to zero and, for label-flip oracles, the true labels.
     """
 
     schedule: Schedule
     oracles: tuple
     noisy: bool = True
-    w0: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -220,16 +220,6 @@ class Trajectory:
     shared: int = 0                          # first-run steps taken over from its group's root
     checked: int = 0                         # own steps on which the exact inside-ball test ran
     last_projected: int = 0                  # last step the projection scaled this run (0: none)
-
-
-def _start(w0, d: int, radius: float) -> np.ndarray:
-    """w0 as a float vector, checked to have shape (d,) and to be finite and in the ball."""
-    w0 = np.asarray(w0, dtype=np.float64)
-    if w0.shape != (d,):
-        raise ValueError(f"w0 must have shape ({d},), got {w0.shape}")
-    if not norms(w0) <= radius * (1.0 + 1e-12):
-        raise ValueError("w0 lies outside the feasible ball or is not finite")
-    return w0
 
 
 def _stack_tables(tables: Sequence, lead: np.ndarray) -> tuple:
@@ -423,20 +413,17 @@ def run_batch(rows: Sequence[Row]) -> list:
             first_of[p], run_of[p] = sched.slots[0], change[0] if change.size else L
 
     W = np.zeros((n_rows, d))
-    for i, r in enumerate(rows):
-        if r.w0 is not None:
-            W[i] = _start(r.w0, d, radius)
 
-    # Rows alike in their first slot, what it reads (its offsets and its rate; a flip
-    # offset names the oracle, so its sigma too) and w0 take the same steps while each
-    # stays in that slot. A group's root, its earliest row with the longest first run,
-    # shares nothing; every other member takes over the root's state after its own first
-    # run.
+    # Every row starts at w = 0, so rows alike in their first slot and what it reads (its
+    # offsets and its rate; a flip offset names the oracle, so its sigma too) take the
+    # same steps while each stays in that slot. A group's root, its earliest row with the
+    # longest first run, shares nothing; every other member takes over the root's state
+    # after its own first run.
     first, run = first_of[pattern_of], run_of[pattern_of]
     on_first = (np.arange(n_rows), first)
     groups: dict = {}
     for i, key in enumerate(zip(first.tolist(), map(tuple, offsets_at[on_first].tolist()),
-                                rate_at[on_first].tolist(), (w.tobytes() for w in W))):
+                                rate_at[on_first].tolist())):
         if lengths[i]:
             groups.setdefault(key, []).append(i)
     parent, shared = np.full(n_rows, -1), np.zeros(n_rows, dtype=np.intp)
@@ -608,37 +595,32 @@ def check_budgets(rows: Sequence[Row]) -> None:
 # The four single-run calls below exist only as the names perfbench's tracer wraps;
 # the drivers and the tests build their rows for run_batch themselves.
 
-def _whole_runs(schedule: Schedule, oracles: Mapping[str, GradientOracle],
-                w0: Optional[np.ndarray], paired: bool) -> list:
+def _whole_runs(schedule: Schedule, oracles: Mapping[str, GradientOracle], paired: bool) -> list:
     """One run of ``schedule`` over the oracles it names, from batch 0, and its twin if paired."""
     row_oracles = tuple(oracles[k] for k in schedule.ids)
-    rows = [Row(schedule, row_oracles, noisy, w0=w0)
+    rows = [Row(schedule, row_oracles, noisy)
             for noisy in ((True, False) if paired else (True,))]
     check_budgets(rows)
     return rows
 
 
-def run_sgd(phases: Sequence, oracles: Mapping[str, GradientOracle],
-            w0: Optional[np.ndarray] = None) -> Trajectory:
+def run_sgd(phases: Sequence, oracles: Mapping[str, GradientOracle]) -> Trajectory:
     """Run each (oracle id, rate constant) phase's oracle over its whole budget, in order."""
     schedule = Schedule.blocks(phases, {k: o.steps_total for k, o in oracles.items()})
-    return run_batch(_whole_runs(schedule, oracles, w0, False))[0]
+    return run_batch(_whole_runs(schedule, oracles, False))[0]
 
 
-def run_sgd_interleaved(schedule: Schedule, oracles: Mapping[str, GradientOracle],
-                        w0: Optional[np.ndarray] = None) -> Trajectory:
+def run_sgd_interleaved(schedule: Schedule, oracles: Mapping[str, GradientOracle]) -> Trajectory:
     """Run ``schedule`` over the oracles it names, each over its whole budget."""
-    return run_batch(_whole_runs(schedule, oracles, w0, False))[0]
+    return run_batch(_whole_runs(schedule, oracles, False))[0]
 
 
-def run_paired(phases: Sequence, oracles: Mapping[str, GradientOracle],
-               w0: Optional[np.ndarray] = None) -> tuple:
+def run_paired(phases: Sequence, oracles: Mapping[str, GradientOracle]) -> tuple:
     """``run_sgd``'s run and its noiseless twin (see ``Row``) over the same data order."""
     schedule = Schedule.blocks(phases, {k: o.steps_total for k, o in oracles.items()})
-    return tuple(run_batch(_whole_runs(schedule, oracles, w0, True)))
+    return tuple(run_batch(_whole_runs(schedule, oracles, True)))
 
 
-def run_paired_interleaved(schedule: Schedule, oracles: Mapping[str, GradientOracle],
-                           w0: Optional[np.ndarray] = None) -> tuple:
+def run_paired_interleaved(schedule: Schedule, oracles: Mapping[str, GradientOracle]) -> tuple:
     """``run_sgd_interleaved``'s run and its noiseless twin over the same data order."""
-    return tuple(run_batch(_whole_runs(schedule, oracles, w0, True)))
+    return tuple(run_batch(_whole_runs(schedule, oracles, True)))

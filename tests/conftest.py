@@ -55,28 +55,28 @@ def windows(oracle: GradientOracle, steps: int) -> list:
     return views
 
 
-def whole_rows(plan, oracles, w0=None, paired=False) -> list:
+def whole_rows(plan, oracles, paired=False) -> list:
     """The rows of one run that reads each oracle it names over its whole budget.
 
     ``plan`` is a Schedule, or ordered (oracle id, rate constant) phases that
     each run their oracle's whole budget (``Schedule.blocks``). ``oracles``
-    maps each id the schedule names to its oracle; the run stays in their
-    objective's ball. Every oracle is read from batch 0; with ``paired`` the
-    noiseless twin's trajectory follows the run's. The rows keep the drivers'
-    rule (sgd.check_budgets).
+    maps each id the schedule names to its oracle; the run starts at w = 0 and
+    stays in their objective's ball. Every oracle is read from batch 0; with
+    ``paired`` the noiseless twin's trajectory follows the run's. The rows keep
+    the drivers' rule (sgd.check_budgets).
     """
     schedule = plan if isinstance(plan, Schedule) else \
         Schedule.blocks(plan, {k: o.steps_total for k, o in oracles.items()})
     row_oracles = tuple(oracles[k] for k in schedule.ids)
-    rows = [Row(schedule, row_oracles, noisy, w0=w0)
+    rows = [Row(schedule, row_oracles, noisy)
             for noisy in ((True, False) if paired else (True,))]
     check_budgets(rows)
     return rows
 
 
-def _run_whole(plan, oracles, w0=None, paired=False) -> list:
-    """Trajectories of ``whole_rows(plan, oracles, w0, paired)``, from one run_batch call."""
-    return run_batch(whole_rows(plan, oracles, w0, paired))
+def _run_whole(plan, oracles, paired=False) -> list:
+    """Trajectories of ``whole_rows(plan, oracles, paired)``, from one run_batch call."""
+    return run_batch(whole_rows(plan, oracles, paired))
 
 
 def prefix_rows(rows, every: int = 1) -> list:
@@ -89,7 +89,7 @@ def prefix_rows(rows, every: int = 1) -> list:
     def cut(schedule: Schedule, t: int) -> Schedule:
         return Schedule(schedule.ids, schedule.rates, schedule.slots[:t])
 
-    return [Row(cut(r.schedule, t), r.oracles, r.noisy, r.w0)
+    return [Row(cut(r.schedule, t), r.oracles, r.noisy)
             for r in rows for t in range(every, len(r.schedule.slots) + 1, every)]
 
 
@@ -161,7 +161,7 @@ def _paired_gaps(mask, v_c: float, v_n: float, c: float, lam: float, d: int,
 
 @pytest.fixture
 def run_whole():
-    """_run_whole(plan, oracles, w0=None, paired=False)."""
+    """_run_whole(plan, oracles, paired=False)."""
     return _run_whole
 
 

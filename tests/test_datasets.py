@@ -178,6 +178,13 @@ class TestIngestLibsvm:
         with pytest.raises(ParseError, match=r":2: non-finite"):
             ingest_libsvm(path)
 
+    def test_repeated_feature_index_names_file_line_and_index(self, tmp_path):
+        # Was read as x = (0.7, 0.1): the later value silently replaced the earlier one.
+        path = tmp_path / "data.txt"
+        path.write_text("-1 2:0.3\n+1 1:0.5 1:0.7 2:0.1\n")
+        with pytest.raises(ParseError, match=r"data\.txt:2: feature index 1 given twice$"):
+            ingest_libsvm(path)
+
     def test_empty(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("# nothing\n")

@@ -52,7 +52,7 @@ def reference_run(row: Row, as_row: bool = False) -> tuple:
     radius = row.oracles[0].objective.radius
     oracles = row.oracles if row.noisy else [o.twin() for o in row.oracles]
     batch = [0] * len(oracles)                            # the next batch of each slot
-    w = np.zeros(row.oracles[0].dataset.d) if row.w0 is None else row.w0.copy()
+    w = np.zeros(row.oracles[0].dataset.d)
     if as_row:
         w = w[None, :]
     iterates, scaled = [], []
@@ -70,8 +70,8 @@ def reference_run(row: Row, as_row: bool = False) -> tuple:
 def mixed_rows(loss, b, seed=0, zeros=False, radius=1.0, shared=False):
     """Every mechanism under a plan, its reverse, a one-phase plan, an interleaving and a
     shorter interleaving that reads each oracle from mid-budget on (through a view that
-    starts at batch 4 of the first and 6 of the second), each noisy, as a twin and from a
-    w0, in the ball of the given radius. Each oracle draws its tables into a buffer of its
+    starts at batch 4 of the first and 6 of the second), each noisy and as a twin, in the
+    ball of the given radius. Each oracle draws its tables into a buffer of its
     own, or with ``shared`` all into one (``draw_tables``)."""
     lam, d = 0.1, 4
     obj = ObjectiveSpec(lam=lam, loss=loss, radius=radius)
@@ -97,9 +97,8 @@ def mixed_rows(loss, b, seed=0, zeros=False, radius=1.0, shared=False):
                      (Schedule(("a", "b"), (15.0, 15.0), slots), whole),
                      (Schedule(("a", "b"), (25.0, 5.0), late),
                       (windows(first, 4)[1], windows(second, 6)[1]))]
-        w0 = np.full(d, 0.05)
         for sched, pair in schedules:
-            rows += [Row(sched, pair), Row(sched, pair, False), Row(sched, pair, w0=w0)]
+            rows += [Row(sched, pair), Row(sched, pair, False)]
     return rows
 
 
@@ -166,53 +165,53 @@ def engine_digest(rows):
 # Recorded on conftest.PINNED_BUILD.
 PINNED_ENGINE_DIGESTS = {
     ("logistic", 1, 0.3, False):
-        "02bead673ecda2c697bf213538d9804163e38a1a9abcb5bcecbd08f8ef4787dd",
+        "5ecfcfd8731eb516529245f444d44d33c213bf1097271178f1fc9e669c49fb0d",
     ("logistic", 1, 0.3, True):
-        "a0dd58671c8d32b67ab329881dbaea41337bdd2dc673849273eb1254b2ceb06a",
+        "edb9c636b52773e06f3a67380402a324c0ae26e7db9656fd6b8b494f42e251df",
     ("logistic", 1, 1e3, False):
-        "632cab5d4d0e12c57def124f5ec6d88d17e2d1e52bca5e7796888293f12afba1",
+        "dbcff933c978372e71f751ba1217322069a00f5a7c43ed5da89d6b82c13bf067",
     ("logistic", 1, 1e3, True):
-        "d0e7dff06ecd0b7d482511bd439bc624adcfa18f50e2f3d425583e56ff73e70f",
+        "09bd63b9dc5b12ae951908514209e4feede28a24536edd4a396348f397f4b41e",
     ("logistic", 3, 0.3, False):
-        "446c40563a02883c1bc38ae7bbafe30b94eef065ac68e2c3e04a875e7c30ef5c",
+        "1eea0026e3c83698d5e99243a60ae00f24801e5e4b9ca71cccbb5b28e6feb65c",
     ("logistic", 3, 0.3, True):
-        "4c43435c400fc5a9d88a186ef968202bf5d6a36a1b8d59b590440a021d0482f5",
+        "1078d22fa016959cba15d75e93016cfb7a7aa3454adb818e529db5f3c1e2dd43",
     ("logistic", 3, 1e3, False):
-        "dfc397888a0b2bf5b28385b326cc7315c6c33d870c1124ac62dd470372b4bb6b",
+        "a6f20d056351f5daf61a8ef836b2ed3a35add612ee967cbdfb740388a429b1d2",
     ("logistic", 3, 1e3, True):
-        "d950dfae98df6d86f22a69c40a4413da3f1c834f8a6e44497683c511e71e693e",
+        "01daa829c9700317caef7814afb9d50cbbf1828519a676cc9367745596691f66",
     ("hinge", 1, 0.3, False):
-        "b4fc5dd622deae7c6a3e83feb8599afd500ec7e109ce64e0500ac7599993d593",
+        "a498875c745bc072f74b3aa337faa6bcd296b2c08e3eca8dcb5ae60819448766",
     ("hinge", 1, 0.3, True):
-        "69e6644284087edbd23de60361a4657e5ee28cf314eb73364aae52cadc76cc56",
+        "728e6c155c9c8ac0db90e9faff7cd61313aacfb0983c4dd13b4cffdb619e910a",
     ("hinge", 1, 1e3, False):
-        "a325e0af7d764d6cbd4bf98260308b6f5efc63a9b08612f1a708051653d3710b",
+        "f7d386a5e0671e8931b00a03bb7206124fb2223d759e4391c57d3812440e70fb",
     ("hinge", 1, 1e3, True):
-        "2e1fdb7b18313b7fbf1097362a93ff33dcd5f57d46f94e86360ba6eb58b0b5f2",
+        "3de4fc57d03f993a1a4abe3f462a5e38a5fa34e86110e11dd56cab7e91e5ad1d",
     ("hinge", 3, 0.3, False):
-        "d9a7ac68f37811b181ef268934f76ca1295fb976a53e210bc840e58f7b7c64cf",
+        "6133b7793be889bb4c472ff9f9b693606bf7bbe2d6796254af0bca56c010221b",
     ("hinge", 3, 0.3, True):
-        "6c2412a45c5645fd2f37764a3d2f05bf3ece7e6d18e23068022385d21c78b30b",
+        "6582e431a3f39214ab93b78c631b887442054855950515137714ed3eec8386e1",
     ("hinge", 3, 1e3, False):
-        "1980b769da063d8c211484362f5b40bf7aa8163b9136a7a7d1e62d861ff8d23d",
+        "050f59bae391dcf3174a8d28b9f55c816b92687cc4eb8854b61fab576d17f342",
     ("hinge", 3, 1e3, True):
-        "31a880452b407fab067369abb862e40aea5a8513528120d7137d83189490bb63",
+        "184d7c0a3869a289b533afa0dc75e01a4dfab70b496e1f8811ba4a1048e99a91",
     ("linear", 1, 0.3, False):
-        "b4fc5dd622deae7c6a3e83feb8599afd500ec7e109ce64e0500ac7599993d593",
+        "a498875c745bc072f74b3aa337faa6bcd296b2c08e3eca8dcb5ae60819448766",
     ("linear", 1, 0.3, True):
-        "69e6644284087edbd23de60361a4657e5ee28cf314eb73364aae52cadc76cc56",
+        "728e6c155c9c8ac0db90e9faff7cd61313aacfb0983c4dd13b4cffdb619e910a",
     ("linear", 1, 1e3, False):
-        "a95723b143c19bcb8eb5f975827fda84f15843561d49799c1ebf727335320075",
+        "39157155aec222e20d3d4ce50e80c8c5a3ac6d1b429e9de3163e7545e7177d6f",
     ("linear", 1, 1e3, True):
-        "4af9f9d369a653d6e6cb39848c693601632168d6c8f6f11ef95705cc84799a01",
+        "eec1435e78562f55ca17962bb9eb6b2a7367afe3e5e32b957f3bbc0cfb276d90",
     ("linear", 3, 0.3, False):
-        "d9a7ac68f37811b181ef268934f76ca1295fb976a53e210bc840e58f7b7c64cf",
+        "6133b7793be889bb4c472ff9f9b693606bf7bbe2d6796254af0bca56c010221b",
     ("linear", 3, 0.3, True):
-        "6c2412a45c5645fd2f37764a3d2f05bf3ece7e6d18e23068022385d21c78b30b",
+        "6582e431a3f39214ab93b78c631b887442054855950515137714ed3eec8386e1",
     ("linear", 3, 1e3, False):
-        "9e8e7b534f1fe0ecebfbf6b6a115a85300cd1bfaa225fa46c8716c3b0ad586d4",
+        "5023d54be280f756dbfb2afe519da7109a881b797d6fc07a7d91054ab60aca5b",
     ("linear", 3, 1e3, True):
-        "5535352530f117f6c2563be3374f4cff8ba8c6a0b3ea3f5a24ad8de0159fa3ce",
+        "dcc9f7beca34d2c6c36d8613534a5da86596d4ba41e0b97da481c057794a035b",
 }
 
 
@@ -247,8 +246,8 @@ def test_chunk_size_does_not_change_a_value(loss, b, radius, monkeypatch):
 def test_prefix_rows_in_one_call_match_each_prefix_row_run_alone():
     # prefix_iterates runs every cut of every row in one call, where cuts of one row share
     # their first run with the row's longest cut; a cut run alone shares nothing. The rows
-    # of the first mechanism (15 rows, 261 cuts) keep each plan, twin and w0.
-    cuts = prefix_rows(mixed_rows("logistic", 1, radius=0.3)[:15])
+    # of the first mechanism (10 rows, 174 cuts) keep each plan and twin.
+    cuts = prefix_rows(mixed_rows("logistic", 1, radius=0.3)[:10])
     together = run_batch(cuts)
     assert sum(t.shared for t in together) > 0 and sum(t.projected for t in together) > 0
     for cut, traj in zip(cuts, together):
@@ -331,7 +330,7 @@ def bound_rows(loss, b, radius):
     """mixed_rows, and for each mechanism two rows (noisy and twin) that repeat the first
     plan's first phase at another second rate."""
     rows = mixed_rows(loss, b, radius=radius)
-    for first in rows[::15]:        # each mechanism's first plan, noisy
+    for first in rows[::10]:        # each mechanism's first plan, noisy
         steps = {"a": first.oracles[0].steps_total, "b": first.oracles[1].steps_total}
         other = Schedule.blocks((("a", 30.0), ("b", 4.0)), steps)
         rows += [Row(other, first.oracles), Row(other, first.oracles, False)]
@@ -449,7 +448,7 @@ def test_results_share_no_memory_with_each_other_or_the_engine():
 def test_twin_rows_differ_from_noisy_rows_only_through_noise():
     rows = mixed_rows("logistic", 2, radius=1e3)
     trajectories = run_batch(rows)
-    for i in range(0, len(rows), 3):
+    for i in range(0, len(rows), 2):
         noisy, twin = trajectories[i].final_w, trajectories[i + 1].final_w
         kind = rows[i].oracles[0].spec.kind
         assert np.array_equal(noisy, twin) == (kind == "clean")
@@ -684,16 +683,6 @@ def test_a_batch_whose_objectives_differ_only_in_radius_is_rejected():
     assert all(t.steps == 12 for t in run_batch([Row(schedule, (oracles[0],))] * 2))
     with pytest.raises(ValueError, match="share objective"):
         run_batch([Row(schedule, (o,)) for o in oracles])
-
-
-def test_w0_of_the_wrong_shape_rejected_before_the_budget_is_used(run_whole):
-    obj = ObjectiveSpec(lam=1.0, loss="linear")
-    oracle = GradientOracle(OracleSpec("clean", budget=12, rng_seed=1), obj, dataset(12, 3, 5))
-    phases = (("a", 1.0),)
-    with pytest.raises(ValueError, match="shape"):
-        run_whole(phases, {"a": oracle}, w0=np.array([0.3]))
-    with pytest.raises(ValueError, match="shape"):
-        run_batch([Row(Schedule.blocks(phases, {"a": 12}), (oracle,), w0=np.array([0.3]))])
 
 
 def small_config(**overrides):

@@ -108,32 +108,6 @@ class TestRunSgd:
         traj = run_whole((("a", 1e300),), {"a": oracle})[0]
         assert np.linalg.norm(traj.final_w / 1e300) == pytest.approx(1.0, rel=1e-12)
 
-    def test_w0_whose_square_overflows_accepted(self, run_whole):
-        obj = ObjectiveSpec(lam=1e-300, loss="linear")        # radius 1e300
-        oracle = clean_oracle(linear_dataset(4), obj)
-        w0 = np.array([1e200, 0.0, 0.0])
-        traj = run_whole((("a", 1.0),), {"a": oracle}, w0=w0)[0]
-        assert traj.steps == 4 and np.all(np.isfinite(traj.final_w))
-        small = clean_oracle(linear_dataset(4), ObjectiveSpec(lam=1e-300, loss="linear",
-                                                              radius=1e199))
-        with pytest.raises(ValueError, match="feasible"):
-            run_whole((("a", 1.0),), {"a": small}, w0=w0)
-
-    def test_w0_outside_ball_rejected(self, run_whole):
-        obj = ObjectiveSpec(lam=1.0)
-        ds = linear_dataset(4)
-        with pytest.raises(ValueError, match="feasible"):
-            run_whole((("a", 1.0),), {"a": clean_oracle(ds, obj)},
-                      w0=np.array([2.0, 0.0, 0.0]))
-
-    @pytest.mark.parametrize("w0", [[np.nan, 0.0, 0.0], [2.0, 0.0, 0.0]])
-    @pytest.mark.parametrize("paired", [False, True])
-    def test_bad_start_rejected_before_the_budget_is_used(self, w0, paired, run_whole):
-        oracle = clean_oracle(linear_dataset(3), ObjectiveSpec(lam=1.0))
-        with pytest.raises(ValueError, match="feasible"):
-            run_whole((("a", 1.0),), {"a": oracle}, w0=np.array(w0),
-                      paired=paired)
-
     @pytest.mark.parametrize("c", [np.inf, np.nan])
     def test_non_finite_rate_rejected_before_any_step(self, c, run_whole):
         oracle = clean_oracle(linear_dataset(3), ObjectiveSpec(lam=1e-3))

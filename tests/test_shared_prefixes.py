@@ -35,9 +35,9 @@ def sources(b=2, d=4):
             "big": oracle("local_dp", dataset(2 * N_NOISY * b, d, 3), 13, epsilon=2.0)}
 
 
-def row(src, ids, rates, slots, noisy=True, w0=None):
+def row(src, ids, rates, slots, noisy=True):
     return Row(Schedule(tuple(ids), tuple(rates), np.array(slots)),
-               tuple(src[k] for k in ids), noisy, w0)
+               tuple(src[k] for k in ids), noisy)
 
 
 def noisy_first(src, c2, c1=30.0, **kw):
@@ -48,7 +48,6 @@ def noisy_first(src, c2, c1=30.0, **kw):
 def cases(src):
     ao = [0, 0, 0, 1, 0, 1, 1, 0, 0, 1, 0, 0, 1]        # the noisy slot first, three times
     one_phase = row(src, ("n",), (30.0,), [0] * N_NOISY)
-    w0 = np.full(4, 0.05)
     big, clean = windows(src["big"], N_NOISY), windows(src["c"], 2)
     return {
         # One schedule, the phase-2 rate varied (a c2 sweep), and a clean-only row.
@@ -71,8 +70,7 @@ def cases(src):
         "late_starts": ([row({"big": big[i], "c": clean[j]}, ("big", "c"), (30.0, 5.0),
                              [0] * N_NOISY + [1] * 2)
                          for i, j in ((0, 0), (0, 1), (1, 0))], [0, N_NOISY, 0]),
-        "no_share": ([noisy_first(src, 5.0), noisy_first(src, 5.0, w0=w0),
-                      noisy_first(src, 5.0, noisy=False)], [0, 0, 0]),
+        "no_share": ([noisy_first(src, 5.0), noisy_first(src, 5.0, noisy=False)], [0, 0]),
         "rcn": ([row(src, ("rcn",), (30.0,), [0] * N_NOISY, noisy=noisy)
                  for noisy in (True, False, True, False)], [0, 0, N_NOISY, N_NOISY]),
     }

@@ -11,7 +11,6 @@ from hetsgd.core import Dataset, ObjectiveSpec
 from hetsgd.oracles import GradientOracle, OracleSpec
 
 RADIUS = 0.5
-W0 = np.array([0.1, -0.2, 0.05])
 PHASES = (("clean", 3.0), ("noisy", 1.5))
 SLOTS = np.repeat([0, 1], [6, 9])
 np.random.default_rng(2).shuffle(SLOTS)
@@ -38,8 +37,8 @@ def test_wrapper_matches_run_whole(name, run_whole):
     interleaved, paired = name.endswith("_interleaved"), name.startswith("run_paired")
     shared = oracles()
     plan = SCHEDULE if interleaved else PHASES
-    got = wrapper(plan, shared, w0=W0)
-    want = run_whole(plan, shared, w0=W0, paired=paired)
+    got = wrapper(plan, shared)
+    want = run_whole(plan, shared, paired=paired)
     got = list(got) if paired else [got]
     assert len(got) == len(want) == 1 + paired
     assert sum(t.projected for t in want) > 0          # the projection is compared too
