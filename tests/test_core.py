@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.special import expit
 
 from hetsgd.core import (Dataset, ObjectiveSpec, full_objective, gradient_scales, loss_gradient,
-                         loss_values, margins, mean_loss_gradient, project)
+                         loss_values, margins, mean_loss_gradient, norms, project)
 from hetsgd.oracles import rcn_scales
 
 
@@ -223,6 +223,32 @@ class TestProjectRows:
         w = np.array([3e30, 4e30])
         for p in (project(w[None, :], 1e-300)[0], project(w, 1e-300)):
             np.testing.assert_allclose(p, [6e-301, 8e-301], rtol=1e-15)
+
+
+def test_norms_of_each_row_neither_overflow_nor_warn():
+    W = np.array([[3.0, 4.0], [0.0, 0.0], [1e200, 1e200], [-1.7e308, 1.7e308],
+                  [np.inf, 1.0], [np.nan, 0.0]])
+    with np.errstate(all="raise"):
+        n = norms(W)
+    assert n.shape == (6,)
+    assert n[:2].tolist() == [5.0, 0.0]
+    assert n[2] == pytest.approx(np.sqrt(2.0) * 1e200, rel=1e-15)
+    assert n[3] == np.inf                           # beyond the float range
+    assert np.all(np.isnan(n[4:]))                  # a row that is not finite
+
+
+@pytest.mark.parametrize("w_shape, u_shape", [((3,), (3,)), ((3,), (4, 3)), ((2, 3), (2, 4, 3))])
+def test_linear_scales_are_ones_whatever_the_margins(w_shape, u_shape):
+    # One per example, also where a margin overflows to inf or is NaN.
+    rng = np.random.default_rng(8)
+    w, U = 1e200 * rng.standard_normal(w_shape), 1e200 * rng.standard_normal(u_shape)
+    U.flat[0] = np.nan
+    with np.errstate(all="ignore"):
+        m = margins(w, np.atleast_2d(U))
+        phi = gradient_scales(spec("linear"), w, U)
+    assert not np.all(np.isfinite(m))
+    assert phi.shape == m.shape == (u_shape[:-1] or (1,))
+    assert np.all(phi == 1.0)
 
 
 class TestSignedExamples:

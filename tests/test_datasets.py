@@ -185,6 +185,13 @@ class TestIngestLibsvm:
         with pytest.raises(ParseError, match=r"data\.txt:2: feature index 1 given twice$"):
             ingest_libsvm(path)
 
+    @pytest.mark.parametrize("row", ["+1 3:0.2 1:0.5 3:0.2", "+1 3:0.2 2:0.1 3:-0.4"])
+    def test_a_feature_index_repeated_apart_is_rejected_even_with_its_value(self, tmp_path, row):
+        path = tmp_path / "data.txt"
+        path.write_text(f"-1 2:0.3\n{row}\n")
+        with pytest.raises(ParseError, match=r"data\.txt:2: feature index 3 given twice$"):
+            ingest_libsvm(path)
+
     def test_empty(self, tmp_path):
         path = tmp_path / "data.txt"
         path.write_text("# nothing\n")

@@ -685,6 +685,20 @@ def test_a_batch_whose_objectives_differ_only_in_radius_is_rejected():
         run_batch([Row(schedule, (o,)) for o in oracles])
 
 
+def test_a_row_of_no_steps_ends_at_zero_beside_rows_that_step():
+    # Every run starts at w = 0, noisy or as the twin, whatever its neighbours do.
+    obj = ObjectiveSpec(lam=0.1, loss="logistic", radius=0.3)
+    oracle = GradientOracle(OracleSpec("local_dp", budget=6, rng_seed=3, epsilon=2.0), obj,
+                            dataset(6, 4, 1))
+    empty, full = (Schedule(("a",), (5.0,), np.zeros(n, dtype=int)) for n in (0, 6))
+    batch = run_batch([Row(empty, (oracle,)), Row(full, (oracle,)),
+                       Row(empty, (oracle,), False)])
+    assert batch[1].steps == 6 and np.any(batch[1].final_w != 0.0)
+    for traj in batch[::2]:
+        assert (traj.steps, traj.projected, traj.shared, traj.last_projected) == (0, 0, 0, 0)
+        assert traj.final_w.tobytes() == np.zeros(4).tobytes()
+
+
 def small_config(**overrides):
     base = {
         "problem": {"loss": "logistic", "lam": 0.01},
