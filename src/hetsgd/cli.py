@@ -115,17 +115,22 @@ def main(argv=None) -> int:
     _configure_logging(args.log_level)
     try:
         return _run(args)
-    except ValueError as err:
-        # A library check that refuses an input (a flag's value or a config entry) ends the
-        # command with its one-line message, as the CLI's own flag checks do. The traceback
-        # is logged at DEBUG, for a ValueError that comes from a fault, not from the input.
-        logger.debug("%s stopped on a ValueError", args.command, exc_info=True)
+    except (ValueError, OSError) as err:
+        # A library check that refuses an input (a flag's value or a config entry), or a file
+        # the run names that cannot be used (data.path, out_dir), ends the command with its
+        # one-line message, as the CLI's own flag checks do. The traceback is logged at DEBUG,
+        # for an error that comes from a fault, not from the input.
+        logger.debug("%s stopped on a %s", args.command, type(err).__name__, exc_info=True)
         raise SystemExit(str(err)) from None
 
 
 def _run(args: argparse.Namespace) -> int:
     if args.command in EXPERIMENTS:
-        getattr(experiments, EXPERIMENTS[args.command])(_load_config(args))
+        cfg = _load_config(args)
+        if not cfg.out_dir:
+            raise SystemExit(f"{args.command} has nowhere to write its results: "
+                             "set out_dir in the config or pass --out-dir")
+        getattr(experiments, EXPERIMENTS[args.command])(cfg)
         return 0
 
     batch_size = 1 if args.batch_size is None else args.batch_size

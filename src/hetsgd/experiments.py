@@ -180,13 +180,10 @@ def _checked(d: dict, cls, section: str) -> dict:
     return d
 
 
-# Config keys that hold a list, kept as a tuple: of strategy names, or of numbers.
-_SEQUENCE_KEYS = ("strategies", "c_grid", "epsilon_noisy_sweep", "sigma_noisy_sweep", "c2_grid")
-
-# The list keys of numbers and the range of each of their entries: rate constants, privacy
-# levels and flip rates.
-_ENTRY_RANGES = {"c_grid": POSITIVE_FINITE, "c2_grid": POSITIVE_FINITE,
-                 "epsilon_noisy_sweep": POSITIVE, "sigma_noisy_sweep": FLIP_RATE}
+# Config keys that hold a non-empty list of numbers, kept as a tuple, and the range of each
+# entry: rate constants, privacy levels and flip rates.
+_SEQUENCE_KEYS = {"c_grid": POSITIVE_FINITE, "epsilon_noisy_sweep": POSITIVE,
+                  "sigma_noisy_sweep": FLIP_RATE}
 
 
 @dataclass(frozen=True)
@@ -225,14 +222,12 @@ class ExperimentConfig:
     data: DataConfig = field(default_factory=DataConfig)
     oracles: OracleSetupConfig = field(default_factory=OracleSetupConfig)
     beta_c: float = 0.1
-    strategies: Optional[tuple] = None
     trials: int = 100
     master_seed: int = 0
     out_dir: Optional[str] = None
     c_grid: Optional[tuple] = None
     epsilon_noisy_sweep: Optional[tuple] = None
     sigma_noisy_sweep: Optional[tuple] = None
-    c2_grid: Optional[tuple] = None
     c2_grid_points: int = 12
 
     def __post_init__(self):
@@ -262,23 +257,17 @@ class ExperimentConfig:
         check_counts(counts)
         if not is_integer(self.master_seed) or self.master_seed < 0:
             raise ValueError(f"master_seed must be an integer >= 0, got {self.master_seed!r}")
-        for key in _SEQUENCE_KEYS:
+        for key, entry_range in _SEQUENCE_KEYS.items():
             values = getattr(self, key)
             if values is None:
                 continue
-            strings = key == "strategies"
-            if not isinstance(values, (list, tuple)) or (strings and not all(
-                    isinstance(v, str) for v in values)):
-                raise ValueError(f"{key} must be a list of {'strings' if strings else 'numbers'}, "
-                                 f"got {values!r}")
+            if not isinstance(values, (list, tuple)) or not values:
+                raise ValueError(f"{key} must be a non-empty list of numbers, got {values!r}")
             object.__setattr__(self, key, tuple(values))
-            if not strings:
-                check_reals({f"{key}[{i}]": v for i, v in enumerate(values)}, _ENTRY_RANGES[key])
+            check_reals({f"{key}[{i}]": v for i, v in enumerate(values)}, entry_range)
             # Trials are keyed by strategy and sweep value, so a repeat would merge two rows' runs.
             if len(set(values)) != len(values):
                 raise ValueError(f"{key} repeats a value: {values}")
-        if self.strategies == ():
-            raise ValueError("strategies must name at least one strategy; omit it to run all")
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
@@ -508,11 +497,11 @@ def _emit(cfg: ExperimentConfig, rows: Sequence[ResultRow], values: dict, report
           driver_meta: dict) -> dict:
     """The report's meta.json blocks (see ``RunReport.meta``) and then the driver's.
 
-    With out_dir it writes results.csv, trials.csv (the per-trial ``values``) and meta.json.
+    With out_dir, which ``_run`` made, it writes results.csv, trials.csv (the per-trial
+    ``values``) and meta.json.
     """
     if cfg.out_dir:
         out = Path(cfg.out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         emit_csv(rows, out / "results.csv")
         _emit_trials(values, out / "trials.csv")
         report.lap("emission")
@@ -522,18 +511,11 @@ def _emit(cfg: ExperimentConfig, rows: Sequence[ResultRow], values: dict, report
     return meta
 
 
-def _strategies(cfg: ExperimentConfig, allowed: tuple) -> tuple:
-    for s in cfg.strategies or ():
-        if s not in allowed:
-            raise ValueError(f"unknown strategy {s!r}, expected one of {allowed}")
-    return cfg.strategies or allowed
-
-
 class _Plan(NamedTuple):
     """What a driver gives ``_run``, once its inputs are checked and its schedules made."""
 
     command: str             # the subcommand, named in errors
-    reads: tuple             # the keys of _SEQUENCE_KEYS the driver reads; any other must be unset
+    reads: tuple             # the list keys (_SEQUENCE_KEYS) it reads; any other must be unset
     make_trial: Callable[[int], list]    # trial i -> its [(key, rows)] (see _run_trials)
     score: Callable[[list], float]       # one key's trajectories -> its value for the trial
     markers: tuple = ()      # (row name, key): an extra row repeating that key's values
@@ -552,6 +534,9 @@ def _run(cfg: ExperimentConfig, plan: Callable[[ExperimentConfig], _Plan],
          assumes_inactive: bool = False) -> Run:
     """A driver's plan, trials, a row per key in key order, its marker rows, and emission."""
     report = RunReport(assumes_inactive)
+    # Made before the plan, so that an out_dir naming a file fails before any work.
+    if cfg.out_dir:
+        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
     p = plan(cfg)
     for key in _SEQUENCE_KEYS:
         if getattr(cfg, key) is not None and key not in p.reads:
@@ -624,7 +609,6 @@ def _strategy_plan(cfg: ExperimentConfig) -> _Plan:
     Within a trial all strategies share the dataset and the oracle seeds (common random
     numbers), so per-trial differences between strategies are directly comparable.
     """
-    strategies = _strategies(cfg, STRATEGIES)
     clean_level, _, sweep = _levels(cfg)
     s = _setup(cfg, len(sweep))
     beta_c, lam, steps = s.beta_c, s.obj.lam, s.steps
@@ -649,10 +633,10 @@ def _strategy_plan(cfg: ExperimentConfig) -> _Plan:
             oracles["all_data"] = GradientOracle(_oracle_spec(cfg, len(s.ds), seeds[3], None),
                                                  s.obj, s.ds)
             entries += [((name, level), (_row(schedules[j][name], oracles),))
-                        for name in strategies]
+                        for name in STRATEGIES]
         return entries
 
-    reads = ("strategies", _LEVEL_FIELDS[cfg.oracles.kind] + "_noisy_sweep")
+    reads = (_LEVEL_FIELDS[cfg.oracles.kind] + "_noisy_sweep",)
     return _Plan("strategy-cmp", reads, make_trial, lambda group: s.objective(group[0]))
 
 
@@ -666,7 +650,6 @@ def run_strategy_comparison(cfg: ExperimentConfig) -> Run:
 
 def _order_plan(cfg: ExperimentConfig) -> _Plan:
     """Every order at every c of the grid, scored by the gap |f(w) - f(v)| to the noiseless twin."""
-    strategies = _strategies(cfg, ORDER_STRATEGIES)
     if not cfg.c_grid:
         raise ValueError("order experiment needs c_grid")
     c_grid = tuple(float(c) for c in cfg.c_grid)
@@ -675,7 +658,7 @@ def _order_plan(cfg: ExperimentConfig) -> _Plan:
 
     # Clean first and noisy first depend only on c, so every trial shares their schedules.
     blocks = {(name, c): _two_phase("clean_first" if name == "CF" else "noisy_first", c, c, s.steps)
-              for name in strategies if name != "AO" for c in c_grid}
+              for name in ORDER_STRATEGIES if name != "AO" for c in c_grid}
 
     def schedule(name: str, c: float, seed_ao: int) -> Schedule:
         if name != "AO":
@@ -690,12 +673,12 @@ def _order_plan(cfg: ExperimentConfig) -> _Plan:
         for j, c in enumerate(c_grid):
             seeds = s.seeds[j][i]
             oracles = _split_oracles(cfg, s, seeds, noisy_level)
-            for name in strategies:
+            for name in ORDER_STRATEGIES:
                 sched = schedule(name, c, seeds[2])
                 entries.append(((name, c), (_row(sched, oracles), _row(sched, oracles, noisy=False))))
         return entries
 
-    return _Plan("order-exp", ("strategies", "c_grid"), make_trial,
+    return _Plan("order-exp", ("c_grid",), make_trial,
                  lambda group: abs(s.objective(group[0]) - s.objective(group[1])))
 
 
@@ -724,8 +707,7 @@ def _c2_plan(cfg: ExperimentConfig) -> _Plan:
     c2_lower, c2_upper = bracket.c2_lower, bracket.c2_upper
     lo, hi = sorted((c2_lower, c2_upper))
 
-    span = cfg.c2_grid or (np.geomspace(0.5 * lo, 2.0 * hi, cfg.c2_grid_points) if hi > lo
-                           else [lo])
+    span = np.geomspace(0.5 * lo, 2.0 * hi, cfg.c2_grid_points) if hi > lo else [lo]
     # The bracketing rates are always measured so the marker rows carry data.
     grid = sorted({float(c) for c in span} | {float(c2_lower), float(c2_upper)})
 
@@ -739,7 +721,7 @@ def _c2_plan(cfg: ExperimentConfig) -> _Plan:
 
     rates = {"c2_lower": c2_lower, "c2_upper": c2_upper, "c2_selected": c2_upper}
     markers = tuple((f"marker_{name}", ("TwoRate", float(c2))) for name, c2 in rates.items())
-    return _Plan("c2-sweep", ("c2_grid",), make_trial, lambda group: s.objective(group[0]),
+    return _Plan("c2-sweep", (), make_trial, lambda group: s.objective(group[0]),
                  markers, {"c2_markers": {**rates, "order": bracket.order}})
 
 

@@ -120,26 +120,26 @@ class TestConfig:
         ({"data": {"kind": "csv"}}, "data.path"),
         ({"data": {"kind": "libsvm", "path": ""}}, "data.path"),
         ({"c_grid": "35"}, "c_grid"),
-        ({"c2_grid": 80.0}, "c2_grid"),
         ({"epsilon_noisy_sweep": {"eps": 2.0}}, "epsilon_noisy_sweep"),
         ({"sigma_noisy_sweep": [0.1, True]}, "sigma_noisy_sweep"),
         ({"c_grid": [100.0, "200"]}, "c_grid"),
-        ({"c2_grid": [None]}, "c2_grid"),
-        ({"strategies": "CleanOnly"}, "strategies"),
-        ({"strategies": ["CleanOnly", 3]}, "strategies"),
         ({"problem": None}, "problem"),
         ({"data": [["n", 300]]}, "data"),
-        ({"oracles": "rcn"}, "oracles")])
+        ({"oracles": "rcn"}, "oracles"),
+        ({"c_grid": []}, "c_grid must be a non-empty list"),
+        ({"epsilon_noisy_sweep": []}, "epsilon_noisy_sweep must be a non-empty list"),
+        ({"sigma_noisy_sweep": []}, "sigma_noisy_sweep must be a non-empty list")])
     def test_unknown_kinds_and_missing_paths_rejected_at_load(self, overrides, key):
         # Each used to load and fail only in setup, a missing path or a null section as a bare
-        # TypeError; a string c_grid loaded as its characters.
+        # TypeError; a string c_grid loaded as its characters, and an empty noisy sweep ran
+        # at oracles.*_noisy.
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(overrides)
 
     @pytest.mark.parametrize("overrides,key", [
         ({"c_grid": [math.nan, 300.0]}, "c_grid"),
         ({"c_grid": [-5.0]}, "c_grid"),
-        ({"c2_grid": [math.inf]}, "c2_grid"),
+        ({"c_grid": [math.inf]}, "c_grid"),
         ({"problem": {"lam": -1.0}}, "problem.lam"),
         ({"problem": {"lam": math.nan}}, "problem.lam"),
         ({"problem": {"lam": "0.01"}}, "problem.lam"),
@@ -179,20 +179,26 @@ class TestConfig:
             ExperimentConfig.from_dict({"master_seed": seed})
         assert ExperimentConfig.from_dict({"master_seed": np.int64(7)}).master_seed == 7
 
-    @pytest.mark.parametrize("strategies", [(), ("CleanOnly", "CleanOnly")])
-    def test_empty_or_repeated_strategies_rejected(self, strategies):
-        # Runs are keyed by strategy: a repeat would emit two rows over one pooled array.
-        with pytest.raises(ValueError, match="strategies"):
-            small_config(strategies=strategies)
-
     @pytest.mark.parametrize("key, values", [("c_grid", (100.0, 100.0)),
                                              ("epsilon_noisy_sweep", (2.0, 5.0, 2.0)),
-                                             ("sigma_noisy_sweep", (0.1, 0.1)),
-                                             ("c2_grid", (50.0, 80.0, 50.0))])
+                                             ("sigma_noisy_sweep", (0.1, 0.1))])
     def test_repeated_sweep_value_rejected(self, key, values):
         # Runs are keyed by sweep value: a repeat would emit two rows over one pooled array.
         with pytest.raises(ValueError, match=key):
             small_config(**{key: values})
+
+    @pytest.mark.parametrize("key,value", [("strategies", ["CF", "NF"]), ("c2_grid", [80.0])])
+    def test_a_removed_key_is_rejected_at_load(self, key, value, tmp_path, capsys):
+        # Each driver runs every one of its strategies, and c2-sweep its derived grid.
+        message = f"unknown config keys in config: ['{key}']"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            ExperimentConfig.from_dict({key: value})
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"c_grid": [100.0], key: value}))
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["order-exp", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        assert exit_info.value.code == message
+        assert capsys.readouterr().out == ""
 
 
 class TestStrategyComparison:
@@ -209,14 +215,6 @@ class TestStrategyComparison:
             assert r.stderr == pytest.approx(vals.std(ddof=1) / np.sqrt(cfg.trials))
             assert r.seconds == 0.0
             assert np.isfinite(vals).all()
-
-    def test_strategy_subset(self):
-        cfg = small_config(strategies=("CleanOnly", "Algorithm2"),
-                           epsilon_noisy_sweep=(2.0,))
-        rows = run_strategy_comparison(cfg).rows
-        assert {r.strategy for r in rows} == {"CleanOnly", "Algorithm2"}
-        with pytest.raises(ValueError):
-            run_strategy_comparison(small_config(strategies=("Nope",)))
 
     def test_emits_deterministic_artifacts(self, tmp_path):
         cfg_a = small_config(tmp_path / "a", epsilon_noisy_sweep=(2.0,))
@@ -328,13 +326,6 @@ class TestC2Sweep:
                     and r.sweep_param == marker.sweep_param)
         assert marker.mean == twin.mean
 
-    def test_explicit_grid_keeps_markers(self):
-        cfg = small_config(c2_grid=(80.0, 120.0))
-        rows, tv, info = c2_results(run_c2_sweep(cfg))
-        assert {80.0, 120.0} <= set(info["grid"])
-        assert {info["c2_lower"], info["c2_upper"]} <= set(info["grid"])
-        assert sum(1 for r in rows if r.strategy == "TwoRate") == len(info["grid"])
-
     def test_bracket_is_the_upper_selection_and_its_order_at_the_lower_bounds(self):
         from hetsgd.oracles import dp_noise_level
         from hetsgd.rates import BoundInputs, minimize_phase2_rate, select_rates
@@ -408,16 +399,36 @@ OWN_KEYS = {run_order_experiment: {"c_grid": (50.0, 200.0)},
             run_c2_sweep: {"c2_grid_points": 4}}
 
 
+def write_config(tmp_path, command, **overrides) -> Path:
+    """A small config of ``command`` at 2 trials and without out_dir, as a JSON file."""
+    run = getattr(experiments, EXPERIMENTS[command])
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(small_config(trials=2, **{**OWN_KEYS[run], **overrides}).to_dict()))
+    return path
+
+
+@pytest.fixture
+def no_trial(monkeypatch):
+    """Fails the test if a driver reaches an engine call."""
+    def run_batch(rows):
+        raise AssertionError("a trial ran")
+
+    monkeypatch.setattr(experiments, "run_batch", run_batch)
+
+
+@pytest.mark.parametrize("run", [run_order_experiment, run_strategy_comparison, run_c2_sweep])
+def test_a_library_run_without_out_dir_writes_no_file(run, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert run(small_config(trials=2, **OWN_KEYS[run])).rows
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("run,command,key,value", [
-    (run_c2_sweep, "c2-sweep", "strategies", ("Algorithm2",)),
     (run_c2_sweep, "c2-sweep", "epsilon_noisy_sweep", (1.0,)),
     (run_order_experiment, "order-exp", "epsilon_noisy_sweep", (1.0,)),
-    (run_order_experiment, "order-exp", "c2_grid", (80.0,)),
-    (run_strategy_comparison, "strategy-cmp", "c_grid", (100.0,)),
-    (run_strategy_comparison, "strategy-cmp", "c2_grid", (80.0,))])
+    (run_strategy_comparison, "strategy-cmp", "c_grid", (100.0,))])
 def test_a_list_key_the_driver_does_not_read_is_rejected(run, command, key, value):
-    # Each used to run as if the key were unset: c2-sweep ran TwoRate and CleanOnly for
-    # strategies ["Algorithm2"], and order-exp ignored its noisy sweep.
+    # Each used to run as if the key were unset: order-exp ignored its noisy sweep.
     cfg = small_config(trials=2, **OWN_KEYS[run], **{key: value})
     with pytest.raises(ValueError, match=f"^{key} is set, but {command} "):
         run(cfg)
@@ -448,7 +459,6 @@ class TestOrderExperimentDeskScale:
             "beta_c": 0.1,
             "trials": 100,
             "master_seed": 777,
-            "strategies": ("CF", "NF"),
             "c_grid": (500.0, 1000.0, 2000.0),
         })
         rows, tv, _ = run_order_experiment(cfg)
@@ -582,6 +592,44 @@ class TestCli:
         text = exit_info.value.code
         assert isinstance(text, str) and "\n" not in text
         assert text.startswith(message.format(config=config))
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["order-exp", "strategy-cmp", "c2-sweep"])
+    def test_a_driver_run_with_nowhere_to_write_is_refused(self, command, tmp_path, capsys,
+                                                           no_trial):
+        # It used to run every trial, write nothing and exit 0.
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "--config", str(write_config(tmp_path, command))])
+        assert exit_info.value.code == (f"{command} has nowhere to write its results: "
+                                        "set out_dir in the config or pass --out-dir")
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["order-exp", "strategy-cmp", "c2-sweep"])
+    @pytest.mark.parametrize("below", [False, True], ids=["file", "below_file"])
+    def test_an_out_dir_naming_a_file_ends_in_one_line_before_any_trial(
+            self, command, below, tmp_path, capsys, no_trial):
+        # It used to run every trial and then end in a FileExistsError traceback.
+        target = tmp_path / "results"
+        target.write_text("")
+        out = target / "sub" if below else target
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "--config", str(write_config(tmp_path, command)),
+                      "--out-dir", str(out)])
+        text = exit_info.value.code
+        assert isinstance(text, str) and "\n" not in text and str(out) in text
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("kind", ["csv", "libsvm"])
+    def test_a_missing_dataset_file_ends_in_one_line_naming_it(self, kind, tmp_path, capsys,
+                                                               no_trial):
+        # It used to end in a FileNotFoundError traceback.
+        missing = tmp_path / f"missing.{kind}"
+        config = write_config(tmp_path, "strategy-cmp", data={"kind": kind, "path": str(missing)})
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main(["strategy-cmp", "--config", str(config), "--out-dir", str(tmp_path / "o")])
+        text = exit_info.value.code
+        assert isinstance(text, str) and "\n" not in text
+        assert "No such file or directory" in text and str(missing) in text
         assert capsys.readouterr().out == ""
 
     def test_a_refused_value_logs_its_traceback_at_debug(self, caplog):
