@@ -202,16 +202,22 @@ def margins(w: np.ndarray, U: np.ndarray) -> np.ndarray:
 
 
 def loss_values(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Per-example loss over the rows of X."""
+    """Per-example loss over the rows of X.
+
+    One (n,) array is made: the margins y * (X @ w) go into it and the loss is written
+    over them, operation by operation, with the bits of the allocating formulas. w, X
+    and y are only read.
+    """
     w = np.asarray(w, dtype=np.float64)
     X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     _check_dims(w, X)
-    margins = y * (X @ w)
+    m = X @ w
+    m *= y
     if spec.loss == "logistic":
-        return np.logaddexp(0.0, -margins)
+        return np.logaddexp(0.0, np.negative(m, out=m), out=m)
     if spec.loss == "hinge":
-        return np.maximum(0.0, 1.0 - margins)
-    return -margins
+        return np.maximum(0.0, np.subtract(1.0, m, out=m), out=m)
+    return np.negative(m, out=m)
 
 
 def margin_scales(spec: ObjectiveSpec, m: np.ndarray) -> np.ndarray:
@@ -257,7 +263,8 @@ def full_objective(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndar
     """lam/2 ||w||^2 plus the mean loss over the dataset; labels other than -1 and +1 raise.
 
     ``Dataset.objective`` gives the same value over a dataset, whose labels were checked
-    once, when it was made.
+    once, when it was made. Either holds one (n,) array, the per-example losses
+    (``loss_values``), while it runs, and nothing after.
     """
     check_labels({"y": y})
     return _objective(spec, w, X, y)
@@ -269,7 +276,9 @@ def _objective(spec: ObjectiveSpec, w: np.ndarray, X: np.ndarray, y: np.ndarray)
         raise ValueError("empty dataset")
     w = np.asarray(w, dtype=np.float64)
     reg = 0.5 * spec.lam * float(w @ w)
-    return reg + float(np.mean(loss_values(spec, w, X, y)))
+    # np.mean's sum and division, over the one (n,) array loss_values makes, which goes
+    # when this returns.
+    return reg + float(np.add.reduce(loss_values(spec, w, X, y))) / X.shape[0]
 
 
 def norms(W: np.ndarray) -> np.ndarray:

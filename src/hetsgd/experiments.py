@@ -11,12 +11,15 @@ in strategy-cmp and order-exp different sweep points do not share seeds.
 
 Each driver is a plan function (``_order_plan``, ``_strategy_plan``, ``_c2_plan``): it
 checks its inputs, sets up data and seeds, makes its schedules and returns a ``_Plan``.
-``_run`` runs every plan: it rejects a list config key the plan does not read, runs the
-trials, makes one row per (strategy, sweep value) key and then the marker rows, emits,
-and returns a ``Run`` of the rows, the per-trial values and the meta.json blocks.
+``_run`` runs every plan: it makes the output directory first, and removes what it made
+of it if the run stops before emission; it rejects a list config key the plan does not
+read, runs the trials, makes one row per (strategy, sweep value) key and then the marker
+rows, emits, and returns a ``Run`` of the rows, the per-trial values and the meta.json
+blocks.
 """
 from __future__ import annotations
 
+import contextlib
 import csv
 import json
 import logging
@@ -530,19 +533,35 @@ class Run(NamedTuple):
     meta: dict               # the blocks of meta.json besides the config and what ran
 
 
+def _make_out_dir(out_dir: Optional[str]) -> list:
+    """Make ``out_dir`` (None: none) and its missing parents; return those made, deepest first."""
+    if not out_dir:
+        return []
+    path = Path(out_dir)
+    made = [d for d in (path, *path.parents) if not d.exists()]
+    path.mkdir(parents=True, exist_ok=True)
+    return made
+
+
 def _run(cfg: ExperimentConfig, plan: Callable[[ExperimentConfig], _Plan],
          assumes_inactive: bool = False) -> Run:
     """A driver's plan, trials, a row per key in key order, its marker rows, and emission."""
     report = RunReport(assumes_inactive)
-    # Made before the plan, so that an out_dir naming a file fails before any work.
-    if cfg.out_dir:
-        Path(cfg.out_dir).mkdir(parents=True, exist_ok=True)
-    p = plan(cfg)
-    for key in _SEQUENCE_KEYS:
-        if getattr(cfg, key) is not None and key not in p.reads:
-            raise ValueError(f"{key} is set, but {p.command} with oracles.kind "
-                             f"{cfg.oracles.kind!r} does not read it")
-    values = _run_trials(cfg.trials, p.make_trial, p.score, report)
+    # Made before the plan, so that an out_dir naming a file fails before any work; a run
+    # that stops before emission removes the directories it made, which are still empty.
+    made = _make_out_dir(cfg.out_dir)
+    try:
+        p = plan(cfg)
+        for key in _SEQUENCE_KEYS:
+            if getattr(cfg, key) is not None and key not in p.reads:
+                raise ValueError(f"{key} is set, but {p.command} with oracles.kind "
+                                 f"{cfg.oracles.kind!r} does not read it")
+        values = _run_trials(cfg.trials, p.make_trial, p.score, report)
+    except BaseException:
+        for path in made:       # deepest first
+            with contextlib.suppress(OSError):
+                path.rmdir()
+        raise
     rows = [_result_row(*key, v) for key, v in values.items()]
     rows += [_result_row(name, key[1], values[key]) for name, key in p.markers]
     return Run(rows, values, _emit(cfg, rows, values, report, p.meta))

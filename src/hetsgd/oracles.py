@@ -49,6 +49,9 @@ _LEVELS = {"clean": (None, None), "local_dp": ("epsilon", POSITIVE), "rcn": ("si
            "gaussian": ("noise_sq", NONNEGATIVE)}
 KINDS = tuple(_LEVELS)
 
+# ``sample_privacy_noise`` normalises its rows about this many bytes of them at a time.
+NOISE_BLOCK_BYTES = 1 << 17
+
 # Bound on ||lam*w + grad loss||^2 over the feasible ball: ||w|| <= 1/lam and
 # ||grad loss|| <= 1 give (1 + 1)^2 = 4.
 DATA_TERM_BOUND = 4.0
@@ -103,6 +106,13 @@ def sample_privacy_noise(epsilon: float, d: int, rng: np.random.Generator,
     The radius follows Gamma(shape=d, scale=2/epsilon) and the direction is
     uniform on the unit sphere (a normalized Gaussian vector), so
     E[Z] = 0 and E||Z||^2 = 4(d^2 + d)/epsilon^2.
+
+    The Gaussian rows are drawn into the (size, d) array that is returned and
+    scaled there in place, ``NOISE_BLOCK_BYTES`` of rows at a time: a block's
+    squares go into one block-sized buffer, so the call holds one (size, d)
+    array, the radii and that buffer, not the squares of every row beside the
+    rows. Each row's norm is ``np.linalg.norm(z, axis=1)``'s arithmetic (the sum
+    of the squares, then sqrt), so the rows have its bits.
     """
     check_reals({"epsilon": epsilon}, POSITIVE)
     check_counts({"d": d})
@@ -111,7 +121,12 @@ def sample_privacy_noise(epsilon: float, d: int, rng: np.random.Generator,
         raise ValueError(f"size must be an integer >= 0, got {size!r}")
     radii = rng.standard_gamma(d, size=size) * (2.0 / epsilon)
     z = rng.standard_normal((size, d))
-    z *= (radii / np.linalg.norm(z, axis=1))[:, None]
+    rows = max(1, NOISE_BLOCK_BYTES // (8 * d))
+    sq = np.empty((min(rows, size), d))
+    for lo in range(0, size, rows):
+        block = z[lo:lo + rows]
+        norm = np.sqrt(np.add.reduce(np.multiply(block, block, out=sq[:len(block)]), axis=1))
+        block *= (radii[lo:lo + rows] / norm)[:, None]
     return z
 
 

@@ -42,7 +42,10 @@ The step buffers are made once per engine call, and a step writes into the
 first R rows of each (the span's R rows): the margins, then the scales, into
 one (rows, b) buffer; the gradient into a (rows, d) buffer; the update into
 the spare (rows, d) iterate buffer, which then swaps roles with the
-iterate's; and the squared row norms into a (rows,) buffer.
+iterate's; and the squared row norms into a (rows,) buffer. A chunk's gathers,
+and the step loop's views of them, are dropped after the chunk's last step,
+before the next chunk gathers, so a call holds its signed examples, its tables,
+the step buffers and one chunk's gathers at a time, never two chunks'.
 
 One step body serves every shape. It zips over a chunk's gathered arrays and
 the bound's coefficients, passes ``out`` positionally and branches each step on
@@ -438,12 +441,13 @@ def run_batch(rows: Sequence[Row]) -> list:
     offsets_at = np.ascontiguousarray(offsets_at.reshape(n_rows * S, 4).T)
     # What bounds one step's move (see _norm_bounds): a row's loss gradient is at most
     # s_max * u_max, its scales being at most 1, or 1 / (1 - 2 sigma) under label flips,
-    # and its noise at most z_max; u_max and z_max are the largest norms in the call's
-    # example and noise tables (not in rows of a shared buffer that the call's oracles do
-    # not hold), NaN if one is NaN.
+    # and its noise at most z_max. u_max is the largest example norm of the call's
+    # datasets, which each dataset computes once (|u| = |-y*x| = |x|); z_max is the
+    # largest norm in the call's noise tables (not in rows of a shared buffer that the
+    # call's oracles do not hold), NaN if one is NaN.
     s_max = 1.0 / (1.0 - 2.0 * sigma_at.max(axis=1))
+    u_max = math.sqrt(max(ds.max_square_norm for ds in datasets))
     with np.errstate(over="ignore", invalid="ignore"):
-        u_max = math.sqrt(np.einsum("nd,nd->n", U, U).max())
         sq = np.einsum("nd,nd->n", noise, noise)
         z_sq = [sq[at:at + len(t)].max(initial=0.0)
                 for at, t in zip(noise_base.tolist(), noise_tables) if t is not None]
@@ -565,6 +569,10 @@ def run_batch(rows: Sequence[Row]) -> list:
                         # Squares below 1e-300 may have lost all accuracy: floor the norm.
                         n = max(top, 1e-140) * grow
                 Wa, V = V, Wa
+            # The chunk's gathers go before the next chunk gathers, so that only one chunk's
+            # are ever held: the loop's views would otherwise keep them alive.
+            k = rs = at = local = Uc = U1c = noise_c = eta_c = Ub = u1 = z = eta = None
+            f_c = sigma_c = keep_c = denom_c = None
         W[idx], projected[idx] = Wa, hits
         if bounded:
             last_projected[idx], checked[idx] = last, checked[idx] + checks

@@ -119,6 +119,29 @@ class TestFullObjective:
         for loss in ("logistic", "hinge", "linear"):
             assert ds.objective(spec(loss), w) == full_objective(spec(loss), w, ds.X, ds.y)
 
+    @pytest.mark.parametrize("loss", ["logistic", "hinge", "linear"])
+    def test_in_place_scoring_has_the_bytes_of_the_allocating_formulas(self, loss):
+        # The formulas as first written, each step in a new array. The inputs are made
+        # read-only, so a write into any of them would raise.
+        rng = np.random.default_rng(21)
+        X = rng.standard_normal((1001, 7))
+        y = np.where(rng.random(1001) < 0.5, 1.0, -1.0)
+        w = 3.0 * rng.standard_normal(7)
+        X[0] = w / (w @ w)                  # a margin of 1 up to rounding: the hinge's kink
+        y[0] = 1.0
+        copies = [a.copy() for a in (w, X, y)]
+        for a in (w, X, y):
+            a.flags.writeable = False
+        sp = spec(loss, lam=0.3)
+        margins = y * (X @ w)
+        expected = {"logistic": np.logaddexp(0.0, -margins),
+                    "hinge": np.maximum(0.0, 1.0 - margins), "linear": -margins}[loss]
+        objective = 0.5 * sp.lam * float(w @ w) + float(np.mean(expected))
+        assert loss_values(sp, w, X, y).tobytes() == expected.tobytes()
+        assert full_objective(sp, w, X, y).hex() == objective.hex()
+        assert Dataset(X, y).objective(sp, w).hex() == objective.hex()
+        assert [a.tobytes() for a in (w, X, y)] == [c.tobytes() for c in copies]
+
     def test_strong_convexity(self):
         rng = np.random.default_rng(99)
         lam = 0.7

@@ -292,11 +292,16 @@ def test_a_nan_row_ends_in_infeasible_iterate(radius, chunk_bytes, monkeypatch):
 def test_einsum_calls_per_logistic_step(kind, b, monkeypatch):
     # Every step makes one margin einsum (plus the gradient's sum over the batch when
     # b > 1). A step the norm bound cannot place inside the ball adds one squared-row-norm
-    # einsum. Each engine call adds three: the largest example and noise norms, and the
-    # final feasibility check. At radius 0.3 the bound places no step inside; at 1e3 most.
+    # einsum. Each engine call adds two: the largest noise norm and the final feasibility
+    # check. The largest example norm is its dataset's, computed once per dataset (here
+    # before counting), not once per call. At radius 0.3 the bound places no step inside;
+    # at 1e3 most.
     small, large = ([r for r in mixed_rows("logistic", b, radius=radius)
                      if r.oracles[0].spec.kind == kind] for radius in (0.3, 1e3))
     steps = max(len(r.schedule.slots) for r in small)
+    for r in small + large:
+        for o in r.oracles:
+            o.dataset.max_square_norm
     einsum, calls = np.einsum, []
 
     def counted(*args, **kwargs):
@@ -306,12 +311,12 @@ def test_einsum_calls_per_logistic_step(kind, b, monkeypatch):
     monkeypatch.setattr(np, "einsum", counted)
     run_batch(small)
     assert calls.count("rd,rd->r") == steps + 1
-    assert len(calls) == (2 if b == 1 else 3) * steps + 3
+    assert len(calls) == (2 if b == 1 else 3) * steps + 2
     calls.clear()
     run_batch(large)
     assert calls.count("rbd,rd->rb") == steps
     assert calls.count("rb,rbd->rd") == (0 if b == 1 else steps)
-    assert calls.count("nd,nd->n") == 2
+    assert calls.count("nd,nd->n") == 1
     assert calls.count("rd,rd->r") - 1 < steps
 
 
@@ -513,6 +518,32 @@ def test_an_engine_call_holds_no_second_copy_of_its_noise_tables():
     finally:
         tracemalloc.stop()
     assert peak < 2 * table_bytes
+    assert [t.final_w.tobytes() for t in again] == [t.final_w.tobytes() for t in first]
+
+
+def test_an_engine_call_holds_one_chunk_of_gathers_at_a_time():
+    # b = 50 and 600 rows over 200 examples: one step's gathers (each row's examples,
+    # their indices, noise and step size) outweigh the stacked examples U 200 times, so
+    # a chunk is one step. The call adds U, its step buffers (about 0.15 of one step's
+    # gathers here) and one chunk's gathers at a time; a chunk still held while the next
+    # one gathers adds a second.
+    b, d, n = 50, 10, 200
+    ds = dataset(n, d, 4)
+    oracle = GradientOracle(OracleSpec("local_dp", budget=n, batch_size=b, rng_seed=1,
+                                       epsilon=3.0), ObjectiveSpec(lam=0.01), ds)
+    # Distinct rates, so that no row takes over another's first run.
+    rows = [Row(Schedule(("a",), (c,), np.zeros(n // b, dtype=np.intp)), (oracle,))
+            for c in 10.0 + np.arange(600)]
+    step_bytes = len(rows) * 8 * (b * (d + 3) + 2 * d + 4)
+    assert sgd.CHUNK_BYTES < step_bytes
+    first = run_batch(rows)
+    tracemalloc.start()
+    try:
+        again = run_batch(rows)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < ds.X.nbytes + 1.5 * step_bytes
     assert [t.final_w.tobytes() for t in again] == [t.final_w.tobytes() for t in first]
 
 

@@ -17,6 +17,7 @@ from hetsgd.cli import EXPERIMENTS, main as cli_main
 from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, _result_row, _setup,
                                 emit_csv, load_dataset, read_csv_rows, run_c2_sweep,
                                 run_order_experiment, run_strategy_comparison)
+from hetsgd.sgd import InfeasibleIterate
 
 FIXTURE_ROWS = [
     ResultRow("Algorithm2", 2.0, 1.25, 0.03125, 100, 1.5),
@@ -618,6 +619,35 @@ class TestCli:
         text = exit_info.value.code
         assert isinstance(text, str) and "\n" not in text and str(out) in text
         assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command,overrides,message", [
+        ("order-exp", {"c_grid": None}, "order experiment needs c_grid"),
+        ("c2-sweep", {"epsilon_noisy_sweep": [1.0]}, "epsilon_noisy_sweep is set, but c2-sweep"),
+    ], ids=["refused_plan", "unread_key"])
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+    def test_a_refused_run_removes_only_the_directories_it_made(
+            self, command, overrides, message, existing, tmp_path, capsys, no_trial):
+        # A refused run leaves no directory it made, and keeps one that was there before.
+        out = tmp_path / "made" / "out"         # two levels the run may have to make
+        if existing:
+            out.mkdir(parents=True)
+        config = write_config(tmp_path, command, **overrides)
+        with pytest.raises(SystemExit) as exit_info:
+            cli_main([command, "--config", str(config), "--out-dir", str(out)])
+        assert exit_info.value.code.startswith(message)
+        assert out.is_dir() if existing else not (tmp_path / "made").exists()
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("run", [run_order_experiment, run_strategy_comparison, run_c2_sweep])
+    def test_a_run_whose_trial_fails_removes_the_directory_it_made(self, run, tmp_path,
+                                                                   monkeypatch):
+        def run_batch(rows):
+            raise InfeasibleIterate("a run's iterate became non-finite at step 1")
+
+        monkeypatch.setattr(experiments, "run_batch", run_batch)
+        with pytest.raises(InfeasibleIterate):
+            run(small_config(tmp_path, trials=2, **OWN_KEYS[run]))
+        assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["csv", "libsvm"])
     def test_a_missing_dataset_file_ends_in_one_line_naming_it(self, kind, tmp_path, capsys,

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,8 +7,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hetsgd.core import Dataset, ObjectiveSpec, loss_gradient, mean_loss_gradient
-from hetsgd.oracles import (BudgetExhausted, GradientOracle, NoiseLevel, OracleSpec,
-                            dp_noise_level, rcn_noise_level,
+from hetsgd.oracles import (NOISE_BLOCK_BYTES, BudgetExhausted, GradientOracle, NoiseLevel,
+                            OracleSpec, dp_noise_level, rcn_noise_level,
                             draw_tables, rcn_surrogate_gradient, sample_privacy_noise)
 
 
@@ -61,6 +63,31 @@ class TestDpNoiseSample:
 
     def test_zero_rows_for_a_zero_step_oracle(self):
         assert sample_privacy_noise(2.0, 3, np.random.default_rng(0), size=0).shape == (0, 3)
+
+    @pytest.mark.parametrize("d", [1, 10, 54])
+    def test_rows_scaled_in_blocks_have_the_bytes_of_the_whole_array_formula(self, d):
+        # The formula as first written: every row's norm from one np.linalg.norm call.
+        block = NOISE_BLOCK_BYTES // (8 * d)
+        for size in (0, 1, block - 1, block, block + 1, 4500):
+            rng = np.random.default_rng(size)
+            radii = rng.standard_gamma(d, size=size) * (2.0 / 1.3)
+            z = rng.standard_normal((size, d))
+            expected = z * (radii / np.linalg.norm(z, axis=1))[:, None]
+            got = sample_privacy_noise(1.3, d, np.random.default_rng(size), size=size)
+            assert got.shape == (size, d) and got.tobytes() == expected.tobytes()
+
+    def test_a_draw_holds_one_array_of_its_rows(self):
+        # 4500 x 54 rows, c2-sweep's draw: the call holds the rows, the radii and one block
+        # of squares, about 1.1 times the rows; the squares of every row at once beside
+        # them would make it about 2.
+        rng = np.random.default_rng(0)
+        tracemalloc.start()
+        try:
+            z = sample_privacy_noise(1.0, 54, rng, size=4500)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.25 * z.nbytes
 
 
 class TestNoiseLevels:
