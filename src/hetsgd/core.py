@@ -148,6 +148,36 @@ class Dataset:
     def subset(self, indices) -> "Dataset":
         return Dataset(self.X[indices], self.y[indices])
 
+    def checked_rows(self, rows=None) -> np.ndarray:
+        """``rows`` (None: every row) as a read-only ``np.intp`` array of row indices.
+
+        Anything but a 1-d integer array of distinct indices in [0, n) raises a one-line
+        ValueError naming ``rows``. An array this returned is returned as it is when passed
+        in again, so that the many oracles over one row set (a driver's split) check it once.
+        """
+        checked = self.__dict__.setdefault("_checked_rows", {})
+        if rows is None:
+            if None not in checked:
+                checked[None] = self.checked_rows(np.arange(len(self)))
+            return checked[None]
+        if checked.get(id(rows)) is rows:
+            return rows
+        r = np.asarray(rows)
+        if r.ndim != 1:
+            raise ValueError(f"rows must be a 1-d array of row indices, got shape {r.shape}")
+        if r.size and r.dtype.kind not in "iu":
+            raise ValueError(f"rows must be integers, got dtype {r.dtype}")
+        if r.size and not (r.min() >= 0 and r.max() < len(self)):
+            raise ValueError(f"rows must lie in [0, {len(self)}), got {r.min()}..{r.max()}")
+        r = r.astype(np.intp)
+        counts = np.bincount(r, minlength=len(self))
+        if counts.max(initial=0) > 1:
+            raise ValueError(f"rows must be distinct, got row {int(counts.argmax())} "
+                             f"{int(counts.max())} times")
+        r.flags.writeable = False
+        checked[id(r)] = r
+        return r
+
     @functools.cached_property
     def max_square_norm(self) -> float:
         """The largest ||x||^2 over the rows (0.0 for none, inf past the float range),
@@ -156,25 +186,38 @@ class Dataset:
             return float(np.einsum("nd,nd->n", self.X, self.X).max(initial=0.0))
 
     def max_feature_norm(self) -> float:
-        if len(self) == 0:
-            return 0.0
-        with np.errstate(over="ignore"):
-            norm = np.max(np.linalg.norm(self.X, axis=1))
-            if not np.isfinite(norm):   # squares of entries above ~1e154 overflow
-                peak = np.max(np.abs(self.X))
-                norm = peak * np.max(np.linalg.norm(self.X / peak, axis=1))
-        return float(norm)
+        return max_row_norm(self.X)
 
     def normalized(self) -> "Dataset":
         """Rescale features by the max norm over the dataset so ||x|| <= 1."""
-        scale = self.max_feature_norm()
-        if scale == 0.0:
-            return Dataset(self.X.copy(), self.y.copy())
-        X = self.X
-        if np.isinf(scale):             # a norm beyond the float range: shrink the entries first
-            X = X / np.max(np.abs(X))
-            scale = float(np.max(np.linalg.norm(X, axis=1)))
-        return Dataset(X / scale, self.y.copy())
+        return Dataset(unit_scaled(self.X), self.y.copy())
+
+
+def max_row_norm(X: np.ndarray) -> float:
+    """The largest Euclidean row norm of a matrix (0.0 for no rows), past the float range too."""
+    if len(X) == 0:
+        return 0.0
+    with np.errstate(over="ignore"):
+        norm = np.max(np.linalg.norm(X, axis=1))
+        if not np.isfinite(norm):   # squares of entries above ~1e154 overflow
+            peak = np.max(np.abs(X))
+            norm = peak * np.max(np.linalg.norm(X / peak, axis=1))
+    return float(norm)
+
+
+def unit_scaled(X: np.ndarray) -> np.ndarray:
+    """A new array: X divided by its largest row norm, so that every row has norm at most 1.
+
+    A matrix of zero rows comes back copied. The loaders build their one ``Dataset`` from
+    this, so that its input scans run once.
+    """
+    scale = max_row_norm(X)
+    if scale == 0.0:
+        return X.copy()
+    if np.isinf(scale):             # a norm beyond the float range: shrink the entries first
+        X = X / np.max(np.abs(X))
+        scale = float(np.max(np.linalg.norm(X, axis=1)))
+    return X / scale
 
 
 def _check_dims(w: np.ndarray, X: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import FLIP_RATE, Dataset, check_counts, check_reals
+from .core import FLIP_RATE, Dataset, check_counts, check_reals, unit_scaled
 
 logger = logging.getLogger(__name__)
 
@@ -59,7 +59,7 @@ def generate_synthetic(spec: SyntheticSpec, seed: int) -> Dataset:
     if spec.flip_rate > 0.0:
         flips = rng.random(spec.n) < spec.flip_rate
         y = np.where(flips, -y, y)
-    return Dataset(X, y).normalized()
+    return Dataset(unit_scaled(X), y)
 
 
 def sign_projection_matrix(d_in: int, d_out: int, seed: int) -> np.ndarray:
@@ -75,7 +75,7 @@ def random_projection(data: Dataset, d_out: int, seed: int) -> Dataset:
     if d_out > data.d:
         raise ValueError(f"d_out={d_out} exceeds input dimension {data.d}")
     P = sign_projection_matrix(data.d, d_out, seed)
-    return Dataset(data.X @ P, data.y).normalized()
+    return Dataset(unit_scaled(data.X @ P), data.y)
 
 
 def _map_label(raw: float, path, line_number: int) -> float:
@@ -116,7 +116,7 @@ def ingest_csv(path) -> Dataset:
     if not rows:
         raise EmptyFileError(f"{path}: no data rows")
     logger.info("ingested %s: %d rows, %d features", path, len(rows), d)
-    return Dataset(np.asarray(rows), np.asarray(labels)).normalized()
+    return Dataset(unit_scaled(np.asarray(rows)), np.asarray(labels))
 
 
 def ingest_libsvm(path) -> Dataset:
@@ -162,4 +162,4 @@ def ingest_libsvm(path) -> Dataset:
         for idx, val in row.items():
             X[i, idx - 1] = val
     logger.info("ingested %s: %d rows, %d features", path, len(entries), max_index)
-    return Dataset(X, np.asarray(labels)).normalized()
+    return Dataset(unit_scaled(X), np.asarray(labels))

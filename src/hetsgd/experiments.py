@@ -310,19 +310,29 @@ def load_dataset(cfg: ExperimentConfig, data_ss: np.random.SeedSequence) -> Data
     return ds
 
 
-def split_dataset(ds: Dataset, beta_c: float, split_ss: np.random.SeedSequence):
+def split_dataset(ds: Dataset, beta_c: float, split_ss: np.random.SeedSequence) -> tuple:
+    """The clean and the noisy source's rows of ``ds``, not copies of its examples.
+
+    A seeded permutation of the rows, cut after round(beta_c * n) of them (at least one
+    on each side). Each part is an array of row indices that ``ds`` has checked
+    (``Dataset.checked_rows``), so that no oracle over it checks it again.
+    """
     n = len(ds)
     n_c = min(max(int(round(beta_c * n)), 1), n - 1)
     perm = np.random.default_rng(split_ss).permutation(n)
-    return ds.subset(perm[:n_c]), ds.subset(perm[n_c:])
+    return ds.checked_rows(perm[:n_c]), ds.checked_rows(perm[n_c:])
 
 
 class _Setup(NamedTuple):
-    """What every driver derives from its config before its first trial."""
+    """What every driver derives from its config before its first trial.
+
+    The loaded dataset is held once: the clean and noisy sources are row indices into
+    it, which their oracles serve and the engine reads from its one signed copy.
+    """
 
     ds: Dataset
-    ds_c: Dataset
-    ds_n: Dataset
+    rows_c: np.ndarray       # the clean source's rows of ds
+    rows_n: np.ndarray       # the noisy source's rows of ds
     beta_c: float            # the clean share after the split rounds it
     obj: ObjectiveSpec
     steps: dict              # oracle id -> batches in its source
@@ -339,13 +349,14 @@ def _setup(cfg: ExperimentConfig, n_sweep: int) -> _Setup:
     load_expit()
     data_ss, split_ss, sweep_ss = np.random.SeedSequence(cfg.master_seed).spawn(3)
     ds = load_dataset(cfg, data_ss)
-    ds_c, ds_n = split_dataset(ds, cfg.beta_c, split_ss)
+    rows_c, rows_n = split_dataset(ds, cfg.beta_c, split_ss)
     b = cfg.oracles.batch_size
-    steps = {"clean_data": len(ds_c) // b, "noisy_data": len(ds_n) // b, "all_data": len(ds) // b}
+    steps = {"clean_data": len(rows_c) // b, "noisy_data": len(rows_n) // b,
+             "all_data": len(ds) // b}
     seeds = [[tuple(int(v) for v in trial.generate_state(4, np.uint64))
               for trial in point.spawn(cfg.trials)] for point in sweep_ss.spawn(n_sweep)]
     obj = ObjectiveSpec(cfg.problem.lam, cfg.problem.loss, cfg.problem.radius)
-    return _Setup(ds, ds_c, ds_n, len(ds_c) / len(ds), obj, steps, seeds)
+    return _Setup(ds, rows_c, rows_n, len(rows_c) / len(ds), obj, steps, seeds)
 
 
 # Trials are batched into one engine call until the batch holds about this many
@@ -600,12 +611,12 @@ def _noise_level(cfg: ExperimentConfig, d: int, level: float) -> NoiseLevel:
 
 
 def _split_oracles(cfg: ExperimentConfig, s: _Setup, seeds: tuple, noisy_level: float) -> dict:
-    """One trial's clean-side and noisy-side oracles, from its seeds."""
+    """One trial's clean-side and noisy-side oracles, from its seeds, over the split's rows."""
     clean_level = _levels(cfg)[0]
-    return {"clean_data": GradientOracle(_oracle_spec(cfg, len(s.ds_c), seeds[0], clean_level),
-                                         s.obj, s.ds_c),
-            "noisy_data": GradientOracle(_oracle_spec(cfg, len(s.ds_n), seeds[1], noisy_level),
-                                         s.obj, s.ds_n)}
+    return {"clean_data": GradientOracle(_oracle_spec(cfg, len(s.rows_c), seeds[0], clean_level),
+                                         s.obj, s.ds, s.rows_c),
+            "noisy_data": GradientOracle(_oracle_spec(cfg, len(s.rows_n), seeds[1], noisy_level),
+                                         s.obj, s.ds, s.rows_n)}
 
 
 def _row(schedule: Schedule, oracles: dict, noisy: bool = True) -> Row:
@@ -725,8 +736,12 @@ def _c2_plan(cfg: ExperimentConfig) -> _Plan:
     bracket = c2_bracket(noise_c, noise_n, s.beta_c, s.obj.lam)
     c2_lower, c2_upper = bracket.c2_lower, bracket.c2_upper
     lo, hi = sorted((c2_lower, c2_upper))
-
-    span = np.geomspace(0.5 * lo, 2.0 * hi, cfg.c2_grid_points) if hi > lo else [lo]
+    # Label noise has no separate lower noise level (rcn_noise_level), so its bracket is one
+    # point and the sweep would measure one rate, whatever c2_grid_points asks for.
+    if not hi > lo:
+        raise ValueError(f"c2-sweep needs c2(L) < c2(U) to sweep, but oracles.kind "
+                         f"{cfg.oracles.kind!r} gives the one-point bracket [{lo!r}, {hi!r}]")
+    span = np.geomspace(0.5 * lo, 2.0 * hi, cfg.c2_grid_points)
     # The bracketing rates are always measured so the marker rows carry data.
     grid = sorted({float(c) for c in span} | {float(c2_lower), float(c2_upper)})
 

@@ -1,8 +1,9 @@
 """Noisy gradient oracles over finite datasets.
 
-An oracle wraps a dataset behind a seeded random permutation and, per call,
-returns an unbiased noisy gradient of the regularized objective averaged
-over the next ``batch_size`` examples. Four noise mechanisms are provided:
+An oracle wraps rows of a dataset (all of them by default) behind a seeded
+random permutation and, per call, returns an unbiased noisy gradient of the
+regularized objective averaged over the next ``batch_size`` examples. Four noise
+mechanisms are provided:
 
 * ``clean``      -- no extra noise, sampling noise only;
 * ``local_dp``   -- additive noise with density proportional to
@@ -17,20 +18,23 @@ over the next ``batch_size`` examples. Four noise mechanisms are provided:
 
 An oracle serves ``budget // batch_size`` batches, k = 0, 1, ..., and is a
 set of read-only tables: the example permutation (batch k is
-``order[k*b:(k+1)*b]``), drawn from one seed of its own, and its whole budget's
+``order[k*b:(k+1)*b]``), drawn from one seed of its own as a permutation of its
+rows, so that ``order`` holds indices into the dataset, and its whole budget's
 noise (one batch-mean noise vector per batch for ``local_dp`` and
 ``gaussian``, one flip mask per batch for ``rcn``), drawn from a second seed of
-its own. Construction keeps only the seeds: each table is drawn on first use.
-``draw_tables`` draws the tables of many oracles at once into one buffer of
-each kind (the permutations into one, the noise tables into one behind a row
-of zeros, the flip masks likewise); the batched engine in ``sgd`` reads such
-buffers in place, so the permutations, noise and flip tables of one engine call
-exist once. Where a table lies does not change its values. ``call(w, k)`` reads
-batch k from the tables and is the reference path; any number of runs can
-share one oracle's draws. Drawing the whole budget up front changed the noise
-streams once, relative to versions that drew noise call by call: across that
-change a seed gives statistically equivalent, not identical, results; within a
-version it gives the same bytes.
+its own. Construction keeps only the seeds and the rows: each table is drawn on
+first use, and oracles over rows of one dataset (a driver's clean and noisy
+splits) share its one copy of the examples. ``draw_tables`` draws the tables
+of many oracles at once into one buffer of each kind (the permutations into
+one, the noise tables into one behind a row of zeros, the flip masks
+likewise); the batched engine in ``sgd`` reads such buffers in place, so the
+permutations, noise and flip tables of one engine call exist once. Where a
+table lies does not change its values. ``call(w, k)`` reads batch k from the
+tables and is the reference path; any number of runs can share one oracle's
+draws. Drawing the whole budget up front changed the noise streams once,
+relative to versions that drew noise call by call: across that change a seed
+gives statistically equivalent, not identical, results; within a version it
+gives the same bytes.
 """
 from __future__ import annotations
 
@@ -230,11 +234,12 @@ def _into_one_buffer(group, name: str, lead: int, sizes, width: int, dtype, fill
 
 
 def _draw_permutation(oracle: "GradientOracle", out: np.ndarray) -> None:
-    """Write the oracle's permutation into the first n entries of ``out``, row by row: the
-    bytes of Generator.permutation(n)."""
-    n = len(oracle.dataset)
-    perm = out.reshape(-1)[:n]
-    perm[:] = np.arange(n)
+    """Write the oracle's permutation of its n rows into the first n entries of ``out``, row
+    by row: rows[Generator.permutation(n)], row indices of the dataset (for all rows, the
+    bytes of the permutation). Generator.shuffle makes the same swaps whatever the values
+    it moves, so shuffling the rows themselves gives those bytes."""
+    perm = out.reshape(-1)[:len(oracle.rows)]
+    perm[:] = oracle.rows
     np.random.default_rng(oracle._perm_seed).shuffle(perm)
 
 
@@ -261,10 +266,10 @@ def draw_tables(oracles) -> None:
     if permuting:
         sizes = {o.spec.batch_size for o in permuting}
         width = sizes.pop() if len(sizes) == 1 else 1
-        _into_one_buffer(permuting, "order", 0, [-(-len(o.dataset) // width) for o in permuting],
+        _into_one_buffer(permuting, "order", 0, [-(-len(o.rows) // width) for o in permuting],
                          width, np.intp, _draw_permutation)
         for o in permuting:     # its n entries, read row by row
-            o.order = o.order.reshape(-1)[:len(o.dataset)]
+            o.order = o.order.reshape(-1)[:len(o.rows)]
     if shapes:
         (d, b), = shapes
         for group, name, width, dtype in ((noisy, "noise_means", d, np.float64),
@@ -275,9 +280,12 @@ def draw_tables(oracles) -> None:
 
 
 class GradientOracle:
-    """Read-only tables over one dataset: a seeded permutation and every batch's noise.
+    """Read-only tables over rows of one dataset: a seeded permutation and every batch's noise.
 
-    Two oracles built from the same spec and dataset traverse examples in
+    ``rows`` (None: every row) are the distinct row indices of ``dataset`` that
+    the oracle serves, at least ``spec.budget`` of them; ``Dataset.checked_rows``
+    checks them, once per array it returns, and ``order`` permutes them. Two
+    oracles built from the same spec, dataset and rows traverse examples in
     the same order and hold identical noise tables, which is what makes the
     noiseless-twin construction exact: ``twin()`` returns an oracle over the
     same permutation with all extra noise forced to zero. ``noise_means`` is
@@ -285,19 +293,23 @@ class GradientOracle:
     Construction keeps the seeds only: ``order`` and the one noise table a kind
     holds are drawn on first read, into buffers of their own, unless
     ``draw_tables`` has drawn them with others before. A ``local_dp`` oracle
-    needs examples of norm at most 1, which its noise is calibrated for.
+    needs examples of norm at most 1, which its noise is calibrated for; it checks
+    the whole dataset's largest norm, which the dataset computes once.
     """
 
-    def __init__(self, spec: OracleSpec, objective: ObjectiveSpec, dataset: Dataset):
-        if spec.budget > len(dataset):
-            raise ValueError(
-                f"budget {spec.budget} exceeds dataset size {len(dataset)}")
+    def __init__(self, spec: OracleSpec, objective: ObjectiveSpec, dataset: Dataset,
+                 rows=None):
+        rows = dataset.checked_rows(rows)
+        if spec.budget > len(rows):
+            raise ValueError(f"budget {spec.budget} exceeds the {len(rows)} rows the oracle "
+                             f"serves")
         if spec.kind == "local_dp" and not dataset.max_square_norm <= (1.0 + 1e-9) ** 2:
             raise ValueError(f"a local_dp oracle needs examples of norm at most 1, got a "
                              f"dataset whose largest norm is {dataset.max_feature_norm()!r}")
         self.spec = spec
         self.objective = objective
         self.dataset = dataset
+        self.rows = rows
         self._perm_seed, self._noise_seed = np.random.SeedSequence(spec.rng_seed).spawn(2)
         if spec.kind not in _NOISE_KINDS:
             self.noise_means = None

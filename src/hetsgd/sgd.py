@@ -88,32 +88,36 @@ keep its iterates near the sphere.
 
 A row names a ``Schedule`` (the oracle slot serving each step and each slot's
 rate constant), the oracles behind its slots, each read from batch 0, and
-whether it is the noisy run or its noiseless twin. Oracles are read-only tables,
-so every run over one seed shares one table. A call stacks its datasets' signed
-examples once, but holds each permutation, noise and flip table once:
-``run_batch`` first draws the tables of every oracle that holds none yet into
-one buffer of each kind (``oracles.draw_tables``, which a driver calls per
-block of trials), and reads a buffer that holds all of a call's tables of one
-kind in place. It reads the permutation buffer as one batch per row, as
-``draw_tables`` lays it out, so a step's batch index picks one row: its b
-examples. A permutation's entries index its own dataset, so each chunk adds its
-(row, slot)'s dataset offset to the example indices it gathers, before it takes
-the signed examples. Row 0 of the noise and flip buffers holds zeros, which
-twin rows and noiseless oracles read at every step. Tables drawn apart
-(oracles read before they met, or a table replaced by hand) are copied
-instead, the noise and flip tables below a zero row, with the same values.
-``Schedule.blocks`` builds block schedules from ordered phases, and an
-interleaving is a ``Schedule`` over shuffled slots. A ``Schedule`` derives what
-the engine reads from its slots once, at construction, and ``run_batch`` builds
-its (row, slot) tables from per-oracle arrays, so the setup of a call costs
-array time, not Python time per row. A run's radius is its objective's: a
-call's oracles share one ``ObjectiveSpec``.
+whether it is the noisy run or its noiseless twin. Oracles are read-only
+tables, so every run over one seed shares one table. A call signs the examples
+of each distinct dataset its oracles serve rows of once (a driver's oracles all
+serve rows of its one loaded dataset, so its calls sign that dataset's n
+examples, not its clean and noisy splits apart), and holds each permutation,
+noise and flip table once: ``run_batch`` first draws the tables of every oracle
+that holds none yet into one buffer of each kind (``oracles.draw_tables``,
+which a driver calls per block of trials), and reads a buffer that holds all of
+a call's tables of one kind in place. It reads the permutation buffer as one
+batch per row, as ``draw_tables`` lays it out, so a step's batch index picks
+one row: its b examples. A permutation's entries are row indices of its
+oracle's dataset, so each chunk adds its (row, slot)'s dataset offset to the
+example indices it gathers, before it takes the signed examples. Row 0 of the
+noise and flip buffers holds zeros, which twin rows and noiseless oracles read
+at every step. Tables drawn apart (oracles read before they met, or a table
+replaced by hand) are copied instead, the noise and flip tables below a zero
+row, with the same values. ``Schedule.blocks`` builds block schedules from
+ordered phases, and an interleaving is a ``Schedule`` over shuffled slots. A
+``Schedule`` derives what the engine reads from its slots once, at
+construction, and ``run_batch`` builds its (row, slot) tables from per-oracle
+arrays, so the setup of a call costs array time, not Python time per row. A
+run's radius is its objective's: a call's oracles share one ``ObjectiveSpec``.
 ``run_batch`` refuses a run two of whose slots would read one example of one
-dataset (the one-pass rule of local DP), and ``check_budgets`` adds the drivers'
-rule: every run reads each of its oracles' whole budget. ``run_sgd``, ``run_sgd_interleaved``,
-``run_paired`` and ``run_paired_interleaved`` exist only because perfbench's
-tracer wraps them by name. Each is one ``run_batch`` call over whole budgets; the
-package calls none of them.
+dataset (the one-pass rule of local DP), comparing the reads once per distinct
+set of slots over one dataset, by one count per row of that dataset; and
+``check_budgets`` adds the drivers' rule: every run reads each of its oracles'
+whole budget. ``run_sgd``, ``run_sgd_interleaved``, ``run_paired`` and
+``run_paired_interleaved`` exist only because perfbench's tracer wraps them by
+name. Each is one ``run_batch`` call over whole budgets; the package calls none
+of them.
 """
 from __future__ import annotations
 
@@ -277,25 +281,23 @@ def _norm_bounds(t0: int, t1: int, c_lo: float, c_hi: float, lam: float, reach: 
     return a, e
 
 
-def _check_one_pass(rows: Sequence[Row], pairs: np.ndarray, pair_row: np.ndarray,
-                    pair_slot: np.ndarray, used: np.ndarray, b: int) -> None:
-    """Raise ``BudgetExhausted`` if two (row, slot) ``pairs`` over one dataset read one example.
+def _check_one_pass(row: Row, slots: list, used: list, b: int) -> None:
+    """Raise ``BudgetExhausted`` if two of ``row``'s ``slots``, over one dataset, read one example.
 
-    A slot that takes n steps reads its oracle's examples ``order[:n*b]``.
+    A slot that takes n steps (``used``) reads its oracle's examples ``order[:n*b]``, row
+    indices of the dataset, so one count per row of the dataset finds an example read twice.
     """
-    slots = [(rows[i].oracles[s], rows[i].schedule.ids[s]) for i, s in
-             zip(pair_row[pairs].tolist(), pair_slot[pairs].tolist())]
-    reads = [o.order[:n * b] for (o, _), n in zip(slots, used[pairs].tolist())]
-    examples = np.concatenate(reads)
-    owner = np.repeat(np.arange(len(reads)), [len(r) for r in reads])
-    by_example = np.argsort(examples, kind="stable")
-    twice = np.flatnonzero(examples[by_example[1:]] == examples[by_example[:-1]])
-    if twice.size:
-        j = by_example[twice[0]]
-        (o0, a), (o1, c) = slots[owner[j]], slots[owner[by_example[twice[0] + 1]]]
-        what = "one oracle" if o0.spec == o1.spec else "one dataset"
-        raise BudgetExhausted(f"a run reads {what} in two slots, {a!r} and {c!r}, and would "
-                              f"read its example {examples[j]} twice")
+    reads = [row.oracles[s].order[:n * b] for s, n in zip(slots, used)]
+    counts = np.bincount(np.concatenate(reads), minlength=len(row.oracles[slots[0]].dataset))
+    example = int(counts.argmax())
+    if counts[example] > 1:
+        s0, s1 = [s for s, r in zip(slots, reads) if (r == example).any()][:2]
+        o0, o1 = row.oracles[s0], row.oracles[s1]
+        same = o0.spec == o1.spec and np.array_equal(o0.rows, o1.rows)
+        ids = row.schedule.ids
+        raise BudgetExhausted(f"a run reads {'one oracle' if same else 'one dataset'} in two "
+                              f"slots, {ids[s0]!r} and {ids[s1]!r}, and would read its example "
+                              f"{example} twice")
 
 
 def run_batch(rows: Sequence[Row]) -> list:
@@ -305,8 +307,9 @@ def run_batch(rows: Sequence[Row]) -> list:
     size and dimension; every run stays in the ball of that objective's radius.
     A run two of whose slots read one example of one dataset (one oracle in two
     slots, an oracle and its ``twin()``, an oracle rebuilt from one spec and dataset, or
-    two oracles whose permutations overlap), or that asks an oracle for more batches
-    than it serves, raises ``BudgetExhausted``; disjoint windows of one permutation run.
+    two oracles whose permutations or row sets overlap), or that asks an oracle for more
+    batches than it serves, raises ``BudgetExhausted``; disjoint windows of one
+    permutation, and disjoint row sets of one dataset, run.
     """
     rows = list(rows)
     if not rows:
@@ -332,7 +335,8 @@ def run_batch(rows: Sequence[Row]) -> list:
     examples, ex_base = _one_table([o.order[:o.steps_total * b].reshape(-1, b)
                                     for o in oracles], np.zeros((0, b), dtype=np.intp))
     # Examples: the distinct datasets stacked once, each example signed by its label
-    # (u = -y*x); a permutation's entries index its dataset, which starts at ds_base.
+    # (u = -y*x); a permutation's entries are row indices of its oracle's dataset, which
+    # starts at ds_base, so oracles over rows of one dataset read one copy of it.
     datasets = list({id(o.dataset): o.dataset for o in oracles}.values())
     U, ds_base = _stack_tables([ds.X for ds in datasets], np.zeros((0, d)))
     y, _ = _stack_tables([ds.y for ds in datasets], np.zeros(0))
@@ -354,8 +358,9 @@ def run_batch(rows: Sequence[Row]) -> list:
     pair_slot = np.arange(len(pair_row)) - (np.cumsum(widths) - widths)[pair_row]
     oracle_of = np.array([at[id(o)] for r in rows for o in r.oracles], dtype=np.intp)
     # One pass: no slot asks its oracle for more batches than it serves, and no two slots
-    # of a run read one example. Only slots over one dataset can share one: sorted by row
-    # and dataset such pairs are adjacent, and only their reads are compared.
+    # of a run read one example. Only slots over one dataset can share one (oracles over
+    # rows of one dataset, such as a driver's splits, count as one): sorted by row and
+    # dataset such pairs are adjacent, and only their reads are compared.
     used = np.concatenate([sched.counts() for sched in schedules])
     over = np.flatnonzero(used > budgets[oracle_of])
     if over.size:
@@ -364,8 +369,20 @@ def run_batch(rows: Sequence[Row]) -> list:
                               f"batches, a run asks for {used[over[0]]}")
     key = pair_row * len(datasets) + dataset_of[oracle_of]
     order = np.argsort(key, kind="stable")
-    for k in np.unique(key[order[1:]][key[order[1:]] == key[order[:-1]]]):
-        _check_one_pass(rows, np.flatnonzero(key == k), pair_row, pair_slot, used, b)
+    key = key[order]
+    starts = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1], [True]]))
+    several = np.flatnonzero(np.diff(starts) > 1)
+    # Rows whose slots over one dataset hold the same oracles for the same steps (a run and
+    # its twin, a trial's strategies) read the same examples: each such set is compared once.
+    by_oracle, by_used = oracle_of[order].tolist(), used[order].tolist()
+    compared = set()
+    for lo, hi in zip(starts[several].tolist(), starts[several + 1].tolist()):
+        reads = tuple(sorted(zip(by_oracle[lo:hi], by_used[lo:hi])))
+        if reads not in compared:
+            compared.add(reads)
+            pairs = order[lo:hi]
+            _check_one_pass(rows[pair_row[pairs[0]]], pair_slot[pairs].tolist(),
+                            by_used[lo:hi], b)
 
     # Per (row, slot): its offsets into U (its dataset's start) and, in batches, into the
     # example, noise and flip tables, side by side so that a chunk takes them at once and

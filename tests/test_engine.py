@@ -705,6 +705,43 @@ def test_a_run_may_not_read_one_oracle_in_two_slots():
     assert traj.steps == 20
 
 
+def test_a_run_may_not_read_overlapping_rows_of_one_dataset_in_two_slots():
+    # Oracles over rows [0, 20) and [10, 30) of one dataset share 10 examples, which a run
+    # over both whole budgets reads twice, whatever their specs.
+    obj, ds = ObjectiveSpec(lam=1.0, loss="linear"), dataset(40, 3, 5)
+    spec = OracleSpec("local_dp", budget=20, rng_seed=1, epsilon=1.0)
+    both = Schedule(("a", "b"), (10.0, 10.0), [0] * 20 + [1] * 20)
+    for other in (spec, OracleSpec("clean", budget=20, rng_seed=2)):
+        with pytest.raises(hetsgd.BudgetExhausted,
+                           match=r"^a run reads one dataset in two slots, 'a' and 'b', and "
+                                 r"would read its example 1\d twice$"):
+            run_batch([Row(both, (GradientOracle(spec, obj, ds, np.arange(20)),
+                                  GradientOracle(other, obj, ds, np.arange(10, 30))))])
+    # Disjoint rows of one dataset run, with the bytes of oracles over copies of them.
+    parts = (np.arange(20, 40), np.arange(20))
+    runs = [run_batch([Row(both, tuple(GradientOracle(spec, obj, *over) for over in pair))])[0]
+            for pair in ([(ds, r) for r in parts], [(ds.subset(r),) for r in parts])]
+    assert runs[0].steps == 40 and runs[0].final_w.tobytes() == runs[1].final_w.tobytes()
+
+
+def test_each_set_of_slots_over_one_dataset_is_compared_once(monkeypatch):
+    # A trial's two-slot strategies and their twins read the same two oracles' budgets,
+    # so a call compares their reads once per trial, not once per row.
+    obj, ds = ObjectiveSpec(lam=1.0, loss="linear"), dataset(40, 3, 5)
+    rows = []
+    for trial in range(3):
+        clean, noisy = (GradientOracle(OracleSpec("clean", budget=20, rng_seed=2 * trial + j),
+                                       obj, ds, np.arange(20 * j, 20 * j + 20)) for j in (0, 1))
+        for order in ((clean, noisy), (noisy, clean)):
+            rows += [Row(Schedule(("a", "b"), (c, c), [0] * 20 + [1] * 20), order, noisy)
+                     for c in (5.0, 10.0) for noisy in (True, False)]
+        rows.append(Row(Schedule(("a",), (5.0,), [0] * 20), (clean,)))
+    calls, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+    assert len(run_batch(rows)) == 27
+    assert len(calls) == 3
+
+
 def test_a_batch_whose_objectives_differ_only_in_radius_is_rejected():
     ds = dataset(12, 3, 5)
     oracles = [GradientOracle(OracleSpec("clean", budget=12, rng_seed=1),

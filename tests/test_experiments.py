@@ -1,4 +1,5 @@
 import csv
+import functools
 import hashlib
 import json
 import logging
@@ -6,6 +7,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from conftest import assert_pinned
 from hetsgd import experiments
 from hetsgd.cli import EXPERIMENTS, main as cli_main
+from hetsgd.core import Dataset
 from hetsgd.experiments import (CSV_HEADER, ExperimentConfig, ResultRow, _result_row, _setup,
                                 emit_csv, load_dataset, read_csv_rows, run_c2_sweep,
                                 run_order_experiment, run_strategy_comparison)
@@ -382,6 +385,18 @@ class TestC2Sweep:
         assert engine["row_steps"] == cfg.trials * (two_rate * (noisy + clean) + clean)
         assert engine["shared_row_steps"] == cfg.trials * (two_rate - 1) * noisy > 0
 
+    def test_label_noise_is_refused_before_any_trial(self, tmp_path, no_trial):
+        # Label noise has one noise level, so c2(L) = c2(U): the sweep used to measure that
+        # one rate, write one TwoRate row and three identical marker rows, and exit 0.
+        cfg = small_config(tmp_path, c2_grid_points=6,
+                           oracles={"kind": "rcn", "sigma_clean": 0.0, "sigma_noisy": 0.3,
+                                    "batch_size": 10})
+        with pytest.raises(ValueError, match=r"^c2-sweep needs c2\(L\) < c2\(U\) to sweep, "
+                                             r"but oracles.kind 'rcn' gives the one-point "
+                                             r"bracket \[([0-9.e+-]+), \1\]$"):
+            run_c2_sweep(cfg)
+        assert list(tmp_path.iterdir()) == []
+
 
 # Test ids stay as they were before the three drivers shared one runner, so that results
 # of these cases stay comparable across commits.
@@ -446,6 +461,44 @@ def test_a_run_returns_the_rows_and_meta_blocks_it_writes(run, tmp_path):
     assert set(result.meta) == blocks
     meta = json.loads((out / "meta.json").read_text())
     assert json.loads(json.dumps(result.meta)) == {name: meta[name] for name in blocks}
+
+
+@pytest.mark.parametrize("run", [run_order_experiment, run_strategy_comparison, run_c2_sweep])
+def test_a_driver_call_builds_and_scans_one_dataset(run, monkeypatch):
+    # The clean and noisy sources are rows of the loaded dataset, not datasets of their
+    # own: one construction (one finiteness and label scan) and one unit-ball check.
+    built, scans = [], []
+    post_init = Dataset.__post_init__
+    monkeypatch.setattr(Dataset, "__post_init__", lambda ds: built.append(1) or post_init(ds))
+    largest = Dataset.__dict__["max_square_norm"].func
+    counted = functools.cached_property(lambda ds: scans.append(1) or largest(ds))
+    counted.__set_name__(Dataset, "max_square_norm")
+    monkeypatch.setattr(Dataset, "max_square_norm", counted)
+    assert run(small_config(trials=2, **OWN_KEYS[run])).rows
+    assert (len(built), len(scans)) == (1, 1)
+
+
+def test_a_driver_call_holds_its_examples_once_beside_their_signed_copy():
+    # n = 4000 and d = 50: the loaded features X and the engine's signed copy U outweigh
+    # all else a c2-sweep call holds but one step's gathers. Split copies of X would add
+    # another X (1.5 MiB) over the bound; a quarter of X covers the tables and buffers.
+    cfg = small_config(trials=2, c2_grid_points=4,
+                       data={"kind": "synthetic", "d": 50, "n": 4000, "flip_rate": 0.1},
+                       oracles={"kind": "local_dp", "epsilon_clean": 10.0, "epsilon_noisy": 2.0,
+                                "batch_size": 50})
+    first = run_c2_sweep(cfg)          # and scipy's import, which a process makes once
+    tracemalloc.start()
+    try:
+        again = run_c2_sweep(cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    x_bytes = 4000 * 50 * 8
+    engine = again.meta["engine"]
+    step_bytes = engine["rows"] * 8 * (50 * (50 + 3) + 2 * 50 + 4)
+    assert engine["calls"] == 1
+    assert peak < 2 * x_bytes + step_bytes + x_bytes / 4
+    assert again.rows == first.rows
 
 
 class TestOrderExperimentDeskScale:
@@ -623,7 +676,9 @@ class TestCli:
     @pytest.mark.parametrize("command,overrides,message", [
         ("order-exp", {"c_grid": None}, "order experiment needs c_grid"),
         ("c2-sweep", {"epsilon_noisy_sweep": [1.0]}, "epsilon_noisy_sweep is set, but c2-sweep"),
-    ], ids=["refused_plan", "unread_key"])
+        ("c2-sweep", {"oracles": {"kind": "rcn", "batch_size": 10}},
+         "c2-sweep needs c2(L) < c2(U) to sweep, but oracles.kind 'rcn'"),
+    ], ids=["refused_plan", "unread_key", "one_point_bracket"])
     @pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
     def test_a_refused_run_removes_only_the_directories_it_made(
             self, command, overrides, message, existing, tmp_path, capsys, no_trial):

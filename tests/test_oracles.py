@@ -253,6 +253,58 @@ class TestOracleSpec:
         assert OracleSpec("clean", budget=5).noise_level(3).gamma_sq == pytest.approx(4.0)
 
 
+class TestRows:
+    @pytest.mark.parametrize("rows,message", [
+        (np.zeros((2, 3), dtype=np.intp),
+         r"rows must be a 1-d array of row indices, got shape \(2, 3\)"),
+        (3, r"rows must be a 1-d array of row indices, got shape \(\)"),
+        ([0.0, 1.0], "rows must be integers, got dtype float64"),
+        (np.array([True, False]), "rows must be integers, got dtype bool"),
+        ([0, 8], r"rows must lie in \[0, 8\), got 0\.\.8"),
+        ([-1, 2], r"rows must lie in \[0, 8\), got -1\.\.2"),
+        ([1, 2, 1], "rows must be distinct, got row 1 2 times"),
+        ([4, 5, 6], "budget 4 exceeds the 3 rows the oracle serves")])
+    def test_bad_rows_fail_in_one_line_naming_them(self, rows, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GradientOracle(OracleSpec("clean", budget=4), ObjectiveSpec(lam=1.0),
+                           make_dataset(n=8), rows)
+
+    def test_a_row_set_is_checked_once_for_all_its_oracles(self, monkeypatch):
+        ds = make_dataset(n=40)
+        rows = ds.checked_rows(np.arange(10, 40)[::-1])
+        assert ds.checked_rows(rows) is rows and not rows.flags.writeable
+        assert ds.checked_rows() is ds.checked_rows()
+        calls = []
+        bincount = np.bincount
+        monkeypatch.setattr(np, "bincount", lambda *a, **k: calls.append(1) or bincount(*a, **k))
+        for seed in range(72):          # the oracles of one strategy-cmp engine call
+            GradientOracle(OracleSpec("local_dp", budget=30, rng_seed=seed, epsilon=1.0),
+                           ObjectiveSpec(lam=1.0), ds, rows)
+        assert calls == []
+        # An array the dataset has not returned is checked, and a repeat found, each time.
+        with pytest.raises(ValueError, match="distinct"):
+            GradientOracle(OracleSpec("clean", budget=2), ObjectiveSpec(lam=1.0), ds, [3, 3])
+        assert calls == [1]
+
+    @pytest.mark.parametrize("kind,kw", MECHANISMS)
+    def test_an_oracle_over_rows_serves_what_one_over_their_copy_does(self, kind, kw):
+        # The permutation is the rows shuffled as the seed shuffles their positions, so the
+        # oracle reads the examples, in the order, of an oracle over a copy of those rows.
+        ds, obj = make_dataset(n=50), ObjectiveSpec(lam=0.5)
+        rows = np.random.default_rng(3).permutation(50)[:30]
+        spec = OracleSpec(kind, budget=28, batch_size=4, rng_seed=11, **kw)
+        over_rows, over_copy = GradientOracle(spec, obj, ds, rows), \
+            GradientOracle(spec, obj, ds.subset(rows))
+        assert over_rows.order.tobytes() == rows[over_copy.order].tobytes()
+        for name in ("noise_means", "flips"):
+            a, b = getattr(over_rows, name), getattr(over_copy, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes()
+        w = np.random.default_rng(4).standard_normal(4)
+        k = np.arange(over_rows.steps_total)
+        assert over_rows.call(w, k).tobytes() == over_copy.call(w, k).tobytes()
+        assert over_rows.twin().call(w, k).tobytes() == over_copy.twin().call(w, k).tobytes()
+
+
 class TestGradientOracle:
     def test_clean_linear_exact(self):
         ds = make_dataset(n=20, d=3, seed=2)
